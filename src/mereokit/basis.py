@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from string import ascii_lowercase
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -128,43 +127,46 @@ class WeightProfile:
         return float(self.w[1:].sum())
 
 
-def _stacks(factors: tuple[int, ...], bases: Optional[Sequence[SiteBasis]]):
+def _site_map(b: SiteBasis, adjoint: bool) -> np.ndarray:
+    # conj(B_alpha) flattened over (row, col), one row per alpha; or its adjoint
+    m = np.stack(b.ops).reshape(b.d * b.d, b.d * b.d)
+    return np.ascontiguousarray(m.T) if adjoint else m.conj()
+
+
+@lru_cache(maxsize=None)
+def _gell_mann_maps(factors: tuple[int, ...], adjoint: bool) -> tuple[np.ndarray, ...]:
+    return tuple(_site_map(site_basis(d), adjoint) for d in factors)
+
+
+def _contract(t: np.ndarray, factors, bases: Optional[Sequence[SiteBasis]], adjoint: bool):
+    # one (d^2, d^2) map per site; the transpose rotates the mapped axis to
+    # the back, so after n sites the axes are in order again
     if bases is None:
-        bases = [site_basis(d) for d in factors]
-    if tuple(b.d for b in bases) != tuple(factors):
+        maps = _gell_mann_maps(factors, adjoint)
+    elif tuple(b.d for b in bases) == factors:
+        maps = [_site_map(b, adjoint) for b in bases]
+    else:
         raise DimensionMismatch("site basis dimensions do not match the factors")
-    return [np.stack(b.ops) for b in bases]
-
-
-def _subscripts(n: int):
-    rows, cols, outs = (
-        ascii_lowercase[:n],
-        ascii_lowercase[n : 2 * n],
-        ascii_lowercase[2 * n : 3 * n],
-    )
-    sites = ",".join(outs[i] + rows[i] + cols[i] for i in range(n))
-    return rows + cols, sites, outs
+    for m in maps:
+        t = (m @ t.reshape(m.shape[1], -1)).T
+    return t
 
 
 def coeff_tensor(mat: np.ndarray, dims: Dims, bases=None) -> np.ndarray:
-    """Expansion coefficients of a D x D matrix over the product basis."""
-    n = dims.n
-    if n > 8:
-        raise DimensionMismatch("expansions limited to 8 factors")
-    full, sites, outs = _subscripts(n)
-    t = mat.reshape(dims.factors + dims.factors)
-    stacks = [s.conj() for s in _stacks(dims.factors, bases)]
-    return np.einsum(f"{full},{sites}->{outs}", t, *stacks)
+    """Expansion coefficients of a D x D matrix over the product basis.
+
+    One site at a time, so the cost is D^2 * sum(d_i^2) rather than D^4.
+    """
+    f, n = dims.factors, dims.n
+    t = mat.reshape(f + f).transpose([a for i in range(n) for a in (i, n + i)])
+    return _contract(t, f, bases, adjoint=False).reshape(tuple(d * d for d in f))
 
 
 def matrix_from_coeffs(coeffs: np.ndarray, dims: Dims, bases=None) -> np.ndarray:
     """Adjoint of ``coeff_tensor``: reassemble the matrix from coefficients."""
-    n = dims.n
-    full, sites, outs = _subscripts(n)
-    stacks = _stacks(dims.factors, bases)
-    t = np.einsum(f"{outs},{sites}->{full}", coeffs, *stacks)
-    D = dims.total
-    return t.reshape(D, D)
+    f, n, D = dims.factors, dims.n, dims.total
+    t = _contract(coeffs, f, bases, adjoint=True).reshape(tuple(d for d in f for _ in "rc"))
+    return t.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))).reshape(D, D)
 
 
 def decompose(H: HermitianOp, T: Tps, bases=None) -> Decomposition:
@@ -196,9 +198,9 @@ def weight_masses(coeffs: np.ndarray, factors: tuple[int, ...], dust: float = 0.
     mag2 = (coeffs.conj() * coeffs).real
     if dust > 0.0:
         mag2 = np.where(np.abs(coeffs) > dust, mag2, 0.0)
-    out = np.zeros(len(factors) + 1)
-    np.add.at(out, weight_tensor(factors).ravel(), mag2.ravel())
-    return out
+    return np.bincount(
+        weight_tensor(factors).ravel(), weights=mag2.ravel(), minlength=len(factors) + 1
+    )
 
 
 def weight_profile(dec: Decomposition) -> WeightProfile:

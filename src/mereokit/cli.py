@@ -157,10 +157,7 @@ def build_tps(spec, dims: Dims, seed: int, base: tps_mod.Tps, H: HermitianOp | N
         if kind == "file":
             return tps_mod.tps_from_json(_load_json(spec["path"]))
         if kind == "local":
-            rng = stream(seed, 3)
-            locals_ = kron_all([haar_unitary(d, rng).mat for d in dims.factors])
-            U = UnitaryOp(base.iso.mat.conj().T @ locals_ @ base.iso.mat)
-            return tps_mod.act(U, base)
+            return _local_move(base, stream(seed, 3))
         if kind == "evolved":
             if H is None:
                 raise UsageError("an evolved tps needs a model in the config")
@@ -168,9 +165,10 @@ def build_tps(spec, dims: Dims, seed: int, base: tps_mod.Tps, H: HermitianOp | N
     raise UsageError(f"unknown tps spec {spec!r}")
 
 
-def build_state(spec, dims: Dims, seed: int) -> StateVec:
+def build_state(spec, dims: Dims, seed: int, *path: int) -> StateVec:
+    """State named in a config; a Haar state draws from ``stream(seed, 4, *path)``."""
     if spec == "haar" or spec is None:
-        return haar_state(dims.total, stream(seed, 4))
+        return haar_state(dims.total, stream(seed, 4, *path))
     if isinstance(spec, list):
         v = np.array([complex(re, im) for re, im in spec])
         return StateVec(v / np.linalg.norm(v))
@@ -297,7 +295,7 @@ def cmd_search(args) -> int:
 
 def _kinds_pair(cfg_pair, seed: int, path: int):
     H, dims = build_model(_model_cfg(cfg_pair), seed)
-    psi = build_state(cfg_pair.get("state"), dims, seed + path)
+    psi = build_state(cfg_pair.get("state"), dims, seed, path)
     return H, psi
 
 
@@ -379,7 +377,7 @@ def cmd_dualscan(args) -> int:
     for trial in range(trials):
         H, psi, T1 = _dualscan_instance(dims, seed, trial)
         probes = kinds.build_probe_set(H, psi, int(count) if count else None, stream(seed, trial, 1))
-        cases = [("local", _local_move(T1, seed, trial))]
+        cases = [("local", _local_move(T1, stream(seed, trial, 100)))]
         cases += [(f"evolved:{t!r}", tps_mod.act(expm_i(H, t), T1)) for t in t_values]
         for label, T2 in cases:
             f1 = kinds.fingerprint(H, psi, T1, probes)
@@ -414,10 +412,10 @@ def _dualscan_instance(dims: Dims, seed: int, trial: int):
     raise MereokitError("could not draw a non-degenerate, full-support instance")
 
 
-def _local_move(T1: tps_mod.Tps, seed: int, trial: int) -> tps_mod.Tps:
-    rng = stream(seed, trial, 100)
-    locals_ = kron_all([haar_unitary(d, rng).mat for d in T1.dims.factors])
-    return tps_mod.act(UnitaryOp(T1.iso.mat.conj().T @ locals_ @ T1.iso.mat), T1)
+def _local_move(T: tps_mod.Tps, rng) -> tps_mod.Tps:
+    # one Haar unitary per factor of T, applied in T's own frame
+    locals_ = kron_all([haar_unitary(d, rng).mat for d in T.dims.factors])
+    return tps_mod.act(UnitaryOp(T.iso.mat.conj().T @ locals_ @ T.iso.mat), T)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +426,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", required=True, help="path to the JSON experiment config")
     p.add_argument("--seed", type=int, default=None, help="seed override (also MEREOKIT_SEED)")
     p.add_argument("--out", default=None, help="output path; stdout when omitted")
-    p.add_argument("--format", choices=["json", "csv"], default=None, help="output format hint")
     p.add_argument("--tol", type=float, default=None, help="tolerance override")
 
 

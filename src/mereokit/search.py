@@ -64,28 +64,23 @@ class SearchResult:
         }
 
 
-def _masses(A: np.ndarray, dims: Dims) -> np.ndarray:
-    return weight_masses(coeff_tensor(A, dims), dims.factors)
-
-
-def _objective_raw(A: np.ndarray, dims: Dims, K: int) -> float:
-    m = _masses(A, dims)
+def _fraction_above(m: np.ndarray, K: int) -> tuple[float, float]:
+    # (weight fraction above K, non-constant mass M) from per-weight masses
     M = float(m[1:].sum())
     if M <= 1e-14 * float(m.sum() + 1e-300):
         raise ObjectiveUndefined("operator is proportional to the identity")
-    return float(m[K + 1 :].sum()) / M
+    return float(m[K + 1 :].sum()) / M, M
+
+
+def _objective_raw(A: np.ndarray, dims: Dims, K: int) -> float:
+    return _fraction_above(weight_masses(coeff_tensor(A, dims), dims.factors), K)[0]
 
 
 def _objective_and_gradient(H: np.ndarray, V: np.ndarray, dims: Dims, K: int):
     A = V @ H @ V.conj().T
     coeffs = coeff_tensor(A, dims)
-    mag2 = (coeffs.conj() * coeffs).real
-    w = weight_tensor(dims.factors)
-    M = float(mag2[w >= 1].sum())
-    if M <= 1e-14 * float(mag2.sum() + 1e-300):
-        raise ObjectiveUndefined("operator is proportional to the identity")
-    J = float(mag2[w > K].sum()) / M
-    G = matrix_from_coeffs(np.where(w > K, coeffs, 0.0), dims)
+    J, M = _fraction_above(weight_masses(coeffs, dims.factors), K)
+    G = matrix_from_coeffs(np.where(weight_tensor(dims.factors) > K, coeffs, 0.0), dims)
     grad = (2.0 / M) * (G @ A - A @ G)
     return J, grad
 
@@ -117,8 +112,13 @@ def _qubit_dims(H: HermitianOp) -> Dims:
 
 
 def _retract(X: np.ndarray, s: float, V: np.ndarray) -> np.ndarray:
-    # exact e^{sX} V for anti-Hermitian X, via eigh of the Hermitian iX
-    lam, Q = np.linalg.eigh(1j * X)
+    """Exact e^{sX} V for anti-Hermitian X."""
+    return _retract_eig(np.linalg.eigh(1j * X), s, V)
+
+
+def _retract_eig(eig, s: float, V: np.ndarray) -> np.ndarray:
+    # e^{sX} V from eig = eigh(iX); one decomposition serves every step size
+    lam, Q = eig
     E = (Q * np.exp(-1j * s * lam)) @ Q.conj().T
     return E @ V
 
@@ -132,10 +132,11 @@ def _descend(H: np.ndarray, V0: np.ndarray, dims: Dims, cfg: SearchConfig):
         gn2 = float(np.vdot(grad, grad).real)
         if np.sqrt(gn2) <= cfg.grad_tol:
             break
+        eig = np.linalg.eigh(1j * grad)
         s = step
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
-            Vn = _retract(grad, -s, V)
+            Vn = _retract_eig(eig, -s, V)
             Jn = _objective_raw(Vn @ H @ Vn.conj().T, dims, cfg.K)
             if Jn <= J - cfg.armijo_c * s * gn2:
                 accepted = True

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mereokit as mk
-from mereokit.basis import weight_tensor
+from mereokit.basis import coeff_tensor, matrix_from_coeffs, weight_tensor
 from mereokit.models import SIGMA
 
 from conftest import random_hermitian
@@ -99,6 +100,54 @@ class TestReconstruct:
         H = random_hermitian(6, mk.stream(204))
         back = mk.reconstruct(mk.decompose(H, mk.canonical(dims)))
         assert np.abs(back.mat - H.mat).max() < 1e-10 * (1 + np.abs(H.mat).max())
+
+
+def einsum_coeffs(mat, dims):
+    """Reference expansion: every site in one einsum, conj(B) contracted on (row, col)."""
+    n = dims.n
+    rows, cols, outs = "abcd"[:n], "efgh"[:n], "ijkl"[:n]
+    sites = ",".join(outs[i] + rows[i] + cols[i] for i in range(n))
+    stacks = [np.stack(mk.site_basis(d).ops).conj() for d in dims.factors]
+    t = mat.reshape(dims.factors * 2)
+    return np.einsum(f"{rows}{cols},{sites}->{outs}", t, *stacks, optimize=True)
+
+
+small_factors = st.lists(st.sampled_from([2, 3, 4]), min_size=2, max_size=4).filter(
+    lambda f: int(np.prod(f)) <= 64
+)
+
+
+class TestKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(factors=small_factors, seed=st.integers(0, 2**16))
+    def test_matches_einsum_adjoint_and_roundtrip(self, factors, seed):
+        dims = mk.Dims(tuple(factors))
+        D = dims.total
+        rng = mk.stream(seed)
+        A = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+        shape = tuple(d * d for d in factors)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        coeffs = coeff_tensor(A, dims)
+        assert coeffs.shape == shape
+        scale = np.abs(A).max()
+        assert np.abs(coeffs - einsum_coeffs(A, dims)).max() < 1e-12 * D * scale
+        lhs = np.vdot(A, matrix_from_coeffs(c, dims))
+        rhs = np.vdot(coeffs, c)
+        assert abs(lhs - rhs) < 1e-10 * (1 + abs(lhs))
+        assert np.abs(matrix_from_coeffs(coeffs, dims) - A).max() < 1e-12 * D * scale
+
+    def test_roundtrip_nine_qubits(self):
+        # beyond the former 8-factor limit of the single-einsum expansion
+        dims = mk.Dims((2,) * 9)
+        H = random_hermitian(dims.total, mk.stream(209))
+        dec = mk.decompose(H, mk.canonical(dims))
+        assert dec.hs_norm_sq() == pytest.approx(mk.hs_norm_sq(H), rel=1e-9)
+        back = mk.reconstruct(dec)
+        assert np.abs(back.mat - H.mat).max() < 1e-10 * (1 + np.abs(H.mat).max())
+
+    def test_site_bases_must_match_factors(self, dims22):
+        with pytest.raises(mk.DimensionMismatch):
+            coeff_tensor(np.eye(4), dims22, bases=[mk.site_basis(2), mk.site_basis(3)])
 
 
 class TestWeightProfile:

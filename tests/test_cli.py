@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mereokit as mk
-from mereokit.cli import main, save_matrix_file
+from mereokit.cli import _kinds_pair, build_state, main, save_matrix_file
 
 
 def write_config(tmp_path, name, obj):
@@ -227,6 +227,22 @@ class TestKinds:
         out = json.loads(capsys.readouterr().out)
         assert out["witness"] is None
 
+    def test_pair_states_do_not_collide_across_seeds(self):
+        # each pair draws its state from its own sub-stream, so seed 7 on
+        # path 1 is no longer seed 8 on path 0
+        pair = {"model": {"name": "ising", "n": 2, "J": 1.0, "h": 0.5}, "state": "haar"}
+        _, a = _kinds_pair(pair, 7, 1)
+        _, b = _kinds_pair(pair, 8, 0)
+        assert np.abs(a.vec - b.vec).max() > 1e-3
+        _, c = _kinds_pair(pair, 7, 0)
+        assert np.abs(a.vec - c.vec).max() > 1e-3
+
+    def test_default_state_stream_unchanged(self):
+        dims = mk.Dims((2, 2))
+        assert np.array_equal(
+            build_state("haar", dims, 7).vec, mk.haar_state(4, mk.stream(7, 4)).vec
+        )
+
 
 class TestDualscan:
     def test_no_inconsistent(self, tmp_path):
@@ -271,6 +287,12 @@ class TestDeterminism:
         assert run_cli(["profile", "--config", cfg]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["config"]["seed"] == 777
+
+
+class TestUsage:
+    def test_format_flag_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {"model": {"name": "pauli", "string": "XX"}})
+        assert run_cli(["profile", "--config", cfg, "--format", "json"]) == 1
 
 
 class TestSubprocessEntry:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mereokit as mk
-from mereokit.search import _retract
+from mereokit.search import _descend, _retract
 
 from conftest import random_hermitian
 
@@ -140,6 +140,22 @@ class TestSearch:
             mk.SearchConfig(K=0)
         with pytest.raises(mk.DimensionMismatch):
             mk.SearchConfig(K=2, armijo_c=1.5)
+
+    def test_one_eigh_per_iteration(self, dims222, monkeypatch):
+        # every backtracking trial of an iteration reuses one decomposition
+        H, _ = mk.scrambled_klocal(dims222, 2, mk.stream(819))
+        V0 = mk.haar_unitary(8, mk.stream(819, 1)).mat
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(1)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        _, trace = _descend(H.mat, V0, dims222, mk.SearchConfig(K=2, max_iters=40))
+        # accepted steps are len(trace) - 1, plus at most one rejected iteration
+        assert 0 < len(calls) <= len(trace)
 
     def test_result_json(self, dims222):
         H = mk.random_klocal(dims222, 2, mk.stream(814))
