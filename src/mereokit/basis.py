@@ -122,10 +122,6 @@ class WeightProfile:
     def total(self) -> float:
         return float(self.w.sum())
 
-    @property
-    def interaction_mass(self) -> float:
-        return float(self.w[1:].sum())
-
 
 def _site_map(b: SiteBasis, adjoint: bool) -> np.ndarray:
     # conj(B_alpha) flattened over (row, col), one row per alpha; or its adjoint

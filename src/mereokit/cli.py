@@ -115,8 +115,8 @@ def _model_cfg(cfg: dict) -> dict:
     raise UsageError("config needs a 'model' or 'file' entry")
 
 
-def build_model(cfg: dict, seed: int) -> tuple[HermitianOp, Dims]:
-    """Hamiltonian named in a config: a builtin model or a matrix file."""
+def build_model(cfg: dict, seed: int, *path: int) -> tuple[HermitianOp, Dims]:
+    """Hamiltonian named in a config; a random model draws from ``stream(seed, 1, *path)``."""
     if "file" in cfg:
         mat, dims = load_matrix_file(cfg["file"])
         return HermitianOp(mat), dims
@@ -129,14 +129,14 @@ def build_model(cfg: dict, seed: int) -> tuple[HermitianOp, Dims]:
         return H, Dims((2,) * len(cfg["string"]))
     if name == "random_klocal":
         dims = Dims(tuple(cfg["dims"]))
-        return models.random_klocal(dims, int(cfg["K"]), stream(seed, 1)), dims
+        return models.random_klocal(dims, int(cfg["K"]), stream(seed, 1, *path)), dims
     if name == "scrambled_klocal":
         dims = Dims(tuple(cfg["dims"]))
-        H, _ = models.scrambled_klocal(dims, int(cfg["K"]), stream(seed, 1))
+        H, _ = models.scrambled_klocal(dims, int(cfg["K"]), stream(seed, 1, *path))
         return H, dims
     if name == "gue":
         dims = Dims(tuple(cfg["dims"]))
-        rng = stream(seed, 1)
+        rng = stream(seed, 1, *path)
         A = rng.standard_normal((dims.total,) * 2) + 1j * rng.standard_normal((dims.total,) * 2)
         return HermitianOp((A + A.conj().T) / 2), dims
     raise UsageError(f"unknown model {cfg!r}")
@@ -251,12 +251,12 @@ def cmd_fingerprint(args) -> int:
     probes = kinds.build_probe_set(H, psi, int(count) if count else None, stream(seed, 5))
     f1 = kinds.fingerprint(H, psi, T1, probes)
     f2 = kinds.fingerprint(H, psi, T2, probes)
-    verdict = kinds.cross_validate_tps(H, psi, T1, T2, probes, tol)
+    tps_eq = tps_mod.equivalent(T1, T2)
     payload = {
         "config": {**cfg, "seed": seed, "tol": tol},
-        "verdict": verdict.value,
+        "verdict": kinds.TpsVerdict.of(kinds.fingerprints_equal(f1, f2, tol), tps_eq).value,
         "fingerprint_distance": kinds.fingerprint_distance(f1, f2),
-        "tps_equal": bool(tps_mod.equivalent(T1, T2)),
+        "tps_equal": bool(tps_eq),
         "probes": len(probes),
     }
     _dump_json(payload, args.out)
@@ -294,7 +294,7 @@ def cmd_search(args) -> int:
 
 
 def _kinds_pair(cfg_pair, seed: int, path: int):
-    H, dims = build_model(_model_cfg(cfg_pair), seed)
+    H, dims = build_model(_model_cfg(cfg_pair), seed, path)
     psi = build_state(cfg_pair.get("state"), dims, seed, path)
     return H, psi
 
@@ -377,14 +377,14 @@ def cmd_dualscan(args) -> int:
     for trial in range(trials):
         H, psi, T1 = _dualscan_instance(dims, seed, trial)
         probes = kinds.build_probe_set(H, psi, int(count) if count else None, stream(seed, trial, 1))
+        f1 = kinds.fingerprint(H, psi, T1, probes)
         cases = [("local", _local_move(T1, stream(seed, trial, 100)))]
         cases += [(f"evolved:{t!r}", tps_mod.act(expm_i(H, t), T1)) for t in t_values]
         for label, T2 in cases:
-            f1 = kinds.fingerprint(H, psi, T1, probes)
             f2 = kinds.fingerprint(H, psi, T2, probes)
             fp_eq = kinds.fingerprints_equal(f1, f2, tol)
             tps_eq = tps_mod.equivalent(T1, T2)
-            verdict = kinds.cross_validate_tps(H, psi, T1, T2, probes, tol)
+            verdict = kinds.TpsVerdict.of(fp_eq, tps_eq)
             tally[verdict.value] += 1
             rows.append(
                 (trial, label, fp_eq, tps_eq, verdict.value, kinds.fingerprint_distance(f1, f2))
@@ -403,10 +403,9 @@ def _dualscan_instance(dims: Dims, seed: int, trial: int):
         A = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
         H = HermitianOp((A + A.conj().T) / 2)
         psi = haar_state(D, rng)
-        lam, V = np.linalg.eigh(H.mat)
-        if np.diff(lam).min() <= kinds.DEGENERACY_GAP:
-            continue
-        if np.abs(V.conj().T @ psi.vec).min() <= kinds.SUPPORT_MIN:
+        try:
+            kinds.check_spectral_hypotheses(H, psi)
+        except HypothesisViolation:
             continue
         return H, psi, tps_mod.random_tps(dims, rng)
     raise MereokitError("could not draw a non-degenerate, full-support instance")

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
-from .hilbert import Dims, HermitianOp, StateVec, UnitaryOp, expm_i, site_entropies
+from .hilbert import Dims, HermitianOp, StateVec, UnitaryOp, _frozen, expm_i, site_entropies
 from .locality import PRODUCT_PROBE_TOL, WITNESS_ENTROPY, _require_product_probes
 from .tps import Tps, act, equivalent
 
@@ -73,7 +73,7 @@ def find_nonlocal_symmetry(
     the expected outcome exactly for 1-local Hamiltonians.
     """
     _require_product_probes(T, probes, PRODUCT_PROBE_TOL)
-    lam, V = np.linalg.eigh(H.mat)
+    lam, V = H.eig
     iso = T.iso.mat
     for t in t_grid:
         phases = np.exp(-1j * float(t) * lam)
@@ -104,12 +104,10 @@ class OrbitCurve:
     probe: StateVec
 
     def __post_init__(self):
-        t = np.array(self.t_values, dtype=float)
-        s = np.array(self.entropies, dtype=float)
+        t = _frozen(self.t_values, float)
+        s = _frozen(self.entropies, float)
         if t.shape != s.shape:
             raise DimensionMismatch("t_values and entropies must have equal length")
-        t.setflags(write=False)
-        s.setflags(write=False)
         object.__setattr__(self, "t_values", t)
         object.__setattr__(self, "entropies", s)
 
@@ -125,7 +123,7 @@ def entropy_orbit(
     n = T.dims.n
     if not (0 <= site < n):
         raise DimensionMismatch(f"site {site} out of range for n={n}")
-    lam, V = np.linalg.eigh(H.mat)
+    lam, V = H.eig
     iso = T.iso.mat
     c = V.conj().T @ probe.vec
     ents = np.empty(len(t_grid))
@@ -147,7 +145,7 @@ def distinct_value_count(curve: OrbitCurve, bin: float) -> int:
 
 def default_time_grid(H: HermitianOp, points: int = 64) -> np.ndarray:
     """Uniform grid on [0, 2*pi] in units of the spectral radius of H."""
-    rho = float(np.abs(np.linalg.eigvalsh(H.mat)).max())
+    rho = float(np.abs(H.eig[0]).max())
     if rho == 0.0:
         rho = 1.0
     return np.linspace(0.0, 2.0 * np.pi / rho, points)

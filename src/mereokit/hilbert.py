@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from string import ascii_lowercase
 
 import numpy as np
@@ -74,6 +74,14 @@ class HermitianOp:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+    @cached_property
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (ascending) and eigenvector columns, computed once, read-only."""
+        lam, V = np.linalg.eigh(self.mat)
+        lam.setflags(write=False)
+        V.setflags(write=False)
+        return lam, V
 
 
 @dataclass(frozen=True)
@@ -148,13 +156,13 @@ def hs_norm_sq(a) -> float:
 
 def eig_hermitian(H: HermitianOp):
     """Eigenvalues (ascending) and the eigenvector unitary of a Hermitian operator."""
-    lam, V = np.linalg.eigh(_mat(H))
+    lam, V = H.eig
     return lam, UnitaryOp(V)
 
 
 def expm_i(H: HermitianOp, t: float) -> UnitaryOp:
     """Time-evolution unitary e^{-i t H} via eigendecomposition."""
-    lam, V = np.linalg.eigh(_mat(H))
+    lam, V = H.eig
     Vm = V * np.exp(-1j * t * lam)
     return UnitaryOp(Vm @ V.conj().T)
 

@@ -26,7 +26,7 @@ from .errors import (
     InvariantViolation,
     NoWitnessError,
 )
-from .hilbert import HermitianOp, StateVec, UnitaryOp, _vec, site_entropies
+from .hilbert import HermitianOp, StateVec, UnitaryOp, _frozen, _vec, site_entropies
 from .tps import Tps, equivalent
 
 DEGENERACY_GAP = 1e-8  # minimum eigenvalue gap for a spectrum to count as simple
@@ -92,7 +92,7 @@ class PairKindSpec:
         }
 
 
-def _eigenspace_weights(values: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+def _eigenspace_weights(values: Sequence[float], amplitudes: np.ndarray) -> np.ndarray:
     starts = _group_starts(values) + [len(values)]
     mags = np.abs(amplitudes) ** 2
     return np.array([mags[a:b].sum() for a, b in zip(starts, starts[1:])])
@@ -100,7 +100,7 @@ def _eigenspace_weights(values: np.ndarray, amplitudes: np.ndarray) -> np.ndarra
 
 def pair_kind_of(H: HermitianOp, psi: StateVec) -> PairKindSpec:
     """The class label realized by a concrete pair."""
-    lam, V = np.linalg.eigh(H.mat)
+    lam, V = H.eig
     w = _eigenspace_weights(lam, V.conj().T @ psi.vec)
     w = w / w.sum()
     return PairKindSpec(SpectrumSpec(tuple(lam)), ProjectionSpec(tuple(w)))
@@ -114,13 +114,37 @@ def pair_membership(
         raise DimensionMismatch(f"operator dim {H.dim} != state dim {psi.dim}")
     if H.dim != len(spec.spectrum.values):
         return False
-    lam, V = np.linalg.eigh(H.mat)
+    lam, V = H.eig
     if np.abs(lam - np.array(spec.spectrum.values)).max() > tol:
         return False
-    starts = _group_starts(spec.spectrum.values) + [len(lam)]
-    mags = np.abs(V.conj().T @ psi.vec) ** 2
-    got = np.array([mags[a:b].sum() for a, b in zip(starts, starts[1:])])
+    got = _eigenspace_weights(spec.spectrum.values, V.conj().T @ psi.vec)
     return bool(np.abs(got - np.array(spec.weights.lambdas)).max() <= tol)
+
+
+def check_spectral_hypotheses(
+    H: HermitianOp, psi: Optional[StateVec] = None
+) -> Optional[np.ndarray]:
+    """Eigenbasis amplitudes of ``psi``, once H has a simple spectrum and psi full support.
+
+    Raises HypothesisViolation ``degenerate_spectrum`` (some gap <= DEGENERACY_GAP), then
+    ``zero_projection`` (some amplitude <= SUPPORT_MIN); without psi only the gap is checked.
+    """
+    lam, V = H.eig
+    gap = float(np.diff(lam).min()) if len(lam) > 1 else np.inf
+    if gap <= DEGENERACY_GAP:
+        raise HypothesisViolation(
+            "degenerate_spectrum", f"eigenvalue gap {gap:.3e} below {DEGENERACY_GAP:.0e}"
+        )
+    if psi is None:
+        return None
+    c = V.conj().T @ psi.vec
+    k = int(np.abs(c).argmin())
+    if abs(c[k]) <= SUPPORT_MIN:
+        raise HypothesisViolation(
+            "zero_projection",
+            f"state overlap {abs(c[k]):.3e} with eigenvector {k} below {SUPPORT_MIN:.0e}",
+        )
+    return c
 
 
 def pair_orbit_witness(
@@ -136,26 +160,15 @@ def pair_orbit_witness(
     full support of both states on it (the per-eigenvector phases are read
     off the amplitude ratios, which pins U completely).
     """
-    lam1, V1 = np.linalg.eigh(H1.mat)
-    lam2, V2 = np.linalg.eigh(H2.mat)
+    (lam1, V1), (lam2, V2) = H1.eig, H2.eig
     if len(lam1) != len(lam2):
         raise DimensionMismatch("operator dimensions differ")
-    gap = min(np.diff(lam1).min(), np.diff(lam2).min()) if len(lam1) > 1 else np.inf
-    if gap <= DEGENERACY_GAP:
-        raise HypothesisViolation(
-            "degenerate_spectrum",
-            f"eigenvalue gap {gap:.3e} below {DEGENERACY_GAP:.0e}; eigenbasis ambiguous",
-        )
+    check_spectral_hypotheses(H1)
+    check_spectral_hypotheses(H2)
     if np.abs(lam1 - lam2).max() > tol:
         raise NoWitnessError("spectra differ; no conjugating unitary exists")
-    c1 = V1.conj().T @ psi1.vec
-    c2 = V2.conj().T @ psi2.vec
-    low = min(np.abs(c1).min(), np.abs(c2).min())
-    if low <= SUPPORT_MIN:
-        raise HypothesisViolation(
-            "zero_projection",
-            f"state overlap {low:.3e} with some eigenvector below {SUPPORT_MIN:.0e}",
-        )
+    c1 = check_spectral_hypotheses(H1, psi1)
+    c2 = check_spectral_hypotheses(H2, psi2)
     if np.abs(np.abs(c1) ** 2 - np.abs(c2) ** 2).max() > tol:
         raise NoWitnessError("eigenspace weights differ; pairs lie on different orbits")
     phases = c2 / c1
@@ -170,14 +183,13 @@ class GramSpec:
     matrix: np.ndarray
 
     def __post_init__(self):
-        g = np.array(self.matrix, dtype=complex)
+        g = _frozen(self.matrix)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise DimensionMismatch(f"Gram matrix must be square, got {g.shape}")
         if np.abs(g - g.conj().T).max() > 1e-10 * (1.0 + np.abs(g).max()):
             raise InvariantViolation("Gram matrix not Hermitian")
         if g.size and np.linalg.eigvalsh(g).min() < -1e-10 * (1.0 + np.abs(g).max()):
             raise InvariantViolation("Gram matrix not positive semidefinite")
-        g.setflags(write=False)
         object.__setattr__(self, "matrix", g)
 
     def to_json(self) -> list:
@@ -290,22 +302,9 @@ def build_probe_set(
     degenerate or the state misses an eigenvector: in either case the probe
     states cannot span the space.
     """
-    lam, V = np.linalg.eigh(H.mat)
+    c = check_spectral_hypotheses(H, psi)
+    lam, V = H.eig
     D = len(lam)
-    gap = float(np.diff(lam).min()) if D > 1 else np.inf
-    if gap <= DEGENERACY_GAP:
-        raise HypothesisViolation(
-            "degenerate_spectrum",
-            f"eigenvalue gap {gap:.3e} below {DEGENERACY_GAP:.0e}; probes cannot span",
-        )
-    c = V.conj().T @ psi.vec
-    low = float(np.abs(c).min())
-    if low <= SUPPORT_MIN:
-        raise HypothesisViolation(
-            "zero_projection",
-            f"state overlap {low:.3e} with eigenvector {int(np.abs(c).argmin())} "
-            f"below {SUPPORT_MIN:.0e}; probes cannot span",
-        )
     if count is None:
         count = 2 * D
     if count < D:
@@ -340,9 +339,7 @@ class Fingerprint:
     skipped: frozenset[int]
 
     def __post_init__(self):
-        e = np.array(self.entries, dtype=float)
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
+        object.__setattr__(self, "entries", _frozen(self.entries, float))
         object.__setattr__(self, "skipped", frozenset(int(i) for i in self.skipped))
 
 
@@ -354,7 +351,7 @@ def fingerprint(H: HermitianOp, psi: StateVec, T: Tps, probes: ProbeSet) -> Fing
     """
     if H.dim != T.dims.total:
         raise DimensionMismatch(f"operator dim {H.dim} != product dim {T.dims.total}")
-    lam, V = np.linalg.eigh(H.mat)
+    lam, V = H.eig
     c = V.conj().T @ psi.vec
     iso = T.iso.mat
     entries = np.full((len(probes), T.dims.n), np.nan)
@@ -392,6 +389,13 @@ class TpsVerdict(enum.Enum):
     DIFFERENT = "DifferentTps"
     INCONSISTENT = "Inconsistent"
 
+    @classmethod
+    def of(cls, fp_same: bool, tps_same: bool) -> "TpsVerdict":
+        """SAME or DIFFERENT when the fingerprint and equivalence tests agree."""
+        if fp_same != tps_same:
+            return cls.INCONSISTENT
+        return cls.SAME if tps_same else cls.DIFFERENT
+
 
 def cross_validate_tps(
     H: HermitianOp,
@@ -409,12 +413,7 @@ def cross_validate_tps(
     fp_same = fingerprints_equal(
         fingerprint(H, psi, T1, probes), fingerprint(H, psi, T2, probes), tol
     )
-    tps_same = equivalent(T1, T2)
-    if fp_same and tps_same:
-        return TpsVerdict.SAME
-    if not fp_same and not tps_same:
-        return TpsVerdict.DIFFERENT
-    return TpsVerdict.INCONSISTENT
+    return TpsVerdict.of(fp_same, equivalent(T1, T2))
 
 
 def fingerprint_to_json(fp: Fingerprint, probes: ProbeSet) -> dict:

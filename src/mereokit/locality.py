@@ -105,7 +105,7 @@ def one_local_evolution_check(
     (t index, probe index), so the reported witness is deterministic.
     """
     _require_product_probes(T, probes, product_tol)
-    lam, V = np.linalg.eigh(H.mat)
+    lam, V = H.eig
     iso = T.iso.mat
     max_seen = 0.0
     for t in t_grid:

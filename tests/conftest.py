@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mereokit import Dims, HermitianOp, StateVec, haar_state, stream
-from mereokit.kinds import DEGENERACY_GAP, SUPPORT_MIN
+from mereokit import Dims, HermitianOp, HypothesisViolation, StateVec, haar_state, stream
+from mereokit.kinds import check_spectral_hypotheses
 
 
 def random_hermitian(D, rng, scale=1.0):
@@ -16,10 +16,9 @@ def nondegenerate_instance(D, seed, *path):
         rng = stream(seed, *path, attempt)
         H = random_hermitian(D, rng)
         psi = haar_state(D, rng)
-        lam, V = np.linalg.eigh(H.mat)
-        if np.diff(lam).min() <= DEGENERACY_GAP:
-            continue
-        if np.abs(V.conj().T @ psi.vec).min() <= SUPPORT_MIN:
+        try:
+            check_spectral_hypotheses(H, psi)
+        except HypothesisViolation:
             continue
         return H, psi
     raise RuntimeError("no non-degenerate full-support instance found")

@@ -237,6 +237,13 @@ class TestKinds:
         _, c = _kinds_pair(pair, 7, 0)
         assert np.abs(a.vec - c.vec).max() > 1e-3
 
+    def test_pair_models_do_not_collide(self):
+        # each pair draws its random model from its own sub-stream
+        pair = {"model": {"name": "gue", "dims": [2, 2]}, "state": "haar"}
+        a, _ = _kinds_pair(pair, 7, 0)
+        b, _ = _kinds_pair(pair, 7, 1)
+        assert not np.array_equal(a.mat, b.mat)
+
     def test_default_state_stream_unchanged(self):
         dims = mk.Dims((2, 2))
         assert np.array_equal(
@@ -255,6 +262,51 @@ class TestDualscan:
         text = open(out).read()
         assert '"Inconsistent": 0' in text
         assert text.count("SameTps") >= 3
+
+
+class TestWorkCounts:
+    """One eigendecomposition per Hamiltonian, no fingerprint or equivalence computed twice."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from mereokit import kinds, tps
+
+        counts = {"eigh": 0, "fingerprint": 0, "equivalent": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+        monkeypatch.setattr(kinds, "fingerprint", counting("fingerprint", kinds.fingerprint))
+        equivalent = counting("equivalent", tps.equivalent)
+        monkeypatch.setattr(tps, "equivalent", equivalent)
+        monkeypatch.setattr(kinds, "equivalent", equivalent)
+        return counts
+
+    @pytest.mark.parametrize("dims", [[2, 2, 2], [2, 2, 3]])
+    def test_dualscan_trial(self, tmp_path, counts, dims):
+        # four cases per trial (one local move, three evolved); the first
+        # draw of every trial meets the spectral hypotheses
+        cfg = write_config(
+            tmp_path, "c.json",
+            {"dims": dims, "trials": 2, "t_values": [0.3, 0.7, 1.1], "seed": 3},
+        )
+        assert run_cli(["dualscan", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
+        assert counts == {"eigh": 2, "fingerprint": 2 * (1 + 4), "equivalent": 2 * 4}
+
+    @pytest.mark.parametrize("dims", [[2, 2, 2], [2, 2, 3]])
+    def test_fingerprint_command(self, tmp_path, counts, dims):
+        cfg = write_config(
+            tmp_path, "c.json",
+            {"model": {"name": "gue", "dims": dims}, "state": "haar",
+             "tps1": {"kind": "random"}, "tps2": {"kind": "evolved", "t": 0.7}, "seed": 3},
+        )
+        assert run_cli(["fingerprint", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 0
+        assert counts == {"eigh": 1, "fingerprint": 2, "equivalent": 1}
 
 
 class TestDeterminism:

@@ -84,6 +84,14 @@ class TestEig:
             assert np.abs(rebuilt - H.mat).max() < 1e-9 * (1 + scale)
             assert np.all(np.diff(lam) >= 0)
 
+    def test_cached_and_read_only(self):
+        H = random_hermitian(4, mk.stream(105))
+        assert H.eig is H.eig
+        lam, V = H.eig
+        for a in (lam, V):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
 
 class TestExpm:
     def test_zero_time(self):

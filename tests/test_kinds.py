@@ -38,6 +38,7 @@ class TestPairMembership:
         spec = mk.pair_kind_of(H, psi)
         assert len(spec.weights.lambdas) == 2
         assert spec.weights.lambdas[0] == pytest.approx(0.36)
+        assert mk.pair_membership(H, psi, spec)
 
     def test_spec_validation(self):
         with pytest.raises(mk.InvariantViolation):
@@ -104,6 +105,13 @@ class TestPairOrbitWitness:
             mk.pair_orbit_witness(
                 mk.HermitianOp(SIGMA["Z"]), mk.StateVec(PLUS),
                 mk.HermitianOp(2 * SIGMA["Z"]), mk.StateVec(PLUS),
+            )
+        # spectra are compared before support: a zero-support state does not
+        # turn the missing witness into a hypothesis violation
+        with pytest.raises(mk.NoWitnessError):
+            mk.pair_orbit_witness(
+                mk.HermitianOp(SIGMA["Z"]), mk.StateVec(PLUS),
+                mk.HermitianOp(2 * SIGMA["Z"]), mk.StateVec(ZERO),
             )
 
 
@@ -297,6 +305,12 @@ class TestFingerprintsEqual:
 
 
 class TestCrossValidate:
+    def test_verdict_table(self):
+        assert TpsVerdict.of(True, True) is TpsVerdict.SAME
+        assert TpsVerdict.of(False, False) is TpsVerdict.DIFFERENT
+        assert TpsVerdict.of(True, False) is TpsVerdict.INCONSISTENT
+        assert TpsVerdict.of(False, True) is TpsVerdict.INCONSISTENT
+
     def test_local_same(self, dims22):
         rng = mk.stream(619)
         H, psi = nondegenerate_instance(4, 619)
