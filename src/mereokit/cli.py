@@ -27,6 +27,7 @@ from .search import SearchConfig
 from .search import search as run_search
 from .errors import HypothesisViolation, MereokitError, NoWitnessError
 from .hilbert import Dims, HermitianOp, StateVec, UnitaryOp, expm_i, haar_state, haar_unitary, kron_all
+from .hilbert import _from_pairs, _to_pairs
 from .rng import stream
 
 EXIT_OK = 0
@@ -65,26 +66,21 @@ def _resolve_seed(args, cfg: dict) -> int:
     return int(env) if env is not None else 0
 
 
-def _dump_json(payload: dict, out: str | None):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _write(text: str, out: str | None):
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _dump_json(payload: dict, out: str | None):
+    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
 
 
 def _dump_csv(header: str, rows, config: dict, out: str | None):
     lines = ["# config=" + json.dumps(config, sort_keys=True), header]
     lines += [",".join(repr(x) if isinstance(x, float) else str(x) for x in row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _complex_pairs(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+    _write("\n".join(lines) + "\n", out)
 
 
 def load_matrix_file(path: str) -> tuple[np.ndarray, Dims]:
@@ -93,18 +89,14 @@ def load_matrix_file(path: str) -> tuple[np.ndarray, Dims]:
         if key not in obj:
             raise UsageError(f"matrix file {path} is missing the {key!r} field")
     dims = Dims(tuple(obj["dims"]))
-    mat = _complex_pairs(obj["matrix"])
+    mat = _from_pairs(obj["matrix"])
     if mat.shape != (dims.total, dims.total):
         raise UsageError(f"matrix shape {mat.shape} inconsistent with dims {dims.factors}")
     return mat, dims
 
 
 def save_matrix_file(path: str, mat: np.ndarray, dims: Dims):
-    obj = {
-        "dims": list(dims.factors),
-        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in mat],
-    }
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _dump_json({"dims": list(dims.factors), "matrix": _to_pairs(mat)}, path)
 
 
 def _model_cfg(cfg: dict) -> dict:
@@ -170,7 +162,7 @@ def build_state(spec, dims: Dims, seed: int, *path: int) -> StateVec:
     if spec == "haar" or spec is None:
         return haar_state(dims.total, stream(seed, 4, *path))
     if isinstance(spec, list):
-        v = np.array([complex(re, im) for re, im in spec])
+        v = _from_pairs(spec)
         return StateVec(v / np.linalg.norm(v))
     raise UsageError(f"unknown state spec {spec!r}")
 
@@ -186,7 +178,7 @@ def _site_kets(spec, dims: Dims) -> list[np.ndarray]:
     if spec == "plus":
         return [np.ones(d, dtype=complex) / np.sqrt(d) for d in dims.factors]
     if isinstance(spec, list):
-        return [_complex_pairs([row])[0] for row in spec]
+        return [_from_pairs(row) for row in spec]
     raise UsageError(f"unknown probe spec {spec!r}")
 
 
@@ -313,22 +305,12 @@ def cmd_kinds(args) -> int:
             psi2 = StateVec(V.mat @ psi1.vec)
         else:
             H2, psi2 = _kinds_pair(cfg["pair2"], seed, 1)
-        try:
-            U = kinds.pair_orbit_witness(H1, psi1, H2, psi2, tol)
-        except NoWitnessError as e:
-            _dump_json({"config": resolved, "witness": None, "reason": str(e)}, args.out)
-            return EXIT_OK
-        residual_h = float(np.abs(U.mat @ H1.mat @ U.mat.conj().T - H2.mat).max())
-        residual_psi = float(np.linalg.norm(U.mat @ psi1.vec - psi2.vec))
-        payload = {
-            "config": resolved,
-            "witness": [[[z.real, z.imag] for z in row] for row in U.mat],
-            "residual_operator": residual_h,
-            "residual_state": residual_psi,
+        find = lambda: kinds.pair_orbit_witness(H1, psi1, H2, psi2, tol)
+        residuals = lambda U: {
+            "residual_operator": float(np.abs(U.mat @ H1.mat @ U.mat.conj().T - H2.mat).max()),
+            "residual_state": float(np.linalg.norm(U.mat @ psi1.vec - psi2.vec)),
         }
-        _dump_json(payload, args.out)
-        return EXIT_OK
-    if mode == "gram":
+    elif mode == "gram":
         fam1 = _build_family(cfg["family1"], seed, 7)
         spec2 = cfg["family2"]
         if spec2 == "rotated":
@@ -336,20 +318,19 @@ def cmd_kinds(args) -> int:
             fam2 = fam1 @ V.mat.T
         else:
             fam2 = _build_family(spec2, seed, 9)
-        try:
-            U = kinds.gram_orbit_witness(list(fam1), list(fam2), tol)
-        except NoWitnessError as e:
-            _dump_json({"config": resolved, "witness": None, "reason": str(e)}, args.out)
-            return EXIT_OK
-        residual = float(max(np.linalg.norm(U.mat @ a - b) for a, b in zip(fam1, fam2)))
-        payload = {
-            "config": resolved,
-            "witness": [[[z.real, z.imag] for z in row] for row in U.mat],
-            "residual": residual,
+        find = lambda: kinds.gram_orbit_witness(list(fam1), list(fam2), tol)
+        residuals = lambda U: {
+            "residual": float(max(np.linalg.norm(U.mat @ a - b) for a, b in zip(fam1, fam2)))
         }
-        _dump_json(payload, args.out)
+    else:
+        raise UsageError(f"unknown kinds mode {mode!r}")
+    try:
+        U = find()
+    except NoWitnessError as e:
+        _dump_json({"config": resolved, "witness": None, "reason": str(e)}, args.out)
         return EXIT_OK
-    raise UsageError(f"unknown kinds mode {mode!r}")
+    _dump_json({"config": resolved, "witness": _to_pairs(U.mat), **residuals(U)}, args.out)
+    return EXIT_OK
 
 
 def _build_family(spec, seed: int, path: int) -> np.ndarray:
@@ -360,7 +341,7 @@ def _build_family(spec, seed: int, path: int) -> np.ndarray:
             (int(r["count"]), int(r["dim"]))
         )
     if isinstance(spec, list):
-        return _complex_pairs(spec)
+        return _from_pairs(spec)
     raise UsageError(f"unknown family spec {spec!r}")
 
 

@@ -26,6 +26,19 @@ def _frozen(a, dtype=complex) -> np.ndarray:
     return out
 
 
+def _to_pairs(a) -> list:
+    """Nested ``[re, im]`` lists of a complex array, the JSON form of matrices and states."""
+    return np.stack((np.real(a), np.imag(a)), axis=-1).tolist()
+
+
+def _from_pairs(rows) -> np.ndarray:
+    """Complex array from nested ``[re, im]`` lists; the inverse of ``_to_pairs``."""
+    a = np.array(rows, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != 2:
+        raise ValueError(f"expected [re, im] pairs, got an array of shape {a.shape}")
+    return a.view(complex)[..., 0]
+
+
 def _mat(x) -> np.ndarray:
     """Unwrap an operator carrier to its matrix; pass ndarrays through."""
     return x.mat if hasattr(x, "mat") else np.asarray(x, dtype=complex)

@@ -26,7 +26,7 @@ from .errors import (
     InvariantViolation,
     NoWitnessError,
 )
-from .hilbert import HermitianOp, StateVec, UnitaryOp, _frozen, _vec, site_entropies
+from .hilbert import HermitianOp, StateVec, UnitaryOp, _frozen, _to_pairs, _vec, site_entropies
 from .tps import Tps, equivalent
 
 DEGENERACY_GAP = 1e-8  # minimum eigenvalue gap for a spectrum to count as simple
@@ -98,10 +98,17 @@ def _eigenspace_weights(values: Sequence[float], amplitudes: np.ndarray) -> np.n
     return np.array([mags[a:b].sum() for a, b in zip(starts, starts[1:])])
 
 
+def _amplitudes(H: HermitianOp, psi: StateVec) -> np.ndarray:
+    """Amplitudes of psi in the eigenbasis of H; DimensionMismatch if their dims differ."""
+    if H.dim != psi.dim:
+        raise DimensionMismatch(f"operator dim {H.dim} != state dim {psi.dim}")
+    return H.eig[1].conj().T @ psi.vec
+
+
 def pair_kind_of(H: HermitianOp, psi: StateVec) -> PairKindSpec:
     """The class label realized by a concrete pair."""
-    lam, V = H.eig
-    w = _eigenspace_weights(lam, V.conj().T @ psi.vec)
+    lam = H.eig[0]
+    w = _eigenspace_weights(lam, _amplitudes(H, psi))
     w = w / w.sum()
     return PairKindSpec(SpectrumSpec(tuple(lam)), ProjectionSpec(tuple(w)))
 
@@ -110,14 +117,12 @@ def pair_membership(
     H: HermitianOp, psi: StateVec, spec: PairKindSpec, tol: float = 1e-8
 ) -> bool:
     """Does (H, psi) match the spectrum and eigenspace weights of ``spec``?"""
-    if H.dim != psi.dim:
-        raise DimensionMismatch(f"operator dim {H.dim} != state dim {psi.dim}")
+    c = _amplitudes(H, psi)
     if H.dim != len(spec.spectrum.values):
         return False
-    lam, V = H.eig
-    if np.abs(lam - np.array(spec.spectrum.values)).max() > tol:
+    if np.abs(H.eig[0] - np.array(spec.spectrum.values)).max() > tol:
         return False
-    got = _eigenspace_weights(spec.spectrum.values, V.conj().T @ psi.vec)
+    got = _eigenspace_weights(spec.spectrum.values, c)
     return bool(np.abs(got - np.array(spec.weights.lambdas)).max() <= tol)
 
 
@@ -127,9 +132,9 @@ def check_spectral_hypotheses(
     """Eigenbasis amplitudes of ``psi``, once H has a simple spectrum and psi full support.
 
     Raises HypothesisViolation ``degenerate_spectrum`` (some gap <= DEGENERACY_GAP), then
-    ``zero_projection`` (some amplitude <= SUPPORT_MIN); without psi only the gap is checked.
+    DimensionMismatch or ``zero_projection`` (some amplitude <= SUPPORT_MIN) for a state.
     """
-    lam, V = H.eig
+    lam = H.eig[0]
     gap = float(np.diff(lam).min()) if len(lam) > 1 else np.inf
     if gap <= DEGENERACY_GAP:
         raise HypothesisViolation(
@@ -137,7 +142,7 @@ def check_spectral_hypotheses(
         )
     if psi is None:
         return None
-    c = V.conj().T @ psi.vec
+    c = _amplitudes(H, psi)
     k = int(np.abs(c).argmin())
     if abs(c[k]) <= SUPPORT_MIN:
         raise HypothesisViolation(
@@ -193,7 +198,7 @@ class GramSpec:
         object.__setattr__(self, "matrix", g)
 
     def to_json(self) -> list:
-        return [[[float(z.real), float(z.imag)] for z in row] for row in self.matrix]
+        return _to_pairs(self.matrix)
 
 
 def gram_matrix(family: Sequence) -> GramSpec:
@@ -351,8 +356,8 @@ def fingerprint(H: HermitianOp, psi: StateVec, T: Tps, probes: ProbeSet) -> Fing
     """
     if H.dim != T.dims.total:
         raise DimensionMismatch(f"operator dim {H.dim} != product dim {T.dims.total}")
+    c = _amplitudes(H, psi)
     lam, V = H.eig
-    c = V.conj().T @ psi.vec
     iso = T.iso.mat
     entries = np.full((len(probes), T.dims.n), np.nan)
     skipped = []

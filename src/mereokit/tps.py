@@ -4,13 +4,12 @@ A ``Tps`` holds one representative isomorphism from the abstract space onto
 the canonical product space, as a D x D unitary in the canonical basis. Two
 representatives describe the same structure when they differ by single-site
 unitaries and permutations of equal-dimension factors; ``equivalent``
-decides this via operator Schmidt ranks across every single-factor
-bipartition.
+decides this from the n^2 operator Schmidt ranks across every (output slot,
+input factor) pair, which pin the permutation exactly, and one product test.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,6 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
 from .hilbert import Dims, StateVec, UnitaryOp, _mat, _vec, haar_state, haar_unitary, kron_all
+from .hilbert import _from_pairs, _to_pairs
 
 PRODUCT_RTOL = 1e-8  # relative second-singular-value threshold for product detection
 
@@ -86,11 +86,12 @@ def perm_matrix(factors: tuple[int, ...], sigma: tuple[int, ...]) -> np.ndarray:
     return P
 
 
-def _single_factor_realign(mat: np.ndarray, factors: tuple[int, ...], i: int) -> np.ndarray:
-    """Reshape a D x D operator into a (d_i^2, (D/d_i)^2) matrix across factor i."""
+def _single_factor_realign(mat: np.ndarray, factors: tuple[int, ...], i: int, j=None) -> np.ndarray:
+    """Reshape a D x D operator into a (d_i^2, (D/d_i)^2) matrix across slot j (default i), factor i."""
     n = len(factors)
+    j = i if j is None else j
     t = mat.reshape(factors + factors)
-    order = [i, n + i] + [a for a in range(n) if a != i] + [n + a for a in range(n) if a != i]
+    order = [j, n + i] + [a for a in range(n) if a != j] + [n + a for a in range(n) if a != i]
     d = factors[i]
     return np.transpose(t, order).reshape(d * d, -1)
 
@@ -110,7 +111,7 @@ def is_product_operator(
     factors = []
     for i, d in enumerate(dims.factors):
         M = _single_factor_realign(mat, dims.factors, i)
-        U, s, _ = np.linalg.svd(M)
+        U, s, _ = np.linalg.svd(M, full_matrices=False)
         if s[0] == 0.0 or s[1] > rel_tol * s[0]:
             return None
         factors.append(U[:, 0].reshape(d, d) * np.sqrt(d))
@@ -124,30 +125,33 @@ def is_product_operator(
     return ProductOpCertificate(tuple(factors), tuple(range(dims.n)))
 
 
-def _admissible_permutations(factors: tuple[int, ...]):
-    for sigma in itertools.permutations(range(len(factors))):
-        if all(factors[sigma[j]] == factors[j] for j in range(len(factors))):
-            yield sigma
-
-
 def equivalent(
     T1: Tps, T2: Tps, rel_tol: float = PRODUCT_RTOL, with_certificate: bool = False
 ):
     """Decide whether two representatives define the same structure.
 
-    True iff some admissible factor permutation composed with
-    T1.iso . T2.iso^{-1} passes the product-operator test.
+    True iff some admissible factor permutation sigma makes P_sigma . W a product
+    operator, W = T1.iso . T2.iso^{-1}. Factor i goes to the equal-dimension output slot
+    whose realignment of W across (slot, factor i) has the least relative second singular
+    value: if W = P_sigma^T (x)U_i that ratio is exactly 0 at sigma(i) and exactly 1 at
+    every other slot, so the argmin needs no tolerance. One product test then decides.
     """
     if T1.dims != T2.dims:
         raise DimensionMismatch(f"factor dimensions differ: {T1.dims} vs {T2.dims}")
+    f = T1.dims.factors
     W = T1.iso.mat @ T2.iso.mat.conj().T
-    for sigma in _admissible_permutations(T1.dims.factors):
-        P = perm_matrix(T1.dims.factors, sigma)
-        cert = is_product_operator(P @ W, T1.dims, rel_tol)
-        if cert is not None:
-            cert = ProductOpCertificate(cert.factors, sigma)
-            return (True, cert) if with_certificate else True
-    return (False, None) if with_certificate else False
+    sigma = []
+    for i, d in enumerate(f):
+        slots = [j for j in range(len(f)) if f[j] == d]
+        svs = [np.linalg.svd(_single_factor_realign(W, f, i, j), compute_uv=False) for j in slots]
+        sigma.append(slots[int(np.argmin([s[1] / s[0] for s in svs]))])
+    cert = None
+    if len(set(sigma)) == len(f):
+        cert = is_product_operator(perm_matrix(f, sigma) @ W, T1.dims, rel_tol)
+    if cert is None:
+        return (False, None) if with_certificate else False
+    cert = ProductOpCertificate(cert.factors, tuple(sigma))
+    return (True, cert) if with_certificate else True
 
 
 def product_state_in(T: Tps, site_vectors) -> StateVec:
@@ -163,16 +167,12 @@ def random_product_probe(T: Tps, stream: np.random.Generator) -> StateVec:
 
 
 def tps_to_json(T: Tps) -> dict:
-    iso = T.iso.mat
-    return {
-        "dims": list(T.dims.factors),
-        "iso": [[[float(z.real), float(z.imag)] for z in row] for row in iso],
-    }
+    return {"dims": list(T.dims.factors), "iso": _to_pairs(T.iso.mat)}
 
 
 def tps_from_json(obj: dict) -> Tps:
     dims = Dims(tuple(obj["dims"]))
-    iso = np.array([[complex(re, im) for re, im in row] for row in obj["iso"]])
+    iso = _from_pairs(obj["iso"])
     if iso.shape != (dims.total, dims.total):
         raise InvariantViolation(f"iso shape {iso.shape} inconsistent with dims {dims.factors}")
     return Tps(dims, UnitaryOp(iso))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mereokit as mk
+from mereokit.hilbert import _from_pairs, _to_pairs
 from mereokit.models import SIGMA
 
 from conftest import random_hermitian
@@ -39,6 +40,23 @@ class TestCarriers:
         H = mk.HermitianOp(np.eye(2))
         with pytest.raises(ValueError):
             H.mat[0, 0] = 5.0
+
+
+class TestComplexPairs:
+    def test_roundtrip_keeps_every_bit(self):
+        a = np.array([[complex(1.5, -0.0), complex(-0.0, 2.0)], [1e-300j, -3.25 + 0.1j]])
+        rows = _to_pairs(a)
+        assert rows[0][1] == [-0.0, 2.0] and isinstance(rows[1][1][0], float)
+        back = _from_pairs(rows)
+        assert back.dtype == complex and back.shape == (2, 2)
+        assert np.array_equal(back.view(float), a.view(float))
+        assert np.signbit(back[0, 1].real) and np.signbit(back[0, 0].imag)
+        assert np.array_equal(_from_pairs([[1, 2], [3, -4]]), np.array([1 + 2j, 3 - 4j]))
+
+    @pytest.mark.parametrize("rows", [[[1.0, 2.0, 3.0, 4.0]], [[1.0, 2.0], [3.0]], [1.0, 2.0], []])
+    def test_rejects_non_pairs(self, rows):
+        with pytest.raises(ValueError):
+            _from_pairs(rows)
 
 
 class TestHsInner:

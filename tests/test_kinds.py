@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mereokit as mk
-from mereokit.kinds import TpsVerdict
+from mereokit.kinds import TpsVerdict, check_spectral_hypotheses
 from mereokit.models import SIGMA
 
 from conftest import nondegenerate_instance
@@ -264,6 +264,31 @@ class TestFingerprint:
         probes = mk.ProbeSet((zero_poly,), ("random:null",))
         fp = mk.fingerprint(H, psi, mk.canonical(dims22), probes)
         assert fp.skipped == {0}
+
+
+class TestStateDimension:
+    """A state of another dimension than H is a DimensionMismatch, not a numpy error."""
+
+    @pytest.fixture
+    def mismatched(self):
+        H, psi = nondegenerate_instance(4, 615)
+        return H, psi, mk.haar_state(8, mk.stream(615))
+
+    def test_check_spectral_hypotheses(self, mismatched):
+        H, _, psi8 = mismatched
+        with pytest.raises(mk.DimensionMismatch):
+            check_spectral_hypotheses(H, psi8)
+
+    def test_pair_kind_of(self, mismatched):
+        H, _, psi8 = mismatched
+        with pytest.raises(mk.DimensionMismatch):
+            mk.pair_kind_of(H, psi8)
+
+    def test_fingerprint(self, mismatched, dims22):
+        H, psi, psi8 = mismatched
+        probes = mk.build_probe_set(H, psi, 4)
+        with pytest.raises(mk.DimensionMismatch):
+            mk.fingerprint(H, psi8, mk.canonical(dims22), probes)
 
 
 class TestFingerprintsEqual:

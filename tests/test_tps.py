@@ -1,7 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mereokit as mk
+from mereokit import tps
 from mereokit.models import SIGMA
 from mereokit.tps import _single_factor_realign
 
@@ -16,6 +20,35 @@ def local_in(T, site_unitaries):
     """Unitary of the abstract space acting as the given product through T."""
     L = mk.kron_all([u for u in site_unitaries])
     return mk.UnitaryOp(T.iso.mat.conj().T @ L @ T.iso.mat)
+
+
+def planted(T, sigma, rng):
+    """T moved by Haar local unitaries composed with the factor permutation sigma,
+    so that T.iso . planted.iso^dag = perm_matrix(sigma)^T . (x)L_i."""
+    L = mk.kron_all([mk.haar_unitary(d, rng).mat for d in T.dims.factors])
+    P = mk.perm_matrix(T.dims.factors, sigma)
+    return mk.Tps(T.dims, mk.UnitaryOp(L.conj().T @ P @ T.iso.mat))
+
+
+def admissible_permutation(factors, rng):
+    """Uniformly random permutation that moves factors only among equal dimensions."""
+    sigma = list(range(len(factors)))
+    for d in sorted(set(factors)):
+        slots = [j for j, e in enumerate(factors) if e == d]
+        for j, k in zip(slots, rng.permutation(slots)):
+            sigma[j] = int(k)
+    return tuple(sigma)
+
+
+def enumerated_equivalent(T1, T2):
+    """Reference decision: the product test on every admissible permutation (n! for qubits)."""
+    f = T1.dims.factors
+    W = T1.iso.mat @ T2.iso.mat.conj().T
+    for sigma in itertools.permutations(range(len(f))):
+        if all(f[sigma[j]] == f[j] for j in range(len(f))):
+            if mk.is_product_operator(mk.perm_matrix(f, sigma) @ W, T1.dims) is not None:
+                return True, sigma
+    return False, None
 
 
 class TestConstruction:
@@ -150,6 +183,61 @@ class TestEquivalent:
             C = mk.act(local_in(B, [mk.haar_unitary(2, rng).mat for _ in range(2)]), B)
             assert mk.equivalent(A, B) and mk.equivalent(B, C)
             assert mk.equivalent(A, C)
+
+
+class TestEquivalentDecision:
+    @pytest.fixture
+    def product_tests(self, monkeypatch):
+        calls = []
+        original = tps.is_product_operator
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tps, "is_product_operator", counting)
+        return calls
+
+    def test_at_most_one_product_test(self, product_tests):
+        # the n! enumerator made 24 product tests on an inequivalent (2,2,2,2) pair
+        dims = mk.Dims((2, 2, 2, 2))
+        rng = mk.stream(316)
+        T1 = mk.random_tps(dims, rng)
+        assert not mk.equivalent(T1, mk.random_tps(dims, rng))
+        assert len(product_tests) <= 1
+        product_tests.clear()
+        same, cert = mk.equivalent(T1, planted(T1, (3, 0, 1, 2), rng), with_certificate=True)
+        assert same and cert.permutation == (3, 0, 1, 2)
+        assert len(product_tests) == 1
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(factors=st.lists(st.sampled_from([2, 3]), min_size=2, max_size=5), seed=st.integers(0, 2**16))
+    def test_agrees_with_enumerator(self, factors, seed):
+        dims = mk.Dims(tuple(factors))
+        rng = mk.stream(seed)
+        T1 = mk.random_tps(dims, rng)
+        sigma = admissible_permutation(dims.factors, rng)
+        T2 = planted(T1, sigma, rng)
+        same, cert = mk.equivalent(T1, T2, with_certificate=True)
+        assert same and cert.permutation == sigma
+        assert np.abs(cert.assemble() - T1.iso.mat @ T2.iso.mat.conj().T).max() < 1e-8
+        assert enumerated_equivalent(T1, T2) == (True, sigma)
+        # a Haar structure, and the planted one behind a small diagonal entangler
+        entangler = np.exp(1e-3j * rng.standard_normal(dims.total))
+        perturbed = mk.Tps(dims, mk.UnitaryOp(entangler[:, None] * T2.iso.mat))
+        for T in (mk.random_tps(dims, rng), perturbed):
+            assert mk.equivalent(T1, T, with_certificate=True) == (False, None)
+            assert enumerated_equivalent(T1, T) == (False, None)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_many_qubits(self, n):
+        dims = mk.Dims((2,) * n)
+        rng = mk.stream(317, n)
+        T1 = mk.random_tps(dims, rng)
+        sigma = tuple((j + 1) % n for j in range(n))
+        same, cert = mk.equivalent(T1, planted(T1, sigma, rng), with_certificate=True)
+        assert same and cert.permutation == sigma
+        assert not mk.equivalent(T1, mk.random_tps(dims, rng))
 
 
 class TestRandomTps:
