@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,15 @@ def _resolve_seed(args, cfg: dict) -> int:
     return int(env) if env is not None else 0
 
 
+@contextmanager
+def _field(name: str):
+    """Report a ValueError raised in the block, e.g. a ragged [re, im] row, as bad ``name``."""
+    try:
+        yield
+    except ValueError as e:
+        raise UsageError(f"{name}: {e}") from None
+
+
 def _write(text: str, out: str | None):
     if out:
         Path(out).write_text(text)
@@ -89,7 +99,8 @@ def load_matrix_file(path: str) -> tuple[np.ndarray, Dims]:
         if key not in obj:
             raise UsageError(f"matrix file {path} is missing the {key!r} field")
     dims = Dims(tuple(obj["dims"]))
-    mat = _from_pairs(obj["matrix"])
+    with _field(f"matrix in {path}"):
+        mat = _from_pairs(obj["matrix"])
     if mat.shape != (dims.total, dims.total):
         raise UsageError(f"matrix shape {mat.shape} inconsistent with dims {dims.factors}")
     return mat, dims
@@ -147,7 +158,8 @@ def build_tps(spec, dims: Dims, seed: int, base: tps_mod.Tps, H: HermitianOp | N
         if kind == "random":
             return tps_mod.random_tps(dims, stream(seed, 2))
         if kind == "file":
-            return tps_mod.tps_from_json(_load_json(spec["path"]))
+            with _field(f"tps file {spec['path']}"):
+                return tps_mod.tps_from_json(_load_json(spec["path"]))
         if kind == "local":
             return _local_move(base, stream(seed, 3))
         if kind == "evolved":
@@ -162,7 +174,8 @@ def build_state(spec, dims: Dims, seed: int, *path: int) -> StateVec:
     if spec == "haar" or spec is None:
         return haar_state(dims.total, stream(seed, 4, *path))
     if isinstance(spec, list):
-        v = _from_pairs(spec)
+        with _field("state"):
+            v = _from_pairs(spec)
         return StateVec(v / np.linalg.norm(v))
     raise UsageError(f"unknown state spec {spec!r}")
 
@@ -178,7 +191,8 @@ def _site_kets(spec, dims: Dims) -> list[np.ndarray]:
     if spec == "plus":
         return [np.ones(d, dtype=complex) / np.sqrt(d) for d in dims.factors]
     if isinstance(spec, list):
-        return [_from_pairs(row) for row in spec]
+        with _field("probe"):
+            return [_from_pairs(row) for row in spec]
     raise UsageError(f"unknown probe spec {spec!r}")
 
 
@@ -341,7 +355,8 @@ def _build_family(spec, seed: int, path: int) -> np.ndarray:
             (int(r["count"]), int(r["dim"]))
         )
     if isinstance(spec, list):
-        return _from_pairs(spec)
+        with _field("family"):
+            return _from_pairs(spec)
     raise UsageError(f"unknown family spec {spec!r}")
 
 

@@ -17,9 +17,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
-from .hilbert import Dims, HermitianOp, StateVec, UnitaryOp, _frozen, expm_i, site_entropies
+from .hilbert import Dims, HermitianOp, StateVec, UnitaryOp, _frozen, expm_i
 from .locality import PRODUCT_PROBE_TOL, WITNESS_ENTROPY, _require_product_probes
-from .tps import Tps, act, equivalent
+from .tps import Tps, _eigen_entropies, act, equivalent
 
 COMMUTANT_TOL = 1e-9
 
@@ -72,17 +72,10 @@ def find_nonlocal_symmetry(
     the equivalence test. Returns None when the grid shows nothing, which is
     the expected outcome exactly for 1-local Hamiltonians.
     """
-    _require_product_probes(T, probes, PRODUCT_PROBE_TOL)
-    lam, V = H.eig
-    iso = T.iso.mat
+    C = _require_product_probes(H, T, probes, PRODUCT_PROBE_TOL)
     for t in t_grid:
-        phases = np.exp(-1j * float(t) * lam)
-        hit = any(
-            site_entropies(iso @ (V @ (phases * (V.conj().T @ p.vec))), T.dims).max()
-            > witness_threshold
-            for p in probes
-        )
-        if not hit:
+        ents = _eigen_entropies(H, T, C, np.exp(-1j * float(t) * H.eig[0]))
+        if not (ents > witness_threshold).any():
             continue
         U = expm_i(H, float(t))
         if equivalent(act(U, T), T):
@@ -119,21 +112,16 @@ def entropy_orbit(
     H: HermitianOp, T: Tps, probe: StateVec, site: int, t_grid: Sequence[float]
 ) -> OrbitCurve:
     """Site entropy of the probe pushed through iso . e^{-itH}, per grid point."""
-    _require_product_probes(T, [probe], PRODUCT_PROBE_TOL)
+    c = _require_product_probes(H, T, [probe], PRODUCT_PROBE_TOL)[0]
     n = T.dims.n
     if not (0 <= site < n):
         raise DimensionMismatch(f"site {site} out of range for n={n}")
-    lam, V = H.eig
-    iso = T.iso.mat
-    c = V.conj().T @ probe.vec
-    ents = np.empty(len(t_grid))
-    for j, t in enumerate(t_grid):
-        evolved = V @ (np.exp(-1j * float(t) * lam) * c)
-        ents[j] = site_entropies(iso @ evolved, T.dims)[site]
+    t = np.asarray(t_grid, dtype=float)
+    ents = _eigen_entropies(H, T, c, np.exp(-1j * np.multiply.outer(t, H.eig[0])))[:, site]
     bound = np.log(T.dims.factors[site]) + 1e-9
     if len(ents) and ents.max() > bound:
         raise InvariantViolation(f"entropy {ents.max():.12f} above log d bound")
-    return OrbitCurve(np.asarray(t_grid, dtype=float), ents, site, probe)
+    return OrbitCurve(t, ents, site, probe)
 
 
 def distinct_value_count(curve: OrbitCurve, bin: float) -> int:

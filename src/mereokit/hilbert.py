@@ -32,8 +32,19 @@ def _to_pairs(a) -> list:
 
 
 def _from_pairs(rows) -> np.ndarray:
-    """Complex array from nested ``[re, im]`` lists; the inverse of ``_to_pairs``."""
-    a = np.array(rows, dtype=float)
+    """Complex array from nested ``[re, im]`` lists; the inverse of ``_to_pairs``.
+
+    Ragged input raises ValueError naming the first top-level row shaped unlike most.
+    """
+    try:
+        a = np.array(rows, dtype=float)
+    except (TypeError, ValueError):
+        shapes = [np.array(r, dtype=object).shape for r in rows]
+        common = max(shapes, key=shapes.count, default=None)
+        for i, shape in enumerate(shapes):
+            if shape != common:
+                raise ValueError(f"row {i} has shape {shape}, most have {common}") from None
+        raise ValueError("expected nested lists of numbers") from None
     if a.ndim < 2 or a.shape[-1] != 2:
         raise ValueError(f"expected [re, im] pairs, got an array of shape {a.shape}")
     return a.view(complex)[..., 0]
@@ -196,15 +207,15 @@ def partial_trace(rho, dims: Dims, keep: int) -> DensityOp:
     return DensityOp(np.einsum(sub, t))
 
 
-def _entropy_of_probs(p: np.ndarray) -> float:
+def _entropy_of_probs(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy over the last axis; entries are clamped to [0, 1], and 0 log 0 = 0."""
     p = np.clip(p.real, 0.0, 1.0)
-    p = p[p > 0.0]
-    return float(-(p * np.log(p)).sum())
+    return -(p * np.log(p, out=np.zeros_like(p), where=p > 0.0)).sum(axis=-1)
 
 
 def vn_entropy(rho) -> float:
     """von Neumann entropy in nats; eigenvalues are clamped to [0, 1] first."""
-    return _entropy_of_probs(np.linalg.eigvalsh(_mat(rho)))
+    return float(_entropy_of_probs(np.linalg.eigvalsh(_mat(rho))))
 
 
 def purity(rho) -> float:
@@ -214,20 +225,21 @@ def purity(rho) -> float:
 
 
 def site_entropies(psi, dims: Dims) -> np.ndarray:
-    """Per-factor marginal entropies of a pure state on the product space.
+    """Per-factor marginal entropies of a pure state, or of every state in a stack (..., D).
 
-    Uses the Schmidt coefficients of each single-factor bipartition, which
-    for a pure state equal the marginal's spectrum.
+    Uses the Schmidt coefficients of each single-factor bipartition, which for
+    a pure state equal the marginal's spectrum; one stacked SVD per factor.
     """
     v = _vec(psi)
-    if v.shape[0] != dims.total:
-        raise DimensionMismatch(f"state dim {v.shape[0]} != product dim {dims.total}")
-    t = v.reshape(dims.factors)
-    out = np.empty(dims.n)
+    if v.shape[-1] != dims.total:
+        raise DimensionMismatch(f"state dim {v.shape[-1]} != product dim {dims.total}")
+    lead = v.shape[:-1]
+    t = v.reshape(lead + dims.factors)
+    out = np.empty(lead + (dims.n,))
     for i, d in enumerate(dims.factors):
-        m = np.moveaxis(t, i, 0).reshape(d, -1)
+        m = np.moveaxis(t, len(lead) + i, len(lead)).reshape(lead + (d, dims.total // d))
         s = np.linalg.svd(m, compute_uv=False)
-        out[i] = _entropy_of_probs(s * s)
+        out[..., i] = _entropy_of_probs(s * s)
     return out
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     DimensionMismatch,
@@ -26,8 +25,8 @@ from .errors import (
     InvariantViolation,
     NoWitnessError,
 )
-from .hilbert import HermitianOp, StateVec, UnitaryOp, _frozen, _to_pairs, _vec, site_entropies
-from .tps import Tps, equivalent
+from .hilbert import HermitianOp, StateVec, UnitaryOp, _frozen, _to_pairs, _vec
+from .tps import Tps, _eigen_entropies, equivalent
 
 DEGENERACY_GAP = 1e-8  # minimum eigenvalue gap for a spectrum to count as simple
 SUPPORT_MIN = 1e-8  # minimum |<eigvec|psi>| for full support
@@ -234,20 +233,10 @@ def _orthonormalize_by_gram(G: np.ndarray):
 
 
 def _complete_basis(rows: list[np.ndarray], D: int) -> np.ndarray:
-    """Extend orthonormal rows to a full basis using canonical vectors in index order."""
-    out = list(rows)
-    for j in range(D):
-        if len(out) == D:
-            break
-        w = np.zeros(D, dtype=complex)
-        w[j] = 1.0
-        for _ in range(2):
-            for r in out:
-                w = w - np.vdot(r, w) * r
-        nrm = np.linalg.norm(w)
-        if nrm > 1e-6:
-            out.append(w / nrm)
-    return np.stack(out)
+    """Extend orthonormal rows to a full basis, completed by one QR of [rows; I]^T."""
+    R = np.array(rows, dtype=complex).reshape(-1, D)
+    Q = np.linalg.qr(np.concatenate([R, np.eye(D)]).T, mode="complete")[0]
+    return np.concatenate([R, Q[:, len(R) :].T])
 
 
 def gram_orbit_witness(family1: Sequence, family2: Sequence, tol: float = 1e-8) -> UnitaryOp:
@@ -275,24 +264,24 @@ def gram_orbit_witness(family1: Sequence, family2: Sequence, tol: float = 1e-8) 
 
 @dataclass(frozen=True)
 class ProbeSet:
-    """Polynomials whose evaluations on (H, psi) probe every direction of the space.
+    """Probe polynomials held as their values on the spectrum of H.
 
-    ``polys[r]`` holds ascending coefficients; ``provenance[r]`` records
-    whether the polynomial interpolates one eigenvector or was drawn with
-    rational coefficients from a seeded stream.
+    ``values[r, k]`` is R_r(lambda_k) at the ascending eigenvalues, read-only;
+    ``provenance[r]`` records whether R_r interpolates one eigenvector (a unit
+    row) or had its values drawn as seeded rationals.
     """
 
-    polys: tuple[np.ndarray, ...]
+    values: np.ndarray
     provenance: tuple[str, ...]
 
     def __post_init__(self):
-        polys = tuple(np.asarray(p, dtype=complex) for p in self.polys)
-        if len(polys) != len(self.provenance):
-            raise DimensionMismatch("one provenance tag per polynomial required")
-        object.__setattr__(self, "polys", polys)
+        values = _frozen(self.values)
+        if values.ndim != 2 or values.shape[0] != len(self.provenance):
+            raise DimensionMismatch("need a 2-d value array with one provenance tag per row")
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
-        return len(self.polys)
+        return self.values.shape[0]
 
 
 def build_probe_set(
@@ -308,32 +297,24 @@ def build_probe_set(
     states cannot span the space.
     """
     c = check_spectral_hypotheses(H, psi)
-    lam, V = H.eig
-    D = len(lam)
+    D = H.dim
     if count is None:
         count = 2 * D
     if count < D:
         raise DimensionMismatch(f"need at least {D} probes, got {count}")
     if count > D and stream is None:
-        raise DimensionMismatch("a stream is required to draw the extra polynomials")
-    polys: list[np.ndarray] = []
-    provenance: list[str] = []
-    for k in range(D):
-        roots = np.delete(lam, k)
-        p = npoly.polyfromroots(roots).astype(complex)
-        p = p / npoly.polyval(lam[k], p)
-        polys.append(p)
-        provenance.append(f"interpolation:{k}")
-    for r in range(count - D):
-        num = stream.integers(-12, 13, size=(2, D))
-        den = stream.integers(1, 13, size=(2, D))
-        polys.append(num[0] / den[0] + 1j * num[1] / den[1])
-        provenance.append(f"random:{r}")
-    probes = np.stack([V @ (npoly.polyval(lam, p) * c) for p in polys])
-    rank = np.linalg.matrix_rank(probes)
+        raise DimensionMismatch("a stream is required to draw the extra probes")
+    extras = [
+        stream.integers(-12, 13, size=(2, D)) / stream.integers(1, 13, size=(2, D))
+        for _ in range(count - D)
+    ]
+    values = np.concatenate([np.eye(D), np.reshape([q[0] + 1j * q[1] for q in extras], (-1, D))])
+    provenance = [f"interpolation:{k}" for k in range(D)]
+    provenance += [f"random:{r}" for r in range(count - D)]
+    rank = np.linalg.matrix_rank((values * c) @ H.eig[1].T)
     if rank < D:
         raise InvariantViolation(f"probe states have rank {rank} < {D}")
-    return ProbeSet(tuple(polys), tuple(provenance))
+    return ProbeSet(values, tuple(provenance))
 
 
 @dataclass(frozen=True)
@@ -357,18 +338,13 @@ def fingerprint(H: HermitianOp, psi: StateVec, T: Tps, probes: ProbeSet) -> Fing
     if H.dim != T.dims.total:
         raise DimensionMismatch(f"operator dim {H.dim} != product dim {T.dims.total}")
     c = _amplitudes(H, psi)
-    lam, V = H.eig
-    iso = T.iso.mat
+    if probes.values.shape[1] != H.dim:
+        raise DimensionMismatch(f"probe values of length {probes.values.shape[1]} != dim {H.dim}")
+    nrm = np.linalg.norm(probes.values * c, axis=1)
+    keep = nrm >= SKIP_NORM
     entries = np.full((len(probes), T.dims.n), np.nan)
-    skipped = []
-    for r, p in enumerate(probes.polys):
-        phi = V @ (npoly.polyval(lam, p) * c)
-        nrm = np.linalg.norm(phi)
-        if nrm < SKIP_NORM:
-            skipped.append(r)
-            continue
-        entries[r] = site_entropies(iso @ (phi / nrm), T.dims)
-    return Fingerprint(entries, frozenset(skipped))
+    entries[keep] = _eigen_entropies(H, T, c, probes.values[keep] / nrm[keep, None])
+    return Fingerprint(entries, frozenset(np.flatnonzero(~keep)))
 
 
 def fingerprints_equal(f1: Fingerprint, f2: Fingerprint, tol: float = 1e-9) -> bool:

@@ -8,9 +8,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
-from .hilbert import HermitianOp, StateVec, UnitaryOp, hs_norm_sq, site_entropies
+from .hilbert import HermitianOp, StateVec, UnitaryOp, hs_norm_sq
 from .basis import WeightProfile, decompose, weight_profile
-from .tps import Tps, act
+from .tps import Tps, _eigen_entropies, act
 
 LOCALITY_RTOL = 1e-9  # default threshold on residual weight, relative to |H|_HS^2
 WITNESS_ENTROPY = 1e-6  # site entropy above this witnesses entanglement generation
@@ -80,13 +80,17 @@ class EvolutionVerdict:
     max_entropy: float
 
 
-def _require_product_probes(T: Tps, probes: Sequence[StateVec], tol: float):
+def _require_product_probes(H: HermitianOp, T: Tps, probes: Sequence[StateVec], tol: float):
+    """Eigenbasis amplitudes (one row per probe), once every probe is a product state in T."""
     for j, probe in enumerate(probes):
         if probe.dim != T.dims.total:
             raise DimensionMismatch(f"probe {j} has dim {probe.dim} != {T.dims.total}")
-        ent = site_entropies(T.iso.mat @ probe.vec, T.dims).max()
+    C = np.array([p.vec for p in probes], dtype=complex).reshape(-1, T.dims.total)
+    C = C @ H.eig[1].conj()
+    for j, ent in enumerate(_eigen_entropies(H, T, C, 1.0).max(axis=-1)):
         if ent > tol:
             raise InvariantViolation(f"probe {j} is not a product state (entropy {ent:.3e})")
+    return C
 
 
 def one_local_evolution_check(
@@ -104,15 +108,11 @@ def one_local_evolution_check(
     the threshold witnesses that H is not 1-local. The scan order is
     (t index, probe index), so the reported witness is deterministic.
     """
-    _require_product_probes(T, probes, product_tol)
-    lam, V = H.eig
-    iso = T.iso.mat
+    C = _require_product_probes(H, T, probes, product_tol)
     max_seen = 0.0
     for t in t_grid:
-        phases = np.exp(-1j * float(t) * lam)
-        for j, probe in enumerate(probes):
-            evolved = V @ (phases * (V.conj().T @ probe.vec))
-            ent = float(site_entropies(iso @ evolved, T.dims).max())
+        ents = _eigen_entropies(H, T, C, np.exp(-1j * float(t) * H.eig[0])).max(axis=-1)
+        for j, ent in enumerate(ents.tolist()):
             max_seen = max(max_seen, ent)
             if ent > witness_threshold:
                 return EvolutionVerdict(False, EvolutionWitness(float(t), j, ent), max_seen)

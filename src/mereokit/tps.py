@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
-from .hilbert import Dims, StateVec, UnitaryOp, _mat, _vec, haar_state, haar_unitary, kron_all
-from .hilbert import _from_pairs, _to_pairs
+from .hilbert import Dims, HermitianOp, StateVec, UnitaryOp, _mat, _vec, haar_state, haar_unitary
+from .hilbert import _from_pairs, _to_pairs, kron_all, site_entropies
 
 PRODUCT_RTOL = 1e-8  # relative second-singular-value threshold for product detection
 
@@ -48,6 +48,14 @@ class ProductOpCertificate:
     def assemble(self) -> np.ndarray:
         dims = Dims(tuple(f.shape[0] for f in self.factors))
         return perm_matrix(dims.factors, self.permutation).T @ kron_all(self.factors)
+
+
+def _eigen_entropies(H: HermitianOp, T: Tps, c, f) -> np.ndarray:
+    """Site entropies (..., n) in T of the states V (f * c), V the eigenvectors of H.
+
+    Amplitudes ``c`` and per-eigenvalue multipliers ``f`` broadcast over leading axes (..., D).
+    """
+    return site_entropies(((f * c) @ H.eig[1].T) @ T.iso.mat.T, T.dims)
 
 
 def canonical(dims: Dims) -> Tps:

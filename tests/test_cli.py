@@ -263,6 +263,15 @@ class TestDualscan:
         assert '"Inconsistent": 0' in text
         assert text.count("SameTps") >= 3
 
+    @pytest.mark.parametrize("dims", [[3, 3, 3], [2, 2, 2, 2, 2]])
+    def test_no_inconsistent_past_d16(self, tmp_path, dims):
+        cfg = write_config(tmp_path, "c.json", {"dims": dims, "trials": 2, "seed": 9})
+        out = str(tmp_path / "scan.csv")
+        assert run_cli(["dualscan", "--config", cfg, "--out", out]) == 0
+        rows = [line.split(",") for line in open(out).read().splitlines()[2:-1]]
+        assert len(rows) == 2 * 4
+        assert all(r[4] in ("SameTps", "DifferentTps") for r in rows)
+
 
 class TestWorkCounts:
     """One eigendecomposition per Hamiltonian, no fingerprint or equivalence computed twice."""
@@ -345,6 +354,16 @@ class TestUsage:
     def test_format_flag_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"model": {"name": "pauli", "string": "XX"}})
         assert run_cli(["profile", "--config", cfg, "--format", "json"]) == 1
+
+    def test_ragged_pairs_name_field_and_row(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "c.json",
+            {"model": {"name": "gue", "dims": [2, 2]}, "state": [[1, 0], [0, 1, 3], [0, 0], [0, 0]],
+             "tps1": "canonical", "tps2": {"kind": "random"}},
+        )
+        assert run_cli(["fingerprint", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "state" in err and "row 1" in err and "inhomogeneous" not in err
 
 
 class TestSubprocessEntry:

@@ -106,6 +106,20 @@ class TestEntropyOrbit:
         curve = mk.entropy_orbit(H, T, probe, 0, np.linspace(0, 4, 32))
         assert curve.entropies.max() <= np.log(3) + 1e-9
 
+    @pytest.mark.parametrize("points", [1, 64])
+    def test_site_entropies_calls_independent_of_grid(self, dims222, points, monkeypatch):
+        from mereokit import tps
+
+        calls = []
+        real = tps.site_entropies
+        monkeypatch.setattr(tps, "site_entropies", lambda *a: calls.append(1) or real(*a))
+        rng = mk.stream(506)
+        H = random_hermitian(8, rng)
+        T = mk.random_tps(dims222, rng)
+        curve = mk.entropy_orbit(H, T, mk.random_product_probe(T, rng), 2, np.linspace(0, 2, points))
+        # one stacked call checks the probe is a product state, one covers the whole curve
+        assert len(calls) == 2 and curve.entropies.shape == (points,)
+
     def test_non_product_probe_rejected(self, dims22):
         bell = mk.StateVec(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
         with pytest.raises(mk.InvariantViolation):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mereokit as mk
 from mereokit.hilbert import _from_pairs, _to_pairs
@@ -207,6 +208,39 @@ class TestEntropy:
         fast = mk.site_entropies(psi.vec, dims)
         slow = [mk.vn_entropy(mk.partial_trace(rho, dims, keep=i)) for i in range(3)]
         assert np.abs(fast - np.array(slow)).max() < 1e-9
+
+
+class TestStackedSiteEntropies:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        factors=st.lists(st.sampled_from([2, 3, 4]), min_size=2, max_size=3),
+        lead=st.sampled_from([(), (3,), (0,), (2, 3), (1,)]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_per_state_and_partial_trace(self, factors, lead, seed):
+        dims = mk.Dims(tuple(factors))
+        rng = mk.stream(seed)
+        z = rng.standard_normal(lead + (dims.total,)) + 1j * rng.standard_normal(lead + (dims.total,))
+        psi = z / np.linalg.norm(z, axis=-1, keepdims=True)
+        got = mk.site_entropies(psi, dims)
+        assert got.shape == lead + (dims.n,)
+        for idx in np.ndindex(*lead):
+            one = mk.site_entropies(psi[idx], dims)
+            assert np.array_equal(got[idx], one)
+            rho = mk.DensityOp(np.outer(psi[idx], psi[idx].conj()))
+            slow = [mk.vn_entropy(mk.partial_trace(rho, dims, keep=i)) for i in range(dims.n)]
+            assert np.abs(one - np.array(slow)).max() < 1e-9
+
+    def test_product_state_entropies_are_zero(self):
+        # exact zero Schmidt coefficients contribute 0 log 0 = 0, without a warning
+        dims = mk.Dims((2, 3))
+        psi = np.zeros((2, 6), dtype=complex)
+        psi[0, 0] = psi[1, 4] = 1.0
+        assert np.array_equal(mk.site_entropies(psi, dims), np.zeros((2, 2)))
+
+    def test_stack_dimension_mismatch(self):
+        with pytest.raises(mk.DimensionMismatch):
+            mk.site_entropies(np.zeros((3, 5), dtype=complex), mk.Dims((2, 2)))
 
 
 class TestPurity:

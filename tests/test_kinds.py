@@ -183,13 +183,11 @@ class TestProbeSet:
     def test_count_and_rank(self):
         H, psi = nondegenerate_instance(4, 610)
         probes = mk.build_probe_set(H, psi, 8, mk.stream(610, 1))
-        assert len(probes) == 8
+        assert len(probes) == 8 and probes.values.shape == (8, 4)
         assert sum(1 for p in probes.provenance if p.startswith("interpolation")) == 4
         lam, V = np.linalg.eigh(H.mat)
         c = V.conj().T @ psi.vec
-        from numpy.polynomial import polynomial as npoly
-
-        mat = np.stack([V @ (npoly.polyval(lam, p) * c) for p in probes.polys])
+        mat = (probes.values * c) @ V.T
         assert np.linalg.matrix_rank(mat) == 4
 
     def test_interpolation_probes_are_eigenvectors(self):
@@ -197,12 +195,11 @@ class TestProbeSet:
         probes = mk.build_probe_set(H, psi, 4)
         lam, V = np.linalg.eigh(H.mat)
         c = V.conj().T @ psi.vec
-        from numpy.polynomial import polynomial as npoly
-
         for k in range(4):
-            phi = V @ (npoly.polyval(lam, probes.polys[k]) * c)
+            assert np.array_equal(probes.values[k], np.eye(4)[k])
+            phi = V @ (probes.values[k] * c)
             phi = phi / np.linalg.norm(phi)
-            overlap = abs(np.vdot(V.mat[:, k] if hasattr(V, "mat") else V[:, k], phi))
+            overlap = abs(np.vdot(V[:, k], phi))
             assert overlap == pytest.approx(1.0, abs=1e-8)
 
     def test_too_few_probes(self):
@@ -210,12 +207,26 @@ class TestProbeSet:
         with pytest.raises(mk.DimensionMismatch):
             mk.build_probe_set(H, psi, 3, mk.stream(1))
 
+    @pytest.mark.parametrize(
+        "factors",
+        [(2,) * n for n in range(2, 7)] + [(3, 3, 3), (2, 2, 3), (4, 4, 4), (2, 3, 4), (4, 4, 2, 2)],
+    )
+    def test_full_rank_across_dims(self, factors):
+        D = mk.Dims(factors).total
+        for k in range(3):
+            H, psi = nondegenerate_instance(D, 624, D, k)
+            probes = mk.build_probe_set(H, psi, stream=mk.stream(624, D, k))
+            assert probes.values.shape == (2 * D, D)
+            lam, V = H.eig
+            c = V.conj().T @ psi.vec
+            assert np.linalg.matrix_rank((probes.values * c) @ V.T) == D
+
     def test_deterministic(self):
         H, psi = nondegenerate_instance(4, 613)
         a = mk.build_probe_set(H, psi, 8, mk.stream(7))
         b = mk.build_probe_set(H, psi, 8, mk.stream(7))
-        for p, q in zip(a.polys, b.polys):
-            assert np.array_equal(p, q)
+        assert np.array_equal(a.values, b.values)
+        assert not a.values.flags.writeable
 
 
 class TestFingerprint:
@@ -235,12 +246,7 @@ class TestFingerprint:
         psi = mk.StateVec(np.array([0.5, 0.5, 0.5, 0.5], dtype=complex))
         # probe polynomial selecting components 0 and 3 equally: R with
         # R(0)=1, R(1)=0, R(2)=0, R(3)=1 gives the Bell state from psi
-        from numpy.polynomial import polynomial as npoly
-
-        lam = np.array([0.0, 1.0, 2.0, 3.0])
-        targets = np.array([1.0, 0.0, 0.0, 1.0])
-        coeffs = npoly.polyfit(lam, targets, 3)
-        probes = mk.ProbeSet((coeffs,), ("interpolation:custom",))
+        probes = mk.ProbeSet(np.array([[1.0, 0.0, 0.0, 1.0]]), ("interpolation:custom",))
         fp = mk.fingerprint(H, psi, mk.canonical(dims22), probes)
         assert fp.entries[0, 0] == pytest.approx(np.log(2), abs=1e-9)
         assert fp.entries[0, 1] == pytest.approx(np.log(2), abs=1e-9)
@@ -260,10 +266,27 @@ class TestFingerprint:
     def test_skipped_probe_recorded(self, dims22):
         H = mk.HermitianOp(np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex))
         psi = mk.StateVec(np.array([0.5, 0.5, 0.5, 0.5], dtype=complex))
-        zero_poly = np.zeros(4, dtype=complex)
-        probes = mk.ProbeSet((zero_poly,), ("random:null",))
+        probes = mk.ProbeSet(np.zeros((1, 4)), ("random:null",))
         fp = mk.fingerprint(H, psi, mk.canonical(dims22), probes)
         assert fp.skipped == {0}
+
+
+    def test_one_site_entropies_call(self, dims222, monkeypatch):
+        from mereokit import tps
+
+        calls = []
+        real = tps.site_entropies
+        monkeypatch.setattr(tps, "site_entropies", lambda *a: calls.append(1) or real(*a))
+        H, psi = nondegenerate_instance(8, 625)
+        probes = mk.build_probe_set(H, psi, 16, mk.stream(625))
+        fp = mk.fingerprint(H, psi, mk.random_tps(dims222, mk.stream(626)), probes)
+        assert len(calls) == 1 and fp.entries.shape == (16, 3)
+
+    def test_probe_length_mismatch(self, dims22):
+        H, psi = nondegenerate_instance(4, 627)
+        probes = mk.ProbeSet(np.ones((2, 8)), ("random:0", "random:1"))
+        with pytest.raises(mk.DimensionMismatch):
+            mk.fingerprint(H, psi, mk.canonical(dims22), probes)
 
 
 class TestStateDimension:

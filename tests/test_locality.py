@@ -161,3 +161,57 @@ class TestStatisticalDirections:
             if not mk.one_local_evolution_check(H, T, grid, probes).consistent:
                 found += 1
         assert found >= trials - 1
+
+
+def looped_scan(H, T, t_grid, probes, threshold=mk.locality.WITNESS_ENTROPY):
+    """The per-(t, probe) scan both evolution checks ran before they were batched.
+
+    Returns the first (t, probe index, entropy) above the threshold, or None, and
+    the largest site entropy seen up to it.
+    """
+    lam, V = H.eig
+    max_seen = 0.0
+    for t in t_grid:
+        phases = np.exp(-1j * float(t) * lam)
+        for j, p in enumerate(probes):
+            evolved = V @ (phases * (V.conj().T @ p.vec))
+            ent = float(mk.site_entropies(T.iso.mat @ evolved, T.dims).max())
+            max_seen = max(max_seen, ent)
+            if ent > threshold:
+                return (float(t), j, ent), max_seen
+    return None, max_seen
+
+
+def looped_nonlocal_time(H, T, t_grid, probes):
+    """The first grid time the looped scan flags and the equivalence test confirms."""
+    for t in t_grid:
+        hit, _ = looped_scan(H, T, [t], probes)
+        if hit is not None and not mk.equivalent(mk.act(mk.expm_i(H, float(t)), T), T):
+            return float(t)
+    return None
+
+
+class TestBatchedScansMatchLoops:
+    @pytest.mark.parametrize("factors,K", [((2, 2), 1), ((2, 2, 2), 1), ((2, 3), 1),
+                                           ((2, 2), 2), ((2, 2, 2), 2), ((2, 3), 2)])
+    def test_same_witness_and_max_entropy(self, factors, K):
+        dims = mk.Dims(factors)
+        for k in range(3):
+            rng = mk.stream(408, K, dims.total, k)
+            H0 = mk.random_klocal(dims, K, rng)
+            U = mk.haar_unitary(dims.total, rng)
+            H = mk.HermitianOp(U.mat @ H0.mat @ U.mat.conj().T)
+            T = mk.act(U, mk.canonical(dims))
+            probes = [mk.random_product_probe(T, rng) for _ in range(3)]
+            grid = mk.default_time_grid(H, 24)
+            ref, ref_max = looped_scan(H, T, grid, probes)
+            assert (ref is None) == (K == 1)
+            v = mk.one_local_evolution_check(H, T, grid, probes)
+            assert abs(v.max_entropy - ref_max) <= 1e-12
+            if ref is None:
+                assert v.consistent and v.witness is None
+            else:
+                assert (v.witness.t, v.witness.probe_index) == ref[:2]
+                assert abs(v.witness.entropy - ref[2]) <= 1e-12
+            hit = mk.find_nonlocal_symmetry(H, T, grid, probes)
+            assert (None if hit is None else hit[0]) == looped_nonlocal_time(H, T, grid, probes)
