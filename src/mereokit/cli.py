@@ -14,6 +14,7 @@ Subcommands and their config fields are documented in the README.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -139,10 +140,13 @@ def build_model(cfg: dict, seed: int, *path: int) -> tuple[HermitianOp, Dims]:
         return H, dims
     if name == "gue":
         dims = Dims(tuple(cfg["dims"]))
-        rng = stream(seed, 1, *path)
-        A = rng.standard_normal((dims.total,) * 2) + 1j * rng.standard_normal((dims.total,) * 2)
-        return HermitianOp((A + A.conj().T) / 2), dims
+        return _gue(dims.total, stream(seed, 1, *path)), dims
     raise UsageError(f"unknown model {cfg!r}")
+
+
+def _gue(D: int, rng) -> HermitianOp:
+    A = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    return HermitianOp((A + A.conj().T) / 2)
 
 
 def build_tps(spec, dims: Dims, seed: int, base: tps_mod.Tps, H: HermitianOp | None):
@@ -273,19 +277,7 @@ def cmd_search(args) -> int:
     cfg = _load_json(args.config)
     seed = _resolve_seed(args, cfg)
     H, dims = build_model(_model_cfg(cfg), seed)
-    sc = cfg.get("search", {})
-    config = SearchConfig(
-        K=int(sc.get("K", 2)),
-        restarts=int(sc.get("restarts", 8)),
-        max_iters=int(sc.get("max_iters", 500)),
-        grad_tol=float(sc.get("grad_tol", 1e-9)),
-        step_init=float(sc.get("step_init", 1.0)),
-        armijo_c=float(sc.get("armijo_c", 1e-4)),
-        backtrack_ratio=float(sc.get("backtrack_ratio", 0.5)),
-        success_residual=float(sc.get("success_residual", 1e-6)),
-        seed=seed,
-    )
-    result = run_search(H, dims, config)
+    result = run_search(H, dims, _search_config(cfg.get("search", {}), seed))
     resolved = {**cfg, "seed": seed}
     payload = {"config": resolved, "result": result.to_json()}
     _dump_json(payload, args.out)
@@ -297,6 +289,17 @@ def cmd_search(args) -> int:
             args.out + ".trace.csv",
         )
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+
+
+def _search_config(sc: dict, seed: int) -> SearchConfig:
+    """SearchConfig from a ``search`` entry: SearchConfig's defaults and types, with K = 2."""
+    defaults = {f.name: f.default for f in dataclasses.fields(SearchConfig)}
+    defaults.update(K=2, seed=seed)
+    unknown = sorted(set(sc) - set(defaults))
+    if unknown:
+        raise UsageError(f"unknown search field {unknown[0]!r}")
+    given = {k: v for k, v in sc.items() if k != "seed"}
+    return SearchConfig(**{k: type(d)(given.get(k, d)) for k, d in defaults.items()})
 
 
 def _kinds_pair(cfg_pair, seed: int, path: int):
@@ -395,10 +398,8 @@ def _dualscan_instance(dims: Dims, seed: int, trial: int):
     # resample (deterministically) until the spectral hypotheses hold
     for attempt in range(64):
         rng = stream(seed, trial, attempt)
-        D = dims.total
-        A = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-        H = HermitianOp((A + A.conj().T) / 2)
-        psi = haar_state(D, rng)
+        H = _gue(dims.total, rng)
+        psi = haar_state(dims.total, rng)
         try:
             kinds.check_spectral_hypotheses(H, psi)
         except HypothesisViolation:

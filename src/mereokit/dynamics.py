@@ -117,7 +117,13 @@ def entropy_orbit(
     if not (0 <= site < n):
         raise DimensionMismatch(f"site {site} out of range for n={n}")
     t = np.asarray(t_grid, dtype=float)
-    ents = _eigen_entropies(H, T, c, np.exp(-1j * np.multiply.outer(t, H.eig[0])))[:, site]
+    # Equal blocks of at most 2**16 // D times bound the memory; a 1-point block would take
+    # numpy's matrix-vector product, which rounds unlike the matrix-matrix one.
+    blocks = np.array_split(t, len(t) // max(1, 2**16 // H.dim) + 1)
+    lam = H.eig[0]
+    ents = np.concatenate(
+        [_eigen_entropies(H, T, c, np.exp(-1j * np.multiply.outer(b, lam)))[:, site] for b in blocks]
+    )
     bound = np.log(T.dims.factors[site]) + 1e-9
     if len(ents) and ents.max() > bound:
         raise InvariantViolation(f"entropy {ents.max():.12f} above log d bound")

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DimensionMismatch, InvariantViolation
 
 ATOL = 1e-10  # absolute tolerance for algebraic identities
-SPECTRAL_RTOL = 1e-9  # relative tolerance for spectral roundtrips
 
 
 def _frozen(a, dtype=complex) -> np.ndarray:

@@ -12,7 +12,6 @@ that separation against the direct equivalence test.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -201,65 +200,27 @@ class GramSpec:
 
 
 def gram_matrix(family: Sequence) -> GramSpec:
-    vecs = [np.asarray(_vec(v)) for v in family]
-    g = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
-    return GramSpec(g)
-
-
-def _orthonormalize_by_gram(G: np.ndarray):
-    """Gram-Schmidt expansion coefficients computed from the Gram matrix alone.
-
-    Returns (C, kept): rows of C express the orthonormal vectors in terms of
-    the family, and kept lists the surviving (independent) member indices.
-    The coefficients depend only on G, so two families with equal Gram
-    matrices orthonormalize identically.
-    """
-    N = G.shape[0]
-    C_rows: list[np.ndarray] = []
-    kept: list[int] = []
-    scale = max(float(np.abs(np.diag(G)).max()), 1e-300)
-    for k in range(N):
-        row = np.zeros(N, dtype=complex)
-        row[k] = 1.0
-        for _ in range(2):  # re-orthogonalization pass for stability
-            for c in C_rows:
-                row = row - (c.conj() @ G @ row) * c
-        nrm2 = float((row.conj() @ G @ row).real)
-        if nrm2 <= 1e-20 * scale:
-            continue
-        C_rows.append(row / math.sqrt(nrm2))
-        kept.append(k)
-    return C_rows, kept
-
-
-def _complete_basis(rows: list[np.ndarray], D: int) -> np.ndarray:
-    """Extend orthonormal rows to a full basis, completed by one QR of [rows; I]^T."""
-    R = np.array(rows, dtype=complex).reshape(-1, D)
-    Q = np.linalg.qr(np.concatenate([R, np.eye(D)]).T, mode="complete")[0]
-    return np.concatenate([R, Q[:, len(R) :].T])
+    F = np.stack([np.asarray(_vec(v)) for v in family])
+    return GramSpec(F.conj() @ F.T)
 
 
 def gram_orbit_witness(family1: Sequence, family2: Sequence, tol: float = 1e-8) -> UnitaryOp:
     """Unitary mapping family1 onto family2, member by member.
 
-    Exists exactly when the Gram matrices agree: both families are
-    orthonormalized with the shared Gram coefficients, the resulting bases
-    are mapped onto each other, and the map is completed deterministically
-    on the orthogonal complements.
+    Exists exactly when the Gram matrices agree. The witness is then the
+    orthogonal Procrustes solution W Vh (Schoenemann 1966), from one SVD
+    W S Vh of sum_k f2_k f1_k^dag: it maps every member exactly, and the
+    SVD's null-space vectors complete it on the orthogonal complement.
     """
     F1 = np.stack([np.asarray(_vec(v)) for v in family1])
     F2 = np.stack([np.asarray(_vec(v)) for v in family2])
     if F1.shape != F2.shape:
         raise DimensionMismatch(f"family shapes differ: {F1.shape} vs {F2.shape}")
-    G1 = gram_matrix(family1).matrix
-    G2 = gram_matrix(family2).matrix
+    G1, G2 = (F.conj() @ F.T for F in (F1, F2))
     if np.abs(G1 - G2).max() > tol:
         raise NoWitnessError("Gram matrices differ; no unitary can match the families")
-    C_rows, _ = _orthonormalize_by_gram(G1)
-    D = F1.shape[1]
-    B1 = _complete_basis([c @ F1 for c in C_rows], D)
-    B2 = _complete_basis([c @ F2 for c in C_rows], D)
-    return UnitaryOp(B2.T @ B1.conj())
+    W, _, Vh = np.linalg.svd(F2.T @ F1.conj())
+    return UnitaryOp(W @ Vh)
 
 
 @dataclass(frozen=True)

@@ -174,6 +174,21 @@ class TestSearchCmd:
         assert not res["converged"]
         assert res["residual"] > 1e-6
 
+    def test_unknown_search_field_exit_1(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "c.json",
+            {"model": {"name": "gue", "dims": [2, 2]}, "search": {"K": 2, "max_iter": 5}, "seed": 2},
+        )
+        assert run_cli(["search", "--config", cfg]) == 1
+        assert "max_iter" in capsys.readouterr().err
+
+    def test_search_fields_default_from_search_config(self):
+        from mereokit.cli import _search_config
+
+        config = _search_config({"max_iters": "7", "grad_tol": 1, "seed": 99}, 5)
+        assert config == mk.SearchConfig(K=2, max_iters=7, grad_tol=1.0, seed=5)
+        assert isinstance(config.max_iters, int) and isinstance(config.grad_tol, float)
+
 
 class TestKinds:
     def test_conjugated_pair_witness(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,41 @@ class TestEntropyOrbit:
         bell = mk.StateVec(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
         with pytest.raises(mk.InvariantViolation):
             mk.entropy_orbit(mk.pauli_string("XX"), mk.canonical(dims22), bell, 0, [0.1])
+
+
+class TestOrbitBlocks:
+    """The curve is evaluated in blocks of at most 2**16 // D grid times."""
+
+    def instance(self):
+        rng = mk.stream(507)
+        dims = mk.Dims((2,) * 6)
+        H = random_hermitian(dims.total, rng)
+        T = mk.random_tps(dims, rng)
+        return H, T, mk.random_product_probe(T, rng)
+
+    def test_peak_memory_bounded(self):
+        H, T, probe = self.instance()
+        grid = np.linspace(0, 3, 10_000)
+        H.eig  # the cached eigendecomposition is not part of the curve
+        tracemalloc.start()
+        try:
+            mk.entropy_orbit(H, T, probe, 1, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, "2B+1"])
+    def test_blocks_bit_equal_to_one_call(self, offset):
+        from mereokit.locality import PRODUCT_PROBE_TOL, _require_product_probes
+        from mereokit.tps import _eigen_entropies
+
+        H, T, probe = self.instance()
+        B = 2**16 // H.dim
+        grid = np.linspace(0, 3, 2 * B + 1 if offset == "2B+1" else B + offset)
+        c = _require_product_probes(H, T, [probe], PRODUCT_PROBE_TOL)[0]
+        ref = _eigen_entropies(H, T, c, np.exp(-1j * np.multiply.outer(grid, H.eig[0])))[:, 3]
+        assert np.array_equal(mk.entropy_orbit(H, T, probe, 3, grid).entropies, ref)
 
 
 class TestDistinctValues:

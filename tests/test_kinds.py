@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mereokit as mk
 from mereokit.kinds import TpsVerdict, check_spectral_hypotheses
@@ -163,6 +164,46 @@ class TestGram:
         w = np.array([0.0, 1.0], dtype=complex)
         with pytest.raises(mk.NoWitnessError):
             mk.gram_orbit_witness([v, v], [v, w])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(D=st.integers(2, 32), data=st.data())
+    def test_witness_recovers_haar_rotation(self, D, data):
+        N = data.draw(st.integers(1, 2 * D))
+        role = st.sampled_from(["new", "repeat", "dependent"])
+        roles = data.draw(st.lists(role, min_size=N - 1, max_size=N - 1))
+        rng = mk.stream(608, data.draw(st.integers(0, 2**16)))
+        fam = [rng.standard_normal(D) + 1j * rng.standard_normal(D)]
+        for role in roles:
+            if role == "new":
+                fam.append(rng.standard_normal(D) + 1j * rng.standard_normal(D))
+            elif role == "repeat":
+                fam.append(fam[rng.integers(len(fam))].copy())
+            else:
+                a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+                fam.append(a * fam[rng.integers(len(fam))] + b * fam[rng.integers(len(fam))])
+        V = mk.haar_unitary(D, rng)
+        rotated = [V.mat @ f for f in fam]
+        U = mk.gram_orbit_witness(fam, rotated)
+        scale = 1.0 + max(np.linalg.norm(f) for f in fam)
+        assert max(np.linalg.norm(U.mat @ a - b) for a, b in zip(fam, rotated)) <= 1e-12 * scale
+        k = int(rng.integers(N))
+        rotated[k] = 1.001 * rotated[k]
+        with pytest.raises(mk.NoWitnessError):
+            mk.gram_orbit_witness(fam, rotated)
+
+    def test_witness_is_one_svd_and_no_qr(self, monkeypatch):
+        rng = mk.stream(609)
+        fam = [rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(3)]
+        V = mk.haar_unitary(6, rng)
+        rotated = [V.mat @ f for f in fam]
+        calls = []
+        for name in ("svd", "qr"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda *a, _name=name, _real=real, **kw: calls.append(_name) or _real(*a, **kw)
+            )
+        mk.gram_orbit_witness(fam, rotated)
+        assert calls == ["svd"]
 
 
 class TestProbeSet:
