@@ -59,13 +59,20 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"parse error in {path}: line {e.lineno} column {e.colno}: {e.msg}")
 
 
-def _resolve_seed(args, cfg: dict) -> int:
-    if args.seed is not None:
-        return int(args.seed)
-    if "seed" in cfg:
-        return int(cfg["seed"])
-    env = os.environ.get("MEREOKIT_SEED")
-    return int(env) if env is not None else 0
+# default tolerance of each subcommand that takes one; orbit and search take none
+_TOL_DEFAULTS = {"profile": locality.LOCALITY_RTOL, "fingerprint": 1e-7, "kinds": 1e-8, "dualscan": 1e-7}
+
+
+def _resolve_config(args) -> dict:
+    """The loaded config with its seed resolved (flag, config, MEREOKIT_SEED, 0) and,
+    where the subcommand takes one, its tol (flag, config, the subcommand's default)."""
+    cfg = _load_json(args.config)
+    seed = args.seed if args.seed is not None else cfg.get("seed", os.environ.get("MEREOKIT_SEED", 0))
+    resolved = {**cfg, "seed": int(seed)}
+    if args.command in _TOL_DEFAULTS:
+        tol = args.tol if args.tol is not None else cfg.get("tol", _TOL_DEFAULTS[args.command])
+        resolved["tol"] = float(tol)
+    return resolved
 
 
 @contextmanager
@@ -149,8 +156,11 @@ def _gue(D: int, rng) -> HermitianOp:
     return HermitianOp((A + A.conj().T) / 2)
 
 
-def build_tps(spec, dims: Dims, seed: int, base: tps_mod.Tps, H: HermitianOp | None):
-    """TPS named in a config; 'local' and 'evolved' are relative to ``base``."""
+def build_tps(spec, dims: Dims, seed: int, base: tps_mod.Tps, H: HermitianOp | None, *path: int):
+    """TPS named in a config; 'local' and 'evolved' are relative to ``base``.
+
+    'random' draws from ``stream(seed, 2, *path)`` and 'local' from ``stream(seed, 3, *path)``.
+    """
     if spec == "canonical" or spec is None:
         return tps_mod.canonical(dims)
     if spec == "jw_dual":
@@ -160,12 +170,12 @@ def build_tps(spec, dims: Dims, seed: int, base: tps_mod.Tps, H: HermitianOp | N
     if isinstance(spec, dict):
         kind = spec.get("kind")
         if kind == "random":
-            return tps_mod.random_tps(dims, stream(seed, 2))
+            return tps_mod.random_tps(dims, stream(seed, 2, *path))
         if kind == "file":
             with _field(f"tps file {spec['path']}"):
                 return tps_mod.tps_from_json(_load_json(spec["path"]))
         if kind == "local":
-            return _local_move(base, stream(seed, 3))
+            return _local_move(base, stream(seed, 3, *path))
         if kind == "evolved":
             if H is None:
                 raise UsageError("an evolved tps needs a model in the config")
@@ -203,6 +213,8 @@ def _site_kets(spec, dims: Dims) -> list[np.ndarray]:
 def _time_grid(cfg, H: HermitianOp) -> np.ndarray:
     grid = cfg.get("grid") or {}
     points = int(grid.get("points", 64))
+    if points <= 0:
+        raise UsageError(f"grid.points must be positive, got {points}")
     if "t_max" in grid:
         return np.arange(points) * float(grid["t_max"]) / points
     return dynamics.default_time_grid(H, points)
@@ -212,21 +224,17 @@ def _time_grid(cfg, H: HermitianOp) -> np.ndarray:
 # subcommands
 
 
-def cmd_profile(args) -> int:
-    cfg = _load_json(args.config)
-    seed = _resolve_seed(args, cfg)
-    tol = args.tol if args.tol is not None else float(cfg.get("tol", locality.LOCALITY_RTOL))
+def cmd_profile(cfg: dict, out: str | None) -> int:
+    seed = cfg["seed"]
     H, dims = build_model(_model_cfg(cfg), seed)
     T = build_tps(cfg.get("tps"), dims, seed, tps_mod.canonical(dims), H)
-    report = locality.locality_report(H, T, tol)
-    payload = {"config": {**cfg, "seed": seed, "tol": tol}, "report": report.to_json()}
-    _dump_json(payload, args.out)
+    report = locality.locality_report(H, T, cfg["tol"])
+    _dump_json({"config": cfg, "report": report.to_json()}, out)
     return EXIT_OK
 
 
-def cmd_orbit(args) -> int:
-    cfg = _load_json(args.config)
-    seed = _resolve_seed(args, cfg)
+def cmd_orbit(cfg: dict, out: str | None) -> int:
+    seed = cfg["seed"]
     H, dims = build_model(_model_cfg(cfg), seed)
     T = build_tps(cfg.get("tps"), dims, seed, tps_mod.canonical(dims), H)
     probe = tps_mod.product_state_in(T, _site_kets(cfg.get("probe"), dims))
@@ -234,60 +242,49 @@ def cmd_orbit(args) -> int:
     grid = _time_grid(cfg, H)
     curve = dynamics.entropy_orbit(H, T, probe, site, grid)
     bin_ = float(cfg.get("bin", 1e-4))
-    resolved = {**cfg, "seed": seed}
-    _dump_csv("t,entropy", curve.to_csv_rows(), resolved, args.out)
+    _dump_csv("t,entropy", curve.to_csv_rows(), cfg, out)
     summary = {
-        "config": resolved,
+        "config": cfg,
         "site": site,
         "points": len(grid),
         "bin": bin_,
         "distinct_values": dynamics.distinct_value_count(curve, bin_),
         "max_entropy": float(curve.entropies.max()),
     }
-    summary_path = (args.out + ".summary.json") if args.out else None
+    summary_path = (out + ".summary.json") if out else None
     _dump_json(summary, summary_path)
     return EXIT_OK
 
 
-def cmd_fingerprint(args) -> int:
-    cfg = _load_json(args.config)
-    seed = _resolve_seed(args, cfg)
-    tol = args.tol if args.tol is not None else float(cfg.get("tol", 1e-7))
+def cmd_fingerprint(cfg: dict, out: str | None) -> int:
+    seed = cfg["seed"]
     H, dims = build_model(_model_cfg(cfg), seed)
     psi = build_state(cfg.get("state"), dims, seed)
     T1 = build_tps(cfg.get("tps1"), dims, seed, tps_mod.canonical(dims), H)
-    T2 = build_tps(cfg.get("tps2"), dims, seed, T1, H)
+    T2 = build_tps(cfg.get("tps2"), dims, seed, T1, H, 1)
     count = cfg.get("probe_count")
     probes = kinds.build_probe_set(H, psi, int(count) if count else None, stream(seed, 5))
     f1 = kinds.fingerprint(H, psi, T1, probes)
     f2 = kinds.fingerprint(H, psi, T2, probes)
     tps_eq = tps_mod.equivalent(T1, T2)
     payload = {
-        "config": {**cfg, "seed": seed, "tol": tol},
-        "verdict": kinds.TpsVerdict.of(kinds.fingerprints_equal(f1, f2, tol), tps_eq).value,
+        "config": cfg,
+        "verdict": kinds.TpsVerdict.of(kinds.fingerprints_equal(f1, f2, cfg["tol"]), tps_eq).value,
         "fingerprint_distance": kinds.fingerprint_distance(f1, f2),
         "tps_equal": bool(tps_eq),
         "probes": len(probes),
     }
-    _dump_json(payload, args.out)
+    _dump_json(payload, out)
     return EXIT_OK
 
 
-def cmd_search(args) -> int:
-    cfg = _load_json(args.config)
-    seed = _resolve_seed(args, cfg)
-    H, dims = build_model(_model_cfg(cfg), seed)
-    result = run_search(H, dims, _search_config(cfg.get("search", {}), seed))
-    resolved = {**cfg, "seed": seed}
-    payload = {"config": resolved, "result": result.to_json()}
-    _dump_json(payload, args.out)
-    if args.out:
-        _dump_csv(
-            "iteration,residual",
-            [(int(i), float(r)) for i, r in result.trace],
-            resolved,
-            args.out + ".trace.csv",
-        )
+def cmd_search(cfg: dict, out: str | None) -> int:
+    H, dims = build_model(_model_cfg(cfg), cfg["seed"])
+    result = run_search(H, dims, _search_config(cfg.get("search", {}), cfg["seed"]))
+    _dump_json({"config": cfg, "result": result.to_json()}, out)
+    if out:
+        rows = [(int(i), float(r)) for i, r in result.trace]
+        _dump_csv("iteration,residual", rows, cfg, out + ".trace.csv")
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
@@ -308,12 +305,9 @@ def _kinds_pair(cfg_pair, seed: int, path: int):
     return H, psi
 
 
-def cmd_kinds(args) -> int:
-    cfg = _load_json(args.config)
-    seed = _resolve_seed(args, cfg)
-    tol = args.tol if args.tol is not None else float(cfg.get("tol", 1e-8))
+def cmd_kinds(cfg: dict, out: str | None) -> int:
+    seed, tol = cfg["seed"], cfg["tol"]
     mode = cfg.get("mode", "hsf")
-    resolved = {**cfg, "seed": seed, "tol": tol}
     if mode == "hsf":
         H1, psi1 = _kinds_pair(cfg["pair1"], seed, 0)
         if cfg.get("pair2") == "conjugated":
@@ -344,9 +338,9 @@ def cmd_kinds(args) -> int:
     try:
         U = find()
     except NoWitnessError as e:
-        _dump_json({"config": resolved, "witness": None, "reason": str(e)}, args.out)
+        _dump_json({"config": cfg, "witness": None, "reason": str(e)}, out)
         return EXIT_OK
-    _dump_json({"config": resolved, "witness": _to_pairs(U.mat), **residuals(U)}, args.out)
+    _dump_json({"config": cfg, "witness": _to_pairs(U.mat), **residuals(U)}, out)
     return EXIT_OK
 
 
@@ -363,10 +357,8 @@ def _build_family(spec, seed: int, path: int) -> np.ndarray:
     raise UsageError(f"unknown family spec {spec!r}")
 
 
-def cmd_dualscan(args) -> int:
-    cfg = _load_json(args.config)
-    seed = _resolve_seed(args, cfg)
-    tol = args.tol if args.tol is not None else float(cfg.get("tol", 1e-7))
+def cmd_dualscan(cfg: dict, out: str | None) -> int:
+    seed, tol = cfg["seed"], cfg["tol"]
     dims = Dims(tuple(cfg.get("dims", [2, 2])))
     trials = int(cfg.get("trials", 10))
     t_values = [float(t) for t in cfg.get("t_values", [0.3, 0.7, 1.1])]
@@ -388,9 +380,8 @@ def cmd_dualscan(args) -> int:
             rows.append(
                 (trial, label, fp_eq, tps_eq, verdict.value, kinds.fingerprint_distance(f1, f2))
             )
-    resolved = {**cfg, "seed": seed, "tol": tol}
     rows.append(("summary", "", "", "", json.dumps(tally, sort_keys=True).replace(",", ";"), 0.0))
-    _dump_csv("trial,case,fingerprints_equal,tps_equal,verdict,fingerprint_distance", rows, resolved, args.out)
+    _dump_csv("trial,case,fingerprints_equal,tps_equal,verdict,fingerprint_distance", rows, cfg, out)
     return EXIT_OK
 
 
@@ -418,11 +409,12 @@ def _local_move(T: tps_mod.Tps, rng) -> tps_mod.Tps:
 # entry
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, with_tol: bool):
     p.add_argument("--config", required=True, help="path to the JSON experiment config")
     p.add_argument("--seed", type=int, default=None, help="seed override (also MEREOKIT_SEED)")
     p.add_argument("--out", default=None, help="output path; stdout when omitted")
-    p.add_argument("--tol", type=float, default=None, help="tolerance override")
+    if with_tol:
+        p.add_argument("--tol", type=float, default=None, help="tolerance override")
 
 
 def main(argv=None) -> int:
@@ -437,10 +429,10 @@ def main(argv=None) -> int:
         "dualscan": cmd_dualscan,
     }
     for name in handlers:
-        _add_common(sub.add_parser(name))
+        _add_common(sub.add_parser(name), name in _TOL_DEFAULTS)
     try:
         args = parser.parse_args(argv)
-        return handlers[args.command](args)
+        return handlers[args.command](_resolve_config(args), args.out)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -64,31 +64,27 @@ class SearchResult:
         }
 
 
-def _fraction_above(m: np.ndarray, K: int) -> tuple[float, float]:
-    # (weight fraction above K, non-constant mass M) from per-weight masses
+def _evaluate(H: np.ndarray, V: np.ndarray, dims: Dims, K: int):
+    """(J, A, coeffs, M) at V: A = V H V^dag, its coefficients and non-constant mass M."""
+    A = V @ H @ V.conj().T
+    coeffs = coeff_tensor(A, dims)
+    m = weight_masses(coeffs, dims.factors)
     M = float(m[1:].sum())
     if M <= 1e-14 * float(m.sum() + 1e-300):
         raise ObjectiveUndefined("operator is proportional to the identity")
-    return float(m[K + 1 :].sum()) / M, M
+    return float(m[K + 1 :].sum()) / M, A, coeffs, M
 
 
-def _objective_raw(A: np.ndarray, dims: Dims, K: int) -> float:
-    return _fraction_above(weight_masses(coeff_tensor(A, dims), dims.factors), K)[0]
-
-
-def _objective_and_gradient(H: np.ndarray, V: np.ndarray, dims: Dims, K: int):
-    A = V @ H @ V.conj().T
-    coeffs = coeff_tensor(A, dims)
-    J, M = _fraction_above(weight_masses(coeffs, dims.factors), K)
+def _gradient(A: np.ndarray, coeffs: np.ndarray, M: float, dims: Dims, K: int) -> np.ndarray:
+    # 2 [G, A] / M from one evaluation's tuple; G is the weight-above-K part of A
     G = matrix_from_coeffs(np.where(weight_tensor(dims.factors) > K, coeffs, 0.0), dims)
-    grad = (2.0 / M) * (G @ A - A @ G)
-    return J, grad
+    return (2.0 / M) * (G @ A - A @ G)
 
 
 def objective(H: HermitianOp, V: UnitaryOp, K: int, dims: Dims | None = None) -> float:
     """Weight fraction of V H V^dag above K, over the non-constant weight."""
     dims = dims or _qubit_dims(H)
-    return _objective_raw(V.mat @ H.mat @ V.mat.conj().T, dims, K)
+    return _evaluate(H.mat, V.mat, dims, K)[0]
 
 
 def riemannian_gradient(
@@ -100,8 +96,8 @@ def riemannian_gradient(
     Re tr(X^dag grad) for every anti-Hermitian X.
     """
     dims = dims or _qubit_dims(H)
-    _, grad = _objective_and_gradient(H.mat, V.mat, dims, K)
-    return grad
+    _, *point = _evaluate(H.mat, V.mat, dims, K)
+    return _gradient(*point, dims, K)
 
 
 def _qubit_dims(H: HermitianOp) -> Dims:
@@ -124,28 +120,27 @@ def _retract_eig(eig, s: float, V: np.ndarray) -> np.ndarray:
 
 
 def _descend(H: np.ndarray, V0: np.ndarray, dims: Dims, cfg: SearchConfig):
+    # each point is evaluated once: the accepted trial's tuple feeds the next gradient
     V = V0
-    J, grad = _objective_and_gradient(H, V, dims, cfg.K)
+    J, *point = _evaluate(H, V, dims, cfg.K)
     trace = [(0, J)]
     step = cfg.step_init
     for it in range(1, cfg.max_iters + 1):
+        grad = _gradient(*point, dims, cfg.K)
         gn2 = float(np.vdot(grad, grad).real)
         if np.sqrt(gn2) <= cfg.grad_tol:
             break
         eig = np.linalg.eigh(1j * grad)
         s = step
-        accepted = False
         for _ in range(_MAX_BACKTRACKS):
             Vn = _retract_eig(eig, -s, V)
-            Jn = _objective_raw(Vn @ H @ Vn.conj().T, dims, cfg.K)
+            Jn, *trial = _evaluate(H, Vn, dims, cfg.K)
             if Jn <= J - cfg.armijo_c * s * gn2:
-                accepted = True
                 break
             s *= cfg.backtrack_ratio
-        if not accepted:
+        else:  # no sufficient decrease within _MAX_BACKTRACKS halvings
             break
-        V = Vn
-        J, grad = _objective_and_gradient(H, V, dims, cfg.K)
+        V, J, point = Vn, Jn, trial
         trace.append((it, J))
         step = min(s / cfg.backtrack_ratio, 1e6 * cfg.step_init)
     return V, tuple(trace)
@@ -175,7 +170,7 @@ def search(H: HermitianOp, dims: Dims, cfg: SearchConfig) -> SearchResult:
         if best is None or key < best[0]:
             best = (key, V, trace)
     _, V, trace = best
-    residual = _objective_raw(V @ H.mat @ V.conj().T, dims, cfg.K)
+    residual = _evaluate(H.mat, V, dims, cfg.K)[0]
     if abs(residual - trace[-1][1]) > 1e-12:
         raise InvariantViolation("recomputed residual disagrees with the trace tail")
     return SearchResult(

@@ -6,6 +6,7 @@ per instance.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,9 +294,8 @@ def test_criterion_10_cli_determinism(tmp_path):
             codes.append(cli_main([command, "--config", str(path), "--out", str(out)]))
             payload = out.read_bytes()
             for side in (".summary.json", ".trace.csv"):
-                side_path = str(out) + side
                 try:
-                    payload += open(side_path, "rb").read()
+                    payload += Path(str(out) + side).read_bytes()
                 except FileNotFoundError:
                     pass
             outs.append(payload)

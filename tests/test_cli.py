@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,11 +80,11 @@ class TestOrbit:
         )
         out = str(tmp_path / "orbit.csv")
         assert run_cli(["orbit", "--config", cfg, "--out", out]) == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0].startswith("# config=")
         assert lines[1] == "t,entropy"
         assert len(lines) == 2 + 256
-        summary = json.loads(open(out + ".summary.json").read())
+        summary = json.loads(Path(out + ".summary.json").read_text())
         assert summary["distinct_values"] >= 100
         assert summary["max_entropy"] == pytest.approx(np.log(2), abs=1e-9)
 
@@ -94,7 +95,7 @@ class TestOrbit:
         )
         out = str(tmp_path / "orbit.csv")
         assert run_cli(["orbit", "--config", cfg, "--out", out]) == 0
-        rows = [line.split(",") for line in open(out).read().splitlines()[2:]]
+        rows = [line.split(",") for line in Path(out).read_text().splitlines()[2:]]
         assert max(float(e) for _, e in rows) < 1e-9
 
     def test_nonproduct_probe_rejected(self, tmp_path, capsys):
@@ -104,6 +105,18 @@ class TestOrbit:
             {"model": {"name": "pauli", "string": "XX"}, "probe": [bell], "seed": 1},
         )
         assert run_cli(["orbit", "--config", cfg]) == 1
+
+
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_nonpositive_grid_points_exit_1(self, tmp_path, capsys, points):
+        cfg = write_config(
+            tmp_path, "c.json",
+            {"model": {"name": "pauli", "string": "XX"}, "grid": {"points": points}, "seed": 1},
+        )
+        out = tmp_path / "orbit.csv"
+        assert run_cli(["orbit", "--config", cfg, "--out", str(out)]) == 1
+        assert "grid.points" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFingerprint:
@@ -128,6 +141,18 @@ class TestFingerprint:
         assert out["verdict"] == "DifferentTps"
         assert out["fingerprint_distance"] > 1e-3
 
+    def test_two_random_structures_differ(self, tmp_path, capsys):
+        # tps2 draws its random structure from its own sub-stream
+        cfg = write_config(
+            tmp_path, "c.json",
+            {"model": {"name": "gue", "dims": [2, 2, 2]}, "state": "haar",
+             "tps1": {"kind": "random"}, "tps2": {"kind": "random"}, "seed": 3},
+        )
+        assert run_cli(["fingerprint", "--config", cfg]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["tps_equal"] is False and out["verdict"] == "DifferentTps"
+        assert out["fingerprint_distance"] > 1e-3
+
     def test_identity_hypothesis_error_exit_3(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, "c.json",
@@ -149,9 +174,9 @@ class TestSearchCmd:
         )
         out = str(tmp_path / "res.json")
         assert run_cli(["search", "--config", cfg, "--out", out]) == 0
-        res = json.loads(open(out).read())["result"]
+        res = json.loads(Path(out).read_text())["result"]
         assert res["converged"] and res["residual"] < 1e-6
-        trace_lines = open(out + ".trace.csv").read().splitlines()
+        trace_lines = Path(out + ".trace.csv").read_text().splitlines()
         assert trace_lines[1] == "iteration,residual"
 
     def test_k_equals_n_immediate(self, tmp_path, capsys):
@@ -274,7 +299,7 @@ class TestDualscan:
         )
         out = str(tmp_path / "scan.csv")
         assert run_cli(["dualscan", "--config", cfg, "--out", out]) == 0
-        text = open(out).read()
+        text = Path(out).read_text()
         assert '"Inconsistent": 0' in text
         assert text.count("SameTps") >= 3
 
@@ -283,7 +308,7 @@ class TestDualscan:
         cfg = write_config(tmp_path, "c.json", {"dims": dims, "trials": 2, "seed": 9})
         out = str(tmp_path / "scan.csv")
         assert run_cli(["dualscan", "--config", cfg, "--out", out]) == 0
-        rows = [line.split(",") for line in open(out).read().splitlines()[2:-1]]
+        rows = [line.split(",") for line in Path(out).read_text().splitlines()[2:-1]]
         assert len(rows) == 2 * 4
         assert all(r[4] in ("SameTps", "DifferentTps") for r in rows)
 
@@ -355,7 +380,7 @@ class TestDeterminism:
         rc1 = run_cli([command, "--config", path, "--out", out1])
         rc2 = run_cli([command, "--config", path, "--out", out2])
         assert rc1 == rc2
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_seed_env_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MEREOKIT_SEED", "777")
@@ -369,6 +394,20 @@ class TestUsage:
     def test_format_flag_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"model": {"name": "pauli", "string": "XX"}})
         assert run_cli(["profile", "--config", cfg, "--format", "json"]) == 1
+
+    @pytest.mark.parametrize("command", ["orbit", "search"])
+    def test_tol_flag_rejected_where_unused(self, tmp_path, capsys, command):
+        cfg = write_config(
+            tmp_path, "c.json",
+            {"model": {"name": "gue", "dims": [2, 2]}, "search": {"K": 2, "restarts": 1}},
+        )
+        assert run_cli([command, "--config", cfg, "--tol", "5"]) == 1
+        assert "--tol" in capsys.readouterr().err
+
+    def test_tol_flag_recorded(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {"model": {"name": "pauli", "string": "XX"}, "tol": 1e-3})
+        assert run_cli(["profile", "--config", cfg, "--tol", "1e-5"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["tol"] == 1e-5
 
     def test_ragged_pairs_name_field_and_row(self, tmp_path, capsys):
         cfg = write_config(
