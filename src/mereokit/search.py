@@ -1,7 +1,17 @@
-"""Riemannian descent over the unitary group for structures that make a
-Hamiltonian (approximately) K-local.
+"""Search for structures that make a Hamiltonian (approximately) K-local,
+in two stages.
 
-The objective is the fraction of non-constant Hilbert-Schmidt weight of
+First a spectrum match: H has a K-local structure exactly when some K-local
+operator L(x) has its eigenvalues (Cotler, Penington, Ranard, "Locality
+from the Spectrum", arXiv:1702.06142). L-BFGS over the real weight-1..K
+coefficients x minimises f(x) = sum_k (mu_k - lam_k)^2, mu the ascending
+eigenvalues of L(x) and lam those of H; by Hellmann-Feynman its gradient is
+2 Re coeff_tensor(W diag(mu - lam) W^dag) on those coefficients, W the
+eigenvectors of L(x). Then V0 = W U^dag, U the eigenvectors of H, maps H
+onto L(x) up to the remaining mismatch.
+
+Second a Riemannian descent over the unitary group from V0, which polishes
+it. Its objective is the fraction of non-constant Hilbert-Schmidt weight of
 V H V^dag sitting in sectors above K; its gradient along curves e^{sX} V
 lives in the anti-Hermitian tangent space and has the closed form
 2 [G, A] / M with A = V H V^dag and G the weight-above-K part of A.
@@ -10,18 +20,20 @@ Iterates stay exactly unitary via the exponential retraction.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation, ObjectiveUndefined
-from .hilbert import Dims, HermitianOp, UnitaryOp, haar_unitary
+from .hilbert import Dims, HermitianOp, UnitaryOp
 from .basis import coeff_tensor, matrix_from_coeffs, weight_masses, weight_tensor
 from .locality import is_k_local
 from .tps import Tps
 from .rng import stream as rng_stream
 
 _MAX_BACKTRACKS = 60
+_LBFGS_HISTORY = 10  # (step, gradient change) pairs kept by the spectrum match
 
 
 @dataclass(frozen=True)
@@ -146,25 +158,107 @@ def _descend(H: np.ndarray, V0: np.ndarray, dims: Dims, cfg: SearchConfig):
     return V, tuple(trace)
 
 
+def _spectral_point(x: np.ndarray, c: np.ndarray, mask: np.ndarray, lam: np.ndarray, dims: Dims):
+    """(f, W, mu - lam) at x; ``c`` holds the fixed weight-0 coefficient and takes x on the mask."""
+    c[mask] = x
+    mu, W = np.linalg.eigh(matrix_from_coeffs(c, dims))
+    r = mu - lam
+    return float(r @ r), W, r
+
+
+def _spectral_gradient(W: np.ndarray, r: np.ndarray, mask: np.ndarray, dims: Dims) -> np.ndarray:
+    # Hellmann-Feynman: d mu_k / d x_a = w_k^dag B_a w_k, so grad f = 2 Re <B_a, W diag(r) W^dag>
+    return 2.0 * coeff_tensor((W * r) @ W.conj().T, dims)[mask].real
+
+
+def _two_loop(g: np.ndarray, history) -> np.ndarray:
+    """H_k g by the L-BFGS two-loop recursion (Nocedal & Wright, Alg. 7.4)."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(history):
+        a = rho * (s @ q)
+        q -= a * y
+        alphas.append(a)
+    if history:
+        s, y, _ = history[-1]
+        q *= (s @ y) / (y @ y)
+    for (s, y, rho), a in zip(history, reversed(alphas)):
+        q += (a - rho * (y @ q)) * s
+    return q
+
+
+def _match_spectrum(x: np.ndarray, c: np.ndarray, mask: np.ndarray, lam: np.ndarray,
+                    dims: Dims, cfg: SearchConfig) -> np.ndarray:
+    """Eigenvectors of L(x) after L-BFGS on the spectral mismatch from x."""
+    f, W, r = _spectral_point(x, c, mask, lam, dims)
+    g = _spectral_gradient(W, r, mask, dims)
+    # relative to the shift-free spread of the spectrum, in the units of grad f
+    tol = cfg.grad_tol * float(np.linalg.norm(lam - lam.mean()))
+    history = deque(maxlen=_LBFGS_HISTORY)
+    for _ in range(cfg.max_iters):
+        if np.linalg.norm(g) <= tol:
+            break
+        d = -_two_loop(g, history)
+        slope = float(g @ d)
+        if slope >= 0:  # the curvature model went bad: fall back to steepest descent
+            history.clear()
+            d, slope = -g, -float(g @ g)
+        s = cfg.step_init
+        for _ in range(_MAX_BACKTRACKS):
+            xn = x + s * d
+            fn, Wn, rn = _spectral_point(xn, c, mask, lam, dims)
+            # strict: at a rounding floor f + c s slope == f would accept standing still
+            if fn < f and fn <= f + cfg.armijo_c * s * slope:
+                break
+            s *= cfg.backtrack_ratio
+        else:  # no sufficient decrease within _MAX_BACKTRACKS halvings
+            break
+        gn = _spectral_gradient(Wn, rn, mask, dims)
+        step, dg = xn - x, gn - g
+        if step @ dg > 0:
+            history.append((step, dg, 1.0 / (step @ dg)))
+        x, f, W, g = xn, fn, Wn, gn
+    return W
+
+
 def search(H: HermitianOp, dims: Dims, cfg: SearchConfig) -> SearchResult:
-    """Best structure over restarts; restart 0 starts at the identity.
+    """Best structure over restarts: a spectrum match, polished by the descent.
+
+    Each restart runs L-BFGS over the weight-1..K coefficients x of a K-local
+    L(x) whose eigenvalues should match those of H, with the weight-0
+    coefficient fixed by tr H, and hands V0 = W U^dag (W, U the eigenvectors
+    of L(x) and H) to the unitary descent. Restart 0 starts from the
+    weight-1..K coefficients of H in the given frame, so an H that is already
+    K-local starts at zero mismatch; restart r >= 1 starts from a Gaussian x
+    drawn from sub-stream r of the configured seed, scaled to the HS norm of
+    H - tr H / D. Every restart runs.
 
     Residual traces are non-increasing within each restart (only sufficient-
-    decrease steps are taken). Restarts use independent sub-streams of the
-    configured seed, and the winner is the (residual, restart index) minimum.
+    decrease steps are taken), and ``iterations`` counts descent steps only.
+    The winner is the (residual, restart index) minimum: *a* K-local
+    structure when one is found, not *the* one, since distinct restarts may
+    certify inequivalent structures.
     """
     if H.dim != dims.total:
         raise DimensionMismatch(f"operator dim {H.dim} != product dim {dims.total}")
     if cfg.K > dims.n:
         raise DimensionMismatch(f"K={cfg.K} exceeds n={dims.n}")
+    lam, U = H.eig
+    coeffs = coeff_tensor(H.mat, dims).real
+    weight = weight_tensor(dims.factors)
+    mask = (weight >= 1) & (weight <= cfg.K)
+    c = np.where(weight == 0, coeffs, 0.0)
+    scale = float(np.linalg.norm(lam - lam.mean()))  # = |H - tr H / D|_HS
     best = None
     traces = []
     for r in range(cfg.restarts):
         if r == 0:
-            V0 = np.eye(dims.total, dtype=complex)
+            x0 = coeffs[mask]
         else:
-            V0 = haar_unitary(dims.total, rng_stream(cfg.seed, r)).mat
-        V, trace = _descend(H.mat, V0, dims, cfg)
+            x0 = rng_stream(cfg.seed, r).standard_normal(int(mask.sum()))
+            x0 *= scale / np.linalg.norm(x0)
+        W = _match_spectrum(x0, c, mask, lam, dims, cfg)
+        V, trace = _descend(H.mat, W @ U.conj().T, dims, cfg)
         traces.append(trace)
         key = (trace[-1][1], r)
         if best is None or key < best[0]:

@@ -199,6 +199,25 @@ class TestSearchCmd:
         assert not res["converged"]
         assert res["residual"] > 1e-6
 
+    def test_gue_five_qubits_two_local_exit_0(self, tmp_path, capsys):
+        # a generic spectrum at D = 32 has a 2-local match
+        cfg = write_config(
+            tmp_path, "c.json",
+            {"model": {"name": "gue", "dims": [2] * 5}, "search": {"K": 2, "restarts": 1}, "seed": 5},
+        )
+        assert run_cli(["search", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["residual"] < 1e-6
+
+    def test_gue_three_qubits_one_local_exit_2(self, tmp_path, capsys):
+        # a 1-local spectrum on three qubits is a sum set {±a ± b ± c}: three
+        # numbers cannot match seven free eigenvalues
+        cfg = write_config(
+            tmp_path, "c.json",
+            {"model": {"name": "gue", "dims": [2, 2, 2]}, "search": {"K": 1}, "seed": 6},
+        )
+        assert run_cli(["search", "--config", cfg]) == 2
+        assert json.loads(capsys.readouterr().out)["result"]["residual"] > 1e-6
+
     def test_unknown_search_field_exit_1(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, "c.json",

@@ -2,10 +2,18 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mereokit as mk
 from mereokit.basis import coeff_tensor, matrix_from_coeffs, weight_masses, weight_tensor
-from mereokit.search import _MAX_BACKTRACKS, _descend, _retract, _retract_eig
+from mereokit.search import (
+    _MAX_BACKTRACKS,
+    _descend,
+    _retract,
+    _retract_eig,
+    _spectral_gradient,
+    _spectral_point,
+)
 
 from conftest import random_hermitian
 
@@ -203,6 +211,67 @@ class TestSearch:
         res = mk.search(H, dims222, mk.SearchConfig(K=2, restarts=1, max_iters=10))
         obj = res.to_json()
         assert set(obj) >= {"residual", "iterations", "converged", "trace", "tps_dims"}
+
+
+class TestSpectrumMatch:
+    @pytest.mark.parametrize("factors,seed", [((2, 2, 2), 840), ((2, 2, 3), 841)])
+    def test_gradient_finite_difference_match(self, factors, seed):
+        # Hellmann-Feynman gradient of the spectral mismatch vs central differences
+        dims = mk.Dims(factors)
+        w = weight_tensor(factors)
+        mask = (w >= 1) & (w <= 2)
+        rng = mk.stream(seed)
+        lam = np.sort(rng.standard_normal(dims.total))
+        c = np.where(w == 0, lam.sum() / np.sqrt(dims.total), 0.0)
+        eps = 1e-6
+        for _ in range(5):
+            x = rng.standard_normal(int(mask.sum()))
+            _, W, r = _spectral_point(x, c, mask, lam, dims)
+            assert np.diff(r + lam).min() > 1e-3  # L(x) non-degenerate, so f is smooth at x
+            g = _spectral_gradient(W, r, mask, dims)
+            for _ in range(3):
+                d = rng.standard_normal(x.size)
+                fd = (
+                    _spectral_point(x + eps * d, c, mask, lam, dims)[0]
+                    - _spectral_point(x - eps * d, c, mask, lam, dims)[0]
+                ) / (2 * eps)
+                an = float(g @ d)
+                assert abs(fd - an) <= 1e-5 * max(abs(fd), abs(an), 1e-12)
+
+    @pytest.mark.parametrize("factors,seed", [((2, 2, 2, 2), 842), ((2,) * 6, 843)])
+    def test_scrambled_converges_with_one_restart(self, factors, seed):
+        dims = mk.Dims(factors)
+        H, _ = mk.scrambled_klocal(dims, 2, mk.stream(seed))
+        res = mk.search(H, dims, mk.SearchConfig(K=2, restarts=1, seed=seed))
+        assert res.converged
+        assert mk.certify(H, res, 2, 1e-6)
+
+    def test_every_restart_runs(self, dims222):
+        H, _ = mk.scrambled_klocal(dims222, 2, mk.stream(844))
+        res = mk.search(H, dims222, mk.SearchConfig(K=2, restarts=4, seed=844))
+        assert len(res.restart_traces) == 4
+        assert all(t[-1][1] < 1e-6 for t in res.restart_traces)
+
+    @settings(max_examples=30, deadline=None)
+    @given(factors=st.lists(st.sampled_from([2, 3]), min_size=2, max_size=4), seed=st.integers(0, 2**16))
+    def test_scrambled_two_local_converges_and_certifies(self, factors, seed):
+        dims = mk.Dims(tuple(factors))
+        H, _ = mk.scrambled_klocal(dims, 2, mk.stream(seed))
+        res = mk.search(H, dims, mk.SearchConfig(K=2, restarts=1, seed=seed))
+        assert res.converged
+        assert mk.certify(H, res, 2, 1e-6)
+
+    @settings(max_examples=30, deadline=None)
+    @given(factors=st.lists(st.sampled_from([2, 3]), min_size=2, max_size=4), seed=st.integers(0, 2**16))
+    def test_scrambled_one_local_certify_agrees(self, factors, seed):
+        # K = 1 is a sum-set matching problem with local minima, so only the
+        # verdict's consistency and the monotone trace are properties here
+        dims = mk.Dims(tuple(factors))
+        H, _ = mk.scrambled_klocal(dims, 1, mk.stream(seed))
+        res = mk.search(H, dims, mk.SearchConfig(K=1, restarts=1, seed=seed))
+        assert mk.certify(H, res, 1, 1e-6) == res.converged
+        residuals = [r for _, r in res.trace]
+        assert all(b <= a for a, b in zip(residuals, residuals[1:]))
 
 
 class TestCertify:
