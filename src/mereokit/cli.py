@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -91,8 +93,45 @@ def _write(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _json_text(obj, level: int = 0) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` written ``level`` deep, byte for byte,
+    without the stdlib's pure-Python indenting encoder walking number arrays."""
+    pad = "\n" + "  " * (level + 1)
+    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        items = (json.dumps(k) + ": " + _json_text(obj[k], level + 1) for k in sorted(obj))
+        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        items = (_json_text(x, level + 1) for x in obj)
+        return _array_text(obj, level) or "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + "  " * level)
+
+
+def _array_text(a, level: int) -> str | None:
+    """``_json_text(a, level)`` if ``a`` is a rectangular nested list of ints and floats, else None.
+
+    One C-encoder call writes the numbers as the indenting encoder does (``float.__repr__``,
+    ``NaN``, ``Infinity``), with the innermost separator already indented; one
+    ``str.replace`` per outer level then lays out the brackets, longest separator first.
+    """
+    rows, depth = [a], 0
+    while set(map(type, rows)) == {list}:
+        sizes = set(map(len, rows))
+        if len(sizes) != 1 or 0 in sizes:
+            return None
+        rows, depth = list(chain.from_iterable(rows)), depth + 1
+    if not depth or not set(map(type, rows)) <= {int, float}:
+        return None
+    line = lambda n: "\n" + "  " * (level + n)
+    opening = lambda m: "".join(line(depth - m + i) + "[" for i in range(m)) + line(depth)
+    closing = lambda m: "".join(line(depth - 1 - i) + "]" for i in range(m))
+    text = json.dumps(a, separators=("," + line(depth), ": "))[depth:-depth]
+    for m in range(depth - 1, 0, -1):
+        text = text.replace("]" * m + "," + line(depth) + "[" * m, closing(m) + "," + opening(m))
+    return "[" + opening(depth - 1) + text + closing(depth)
+
+
 def _dump_json(payload: dict, out: str | None):
-    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
+    _write(_json_text(payload) + "\n", out)
 
 
 def _dump_csv(header: str, rows, config: dict, out: str | None):
@@ -196,12 +235,7 @@ def build_state(spec, dims: Dims, seed: int, *path: int) -> StateVec:
 
 def _site_kets(spec, dims: Dims) -> list[np.ndarray]:
     if spec == "zeros" or spec is None:
-        kets = []
-        for d in dims.factors:
-            v = np.zeros(d, dtype=complex)
-            v[0] = 1.0
-            kets.append(v)
-        return kets
+        return [np.eye(d, dtype=complex)[0] for d in dims.factors]
     if spec == "plus":
         return [np.ones(d, dtype=complex) / np.sqrt(d) for d in dims.factors]
     if isinstance(spec, list):
@@ -296,6 +330,11 @@ def _search_config(sc: dict, seed: int) -> SearchConfig:
     if unknown:
         raise UsageError(f"unknown search field {unknown[0]!r}")
     given = {k: v for k, v in sc.items() if k != "seed"}
+    for k, v in given.items():  # int() and float() would read true as 1, and int() truncate 2.7
+        want = "an integer" if type(defaults[k]) is int else "a number"
+        integral = isinstance(v, (int, str)) or isinstance(v, float) and v.is_integer()
+        if isinstance(v, bool) or want == "an integer" and not integral:
+            raise UsageError(f"search field {k!r} must be {want}, got {v!r}")
     return SearchConfig(**{k: type(d)(given.get(k, d)) for k, d in defaults.items()})
 
 
@@ -347,10 +386,8 @@ def cmd_kinds(cfg: dict, out: str | None) -> int:
 def _build_family(spec, seed: int, path: int) -> np.ndarray:
     if isinstance(spec, dict) and "random" in spec:
         r = spec["random"]
-        rng = stream(seed, path)
-        return rng.standard_normal((int(r["count"]), int(r["dim"]))) + 1j * rng.standard_normal(
-            (int(r["count"]), int(r["dim"]))
-        )
+        rng, shape = stream(seed, path), (int(r["count"]), int(r["dim"]))
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     if isinstance(spec, list):
         with _field("family"):
             return _from_pairs(spec)
@@ -409,30 +446,29 @@ def _local_move(T: tps_mod.Tps, rng) -> tps_mod.Tps:
 # entry
 
 
-def _add_common(p: argparse.ArgumentParser, with_tol: bool):
-    p.add_argument("--config", required=True, help="path to the JSON experiment config")
-    p.add_argument("--seed", type=int, default=None, help="seed override (also MEREOKIT_SEED)")
-    p.add_argument("--out", default=None, help="output path; stdout when omitted")
-    if with_tol:
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+_HANDLERS = dict(profile=cmd_profile, orbit=cmd_orbit, fingerprint=cmd_fingerprint,
+                 search=cmd_search, kinds=cmd_kinds, dualscan=cmd_dualscan)
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The command-line parser, built on first use and shared by every later ``main`` call."""
+    parser = _Parser(prog="mereokit", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _HANDLERS:
+        p = sub.add_parser(name)
+        p.add_argument("--config", required=True, help="path to the JSON experiment config")
+        p.add_argument("--seed", type=int, default=None, help="seed override (also MEREOKIT_SEED)")
+        p.add_argument("--out", default=None, help="output path; stdout when omitted")
+        if name in _TOL_DEFAULTS:
+            p.add_argument("--tol", type=float, default=None, help="tolerance override")
+    return parser
 
 
 def main(argv=None) -> int:
-    parser = _Parser(prog="mereokit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "profile": cmd_profile,
-        "orbit": cmd_orbit,
-        "fingerprint": cmd_fingerprint,
-        "search": cmd_search,
-        "kinds": cmd_kinds,
-        "dualscan": cmd_dualscan,
-    }
-    for name in handlers:
-        _add_common(sub.add_parser(name), name in _TOL_DEFAULTS)
     try:
-        args = parser.parse_args(argv)
-        return handlers[args.command](_resolve_config(args), args.out)
+        args = _parser().parse_args(argv)
+        return _HANDLERS[args.command](_resolve_config(args), args.out)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,9 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import mereokit as mk
-from mereokit.cli import _kinds_pair, build_state, main, save_matrix_file
+from mereokit import cli
+from mereokit.cli import _json_text, _kinds_pair, build_state, main, save_matrix_file
 
 
 def write_config(tmp_path, name, obj):
@@ -226,6 +229,29 @@ class TestSearchCmd:
         assert run_cli(["search", "--config", cfg]) == 1
         assert "max_iter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value,want", [
+        ("K", 2.7, "an integer"), ("restarts", 1.9, "an integer"), ("max_iters", 3.5, "an integer"),
+        ("K", True, "an integer"), ("restarts", None, "an integer"), ("success_residual", True, "a number"),
+    ])
+    def test_non_integral_or_bool_field_exit_1(self, tmp_path, capsys, field, value, want):
+        cfg = write_config(
+            tmp_path, "c.json",
+            {"model": {"name": "gue", "dims": [2, 2]}, "search": {field: value}, "seed": 2},
+        )
+        out = tmp_path / "res.json"
+        assert run_cli(["search", "--config", cfg, "--out", str(out)]) == 1
+        assert f"search field {field!r} must be {want}, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_int_fields_run(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "c.json",
+            {"model": {"name": "gue", "dims": [2, 2]},
+             "search": {"K": 2.0, "restarts": 1.0, "max_iters": 3.0}, "seed": 2},
+        )
+        assert run_cli(["search", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["search"]["K"] == 2.0
+
     def test_search_fields_default_from_search_config(self):
         from mereokit.cli import _search_config
 
@@ -437,6 +463,119 @@ class TestUsage:
         assert run_cli(["fingerprint", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert "state" in err and "row 1" in err and "inhomogeneous" not in err
+
+
+class TestParser:
+    def test_built_once_across_calls(self, tmp_path, capsys, monkeypatch):
+        progs = []
+        init = cli._Parser.__init__
+        monkeypatch.setattr(cli._Parser, "__init__",
+                            lambda self, *a, **kw: progs.append(kw.get("prog")) or init(self, *a, **kw))
+        cli._parser.cache_clear()
+        cfg = write_config(tmp_path, "c.json", {"model": {"name": "pauli", "string": "XX"},
+                                                "grid": {"points": 4, "t_max": 1.0}})
+        assert run_cli(["profile", "--config", cfg]) == 0
+        assert run_cli(["orbit", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
+        assert progs.count("mereokit") == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (["orbit", "--config", "CFG", "--tol", "5"], "error: unrecognized arguments: --tol 5\n"),
+        (["profile"], "error: the following arguments are required: --config\n"),
+    ])
+    def test_usage_errors_between_runs(self, tmp_path, capsys, argv, message):
+        cfg = write_config(tmp_path, "c.json", {"model": {"name": "pauli", "string": "XX"}})
+        assert run_cli(["profile", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert run_cli([cfg if a == "CFG" else a for a in argv]) == 1
+        assert capsys.readouterr().err == message
+        assert run_cli(["profile", "--config", cfg]) == 0
+
+
+def stdlib_layout(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+_shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
+_number_arrays = (
+    hnp.arrays(np.float64, _shapes) | hnp.arrays(np.int64, _shapes, elements=st.integers(-2**62, 2**62))
+).map(lambda a: a.tolist())
+_scalars = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+            | st.sampled_from(['", [', "]], [[", "ü ñ", "\n\t"]))
+_mixed_number_lists = st.lists(st.floats() | st.integers() | st.booleans() | st.none(), max_size=5)
+_json_values = st.recursive(
+    _scalars | _number_arrays | _mixed_number_lists,
+    lambda c: st.lists(c, max_size=4) | st.dictionaries(st.text(max_size=6), c, max_size=4)
+    | st.dictionaries(st.integers(), c, max_size=3),
+    max_leaves=24,
+)
+
+
+class TestPayloadFormat:
+    """The payload writer's bytes are ``json.dumps(obj, sort_keys=True, indent=2)``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(obj=_json_values)
+    def test_matches_stdlib_indent(self, obj):
+        assert _json_text(obj) == stdlib_layout(obj)
+
+    @pytest.mark.parametrize("obj", [
+        [], {}, [[]], [[], []], [[1, 2], [3]], [[1.0, True]], [1, None], [[[-0.0, float("nan")]]],
+        {"a": [float("inf"), -float("inf")], "b": {2: [1.5, 2]}}, {"é": [[1, 2.5], [3, 4]], "": ["x"]},
+        [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]]], {"k": [{"a": []}, [[1]], "]], [["]},
+    ])
+    def test_edge_cases(self, obj):
+        assert _json_text(obj) == stdlib_layout(obj)
+
+    def check_file(self, path):
+        text = Path(path).read_text()
+        assert text == stdlib_layout(json.loads(text)) + "\n"
+
+    @pytest.mark.parametrize("command,cfg,outputs", [
+        ("profile", {"model": {"name": "ising", "n": 3, "J": 1.0, "h": 1.0}}, [""]),
+        ("fingerprint", {"model": {"name": "gue", "dims": [2, 2]}, "state": "haar",
+                         "tps1": {"kind": "random"}, "tps2": {"kind": "local"}}, [""]),
+        ("search", {"model": {"name": "scrambled_klocal", "dims": [2, 2, 2], "K": 2},
+                    "search": {"K": 2, "restarts": 1}}, [""]),
+        ("orbit", {"model": {"name": "pauli", "string": "XX"}, "grid": {"points": 8, "t_max": 1.0}},
+         [".summary.json"]),
+        ("kinds", {"mode": "hsf", "pair1": {"model": {"name": "gue", "dims": [2, 2]}, "state": "haar"},
+                   "pair2": "conjugated"}, [""]),
+        ("kinds", {"mode": "gram", "family1": [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+                   "family2": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, [""]),
+    ])
+    def test_cli_outputs(self, tmp_path, capsys, command, cfg, outputs):
+        path = write_config(tmp_path, "c.json", {**cfg, "seed": 9})
+        out = str(tmp_path / "out")
+        assert run_cli([command, "--config", path, "--out", out]) == 0
+        for suffix in outputs:
+            self.check_file(out + suffix)
+        if command != "orbit":
+            assert run_cli([command, "--config", path]) == 0
+            assert capsys.readouterr().out == Path(out).read_text()
+
+    def test_d128_witness_and_matrix_file(self, tmp_path):
+        path = write_config(tmp_path, "c.json", {"mode": "gram", "seed": 3, "family2": "rotated",
+                                                 "family1": {"random": {"dim": 128, "count": 3}}})
+        out = tmp_path / "w.json"
+        assert run_cli(["kinds", "--config", path, "--out", str(out)]) == 0
+        witness = json.loads(out.read_text())["witness"]
+        assert np.array(witness).shape == (128, 128, 2)
+        self.check_file(out)
+        mat = tmp_path / "m.json"
+        save_matrix_file(str(mat), mk.haar_unitary(8, np.random.default_rng(0)).mat, mk.Dims((2, 2, 2)))
+        self.check_file(mat)
+
+    def test_no_witness_report(self, tmp_path):
+        mats = []
+        for i, top in enumerate([3.0, 4.0]):
+            mats.append(str(tmp_path / f"m{i}.json"))
+            save_matrix_file(mats[-1], np.diag([-1.0, 1.0, 2.0, top]).astype(complex), mk.Dims((2, 2)))
+        path = write_config(tmp_path, "c.json", {"mode": "hsf", "pair1": {"file": mats[0]},
+                                                 "pair2": {"file": mats[1]}, "seed": 6})
+        out = tmp_path / "r.json"
+        assert run_cli(["kinds", "--config", path, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["witness"] is None
+        self.check_file(out)
 
 
 class TestSubprocessEntry:
