@@ -101,6 +101,6 @@ from .models import (
     scrambled_klocal,
     x_string,
 )
-from .search import SearchConfig, SearchResult, certify, objective, riemannian_gradient, search
+from .search import SearchConfig, SearchResult, certify, objective, search
 
 __version__ = "0.1.0"

@@ -329,13 +329,21 @@ def _search_config(sc: dict, seed: int) -> SearchConfig:
     unknown = sorted(set(sc) - set(defaults))
     if unknown:
         raise UsageError(f"unknown search field {unknown[0]!r}")
-    given = {k: v for k, v in sc.items() if k != "seed"}
-    for k, v in given.items():  # int() and float() would read true as 1, and int() truncate 2.7
-        want = "an integer" if type(defaults[k]) is int else "a number"
-        integral = isinstance(v, (int, str)) or isinstance(v, float) and v.is_integer()
-        if isinstance(v, bool) or want == "an integer" and not integral:
-            raise UsageError(f"search field {k!r} must be {want}, got {v!r}")
-    return SearchConfig(**{k: type(d)(given.get(k, d)) for k, d in defaults.items()})
+    given = {k: _search_field(k, v, type(defaults[k])) for k, v in sc.items() if k != "seed"}
+    return SearchConfig(**{**defaults, **given})
+
+
+def _search_field(name: str, value, kind: type):
+    """``kind(value)``, or a UsageError naming the field when ``value`` is not one."""
+    want = "an integer" if kind is int else "a number"
+    error = UsageError(f"search field {name!r} must be {want}, got {value!r}")
+    # int() and float() would read true as 1, and int() truncate 2.7
+    if isinstance(value, bool) or kind is int and isinstance(value, float) and not value.is_integer():
+        raise error
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise error from None
 
 
 def _kinds_pair(cfg_pair, seed: int, path: int):

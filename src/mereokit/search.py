@@ -1,21 +1,15 @@
 """Search for structures that make a Hamiltonian (approximately) K-local,
-in two stages.
+by matching spectra.
 
-First a spectrum match: H has a K-local structure exactly when some K-local
-operator L(x) has its eigenvalues (Cotler, Penington, Ranard, "Locality
-from the Spectrum", arXiv:1702.06142). L-BFGS over the real weight-1..K
-coefficients x minimises f(x) = sum_k (mu_k - lam_k)^2, mu the ascending
-eigenvalues of L(x) and lam those of H; by Hellmann-Feynman its gradient is
-2 Re coeff_tensor(W diag(mu - lam) W^dag) on those coefficients, W the
-eigenvectors of L(x). Then V0 = W U^dag, U the eigenvectors of H, maps H
-onto L(x) up to the remaining mismatch.
-
-Second a Riemannian descent over the unitary group from V0, which polishes
-it. Its objective is the fraction of non-constant Hilbert-Schmidt weight of
-V H V^dag sitting in sectors above K; its gradient along curves e^{sX} V
-lives in the anti-Hermitian tangent space and has the closed form
-2 [G, A] / M with A = V H V^dag and G the weight-above-K part of A.
-Iterates stay exactly unitary via the exponential retraction.
+H has a K-local structure exactly when some K-local operator L(x) has its
+eigenvalues (Cotler, Penington, Ranard, "Locality from the Spectrum",
+arXiv:1702.06142). L-BFGS over the real weight-1..K coefficients x minimises
+f(x) = sum_k (mu_k - lam_k)^2, mu the ascending eigenvalues of L(x) and lam
+those of H; by Hellmann-Feynman its gradient is 2 Re coeff_tensor(W diag(mu
+- lam) W^dag) on those coefficients, W the eigenvectors of L(x). Then
+V = W U^dag, U the eigenvectors of H, maps H onto L(x) up to the remaining
+mismatch. The residual is the fraction of non-constant Hilbert-Schmidt
+weight of V H V^dag sitting in sectors above K (``objective``).
 """
 
 from __future__ import annotations
@@ -76,40 +70,20 @@ class SearchResult:
         }
 
 
-def _evaluate(H: np.ndarray, V: np.ndarray, dims: Dims, K: int):
-    """(J, A, coeffs, M) at V: A = V H V^dag, its coefficients and non-constant mass M."""
+def _evaluate(H: np.ndarray, V: np.ndarray, dims: Dims, K: int) -> float:
+    """Weight fraction of A = V H V^dag above K, over its non-constant mass."""
     A = V @ H @ V.conj().T
-    coeffs = coeff_tensor(A, dims)
-    m = weight_masses(coeffs, dims.factors)
+    m = weight_masses(coeff_tensor(A, dims), dims.factors)
     M = float(m[1:].sum())
     if M <= 1e-14 * float(m.sum() + 1e-300):
         raise ObjectiveUndefined("operator is proportional to the identity")
-    return float(m[K + 1 :].sum()) / M, A, coeffs, M
-
-
-def _gradient(A: np.ndarray, coeffs: np.ndarray, M: float, dims: Dims, K: int) -> np.ndarray:
-    # 2 [G, A] / M from one evaluation's tuple; G is the weight-above-K part of A
-    G = matrix_from_coeffs(np.where(weight_tensor(dims.factors) > K, coeffs, 0.0), dims)
-    return (2.0 / M) * (G @ A - A @ G)
+    return float(m[K + 1 :].sum()) / M
 
 
 def objective(H: HermitianOp, V: UnitaryOp, K: int, dims: Dims | None = None) -> float:
     """Weight fraction of V H V^dag above K, over the non-constant weight."""
     dims = dims or _qubit_dims(H)
-    return _evaluate(H.mat, V.mat, dims, K)[0]
-
-
-def riemannian_gradient(
-    H: HermitianOp, V: UnitaryOp, K: int, dims: Dims | None = None
-) -> np.ndarray:
-    """Gradient at V in the tangent space at the identity; anti-Hermitian.
-
-    The directional derivative of the objective along e^{sX} V equals
-    Re tr(X^dag grad) for every anti-Hermitian X.
-    """
-    dims = dims or _qubit_dims(H)
-    _, *point = _evaluate(H.mat, V.mat, dims, K)
-    return _gradient(*point, dims, K)
+    return _evaluate(H.mat, V.mat, dims, K)
 
 
 def _qubit_dims(H: HermitianOp) -> Dims:
@@ -117,45 +91,6 @@ def _qubit_dims(H: HermitianOp) -> Dims:
     if 2**n != H.dim:
         raise DimensionMismatch("cannot infer factors; pass dims explicitly")
     return Dims((2,) * n)
-
-
-def _retract(X: np.ndarray, s: float, V: np.ndarray) -> np.ndarray:
-    """Exact e^{sX} V for anti-Hermitian X."""
-    return _retract_eig(np.linalg.eigh(1j * X), s, V)
-
-
-def _retract_eig(eig, s: float, V: np.ndarray) -> np.ndarray:
-    # e^{sX} V from eig = eigh(iX); one decomposition serves every step size
-    lam, Q = eig
-    E = (Q * np.exp(-1j * s * lam)) @ Q.conj().T
-    return E @ V
-
-
-def _descend(H: np.ndarray, V0: np.ndarray, dims: Dims, cfg: SearchConfig):
-    # each point is evaluated once: the accepted trial's tuple feeds the next gradient
-    V = V0
-    J, *point = _evaluate(H, V, dims, cfg.K)
-    trace = [(0, J)]
-    step = cfg.step_init
-    for it in range(1, cfg.max_iters + 1):
-        grad = _gradient(*point, dims, cfg.K)
-        gn2 = float(np.vdot(grad, grad).real)
-        if np.sqrt(gn2) <= cfg.grad_tol:
-            break
-        eig = np.linalg.eigh(1j * grad)
-        s = step
-        for _ in range(_MAX_BACKTRACKS):
-            Vn = _retract_eig(eig, -s, V)
-            Jn, *trial = _evaluate(H, Vn, dims, cfg.K)
-            if Jn <= J - cfg.armijo_c * s * gn2:
-                break
-            s *= cfg.backtrack_ratio
-        else:  # no sufficient decrease within _MAX_BACKTRACKS halvings
-            break
-        V, J, point = Vn, Jn, trial
-        trace.append((it, J))
-        step = min(s / cfg.backtrack_ratio, 1e6 * cfg.step_init)
-    return V, tuple(trace)
 
 
 def _spectral_point(x: np.ndarray, c: np.ndarray, mask: np.ndarray, lam: np.ndarray, dims: Dims):
@@ -222,20 +157,19 @@ def _match_spectrum(x: np.ndarray, c: np.ndarray, mask: np.ndarray, lam: np.ndar
 
 
 def search(H: HermitianOp, dims: Dims, cfg: SearchConfig) -> SearchResult:
-    """Best structure over restarts: a spectrum match, polished by the descent.
+    """Best structure over restarts, each a spectrum match.
 
     Each restart runs L-BFGS over the weight-1..K coefficients x of a K-local
     L(x) whose eigenvalues should match those of H, with the weight-0
-    coefficient fixed by tr H, and hands V0 = W U^dag (W, U the eigenvectors
-    of L(x) and H) to the unitary descent. Restart 0 starts from the
-    weight-1..K coefficients of H in the given frame, so an H that is already
-    K-local starts at zero mismatch; restart r >= 1 starts from a Gaussian x
-    drawn from sub-stream r of the configured seed, scaled to the HS norm of
-    H - tr H / D. Every restart runs.
+    coefficient fixed by tr H, and evaluates the residual once at
+    V = W U^dag (W, U the eigenvectors of L(x) and H). Restart 0 starts from
+    the weight-1..K coefficients of H in the given frame, so an H that is
+    already K-local starts at zero mismatch; restart r >= 1 starts from a
+    Gaussian x drawn from sub-stream r of the configured seed, scaled to the
+    HS norm of H - tr H / D. Every restart runs.
 
-    Residual traces are non-increasing within each restart (only sufficient-
-    decrease steps are taken), and ``iterations`` counts descent steps only.
-    The winner is the (residual, restart index) minimum: *a* K-local
+    Each restart's trace is the one point (0, residual), so ``iterations``
+    is 0. The winner is the (residual, restart index) minimum: *a* K-local
     structure when one is found, not *the* one, since distinct restarts may
     certify inequivalent structures.
     """
@@ -258,19 +192,20 @@ def search(H: HermitianOp, dims: Dims, cfg: SearchConfig) -> SearchResult:
             x0 = rng_stream(cfg.seed, r).standard_normal(int(mask.sum()))
             x0 *= scale / np.linalg.norm(x0)
         W = _match_spectrum(x0, c, mask, lam, dims, cfg)
-        V, trace = _descend(H.mat, W @ U.conj().T, dims, cfg)
+        V = W @ U.conj().T
+        trace = ((0, _evaluate(H.mat, V, dims, cfg.K)),)
         traces.append(trace)
         key = (trace[-1][1], r)
         if best is None or key < best[0]:
             best = (key, V, trace)
     _, V, trace = best
-    residual = _evaluate(H.mat, V, dims, cfg.K)[0]
+    residual = _evaluate(H.mat, V, dims, cfg.K)
     if abs(residual - trace[-1][1]) > 1e-12:
         raise InvariantViolation("recomputed residual disagrees with the trace tail")
     return SearchResult(
         tps=Tps(dims, UnitaryOp(V)),
         residual=residual,
-        iterations=trace[-1][0],
+        iterations=0,
         trace=trace,
         converged=residual <= cfg.success_residual,
         restart_traces=tuple(traces),

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import mereokit as mk
+from mereokit.basis import coeff_tensor, weight_tensor
 from mereokit.cli import main as cli_main
 from mereokit.kinds import TpsVerdict
-from mereokit.search import _retract
+from mereokit.search import _spectral_gradient, _spectral_point
 from mereokit.tps import _single_factor_realign
 
 from conftest import nondegenerate_instance, random_hermitian
@@ -238,24 +239,27 @@ def test_criterion_8_dual_structure():
 
 def test_criterion_9_search_recovery():
     dims = mk.Dims((2, 2, 2))
+    weight = weight_tensor(dims.factors)
+    mask = (weight >= 1) & (weight <= 2)
     recovered = 0
     grad_ok = True
     monotone = True
     for k in range(10):
         rng = mk.stream(1601, k)
         H, _ = mk.scrambled_klocal(dims, 2, rng)
-        # gradient vs central differences at 10 random points
+        lam = H.eig[0]
+        c = np.where(weight == 0, coeff_tensor(H.mat, dims).real, 0.0)
+        # spectral-mismatch gradient vs central differences at 10 random points
         for _ in range(10):
-            V = mk.haar_unitary(8, rng)
-            g = mk.riemannian_gradient(H, V, 2, dims)
-            X = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-            X = (X - X.conj().T) / 2
+            x = rng.standard_normal(int(mask.sum()))
+            d = rng.standard_normal(x.size)
+            _, W, r = _spectral_point(x, c, mask, lam, dims)
+            an = float(_spectral_gradient(W, r, mask, dims) @ d)
             eps = 1e-5
             fd = (
-                mk.objective(H, mk.UnitaryOp(_retract(X, eps, V.mat)), 2, dims)
-                - mk.objective(H, mk.UnitaryOp(_retract(X, -eps, V.mat)), 2, dims)
+                _spectral_point(x + eps * d, c, mask, lam, dims)[0]
+                - _spectral_point(x - eps * d, c, mask, lam, dims)[0]
             ) / (2 * eps)
-            an = float(np.vdot(g, X).real)
             if abs(fd - an) > 1e-4 * max(abs(fd), abs(an), 1e-12):
                 grad_ok = False
         res = mk.search(H, dims, mk.SearchConfig(K=2, restarts=8, max_iters=2000, seed=1601 + k))

@@ -232,6 +232,7 @@ class TestSearchCmd:
     @pytest.mark.parametrize("field,value,want", [
         ("K", 2.7, "an integer"), ("restarts", 1.9, "an integer"), ("max_iters", 3.5, "an integer"),
         ("K", True, "an integer"), ("restarts", None, "an integer"), ("success_residual", True, "a number"),
+        pytest.param("K", "2.7", "an integer", id="K-'2.7'-an integer"), ("grad_tol", "abc", "a number"),
     ])
     def test_non_integral_or_bool_field_exit_1(self, tmp_path, capsys, field, value, want):
         cfg = write_config(

@@ -5,25 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mereokit as mk
-from mereokit.basis import coeff_tensor, matrix_from_coeffs, weight_masses, weight_tensor
-from mereokit.search import (
-    _MAX_BACKTRACKS,
-    _descend,
-    _retract,
-    _retract_eig,
-    _spectral_gradient,
-    _spectral_point,
-)
+from mereokit.basis import weight_tensor
+from mereokit.search import _spectral_gradient, _spectral_point
 
 from conftest import random_hermitian
 
 # the package re-exports the function ``search``, which shadows the module
 search_mod = importlib.import_module("mereokit.search")
-
-
-def random_antihermitian(D, rng):
-    X = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-    return (X - X.conj().T) / 2
 
 
 class TestObjective:
@@ -54,34 +42,6 @@ class TestObjective:
         a = mk.objective(H, V, 2, dims222)
         b = mk.objective(shifted, V, 2, dims222)
         assert a == pytest.approx(b, rel=1e-10)
-
-
-class TestGradient:
-    def test_antihermitian(self, dims222):
-        rng = mk.stream(805)
-        H = random_hermitian(8, rng)
-        V = mk.haar_unitary(8, rng)
-        g = mk.riemannian_gradient(H, V, 2, dims222)
-        assert np.abs(g + g.conj().T).max() < 1e-12
-
-    def test_zero_at_global_minimum(self, dims222):
-        H = mk.random_klocal(dims222, 2, mk.stream(806))
-        g = mk.riemannian_gradient(H, mk.UnitaryOp(np.eye(8)), 2, dims222)
-        assert np.abs(g).max() < 1e-8
-
-    def test_finite_difference_match(self, dims222):
-        rng = mk.stream(807)
-        H = random_hermitian(8, rng)
-        V = mk.haar_unitary(8, rng)
-        g = mk.riemannian_gradient(H, V, 2, dims222)
-        eps = 1e-5
-        for _ in range(10):
-            X = random_antihermitian(8, rng)
-            Jp = mk.objective(H, mk.UnitaryOp(_retract(X, eps, V.mat)), 2, dims222)
-            Jm = mk.objective(H, mk.UnitaryOp(_retract(X, -eps, V.mat)), 2, dims222)
-            fd = (Jp - Jm) / (2 * eps)
-            an = float(np.vdot(g, X).real)
-            assert abs(fd - an) <= 1e-4 * max(abs(fd), abs(an), 1e-12)
 
     def test_qubit_inference_matches_explicit(self):
         rng = mk.stream(808)
@@ -155,57 +115,6 @@ class TestSearch:
         with pytest.raises(mk.DimensionMismatch):
             mk.SearchConfig(K=2, armijo_c=1.5)
 
-    def test_one_eigh_per_iteration(self, dims222, monkeypatch):
-        # every backtracking trial of an iteration reuses one decomposition
-        H, _ = mk.scrambled_klocal(dims222, 2, mk.stream(819))
-        V0 = mk.haar_unitary(8, mk.stream(819, 1)).mat
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting_eigh(a, *args, **kwargs):
-            calls.append(1)
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        _, trace = _descend(H.mat, V0, dims222, mk.SearchConfig(K=2, max_iters=40))
-        # accepted steps are len(trace) - 1, plus at most one rejected iteration
-        assert 0 < len(calls) <= len(trace)
-
-    def test_one_expansion_per_point(self, dims222, monkeypatch):
-        # V0 and every line-search trial are expanded once; nothing else is
-        H, _ = mk.scrambled_klocal(dims222, 2, mk.stream(819))
-        V0 = mk.haar_unitary(8, mk.stream(819, 1)).mat
-        calls = {"coeff_tensor": 0, "_retract_eig": 0}
-
-        def counting(name):
-            fn = getattr(search_mod, name)
-
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapped
-
-        for name in calls:
-            monkeypatch.setattr(search_mod, name, counting(name))
-        _descend(H.mat, V0, dims222, mk.SearchConfig(K=2, max_iters=40))
-        assert calls["_retract_eig"] > 0
-        assert calls["coeff_tensor"] == calls["_retract_eig"] + 1
-
-    @pytest.mark.parametrize("factors,seed", [((2, 2, 2), 830), ((2, 2, 3), 831), ((2, 2, 2, 2), 832)])
-    def test_matches_two_path_loop(self, factors, seed):
-        # the single-evaluation loop takes bit-for-bit the same steps as the
-        # loop that expanded each accepted point a second time for its gradient
-        dims = mk.Dims(factors)
-        H, _ = mk.scrambled_klocal(dims, 2, mk.stream(seed))
-        V0 = mk.haar_unitary(dims.total, mk.stream(seed, 1)).mat
-        cfg = mk.SearchConfig(K=2, max_iters=60)
-        V, trace = _descend(H.mat, V0, dims, cfg)
-        V_ref, trace_ref = _two_path_descend(H.mat, V0, dims, cfg)
-        assert len(trace) > 1
-        assert trace == trace_ref
-        assert np.array_equal(V, V_ref)
-
     def test_result_json(self, dims222):
         H = mk.random_klocal(dims222, 2, mk.stream(814))
         res = mk.search(H, dims222, mk.SearchConfig(K=2, restarts=1, max_iters=10))
@@ -252,6 +161,29 @@ class TestSpectrumMatch:
         assert len(res.restart_traces) == 4
         assert all(t[-1][1] < 1e-6 for t in res.restart_traces)
 
+    def test_one_reassembly_per_spectral_point(self, dims222, monkeypatch):
+        # L(x) is assembled once per spectral point; nothing else reassembles
+        H, _ = mk.scrambled_klocal(dims222, 2, mk.stream(845))
+        calls = {"matrix_from_coeffs": 0, "_spectral_point": 0}
+
+        def counting(name):
+            fn = getattr(search_mod, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(search_mod, name, counting(name))
+        res = mk.search(H, dims222, mk.SearchConfig(K=2, restarts=4, seed=845))
+        assert calls["_spectral_point"] > 0
+        assert calls["matrix_from_coeffs"] == calls["_spectral_point"]
+        assert res.iterations == 0
+        assert len(res.restart_traces) == 4
+        assert all(len(t) == 1 for t in res.restart_traces)
+
     @settings(max_examples=30, deadline=None)
     @given(factors=st.lists(st.sampled_from([2, 3]), min_size=2, max_size=4), seed=st.integers(0, 2**16))
     def test_scrambled_two_local_converges_and_certifies(self, factors, seed):
@@ -294,45 +226,3 @@ class TestCertify:
         moved = mk.Tps(dims222, mk.UnitaryOp(L @ res.tps.iso.mat))
         assert mk.is_k_local(H, moved, 2, 1e-6) == mk.is_k_local(H, res.tps, 2, 1e-6)
 
-
-def _two_path_descend(H, V0, dims, cfg):
-    """Reference loop: the accepted trial's objective is discarded and the
-    point is expanded again, with its gradient, on acceptance."""
-
-    def fraction_above(coeffs):
-        m = weight_masses(coeffs, dims.factors)
-        M = float(m[1:].sum())
-        return float(m[cfg.K + 1 :].sum()) / M, M
-
-    def objective_and_gradient(V):
-        A = V @ H @ V.conj().T
-        coeffs = coeff_tensor(A, dims)
-        J, M = fraction_above(coeffs)
-        G = matrix_from_coeffs(np.where(weight_tensor(dims.factors) > cfg.K, coeffs, 0.0), dims)
-        return J, (2.0 / M) * (G @ A - A @ G)
-
-    V = V0
-    J, grad = objective_and_gradient(V)
-    trace = [(0, J)]
-    step = cfg.step_init
-    for it in range(1, cfg.max_iters + 1):
-        gn2 = float(np.vdot(grad, grad).real)
-        if np.sqrt(gn2) <= cfg.grad_tol:
-            break
-        eig = np.linalg.eigh(1j * grad)
-        s = step
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            Vn = _retract_eig(eig, -s, V)
-            Jn = fraction_above(coeff_tensor(Vn @ H @ Vn.conj().T, dims))[0]
-            if Jn <= J - cfg.armijo_c * s * gn2:
-                accepted = True
-                break
-            s *= cfg.backtrack_ratio
-        if not accepted:
-            break
-        V = Vn
-        J, grad = objective_and_gradient(V)
-        trace.append((it, J))
-        step = min(s / cfg.backtrack_ratio, 1e6 * cfg.step_init)
-    return V, tuple(trace)
