@@ -44,7 +44,6 @@ from .tps import (
 )
 from .basis import (
     Decomposition,
-    MultiIndex,
     SiteBasis,
     WeightProfile,
     decompose,

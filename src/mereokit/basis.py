@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -74,17 +74,6 @@ def site_basis(d: int) -> SiteBasis:
 
 
 @dataclass(frozen=True)
-class MultiIndex:
-    """One per-site basis label per factor; weight counts non-identity sites."""
-
-    alphas: tuple[int, ...]
-
-    @property
-    def weight(self) -> int:
-        return sum(1 for a in self.alphas if a != 0)
-
-
-@dataclass(frozen=True)
 class Decomposition:
     """Dense coefficient tensor over all multi-indices, axis i indexed by alpha_i."""
 
@@ -98,10 +87,6 @@ class Decomposition:
             raise DimensionMismatch(f"coefficient shape {c.shape} != {expected}")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
-
-    def items(self) -> Iterator[tuple[MultiIndex, complex]]:
-        for alphas in np.ndindex(self.coeffs.shape):
-            yield MultiIndex(alphas), complex(self.coeffs[alphas])
 
     def hs_norm_sq(self) -> float:
         return float(np.vdot(self.coeffs, self.coeffs).real)
@@ -204,12 +189,12 @@ def weight_profile(dec: Decomposition) -> WeightProfile:
     return WeightProfile(weight_masses(dec.coeffs, dec.dims.factors, dust=DUST_RTOL * norm))
 
 
-def decomposition_to_json(dec: Decomposition, threshold: Optional[float] = None) -> dict:
-    """JSON form {dims, entries}; entries below the dust threshold are omitted."""
-    if threshold is None:
-        threshold = DUST_RTOL * math.sqrt(dec.hs_norm_sq())
-    entries = []
-    for idx, val in dec.items():
-        if abs(val) > threshold:
-            entries.append({"alphas": list(idx.alphas), "re": val.real, "im": val.imag})
+def decomposition_to_json(dec: Decomposition) -> dict:
+    """JSON form {dims, entries}, entries in C order; those at or below the dust threshold
+    (``DUST_RTOL`` times the HS norm) are omitted."""
+    keep = np.abs(dec.coeffs) > DUST_RTOL * math.sqrt(dec.hs_norm_sq())
+    entries = [
+        {"alphas": alphas, "re": z.real, "im": z.imag}
+        for alphas, z in zip(np.argwhere(keep).tolist(), dec.coeffs[keep].tolist())
+    ]
     return {"dims": list(dec.dims.factors), "entries": entries}

@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -70,11 +71,29 @@ def _resolve_config(args) -> dict:
     where the subcommand takes one, its tol (flag, config, the subcommand's default)."""
     cfg = _load_json(args.config)
     seed = args.seed if args.seed is not None else cfg.get("seed", os.environ.get("MEREOKIT_SEED", 0))
-    resolved = {**cfg, "seed": int(seed)}
+    seed = _checked("seed", seed, int, "a non-negative integer", lambda v: v >= 0)
+    resolved = {**cfg, "seed": seed}
     if args.command in _TOL_DEFAULTS:
         tol = args.tol if args.tol is not None else cfg.get("tol", _TOL_DEFAULTS[args.command])
-        resolved["tol"] = float(tol)
+        resolved["tol"] = _checked("tol", tol, float, "finite and positive", lambda v: 0 < v < math.inf)
     return resolved
+
+
+def _checked(name: str, value, kind: type, want: str | None = None, ok=lambda v: True):
+    """``kind(value)``, or a UsageError naming the field when ``value`` is not ``want``
+    (by default an integer or a number) or ``ok`` rejects it."""
+    want = want or ("an integer" if kind is int else "a number")
+    error = UsageError(f"{name} must be {want}, got {value!r}")
+    # int() and float() would read true as 1, and int() truncate 2.7
+    if isinstance(value, bool) or kind is int and isinstance(value, float) and not value.is_integer():
+        raise error
+    try:
+        value = kind(value)
+    except (TypeError, ValueError):
+        raise error from None
+    if not ok(value):
+        raise error
+    return value
 
 
 @contextmanager
@@ -316,9 +335,6 @@ def cmd_search(cfg: dict, out: str | None) -> int:
     H, dims = build_model(_model_cfg(cfg), cfg["seed"])
     result = run_search(H, dims, _search_config(cfg.get("search", {}), cfg["seed"]))
     _dump_json({"config": cfg, "result": result.to_json()}, out)
-    if out:
-        rows = [(int(i), float(r)) for i, r in result.trace]
-        _dump_csv("iteration,residual", rows, cfg, out + ".trace.csv")
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
@@ -329,21 +345,10 @@ def _search_config(sc: dict, seed: int) -> SearchConfig:
     unknown = sorted(set(sc) - set(defaults))
     if unknown:
         raise UsageError(f"unknown search field {unknown[0]!r}")
-    given = {k: _search_field(k, v, type(defaults[k])) for k, v in sc.items() if k != "seed"}
+    given = {
+        k: _checked(f"search field {k!r}", v, type(defaults[k])) for k, v in sc.items() if k != "seed"
+    }
     return SearchConfig(**{**defaults, **given})
-
-
-def _search_field(name: str, value, kind: type):
-    """``kind(value)``, or a UsageError naming the field when ``value`` is not one."""
-    want = "an integer" if kind is int else "a number"
-    error = UsageError(f"search field {name!r} must be {want}, got {value!r}")
-    # int() and float() would read true as 1, and int() truncate 2.7
-    if isinstance(value, bool) or kind is int and isinstance(value, float) and not value.is_integer():
-        raise error
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise error from None
 
 
 def _kinds_pair(cfg_pair, seed: int, path: int):

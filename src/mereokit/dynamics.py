@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
 from .hilbert import Dims, HermitianOp, StateVec, UnitaryOp, _frozen, expm_i
-from .locality import PRODUCT_PROBE_TOL, WITNESS_ENTROPY, _require_product_probes
+from .locality import WITNESS_ENTROPY, _require_product_probes
 from .tps import Tps, _eigen_entropies, act, equivalent
 
 COMMUTANT_TOL = 1e-9
@@ -60,11 +60,7 @@ def inequality_sweep(max_n: int, max_d: int) -> bool:
 
 
 def find_nonlocal_symmetry(
-    H: HermitianOp,
-    T: Tps,
-    t_grid: Sequence[float],
-    probes: Sequence[StateVec],
-    witness_threshold: float = WITNESS_ENTROPY,
+    H: HermitianOp, T: Tps, t_grid: Sequence[float], probes: Sequence[StateVec]
 ) -> Optional[tuple[float, UnitaryOp]]:
     """First grid time whose evolution unitary commutes with H but moves T.
 
@@ -72,10 +68,10 @@ def find_nonlocal_symmetry(
     the equivalence test. Returns None when the grid shows nothing, which is
     the expected outcome exactly for 1-local Hamiltonians.
     """
-    C = _require_product_probes(H, T, probes, PRODUCT_PROBE_TOL)
+    C = _require_product_probes(H, T, probes)
     for t in t_grid:
         ents = _eigen_entropies(H, T, C, np.exp(-1j * float(t) * H.eig[0]))
-        if not (ents > witness_threshold).any():
+        if not (ents > WITNESS_ENTROPY).any():
             continue
         U = expm_i(H, float(t))
         if equivalent(act(U, T), T):
@@ -112,7 +108,7 @@ def entropy_orbit(
     H: HermitianOp, T: Tps, probe: StateVec, site: int, t_grid: Sequence[float]
 ) -> OrbitCurve:
     """Site entropy of the probe pushed through iso . e^{-itH}, per grid point."""
-    c = _require_product_probes(H, T, [probe], PRODUCT_PROBE_TOL)[0]
+    c = _require_product_probes(H, T, [probe])[0]
     n = T.dims.n
     if not (0 <= site < n):
         raise DimensionMismatch(f"site {site} out of range for n={n}")

@@ -80,7 +80,7 @@ class EvolutionVerdict:
     max_entropy: float
 
 
-def _require_product_probes(H: HermitianOp, T: Tps, probes: Sequence[StateVec], tol: float):
+def _require_product_probes(H: HermitianOp, T: Tps, probes: Sequence[StateVec]):
     """Eigenbasis amplitudes (one row per probe), once every probe is a product state in T."""
     for j, probe in enumerate(probes):
         if probe.dim != T.dims.total:
@@ -88,32 +88,27 @@ def _require_product_probes(H: HermitianOp, T: Tps, probes: Sequence[StateVec], 
     C = np.array([p.vec for p in probes], dtype=complex).reshape(-1, T.dims.total)
     C = C @ H.eig[1].conj()
     for j, ent in enumerate(_eigen_entropies(H, T, C, 1.0).max(axis=-1)):
-        if ent > tol:
+        if ent > PRODUCT_PROBE_TOL:
             raise InvariantViolation(f"probe {j} is not a product state (entropy {ent:.3e})")
     return C
 
 
 def one_local_evolution_check(
-    H: HermitianOp,
-    T: Tps,
-    t_grid: Sequence[float],
-    probes: Sequence[StateVec],
-    witness_threshold: float = WITNESS_ENTROPY,
-    product_tol: float = PRODUCT_PROBE_TOL,
+    H: HermitianOp, T: Tps, t_grid: Sequence[float], probes: Sequence[StateVec]
 ) -> EvolutionVerdict:
     """Scan evolved product probes for entanglement in T.
 
     Product states stay product under evolution exactly when H acts as a sum
     of single-site terms, so the first probe whose marginal entropy exceeds
-    the threshold witnesses that H is not 1-local. The scan order is
+    ``WITNESS_ENTROPY`` witnesses that H is not 1-local. The scan order is
     (t index, probe index), so the reported witness is deterministic.
     """
-    C = _require_product_probes(H, T, probes, product_tol)
+    C = _require_product_probes(H, T, probes)
     max_seen = 0.0
     for t in t_grid:
         ents = _eigen_entropies(H, T, C, np.exp(-1j * float(t) * H.eig[0])).max(axis=-1)
         for j, ent in enumerate(ents.tolist()):
             max_seen = max(max_seen, ent)
-            if ent > witness_threshold:
+            if ent > WITNESS_ENTROPY:
                 return EvolutionVerdict(False, EvolutionWitness(float(t), j, ent), max_seen)
     return EvolutionVerdict(True, None, max_seen)

@@ -14,6 +14,7 @@ weight of V H V^dag sitting in sectors above K (``objective``).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -26,6 +27,11 @@ from .locality import is_k_local
 from .tps import Tps
 from .rng import stream as rng_stream
 
+# the spectrum match's L-BFGS
+_GRAD_TOL = 1e-9  # stop once |grad f| <= _GRAD_TOL * |lam - mean lam|
+_STEP_INIT = 1.0  # first trial step of each line search
+_ARMIJO_C = 1e-4  # accept a step once f falls by at least _ARMIJO_C * step * slope
+_BACKTRACK_RATIO = 0.5  # else shrink the step by this factor, at most _MAX_BACKTRACKS times
 _MAX_BACKTRACKS = 60
 _LBFGS_HISTORY = 10  # (step, gradient change) pairs kept by the spectrum match
 
@@ -35,20 +41,15 @@ class SearchConfig:
     K: int
     restarts: int = 8
     max_iters: int = 500
-    grad_tol: float = 1e-9
-    step_init: float = 1.0
-    armijo_c: float = 1e-4
-    backtrack_ratio: float = 0.5
     success_residual: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
         if self.K < 1 or self.restarts < 1 or self.max_iters < 1:
             raise DimensionMismatch("K, restarts and max_iters must be positive")
-        if self.grad_tol <= 0 or self.step_init <= 0 or self.success_residual <= 0:
-            raise DimensionMismatch("tolerances and step_init must be positive")
-        if not (0 < self.armijo_c < 1) or not (0 < self.backtrack_ratio < 1):
-            raise DimensionMismatch("armijo_c and backtrack_ratio must be in (0, 1)")
+        r = self.success_residual
+        if not 0 < r < math.inf:  # also False for NaN
+            raise DimensionMismatch(f"success_residual must be finite and positive, got {r!r}")
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ class SearchResult:
     iterations: int
     trace: tuple[tuple[int, float], ...]
     converged: bool
-    restart_traces: tuple[tuple[tuple[int, float], ...], ...]
+    restart_residuals: tuple[float, ...]
 
     def to_json(self) -> dict:
         return {
@@ -123,14 +124,14 @@ def _two_loop(g: np.ndarray, history) -> np.ndarray:
 
 
 def _match_spectrum(x: np.ndarray, c: np.ndarray, mask: np.ndarray, lam: np.ndarray,
-                    dims: Dims, cfg: SearchConfig) -> np.ndarray:
+                    dims: Dims, max_iters: int) -> np.ndarray:
     """Eigenvectors of L(x) after L-BFGS on the spectral mismatch from x."""
     f, W, r = _spectral_point(x, c, mask, lam, dims)
     g = _spectral_gradient(W, r, mask, dims)
     # relative to the shift-free spread of the spectrum, in the units of grad f
-    tol = cfg.grad_tol * float(np.linalg.norm(lam - lam.mean()))
+    tol = _GRAD_TOL * float(np.linalg.norm(lam - lam.mean()))
     history = deque(maxlen=_LBFGS_HISTORY)
-    for _ in range(cfg.max_iters):
+    for _ in range(max_iters):
         if np.linalg.norm(g) <= tol:
             break
         d = -_two_loop(g, history)
@@ -138,14 +139,14 @@ def _match_spectrum(x: np.ndarray, c: np.ndarray, mask: np.ndarray, lam: np.ndar
         if slope >= 0:  # the curvature model went bad: fall back to steepest descent
             history.clear()
             d, slope = -g, -float(g @ g)
-        s = cfg.step_init
+        s = _STEP_INIT
         for _ in range(_MAX_BACKTRACKS):
             xn = x + s * d
             fn, Wn, rn = _spectral_point(xn, c, mask, lam, dims)
             # strict: at a rounding floor f + c s slope == f would accept standing still
-            if fn < f and fn <= f + cfg.armijo_c * s * slope:
+            if fn < f and fn <= f + _ARMIJO_C * s * slope:
                 break
-            s *= cfg.backtrack_ratio
+            s *= _BACKTRACK_RATIO
         else:  # no sufficient decrease within _MAX_BACKTRACKS halvings
             break
         gn = _spectral_gradient(Wn, rn, mask, dims)
@@ -168,8 +169,9 @@ def search(H: HermitianOp, dims: Dims, cfg: SearchConfig) -> SearchResult:
     Gaussian x drawn from sub-stream r of the configured seed, scaled to the
     HS norm of H - tr H / D. Every restart runs.
 
-    Each restart's trace is the one point (0, residual), so ``iterations``
-    is 0. The winner is the (residual, restart index) minimum: *a* K-local
+    ``restart_residuals`` holds each restart's residual. The winner is the
+    (residual, restart index) minimum; its residual is the one point (0,
+    residual) of ``trace``, so ``iterations`` is 0. It is *a* K-local
     structure when one is found, not *the* one, since distinct restarts may
     certify inequivalent structures.
     """
@@ -183,32 +185,29 @@ def search(H: HermitianOp, dims: Dims, cfg: SearchConfig) -> SearchResult:
     mask = (weight >= 1) & (weight <= cfg.K)
     c = np.where(weight == 0, coeffs, 0.0)
     scale = float(np.linalg.norm(lam - lam.mean()))  # = |H - tr H / D|_HS
-    best = None
-    traces = []
+    best, residuals = None, []
     for r in range(cfg.restarts):
         if r == 0:
             x0 = coeffs[mask]
         else:
             x0 = rng_stream(cfg.seed, r).standard_normal(int(mask.sum()))
             x0 *= scale / np.linalg.norm(x0)
-        W = _match_spectrum(x0, c, mask, lam, dims, cfg)
+        W = _match_spectrum(x0, c, mask, lam, dims, cfg.max_iters)
         V = W @ U.conj().T
-        trace = ((0, _evaluate(H.mat, V, dims, cfg.K)),)
-        traces.append(trace)
-        key = (trace[-1][1], r)
-        if best is None or key < best[0]:
-            best = (key, V, trace)
-    _, V, trace = best
+        residuals.append(_evaluate(H.mat, V, dims, cfg.K))
+        if best is None or residuals[-1] < residuals[best[0]]:
+            best = (r, V)
+    r, V = best
     residual = _evaluate(H.mat, V, dims, cfg.K)
-    if abs(residual - trace[-1][1]) > 1e-12:
-        raise InvariantViolation("recomputed residual disagrees with the trace tail")
+    if abs(residual - residuals[r]) > 1e-12:
+        raise InvariantViolation("recomputed residual disagrees with the winning restart's")
     return SearchResult(
         tps=Tps(dims, UnitaryOp(V)),
         residual=residual,
         iterations=0,
-        trace=trace,
+        trace=((0, residuals[r]),),
         converged=residual <= cfg.success_residual,
-        restart_traces=tuple(traces),
+        restart_residuals=tuple(residuals),
     )
 
 

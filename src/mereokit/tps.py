@@ -104,13 +104,11 @@ def _single_factor_realign(mat: np.ndarray, factors: tuple[int, ...], i: int, j=
     return np.transpose(t, order).reshape(d * d, -1)
 
 
-def is_product_operator(
-    W, dims: Dims, rel_tol: float = PRODUCT_RTOL
-) -> Optional[ProductOpCertificate]:
+def is_product_operator(W, dims: Dims) -> Optional[ProductOpCertificate]:
     """Certificate that W equals a phase times a product of single-factor operators.
 
     Decision: across every single-factor-vs-rest bipartition the realigned
-    operator must have relative second singular value below ``rel_tol``.
+    operator must have relative second singular value below ``PRODUCT_RTOL``.
     Returns None for entangling operators.
     """
     mat = _mat(W)
@@ -120,7 +118,7 @@ def is_product_operator(
     for i, d in enumerate(dims.factors):
         M = _single_factor_realign(mat, dims.factors, i)
         U, s, _ = np.linalg.svd(M, full_matrices=False)
-        if s[0] == 0.0 or s[1] > rel_tol * s[0]:
+        if s[0] == 0.0 or s[1] > PRODUCT_RTOL * s[0]:
             return None
         factors.append(U[:, 0].reshape(d, d) * np.sqrt(d))
     # pin scale and global phase on the first factor
@@ -128,14 +126,12 @@ def is_product_operator(
     z = np.vdot(prod, mat) / np.vdot(prod, prod)
     factors[0] = factors[0] * z
     residual = np.abs(kron_all(factors) - mat).max()
-    if residual > 10 * rel_tol * (1.0 + np.abs(mat).max()):
+    if residual > 10 * PRODUCT_RTOL * (1.0 + np.abs(mat).max()):
         return None
     return ProductOpCertificate(tuple(factors), tuple(range(dims.n)))
 
 
-def equivalent(
-    T1: Tps, T2: Tps, rel_tol: float = PRODUCT_RTOL, with_certificate: bool = False
-):
+def equivalent(T1: Tps, T2: Tps, with_certificate: bool = False):
     """Decide whether two representatives define the same structure.
 
     True iff some admissible factor permutation sigma makes P_sigma . W a product
@@ -155,7 +151,7 @@ def equivalent(
         sigma.append(slots[int(np.argmin([s[1] / s[0] for s in svs]))])
     cert = None
     if len(set(sigma)) == len(f):
-        cert = is_product_operator(perm_matrix(f, sigma) @ W, T1.dims, rel_tol)
+        cert = is_product_operator(perm_matrix(f, sigma) @ W, T1.dims)
     if cert is None:
         return (False, None) if with_certificate else False
     cert = ProductOpCertificate(cert.factors, tuple(sigma))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -179,8 +180,7 @@ class TestSearchCmd:
         assert run_cli(["search", "--config", cfg, "--out", out]) == 0
         res = json.loads(Path(out).read_text())["result"]
         assert res["converged"] and res["residual"] < 1e-6
-        trace_lines = Path(out + ".trace.csv").read_text().splitlines()
-        assert trace_lines[1] == "iteration,residual"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "res.json"]  # no .trace.csv
 
     def test_k_equals_n_immediate(self, tmp_path, capsys):
         cfg = write_config(
@@ -222,17 +222,33 @@ class TestSearchCmd:
         assert json.loads(capsys.readouterr().out)["result"]["residual"] > 1e-6
 
     def test_unknown_search_field_exit_1(self, tmp_path, capsys):
+        # a misspelling, and the L-BFGS tuning fields that are now module constants
+        for field in ("max_iter", "grad_tol", "step_init", "armijo_c", "backtrack_ratio"):
+            cfg = write_config(
+                tmp_path, "c.json",
+                {"model": {"name": "gue", "dims": [2, 2]}, "search": {"K": 2, field: 5}, "seed": 2},
+            )
+            out = tmp_path / "res.json"
+            assert run_cli(["search", "--config", cfg, "--out", str(out)]) == 1
+            assert f"unknown search field {field!r}" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", float("nan")])
+    def test_non_finite_success_residual_exit_1(self, tmp_path, capsys, value):
         cfg = write_config(
             tmp_path, "c.json",
-            {"model": {"name": "gue", "dims": [2, 2]}, "search": {"K": 2, "max_iter": 5}, "seed": 2},
+            {"model": {"name": "gue", "dims": [2, 2, 2]},
+             "search": {"K": 1, "restarts": 1, "success_residual": value}, "seed": 2},
         )
-        assert run_cli(["search", "--config", cfg]) == 1
-        assert "max_iter" in capsys.readouterr().err
+        out = tmp_path / "res.json"
+        assert run_cli(["search", "--config", cfg, "--out", str(out)]) == 1
+        assert "success_residual must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("field,value,want", [
         ("K", 2.7, "an integer"), ("restarts", 1.9, "an integer"), ("max_iters", 3.5, "an integer"),
         ("K", True, "an integer"), ("restarts", None, "an integer"), ("success_residual", True, "a number"),
-        pytest.param("K", "2.7", "an integer", id="K-'2.7'-an integer"), ("grad_tol", "abc", "a number"),
+        pytest.param("K", "2.7", "an integer", id="K-'2.7'-an integer"), ("success_residual", "abc", "a number"),
     ])
     def test_non_integral_or_bool_field_exit_1(self, tmp_path, capsys, field, value, want):
         cfg = write_config(
@@ -256,9 +272,12 @@ class TestSearchCmd:
     def test_search_fields_default_from_search_config(self):
         from mereokit.cli import _search_config
 
-        config = _search_config({"max_iters": "7", "grad_tol": 1, "seed": 99}, 5)
-        assert config == mk.SearchConfig(K=2, max_iters=7, grad_tol=1.0, seed=5)
-        assert isinstance(config.max_iters, int) and isinstance(config.grad_tol, float)
+        config = _search_config({"max_iters": "7", "success_residual": 1, "seed": 99}, 5)
+        assert config == mk.SearchConfig(K=2, max_iters=7, success_residual=1.0, seed=5)
+        assert isinstance(config.max_iters, int) and isinstance(config.success_residual, float)
+        assert [f.name for f in dataclasses.fields(config)] == [
+            "K", "restarts", "max_iters", "success_residual", "seed"
+        ]
 
 
 class TestKinds:
@@ -454,6 +473,43 @@ class TestUsage:
         cfg = write_config(tmp_path, "c.json", {"model": {"name": "pauli", "string": "XX"}, "tol": 1e-3})
         assert run_cli(["profile", "--config", cfg, "--tol", "1e-5"]) == 0
         assert json.loads(capsys.readouterr().out)["config"]["tol"] == 1e-5
+
+    @pytest.mark.parametrize("command,source,field,value", [
+        ("profile", "flag", "tol", "nan"), ("profile", "flag", "tol", "inf"), ("profile", "flag", "tol", "-1"),
+        ("kinds", "flag", "tol", "nan"), ("profile", "config", "tol", 0), ("kinds", "config", "tol", "abc"),
+        ("profile", "config", "tol", True), ("search", "config", "seed", 2.7), ("search", "config", "seed", True),
+        ("profile", "config", "seed", "abc"), ("profile", "config", "seed", -1), ("kinds", "flag", "seed", "-1"),
+        ("profile", "env", "seed", "abc"), ("profile", "env", "seed", "-1"), ("profile", "env", "seed", "2.7"),
+    ])
+    def test_bad_seed_or_tol_exit_1(self, tmp_path, capsys, monkeypatch, command, source, field, value):
+        # the 3-site Ising chain has min_k 2 and the two GUE pairs have different spectra,
+        # so a NaN, infinite or negative tol used to give a wrong report with exit 0
+        cfg = {
+            "profile": {"model": {"name": "ising", "n": 3, "J": 1.0, "h": 1.0}},
+            "kinds": {"mode": "hsf", "pair1": {"model": {"name": "gue", "dims": [2, 2]}, "state": "haar"},
+                      "pair2": {"model": {"name": "gue", "dims": [2, 2]}, "state": "haar"}},
+            "search": {"model": {"name": "gue", "dims": [2, 2]}, "search": {"K": 2, "restarts": 1}},
+        }[command]
+        argv = []
+        if source == "config":
+            cfg = {**cfg, field: value}
+        elif source == "flag":
+            argv = [f"--{field}", value]
+        else:
+            monkeypatch.setenv("MEREOKIT_SEED", value)
+        out = tmp_path / "out.json"
+        argv = [command, "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out), *argv]
+        assert run_cli(argv) == 1
+        want = "a non-negative integer" if field == "seed" else "finite and positive"
+        got = {"seed": int, "tol": float}[field](value) if source == "flag" else value  # parsed by argparse
+        assert f"error: {field} must be {want}, got {got!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [7, 7.0, "7"])
+    def test_integral_seed_runs(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, "c.json", {"model": {"name": "gue", "dims": [2, 2]}, "seed": value})
+        assert run_cli(["profile", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["seed"] == 7
 
     def test_ragged_pairs_name_field_and_row(self, tmp_path, capsys):
         cfg = write_config(

@@ -152,13 +152,13 @@ class TestOrbitBlocks:
 
     @pytest.mark.parametrize("offset", [-1, 0, 1, "2B+1"])
     def test_blocks_bit_equal_to_one_call(self, offset):
-        from mereokit.locality import PRODUCT_PROBE_TOL, _require_product_probes
+        from mereokit.locality import _require_product_probes
         from mereokit.tps import _eigen_entropies
 
         H, T, probe = self.instance()
         B = 2**16 // H.dim
         grid = np.linspace(0, 3, 2 * B + 1 if offset == "2B+1" else B + offset)
-        c = _require_product_probes(H, T, [probe], PRODUCT_PROBE_TOL)[0]
+        c = _require_product_probes(H, T, [probe])[0]
         ref = _eigen_entropies(H, T, c, np.exp(-1j * np.multiply.outer(grid, H.eig[0])))[:, 3]
         assert np.array_equal(mk.entropy_orbit(H, T, probe, 3, grid).entropies, ref)
 

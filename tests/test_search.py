@@ -68,13 +68,6 @@ class TestSearch:
         assert res.residual < 1e-6
         assert mk.certify(H, res, 2, 1e-6)
 
-    def test_monotone_traces(self, dims222):
-        H, _ = mk.scrambled_klocal(dims222, 2, mk.stream(811))
-        res = mk.search(H, dims222, mk.SearchConfig(K=2, restarts=4, max_iters=300, seed=811))
-        for trace in res.restart_traces:
-            residuals = [r for _, r in trace]
-            assert all(b <= a + 1e-15 for a, b in zip(residuals, residuals[1:]))
-
     def test_generic_not_one_localizable(self, dims222):
         # generic instances never reach the success threshold; the residual
         # floor itself is evidence, logged rather than pinned per instance
@@ -101,7 +94,7 @@ class TestSearch:
         for k in range(3):
             H, _ = mk.scrambled_klocal(dims222, 2, mk.stream(818, k))
             res = mk.search(H, dims222, mk.SearchConfig(K=2, restarts=8, max_iters=2000, seed=818 + k))
-            finals = [t[-1][1] for t in res.restart_traces]
+            finals = res.restart_residuals
             s = sum(1 for f in finals if f < 1e-6)
             succeeded += s
             total += len(finals)
@@ -112,8 +105,9 @@ class TestSearch:
     def test_config_validation(self):
         with pytest.raises(mk.DimensionMismatch):
             mk.SearchConfig(K=0)
-        with pytest.raises(mk.DimensionMismatch):
-            mk.SearchConfig(K=2, armijo_c=1.5)
+        for value in (float("nan"), float("inf"), 0.0, -1.0):
+            with pytest.raises(mk.DimensionMismatch, match="success_residual"):
+                mk.SearchConfig(K=2, success_residual=value)
 
     def test_result_json(self, dims222):
         H = mk.random_klocal(dims222, 2, mk.stream(814))
@@ -158,8 +152,8 @@ class TestSpectrumMatch:
     def test_every_restart_runs(self, dims222):
         H, _ = mk.scrambled_klocal(dims222, 2, mk.stream(844))
         res = mk.search(H, dims222, mk.SearchConfig(K=2, restarts=4, seed=844))
-        assert len(res.restart_traces) == 4
-        assert all(t[-1][1] < 1e-6 for t in res.restart_traces)
+        assert len(res.restart_residuals) == 4
+        assert all(r < 1e-6 for r in res.restart_residuals)
 
     def test_one_reassembly_per_spectral_point(self, dims222, monkeypatch):
         # L(x) is assembled once per spectral point; nothing else reassembles
@@ -181,8 +175,8 @@ class TestSpectrumMatch:
         assert calls["_spectral_point"] > 0
         assert calls["matrix_from_coeffs"] == calls["_spectral_point"]
         assert res.iterations == 0
-        assert len(res.restart_traces) == 4
-        assert all(len(t) == 1 for t in res.restart_traces)
+        assert len(res.restart_residuals) == 4
+        assert res.trace == ((0, min(res.restart_residuals)),)
 
     @settings(max_examples=30, deadline=None)
     @given(factors=st.lists(st.sampled_from([2, 3]), min_size=2, max_size=4), seed=st.integers(0, 2**16))
