@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -108,58 +107,48 @@ class WeightProfile:
         return float(self.w.sum())
 
 
-def _site_map(b: SiteBasis, adjoint: bool) -> np.ndarray:
-    # conj(B_alpha) flattened over (row, col), one row per alpha; or its adjoint
-    m = np.stack(b.ops).reshape(b.d * b.d, b.d * b.d)
-    return np.ascontiguousarray(m.T) if adjoint else m.conj()
-
-
 @lru_cache(maxsize=None)
 def _gell_mann_maps(factors: tuple[int, ...], adjoint: bool) -> tuple[np.ndarray, ...]:
-    return tuple(_site_map(site_basis(d), adjoint) for d in factors)
+    # per site, conj(B_alpha) flattened over (row, col), one row per alpha; or its adjoint
+    maps = [np.stack(site_basis(d).ops).reshape(d * d, d * d) for d in factors]
+    return tuple(np.ascontiguousarray(m.T) if adjoint else m.conj() for m in maps)
 
 
-def _contract(t: np.ndarray, factors, bases: Optional[Sequence[SiteBasis]], adjoint: bool):
+def _contract(t: np.ndarray, factors, adjoint: bool):
     # one (d^2, d^2) map per site; the transpose rotates the mapped axis to
     # the back, so after n sites the axes are in order again
-    if bases is None:
-        maps = _gell_mann_maps(factors, adjoint)
-    elif tuple(b.d for b in bases) == factors:
-        maps = [_site_map(b, adjoint) for b in bases]
-    else:
-        raise DimensionMismatch("site basis dimensions do not match the factors")
-    for m in maps:
+    for m in _gell_mann_maps(factors, adjoint):
         t = (m @ t.reshape(m.shape[1], -1)).T
     return t
 
 
-def coeff_tensor(mat: np.ndarray, dims: Dims, bases=None) -> np.ndarray:
+def coeff_tensor(mat: np.ndarray, dims: Dims) -> np.ndarray:
     """Expansion coefficients of a D x D matrix over the product basis.
 
     One site at a time, so the cost is D^2 * sum(d_i^2) rather than D^4.
     """
     f, n = dims.factors, dims.n
     t = mat.reshape(f + f).transpose([a for i in range(n) for a in (i, n + i)])
-    return _contract(t, f, bases, adjoint=False).reshape(tuple(d * d for d in f))
+    return _contract(t, f, adjoint=False).reshape(tuple(d * d for d in f))
 
 
-def matrix_from_coeffs(coeffs: np.ndarray, dims: Dims, bases=None) -> np.ndarray:
+def matrix_from_coeffs(coeffs: np.ndarray, dims: Dims) -> np.ndarray:
     """Adjoint of ``coeff_tensor``: reassemble the matrix from coefficients."""
     f, n, D = dims.factors, dims.n, dims.total
-    t = _contract(coeffs, f, bases, adjoint=True).reshape(tuple(d for d in f for _ in "rc"))
+    t = _contract(coeffs, f, adjoint=True).reshape(tuple(d for d in f for _ in "rc"))
     return t.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))).reshape(D, D)
 
 
-def decompose(H: HermitianOp, T: Tps, bases=None) -> Decomposition:
+def decompose(H: HermitianOp, T: Tps) -> Decomposition:
     """Expand H, seen through the structure T, over the product basis."""
     if H.dim != T.dims.total:
         raise DimensionMismatch(f"operator dim {H.dim} != product dim {T.dims.total}")
     pushed = T.iso.mat @ H.mat @ T.iso.mat.conj().T
-    return Decomposition(T.dims, coeff_tensor(pushed, T.dims, bases))
+    return Decomposition(T.dims, coeff_tensor(pushed, T.dims))
 
 
-def reconstruct(dec: Decomposition, bases=None) -> HermitianOp:
-    return HermitianOp(matrix_from_coeffs(dec.coeffs, dec.dims, bases))
+def reconstruct(dec: Decomposition) -> HermitianOp:
+    return HermitianOp(matrix_from_coeffs(dec.coeffs, dec.dims))
 
 
 @lru_cache(maxsize=None)

@@ -75,7 +75,7 @@ def _resolve_config(args) -> dict:
     resolved = {**cfg, "seed": seed}
     if args.command in _TOL_DEFAULTS:
         tol = args.tol if args.tol is not None else cfg.get("tol", _TOL_DEFAULTS[args.command])
-        resolved["tol"] = _checked("tol", tol, float, "finite and positive", lambda v: 0 < v < math.inf)
+        resolved["tol"] = _checked("tol", tol, **_POSITIVE)
     return resolved
 
 
@@ -94,6 +94,18 @@ def _checked(name: str, value, kind: type, want: str | None = None, ok=lambda v:
     if not ok(value):
         raise error
     return value
+
+
+# ``_checked`` rules shared by several fields
+_FINITE = dict(kind=float, want="a finite number", ok=math.isfinite)
+_POSITIVE = dict(kind=float, want="finite and positive", ok=lambda v: 0 < v < math.inf)
+_COUNT = dict(kind=int, want="a positive integer", ok=lambda v: v > 0)
+
+
+def _each(name: str, value, **rule) -> list:
+    if not isinstance(value, list):
+        raise UsageError(f"{name} must be a list, got {value!r}")
+    return [_checked(f"{name}[{i}]", v, **rule) for i, v in enumerate(value)]
 
 
 @contextmanager
@@ -164,7 +176,7 @@ def load_matrix_file(path: str) -> tuple[np.ndarray, Dims]:
     for key in ("dims", "matrix"):
         if key not in obj:
             raise UsageError(f"matrix file {path} is missing the {key!r} field")
-    dims = Dims(tuple(obj["dims"]))
+    dims = Dims(tuple(_each("dims", obj["dims"], kind=int)))
     with _field(f"matrix in {path}"):
         mat = _from_pairs(obj["matrix"])
     if mat.shape != (dims.total, dims.total):
@@ -191,20 +203,19 @@ def build_model(cfg: dict, seed: int, *path: int) -> tuple[HermitianOp, Dims]:
         return HermitianOp(mat), dims
     name = cfg.get("name")
     if name == "ising":
-        p = models.IsingParams(int(cfg["n"]), float(cfg["J"]), float(cfg["h"]))
+        J, h = (_checked(k, cfg[k], **_FINITE) for k in "Jh")
+        p = models.IsingParams(_checked("n", cfg["n"], int), J, h)
         return models.ising_chain(p), Dims((2,) * p.n)
     if name == "pauli":
         H = models.pauli_string(cfg["string"])
         return H, Dims((2,) * len(cfg["string"]))
-    if name == "random_klocal":
-        dims = Dims(tuple(cfg["dims"]))
-        return models.random_klocal(dims, int(cfg["K"]), stream(seed, 1, *path)), dims
-    if name == "scrambled_klocal":
-        dims = Dims(tuple(cfg["dims"]))
-        H, _ = models.scrambled_klocal(dims, int(cfg["K"]), stream(seed, 1, *path))
-        return H, dims
+    if name in ("random_klocal", "scrambled_klocal"):
+        dims, K = Dims(tuple(_each("dims", cfg["dims"], kind=int))), _checked("K", cfg["K"], int)
+        if name == "random_klocal":
+            return models.random_klocal(dims, K, stream(seed, 1, *path)), dims
+        return models.scrambled_klocal(dims, K, stream(seed, 1, *path))[0], dims
     if name == "gue":
-        dims = Dims(tuple(cfg["dims"]))
+        dims = Dims(tuple(_each("dims", cfg["dims"], kind=int)))
         return _gue(dims.total, stream(seed, 1, *path)), dims
     raise UsageError(f"unknown model {cfg!r}")
 
@@ -237,7 +248,7 @@ def build_tps(spec, dims: Dims, seed: int, base: tps_mod.Tps, H: HermitianOp | N
         if kind == "evolved":
             if H is None:
                 raise UsageError("an evolved tps needs a model in the config")
-            return tps_mod.act(expm_i(H, float(spec["t"])), base)
+            return tps_mod.act(expm_i(H, _checked("tps t", spec["t"], **_FINITE)), base)
     raise UsageError(f"unknown tps spec {spec!r}")
 
 
@@ -265,11 +276,9 @@ def _site_kets(spec, dims: Dims) -> list[np.ndarray]:
 
 def _time_grid(cfg, H: HermitianOp) -> np.ndarray:
     grid = cfg.get("grid") or {}
-    points = int(grid.get("points", 64))
-    if points <= 0:
-        raise UsageError(f"grid.points must be positive, got {points}")
+    points = _checked("grid.points", grid.get("points", 64), **_COUNT)
     if "t_max" in grid:
-        return np.arange(points) * float(grid["t_max"]) / points
+        return np.arange(points) * _checked("grid.t_max", grid["t_max"], **_FINITE) / points
     return dynamics.default_time_grid(H, points)
 
 
@@ -291,10 +300,10 @@ def cmd_orbit(cfg: dict, out: str | None) -> int:
     H, dims = build_model(_model_cfg(cfg), seed)
     T = build_tps(cfg.get("tps"), dims, seed, tps_mod.canonical(dims), H)
     probe = tps_mod.product_state_in(T, _site_kets(cfg.get("probe"), dims))
-    site = int(cfg.get("site", 0))
+    site = _checked("site", cfg.get("site", 0), int)
     grid = _time_grid(cfg, H)
     curve = dynamics.entropy_orbit(H, T, probe, site, grid)
-    bin_ = float(cfg.get("bin", 1e-4))
+    bin_ = _checked("bin", cfg.get("bin", 1e-4), **_POSITIVE)
     _dump_csv("t,entropy", curve.to_csv_rows(), cfg, out)
     summary = {
         "config": cfg,
@@ -315,8 +324,8 @@ def cmd_fingerprint(cfg: dict, out: str | None) -> int:
     psi = build_state(cfg.get("state"), dims, seed)
     T1 = build_tps(cfg.get("tps1"), dims, seed, tps_mod.canonical(dims), H)
     T2 = build_tps(cfg.get("tps2"), dims, seed, T1, H, 1)
-    count = cfg.get("probe_count")
-    probes = kinds.build_probe_set(H, psi, int(count) if count else None, stream(seed, 5))
+    count = _checked("probe_count", cfg["probe_count"], **_COUNT) if "probe_count" in cfg else None
+    probes = kinds.build_probe_set(H, psi, count, stream(seed, 5))
     f1 = kinds.fingerprint(H, psi, T1, probes)
     f2 = kinds.fingerprint(H, psi, T2, probes)
     tps_eq = tps_mod.equivalent(T1, T2)
@@ -399,7 +408,7 @@ def cmd_kinds(cfg: dict, out: str | None) -> int:
 def _build_family(spec, seed: int, path: int) -> np.ndarray:
     if isinstance(spec, dict) and "random" in spec:
         r = spec["random"]
-        rng, shape = stream(seed, path), (int(r["count"]), int(r["dim"]))
+        rng, shape = stream(seed, path), tuple(_checked(k, r[k], **_COUNT) for k in ("count", "dim"))
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     if isinstance(spec, list):
         with _field("family"):
@@ -409,15 +418,15 @@ def _build_family(spec, seed: int, path: int) -> np.ndarray:
 
 def cmd_dualscan(cfg: dict, out: str | None) -> int:
     seed, tol = cfg["seed"], cfg["tol"]
-    dims = Dims(tuple(cfg.get("dims", [2, 2])))
-    trials = int(cfg.get("trials", 10))
-    t_values = [float(t) for t in cfg.get("t_values", [0.3, 0.7, 1.1])]
-    count = cfg.get("probe_count")
+    dims = Dims(tuple(_each("dims", cfg.get("dims", [2, 2]), kind=int)))
+    trials = _checked("trials", cfg.get("trials", 10), **_COUNT)
+    t_values = _each("t_values", cfg.get("t_values", [0.3, 0.7, 1.1]), **_FINITE)
+    count = _checked("probe_count", cfg["probe_count"], **_COUNT) if "probe_count" in cfg else None
     rows = []
     tally = {v.value: 0 for v in kinds.TpsVerdict}
     for trial in range(trials):
         H, psi, T1 = _dualscan_instance(dims, seed, trial)
-        probes = kinds.build_probe_set(H, psi, int(count) if count else None, stream(seed, trial, 1))
+        probes = kinds.build_probe_set(H, psi, count, stream(seed, trial, 1))
         f1 = kinds.fingerprint(H, psi, T1, probes)
         cases = [("local", _local_move(T1, stream(seed, trial, 100)))]
         cases += [(f"evolved:{t!r}", tps_mod.act(expm_i(H, t), T1)) for t in t_values]

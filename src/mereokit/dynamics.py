@@ -128,8 +128,8 @@ def entropy_orbit(
 
 def distinct_value_count(curve: OrbitCurve, bin: float) -> int:
     """Number of distinct entropy values after rounding to multiples of ``bin``."""
-    if bin <= 0:
-        raise DimensionMismatch("bin must be positive")
+    if not 0 < bin < np.inf:  # also False for NaN
+        raise DimensionMismatch(f"bin must be finite and positive, got {bin!r}")
     return int(np.unique(np.round(curve.entropies / bin).astype(np.int64)).size)
 
 

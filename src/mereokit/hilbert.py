@@ -65,6 +65,8 @@ class Dims:
     factors: tuple[int, ...]
 
     def __post_init__(self):
+        if not all(isinstance(d, (int, np.integer)) or float(d).is_integer() for d in self.factors):
+            raise InvariantViolation(f"factor dimensions must be integers, got {self.factors!r}")
         object.__setattr__(self, "factors", tuple(int(d) for d in self.factors))
         if len(self.factors) < 2:
             raise InvariantViolation("need at least two factors")

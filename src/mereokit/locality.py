@@ -7,18 +7,20 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvariantViolation
+from .errors import DimensionMismatch, InvariantViolation, ObjectiveUndefined
 from .hilbert import HermitianOp, StateVec, UnitaryOp, hs_norm_sq
 from .basis import WeightProfile, decompose, weight_profile
 from .tps import Tps, _eigen_entropies, act
 
-LOCALITY_RTOL = 1e-9  # default threshold on residual weight, relative to |H|_HS^2
+LOCALITY_RTOL = 1e-9  # default bound on the K-local residual
 WITNESS_ENTROPY = 1e-6  # site entropy above this witnesses entanglement generation
 PRODUCT_PROBE_TOL = 1e-9  # max site entropy for a probe to count as a product state
 
 
 @dataclass(frozen=True)
 class LocalityReport:
+    """Weight profile; ``min_k`` is the smallest K in 1..n with ``is_k_local`` (0 for H ∝ I)."""
+
     profile: WeightProfile
     min_k: int
     tol: float
@@ -31,24 +33,42 @@ class LocalityReport:
         }
 
 
+def k_local_residual(masses: np.ndarray, K: int) -> float:
+    """Weight-sector mass above K over the non-constant mass (sectors 1..n); undefined for H ∝ I."""
+    M = float(masses[1:].sum())
+    if M <= 1e-14 * float(masses.sum() + 1e-300):
+        raise ObjectiveUndefined("operator is proportional to the identity")
+    return float(masses[K + 1 :].sum()) / M
+
+
+def _within(masses: np.ndarray, K: int, tol: float) -> bool:
+    if not 0 < tol < np.inf:  # also False for NaN
+        raise DimensionMismatch(f"tol must be finite and positive, got {tol!r}")
+    return k_local_residual(masses, K) <= tol
+
+
 def _profile(H: HermitianOp, T: Tps) -> WeightProfile:
     return weight_profile(decompose(H, T))
 
 
 def locality_report(H: HermitianOp, T: Tps, tol: float = LOCALITY_RTOL) -> LocalityReport:
-    """Weight profile plus the smallest K whose tail weight is below tol."""
+    """Weight profile plus the smallest K whose K-local residual is at most tol."""
     prof = _profile(H, T)
-    cut = tol * hs_norm_sq(H)
-    above = [k for k in range(1, T.dims.n + 1) if prof.w[k] > cut]
-    return LocalityReport(prof, max(above) if above else 0, tol)
+    try:  # K = n always holds: nothing sits above it
+        min_k = next(K for K in range(1, T.dims.n + 1) if _within(prof.w, K, tol))
+    except ObjectiveUndefined:
+        min_k = 0
+    return LocalityReport(prof, min_k, tol)
 
 
 def is_k_local(H: HermitianOp, T: Tps, K: int, tol: float = LOCALITY_RTOL) -> bool:
-    """True iff the weight above K is at most tol * |H|_HS^2."""
+    """True iff the K-local residual of H in T is at most tol; H ∝ I is K-local for every K."""
     if not (1 <= K <= T.dims.n):
         raise DimensionMismatch(f"K={K} out of range 1..{T.dims.n}")
-    prof = _profile(H, T)
-    return float(prof.w[K + 1 :].sum()) <= tol * hs_norm_sq(H)
+    try:
+        return _within(_profile(H, T).w, K, tol)
+    except ObjectiveUndefined:
+        return True
 
 
 def conjugation_covariance_check(

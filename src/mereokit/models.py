@@ -42,13 +42,10 @@ class IsingParams:
     n: int
     J: float
     h: float
-    boundary: str = "open"
 
     def __post_init__(self):
         if self.n < 2:
             raise InvariantViolation("need n >= 2 sites")
-        if self.boundary != "open":
-            raise InvariantViolation("only open boundaries are supported")
 
 
 def ising_chain(p: IsingParams) -> HermitianOp:

@@ -8,22 +8,21 @@ f(x) = sum_k (mu_k - lam_k)^2, mu the ascending eigenvalues of L(x) and lam
 those of H; by Hellmann-Feynman its gradient is 2 Re coeff_tensor(W diag(mu
 - lam) W^dag) on those coefficients, W the eigenvectors of L(x). Then
 V = W U^dag, U the eigenvectors of H, maps H onto L(x) up to the remaining
-mismatch. The residual is the fraction of non-constant Hilbert-Schmidt
-weight of V H V^dag sitting in sectors above K (``objective``).
+mismatch. The residual (``objective``) is ``locality.k_local_residual`` of
+V H V^dag, the number ``converged`` thresholds and ``certify`` recomputes.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvariantViolation, ObjectiveUndefined
+from .errors import DimensionMismatch, InvariantViolation
 from .hilbert import Dims, HermitianOp, UnitaryOp
 from .basis import coeff_tensor, matrix_from_coeffs, weight_masses, weight_tensor
-from .locality import is_k_local
+from .locality import is_k_local, k_local_residual
 from .tps import Tps
 from .rng import stream as rng_stream
 
@@ -48,7 +47,7 @@ class SearchConfig:
         if self.K < 1 or self.restarts < 1 or self.max_iters < 1:
             raise DimensionMismatch("K, restarts and max_iters must be positive")
         r = self.success_residual
-        if not 0 < r < math.inf:  # also False for NaN
+        if not 0 < r < np.inf:  # also False for NaN
             raise DimensionMismatch(f"success_residual must be finite and positive, got {r!r}")
 
 
@@ -71,27 +70,10 @@ class SearchResult:
         }
 
 
-def _evaluate(H: np.ndarray, V: np.ndarray, dims: Dims, K: int) -> float:
-    """Weight fraction of A = V H V^dag above K, over its non-constant mass."""
-    A = V @ H @ V.conj().T
-    m = weight_masses(coeff_tensor(A, dims), dims.factors)
-    M = float(m[1:].sum())
-    if M <= 1e-14 * float(m.sum() + 1e-300):
-        raise ObjectiveUndefined("operator is proportional to the identity")
-    return float(m[K + 1 :].sum()) / M
-
-
-def objective(H: HermitianOp, V: UnitaryOp, K: int, dims: Dims | None = None) -> float:
-    """Weight fraction of V H V^dag above K, over the non-constant weight."""
-    dims = dims or _qubit_dims(H)
-    return _evaluate(H.mat, V.mat, dims, K)
-
-
-def _qubit_dims(H: HermitianOp) -> Dims:
-    n = int(round(np.log2(H.dim)))
-    if 2**n != H.dim:
-        raise DimensionMismatch("cannot infer factors; pass dims explicitly")
-    return Dims((2,) * n)
+def objective(H: HermitianOp, V: UnitaryOp, K: int, dims: Dims) -> float:
+    """The K-local residual of V H V^dag: its weight above K over its non-constant weight."""
+    A = V.mat @ H.mat @ V.mat.conj().T
+    return k_local_residual(weight_masses(coeff_tensor(A, dims), dims.factors), K)
 
 
 def _spectral_point(x: np.ndarray, c: np.ndarray, mask: np.ndarray, lam: np.ndarray, dims: Dims):
@@ -193,16 +175,16 @@ def search(H: HermitianOp, dims: Dims, cfg: SearchConfig) -> SearchResult:
             x0 = rng_stream(cfg.seed, r).standard_normal(int(mask.sum()))
             x0 *= scale / np.linalg.norm(x0)
         W = _match_spectrum(x0, c, mask, lam, dims, cfg.max_iters)
-        V = W @ U.conj().T
-        residuals.append(_evaluate(H.mat, V, dims, cfg.K))
+        V = UnitaryOp(W @ U.conj().T)
+        residuals.append(objective(H, V, cfg.K, dims))
         if best is None or residuals[-1] < residuals[best[0]]:
             best = (r, V)
     r, V = best
-    residual = _evaluate(H.mat, V, dims, cfg.K)
+    residual = objective(H, V, cfg.K, dims)
     if abs(residual - residuals[r]) > 1e-12:
         raise InvariantViolation("recomputed residual disagrees with the winning restart's")
     return SearchResult(
-        tps=Tps(dims, UnitaryOp(V)),
+        tps=Tps(dims, V),
         residual=residual,
         iterations=0,
         trace=((0, residuals[r]),),
@@ -212,5 +194,5 @@ def search(H: HermitianOp, dims: Dims, cfg: SearchConfig) -> SearchResult:
 
 
 def certify(H: HermitianOp, result: SearchResult, K: int, tol: float) -> bool:
-    """Independent recomputation of K-locality for the returned structure."""
+    """True iff the residual ``converged`` thresholds, recomputed from H and result.tps, is <= tol."""
     return is_k_local(H, result.tps, K, tol)

@@ -3,15 +3,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mereokit as mk
-from mereokit.basis import coeff_tensor, matrix_from_coeffs, weight_tensor
+from mereokit.basis import coeff_tensor, matrix_from_coeffs, weight_masses, weight_tensor
 from mereokit.models import SIGMA
 
 from conftest import random_hermitian
 
 
-def brute_force_coeffs(mat, dims):
-    """Independent oracle: explicit kron products and trace inner products."""
-    bases = [mk.site_basis(d).ops for d in dims.factors]
+def brute_force_coeffs(mat, dims, site_ops=None):
+    """Independent oracle: explicit kron products and trace inner products.
+
+    ``site_ops`` holds one sequence of d^2 site operators per factor; by default
+    the Gell-Mann bases of ``site_basis``.
+    """
+    bases = site_ops or [mk.site_basis(d).ops for d in dims.factors]
     out = np.zeros(tuple(d * d for d in dims.factors), dtype=complex)
     for alphas in np.ndindex(out.shape):
         B = mk.kron_all([bases[i][a] for i, a in enumerate(alphas)])
@@ -145,10 +149,6 @@ class TestKernel:
         back = mk.reconstruct(dec)
         assert np.abs(back.mat - H.mat).max() < 1e-10 * (1 + np.abs(H.mat).max())
 
-    def test_site_bases_must_match_factors(self, dims22):
-        with pytest.raises(mk.DimensionMismatch):
-            coeff_tensor(np.eye(4), dims22, bases=[mk.site_basis(2), mk.site_basis(3)])
-
 
 class TestWeightProfile:
     def test_identity(self, dims22):
@@ -207,10 +207,10 @@ class TestCovarianceAndBasisChoice:
             O, _ = np.linalg.qr(gauss)
             mixed = [sum(O[a, b] * ops[1 + b] for b in range(m)) for a in range(m)]
             alt.append(mk.SiteBasis(d, tuple([ops[0]] + mixed)))
-        T = mk.canonical(dims)
-        p1 = mk.weight_profile(mk.decompose(H, T))
-        p2 = mk.weight_profile(mk.decompose(H, T, bases=alt))
-        assert np.abs(p1.w - p2.w).max() < 1e-9
+        p1 = mk.weight_profile(mk.decompose(H, mk.canonical(dims)))
+        alt_coeffs = brute_force_coeffs(H.mat, dims, [b.ops for b in alt])
+        p2 = weight_masses(alt_coeffs, dims.factors)
+        assert np.abs(p1.w - p2).max() < 1e-9
 
 
 class TestSerialization:

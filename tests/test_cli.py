@@ -505,6 +505,47 @@ class TestUsage:
         assert f"error: {field} must be {want}, got {got!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,cfg,message", [
+        ("orbit", {"grid": {"points": 16}, "bin": float("nan")}, "bin must be finite and positive"),
+        ("orbit", {"grid": {"points": 16}, "bin": float("inf")}, "bin must be finite and positive"),
+        ("orbit", {"grid": {"points": 16, "t_max": float("nan")}}, "grid.t_max must be a finite number"),
+        ("orbit", {"site": 0.5}, "site must be an integer"),
+        ("dualscan", {"trials": -2}, "trials must be a positive integer"),
+        ("dualscan", {"dims": [2, 2.5], "trials": 1}, "dims[1] must be an integer"),
+        ("dualscan", {"trials": 1, "t_values": [0.3, float("nan")]}, "t_values[1] must be a finite number"),
+        ("dualscan", {"trials": 1, "probe_count": 0}, "probe_count must be a positive integer"),
+        ("profile", {"model": {"name": "ising", "n": 3.9, "J": 1.0, "h": 1.0}}, "n must be an integer"),
+        ("profile", {"model": {"name": "ising", "n": 3, "J": float("nan"), "h": 1.0}}, "J must be a finite"),
+        ("profile", {"model": {"name": "random_klocal", "dims": [2, 2], "K": 1.5}}, "K must be an integer"),
+        ("profile", {"model": {"name": "gue", "dims": 4}}, "dims must be a list"),
+        ("fingerprint", {"probe_count": 0}, "probe_count must be a positive integer"),
+        ("fingerprint", {"tps2": {"kind": "evolved", "t": float("inf")}}, "tps t must be a finite number"),
+        ("kinds", {"mode": "gram", "family1": {"random": {"dim": 4, "count": 2.5}}, "family2": "rotated"},
+         "count must be a positive integer"),
+    ])
+    def test_bad_numbers_name_field_and_write_nothing(self, tmp_path, capsys, command, cfg, message):
+        base = {
+            "orbit": {"model": {"name": "pauli", "string": "XX"}},
+            "profile": {},
+            "fingerprint": {"model": {"name": "gue", "dims": [2, 2]}, "tps2": {"kind": "random"}},
+            "dualscan": {},
+            "kinds": {},
+        }[command]
+        out = tmp_path / "out"
+        argv = [command, "--config", write_config(tmp_path, "c.json", {**base, **cfg, "seed": 1})]
+        assert run_cli([*argv, "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.glob("out*")) == []
+
+    def test_integral_floats_run_with_config_kept_raw(self, tmp_path, capsys):
+        cfg = {"model": {"name": "ising", "n": 3.0, "J": 1, "h": "1.0"}, "seed": 1}
+        assert run_cli(["profile", "--config", write_config(tmp_path, "c.json", cfg)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["report"]["min_k"] == 2 and out["config"]["model"] == cfg["model"]
+        cfg = {"dims": [2.0, 2], "trials": 1.0, "t_values": [1], "seed": 1}
+        assert run_cli(["dualscan", "--config", write_config(tmp_path, "d.json", cfg)]) == 0
+        assert '"dims": [2.0, 2]' in capsys.readouterr().out
+
     @pytest.mark.parametrize("value", [7, 7.0, "7"])
     def test_integral_seed_runs(self, tmp_path, capsys, value):
         cfg = write_config(tmp_path, "c.json", {"model": {"name": "gue", "dims": [2, 2]}, "seed": value})

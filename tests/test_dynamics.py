@@ -187,6 +187,14 @@ class TestDistinctValues:
         with pytest.raises(mk.DimensionMismatch):
             mk.distinct_value_count(curve, 0.0)
 
+    @pytest.mark.parametrize("bin_", [float("nan"), float("inf"), -1.0])
+    def test_bin_must_be_finite_and_positive(self, dims22, bin_):
+        H = mk.pauli_string("XX")
+        probe = mk.StateVec(np.array([1, 0, 0, 0], dtype=complex))
+        curve = mk.entropy_orbit(H, mk.canonical(dims22), probe, 0, [0.0])
+        with pytest.raises(mk.DimensionMismatch, match="bin"):
+            mk.distinct_value_count(curve, bin_)
+
 
 class TestCsvRows:
     def test_rows_match_curve(self, dims22):

@@ -18,6 +18,12 @@ class TestCarriers:
         with pytest.raises(mk.InvariantViolation):
             mk.Dims((2, 1))
 
+    def test_dims_integral_factors(self):
+        assert mk.Dims((2.0, np.int64(3))).factors == (2, 3)
+        for bad in [(2, 2.5), (2, float("nan")), (2, float("inf"))]:
+            with pytest.raises(mk.InvariantViolation, match="integers"):
+                mk.Dims(bad)
+
     def test_hermitian_rejects_nonhermitian(self):
         with pytest.raises(mk.InvariantViolation):
             mk.HermitianOp(np.array([[0, 1], [0, 0]], dtype=complex))

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mereokit as mk
+from mereokit.basis import weight_tensor
+from mereokit.locality import k_local_residual
 from mereokit.models import SIGMA
 
 from conftest import random_hermitian
@@ -66,6 +69,84 @@ class TestLocalityReport:
         rep = mk.locality_report(mk.ising_chain(mk.IsingParams(3, 1.0, 1.0)), mk.canonical(dims222))
         obj = rep.to_json()
         assert obj["min_k"] == 2 and len(obj["weights"]) == 4
+
+
+def shifted(H, c, s=1.0):
+    return mk.HermitianOp(s * H.mat + c * np.eye(H.dim))
+
+
+class TestOneResidual:
+    """``is_k_local``, ``min_k`` and ``objective`` read the same K-local residual."""
+
+    @pytest.mark.parametrize("c", [0.0, 1e2, 1e5, -1e5])
+    def test_shifted_ising_chain(self, dims222, c):
+        # weights 24 and 16 in sectors 1 and 2 whatever the shift; the identity's
+        # mass (8 c^2) used to swamp the cut and report min_k 0 and 1-local
+        H = shifted(mk.ising_chain(mk.IsingParams(3, 1.0, 1.0)), c)
+        T = mk.canonical(dims222)
+        rep = mk.locality_report(H, T)
+        assert rep.min_k == 2
+        assert rep.profile.w[1:] == pytest.approx([24.0, 16.0, 0.0], abs=1e-6)
+        assert not mk.is_k_local(H, T, 1)
+        assert mk.is_k_local(H, T, 2)
+        J = mk.objective(H, mk.UnitaryOp(np.eye(8)), 1, dims222)
+        assert J == pytest.approx(0.4, rel=1e-9)
+        assert J == pytest.approx(k_local_residual(rep.profile.w, 1), rel=1e-9)
+
+    def test_min_k_agrees_with_is_k_local(self, dims222):
+        # masses 1, 6e-4, 6e-4 in sectors 1..3: every single sector is below tol,
+        # but the weight above K = 1 is not, so min_k is 2 (it used to be 1)
+        w = weight_tensor(dims222.factors)
+        c = np.zeros(w.shape)
+        for k, mass in ((1, 1.0), (2, 6e-4), (3, 6e-4)):
+            c[tuple(np.argwhere(w == k)[0])] = np.sqrt(mass)
+        H = mk.reconstruct(mk.Decomposition(dims222, c))
+        T = mk.canonical(dims222)
+        assert mk.locality_report(H, T, 1e-3).min_k == 2
+        assert not mk.is_k_local(H, T, 1, 1e-3)
+        assert mk.is_k_local(H, T, 2, 1e-3)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_tol_raises(self, dims222, tol):
+        T = mk.canonical(dims222)
+        for H in (mk.ising_chain(mk.IsingParams(3, 1.0, 1.0)), mk.HermitianOp(np.eye(8))):
+            with pytest.raises(mk.DimensionMismatch, match="tol"):
+                mk.locality_report(H, T, tol)
+            with pytest.raises(mk.DimensionMismatch, match="tol"):
+                mk.is_k_local(H, T, 2, tol)
+
+    def test_identity_outcomes(self, dims222):
+        T = mk.canonical(dims222)
+        H = mk.HermitianOp(3.0 * np.eye(8))
+        assert mk.locality_report(H, T).min_k == 0
+        assert all(mk.is_k_local(H, T, K) for K in (1, 2, 3))
+        with pytest.raises(mk.ObjectiveUndefined):
+            mk.objective(H, mk.UnitaryOp(np.eye(8)), 1, dims222)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        factors=st.sampled_from([(2, 2), (2, 3), (2, 2, 2), (2, 2, 3), (3, 3)]),
+        seed=st.integers(0, 2**16),
+        c=st.floats(-1e5, 1e5),
+        s=st.floats(0.1, 10.0),
+        data=st.data(),
+    )
+    def test_invariant_under_scale_and_shift(self, factors, seed, c, s, data):
+        # s is kept within a decade of 1: with |c| = 1e5 a much smaller s leaves
+        # the non-constant weight below 1e-14 of the total, where H counts as ∝ I
+        dims = mk.Dims(factors)
+        K = data.draw(st.integers(1, dims.n))
+        H = mk.random_klocal(dims, K, mk.stream(seed))
+        T = mk.canonical(dims)
+        min_k = mk.locality_report(H, T).min_k
+        assert min_k == K
+        moved = shifted(H, c, s)
+        assert mk.locality_report(moved, T).min_k == min_k
+        for k in range(1, dims.n + 1):
+            assert mk.is_k_local(moved, T, k) == mk.is_k_local(H, T, k) == (k >= min_k)
+        assert mk.is_k_local(moved, T, min_k)
+        if min_k >= 2:
+            assert not mk.is_k_local(moved, T, min_k - 1)
 
 
 class TestConjugationCovariance:

@@ -29,8 +29,6 @@ class TestIsingChain:
     def test_params_validated(self):
         with pytest.raises(mk.InvariantViolation):
             mk.IsingParams(1, 1.0, 1.0)
-        with pytest.raises(mk.InvariantViolation):
-            mk.IsingParams(3, 1.0, 1.0, boundary="periodic")
 
 
 class TestDualTps:

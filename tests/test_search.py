@@ -43,14 +43,6 @@ class TestObjective:
         b = mk.objective(shifted, V, 2, dims222)
         assert a == pytest.approx(b, rel=1e-10)
 
-    def test_qubit_inference_matches_explicit(self):
-        rng = mk.stream(808)
-        H = random_hermitian(8, rng)
-        V = mk.haar_unitary(8, rng)
-        a = mk.objective(H, V, 2)
-        b = mk.objective(H, V, 2, mk.Dims((2, 2, 2)))
-        assert a == pytest.approx(b, rel=1e-12)
-
 
 class TestSearch:
     def test_already_local_fast_path(self, dims222):
@@ -211,6 +203,33 @@ class TestCertify:
         H = random_hermitian(8, rng)
         res = mk.search(H, dims222, mk.SearchConfig(K=1, restarts=2, max_iters=100, seed=816))
         assert not mk.certify(H, res, 1, 1e-6)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e2, 1e4])
+    def test_shifted_gue_certify_agrees(self, dims222, shift):
+        # the GUE drawn by the CLI's {"name": "gue", "dims": [2, 2, 2]} under seed 3; at
+        # shift 1e4 certify used to measure the tail against the identity's mass and pass
+        G = random_hermitian(8, mk.stream(3, 1))
+        H = mk.HermitianOp(G.mat + shift * np.eye(8))
+        res = mk.search(H, dims222, mk.SearchConfig(K=1, restarts=2, seed=3))
+        assert res.residual == pytest.approx(2.84e-3, rel=1e-2)
+        assert not res.converged
+        assert not mk.certify(H, res, 1, 1e-6)
+
+    @pytest.mark.parametrize("factors", [(2, 2), (2, 2, 2), (2, 3), (2, 2, 3)])
+    def test_certify_equals_converged(self, factors):
+        # scrambled K-local and generic instances, shifted and not, K = 1 and 2
+        dims = mk.Dims(factors)
+        verdicts = set()
+        for k, (K, shift) in enumerate([(1, 0.0), (1, 1e4), (2, 0.0), (2, -1e3)]):
+            for scrambled in (True, False):
+                rng = mk.stream(850, dims.total, k)
+                H = mk.scrambled_klocal(dims, K, rng)[0] if scrambled else random_hermitian(dims.total, rng)
+                H = mk.HermitianOp(H.mat + shift * np.eye(dims.total))
+                cfg = mk.SearchConfig(K=K, restarts=2, seed=k)
+                res = mk.search(H, dims, cfg)
+                assert mk.certify(H, res, K, cfg.success_residual) == res.converged
+                verdicts.add(res.converged)
+        assert verdicts == {True, False}
 
     def test_invariant_under_local_postcomposition(self, dims222):
         H, _ = mk.scrambled_klocal(dims222, 2, mk.stream(817))
