@@ -18,7 +18,7 @@ from .errors import DimensionMismatch, InvariantViolation
 from .hilbert import ATOL, Dims, HermitianOp
 from .tps import Tps
 
-DUST_RTOL = 1e-10  # coefficients below this (relative to the HS norm) count as zero
+DUST_RTOL = 1e-10  # JSON entries at or below this times the HS norm are omitted; no verdict reads it
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,10 @@ def decompose(H: HermitianOp, T: Tps) -> Decomposition:
     if H.dim != T.dims.total:
         raise DimensionMismatch(f"operator dim {H.dim} != product dim {T.dims.total}")
     pushed = T.iso.mat @ H.mat @ T.iso.mat.conj().T
-    return Decomposition(T.dims, coeff_tensor(pushed, T.dims))
+    m = np.trace(pushed).real / H.dim  # expanded apart: rounding a large c I leaks into no sector
+    coeffs = coeff_tensor(pushed - m * np.eye(H.dim), T.dims)
+    coeffs.flat[0] += m * math.sqrt(H.dim)
+    return Decomposition(T.dims, coeffs)
 
 
 def reconstruct(dec: Decomposition) -> HermitianOp:
@@ -163,19 +166,19 @@ def weight_tensor(factors: tuple[int, ...]) -> np.ndarray:
     return w
 
 
-def weight_masses(coeffs: np.ndarray, factors: tuple[int, ...], dust: float = 0.0) -> np.ndarray:
-    """Squared-coefficient mass per weight sector; entries below ``dust`` dropped."""
-    mag2 = (coeffs.conj() * coeffs).real
-    if dust > 0.0:
-        mag2 = np.where(np.abs(coeffs) > dust, mag2, 0.0)
-    return np.bincount(
-        weight_tensor(factors).ravel(), weights=mag2.ravel(), minlength=len(factors) + 1
-    )
+def weight_masses(coeffs: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
+    """Squared-coefficient mass per weight sector; one at or below (D eps)^2 times the total is 0.
+
+    Rounding in the D-term sums that formed the matrix leaves noise of about D eps^2 times the
+    total mass (the expansion is orthonormal); the floor, a factor D above, is scale-free."""
+    mag2 = (coeffs.conj() * coeffs).real.ravel()
+    masses = np.bincount(weight_tensor(factors).ravel(), weights=mag2, minlength=len(factors) + 1)
+    masses[masses <= (math.prod(factors) * np.finfo(float).eps) ** 2 * masses.sum()] = 0.0
+    return masses
 
 
 def weight_profile(dec: Decomposition) -> WeightProfile:
-    norm = math.sqrt(dec.hs_norm_sq())
-    return WeightProfile(weight_masses(dec.coeffs, dec.dims.factors, dust=DUST_RTOL * norm))
+    return WeightProfile(weight_masses(dec.coeffs, dec.dims.factors))
 
 
 def decomposition_to_json(dec: Decomposition) -> dict:

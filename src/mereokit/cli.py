@@ -63,7 +63,8 @@ def _load_json(path: str) -> dict:
 
 
 # default tolerance of each subcommand that takes one; orbit and search take none
-_TOL_DEFAULTS = {"profile": locality.LOCALITY_RTOL, "fingerprint": 1e-7, "kinds": 1e-8, "dualscan": 1e-7}
+_TOL_DEFAULTS = {"profile": locality.LOCALITY_RTOL, "fingerprint": kinds.FINGERPRINT_TOL,
+                 "kinds": kinds.WITNESS_TOL, "dualscan": kinds.FINGERPRINT_TOL}
 
 
 def _resolve_config(args) -> dict:
@@ -277,8 +278,11 @@ def _site_kets(spec, dims: Dims) -> list[np.ndarray]:
 def _time_grid(cfg, H: HermitianOp) -> np.ndarray:
     grid = cfg.get("grid") or {}
     points = _checked("grid.points", grid.get("points", 64), **_COUNT)
-    if "t_max" in grid:
-        return np.arange(points) * _checked("grid.t_max", grid["t_max"], **_FINITE) / points
+    if "t_max" in grid:  # every grid time and phase t * eigenvalue must be finite, too
+        reach = points * max(1.0, float(np.abs(H.eig[0]).max()))
+        want = "a finite number, with finite grid times and phases t * eigenvalue"
+        t_max = _checked("grid.t_max", grid["t_max"], float, want, lambda t: math.isfinite(t * reach))
+        return np.arange(points) * t_max / points
     return dynamics.default_time_grid(H, points)
 
 

@@ -79,7 +79,7 @@ class Dims:
 
     @property
     def total(self) -> int:
-        return int(np.prod(self.factors))
+        return math.prod(self.factors)
 
 
 @dataclass(frozen=True)

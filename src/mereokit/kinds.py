@@ -31,6 +31,8 @@ DEGENERACY_GAP = 1e-8  # minimum eigenvalue gap for a spectrum to count as simpl
 SUPPORT_MIN = 1e-8  # minimum |<eigvec|psi>| for full support
 GROUPING_TOL = 1e-9  # eigenvalues closer than this share an eigenspace
 SKIP_NORM = 1e-10  # probe states below this norm are skipped, not normalized
+FINGERPRINT_TOL = 1e-7  # max fingerprint distance for two structures to count as the same
+WITNESS_TOL = 1e-8  # max spectrum, eigenspace-weight or Gram mismatch for pairs to share an orbit
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,7 @@ def pair_kind_of(H: HermitianOp, psi: StateVec) -> PairKindSpec:
 
 
 def pair_membership(
-    H: HermitianOp, psi: StateVec, spec: PairKindSpec, tol: float = 1e-8
+    H: HermitianOp, psi: StateVec, spec: PairKindSpec, tol: float = WITNESS_TOL
 ) -> bool:
     """Does (H, psi) match the spectrum and eigenspace weights of ``spec``?"""
     c = _amplitudes(H, psi)
@@ -155,7 +157,7 @@ def pair_orbit_witness(
     psi1: StateVec,
     H2: HermitianOp,
     psi2: StateVec,
-    tol: float = 1e-8,
+    tol: float = WITNESS_TOL,
 ) -> UnitaryOp:
     """Unitary U with U H1 U^dag = H2 and U psi1 = psi2.
 
@@ -204,7 +206,7 @@ def gram_matrix(family: Sequence) -> GramSpec:
     return GramSpec(F.conj() @ F.T)
 
 
-def gram_orbit_witness(family1: Sequence, family2: Sequence, tol: float = 1e-8) -> UnitaryOp:
+def gram_orbit_witness(family1: Sequence, family2: Sequence, tol: float = WITNESS_TOL) -> UnitaryOp:
     """Unitary mapping family1 onto family2, member by member.
 
     Exists exactly when the Gram matrices agree. The witness is then the
@@ -308,7 +310,7 @@ def fingerprint(H: HermitianOp, psi: StateVec, T: Tps, probes: ProbeSet) -> Fing
     return Fingerprint(entries, frozenset(np.flatnonzero(~keep)))
 
 
-def fingerprints_equal(f1: Fingerprint, f2: Fingerprint, tol: float = 1e-9) -> bool:
+def fingerprints_equal(f1: Fingerprint, f2: Fingerprint, tol: float = FINGERPRINT_TOL) -> bool:
     """Entrywise comparison over the shared, unskipped probes."""
     if f1.entries.shape != f2.entries.shape:
         raise IncomparableFingerprints(
@@ -345,7 +347,7 @@ def cross_validate_tps(
     T1: Tps,
     T2: Tps,
     probes: ProbeSet,
-    tol: float = 1e-7,
+    tol: float = FINGERPRINT_TOL,
 ) -> TpsVerdict:
     """Cross-check the fingerprint discriminator against direct equivalence.
 

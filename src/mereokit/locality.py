@@ -34,9 +34,9 @@ class LocalityReport:
 
 
 def k_local_residual(masses: np.ndarray, K: int) -> float:
-    """Weight-sector mass above K over the non-constant mass (sectors 1..n); undefined for H ∝ I."""
+    """``weight_masses`` above K over those of sectors 1..n; undefined for H ∝ I (all of them 0)."""
     M = float(masses[1:].sum())
-    if M <= 1e-14 * float(masses.sum() + 1e-300):
+    if M == 0.0:
         raise ObjectiveUndefined("operator is proportional to the identity")
     return float(masses[K + 1 :].sum()) / M
 

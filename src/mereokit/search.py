@@ -8,8 +8,8 @@ f(x) = sum_k (mu_k - lam_k)^2, mu the ascending eigenvalues of L(x) and lam
 those of H; by Hellmann-Feynman its gradient is 2 Re coeff_tensor(W diag(mu
 - lam) W^dag) on those coefficients, W the eigenvectors of L(x). Then
 V = W U^dag, U the eigenvectors of H, maps H onto L(x) up to the remaining
-mismatch. The residual (``objective``) is ``locality.k_local_residual`` of
-V H V^dag, the number ``converged`` thresholds and ``certify`` recomputes.
+mismatch. The residual (``objective``) is the K-local residual of H in V as
+``is_k_local`` reads it, so ``converged`` and ``certify`` threshold one number.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
 from .hilbert import Dims, HermitianOp, UnitaryOp
-from .basis import coeff_tensor, matrix_from_coeffs, weight_masses, weight_tensor
-from .locality import is_k_local, k_local_residual
+from .basis import coeff_tensor, matrix_from_coeffs, weight_tensor
+from .locality import _profile, is_k_local, k_local_residual
 from .tps import Tps
 from .rng import stream as rng_stream
 
@@ -71,9 +71,8 @@ class SearchResult:
 
 
 def objective(H: HermitianOp, V: UnitaryOp, K: int, dims: Dims) -> float:
-    """The K-local residual of V H V^dag: its weight above K over its non-constant weight."""
-    A = V.mat @ H.mat @ V.mat.conj().T
-    return k_local_residual(weight_masses(coeff_tensor(A, dims), dims.factors), K)
+    """The K-local residual of H in the structure V, from the masses ``is_k_local`` reads."""
+    return k_local_residual(_profile(H, Tps(dims, V)).w, K)
 
 
 def _spectral_point(x: np.ndarray, c: np.ndarray, mask: np.ndarray, lam: np.ndarray, dims: Dims):

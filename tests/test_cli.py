@@ -522,7 +522,12 @@ class TestUsage:
         ("fingerprint", {"tps2": {"kind": "evolved", "t": float("inf")}}, "tps t must be a finite number"),
         ("kinds", {"mode": "gram", "family1": {"random": {"dim": 4, "count": 2.5}}, "family2": "rotated"},
          "count must be a positive integer"),
+        # the grid times overflow, or their phases against the spectrum do
+        ("orbit", {"grid": {"points": 16, "t_max": 1e308}}, "grid.t_max must be a finite number"),
+        ("orbit", {"model": {"name": "ising", "n": 2, "J": 1e300, "h": 1.0}, "grid": {"points": 16, "t_max": 1e10}},
+         "grid.t_max must be a finite number"),
     ])
+    @pytest.mark.filterwarnings("error")
     def test_bad_numbers_name_field_and_write_nothing(self, tmp_path, capsys, command, cfg, message):
         base = {
             "orbit": {"model": {"name": "pauli", "string": "XX"}},

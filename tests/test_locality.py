@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,10 +80,10 @@ def shifted(H, c, s=1.0):
 class TestOneResidual:
     """``is_k_local``, ``min_k`` and ``objective`` read the same K-local residual."""
 
-    @pytest.mark.parametrize("c", [0.0, 1e2, 1e5, -1e5])
+    @pytest.mark.parametrize("c", [0.0, 1e2, 1e5, -1e5, 3e7, 1e10, 1e12, -1e14])
     def test_shifted_ising_chain(self, dims222, c):
         # weights 24 and 16 in sectors 1 and 2 whatever the shift; the identity's
-        # mass (8 c^2) used to swamp the cut and report min_k 0 and 1-local
+        # mass (8 c^2) must neither swamp them nor round them away
         H = shifted(mk.ising_chain(mk.IsingParams(3, 1.0, 1.0)), c)
         T = mk.canonical(dims222)
         rep = mk.locality_report(H, T)
@@ -115,13 +117,57 @@ class TestOneResidual:
             with pytest.raises(mk.DimensionMismatch, match="tol"):
                 mk.is_k_local(H, T, 2, tol)
 
-    def test_identity_outcomes(self, dims222):
+    def test_identity_outcomes(self):
+        # c I stays ∝ I in a Haar-conjugated frame too: the rounding floor absorbs its noise
+        for n, c in itertools.product((3, 5, 7), (3.0, -1e12)):
+            dims = mk.Dims((2,) * n)
+            T = mk.canonical(dims)
+            H = mk.HermitianOp(c * np.eye(dims.total))
+            assert mk.locality_report(H, T).min_k == 0
+            assert all(mk.is_k_local(H, T, K) for K in range(1, n + 1))
+            for V in (mk.UnitaryOp(np.eye(dims.total)), mk.haar_unitary(dims.total, mk.stream(n))):
+                with pytest.raises(mk.ObjectiveUndefined):
+                    mk.objective(H, V, 1, dims)
+                assert mk.locality_report(H, mk.Tps(dims, V)).min_k == 0
+
+    def test_certify_reads_the_objective(self, dims222):
+        # a ZZZ term with 8e-22 of the non-constant mass: certify and converged must
+        # threshold that one number (a coefficient cut once hid it from is_k_local)
+        delta = np.sqrt(4e-21)
+        H = mk.HermitianOp(mk.ising_chain(mk.IsingParams(3, 1.0, 1.0)).mat
+                           + delta * mk.pauli_string("ZZZ").mat)
         T = mk.canonical(dims222)
-        H = mk.HermitianOp(3.0 * np.eye(8))
-        assert mk.locality_report(H, T).min_k == 0
-        assert all(mk.is_k_local(H, T, K) for K in (1, 2, 3))
-        with pytest.raises(mk.ObjectiveUndefined):
-            mk.objective(H, mk.UnitaryOp(np.eye(8)), 1, dims222)
+        J = mk.objective(H, T.iso, 2, dims222)
+        assert J == pytest.approx(8.0e-22, rel=1e-6)
+        for tol in (1e-25, 1e-21):
+            result = mk.SearchResult(T, J, 0, ((0, J),), J <= tol, (J,))
+            assert mk.is_k_local(H, T, 2, tol) == mk.certify(H, result, 2, tol) == (J <= tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        factors=st.sampled_from([(2, 2), (2, 3), (2, 2, 2), (2, 2, 3), (3, 3)]),
+        seed=st.integers(0, 2**16),
+        c=st.sampled_from([0.0, 1e5, -1e5, 3e7, 1e10, 1e12]),
+        tol=st.sampled_from([1e-25, 1e-9, 0.3]),
+        data=st.data(),
+    )
+    def test_large_shifts(self, factors, seed, c, tol, data):
+        # each sector's root mass within 1e-6 relative, or within sqrt(D) eps |c|: storing
+        # H + c I rounds each diagonal entry by up to ulp(c) / 2, which alone moves the
+        # weights of a (2, 2, 2) instance by about 4e-6 relative at c = 1e12
+        dims = mk.Dims(factors)
+        K = data.draw(st.integers(1, dims.n))
+        H = mk.random_klocal(dims, K, mk.stream(seed))
+        T = mk.canonical(dims)
+        moved = shifted(H, c)
+        rep = mk.locality_report(moved, T)
+        assert rep.min_k == K
+        slack = np.sqrt(dims.total) * np.finfo(float).eps * abs(c)
+        want = np.sqrt(mk.locality_report(H, T).profile.w[1:])
+        assert np.sqrt(rep.profile.w[1:]) == pytest.approx(want, rel=1e-6, abs=slack)
+        for k in range(1, dims.n + 1):
+            J = mk.objective(moved, T.iso, k, dims)
+            assert mk.is_k_local(moved, T, k, tol) == (J <= tol)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -132,8 +178,6 @@ class TestOneResidual:
         data=st.data(),
     )
     def test_invariant_under_scale_and_shift(self, factors, seed, c, s, data):
-        # s is kept within a decade of 1: with |c| = 1e5 a much smaller s leaves
-        # the non-constant weight below 1e-14 of the total, where H counts as ∝ I
         dims = mk.Dims(factors)
         K = data.draw(st.integers(1, dims.n))
         H = mk.random_klocal(dims, K, mk.stream(seed))
