@@ -8,6 +8,7 @@ from .errors import (
     MereokitError,
     NoWitnessError,
     ObjectiveUndefined,
+    ScaleOutOfRange,
 )
 from .hilbert import (
     DensityOp,

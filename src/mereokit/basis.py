@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvariantViolation
+from .errors import DimensionMismatch, InvariantViolation, ScaleOutOfRange
 from .hilbert import ATOL, Dims, HermitianOp
 from .tps import Tps
 
@@ -170,10 +170,14 @@ def weight_masses(coeffs: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
     """Squared-coefficient mass per weight sector; one at or below (D eps)^2 times the total is 0.
 
     Rounding in the D-term sums that formed the matrix leaves noise of about D eps^2 times the
-    total mass (the expansion is orthonormal); the floor, a factor D above, is scale-free."""
-    mag2 = (coeffs.conj() * coeffs).real.ravel()
+    total mass (the expansion is orthonormal); the floor, a factor D above, is scale-free.
+    Nonzero coefficients whose masses overflow or all underflow raise ScaleOutOfRange."""
+    with np.errstate(over="ignore"):  # an overflow is refused below, by name
+        mag2 = (coeffs.conj() * coeffs).real.ravel()
     masses = np.bincount(weight_tensor(factors).ravel(), weights=mag2, minlength=len(factors) + 1)
     masses[masses <= (math.prod(factors) * np.finfo(float).eps) ** 2 * masses.sum()] = 0.0
+    if not masses.any() and coeffs.any():  # an infinite mass floors them all
+        raise ScaleOutOfRange(f"weight masses leave float64 at scale {np.abs(coeffs).max():.1e}")
     return masses
 
 

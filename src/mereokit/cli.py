@@ -32,7 +32,7 @@ from .search import SearchConfig
 from .search import search as run_search
 from .errors import HypothesisViolation, MereokitError, NoWitnessError
 from .hilbert import Dims, HermitianOp, StateVec, UnitaryOp, expm_i, haar_state, haar_unitary, kron_all
-from .hilbert import _from_pairs, _to_pairs
+from .hilbert import _from_pairs, _to_pairs, _unit
 from .rng import stream
 
 EXIT_OK = 0
@@ -172,7 +172,7 @@ def _dump_csv(header: str, rows, config: dict, out: str | None):
     _write("\n".join(lines) + "\n", out)
 
 
-def load_matrix_file(path: str) -> tuple[np.ndarray, Dims]:
+def load_matrix_file(path: str) -> tuple[HermitianOp, Dims]:
     obj = _load_json(path)
     for key in ("dims", "matrix"):
         if key not in obj:
@@ -180,9 +180,9 @@ def load_matrix_file(path: str) -> tuple[np.ndarray, Dims]:
     dims = Dims(tuple(_each("dims", obj["dims"], kind=int)))
     with _field(f"matrix in {path}"):
         mat = _from_pairs(obj["matrix"])
-    if mat.shape != (dims.total, dims.total):
-        raise UsageError(f"matrix shape {mat.shape} inconsistent with dims {dims.factors}")
-    return mat, dims
+        if mat.shape != (dims.total, dims.total):
+            raise UsageError(f"matrix shape {mat.shape} inconsistent with dims {dims.factors}")
+        return HermitianOp(mat), dims
 
 
 def save_matrix_file(path: str, mat: np.ndarray, dims: Dims):
@@ -200,8 +200,7 @@ def _model_cfg(cfg: dict) -> dict:
 def build_model(cfg: dict, seed: int, *path: int) -> tuple[HermitianOp, Dims]:
     """Hamiltonian named in a config; a random model draws from ``stream(seed, 1, *path)``."""
     if "file" in cfg:
-        mat, dims = load_matrix_file(cfg["file"])
-        return HermitianOp(mat), dims
+        return load_matrix_file(cfg["file"])
     name = cfg.get("name")
     if name == "ising":
         J, h = (_checked(k, cfg[k], **_FINITE) for k in "Jh")
@@ -259,8 +258,7 @@ def build_state(spec, dims: Dims, seed: int, *path: int) -> StateVec:
         return haar_state(dims.total, stream(seed, 4, *path))
     if isinstance(spec, list):
         with _field("state"):
-            v = _from_pairs(spec)
-        return StateVec(v / np.linalg.norm(v))
+            return StateVec(_unit(_from_pairs(spec)))
     raise UsageError(f"unknown state spec {spec!r}")
 
 
@@ -270,8 +268,7 @@ def _site_kets(spec, dims: Dims) -> list[np.ndarray]:
     if spec == "plus":
         return [np.ones(d, dtype=complex) / np.sqrt(d) for d in dims.factors]
     if isinstance(spec, list):
-        with _field("probe"):
-            return [_from_pairs(row) for row in spec]
+        return [_from_pairs(row) for row in spec]
     raise UsageError(f"unknown probe spec {spec!r}")
 
 
@@ -303,7 +300,8 @@ def cmd_orbit(cfg: dict, out: str | None) -> int:
     seed = cfg["seed"]
     H, dims = build_model(_model_cfg(cfg), seed)
     T = build_tps(cfg.get("tps"), dims, seed, tps_mod.canonical(dims), H)
-    probe = tps_mod.product_state_in(T, _site_kets(cfg.get("probe"), dims))
+    with _field("probe"):
+        probe = tps_mod.product_state_in(T, _site_kets(cfg.get("probe"), dims))
     site = _checked("site", cfg.get("site", 0), int)
     grid = _time_grid(cfg, H)
     curve = dynamics.entropy_orbit(H, T, probe, site, grid)
@@ -353,15 +351,13 @@ def cmd_search(cfg: dict, out: str | None) -> int:
 
 def _search_config(sc: dict, seed: int) -> SearchConfig:
     """SearchConfig from a ``search`` entry: SearchConfig's defaults and types, with K = 2."""
-    defaults = {f.name: f.default for f in dataclasses.fields(SearchConfig)}
-    defaults.update(K=2, seed=seed)
+    defaults = {f.name: f.default for f in dataclasses.fields(SearchConfig) if f.name != "seed"}
+    defaults["K"] = 2
     unknown = sorted(set(sc) - set(defaults))
     if unknown:
         raise UsageError(f"unknown search field {unknown[0]!r}")
-    given = {
-        k: _checked(f"search field {k!r}", v, type(defaults[k])) for k, v in sc.items() if k != "seed"
-    }
-    return SearchConfig(**{**defaults, **given})
+    given = {k: _checked(f"search field {k!r}", v, type(defaults[k])) for k, v in sc.items()}
+    return SearchConfig(**{**defaults, **given}, seed=seed)
 
 
 def _kinds_pair(cfg_pair, seed: int, path: int):

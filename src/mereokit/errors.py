@@ -30,6 +30,10 @@ class NoWitnessError(MereokitError):
     """The two structures are not on the same orbit; no unitary maps one to the other."""
 
 
+class ScaleOutOfRange(MereokitError, ArithmeticError):
+    """A nonzero operator's weight masses overflow, or all underflow to 0, in float64."""
+
+
 class ObjectiveUndefined(MereokitError, ValueError):
     """The locality objective is undefined (operator proportional to the identity)."""
 

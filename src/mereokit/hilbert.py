@@ -25,6 +25,31 @@ def _frozen(a, dtype=complex) -> np.ndarray:
     return out
 
 
+def _finite(a) -> np.ndarray:
+    """``_frozen(a)``, refused if an entry is NaN or inf, which pass every ``dev > tol`` check."""
+    out = _frozen(a)
+    if not np.isfinite(out).all():
+        raise InvariantViolation("entries must be finite, got NaN or inf")
+    return out
+
+
+def _square(a) -> np.ndarray:
+    m = _finite(a)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+def _unit(v) -> np.ndarray:
+    """v / |v|, refused when v has a non-finite entry or a norm of 0 or inf."""
+    v = _finite(v)
+    with np.errstate(over="ignore"):  # an infinite norm is refused below
+        nrm = float(np.linalg.norm(v))
+    if not 0.0 < nrm < math.inf:
+        raise InvariantViolation(f"cannot normalise a vector of norm {nrm!r}")
+    return v / nrm
+
+
 def _to_pairs(a) -> list:
     """Nested ``[re, im]`` lists of a complex array, the JSON form of matrices and states."""
     return np.stack((np.real(a), np.imag(a)), axis=-1).tolist()
@@ -87,9 +112,7 @@ class HermitianOp:
     mat: np.ndarray
 
     def __post_init__(self):
-        m = _frozen(self.mat)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+        m = _square(self.mat)
         scale = 1.0 + (np.abs(m).max() if m.size else 0.0)
         dev = np.abs(m - m.conj().T).max()
         if dev > ATOL * scale:
@@ -114,9 +137,7 @@ class UnitaryOp:
     mat: np.ndarray
 
     def __post_init__(self):
-        m = _frozen(self.mat)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+        m = _square(self.mat)
         dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
         if dev > ATOL:
             raise InvariantViolation(f"not unitary: max deviation {dev:.3e}")
@@ -132,7 +153,7 @@ class StateVec:
     vec: np.ndarray
 
     def __post_init__(self):
-        v = _frozen(np.asarray(self.vec).reshape(-1))
+        v = _finite(np.asarray(self.vec).reshape(-1))
         nrm = np.linalg.norm(v)
         if abs(nrm - 1.0) > ATOL:
             raise InvariantViolation(f"state norm {nrm!r} is not 1")
@@ -148,9 +169,7 @@ class DensityOp:
     mat: np.ndarray
 
     def __post_init__(self):
-        m = _frozen(self.mat)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+        m = _square(self.mat)
         if np.abs(m - m.conj().T).max() > ATOL:
             raise InvariantViolation("density matrix not Hermitian")
         tr = np.trace(m)

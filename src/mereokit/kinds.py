@@ -24,7 +24,7 @@ from .errors import (
     InvariantViolation,
     NoWitnessError,
 )
-from .hilbert import HermitianOp, StateVec, UnitaryOp, _frozen, _to_pairs, _vec
+from .hilbert import HermitianOp, StateVec, UnitaryOp, _frozen, _square, _to_pairs, _vec
 from .tps import Tps, _eigen_entropies, equivalent
 
 DEGENERACY_GAP = 1e-8  # minimum eigenvalue gap for a spectrum to count as simple
@@ -63,12 +63,8 @@ class ProjectionSpec:
         object.__setattr__(self, "lambdas", lam)
 
 
-def _group_starts(values: Sequence[float], tol: float = GROUPING_TOL) -> list[int]:
-    starts = [0]
-    for k in range(1, len(values)):
-        if values[k] - values[k - 1] > tol:
-            starts.append(k)
-    return starts
+def _group_starts(values: Sequence[float]) -> list[int]:
+    return [0] + [k for k in range(1, len(values)) if values[k] - values[k - 1] > GROUPING_TOL]
 
 
 @dataclass(frozen=True)
@@ -188,9 +184,7 @@ class GramSpec:
     matrix: np.ndarray
 
     def __post_init__(self):
-        g = _frozen(self.matrix)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise DimensionMismatch(f"Gram matrix must be square, got {g.shape}")
+        g = _square(self.matrix)
         if np.abs(g - g.conj().T).max() > 1e-10 * (1.0 + np.abs(g).max()):
             raise InvariantViolation("Gram matrix not Hermitian")
         if g.size and np.linalg.eigvalsh(g).min() < -1e-10 * (1.0 + np.abs(g).max()):

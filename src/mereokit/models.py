@@ -33,10 +33,6 @@ def pauli_string(s: str) -> HermitianOp:
     return HermitianOp(kron_all(mats))
 
 
-def _site_op(op: np.ndarray, site: int, n: int) -> np.ndarray:
-    return kron_all([op if i == site else SIGMA["I"] for i in range(n)])
-
-
 @dataclass(frozen=True)
 class IsingParams:
     n: int
@@ -51,44 +47,31 @@ class IsingParams:
 def ising_chain(p: IsingParams) -> HermitianOp:
     """Transverse-field Ising chain J sum_i Z_i Z_{i+1} + h sum_i X_i, open ends."""
     n = p.n
-    H = np.zeros((2**n, 2**n), dtype=complex)
-    for i in range(n - 1):
-        H += p.J * _site_op(SIGMA["Z"], i, n) @ _site_op(SIGMA["Z"], i + 1, n)
-    for i in range(n):
-        H += p.h * _site_op(SIGMA["X"], i, n)
-    return HermitianOp(H)
+    terms = [(p.J, "I" * i + "ZZ" + "I" * (n - i - 2)) for i in range(n - 1)]
+    terms += [(p.h, "I" * i + "X" + "I" * (n - i - 1)) for i in range(n)]
+    return HermitianOp(sum(c * pauli_string(s).mat for c, s in terms))
 
 
 def x_string(i: int, n: int) -> HermitianOp:
     """The string variable X_0 X_1 ... X_i (sites 0..i)."""
-    return HermitianOp(kron_all([SIGMA["X"] if j <= i else SIGMA["I"] for j in range(n)]))
+    return pauli_string("X" * (i + 1) + "I" * (n - i - 1))
 
 
 def jw_dual_tps(n: int) -> Tps:
     """Structure whose factors carry the string variables of an n-site chain.
 
-    The commuting strings X_0...X_i are jointly diagonal in the per-site X
-    basis; labeling each joint eigenvector by the string eigenvalues
-    (-1)^{b_i} and keeping all phases real maps the i-th string exactly onto
-    a single-site Z, and maps Z_i Z_{i+1} (and Z_{n-1} at the end) exactly
-    onto single-site X's. The Ising chain is therefore 2-local here too,
-    even though the strings themselves are nonlocal.
+    Closed form: the n-fold Hadamard matrix with its rows in Gray-code order,
+    W[b] = (H^{(x)n})[b ^ (b >> 1)]. In the X basis (the rows of H^{(x)n})
+    each X_j acts as Z_j, and the Gray relabelling turns the prefix product
+    Z_0...Z_i into Z_i, so the i-th string X_0...X_i maps exactly onto a
+    single-site Z, and Z_i Z_{i+1} (and Z_{n-1} at the end) map exactly onto
+    single-site X's. The Ising chain is therefore 2-local here too, even
+    though the strings themselves are nonlocal.
     """
-    if n < 2:
-        raise InvariantViolation("need n >= 2 sites")
-    D = 2**n
-    plus = np.array([1.0, 1.0]) / math.sqrt(2)
-    minus = np.array([1.0, -1.0]) / math.sqrt(2)
-    W = np.zeros((D, D))
-    for b in range(D):
-        bits = [(b >> (n - 1 - i)) & 1 for i in range(n)]
-        prev = 0
-        kets = []
-        for bit in bits:
-            kets.append(plus if bit == prev else minus)
-            prev = bit
-        W[b, :] = kron_all(kets).real
-    return Tps(Dims((2,) * n), UnitaryOp(W))
+    dims = Dims((2,) * n)  # refuses n < 2
+    b = np.arange(dims.total)
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+    return Tps(dims, UnitaryOp(kron_all([hadamard] * n).real[b ^ (b >> 1)]))
 
 
 def random_klocal(dims: Dims, K: int, stream: np.random.Generator) -> HermitianOp:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
 from .hilbert import Dims, HermitianOp, StateVec, UnitaryOp, _mat, _vec, haar_state, haar_unitary
-from .hilbert import _from_pairs, _to_pairs, kron_all, site_entropies
+from .hilbert import _finite, _from_pairs, _to_pairs, _unit, kron_all, site_entropies
 
 PRODUCT_RTOL = 1e-8  # relative second-singular-value threshold for product detection
 
@@ -159,10 +159,9 @@ def equivalent(T1: Tps, T2: Tps, with_certificate: bool = False):
 
 
 def product_state_in(T: Tps, site_vectors) -> StateVec:
-    """State of the abstract space that is the given pure tensor in T."""
-    chi = kron_all([np.asarray(_vec(v)) for v in site_vectors])
-    chi = chi / np.linalg.norm(chi)
-    return StateVec(T.iso.mat.conj().T @ chi)
+    """State of the abstract space that is the given pure tensor in T (nonzero and finite)."""
+    chi = kron_all([_finite(_vec(v)) for v in site_vectors])
+    return StateVec(T.iso.mat.conj().T @ _unit(chi))
 
 
 def random_product_probe(T: Tps, stream: np.random.Generator) -> StateVec:

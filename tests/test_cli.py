@@ -222,8 +222,9 @@ class TestSearchCmd:
         assert json.loads(capsys.readouterr().out)["result"]["residual"] > 1e-6
 
     def test_unknown_search_field_exit_1(self, tmp_path, capsys):
-        # a misspelling, and the L-BFGS tuning fields that are now module constants
-        for field in ("max_iter", "grad_tol", "step_init", "armijo_c", "backtrack_ratio"):
+        # a misspelling, the L-BFGS tuning fields that are now module constants, and a seed,
+        # which is the top-level one
+        for field in ("max_iter", "grad_tol", "step_init", "armijo_c", "backtrack_ratio", "seed"):
             cfg = write_config(
                 tmp_path, "c.json",
                 {"model": {"name": "gue", "dims": [2, 2]}, "search": {"K": 2, field: 5}, "seed": 2},
@@ -272,12 +273,15 @@ class TestSearchCmd:
     def test_search_fields_default_from_search_config(self):
         from mereokit.cli import _search_config
 
-        config = _search_config({"max_iters": "7", "success_residual": 1, "seed": 99}, 5)
+        config = _search_config({"max_iters": "7", "success_residual": 1}, 5)
         assert config == mk.SearchConfig(K=2, max_iters=7, success_residual=1.0, seed=5)
         assert isinstance(config.max_iters, int) and isinstance(config.success_residual, float)
         assert [f.name for f in dataclasses.fields(config)] == [
             "K", "restarts", "max_iters", "success_residual", "seed"
         ]
+        # the seed is the run's top-level one; one in the search entry used to be ignored
+        with pytest.raises(cli.UsageError, match="unknown search field 'seed'"):
+            _search_config({"seed": "abc"}, 5)
 
 
 class TestKinds:
@@ -526,16 +530,27 @@ class TestUsage:
         ("orbit", {"grid": {"points": 16, "t_max": 1e308}}, "grid.t_max must be a finite number"),
         ("orbit", {"model": {"name": "ising", "n": 2, "J": 1e300, "h": 1.0}, "grid": {"points": 16, "t_max": 1e10}},
          "grid.t_max must be a finite number"),
+        # a NaN matrix entry, a zero state and a zero probe ket: a StopIteration traceback,
+        # "Eigenvalues did not converge", and "SVD did not converge" after a RuntimeWarning
+        ("profile", {"file": "nan.json"}, "matrix in nan.json: entries must be finite"),
+        ("search", {"file": "nan.json"}, "matrix in nan.json: entries must be finite"),
+        ("fingerprint", {"state": [[0, 0]] * 4}, "state: cannot normalise a vector of norm 0.0"),
+        ("orbit", {"probe": [[[0, 0], [0, 0]], [[1, 0], [0, 0]]]}, "probe: cannot normalise a vector of norm 0.0"),
     ])
     @pytest.mark.filterwarnings("error")
-    def test_bad_numbers_name_field_and_write_nothing(self, tmp_path, capsys, command, cfg, message):
+    def test_bad_numbers_name_field_and_write_nothing(self, tmp_path, capsys, monkeypatch, command, cfg, message):
         base = {
             "orbit": {"model": {"name": "pauli", "string": "XX"}},
             "profile": {},
             "fingerprint": {"model": {"name": "gue", "dims": [2, 2]}, "tps2": {"kind": "random"}},
             "dualscan": {},
             "kinds": {},
+            "search": {"search": {"restarts": 1}},
         }[command]
+        monkeypatch.chdir(tmp_path)  # configs name nan.json relative to it
+        nan = np.eye(4, dtype=complex)
+        nan[1, 2] = np.nan
+        save_matrix_file("nan.json", nan, mk.Dims((2, 2)))
         out = tmp_path / "out"
         argv = [command, "--config", write_config(tmp_path, "c.json", {**base, **cfg, "seed": 1})]
         assert run_cli([*argv, "--out", str(out)]) == 1

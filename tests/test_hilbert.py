@@ -43,6 +43,24 @@ class TestCarriers:
         with pytest.raises(mk.InvariantViolation):
             mk.DensityOp(np.diag([1.5, -0.5]).astype(complex))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_entries_rejected(self, bad):
+        # NaN passed every "deviation > tol" check, and inf warned in HermitianOp
+        for make, good in [(mk.HermitianOp, np.eye(2)), (mk.UnitaryOp, np.eye(2)),
+                           (mk.DensityOp, np.eye(2) / 2), (mk.StateVec, np.array([1.0, 0.0]))]:
+            a = np.array(good, dtype=complex)
+            a.flat[0] = bad
+            with pytest.raises(mk.InvariantViolation, match="finite"):
+                make(a)
+
+    @pytest.mark.filterwarnings("error")
+    def test_product_state_refuses_zero_or_non_finite_site_vector(self, dims22):
+        T = mk.canonical(dims22)
+        for bad in ([0.0, 0.0], [float("nan"), 1.0], [float("inf"), 1.0], [1e200, 1e200]):
+            with pytest.raises(mk.InvariantViolation):
+                mk.product_state_in(T, [np.array(bad), np.array([1.0, 0.0])])
+
     def test_arrays_are_readonly(self):
         H = mk.HermitianOp(np.eye(2))
         with pytest.raises(ValueError):

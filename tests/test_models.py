@@ -10,6 +10,35 @@ def canonical_site(op, i, n):
     return mk.kron_all([op if j == i else SIGMA["I"] for j in range(n)])
 
 
+def loop_jw_dual(n):
+    """Reference: one row per basis state b, the n-fold kron of |+> where bit i of b equals
+    bit i - 1 (bit -1 being 0) and |-> where it differs."""
+    plus = np.array([1.0, 1.0]) / np.sqrt(2)
+    minus = np.array([1.0, -1.0]) / np.sqrt(2)
+    W = np.zeros((2**n, 2**n))
+    for b in range(2**n):
+        bits = [(b >> (n - 1 - i)) & 1 for i in range(n)]
+        W[b, :] = mk.kron_all([plus if bit == prev else minus for prev, bit in zip([0] + bits, bits)]).real
+    return W
+
+
+def bond_product_ising(n, J, h):
+    """Reference: each bond term as the matrix product of two single-site Z's."""
+    H = np.zeros((2**n, 2**n), dtype=complex)
+    for i in range(n - 1):
+        H += J * canonical_site(SIGMA["Z"], i, n) @ canonical_site(SIGMA["Z"], i + 1, n)
+    for i in range(n):
+        H += h * canonical_site(SIGMA["X"], i, n)
+    return H
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_closed_forms_match_references(n):
+    assert np.array_equal(mk.jw_dual_tps(n).iso.mat, loop_jw_dual(n))
+    for J, h in [(0.731, 1.213), (1.0, 1.0), (-2.5, 0.0)]:
+        assert np.array_equal(mk.ising_chain(mk.IsingParams(n, J, h)).mat, bond_product_ising(n, J, h))
+
+
 class TestIsingChain:
     def test_zz_only(self):
         H = mk.ising_chain(mk.IsingParams(2, 1.0, 0.0))
@@ -32,7 +61,7 @@ class TestIsingChain:
 
 
 class TestDualTps:
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_strings_map_to_z(self, n):
         T = mk.jw_dual_tps(n)
         W = T.iso.mat
@@ -40,7 +69,7 @@ class TestDualTps:
             conj = W @ x_string(i, n).mat @ W.conj().T
             assert np.abs(conj - canonical_site(SIGMA["Z"], i, n)).max() < 1e-10
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_bond_operators_map_to_x(self, n):
         T = mk.jw_dual_tps(n)
         W = T.iso.mat
@@ -72,6 +101,11 @@ class TestDualTps:
         for i in range(1, n):
             want += h * canonical_site(SIGMA["Z"], i - 1, n) @ canonical_site(SIGMA["Z"], i, n)
         assert np.abs(got - want).max() < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_needs_two_sites(self, n):
+        with pytest.raises(mk.InvariantViolation):
+            mk.jw_dual_tps(n)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_dual_not_equivalent_to_canonical(self, n):
