@@ -171,12 +171,13 @@ def weight_masses(coeffs: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
 
     Rounding in the D-term sums that formed the matrix leaves noise of about D eps^2 times the
     total mass (the expansion is orthonormal); the floor, a factor D above, is scale-free.
-    Nonzero coefficients whose masses overflow or all underflow raise ScaleOutOfRange."""
+    Nonzero coefficients whose masses overflow, all underflow or fall subnormal raise ScaleOutOfRange."""
     with np.errstate(over="ignore"):  # an overflow is refused below, by name
         mag2 = (coeffs.conj() * coeffs).real.ravel()
     masses = np.bincount(weight_tensor(factors).ravel(), weights=mag2, minlength=len(factors) + 1)
     masses[masses <= (math.prod(factors) * np.finfo(float).eps) ** 2 * masses.sum()] = 0.0
-    if not masses.any() and coeffs.any():  # an infinite mass floors them all
+    lost = (masses > 0.0) & (masses < np.finfo(float).tiny)  # a subnormal mass has lost digits
+    if lost.any() or (not masses.any() and coeffs.any()):  # an infinite mass floors them all
         raise ScaleOutOfRange(f"weight masses leave float64 at scale {np.abs(coeffs).max():.1e}")
     return masses
 

@@ -247,8 +247,8 @@ def purity(rho) -> float:
 def site_entropies(psi, dims: Dims) -> np.ndarray:
     """Per-factor marginal entropies of a pure state, or of every state in a stack (..., D).
 
-    Uses the Schmidt coefficients of each single-factor bipartition, which for
-    a pure state equal the marginal's spectrum; one stacked SVD per factor.
+    The marginal of factor i is the d_i x d_i Gram matrix m m^dag of the state reshaped
+    to (d_i, D / d_i); one stacked ``eigvalsh`` per factor reads its spectrum.
     """
     v = _vec(psi)
     if v.shape[-1] != dims.total:
@@ -258,8 +258,7 @@ def site_entropies(psi, dims: Dims) -> np.ndarray:
     out = np.empty(lead + (dims.n,))
     for i, d in enumerate(dims.factors):
         m = np.moveaxis(t, len(lead) + i, len(lead)).reshape(lead + (d, dims.total // d))
-        s = np.linalg.svd(m, compute_uv=False)
-        out[..., i] = _entropy_of_probs(s * s)
+        out[..., i] = _entropy_of_probs(np.linalg.eigvalsh(m @ m.conj().swapaxes(-1, -2)))
     return out
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
 from .hilbert import Dims, HermitianOp, UnitaryOp
-from .basis import coeff_tensor, matrix_from_coeffs, weight_tensor
+from .basis import coeff_tensor, matrix_from_coeffs, weight_masses, weight_tensor
 from .locality import _profile, is_k_local, k_local_residual
 from .tps import Tps
 from .rng import stream as rng_stream
@@ -162,6 +162,7 @@ def search(H: HermitianOp, dims: Dims, cfg: SearchConfig) -> SearchResult:
         raise DimensionMismatch(f"K={cfg.K} exceeds n={dims.n}")
     lam, U = H.eig
     coeffs = coeff_tensor(H.mat, dims).real
+    weight_masses(coeffs, dims.factors)  # refuses an H out of float64 range before any norm of it
     weight = weight_tensor(dims.factors)
     mask = (weight >= 1) & (weight <= cfg.K)
     c = np.where(weight == 0, coeffs, 0.0)

@@ -4,8 +4,8 @@ A ``Tps`` holds one representative isomorphism from the abstract space onto
 the canonical product space, as a D x D unitary in the canonical basis. Two
 representatives describe the same structure when they differ by single-site
 unitaries and permutations of equal-dimension factors; ``equivalent``
-decides this from the n^2 operator Schmidt ranks across every (output slot,
-input factor) pair, which pin the permutation exactly, and one product test.
+decides this from the operator Schmidt spectra (Gram eigenvalues) of every
+(output slot, input factor) pair, which pin the permutation, and one product test.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
 from .hilbert import Dims, HermitianOp, StateVec, UnitaryOp, _mat, _vec, haar_state, haar_unitary
-from .hilbert import _finite, _from_pairs, _to_pairs, _unit, kron_all, site_entropies
+from .hilbert import _from_pairs, _to_pairs, _unit, kron_all, site_entropies
 
 PRODUCT_RTOL = 1e-8  # relative second-singular-value threshold for product detection
 
@@ -109,7 +109,8 @@ def is_product_operator(W, dims: Dims) -> Optional[ProductOpCertificate]:
 
     Decision: across every single-factor-vs-rest bipartition the realigned
     operator must have relative second singular value below ``PRODUCT_RTOL``.
-    Returns None for entangling operators.
+    Returns None for entangling operators. These are SVDs, not Gram eigenvalues:
+    a Gram's eigenvalue ratio resolves s_1 / s_0 only down to sqrt(eps) ~ 1.5e-8.
     """
     mat = _mat(W)
     if mat.shape != (dims.total, dims.total):
@@ -136,8 +137,9 @@ def equivalent(T1: Tps, T2: Tps, with_certificate: bool = False):
 
     True iff some admissible factor permutation sigma makes P_sigma . W a product
     operator, W = T1.iso . T2.iso^{-1}. Factor i goes to the equal-dimension output slot
-    whose realignment of W across (slot, factor i) has the least relative second singular
-    value: if W = P_sigma^T (x)U_i that ratio is exactly 0 at sigma(i) and exactly 1 at
+    whose realignment R of W across (slot, factor i) has the least ratio lam_2 / lam_1 of
+    the two largest eigenvalues of R R^dag (its squared singular values), one ``eigvalsh``
+    over the stack of slots: if W = P_sigma^T (x)U_i that ratio is 0 at sigma(i) and 1 at
     every other slot, so the argmin needs no tolerance. One product test then decides.
     """
     if T1.dims != T2.dims:
@@ -147,8 +149,9 @@ def equivalent(T1: Tps, T2: Tps, with_certificate: bool = False):
     sigma = []
     for i, d in enumerate(f):
         slots = [j for j in range(len(f)) if f[j] == d]
-        svs = [np.linalg.svd(_single_factor_realign(W, f, i, j), compute_uv=False) for j in slots]
-        sigma.append(slots[int(np.argmin([s[1] / s[0] for s in svs]))])
+        R = np.stack([_single_factor_realign(W, f, i, j) for j in slots])
+        lam = np.linalg.eigvalsh(R @ R.conj().swapaxes(-1, -2))  # squared singular values
+        sigma.append(slots[int(np.argmin(lam[:, -2] / lam[:, -1]))])
     cert = None
     if len(set(sigma)) == len(f):
         cert = is_product_operator(perm_matrix(f, sigma) @ W, T1.dims)
@@ -159,9 +162,9 @@ def equivalent(T1: Tps, T2: Tps, with_certificate: bool = False):
 
 
 def product_state_in(T: Tps, site_vectors) -> StateVec:
-    """State of the abstract space that is the given pure tensor in T (nonzero and finite)."""
-    chi = kron_all([_finite(_vec(v)) for v in site_vectors])
-    return StateVec(T.iso.mat.conj().T @ _unit(chi))
+    """State of the abstract space that is the given pure tensor in T; each site vector
+    (nonzero and finite) is normalised before the product, which then cannot overflow."""
+    return StateVec(T.iso.mat.conj().T @ kron_all([_unit(_vec(v)) for v in site_vectors]))
 
 
 def random_product_probe(T: Tps, stream: np.random.Generator) -> StateVec:

@@ -60,6 +60,16 @@ class TestCarriers:
         for bad in ([0.0, 0.0], [float("nan"), 1.0], [float("inf"), 1.0], [1e200, 1e200]):
             with pytest.raises(mk.InvariantViolation):
                 mk.product_state_in(T, [np.array(bad), np.array([1.0, 0.0])])
+        # a product whose entries overflow (1e400) is refused without an overflow warning
+        with pytest.raises(mk.InvariantViolation):
+            mk.product_state_in(T, [np.array([1e200, 1e200]), np.array([1e200, 1.0])])
+
+    @pytest.mark.filterwarnings("error")
+    def test_product_state_of_small_site_vectors(self, dims22):
+        # the raw product has entries 1e-200, whose squared norm underflows to 0; normalised
+        # per site, it is the uniform state
+        psi = mk.product_state_in(mk.canonical(dims22), [np.array([1e-100, 1e-100])] * 2)
+        assert np.abs(psi.vec - 0.5).max() < 1e-15
 
     def test_arrays_are_readonly(self):
         H = mk.HermitianOp(np.eye(2))
@@ -254,6 +264,39 @@ class TestStackedSiteEntropies:
             rho = mk.DensityOp(np.outer(psi[idx], psi[idx].conj()))
             slow = [mk.vn_entropy(mk.partial_trace(rho, dims, keep=i)) for i in range(dims.n)]
             assert np.abs(one - np.array(slow)).max() < 1e-9
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        factors=st.sampled_from([(2, 2), (2, 3), (2, 2, 3), (3, 3, 3), (2,) * 4, (2,) * 5, (2,) * 6]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_gram_spectra_match_svd_oracle(self, factors, seed):
+        # Haar states, states product across factor 0 and the rest, and Haar product states
+        dims = mk.Dims(factors)
+        rng = mk.stream(seed)
+        z = rng.standard_normal((3, dims.total)) + 1j * rng.standard_normal((3, dims.total))
+        cut = np.kron(mk.haar_state(factors[0], rng).vec, mk.haar_state(dims.total // factors[0], rng).vec)
+        psi = np.vstack([z / np.linalg.norm(z, axis=-1, keepdims=True), cut])
+        t = psi.reshape((len(psi),) + factors)
+        oracle = np.empty((len(psi), dims.n))
+        for i, d in enumerate(factors):
+            s = np.linalg.svd(np.moveaxis(t, 1 + i, 1).reshape(len(psi), d, -1), compute_uv=False)
+            p = s * s
+            oracle[:, i] = -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
+        assert np.abs(mk.site_entropies(psi, dims) - oracle).max() <= 1e-12
+        product = mk.kron_all([mk.haar_state(d, rng).vec for d in factors])
+        assert mk.site_entropies(product, dims).max() <= 1e-12
+
+    def test_one_eigvalsh_per_factor_and_no_svd(self, monkeypatch):
+        calls = []
+        for name in ("svd", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda *a, _name=name, _real=real, **kw: calls.append(_name) or _real(*a, **kw)
+            )
+        z = mk.stream(113).standard_normal((5, 12)) + 0j
+        mk.site_entropies(z / np.linalg.norm(z, axis=-1, keepdims=True), mk.Dims((2, 2, 3)))
+        assert calls == ["eigvalsh"] * 3
 
     def test_product_state_entropies_are_zero(self):
         # exact zero Schmidt coefficients contribute 0 log 0 = 0, without a warning

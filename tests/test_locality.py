@@ -67,11 +67,14 @@ class TestLocalityReport:
         rep = mk.locality_report(mk.ising_chain(mk.IsingParams(3, 1.0, 1.0)), mk.canonical(dims222))
         assert rep.min_k == 2
 
-    @pytest.mark.parametrize("scale,in_range", [(1e-150, True), (1e150, True), (1e-170, False), (1e160, False)])
+    @pytest.mark.parametrize(
+        "scale,in_range", [(1e-150, True), (1e150, True), (1e-160, False), (1e-170, False), (1e160, False)]
+    )
     @pytest.mark.filterwarnings("error")
     def test_scale_outside_float_range_raises(self, dims222, scale, in_range):
         # at 1e160 the squared coefficients overflow to inf, which puts every mass under the
-        # floor; at 1e-170 they underflow to 0. Neither may read as H ∝ I (min_k 0).
+        # floor; at 1e-170 they underflow to 0. Neither may read as H ∝ I (min_k 0). At 1e-160
+        # the masses are subnormal: sector 1 read 2.39997e-319, not 2.4e-319.
         H = mk.HermitianOp(scale * mk.ising_chain(mk.IsingParams(3, 1.0, 1.0)).mat)
         T = mk.canonical(dims222)
         if in_range:

@@ -101,6 +101,15 @@ class TestSearch:
             with pytest.raises(mk.DimensionMismatch, match="success_residual"):
                 mk.SearchConfig(K=2, success_residual=value)
 
+    @pytest.mark.parametrize("scale", [1e160, 1e-160])
+    @pytest.mark.filterwarnings("error")
+    def test_out_of_range_scale_refused_before_the_match(self, dims222, scale):
+        # at 1e160 the norms of the spectrum match overflowed, with a RuntimeWarning, before
+        # the residual's masses raised; at 1e-160 the masses are subnormal
+        H = mk.HermitianOp(scale * mk.ising_chain(mk.IsingParams(3, 1.0, 1.0)).mat)
+        with pytest.raises(mk.ScaleOutOfRange):
+            mk.search(H, dims222, mk.SearchConfig(K=2, restarts=1))
+
     def test_result_json(self, dims222):
         H = mk.random_klocal(dims222, 2, mk.stream(814))
         res = mk.search(H, dims222, mk.SearchConfig(K=2, restarts=1, max_iters=10))

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -48,6 +49,21 @@ def enumerated_equivalent(T1, T2):
         if all(f[sigma[j]] == f[j] for j in range(len(f))):
             if mk.is_product_operator(mk.perm_matrix(f, sigma) @ W, T1.dims) is not None:
                 return True, sigma
+    return False, None
+
+
+def svd_slot_equivalent(T1, T2):
+    """Reference decision: each factor's slot by the least s_1 / s_0 from one SVD per slot."""
+    f = T1.dims.factors
+    W = T1.iso.mat @ T2.iso.mat.conj().T
+    sigma = []
+    for i, d in enumerate(f):
+        slots = [j for j in range(len(f)) if f[j] == d]
+        svs = [np.linalg.svd(_single_factor_realign(W, f, i, j), compute_uv=False) for j in slots]
+        sigma.append(slots[int(np.argmin([s[1] / s[0] for s in svs]))])
+    if len(set(sigma)) == len(f):
+        if mk.is_product_operator(mk.perm_matrix(f, tuple(sigma)) @ W, T1.dims) is not None:
+            return True, tuple(sigma)
     return False, None
 
 
@@ -228,6 +244,42 @@ class TestEquivalentDecision:
         for T in (mk.random_tps(dims, rng), perturbed):
             assert mk.equivalent(T1, T, with_certificate=True) == (False, None)
             assert enumerated_equivalent(T1, T) == (False, None)
+
+    def test_svds_only_in_the_product_test(self, monkeypatch):
+        calls = []
+        for name in ("svd", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name,
+                lambda *a, _name=name, _real=real, **kw: calls.append((_name, sys._getframe(1).f_code.co_name))
+                or _real(*a, **kw),
+            )
+        dims = mk.Dims((2, 2, 3, 2))
+        rng = mk.stream(318)
+        T1 = mk.random_tps(dims, rng)
+        for T2, same in ((planted(T1, (1, 3, 2, 0), rng), True), (mk.random_tps(dims, rng), False)):
+            calls.clear()
+            assert mk.equivalent(T1, T2) == same
+            assert calls[: dims.n] == [("eigvalsh", "equivalent")] * dims.n
+            svds = calls[dims.n :]
+            assert set(svds) <= {("svd", "is_product_operator")} and len(svds) <= dims.n
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        factors=st.sampled_from([(2, 2), (2, 3), (2, 2, 3), (3, 3, 3), (2,) * 4, (2,) * 5, (2,) * 6]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_agrees_with_svd_slot_oracle(self, factors, seed):
+        # local moves, swapped equal factors, evolved structures and Haar structures
+        dims = mk.Dims(factors)
+        rng = mk.stream(seed)
+        T1 = mk.random_tps(dims, rng)
+        H = random_hermitian(dims.total, rng)
+        cases = [planted(T1, tuple(range(dims.n)), rng), planted(T1, admissible_permutation(factors, rng), rng)]
+        cases += [mk.act(mk.expm_i(H, t), T1) for t in (1e-3, 0.7)] + [mk.random_tps(dims, rng)]
+        for T2 in cases:
+            same, cert = mk.equivalent(T1, T2, with_certificate=True)
+            assert (same, cert and cert.permutation) == svd_slot_equivalent(T1, T2)
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_many_qubits(self, n):
