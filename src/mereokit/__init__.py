@@ -11,22 +11,15 @@ from .errors import (
     ScaleOutOfRange,
 )
 from .hilbert import (
-    DensityOp,
     Dims,
     HermitianOp,
     StateVec,
     UnitaryOp,
-    eig_hermitian,
     expm_i,
     haar_state,
     haar_unitary,
-    hs_inner,
-    hs_norm_sq,
     kron_all,
-    partial_trace,
-    purity,
     site_entropies,
-    vn_entropy,
 )
 from .rng import stream
 from .tps import (
@@ -48,7 +41,6 @@ from .basis import (
     SiteBasis,
     WeightProfile,
     decompose,
-    decomposition_to_json,
     reconstruct,
     site_basis,
     weight_profile,
@@ -57,7 +49,6 @@ from .locality import (
     EvolutionVerdict,
     EvolutionWitness,
     LocalityReport,
-    conjugation_covariance_check,
     is_k_local,
     locality_report,
     one_local_evolution_check,
@@ -84,7 +75,6 @@ from .kinds import (
     cross_validate_tps,
     fingerprint,
     fingerprint_distance,
-    fingerprint_to_json,
     fingerprints_equal,
     gram_matrix,
     gram_orbit_witness,

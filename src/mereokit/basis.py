@@ -18,8 +18,6 @@ from .errors import DimensionMismatch, InvariantViolation, ScaleOutOfRange
 from .hilbert import ATOL, Dims, HermitianOp
 from .tps import Tps
 
-DUST_RTOL = 1e-10  # JSON entries at or below this times the HS norm are omitted; no verdict reads it
-
 
 @dataclass(frozen=True)
 class SiteBasis:
@@ -87,9 +85,6 @@ class Decomposition:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
-    def hs_norm_sq(self) -> float:
-        return float(np.vdot(self.coeffs, self.coeffs).real)
-
 
 @dataclass(frozen=True)
 class WeightProfile:
@@ -101,10 +96,6 @@ class WeightProfile:
         arr = np.array(self.w, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(self, "w", arr)
-
-    @property
-    def total(self) -> float:
-        return float(self.w.sum())
 
 
 @lru_cache(maxsize=None)
@@ -185,13 +176,3 @@ def weight_masses(coeffs: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
 def weight_profile(dec: Decomposition) -> WeightProfile:
     return WeightProfile(weight_masses(dec.coeffs, dec.dims.factors))
 
-
-def decomposition_to_json(dec: Decomposition) -> dict:
-    """JSON form {dims, entries}, entries in C order; those at or below the dust threshold
-    (``DUST_RTOL`` times the HS norm) are omitted."""
-    keep = np.abs(dec.coeffs) > DUST_RTOL * math.sqrt(dec.hs_norm_sq())
-    entries = [
-        {"alphas": alphas, "re": z.real, "im": z.imag}
-        for alphas, z in zip(np.argwhere(keep).tolist(), dec.coeffs[keep].tolist())
-    ]
-    return {"dims": list(dec.dims.factors), "entries": entries}

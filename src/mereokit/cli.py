@@ -70,7 +70,7 @@ _TOL_DEFAULTS = {"profile": locality.LOCALITY_RTOL, "fingerprint": kinds.FINGERP
 def _resolve_config(args) -> dict:
     """The loaded config with its seed resolved (flag, config, MEREOKIT_SEED, 0) and,
     where the subcommand takes one, its tol (flag, config, the subcommand's default)."""
-    cfg = _load_json(args.config)
+    cfg = _typed("config", _load_json(args.config), dict)
     seed = args.seed if args.seed is not None else cfg.get("seed", os.environ.get("MEREOKIT_SEED", 0))
     seed = _checked("seed", seed, int, "a non-negative integer", lambda v: v >= 0)
     resolved = {**cfg, "seed": seed}
@@ -103,10 +103,18 @@ _POSITIVE = dict(kind=float, want="finite and positive", ok=lambda v: 0 < v < ma
 _COUNT = dict(kind=int, want="a positive integer", ok=lambda v: v > 0)
 
 
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _typed(name: str, value, kind: type):
+    """``value``, or a UsageError naming the field when it is not a JSON ``kind``."""
+    if not isinstance(value, kind):
+        raise UsageError(f"{name} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
 def _each(name: str, value, **rule) -> list:
-    if not isinstance(value, list):
-        raise UsageError(f"{name} must be a list, got {value!r}")
-    return [_checked(f"{name}[{i}]", v, **rule) for i, v in enumerate(value)]
+    return [_checked(f"{name}[{i}]", v, **rule) for i, v in enumerate(_typed(name, value, list))]
 
 
 @contextmanager
@@ -191,7 +199,7 @@ def save_matrix_file(path: str, mat: np.ndarray, dims: Dims):
 
 def _model_cfg(cfg: dict) -> dict:
     if "model" in cfg:
-        return cfg["model"]
+        return _typed("model", cfg["model"], dict)
     if "file" in cfg:
         return {"file": cfg["file"]}
     raise UsageError("config needs a 'model' or 'file' entry")
@@ -207,8 +215,8 @@ def build_model(cfg: dict, seed: int, *path: int) -> tuple[HermitianOp, Dims]:
         p = models.IsingParams(_checked("n", cfg["n"], int), J, h)
         return models.ising_chain(p), Dims((2,) * p.n)
     if name == "pauli":
-        H = models.pauli_string(cfg["string"])
-        return H, Dims((2,) * len(cfg["string"]))
+        string = _typed("string", cfg["string"], str)
+        return models.pauli_string(string), Dims((2,) * len(string))
     if name in ("random_klocal", "scrambled_klocal"):
         dims, K = Dims(tuple(_each("dims", cfg["dims"], kind=int))), _checked("K", cfg["K"], int)
         if name == "random_klocal":
@@ -273,7 +281,7 @@ def _site_kets(spec, dims: Dims) -> list[np.ndarray]:
 
 
 def _time_grid(cfg, H: HermitianOp) -> np.ndarray:
-    grid = cfg.get("grid") or {}
+    grid = _typed("grid", cfg.get("grid") or {}, dict)
     points = _checked("grid.points", grid.get("points", 64), **_COUNT)
     if "t_max" in grid:  # every grid time and phase t * eigenvalue must be finite, too
         reach = points * max(1.0, float(np.abs(H.eig[0]).max()))
@@ -306,8 +314,7 @@ def cmd_orbit(cfg: dict, out: str | None) -> int:
     grid = _time_grid(cfg, H)
     curve = dynamics.entropy_orbit(H, T, probe, site, grid)
     bin_ = _checked("bin", cfg.get("bin", 1e-4), **_POSITIVE)
-    _dump_csv("t,entropy", curve.to_csv_rows(), cfg, out)
-    summary = {
+    summary = {  # before any output, since a bin too small to count with is refused
         "config": cfg,
         "site": site,
         "points": len(grid),
@@ -315,8 +322,8 @@ def cmd_orbit(cfg: dict, out: str | None) -> int:
         "distinct_values": dynamics.distinct_value_count(curve, bin_),
         "max_entropy": float(curve.entropies.max()),
     }
-    summary_path = (out + ".summary.json") if out else None
-    _dump_json(summary, summary_path)
+    _dump_csv("t,entropy", curve.to_csv_rows(), cfg, out)
+    _dump_json(summary, (out + ".summary.json") if out else None)
     return EXIT_OK
 
 
@@ -351,6 +358,7 @@ def cmd_search(cfg: dict, out: str | None) -> int:
 
 def _search_config(sc: dict, seed: int) -> SearchConfig:
     """SearchConfig from a ``search`` entry: SearchConfig's defaults and types, with K = 2."""
+    sc = _typed("search", sc, dict)
     defaults = {f.name: f.default for f in dataclasses.fields(SearchConfig) if f.name != "seed"}
     defaults["K"] = 2
     unknown = sorted(set(sc) - set(defaults))
@@ -361,6 +369,7 @@ def _search_config(sc: dict, seed: int) -> SearchConfig:
 
 
 def _kinds_pair(cfg_pair, seed: int, path: int):
+    cfg_pair = _typed(f"pair{path + 1}", cfg_pair, dict)
     H, dims = build_model(_model_cfg(cfg_pair), seed, path)
     psi = build_state(cfg_pair.get("state"), dims, seed, path)
     return H, psi
@@ -383,13 +392,13 @@ def cmd_kinds(cfg: dict, out: str | None) -> int:
             "residual_state": float(np.linalg.norm(U.mat @ psi1.vec - psi2.vec)),
         }
     elif mode == "gram":
-        fam1 = _build_family(cfg["family1"], seed, 7)
+        fam1 = _build_family("family1", cfg["family1"], seed, 7)
         spec2 = cfg["family2"]
         if spec2 == "rotated":
             V = haar_unitary(fam1.shape[1], stream(seed, 8))
             fam2 = fam1 @ V.mat.T
         else:
-            fam2 = _build_family(spec2, seed, 9)
+            fam2 = _build_family("family2", spec2, seed, 9)
         find = lambda: kinds.gram_orbit_witness(list(fam1), list(fam2), tol)
         residuals = lambda U: {
             "residual": float(max(np.linalg.norm(U.mat @ a - b) for a, b in zip(fam1, fam2)))
@@ -405,13 +414,13 @@ def cmd_kinds(cfg: dict, out: str | None) -> int:
     return EXIT_OK
 
 
-def _build_family(spec, seed: int, path: int) -> np.ndarray:
+def _build_family(name: str, spec, seed: int, path: int) -> np.ndarray:
     if isinstance(spec, dict) and "random" in spec:
-        r = spec["random"]
+        r = _typed(f"{name}.random", spec["random"], dict)
         rng, shape = stream(seed, path), tuple(_checked(k, r[k], **_COUNT) for k in ("count", "dim"))
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     if isinstance(spec, list):
-        with _field("family"):
+        with _field(name):
             return _from_pairs(spec)
     raise UsageError(f"unknown family spec {spec!r}")
 

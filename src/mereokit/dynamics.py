@@ -130,7 +130,11 @@ def distinct_value_count(curve: OrbitCurve, bin: float) -> int:
     """Number of distinct entropy values after rounding to multiples of ``bin``."""
     if not 0 < bin < np.inf:  # also False for NaN
         raise DimensionMismatch(f"bin must be finite and positive, got {bin!r}")
-    return int(np.unique(np.round(curve.entropies / bin).astype(np.int64)).size)
+    with np.errstate(over="ignore"):  # an infinite quotient is refused below
+        q = np.round(curve.entropies / bin)
+    if not np.isfinite(q).all():
+        raise DimensionMismatch(f"bin {bin!r} is too small: an entropy / bin is not finite")
+    return int(np.unique(q).size)
 
 
 def default_time_grid(H: HermitianOp, points: int = 64) -> np.ndarray:

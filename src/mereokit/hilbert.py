@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from string import ascii_lowercase
 
 import numpy as np
 
@@ -41,13 +40,16 @@ def _square(a) -> np.ndarray:
 
 
 def _unit(v) -> np.ndarray:
-    """v / |v|, refused when v has a non-finite entry or a norm of 0 or inf."""
+    """v / |v|, refused when v is zero or has a non-finite entry.
+
+    v is first scaled by the power of two that brings its largest part into [0.5, 1), which is
+    exact: the norm of [1e200, 1e200] or [1e-200, 1e-200] is taken, and no other quotient changes."""
     v = _finite(v)
-    with np.errstate(over="ignore"):  # an infinite norm is refused below
-        nrm = float(np.linalg.norm(v))
-    if not 0.0 < nrm < math.inf:
-        raise InvariantViolation(f"cannot normalise a vector of norm {nrm!r}")
-    return v / nrm
+    peak = np.abs(v.view(float)).max(initial=0.0)
+    if peak == 0.0:
+        raise InvariantViolation("cannot normalise a vector of norm 0.0")
+    v = np.ldexp(v.view(float), -math.frexp(peak)[1]).view(complex)
+    return v / np.linalg.norm(v)
 
 
 def _to_pairs(a) -> list:
@@ -164,46 +166,6 @@ class StateVec:
         return self.vec.shape[0]
 
 
-@dataclass(frozen=True)
-class DensityOp:
-    mat: np.ndarray
-
-    def __post_init__(self):
-        m = _square(self.mat)
-        if np.abs(m - m.conj().T).max() > ATOL:
-            raise InvariantViolation("density matrix not Hermitian")
-        tr = np.trace(m)
-        if abs(tr - 1.0) > ATOL:
-            raise InvariantViolation(f"trace {tr!r} is not 1")
-        lo = np.linalg.eigvalsh(m).min()
-        if lo < -ATOL:
-            raise InvariantViolation(f"negative eigenvalue {lo:.3e}")
-        object.__setattr__(self, "mat", m)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product tr(A^dag B)."""
-    A, B = _mat(a), _mat(b)
-    if A.shape != B.shape:
-        raise DimensionMismatch(f"shape mismatch {A.shape} vs {B.shape}")
-    return complex(np.vdot(A, B))
-
-
-def hs_norm_sq(a) -> float:
-    A = _mat(a)
-    return float(np.vdot(A, A).real)
-
-
-def eig_hermitian(H: HermitianOp):
-    """Eigenvalues (ascending) and the eigenvector unitary of a Hermitian operator."""
-    lam, V = H.eig
-    return lam, UnitaryOp(V)
-
-
 def expm_i(H: HermitianOp, t: float) -> UnitaryOp:
     """Time-evolution unitary e^{-i t H} via eigendecomposition."""
     lam, V = H.eig
@@ -211,37 +173,10 @@ def expm_i(H: HermitianOp, t: float) -> UnitaryOp:
     return UnitaryOp(Vm @ V.conj().T)
 
 
-def partial_trace(rho, dims: Dims, keep: int) -> DensityOp:
-    """Trace out all factors except ``keep`` (0-based)."""
-    m = _mat(rho)
-    if m.shape[0] != dims.total:
-        raise DimensionMismatch(f"operator dim {m.shape[0]} != product dim {dims.total}")
-    n = dims.n
-    if not (0 <= keep < n):
-        raise DimensionMismatch(f"factor index {keep} out of range for n={n}")
-    t = m.reshape(dims.factors + dims.factors)
-    row = list(ascii_lowercase[:n])
-    col = list(row)
-    col[keep] = ascii_lowercase[n]
-    sub = "".join(row) + "".join(col) + "->" + row[keep] + col[keep]
-    return DensityOp(np.einsum(sub, t))
-
-
 def _entropy_of_probs(p: np.ndarray) -> np.ndarray:
     """Shannon entropy over the last axis; entries are clamped to [0, 1], and 0 log 0 = 0."""
     p = np.clip(p.real, 0.0, 1.0)
     return -(p * np.log(p, out=np.zeros_like(p), where=p > 0.0)).sum(axis=-1)
-
-
-def vn_entropy(rho) -> float:
-    """von Neumann entropy in nats; eigenvalues are clamped to [0, 1] first."""
-    return float(_entropy_of_probs(np.linalg.eigvalsh(_mat(rho))))
-
-
-def purity(rho) -> float:
-    """tr(rho^2)."""
-    m = _mat(rho)
-    return float(np.vdot(m, m).real)
 
 
 def site_entropies(psi, dims: Dims) -> np.ndarray:

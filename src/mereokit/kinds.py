@@ -24,7 +24,7 @@ from .errors import (
     InvariantViolation,
     NoWitnessError,
 )
-from .hilbert import HermitianOp, StateVec, UnitaryOp, _frozen, _square, _to_pairs, _vec
+from .hilbert import HermitianOp, StateVec, UnitaryOp, _frozen, _square, _vec
 from .tps import Tps, _eigen_entropies, equivalent
 
 DEGENERACY_GAP = 1e-8  # minimum eigenvalue gap for a spectrum to count as simple
@@ -80,12 +80,6 @@ class PairKindSpec:
             raise DimensionMismatch(
                 f"{len(self.weights.lambdas)} weights for {groups} eigenspaces"
             )
-
-    def to_json(self) -> dict:
-        return {
-            "spectrum": [float(v) for v in self.spectrum.values],
-            "weights": [float(x) for x in self.weights.lambdas],
-        }
 
 
 def _eigenspace_weights(values: Sequence[float], amplitudes: np.ndarray) -> np.ndarray:
@@ -190,9 +184,6 @@ class GramSpec:
         if g.size and np.linalg.eigvalsh(g).min() < -1e-10 * (1.0 + np.abs(g).max()):
             raise InvariantViolation("Gram matrix not positive semidefinite")
         object.__setattr__(self, "matrix", g)
-
-    def to_json(self) -> list:
-        return _to_pairs(self.matrix)
 
 
 def gram_matrix(family: Sequence) -> GramSpec:
@@ -353,16 +344,3 @@ def cross_validate_tps(
     )
     return TpsVerdict.of(fp_same, equivalent(T1, T2))
 
-
-def fingerprint_to_json(fp: Fingerprint, probes: ProbeSet) -> dict:
-    entries = []
-    for r in range(fp.entries.shape[0]):
-        if r in fp.skipped:
-            continue
-        for i in range(fp.entries.shape[1]):
-            entries.append([int(r), int(i), float(fp.entries[r, i])])
-    return {
-        "probes": list(probes.provenance),
-        "entries": entries,
-        "skipped": sorted(fp.skipped),
-    }

@@ -1,4 +1,4 @@
-"""K-locality predicates and the checks tying locality to conjugation and time evolution."""
+"""K-locality predicates and the check tying locality to time evolution."""
 
 from __future__ import annotations
 
@@ -8,9 +8,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation, ObjectiveUndefined
-from .hilbert import HermitianOp, StateVec, UnitaryOp, hs_norm_sq
+from .hilbert import HermitianOp, StateVec
 from .basis import WeightProfile, decompose, weight_profile
-from .tps import Tps, _eigen_entropies, act
+from .tps import Tps, _eigen_entropies
 
 LOCALITY_RTOL = 1e-9  # default bound on the K-local residual
 WITNESS_ENTROPY = 1e-6  # site entropy above this witnesses entanglement generation
@@ -69,15 +69,6 @@ def is_k_local(H: HermitianOp, T: Tps, K: int, tol: float = LOCALITY_RTOL) -> bo
         return _within(_profile(H, T).w, K, tol)
     except ObjectiveUndefined:
         return True
-
-
-def conjugation_covariance_check(
-    H: HermitianOp, T: Tps, U: UnitaryOp, tol: float = LOCALITY_RTOL
-) -> bool:
-    """Profiles of (H, T) and (U H U^dag, pushed T) must agree entrywise."""
-    p1 = _profile(H, T)
-    p2 = _profile(HermitianOp(U.mat @ H.mat @ U.mat.conj().T), act(U, T))
-    return bool(np.abs(p1.w - p2.w).max() <= tol * (1.0 + hs_norm_sq(H)))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from mereokit.kinds import TpsVerdict
 from mereokit.search import _spectral_gradient, _spectral_point
 from mereokit.tps import _single_factor_realign
 
-from conftest import nondegenerate_instance, random_hermitian
+from conftest import hs_norm_sq, nondegenerate_instance, random_hermitian
 
 
 def report(num, ok, detail):
@@ -201,9 +201,8 @@ def test_criterion_7_kind_witnesses():
     except mk.HypothesisViolation as e:
         degenerate_named = e.reason == "degenerate_spectrum"
     H, _ = nondegenerate_instance(4, 1502)
-    _, V4 = mk.eig_hermitian(H)
     try:
-        mk.build_probe_set(H, mk.StateVec(V4.mat[:, 1]), 8, rng)
+        mk.build_probe_set(H, mk.StateVec(H.eig[1][:, 1]), 8, rng)
         support_named = False
     except mk.HypothesisViolation as e:
         support_named = e.reason == "zero_projection"
@@ -220,15 +219,14 @@ def test_criterion_8_dual_structure():
         H = mk.ising_chain(mk.IsingParams(n, 1.0, 1.0))
         Tc = mk.canonical(dims)
         Td = mk.jw_dual_tps(n)
-        norm = mk.hs_norm_sq(H)
+        norm = hs_norm_sq(H)
         tail_c = mk.weight_profile(mk.decompose(H, Tc)).w[3:].sum() / norm
         tail_d = mk.weight_profile(mk.decompose(H, Td)).w[3:].sum() / norm
         product = mk.is_product_operator(Td.iso.mat, dims) is not None
         ok = ok and tail_c < 1e-9 and tail_d < 1e-9 and not product
         details.append(f"n={n}: tails {tail_c:.1e}/{tail_d:.1e}, duality unitary product={product}")
     H4 = mk.ising_chain(mk.IsingParams(4, 1.0, 1.0))
-    _, V = mk.eig_hermitian(H4)
-    ground = V.mat[:, 0]
+    ground = H4.eig[1][:, 0]
     dims4 = mk.Dims((2, 2, 2, 2))
     s_c = np.sort(mk.site_entropies(ground, dims4))
     s_d = np.sort(mk.site_entropies(mk.jw_dual_tps(4).iso.mat @ ground, dims4))

@@ -6,7 +6,7 @@ import mereokit as mk
 from mereokit.basis import coeff_tensor, matrix_from_coeffs, weight_masses, weight_tensor
 from mereokit.models import SIGMA
 
-from conftest import random_hermitian
+from conftest import hs_norm_sq, random_hermitian
 
 
 def brute_force_coeffs(mat, dims, site_ops=None):
@@ -70,7 +70,7 @@ class TestDecompose:
         for _ in range(5):
             H = random_hermitian(8, rng)
             dec = mk.decompose(H, mk.canonical(dims222))
-            assert dec.hs_norm_sq() == pytest.approx(mk.hs_norm_sq(H), rel=1e-9)
+            assert hs_norm_sq(dec.coeffs) == pytest.approx(hs_norm_sq(H), rel=1e-9)
 
     def test_real_coefficients_for_hermitian(self, dims222):
         H = random_hermitian(8, mk.stream(202))
@@ -145,7 +145,7 @@ class TestKernel:
         dims = mk.Dims((2,) * 9)
         H = random_hermitian(dims.total, mk.stream(209))
         dec = mk.decompose(H, mk.canonical(dims))
-        assert dec.hs_norm_sq() == pytest.approx(mk.hs_norm_sq(H), rel=1e-9)
+        assert hs_norm_sq(dec.coeffs) == pytest.approx(hs_norm_sq(H), rel=1e-9)
         back = mk.reconstruct(dec)
         assert np.abs(back.mat - H.mat).max() < 1e-10 * (1 + np.abs(H.mat).max())
 
@@ -176,7 +176,7 @@ class TestWeightProfile:
     def test_parseval_matches_total(self, dims222):
         H = random_hermitian(8, mk.stream(206))
         prof = mk.weight_profile(mk.decompose(H, mk.canonical(dims222)))
-        assert prof.total == pytest.approx(mk.hs_norm_sq(H), rel=1e-9)
+        assert prof.w.sum() == pytest.approx(hs_norm_sq(H), rel=1e-9)
 
 
 class TestCovarianceAndBasisChoice:
@@ -211,21 +211,3 @@ class TestCovarianceAndBasisChoice:
         alt_coeffs = brute_force_coeffs(H.mat, dims, [b.ops for b in alt])
         p2 = weight_masses(alt_coeffs, dims.factors)
         assert np.abs(p1.w - p2).max() < 1e-9
-
-
-class TestSerialization:
-    def test_json_roundtrip_content(self, dims22):
-        H = mk.pauli_string("ZX")
-        dec = mk.decompose(H, mk.canonical(dims22))
-        obj = mk.decomposition_to_json(dec)
-        assert obj["dims"] == [2, 2]
-        assert len(obj["entries"]) == 1
-        e = obj["entries"][0]
-        assert e["alphas"] == [3, 1] and e["re"] == pytest.approx(2.0)
-
-    def test_threshold_omits_dust(self, dims22):
-        coeffs = np.zeros((4, 4), dtype=complex)
-        coeffs[1, 1] = 1.0
-        coeffs[2, 2] = 1e-14
-        obj = mk.decomposition_to_json(mk.Decomposition(dims22, coeffs))
-        assert len(obj["entries"]) == 1

@@ -536,6 +536,19 @@ class TestUsage:
         ("search", {"file": "nan.json"}, "matrix in nan.json: entries must be finite"),
         ("fingerprint", {"state": [[0, 0]] * 4}, "state: cannot normalise a vector of norm 0.0"),
         ("orbit", {"probe": [[[0, 0], [0, 0]], [[1, 0], [0, 0]]]}, "probe: cannot normalise a vector of norm 0.0"),
+        # an entropy / bin quotient overflows: the count once read 1 with a RuntimeWarning
+        ("orbit", {"model": {"name": "ising", "n": 2, "J": 1.0, "h": 1.0}, "bin": 5e-324},
+         "bin 5e-324 is too small"),
+        # entries of the wrong JSON type, which crashed with an AttributeError or TypeError
+        ("profile", [{"model": {"name": "gue", "dims": [2, 2]}}], "config must be an object"),
+        ("profile", {"model": "ising"}, "model must be an object, got 'ising'"),
+        ("search", {"model": {"name": "gue", "dims": [2, 2]}, "search": 5}, "search must be an object, got 5"),
+        ("search", {"model": {"name": "gue", "dims": [2, 2]}, "search": ["K"]}, "search must be an object, got ['K']"),
+        ("orbit", {"grid": 5}, "grid must be an object, got 5"),
+        ("kinds", {"mode": "hsf", "pair1": 5, "pair2": "conjugated"}, "pair1 must be an object, got 5"),
+        ("kinds", {"mode": "gram", "family1": {"random": 5}, "family2": "rotated"},
+         "family1.random must be an object, got 5"),
+        ("profile", {"model": {"name": "pauli", "string": 5}}, "string must be a string, got 5"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_bad_numbers_name_field_and_write_nothing(self, tmp_path, capsys, monkeypatch, command, cfg, message):
@@ -552,9 +565,11 @@ class TestUsage:
         nan[1, 2] = np.nan
         save_matrix_file("nan.json", nan, mk.Dims((2, 2)))
         out = tmp_path / "out"
-        argv = [command, "--config", write_config(tmp_path, "c.json", {**base, **cfg, "seed": 1})]
+        body = {**base, **cfg, "seed": 1} if isinstance(cfg, dict) else cfg  # a list stays one
+        argv = [command, "--config", write_config(tmp_path, "c.json", body)]
         assert run_cli([*argv, "--out", str(out)]) == 1
-        assert f"error: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert list(tmp_path.glob("out*")) == []
 
     def test_integral_floats_run_with_config_kept_raw(self, tmp_path, capsys):

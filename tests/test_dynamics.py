@@ -180,6 +180,14 @@ class TestDistinctValues:
         curve = mk.entropy_orbit(H, T, probe, 0, grid)
         assert mk.distinct_value_count(curve, 2 * np.log(2)) <= 2
 
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_bin_counts_every_value(self, dims22):
+        # quotients near 1e300 once overflowed an int64 cast and all read as one value
+        H = mk.ising_chain(mk.IsingParams(2, 1.0, 1.0))
+        probe = mk.StateVec(np.array([1, 0, 0, 0], dtype=complex))
+        curve = mk.entropy_orbit(H, mk.canonical(dims22), probe, 0, mk.default_time_grid(H, 64))
+        assert mk.distinct_value_count(curve, 1e-300) == np.unique(curve.entropies).size == 64
+
     def test_bin_must_be_positive(self, dims22):
         H = mk.pauli_string("XX")
         probe = mk.StateVec(np.array([1, 0, 0, 0], dtype=complex))
@@ -187,11 +195,13 @@ class TestDistinctValues:
         with pytest.raises(mk.DimensionMismatch):
             mk.distinct_value_count(curve, 0.0)
 
-    @pytest.mark.parametrize("bin_", [float("nan"), float("inf"), -1.0])
+    # at 5e-324 the quotient entropy / bin overflows
+    @pytest.mark.parametrize("bin_", [float("nan"), float("inf"), -1.0, 5e-324])
+    @pytest.mark.filterwarnings("error")
     def test_bin_must_be_finite_and_positive(self, dims22, bin_):
         H = mk.pauli_string("XX")
         probe = mk.StateVec(np.array([1, 0, 0, 0], dtype=complex))
-        curve = mk.entropy_orbit(H, mk.canonical(dims22), probe, 0, [0.0])
+        curve = mk.entropy_orbit(H, mk.canonical(dims22), probe, 0, [0.0, 0.5])
         with pytest.raises(mk.DimensionMismatch, match="bin"):
             mk.distinct_value_count(curve, bin_)
 

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mereokit as mk
-from mereokit.hilbert import _from_pairs, _to_pairs
+from mereokit.hilbert import _from_pairs, _to_pairs, _unit
 from mereokit.models import SIGMA
 
-from conftest import random_hermitian
+from conftest import DensityOp, partial_trace, random_hermitian, vn_entropy
 
 
 class TestCarriers:
@@ -37,18 +37,18 @@ class TestCarriers:
             mk.StateVec(np.array([1.0, 1.0]))
 
     def test_density_invariants(self):
-        mk.DensityOp(np.eye(2) / 2)
+        DensityOp(np.eye(2) / 2)
         with pytest.raises(mk.InvariantViolation):
-            mk.DensityOp(np.eye(2))  # trace 2
+            DensityOp(np.eye(2))  # trace 2
         with pytest.raises(mk.InvariantViolation):
-            mk.DensityOp(np.diag([1.5, -0.5]).astype(complex))
+            DensityOp(np.diag([1.5, -0.5]).astype(complex))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
     @pytest.mark.filterwarnings("error")
     def test_non_finite_entries_rejected(self, bad):
         # NaN passed every "deviation > tol" check, and inf warned in HermitianOp
         for make, good in [(mk.HermitianOp, np.eye(2)), (mk.UnitaryOp, np.eye(2)),
-                           (mk.DensityOp, np.eye(2) / 2), (mk.StateVec, np.array([1.0, 0.0]))]:
+                           (DensityOp, np.eye(2) / 2), (mk.StateVec, np.array([1.0, 0.0]))]:
             a = np.array(good, dtype=complex)
             a.flat[0] = bad
             with pytest.raises(mk.InvariantViolation, match="finite"):
@@ -57,12 +57,9 @@ class TestCarriers:
     @pytest.mark.filterwarnings("error")
     def test_product_state_refuses_zero_or_non_finite_site_vector(self, dims22):
         T = mk.canonical(dims22)
-        for bad in ([0.0, 0.0], [float("nan"), 1.0], [float("inf"), 1.0], [1e200, 1e200]):
+        for bad in ([0.0, 0.0], [float("nan"), 1.0], [float("inf"), 1.0]):
             with pytest.raises(mk.InvariantViolation):
                 mk.product_state_in(T, [np.array(bad), np.array([1.0, 0.0])])
-        # a product whose entries overflow (1e400) is refused without an overflow warning
-        with pytest.raises(mk.InvariantViolation):
-            mk.product_state_in(T, [np.array([1e200, 1e200]), np.array([1e200, 1.0])])
 
     @pytest.mark.filterwarnings("error")
     def test_product_state_of_small_site_vectors(self, dims22):
@@ -70,6 +67,26 @@ class TestCarriers:
         # per site, it is the uniform state
         psi = mk.product_state_in(mk.canonical(dims22), [np.array([1e-100, 1e-100])] * 2)
         assert np.abs(psi.vec - 0.5).max() < 1e-15
+
+    @pytest.mark.parametrize("sites", [
+        [[1e200, 1e200], [1.0, 0.0]],
+        [[1e-200, 1e-200], [1.0, 0.0]],
+        [[1e200, 1e200], [1e200, 1.0]],  # the raw product's entries overflow (1e400)
+        [[1e308, -1e308j], [5e-324, 0.0]],
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_product_state_of_site_vectors_whose_norms_square_out_of_range(self, dims22, sites):
+        psi = mk.product_state_in(mk.canonical(dims22), [np.array(v) for v in sites])
+        want = mk.kron_all([np.array(v) / np.abs(np.array(v)).max() for v in sites])
+        assert np.abs(psi.vec - want / np.linalg.norm(want)).max() < 1e-15
+
+    def test_unit_keeps_every_bit_of_an_in_range_quotient(self):
+        # the power-of-two prescaling is exact, so state and probe payloads are unchanged
+        rng = mk.stream(114)
+        for scale in (1e-150, 1e-3, 1.0, 7.0, 1e150):
+            for D in (2, 3, 12, 64):
+                z = scale * (rng.standard_normal(D) + 1j * rng.standard_normal(D))
+                assert np.array_equal(_unit(z), z / np.linalg.norm(z))
 
     def test_arrays_are_readonly(self):
         H = mk.HermitianOp(np.eye(2))
@@ -94,45 +111,25 @@ class TestComplexPairs:
             _from_pairs(rows)
 
 
-class TestHsInner:
-    def test_identity(self):
-        assert mk.hs_inner(np.eye(4), np.eye(4)) == pytest.approx(4.0)
-
-    def test_traceless_product(self):
-        assert mk.hs_inner(SIGMA["X"], SIGMA["Z"]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(mk.DimensionMismatch):
-            mk.hs_inner(np.eye(2), np.eye(3))
-
-    def test_unitary_invariance(self):
-        rng = mk.stream(101)
-        for _ in range(10):
-            A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            U = mk.haar_unitary(4, rng).mat
-            lhs = mk.hs_inner(U @ A @ U.conj().T, U @ B @ U.conj().T)
-            assert abs(lhs - mk.hs_inner(A, B)) < 1e-10 * (1 + abs(mk.hs_inner(A, B)))
-
-
 class TestEig:
     def test_sigma_z(self):
-        lam, V = mk.eig_hermitian(mk.HermitianOp(SIGMA["Z"]))
+        lam, V = mk.HermitianOp(SIGMA["Z"]).eig
         assert np.allclose(lam, [-1, 1])
         # eigenvectors |1>, |0> up to phase
-        assert abs(abs(V.mat[1, 0]) - 1) < 1e-12
-        assert abs(abs(V.mat[0, 1]) - 1) < 1e-12
+        assert abs(abs(V[1, 0]) - 1) < 1e-12
+        assert abs(abs(V[0, 1]) - 1) < 1e-12
 
     def test_identity_degenerate(self):
-        lam, V = mk.eig_hermitian(mk.HermitianOp(np.eye(2)))
+        lam, V = mk.HermitianOp(np.eye(2)).eig
         assert np.allclose(lam, [1, 1])
 
     def test_roundtrip(self):
         rng = mk.stream(102)
         for _ in range(5):
             H = random_hermitian(8, rng)
-            lam, V = mk.eig_hermitian(H)
-            rebuilt = (V.mat * lam) @ V.mat.conj().T
+            lam, V = H.eig
+            mk.UnitaryOp(V)  # orthonormal eigenvectors
+            rebuilt = (V * lam) @ V.conj().T
             scale = np.abs(H.mat).max()
             assert np.abs(rebuilt - H.mat).max() < 1e-9 * (1 + scale)
             assert np.all(np.diff(lam) >= 0)
@@ -170,77 +167,77 @@ class TestPartialTrace:
         zero = np.array([1, 0], dtype=complex)
         plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
         psi = np.kron(zero, plus)
-        rho = mk.DensityOp(np.outer(psi, psi.conj()))
-        red = mk.partial_trace(rho, dims22, keep=1)
+        rho = DensityOp(np.outer(psi, psi.conj()))
+        red = partial_trace(rho, dims22, keep=1)
         assert np.abs(red.mat - np.outer(plus, plus.conj())).max() < 1e-12
 
     def test_bell_marginal(self, dims22):
         bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-        rho = mk.DensityOp(np.outer(bell, bell.conj()))
-        red = mk.partial_trace(rho, dims22, keep=0)
+        rho = DensityOp(np.outer(bell, bell.conj()))
+        red = partial_trace(rho, dims22, keep=0)
         assert np.abs(red.mat - np.eye(2) / 2).max() < 1e-12
 
     def test_index_out_of_range(self, dims22):
-        rho = mk.DensityOp(np.eye(4) / 4)
+        rho = DensityOp(np.eye(4) / 4)
         with pytest.raises(mk.DimensionMismatch):
-            mk.partial_trace(rho, dims22, keep=2)
+            partial_trace(rho, dims22, keep=2)
 
     def test_local_covariance(self, dims222):
         rng = mk.stream(105)
         for _ in range(5):
             psi = mk.haar_state(8, rng)
-            rho = mk.DensityOp(np.outer(psi.vec, psi.vec.conj()))
+            rho = DensityOp(np.outer(psi.vec, psi.vec.conj()))
             locals_ = [mk.haar_unitary(2, rng).mat for _ in range(3)]
             L = mk.kron_all(locals_)
-            rot = mk.DensityOp(L @ rho.mat @ L.conj().T)
+            rot = DensityOp(L @ rho.mat @ L.conj().T)
             for i in range(3):
-                lhs = mk.partial_trace(rot, dims222, keep=i).mat
-                rhs = locals_[i] @ mk.partial_trace(rho, dims222, keep=i).mat @ locals_[i].conj().T
+                lhs = partial_trace(rot, dims222, keep=i).mat
+                rhs = locals_[i] @ partial_trace(rho, dims222, keep=i).mat @ locals_[i].conj().T
                 assert np.abs(lhs - rhs).max() < 1e-10
 
     def test_trace_preserved(self, dims222):
         rng = mk.stream(106)
         psi = mk.haar_state(8, rng)
-        rho = mk.DensityOp(np.outer(psi.vec, psi.vec.conj()))
+        rho = DensityOp(np.outer(psi.vec, psi.vec.conj()))
         for i in range(3):
-            red = mk.partial_trace(rho, dims222, keep=i)
+            red = partial_trace(rho, dims222, keep=i)
             assert abs(np.trace(red.mat) - 1) < 1e-12
 
 
 class TestEntropy:
     def test_pure_projector(self):
         psi = mk.haar_state(4, mk.stream(107))
-        rho = mk.DensityOp(np.outer(psi.vec, psi.vec.conj()))
-        assert mk.vn_entropy(rho) == pytest.approx(0.0, abs=1e-10)
+        rho = DensityOp(np.outer(psi.vec, psi.vec.conj()))
+        assert vn_entropy(rho) == pytest.approx(0.0, abs=1e-10)
 
     def test_maximally_mixed_qubit(self):
-        assert mk.vn_entropy(mk.DensityOp(np.eye(2) / 2)) == pytest.approx(np.log(2), abs=1e-12)
+        assert vn_entropy(DensityOp(np.eye(2) / 2)) == pytest.approx(np.log(2), abs=1e-12)
 
     def test_unitary_invariance(self):
         rng = mk.stream(108)
         for _ in range(5):
             p = rng.dirichlet(np.ones(4))
-            rho = mk.DensityOp(np.diag(p).astype(complex))
+            rho = DensityOp(np.diag(p).astype(complex))
             U = mk.haar_unitary(4, rng)
-            rotated = mk.DensityOp(U.mat @ rho.mat @ U.mat.conj().T)
-            assert abs(mk.vn_entropy(rotated) - mk.vn_entropy(rho)) < 1e-9
+            rotated = DensityOp(U.mat @ rho.mat @ U.mat.conj().T)
+            assert abs(vn_entropy(rotated) - vn_entropy(rho)) < 1e-9
 
     def test_entropy_bounds(self):
         rng = mk.stream(109)
         dims = mk.Dims((2, 3))
         psi = mk.haar_state(6, rng)
-        rho = mk.DensityOp(np.outer(psi.vec, psi.vec.conj()))
+        rho = DensityOp(np.outer(psi.vec, psi.vec.conj()))
         for i, d in enumerate(dims.factors):
-            s = mk.vn_entropy(mk.partial_trace(rho, dims, keep=i))
+            s = vn_entropy(partial_trace(rho, dims, keep=i))
             assert -1e-12 <= s <= np.log(d) + 1e-9
 
     def test_site_entropies_match_partial_trace(self):
         rng = mk.stream(110)
         dims = mk.Dims((2, 2, 3))
         psi = mk.haar_state(12, rng)
-        rho = mk.DensityOp(np.outer(psi.vec, psi.vec.conj()))
+        rho = DensityOp(np.outer(psi.vec, psi.vec.conj()))
         fast = mk.site_entropies(psi.vec, dims)
-        slow = [mk.vn_entropy(mk.partial_trace(rho, dims, keep=i)) for i in range(3)]
+        slow = [vn_entropy(partial_trace(rho, dims, keep=i)) for i in range(3)]
         assert np.abs(fast - np.array(slow)).max() < 1e-9
 
 
@@ -261,8 +258,8 @@ class TestStackedSiteEntropies:
         for idx in np.ndindex(*lead):
             one = mk.site_entropies(psi[idx], dims)
             assert np.array_equal(got[idx], one)
-            rho = mk.DensityOp(np.outer(psi[idx], psi[idx].conj()))
-            slow = [mk.vn_entropy(mk.partial_trace(rho, dims, keep=i)) for i in range(dims.n)]
+            rho = DensityOp(np.outer(psi[idx], psi[idx].conj()))
+            slow = [vn_entropy(partial_trace(rho, dims, keep=i)) for i in range(dims.n)]
             assert np.abs(one - np.array(slow)).max() < 1e-9
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -308,22 +305,6 @@ class TestStackedSiteEntropies:
     def test_stack_dimension_mismatch(self):
         with pytest.raises(mk.DimensionMismatch):
             mk.site_entropies(np.zeros((3, 5), dtype=complex), mk.Dims((2, 2)))
-
-
-class TestPurity:
-    def test_values(self):
-        psi = mk.haar_state(4, mk.stream(111))
-        rho = mk.DensityOp(np.outer(psi.vec, psi.vec.conj()))
-        assert mk.purity(rho) == pytest.approx(1.0, abs=1e-10)
-        assert mk.purity(mk.DensityOp(np.eye(2) / 2)) == pytest.approx(0.5, abs=1e-12)
-
-    def test_unitary_invariance(self):
-        rng = mk.stream(112)
-        p = rng.dirichlet(np.ones(4))
-        rho = mk.DensityOp(np.diag(p).astype(complex))
-        U = mk.haar_unitary(4, rng)
-        rotated = mk.DensityOp(U.mat @ rho.mat @ U.mat.conj().T)
-        assert abs(mk.purity(rotated) - mk.purity(rho)) < 1e-10
 
 
 class TestHaar:

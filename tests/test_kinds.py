@@ -215,8 +215,7 @@ class TestProbeSet:
 
     def test_eigenvector_refused(self):
         H, _ = nondegenerate_instance(4, 609)
-        _, V = mk.eig_hermitian(H)
-        psi = mk.StateVec(V.mat[:, 0])
+        psi = mk.StateVec(H.eig[1][:, 0])
         with pytest.raises(mk.HypothesisViolation) as e:
             mk.build_probe_set(H, psi, 8, mk.stream(1))
         assert e.value.reason == "zero_projection"
@@ -430,23 +429,3 @@ class TestCrossValidate:
                 for T2 in (mk.act(U, T1), mk.act(mk.expm_i(H, 0.7), T1)):
                     v = mk.cross_validate_tps(H, psi, T1, T2, probes)
                     assert v is not TpsVerdict.INCONSISTENT
-
-
-class TestSerialization:
-    def test_fingerprint_json(self, dims22):
-        H, psi = nondegenerate_instance(4, 623)
-        probes = mk.build_probe_set(H, psi, 4)
-        fp = mk.fingerprint(H, psi, mk.canonical(dims22), probes)
-        obj = mk.fingerprint_to_json(fp, probes)
-        assert len(obj["entries"]) == 4 * 2
-        assert obj["skipped"] == []
-        assert len(obj["probes"]) == 4
-
-    def test_pair_kind_json(self):
-        spec = mk.PairKindSpec(mk.SpectrumSpec((-1.0, 1.0)), mk.ProjectionSpec((0.5, 0.5)))
-        obj = spec.to_json()
-        assert obj == {"spectrum": [-1.0, 1.0], "weights": [0.5, 0.5]}
-
-    def test_gram_json(self):
-        g = mk.gram_matrix([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-        assert g.to_json() == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]

@@ -5,6 +5,8 @@ import mereokit as mk
 from mereokit.basis import weight_tensor
 from mereokit.models import SIGMA, x_string
 
+from conftest import hs_norm_sq
+
 
 def canonical_site(op, i, n):
     return mk.kron_all([op if j == i else SIGMA["I"] for j in range(n)])
@@ -84,7 +86,7 @@ class TestDualTps:
         H = mk.ising_chain(mk.IsingParams(n, 1.0, 1.0))
         T = mk.jw_dual_tps(n)
         prof = mk.weight_profile(mk.decompose(H, T))
-        assert prof.w[3:].sum() < 1e-9 * mk.hs_norm_sq(H)
+        assert prof.w[3:].sum() < 1e-9 * hs_norm_sq(H)
         assert mk.is_k_local(H, T, 2)
 
     def test_transformed_chain_is_dual_chain(self):
@@ -115,8 +117,7 @@ class TestDualTps:
     def test_ground_state_discriminator(self):
         # a unitary-invariant separation of the two structures for the chain
         H = mk.ising_chain(mk.IsingParams(4, 1.0, 1.0))
-        lam, V = mk.eig_hermitian(H)
-        ground = V.mat[:, 0]
+        ground = H.eig[1][:, 0]
         dims = mk.Dims((2, 2, 2, 2))
         s_canonical = np.sort(mk.site_entropies(ground, dims))
         s_dual = np.sort(mk.site_entropies(mk.jw_dual_tps(4).iso.mat @ ground, dims))
