@@ -1,9 +1,9 @@
 """Batch experiment runner.
 
-One executable, one subcommand per experiment, JSON/CSV outputs. Every
-output embeds the resolved config that produced it, and the seed fully
-determines all randomness, so identical configs give byte-identical
-numeric payloads.
+One executable, one subcommand per experiment, JSON/CSV outputs (the `kinds`
+witness matrix goes to a `.npy` sidecar). Every output embeds the resolved
+config that produced it, and the seed fully determines all randomness, so
+identical configs give byte-identical numeric payloads.
 
 Exit codes: 0 success, 1 usage or parse error, 2 declared non-convergence,
 3 spectral-hypothesis violation.
@@ -16,12 +16,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 import os
 import sys
 from contextlib import contextmanager
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -68,9 +68,13 @@ _TOL_DEFAULTS = {"profile": locality.LOCALITY_RTOL, "fingerprint": kinds.FINGERP
 
 
 def _resolve_config(args) -> dict:
-    """The loaded config with its seed resolved (flag, config, MEREOKIT_SEED, 0) and,
-    where the subcommand takes one, its tol (flag, config, the subcommand's default)."""
+    """The loaded config, refused if it has a field the subcommand does not read, with its
+    seed resolved (flag, config, MEREOKIT_SEED, 0) and, where the subcommand takes one,
+    its tol (flag, config, the subcommand's default)."""
     cfg = _typed("config", _load_json(args.config), dict)
+    unknown = sorted(set(cfg) - _FIELDS[args.command])
+    if unknown:
+        raise UsageError(f"unknown {args.command} config field {unknown[0]!r}")
     seed = args.seed if args.seed is not None else cfg.get("seed", os.environ.get("MEREOKIT_SEED", 0))
     seed = _checked("seed", seed, int, "a non-negative integer", lambda v: v >= 0)
     resolved = {**cfg, "seed": seed}
@@ -133,45 +137,8 @@ def _write(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _json_text(obj, level: int = 0) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` written ``level`` deep, byte for byte,
-    without the stdlib's pure-Python indenting encoder walking number arrays."""
-    pad = "\n" + "  " * (level + 1)
-    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
-        items = (json.dumps(k) + ": " + _json_text(obj[k], level + 1) for k in sorted(obj))
-        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
-    if isinstance(obj, (list, tuple)) and obj:
-        items = (_json_text(x, level + 1) for x in obj)
-        return _array_text(obj, level) or "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
-    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + "  " * level)
-
-
-def _array_text(a, level: int) -> str | None:
-    """``_json_text(a, level)`` if ``a`` is a rectangular nested list of ints and floats, else None.
-
-    One C-encoder call writes the numbers as the indenting encoder does (``float.__repr__``,
-    ``NaN``, ``Infinity``), with the innermost separator already indented; one
-    ``str.replace`` per outer level then lays out the brackets, longest separator first.
-    """
-    rows, depth = [a], 0
-    while set(map(type, rows)) == {list}:
-        sizes = set(map(len, rows))
-        if len(sizes) != 1 or 0 in sizes:
-            return None
-        rows, depth = list(chain.from_iterable(rows)), depth + 1
-    if not depth or not set(map(type, rows)) <= {int, float}:
-        return None
-    line = lambda n: "\n" + "  " * (level + n)
-    opening = lambda m: "".join(line(depth - m + i) + "[" for i in range(m)) + line(depth)
-    closing = lambda m: "".join(line(depth - 1 - i) + "]" for i in range(m))
-    text = json.dumps(a, separators=("," + line(depth), ": "))[depth:-depth]
-    for m in range(depth - 1, 0, -1):
-        text = text.replace("]" * m + "," + line(depth) + "[" * m, closing(m) + "," + opening(m))
-    return "[" + opening(depth - 1) + text + closing(depth)
-
-
 def _dump_json(payload: dict, out: str | None):
-    _write(_json_text(payload) + "\n", out)
+    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
 
 
 def _dump_csv(header: str, rows, config: dict, out: str | None):
@@ -281,7 +248,7 @@ def _site_kets(spec, dims: Dims) -> list[np.ndarray]:
 
 
 def _time_grid(cfg, H: HermitianOp) -> np.ndarray:
-    grid = _typed("grid", cfg.get("grid") or {}, dict)
+    grid = _typed("grid", cfg.get("grid", {}), dict)
     points = _checked("grid.points", grid.get("points", 64), **_COUNT)
     if "t_max" in grid:  # every grid time and phase t * eigenvalue must be finite, too
         reach = points * max(1.0, float(np.abs(H.eig[0]).max()))
@@ -410,7 +377,10 @@ def cmd_kinds(cfg: dict, out: str | None) -> int:
     except NoWitnessError as e:
         _dump_json({"config": cfg, "witness": None, "reason": str(e)}, out)
         return EXIT_OK
-    _dump_json({"config": cfg, "witness": _to_pairs(U.mat), **residuals(U)}, out)
+    witness = {"shape": list(U.mat.shape), "sha256": hashlib.sha256(U.mat.tobytes()).hexdigest()}
+    _dump_json({"config": cfg, "witness": witness, **residuals(U)}, out)
+    if out:
+        np.save(out + ".witness.npy", U.mat)
     return EXIT_OK
 
 
@@ -479,6 +449,15 @@ def _local_move(T: tps_mod.Tps, rng) -> tps_mod.Tps:
 
 _HANDLERS = dict(profile=cmd_profile, orbit=cmd_orbit, fingerprint=cmd_fingerprint,
                  search=cmd_search, kinds=cmd_kinds, dualscan=cmd_dualscan)
+# the top-level config fields each subcommand reads; any other field is refused
+_FIELDS = dict(
+    profile={"model", "file", "tps", "seed", "tol"},
+    orbit={"model", "file", "tps", "probe", "site", "grid", "bin", "seed"},
+    fingerprint={"model", "file", "state", "tps1", "tps2", "probe_count", "seed", "tol"},
+    search={"model", "file", "search", "seed"},
+    kinds={"mode", "pair1", "pair2", "family1", "family2", "seed", "tol"},
+    dualscan={"dims", "trials", "t_values", "probe_count", "seed", "tol"},
+)
 
 
 @functools.cache

@@ -214,18 +214,15 @@ def gram_orbit_witness(family1: Sequence, family2: Sequence, tol: float = WITNES
 class ProbeSet:
     """Probe polynomials held as their values on the spectrum of H.
 
-    ``values[r, k]`` is R_r(lambda_k) at the ascending eigenvalues, read-only;
-    ``provenance[r]`` records whether R_r interpolates one eigenvector (a unit
-    row) or had its values drawn as seeded rationals.
+    ``values[r, k]`` is R_r(lambda_k) at the ascending eigenvalues, read-only.
     """
 
     values: np.ndarray
-    provenance: tuple[str, ...]
 
     def __post_init__(self):
         values = _frozen(self.values)
-        if values.ndim != 2 or values.shape[0] != len(self.provenance):
-            raise DimensionMismatch("need a 2-d value array with one provenance tag per row")
+        if values.ndim != 2:
+            raise DimensionMismatch("need a 2-d value array")
         object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
@@ -257,12 +254,10 @@ def build_probe_set(
         for _ in range(count - D)
     ]
     values = np.concatenate([np.eye(D), np.reshape([q[0] + 1j * q[1] for q in extras], (-1, D))])
-    provenance = [f"interpolation:{k}" for k in range(D)]
-    provenance += [f"random:{r}" for r in range(count - D)]
     rank = np.linalg.matrix_rank((values * c) @ H.eig[1].T)
     if rank < D:
         raise InvariantViolation(f"probe states have rank {rank} < {D}")
-    return ProbeSet(values, tuple(provenance))
+    return ProbeSet(values)
 
 
 @dataclass(frozen=True)

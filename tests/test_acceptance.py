@@ -289,7 +289,7 @@ def test_criterion_10_cli_determinism(tmp_path):
             out = tmp_path / f"{command}.{tag}.out"
             codes.append(cli_main([command, "--config", str(path), "--out", str(out)]))
             payload = out.read_bytes()
-            for side in (".summary.json", ".trace.csv"):
+            for side in (".summary.json", ".witness.npy"):
                 try:
                     payload += Path(str(out) + side).read_bytes()
                 except FileNotFoundError:

@@ -224,7 +224,7 @@ class TestProbeSet:
         H, psi = nondegenerate_instance(4, 610)
         probes = mk.build_probe_set(H, psi, 8, mk.stream(610, 1))
         assert len(probes) == 8 and probes.values.shape == (8, 4)
-        assert sum(1 for p in probes.provenance if p.startswith("interpolation")) == 4
+        assert np.array_equal(probes.values[:4], np.eye(4))  # one interpolation probe per eigenvector
         lam, V = np.linalg.eigh(H.mat)
         c = V.conj().T @ psi.vec
         mat = (probes.values * c) @ V.T
@@ -286,7 +286,7 @@ class TestFingerprint:
         psi = mk.StateVec(np.array([0.5, 0.5, 0.5, 0.5], dtype=complex))
         # probe polynomial selecting components 0 and 3 equally: R with
         # R(0)=1, R(1)=0, R(2)=0, R(3)=1 gives the Bell state from psi
-        probes = mk.ProbeSet(np.array([[1.0, 0.0, 0.0, 1.0]]), ("interpolation:custom",))
+        probes = mk.ProbeSet(np.array([[1.0, 0.0, 0.0, 1.0]]))
         fp = mk.fingerprint(H, psi, mk.canonical(dims22), probes)
         assert fp.entries[0, 0] == pytest.approx(np.log(2), abs=1e-9)
         assert fp.entries[0, 1] == pytest.approx(np.log(2), abs=1e-9)
@@ -306,7 +306,7 @@ class TestFingerprint:
     def test_skipped_probe_recorded(self, dims22):
         H = mk.HermitianOp(np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex))
         psi = mk.StateVec(np.array([0.5, 0.5, 0.5, 0.5], dtype=complex))
-        probes = mk.ProbeSet(np.zeros((1, 4)), ("random:null",))
+        probes = mk.ProbeSet(np.zeros((1, 4)))
         fp = mk.fingerprint(H, psi, mk.canonical(dims22), probes)
         assert fp.skipped == {0}
 
@@ -324,7 +324,7 @@ class TestFingerprint:
 
     def test_probe_length_mismatch(self, dims22):
         H, psi = nondegenerate_instance(4, 627)
-        probes = mk.ProbeSet(np.ones((2, 8)), ("random:0", "random:1"))
+        probes = mk.ProbeSet(np.ones((2, 8)))
         with pytest.raises(mk.DimensionMismatch):
             mk.fingerprint(H, psi, mk.canonical(dims22), probes)
 
