@@ -3,10 +3,13 @@ by matching spectra.
 
 H has a K-local structure exactly when some K-local operator L(x) has its
 eigenvalues (Cotler, Penington, Ranard, "Locality from the Spectrum",
-arXiv:1702.06142). L-BFGS over the real weight-1..K coefficients x minimises
-f(x) = sum_k (mu_k - lam_k)^2, mu the ascending eigenvalues of L(x) and lam
-those of H; by Hellmann-Feynman its gradient is 2 Re coeff_tensor(W diag(mu
-- lam) W^dag) on those coefficients, W the eigenvectors of L(x). Then
+arXiv:1702.06142). The match runs over the real weight-1..K coefficients x
+on the residuals r(x) = mu(x) - lam, mu the ascending eigenvalues of L(x) and
+lam those of H. By Hellmann-Feynman d mu_k / d x_a = <w_k|B_a|w_k>, w_k the
+eigenvectors of L(x). For K >= 2, Levenberg-Marquardt reads that Jacobian
+from the reduced density matrices of the w_k on each K-site support. For
+K = 1, L-BFGS minimises f = |r|^2 with the gradient 2 Re coeff_tensor(W
+diag(r) W^dag), since LM loses K = 1 basins that L-BFGS finds. Then
 V = W U^dag, U the eigenvectors of H, maps H onto L(x) up to the remaining
 mismatch. The residual (``objective``) is the K-local residual of H in V as
 ``is_k_local`` reads it, so ``converged`` and ``certify`` threshold one number.
@@ -14,25 +17,33 @@ mismatch. The residual (``objective``) is the K-local residual of H in V as
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
 from .hilbert import Dims, HermitianOp, UnitaryOp
-from .basis import coeff_tensor, matrix_from_coeffs, weight_masses, weight_tensor
+from .basis import _contract, coeff_tensor, matrix_from_coeffs, weight_masses, weight_tensor
 from .locality import _profile, is_k_local, k_local_residual
 from .tps import Tps
 from .rng import stream as rng_stream
 
-# the spectrum match's L-BFGS
-_GRAD_TOL = 1e-9  # stop once |grad f| <= _GRAD_TOL * |lam - mean lam|
+_GRAD_TOL = 1e-9  # the spectrum match stops once |grad f| <= _GRAD_TOL * |lam - mean lam|
+# the spectrum match's L-BFGS (K = 1)
 _STEP_INIT = 1.0  # first trial step of each line search
 _ARMIJO_C = 1e-4  # accept a step once f falls by at least _ARMIJO_C * step * slope
 _BACKTRACK_RATIO = 0.5  # else shrink the step by this factor, at most _MAX_BACKTRACKS times
 _MAX_BACKTRACKS = 60
 _LBFGS_HISTORY = 10  # (step, gradient change) pairs kept by the spectrum match
+# the spectrum match's Levenberg-Marquardt (K >= 2); damping is in units of tr(J J^T) / D
+_DAMP_INIT = 1e-3  # damping of the first step
+_DAMP_RATIO = 10.0  # divide the damping by this after an accepted step, multiply after a rejected one
+_DAMP_FLOOR = 1e-12  # the damping never falls below this, so J J^T + damp I stays invertible
+_MAX_REJECTIONS = 10  # trial steps per iteration; when all are rejected the match stops
 
 
 @dataclass(frozen=True)
@@ -88,6 +99,66 @@ def _spectral_gradient(W: np.ndarray, r: np.ndarray, mask: np.ndarray, dims: Dim
     return 2.0 * coeff_tensor((W * r) @ W.conj().T, dims)[mask].real
 
 
+@lru_cache(maxsize=None)
+def _supports(factors: tuple[int, ...], K: int):
+    """The K-site supports S, grouped by their factor dims, and the index maps of their expansions.
+
+    Each group is (dims of S, one axis order per support that puts S first). Stacked group by
+    group, the supports' expansions have one column per local multi-index; ``cols`` picks the
+    column each mask coefficient is read from, in mask order, and ``scales`` its factor
+    prod_{m not in S} d_m^-1/2. A coefficient of weight below K lies in several supports and is
+    read from the first."""
+    n, weight = len(factors), weight_tensor(factors)
+    mask = ((weight >= 1) & (weight <= K)).ravel()
+    P = int(mask.sum())
+    position = np.full(weight.size, -1)  # mask-order position of every multi-index, -1 off the mask
+    position[mask] = np.arange(P)
+    by_dims: dict[tuple[int, ...], list] = {}
+    for S in combinations(range(n), K):
+        by_dims.setdefault(tuple(factors[i] for i in S), []).append(S)
+    groups, cols, scales, offset = [], np.full(P, -1), np.empty(P), 0
+    for fS, supports in by_dims.items():
+        local = np.indices(tuple(d * d for d in fS)).reshape(K, -1)
+        for S in supports:
+            full = np.zeros((n, local.shape[1]), dtype=np.int64)
+            full[list(S)] = local
+            a = position[np.ravel_multi_index(full, weight.shape)]
+            new = (a >= 0) & (cols[a] < 0)
+            cols[a[new]] = offset + np.flatnonzero(new)
+            scales[a[new]] = math.sqrt(math.prod(fS) / math.prod(factors))
+            offset += local.shape[1]
+        axes = tuple((0,) + tuple(1 + i for i in S) + tuple(1 + i for i in range(n) if i not in S)
+                     for S in supports)
+        groups.append((fS, axes))
+    cols.setflags(write=False)  # cached, so shared by every caller
+    scales.setflags(write=False)
+    return tuple(groups), cols, scales
+
+
+def _spectral_jacobian(W: np.ndarray, dims: Dims, K: int) -> np.ndarray:
+    """J[k, a] = <w_k|B_a|w_k> over the weight-1..K coefficients a, in mask order.
+
+    Per K-site support S, one batched matmul gives the reduced density matrices rho_S of every
+    eigenvector w_k, and the Gell-Mann site maps expand those of a group at once:
+    <w_k|B_a|w_k> is tr(b_a rho_S) prod_{m not in S} d_m^-1/2, B_a = b_a on S and I / sqrt(d_m)
+    off it. The cost is D^2 prod(d_S) per support, not the D^3 sum(d_i^2) of D projectors."""
+    f, D = dims.factors, dims.total
+    groups, cols, scales = _supports(f, K)
+    psi = W.T.reshape((D,) + f)  # psi[k] is w_k as a tensor
+    blocks = []
+    for fS, axes in groups:
+        dS = math.prod(fS)
+        rho = np.empty((len(axes), D, dS, dS), dtype=complex)
+        for s, ax in enumerate(axes):
+            A = psi.transpose(ax).reshape(D, dS, -1)
+            np.matmul(A, A.conj().transpose(0, 2, 1), out=rho[s])
+        # (row, col) axes site by site with the batch axis last; _contract rotates it to the front
+        t = rho.reshape((-1,) + fS + fS).transpose([a for i in range(K) for a in (1 + i, 1 + K + i)] + [0])
+        c = _contract(t, fS, adjoint=False).reshape(len(axes), D, -1)
+        blocks.append(c.transpose(1, 0, 2).reshape(D, -1))
+    return np.concatenate(blocks, axis=1)[:, cols].real * scales
+
+
 def _two_loop(g: np.ndarray, history) -> np.ndarray:
     """H_k g by the L-BFGS two-loop recursion (Nocedal & Wright, Alg. 7.4)."""
     q = g.copy()
@@ -104,8 +175,8 @@ def _two_loop(g: np.ndarray, history) -> np.ndarray:
     return q
 
 
-def _match_spectrum(x: np.ndarray, c: np.ndarray, mask: np.ndarray, lam: np.ndarray,
-                    dims: Dims, max_iters: int) -> np.ndarray:
+def _lbfgs(x: np.ndarray, c: np.ndarray, mask: np.ndarray, lam: np.ndarray,
+           dims: Dims, max_iters: int) -> np.ndarray:
     """Eigenvectors of L(x) after L-BFGS on the spectral mismatch from x."""
     f, W, r = _spectral_point(x, c, mask, lam, dims)
     g = _spectral_gradient(W, r, mask, dims)
@@ -138,12 +209,52 @@ def _match_spectrum(x: np.ndarray, c: np.ndarray, mask: np.ndarray, lam: np.ndar
     return W
 
 
+def _levenberg_marquardt(x: np.ndarray, c: np.ndarray, mask: np.ndarray, lam: np.ndarray,
+                         dims: Dims, K: int, max_iters: int) -> np.ndarray:
+    """Eigenvectors of L(x) after Levenberg-Marquardt on the residuals mu(x) - lam from x.
+
+    The step solves min |r - J s|^2 + damp |s|^2 in its D x D form, s = J^T (J J^T + damp I)^-1 r,
+    since there are at least D - 1 parameters. J J^T is singular: its rows sum to tr B_a = 0, and a
+    degenerate L(x) drops more rank, so damp never falls below _DAMP_FLOOR tr(J J^T) / D."""
+    f, W, r = _spectral_point(x, c, mask, lam, dims)
+    tol = _GRAD_TOL * float(np.linalg.norm(lam - lam.mean()))
+    eye = np.eye(dims.total)
+    damp = _DAMP_INIT  # in units of tr(J J^T) / D
+    for _ in range(max_iters):
+        J = _spectral_jacobian(W, dims, K)
+        if np.linalg.norm(2.0 * (r @ J)) <= tol:  # |grad f|, as in the L-BFGS
+            break
+        JJ = J @ J.T
+        unit = np.trace(JJ) / dims.total
+        for _ in range(_MAX_REJECTIONS):
+            xn = x - J.T @ np.linalg.solve(JJ + damp * unit * eye, r)
+            fn, Wn, rn = _spectral_point(xn, c, mask, lam, dims)
+            if fn < f:
+                damp = max(damp / _DAMP_RATIO, _DAMP_FLOOR)
+                break
+            damp *= _DAMP_RATIO
+        else:  # every trial step rejected: f is at its floor along J
+            break
+        x, f, W, r = xn, fn, Wn, rn
+    return W
+
+
+def _match_spectrum(x: np.ndarray, c: np.ndarray, mask: np.ndarray, lam: np.ndarray,
+                    dims: Dims, K: int, max_iters: int) -> np.ndarray:
+    """Eigenvectors of L(x) after matching its spectrum to lam from x: L-BFGS at K = 1, else LM."""
+    if K == 1:
+        return _lbfgs(x, c, mask, lam, dims, max_iters)
+    return _levenberg_marquardt(x, c, mask, lam, dims, K, max_iters)
+
+
 def search(H: HermitianOp, dims: Dims, cfg: SearchConfig) -> SearchResult:
     """Best structure over restarts, each a spectrum match.
 
-    Each restart runs L-BFGS over the weight-1..K coefficients x of a K-local
-    L(x) whose eigenvalues should match those of H, with the weight-0
-    coefficient fixed by tr H, and evaluates the residual once at
+    Each restart matches the eigenvalues of a K-local L(x) to those of H over
+    its weight-1..K coefficients x, with the weight-0 coefficient fixed by
+    tr H: by Levenberg-Marquardt for K >= 2 and by L-BFGS for K = 1. Each
+    stops once |grad f| <= _GRAD_TOL |lam - mean lam|, when no trial step
+    lowers f, or after ``max_iters`` iterations. It evaluates the residual once at
     V = W U^dag (W, U the eigenvectors of L(x) and H). Restart 0 starts from
     the weight-1..K coefficients of H in the given frame, so an H that is
     already K-local starts at zero mismatch; restart r >= 1 starts from a
@@ -174,7 +285,7 @@ def search(H: HermitianOp, dims: Dims, cfg: SearchConfig) -> SearchResult:
         else:
             x0 = rng_stream(cfg.seed, r).standard_normal(int(mask.sum()))
             x0 *= scale / np.linalg.norm(x0)
-        W = _match_spectrum(x0, c, mask, lam, dims, cfg.max_iters)
+        W = _match_spectrum(x0, c, mask, lam, dims, cfg.K, cfg.max_iters)
         V = UnitaryOp(W @ U.conj().T)
         residuals.append(objective(H, V, cfg.K, dims))
         if best is None or residuals[-1] < residuals[best[0]]:

@@ -6,6 +6,7 @@ import pytest
 
 from mereokit import DimensionMismatch, Dims, HermitianOp, HypothesisViolation, InvariantViolation, StateVec
 from mereokit import haar_state, stream
+from mereokit.basis import coeff_tensor, weight_tensor
 from mereokit.hilbert import ATOL, _entropy_of_probs, _square
 from mereokit.kinds import check_spectral_hypotheses
 
@@ -74,6 +75,17 @@ def partial_trace(rho: DensityOp, dims: Dims, keep: int) -> DensityOp:
 def vn_entropy(rho: DensityOp) -> float:
     """von Neumann entropy in nats; eigenvalues are clamped to [0, 1] first."""
     return float(_entropy_of_probs(np.linalg.eigvalsh(rho.mat)))
+
+
+def projector_jacobian(W: np.ndarray, dims: Dims, K: int) -> np.ndarray:
+    """d mu_k / d x_a = <w_k|B_a|w_k> from the expansions of the D projectors w_k w_k^dag.
+
+    Rows are the eigenvectors (columns of W), columns the weight-1..K coefficients in the
+    order of ``coeff_tensor(...)[mask]``. It costs D^3 sum(d_i^2), where the library's
+    support-built Jacobian costs D^2 prod(d_S) per K-site support."""
+    w = weight_tensor(dims.factors)
+    mask = (w >= 1) & (w <= K)
+    return np.stack([coeff_tensor(np.outer(v, v.conj()), dims)[mask].real for v in W.T])
 
 
 def basis_state(D, k):

@@ -221,8 +221,8 @@ class TestSearchCmd:
         assert json.loads(capsys.readouterr().out)["result"]["residual"] > 1e-6
 
     def test_unknown_search_field_exit_1(self, tmp_path, capsys):
-        # a misspelling, the L-BFGS tuning fields that are now module constants, and a seed,
-        # which is the top-level one
+        # a misspelling, the retired tuning fields of the spectrum match (module constants in
+        # search.py), and a seed, which is the top-level one
         for field in ("max_iter", "grad_tol", "step_init", "armijo_c", "backtrack_ratio", "seed"):
             cfg = write_config(
                 tmp_path, "c.json",

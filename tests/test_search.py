@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 import mereokit as mk
 from mereokit.basis import weight_tensor
-from mereokit.search import _spectral_gradient, _spectral_point
+from mereokit.search import _MAX_REJECTIONS, _spectral_gradient, _spectral_jacobian, _spectral_point
 
-from conftest import random_hermitian
+from conftest import projector_jacobian, random_hermitian
 
 # the package re-exports the function ``search``, which shadows the module
 search_mod = importlib.import_module("mereokit.search")
@@ -141,6 +141,72 @@ class TestSpectrumMatch:
                 ) / (2 * eps)
                 an = float(g @ d)
                 assert abs(fd - an) <= 1e-5 * max(abs(fd), abs(an), 1e-12)
+
+    @pytest.mark.parametrize("factors,K", [((2, 2, 2), 2), ((2, 2, 3), 2), ((3, 3, 3), 2), ((2,) * 5, 3)])
+    def test_jacobian_matches_projector_oracle(self, factors, K):
+        # the support-built J against the expansions of the D projectors, and 2 J^T r against
+        # the Hellmann-Feynman gradient that the finite-difference test checks
+        dims = mk.Dims(factors)
+        w = weight_tensor(factors)
+        mask = (w >= 1) & (w <= K)
+        rng = mk.stream(846, dims.total, K)
+        _, W = np.linalg.eigh(random_hermitian(dims.total, rng).mat)
+        J = _spectral_jacobian(W, dims, K)
+        assert J.shape == (dims.total, int(mask.sum()))
+        assert np.abs(J - projector_jacobian(W, dims, K)).max() <= 1e-12
+        r = rng.standard_normal(dims.total)
+        g = _spectral_gradient(W, r, mask, dims)
+        assert np.abs(2.0 * (r @ J) - g).max() <= 1e-12 * np.abs(g).max()
+
+    @pytest.mark.parametrize("H", [
+        mk.pauli_string("ZZI"), mk.pauli_string("XXXX"), mk.ising_chain(mk.IsingParams(4, 1.0, 0.7)),
+    ], ids=["ZZI", "XXXX", "ising4"])
+    def test_degenerate_spectrum_converges(self, H):
+        # J J^T loses rank at a degenerate L(x); with the damping undamped to 0 the solve
+        # raised LinAlgError on ZZI
+        dims = mk.Dims((2,) * int(round(np.log2(H.dim))))
+        cfg = mk.SearchConfig(K=2, restarts=4, seed=1)
+        res = mk.search(H, dims, cfg)
+        assert res.converged
+        assert mk.certify(H, res, 2, cfg.success_residual) == res.converged
+
+    def _count_spectral_points(self, monkeypatch, transform=None):
+        calls = [0]
+        point = search_mod._spectral_point
+
+        def wrapped(*args):
+            calls[0] += 1
+            out = point(*args)
+            return out if transform is None else transform(calls[0], out)
+
+        monkeypatch.setattr(search_mod, "_spectral_point", wrapped)
+        return calls
+
+    @pytest.mark.parametrize("factors", [(2, 2, 2), (2, 2, 3), (2, 2, 2, 2)])
+    def test_levenberg_marquardt_work_count(self, factors, monkeypatch):
+        # L-BFGS took medians of 14, 16 and 24.5 spectral points (one eigh each) on these instances
+        dims = mk.Dims(factors)
+        calls = self._count_spectral_points(monkeypatch)
+        counts = []
+        for k in range(20):
+            H, _ = mk.scrambled_klocal(dims, 2, mk.stream(847, k))
+            calls[0] = 0
+            assert mk.search(H, dims, mk.SearchConfig(K=2, restarts=1, seed=k)).converged
+            counts.append(calls[0])
+        print(f"spectral points per search at {factors}: {counts}")
+        assert max(counts) <= 8
+
+    def test_rejection_bound(self, dims222, monkeypatch):
+        # one iteration evaluates at most _MAX_REJECTIONS trial points after the first point;
+        # when every trial is rejected the match stops there, however many iterations remain
+        H, _ = mk.scrambled_klocal(dims222, 2, mk.stream(848))
+        calls = self._count_spectral_points(monkeypatch)
+        mk.search(H, dims222, mk.SearchConfig(K=2, restarts=3, max_iters=1, seed=848))
+        assert calls[0] <= 3 * (1 + _MAX_REJECTIONS)
+        calls = self._count_spectral_points(monkeypatch, lambda i, out: out if i == 1 else (np.inf,) + out[1:])
+        res = mk.search(H, dims222, mk.SearchConfig(K=2, restarts=1, seed=848))
+        assert calls[0] == 1 + _MAX_REJECTIONS
+        assert len(res.restart_residuals) == 1
 
     @pytest.mark.parametrize("factors,seed", [((2, 2, 2, 2), 842), ((2,) * 6, 843)])
     def test_scrambled_converges_with_one_restart(self, factors, seed):
