@@ -239,14 +239,6 @@ def _levenberg_marquardt(x: np.ndarray, c: np.ndarray, mask: np.ndarray, lam: np
     return W
 
 
-def _match_spectrum(x: np.ndarray, c: np.ndarray, mask: np.ndarray, lam: np.ndarray,
-                    dims: Dims, K: int, max_iters: int) -> np.ndarray:
-    """Eigenvectors of L(x) after matching its spectrum to lam from x: L-BFGS at K = 1, else LM."""
-    if K == 1:
-        return _lbfgs(x, c, mask, lam, dims, max_iters)
-    return _levenberg_marquardt(x, c, mask, lam, dims, K, max_iters)
-
-
 def search(H: HermitianOp, dims: Dims, cfg: SearchConfig) -> SearchResult:
     """Best structure over restarts, each a spectrum match.
 
@@ -285,7 +277,10 @@ def search(H: HermitianOp, dims: Dims, cfg: SearchConfig) -> SearchResult:
         else:
             x0 = rng_stream(cfg.seed, r).standard_normal(int(mask.sum()))
             x0 *= scale / np.linalg.norm(x0)
-        W = _match_spectrum(x0, c, mask, lam, dims, cfg.K, cfg.max_iters)
+        if cfg.K == 1:  # LM loses K = 1 basins that L-BFGS finds
+            W = _lbfgs(x0, c, mask, lam, dims, cfg.max_iters)
+        else:
+            W = _levenberg_marquardt(x0, c, mask, lam, dims, cfg.K, cfg.max_iters)
         V = UnitaryOp(W @ U.conj().T)
         residuals.append(objective(H, V, cfg.K, dims))
         if best is None or residuals[-1] < residuals[best[0]]:

@@ -162,8 +162,8 @@ class TestSpectrumMatch:
         mk.pauli_string("ZZI"), mk.pauli_string("XXXX"), mk.ising_chain(mk.IsingParams(4, 1.0, 0.7)),
     ], ids=["ZZI", "XXXX", "ising4"])
     def test_degenerate_spectrum_converges(self, H):
-        # J J^T loses rank at a degenerate L(x); with the damping undamped to 0 the solve
-        # raised LinAlgError on ZZI
+        # J J^T loses rank at a degenerate L(x); with no floor on the damping the solve
+        # raised LinAlgError on ZZI and XXXX
         dims = mk.Dims((2,) * int(round(np.log2(H.dim))))
         cfg = mk.SearchConfig(K=2, restarts=4, seed=1)
         res = mk.search(H, dims, cfg)
