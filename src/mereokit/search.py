@@ -41,7 +41,10 @@ _MAX_BACKTRACKS = 60
 _LBFGS_HISTORY = 10  # (step, gradient change) pairs kept by the spectrum match
 # the spectrum match's Levenberg-Marquardt (K >= 2); damping is in units of tr(J J^T) / D
 _DAMP_INIT = 1e-3  # damping of the first step
-_DAMP_RATIO = 10.0  # divide the damping by this after an accepted step, multiply after a rejected one
+_DAMP_UP = 10.0  # multiply the damping by this after a rejected trial step
+# divide it by this after an accepted one; lowered less than raised, because with 10 both ways
+# it bounced between two values at (2,)x8, one rejected and one accepted trial per iteration
+_DAMP_DOWN = 3.0
 _DAMP_FLOOR = 1e-12  # the damping never falls below this, so J J^T + damp I stays invertible
 _MAX_REJECTIONS = 10  # trial steps per iteration; when all are rejected the match stops
 
@@ -230,9 +233,9 @@ def _levenberg_marquardt(x: np.ndarray, c: np.ndarray, mask: np.ndarray, lam: np
             xn = x - J.T @ np.linalg.solve(JJ + damp * unit * eye, r)
             fn, Wn, rn = _spectral_point(xn, c, mask, lam, dims)
             if fn < f:
-                damp = max(damp / _DAMP_RATIO, _DAMP_FLOOR)
+                damp = max(damp / _DAMP_DOWN, _DAMP_FLOOR)
                 break
-            damp *= _DAMP_RATIO
+            damp *= _DAMP_UP
         else:  # every trial step rejected: f is at its floor along J
             break
         x, f, W, r = xn, fn, Wn, rn
