@@ -249,12 +249,12 @@ def search(H: HermitianOp, dims: Dims, cfg: SearchConfig) -> SearchResult:
     its weight-1..K coefficients x, with the weight-0 coefficient fixed by
     tr H: by Levenberg-Marquardt for K >= 2 and by L-BFGS for K = 1. Each
     stops once |grad f| <= _GRAD_TOL |lam - mean lam|, when no trial step
-    lowers f, or after ``max_iters`` iterations. It evaluates the residual once at
-    V = W U^dag (W, U the eigenvectors of L(x) and H). Restart 0 starts from
-    the weight-1..K coefficients of H in the given frame, so an H that is
-    already K-local starts at zero mismatch; restart r >= 1 starts from a
-    Gaussian x drawn from sub-stream r of the configured seed, scaled to the
-    HS norm of H - tr H / D. Every restart runs.
+    lowers f, or after ``max_iters`` iterations. The restart's residual is
+    evaluated once, at V = W U^dag (W, U the eigenvectors of L(x) and H).
+    Restart 0 starts from the weight-1..K coefficients of H in the given
+    frame, so an H that is already K-local starts at zero mismatch; restart
+    r >= 1 starts from a Gaussian x drawn from sub-stream r of the configured
+    seed, scaled to the HS norm of H - tr H / D. Every restart runs.
 
     ``restart_residuals`` holds each restart's residual. The winner is the
     (residual, restart index) minimum; its residual is the one point (0,

@@ -203,7 +203,8 @@ class TestSpectrumMatch:
         calls = self._count_spectral_points(monkeypatch)
         mk.search(H, dims222, mk.SearchConfig(K=2, restarts=3, max_iters=1, seed=848))
         assert calls[0] <= 3 * (1 + _MAX_REJECTIONS)
-        calls = self._count_spectral_points(monkeypatch, lambda i, out: out if i == 1 else (np.inf,) + out[1:])
+        reject_all_trials = lambda i, out: out if i == 1 else (np.inf,) + out[1:]  # noqa: E731
+        calls = self._count_spectral_points(monkeypatch, reject_all_trials)
         res = mk.search(H, dims222, mk.SearchConfig(K=2, restarts=1, seed=848))
         assert calls[0] == 1 + _MAX_REJECTIONS
         assert len(res.restart_residuals) == 1
