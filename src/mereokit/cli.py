@@ -302,8 +302,7 @@ def cmd_fingerprint(cfg: dict, out: str | None) -> int:
     T2 = build_tps(cfg.get("tps2"), dims, seed, T1, H, 1)
     count = _checked("probe_count", cfg["probe_count"], **_COUNT) if "probe_count" in cfg else None
     probes = kinds.build_probe_set(H, psi, count, stream(seed, 5))
-    f1 = kinds.fingerprint(H, psi, T1, probes)
-    f2 = kinds.fingerprint(H, psi, T2, probes)
+    f1, f2 = kinds.fingerprint(H, psi, [T1, T2], probes)
     tps_eq = tps_mod.equivalent(T1, T2)
     payload = {
         "config": cfg,
@@ -405,12 +404,11 @@ def cmd_dualscan(cfg: dict, out: str | None) -> int:
     tally = {v.value: 0 for v in kinds.TpsVerdict}
     for trial in range(trials):
         H, psi, T1 = _dualscan_instance(dims, seed, trial)
-        probes = kinds.build_probe_set(H, psi, count, stream(seed, trial, 1))
-        f1 = kinds.fingerprint(H, psi, T1, probes)
-        cases = [("local", _local_move(T1, stream(seed, trial, 100)))]
+        probes = kinds.build_probe_set(H, psi, count, stream(seed, trial, _ATTEMPTS))
+        cases = [("local", _local_move(T1, stream(seed, trial, _ATTEMPTS + 1)))]
         cases += [(f"evolved:{t!r}", tps_mod.act(expm_i(H, t), T1)) for t in t_values]
-        for label, T2 in cases:
-            f2 = kinds.fingerprint(H, psi, T2, probes)
+        f1, *fs = kinds.fingerprint(H, psi, [T1] + [T2 for _, T2 in cases], probes)
+        for (label, T2), f2 in zip(cases, fs):
             fp_eq = kinds.fingerprints_equal(f1, f2, tol)
             tps_eq = tps_mod.equivalent(T1, T2)
             verdict = kinds.TpsVerdict.of(fp_eq, tps_eq)
@@ -423,9 +421,15 @@ def cmd_dualscan(cfg: dict, out: str | None) -> int:
     return EXIT_OK
 
 
+# Attempt a of a dualscan trial draws its instance from stream(seed, trial, a), a < _ATTEMPTS;
+# the trial's probes and local move draw from paths _ATTEMPTS and _ATTEMPTS + 1, which no
+# attempt reaches.
+_ATTEMPTS = 64
+
+
 def _dualscan_instance(dims: Dims, seed: int, trial: int):
     # resample (deterministically) until the spectral hypotheses hold
-    for attempt in range(64):
+    for attempt in range(_ATTEMPTS):
         rng = stream(seed, trial, attempt)
         H = _gue(dims.total, rng)
         psi = haar_state(dims.total, rng)

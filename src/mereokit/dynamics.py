@@ -70,7 +70,7 @@ def find_nonlocal_symmetry(
     """
     C = _require_product_probes(H, T, probes)
     for t in t_grid:
-        ents = _eigen_entropies(H, T, C, np.exp(-1j * float(t) * H.eig[0]))
+        ents = _eigen_entropies(H, [T], C, np.exp(-1j * float(t) * H.eig[0]))[0]
         if not (ents > WITNESS_ENTROPY).any():
             continue
         U = expm_i(H, float(t))
@@ -118,7 +118,7 @@ def entropy_orbit(
     blocks = np.array_split(t, len(t) // max(1, 2**16 // H.dim) + 1)
     lam = H.eig[0]
     ents = np.concatenate(
-        [_eigen_entropies(H, T, c, np.exp(-1j * np.multiply.outer(b, lam)))[:, site] for b in blocks]
+        [_eigen_entropies(H, [T], c, np.exp(-1j * np.multiply.outer(b, lam)))[0, :, site] for b in blocks]
     )
     bound = np.log(T.dims.factors[site]) + 1e-9
     if len(ents) and ents.max() > bound:

@@ -247,13 +247,14 @@ def build_probe_set(
         count = 2 * D
     if count < D:
         raise DimensionMismatch(f"need at least {D} probes, got {count}")
-    if count > D and stream is None:
-        raise DimensionMismatch("a stream is required to draw the extra probes")
-    extras = [
-        stream.integers(-12, 13, size=(2, D)) / stream.integers(1, 13, size=(2, D))
-        for _ in range(count - D)
-    ]
-    values = np.concatenate([np.eye(D), np.reshape([q[0] + 1j * q[1] for q in extras], (-1, D))])
+    q = np.zeros((0, 2, D))
+    if count > D:
+        if stream is None:
+            raise DimensionMismatch("a stream is required to draw the extra probes")
+        # extra r is q[r, 0] + i q[r, 1], numerators in [-12, 12] over denominators in [1, 12]
+        shape = (count - D, 2, D)
+        q = stream.integers(-12, 13, size=shape) / stream.integers(1, 13, size=shape)
+    values = np.concatenate([np.eye(D), q[:, 0] + 1j * q[:, 1]])
     rank = np.linalg.matrix_rank((values * c) @ H.eig[1].T)
     if rank < D:
         raise InvariantViolation(f"probe states have rank {rank} < {D}")
@@ -272,22 +273,26 @@ class Fingerprint:
         object.__setattr__(self, "skipped", frozenset(int(i) for i in self.skipped))
 
 
-def fingerprint(H: HermitianOp, psi: StateVec, T: Tps, probes: ProbeSet) -> Fingerprint:
-    """Entropy table of the probe states R(H)|psi> seen through T.
+def fingerprint(H: HermitianOp, psi: StateVec, Ts: Sequence[Tps], probes: ProbeSet) -> list[Fingerprint]:
+    """Entropy table of the probe states R(H)|psi> seen through each structure of Ts.
 
-    Probe states are normalized before the entropy is taken; near-zero
-    probes are recorded as skipped rather than amplified.
+    The structures must share one ``Dims``; the probe states are formed once and one
+    ``site_entropies`` call reads them in every structure. Probe states are normalized
+    before the entropy is taken; near-zero probes are recorded as skipped rather than
+    amplified.
     """
-    if H.dim != T.dims.total:
-        raise DimensionMismatch(f"operator dim {H.dim} != product dim {T.dims.total}")
+    dims = Ts[0].dims
+    if H.dim != dims.total:
+        raise DimensionMismatch(f"operator dim {H.dim} != product dim {dims.total}")
     c = _amplitudes(H, psi)
     if probes.values.shape[1] != H.dim:
         raise DimensionMismatch(f"probe values of length {probes.values.shape[1]} != dim {H.dim}")
     nrm = np.linalg.norm(probes.values * c, axis=1)
     keep = nrm >= SKIP_NORM
-    entries = np.full((len(probes), T.dims.n), np.nan)
-    entries[keep] = _eigen_entropies(H, T, c, probes.values[keep] / nrm[keep, None])
-    return Fingerprint(entries, frozenset(np.flatnonzero(~keep)))
+    entries = np.full((len(Ts), len(probes), dims.n), np.nan)
+    entries[:, keep] = _eigen_entropies(H, Ts, c, probes.values[keep] / nrm[keep, None])
+    skipped = frozenset(np.flatnonzero(~keep))
+    return [Fingerprint(e, skipped) for e in entries]
 
 
 def fingerprints_equal(f1: Fingerprint, f2: Fingerprint, tol: float = FINGERPRINT_TOL) -> bool:
@@ -334,8 +339,6 @@ def cross_validate_tps(
     With a spanning probe set the two tests must agree; an Inconsistent
     verdict indicts the implementation, not the mathematics.
     """
-    fp_same = fingerprints_equal(
-        fingerprint(H, psi, T1, probes), fingerprint(H, psi, T2, probes), tol
-    )
+    fp_same = fingerprints_equal(*fingerprint(H, psi, [T1, T2], probes), tol)
     return TpsVerdict.of(fp_same, equivalent(T1, T2))
 

@@ -98,7 +98,7 @@ def _require_product_probes(H: HermitianOp, T: Tps, probes: Sequence[StateVec]):
             raise DimensionMismatch(f"probe {j} has dim {probe.dim} != {T.dims.total}")
     C = np.array([p.vec for p in probes], dtype=complex).reshape(-1, T.dims.total)
     C = C @ H.eig[1].conj()
-    for j, ent in enumerate(_eigen_entropies(H, T, C, 1.0).max(axis=-1)):
+    for j, ent in enumerate(_eigen_entropies(H, [T], C, 1.0)[0].max(axis=-1)):
         if ent > PRODUCT_PROBE_TOL:
             raise InvariantViolation(f"probe {j} is not a product state (entropy {ent:.3e})")
     return C
@@ -117,7 +117,7 @@ def one_local_evolution_check(
     C = _require_product_probes(H, T, probes)
     max_seen = 0.0
     for t in t_grid:
-        ents = _eigen_entropies(H, T, C, np.exp(-1j * float(t) * H.eig[0])).max(axis=-1)
+        ents = _eigen_entropies(H, [T], C, np.exp(-1j * float(t) * H.eig[0]))[0].max(axis=-1)
         for j, ent in enumerate(ents.tolist()):
             max_seen = max(max_seen, ent)
             if ent > WITNESS_ENTROPY:

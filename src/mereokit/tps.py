@@ -50,12 +50,19 @@ class ProductOpCertificate:
         return perm_matrix(dims.factors, self.permutation).T @ kron_all(self.factors)
 
 
-def _eigen_entropies(H: HermitianOp, T: Tps, c, f) -> np.ndarray:
-    """Site entropies (..., n) in T of the states V (f * c), V the eigenvectors of H.
+def _eigen_entropies(H: HermitianOp, Ts, c, f) -> np.ndarray:
+    """Site entropies (len(Ts), k, n) in every structure of Ts of the states V (f * c), V the
+    eigenvectors of H. The states are formed once and read through the stacked isomorphisms
+    by one ``site_entropies`` call; a single structure is a one-element stack.
 
-    Amplitudes ``c`` and per-eigenvalue multipliers ``f`` broadcast over leading axes (..., D).
+    Amplitudes ``c`` and per-eigenvalue multipliers ``f`` broadcast to (k, D). Every
+    structure must share the dims of the first, else DimensionMismatch: they are read with them.
     """
-    return site_entropies(((f * c) @ H.eig[1].T) @ T.iso.mat.T, T.dims)
+    dims = Ts[0].dims
+    if any(T.dims != dims for T in Ts):
+        raise DimensionMismatch(f"structures of differing dims: {[T.dims.factors for T in Ts]}")
+    isos = np.stack([T.iso.mat for T in Ts]).swapaxes(-1, -2)  # each T.iso.mat.T, as a view
+    return site_entropies(((f * c) @ H.eig[1].T) @ isos, dims)
 
 
 def canonical(dims: Dims) -> Tps:

@@ -380,15 +380,37 @@ class TestDualscan:
         assert len(rows) == 2 * 4
         assert all(r[4] in ("SameTps", "DifferentTps") for r in rows)
 
+    def test_streams_distinct_after_a_resample(self, tmp_path, monkeypatch):
+        # attempt 0 is refused, so the instance comes from attempt 1's stream; the
+        # probes and the local move must still draw from streams of their own
+        real = mk.kinds.check_spectral_hypotheses
+        checks, paths = [], []
+
+        def refuse_first(H, psi=None):
+            checks.append(1)
+            if len(checks) == 1:
+                raise mk.HypothesisViolation("degenerate_spectrum", "refused for the test")
+            return real(H, psi)
+
+        monkeypatch.setattr(mk.kinds, "check_spectral_hypotheses", refuse_first)
+        monkeypatch.setattr(cli, "stream", lambda seed, *path: paths.append(path) or mk.stream(seed, *path))
+        cfg = write_config(tmp_path, "c.json", {"dims": [2, 2], "trials": 1, "t_values": [0.7], "seed": 9})
+        out = str(tmp_path / "scan.csv")
+        assert run_cli(["dualscan", "--config", cfg, "--out", out]) == 0
+        assert paths[:2] == [(0, 0), (0, 1)]  # trial 0, attempts 0 and 1
+        assert len(paths) == 4 and len(set(paths)) == 4
+        assert '"Inconsistent": 0' in Path(out).read_text()
+
 
 class TestWorkCounts:
-    """One eigendecomposition per Hamiltonian, no fingerprint or equivalence computed twice."""
+    """One eigendecomposition per Hamiltonian; every structure of an op fingerprinted once, in one
+    ``fingerprint`` call and one ``site_entropies`` kernel call; no equivalence computed twice."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
         from mereokit import kinds, tps
 
-        counts = {"eigh": 0, "fingerprint": 0, "equivalent": 0}
+        counts = {"eigh": 0, "fingerprint": 0, "structures": 0, "site_entropies": 0, "equivalent": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -397,8 +419,15 @@ class TestWorkCounts:
 
             return wrapped
 
+        real_fingerprint = kinds.fingerprint
+
+        def fingerprint(H, psi, Ts, probes):
+            counts["structures"] += len(Ts)
+            return real_fingerprint(H, psi, Ts, probes)
+
         monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
-        monkeypatch.setattr(kinds, "fingerprint", counting("fingerprint", kinds.fingerprint))
+        monkeypatch.setattr(kinds, "fingerprint", counting("fingerprint", fingerprint))
+        monkeypatch.setattr(tps, "site_entropies", counting("site_entropies", tps.site_entropies))
         equivalent = counting("equivalent", tps.equivalent)
         monkeypatch.setattr(tps, "equivalent", equivalent)
         monkeypatch.setattr(kinds, "equivalent", equivalent)
@@ -406,14 +435,15 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("dims", [[2, 2, 2], [2, 2, 3]])
     def test_dualscan_trial(self, tmp_path, counts, dims):
-        # four cases per trial (one local move, three evolved); the first
-        # draw of every trial meets the spectral hypotheses
+        # T1 and four cases per trial (one local move, three evolved); the
+        # first draw of every trial meets the spectral hypotheses
         cfg = write_config(
             tmp_path, "c.json",
             {"dims": dims, "trials": 2, "t_values": [0.3, 0.7, 1.1], "seed": 3},
         )
         assert run_cli(["dualscan", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
-        assert counts == {"eigh": 2, "fingerprint": 2 * (1 + 4), "equivalent": 2 * 4}
+        assert counts == {"eigh": 2, "fingerprint": 2, "structures": 2 * (1 + 4),
+                          "site_entropies": 2, "equivalent": 2 * 4}
 
     @pytest.mark.parametrize("dims", [[2, 2, 2], [2, 2, 3]])
     def test_fingerprint_command(self, tmp_path, counts, dims):
@@ -423,7 +453,8 @@ class TestWorkCounts:
              "tps1": {"kind": "random"}, "tps2": {"kind": "evolved", "t": 0.7}, "seed": 3},
         )
         assert run_cli(["fingerprint", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 0
-        assert counts == {"eigh": 1, "fingerprint": 2, "equivalent": 1}
+        assert counts == {"eigh": 1, "fingerprint": 1, "structures": 2,
+                          "site_entropies": 1, "equivalent": 1}
 
 
 class TestDeterminism:

@@ -261,6 +261,23 @@ class TestProbeSet:
             c = V.conj().T @ psi.vec
             assert np.linalg.matrix_rank((probes.values * c) @ V.T) == D
 
+    def test_extras_draw(self):
+        H, psi = nondegenerate_instance(4, 628)
+        values = mk.build_probe_set(H, psi, 4 + 400, mk.stream(628, 1)).values
+        assert values.shape == (404, 4) and np.array_equal(values[:4], np.eye(4))
+        # each real and imaginary part is a numerator in [-12, 12] over a denominator in [1, 12]
+        parts = values[4:].view(float)
+        scaled = parts[..., None] * np.arange(1, 13)
+        num = np.round(scaled)
+        assert ((np.abs(scaled - num) < 1e-9) & (np.abs(num) <= 12)).any(axis=-1).all()
+        assert parts.max() == 12.0 and parts.min() == -12.0  # 12 / 1 and -12 / 1 are drawn
+
+    def test_count_equal_dim_needs_no_stream(self):
+        H, psi = nondegenerate_instance(4, 629)
+        assert np.array_equal(mk.build_probe_set(H, psi, 4).values, np.eye(4))
+        with pytest.raises(mk.DimensionMismatch):
+            mk.build_probe_set(H, psi, 5)
+
     def test_deterministic(self):
         H, psi = nondegenerate_instance(4, 613)
         a = mk.build_probe_set(H, psi, 8, mk.stream(7))
@@ -276,7 +293,7 @@ class TestFingerprint:
         amp = np.array([0.8, 0.6], dtype=complex)
         psi = mk.StateVec(np.kron(amp, amp))
         probes = mk.build_probe_set(H, psi, 4)
-        fp = mk.fingerprint(H, psi, mk.canonical(dims22), probes)
+        fp = mk.fingerprint(H, psi, [mk.canonical(dims22)], probes)[0]
         # interpolation probes are computational basis states here
         assert np.nanmax(fp.entries) < 1e-9
 
@@ -287,7 +304,7 @@ class TestFingerprint:
         # probe polynomial selecting components 0 and 3 equally: R with
         # R(0)=1, R(1)=0, R(2)=0, R(3)=1 gives the Bell state from psi
         probes = mk.ProbeSet(np.array([[1.0, 0.0, 0.0, 1.0]]))
-        fp = mk.fingerprint(H, psi, mk.canonical(dims22), probes)
+        fp = mk.fingerprint(H, psi, [mk.canonical(dims22)], probes)[0]
         assert fp.entries[0, 0] == pytest.approx(np.log(2), abs=1e-9)
         assert fp.entries[0, 1] == pytest.approx(np.log(2), abs=1e-9)
 
@@ -299,15 +316,15 @@ class TestFingerprint:
         U = mk.haar_unitary(4, rng)
         H2 = mk.HermitianOp(U.mat @ H.mat @ U.mat.conj().T)
         psi2 = mk.StateVec(U.mat @ psi.vec)
-        f1 = mk.fingerprint(H, psi, T, probes)
-        f2 = mk.fingerprint(H2, psi2, mk.act(U, T), probes)
+        f1 = mk.fingerprint(H, psi, [T], probes)[0]
+        f2 = mk.fingerprint(H2, psi2, [mk.act(U, T)], probes)[0]
         assert mk.fingerprint_distance(f1, f2) < 1e-9
 
     def test_skipped_probe_recorded(self, dims22):
         H = mk.HermitianOp(np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex))
         psi = mk.StateVec(np.array([0.5, 0.5, 0.5, 0.5], dtype=complex))
         probes = mk.ProbeSet(np.zeros((1, 4)))
-        fp = mk.fingerprint(H, psi, mk.canonical(dims22), probes)
+        fp = mk.fingerprint(H, psi, [mk.canonical(dims22)], probes)[0]
         assert fp.skipped == {0}
 
 
@@ -319,14 +336,35 @@ class TestFingerprint:
         monkeypatch.setattr(tps, "site_entropies", lambda *a: calls.append(1) or real(*a))
         H, psi = nondegenerate_instance(8, 625)
         probes = mk.build_probe_set(H, psi, 16, mk.stream(625))
-        fp = mk.fingerprint(H, psi, mk.random_tps(dims222, mk.stream(626)), probes)
+        fp = mk.fingerprint(H, psi, [mk.random_tps(dims222, mk.stream(626))], probes)[0]
         assert len(calls) == 1 and fp.entries.shape == (16, 3)
+
+    @pytest.mark.parametrize("factors", [(2, 2), (2, 2, 2), (2, 3, 2), (2, 2, 2, 2, 2)])
+    def test_stacked_bit_equal_to_single(self, factors):
+        dims = mk.Dims(factors)
+        rng = mk.stream(630, dims.total)
+        H, psi = nondegenerate_instance(dims.total, 630, dims.total)
+        probes = mk.build_probe_set(H, psi, stream=rng)
+        Ts = [mk.random_tps(dims, rng) for _ in range(3)] + [mk.canonical(dims)]
+        stacked = mk.fingerprint(H, psi, Ts, probes)
+        assert len(stacked) == len(Ts)
+        for T, f in zip(Ts, stacked):
+            (single,) = mk.fingerprint(H, psi, [T], probes)
+            assert np.array_equal(f.entries, single.entries) and f.skipped == single.skipped
+
+    def test_stacked_dims_must_agree(self):
+        # equal D, other factors: the second structure must not be read with the first's dims
+        H, psi = nondegenerate_instance(8, 631)
+        probes = mk.build_probe_set(H, psi, 8)
+        Ts = [mk.canonical(mk.Dims((2, 4))), mk.canonical(mk.Dims((4, 2)))]
+        with pytest.raises(mk.DimensionMismatch):
+            mk.fingerprint(H, psi, Ts, probes)
 
     def test_probe_length_mismatch(self, dims22):
         H, psi = nondegenerate_instance(4, 627)
         probes = mk.ProbeSet(np.ones((2, 8)))
         with pytest.raises(mk.DimensionMismatch):
-            mk.fingerprint(H, psi, mk.canonical(dims22), probes)
+            mk.fingerprint(H, psi, [mk.canonical(dims22)], probes)
 
 
 class TestStateDimension:
@@ -351,14 +389,14 @@ class TestStateDimension:
         H, psi, psi8 = mismatched
         probes = mk.build_probe_set(H, psi, 4)
         with pytest.raises(mk.DimensionMismatch):
-            mk.fingerprint(H, psi8, mk.canonical(dims22), probes)
+            mk.fingerprint(H, psi8, [mk.canonical(dims22)], probes)
 
 
 class TestFingerprintsEqual:
     def test_self(self, dims22):
         H, psi = nondegenerate_instance(4, 615)
         probes = mk.build_probe_set(H, psi, 8, mk.stream(615, 1))
-        f = mk.fingerprint(H, psi, mk.canonical(dims22), probes)
+        f = mk.fingerprint(H, psi, [mk.canonical(dims22)], probes)[0]
         assert mk.fingerprints_equal(f, f)
 
     def test_local_move_equal(self, dims22):
@@ -368,8 +406,7 @@ class TestFingerprintsEqual:
         probes = mk.build_probe_set(H, psi, 8, rng)
         L = mk.kron_all([mk.haar_unitary(2, rng).mat for _ in range(2)])
         U = mk.UnitaryOp(T.iso.mat.conj().T @ L @ T.iso.mat)
-        f1 = mk.fingerprint(H, psi, T, probes)
-        f2 = mk.fingerprint(H, psi, mk.act(U, T), probes)
+        f1, f2 = mk.fingerprint(H, psi, [T, mk.act(U, T)], probes)
         assert mk.fingerprints_equal(f1, f2, tol=1e-9)
 
     def test_evolved_differs(self, dims22):
@@ -377,8 +414,7 @@ class TestFingerprintsEqual:
         H, psi = nondegenerate_instance(4, 617)
         T = mk.random_tps(dims22, rng)
         probes = mk.build_probe_set(H, psi, 8, rng)
-        f1 = mk.fingerprint(H, psi, T, probes)
-        f2 = mk.fingerprint(H, psi, mk.act(mk.expm_i(H, 0.7), T), probes)
+        f1, f2 = mk.fingerprint(H, psi, [T, mk.act(mk.expm_i(H, 0.7), T)], probes)
         assert not mk.fingerprints_equal(f1, f2, tol=1e-7)
         assert mk.fingerprint_distance(f1, f2) > 1e-3
 
@@ -386,8 +422,8 @@ class TestFingerprintsEqual:
         H, psi = nondegenerate_instance(4, 618)
         p1 = mk.build_probe_set(H, psi, 8, mk.stream(618, 1))
         p2 = mk.build_probe_set(H, psi, 4)
-        f1 = mk.fingerprint(H, psi, mk.canonical(dims22), p1)
-        f2 = mk.fingerprint(H, psi, mk.canonical(dims22), p2)
+        f1 = mk.fingerprint(H, psi, [mk.canonical(dims22)], p1)[0]
+        f2 = mk.fingerprint(H, psi, [mk.canonical(dims22)], p2)[0]
         with pytest.raises(mk.IncomparableFingerprints):
             mk.fingerprints_equal(f1, f2)
 
