@@ -276,21 +276,19 @@ class Fingerprint:
 def fingerprint(H: HermitianOp, psi: StateVec, Ts: Sequence[Tps], probes: ProbeSet) -> list[Fingerprint]:
     """Entropy table of the probe states R(H)|psi> seen through each structure of Ts.
 
-    The structures must share one ``Dims``; the probe states are formed once and one
-    ``site_entropies`` call reads them in every structure. Probe states are normalized
-    before the entropy is taken; near-zero probes are recorded as skipped rather than
-    amplified.
+    The structures, at least one, must share one ``Dims``; the probe states are formed once
+    and one ``site_entropies`` call reads them in every structure. Probe states are
+    normalized before the entropy is taken; near-zero probes are recorded as skipped rather
+    than amplified.
     """
-    dims = Ts[0].dims
-    if H.dim != dims.total:
-        raise DimensionMismatch(f"operator dim {H.dim} != product dim {dims.total}")
     c = _amplitudes(H, psi)
     if probes.values.shape[1] != H.dim:
         raise DimensionMismatch(f"probe values of length {probes.values.shape[1]} != dim {H.dim}")
     nrm = np.linalg.norm(probes.values * c, axis=1)
     keep = nrm >= SKIP_NORM
-    entries = np.full((len(Ts), len(probes), dims.n), np.nan)
-    entries[:, keep] = _eigen_entropies(H, Ts, c, probes.values[keep] / nrm[keep, None])
+    kept = _eigen_entropies(H, Ts, c, probes.values[keep] / nrm[keep, None])  # checks Ts and H
+    entries = np.full((len(Ts), len(probes), kept.shape[-1]), np.nan)
+    entries[:, keep] = kept
     skipped = frozenset(np.flatnonzero(~keep))
     return [Fingerprint(e, skipped) for e in entries]
 

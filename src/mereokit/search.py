@@ -1,24 +1,19 @@
-"""Search for structures that make a Hamiltonian (approximately) K-local,
-by matching spectra.
+"""Search for structures that make a Hamiltonian (approximately) K-local, from its spectrum.
 
-H has a K-local structure exactly when some K-local operator L(x) has its
-eigenvalues (Cotler, Penington, Ranard, "Locality from the Spectrum",
-arXiv:1702.06142). The match runs over the real weight-1..K coefficients x
-on the residuals r(x) = mu(x) - lam, mu the ascending eigenvalues of L(x) and
-lam those of H. By Hellmann-Feynman d mu_k / d x_a = <w_k|B_a|w_k>, w_k the
-eigenvectors of L(x). For K >= 2, Levenberg-Marquardt reads that Jacobian
-from the reduced density matrices of the w_k on each K-site support. For
-K = 1, L-BFGS minimises f = |r|^2 with the gradient 2 Re coeff_tensor(W
-diag(r) W^dag), since LM loses K = 1 basins that L-BFGS finds. Then
-V = W U^dag, U the eigenvectors of H, maps H onto L(x) up to the remaining
-mismatch. The residual (``objective``) is the K-local residual of H in V as
-``is_k_local`` reads it, so ``converged`` and ``certify`` threshold one number.
+H has a K-local structure exactly when some K-local operator L has its eigenvalues (Cotler,
+Penington, Ranard, "Locality from the Spectrum", arXiv:1702.06142). For K = 1 the spectrum is
+factored into site spectra (``_site_spectra``); for K >= 2 Levenberg-Marquardt matches it with
+the ascending eigenvalues of L(x) over the real weight-1..K coefficients x, reading the
+Hellmann-Feynman Jacobian from reduced density matrices (``_spectral_jacobian``). Then
+V = W U^dag, W and U the eigenvectors of L and H, maps H onto L up to the remaining mismatch. The
+residual (``objective``) is the K-local residual of H in V as ``is_k_local`` reads it, so
+``converged`` and ``certify`` threshold one number.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -33,12 +28,6 @@ from .tps import Tps
 from .rng import stream as rng_stream
 
 _GRAD_TOL = 1e-9  # the spectrum match stops once |grad f| <= _GRAD_TOL * |lam - mean lam|
-# the spectrum match's L-BFGS (K = 1)
-_STEP_INIT = 1.0  # first trial step of each line search
-_ARMIJO_C = 1e-4  # accept a step once f falls by at least _ARMIJO_C * step * slope
-_BACKTRACK_RATIO = 0.5  # else shrink the step by this factor, at most _MAX_BACKTRACKS times
-_MAX_BACKTRACKS = 60
-_LBFGS_HISTORY = 10  # (step, gradient change) pairs kept by the spectrum match
 # the spectrum match's Levenberg-Marquardt (K >= 2); damping is in units of tr(J J^T) / D
 _DAMP_INIT = 1e-3  # damping of the first step
 _DAMP_UP = 10.0  # multiply the damping by this after a rejected trial step
@@ -95,11 +84,6 @@ def _spectral_point(x: np.ndarray, c: np.ndarray, mask: np.ndarray, lam: np.ndar
     mu, W = np.linalg.eigh(matrix_from_coeffs(c, dims))
     r = mu - lam
     return float(r @ r), W, r
-
-
-def _spectral_gradient(W: np.ndarray, r: np.ndarray, mask: np.ndarray, dims: Dims) -> np.ndarray:
-    # Hellmann-Feynman: d mu_k / d x_a = w_k^dag B_a w_k, so grad f = 2 Re <B_a, W diag(r) W^dag>
-    return 2.0 * coeff_tensor((W * r) @ W.conj().T, dims)[mask].real
 
 
 @lru_cache(maxsize=None)
@@ -162,56 +146,6 @@ def _spectral_jacobian(W: np.ndarray, dims: Dims, K: int) -> np.ndarray:
     return np.concatenate(blocks, axis=1)[:, cols].real * scales
 
 
-def _two_loop(g: np.ndarray, history) -> np.ndarray:
-    """H_k g by the L-BFGS two-loop recursion (Nocedal & Wright, Alg. 7.4)."""
-    q = g.copy()
-    alphas = []
-    for s, y, rho in reversed(history):
-        a = rho * (s @ q)
-        q -= a * y
-        alphas.append(a)
-    if history:
-        s, y, _ = history[-1]
-        q *= (s @ y) / (y @ y)
-    for (s, y, rho), a in zip(history, reversed(alphas)):
-        q += (a - rho * (y @ q)) * s
-    return q
-
-
-def _lbfgs(x: np.ndarray, c: np.ndarray, mask: np.ndarray, lam: np.ndarray,
-           dims: Dims, max_iters: int) -> np.ndarray:
-    """Eigenvectors of L(x) after L-BFGS on the spectral mismatch from x."""
-    f, W, r = _spectral_point(x, c, mask, lam, dims)
-    g = _spectral_gradient(W, r, mask, dims)
-    # relative to the shift-free spread of the spectrum, in the units of grad f
-    tol = _GRAD_TOL * float(np.linalg.norm(lam - lam.mean()))
-    history = deque(maxlen=_LBFGS_HISTORY)
-    for _ in range(max_iters):
-        if np.linalg.norm(g) <= tol:
-            break
-        d = -_two_loop(g, history)
-        slope = float(g @ d)
-        if slope >= 0:  # the curvature model went bad: fall back to steepest descent
-            history.clear()
-            d, slope = -g, -float(g @ g)
-        s = _STEP_INIT
-        for _ in range(_MAX_BACKTRACKS):
-            xn = x + s * d
-            fn, Wn, rn = _spectral_point(xn, c, mask, lam, dims)
-            # strict: at a rounding floor f + c s slope == f would accept standing still
-            if fn < f and fn <= f + _ARMIJO_C * s * slope:
-                break
-            s *= _BACKTRACK_RATIO
-        else:  # no sufficient decrease within _MAX_BACKTRACKS halvings
-            break
-        gn = _spectral_gradient(Wn, rn, mask, dims)
-        step, dg = xn - x, gn - g
-        if step @ dg > 0:
-            history.append((step, dg, 1.0 / (step @ dg)))
-        x, f, W, g = xn, fn, Wn, gn
-    return W
-
-
 def _levenberg_marquardt(x: np.ndarray, c: np.ndarray, mask: np.ndarray, lam: np.ndarray,
                          dims: Dims, K: int, max_iters: int) -> np.ndarray:
     """Eigenvectors of L(x) after Levenberg-Marquardt on the residuals mu(x) - lam from x.
@@ -225,7 +159,7 @@ def _levenberg_marquardt(x: np.ndarray, c: np.ndarray, mask: np.ndarray, lam: np
     damp = _DAMP_INIT  # in units of tr(J J^T) / D
     for _ in range(max_iters):
         J = _spectral_jacobian(W, dims, K)
-        if np.linalg.norm(2.0 * (r @ J)) <= tol:  # |grad f|, as in the L-BFGS
+        if np.linalg.norm(2.0 * (r @ J)) <= tol:  # |grad f|, f = |r|^2
             break
         JJ = J @ J.T
         unit = np.trace(JJ) / dims.total
@@ -242,25 +176,83 @@ def _levenberg_marquardt(x: np.ndarray, c: np.ndarray, mask: np.ndarray, lam: np
     return W
 
 
+def _site_spectra(lam: np.ndarray, factors: tuple[int, ...], delta: float):
+    """Site spectra A_i, |A_i| = factors[i], whose sum set A_1 + ... + A_n matches the ascending
+    lam - lam[0] value by value within delta; None when there are none.
+
+    Site by site, the multiset T left to explain (at first lam - lam[0]) splits into A + R with
+    |A| the site's dim and min A = min R = 0, and R goes on to the next site. A split walks T
+    upwards: each value matches the least pending sum a + r within delta, or else it is the next
+    value of A or of R and pends its sums with the other side's values. Matches are taken
+    greedily, and only A-or-R branches, depth first on an explicit stack, since recursing per
+    value would go about D deep. An exact sum set splits off every site, so the sites are taken
+    in order; branching over them as well changed no verdict on mixed-dim near-threshold inputs.
+    """
+    stack = [((), (lam - lam[0]).tolist(), 1, (0.0,), (0.0,), [])]
+    while stack:
+        peeled, T, i, A, R, pending = stack.pop()
+        d = factors[len(peeled)]
+        while i < len(T):
+            t = T[i]
+            if pending and pending[0] < t - delta:  # a pending sum that no later value can match
+                break
+            if pending and pending[0] <= t + delta:
+                heapq.heappop(pending)
+            else:  # t is the next value of A, or else of R, which the stack tries later
+                if len(R) < len(T) // d:
+                    other = pending + [a + t for a in A[1:]]
+                    heapq.heapify(other)
+                    stack.append((peeled, T, i + 1, A, R + (t,), other))
+                if len(A) == d:
+                    break
+                for r in R[1:]:
+                    heapq.heappush(pending, t + r)
+                A += (t,)
+            i += 1
+        else:  # T = A + R
+            if len(peeled) == len(factors) - 2:
+                return peeled + (A, R)
+            stack.append((peeled + (A,), list(R), 1, (0.0,), (0.0,), []))
+    return None
+
+
+def _factored_frame(lam: np.ndarray, U: np.ndarray, dims: Dims, delta: float) -> np.ndarray:
+    """V = W U^dag for a factoring of lam within delta, W the permutation that sorts the diagonal
+    of L = sum_i diag(A_i) on site i; the given frame I when there is none."""
+    spectra = _site_spectra(lam, dims.factors, delta)
+    if spectra is None:
+        return np.eye(dims.total)
+    L = sum(np.reshape(A, (-1,) + (1,) * (dims.n - 1 - i)) for i, A in enumerate(spectra))
+    V = np.empty_like(U)
+    V[np.argsort(L, axis=None, kind="stable")] = U.conj().T  # V u_k = e_j, L_j the k-th lowest
+    return V
+
+
 def search(H: HermitianOp, dims: Dims, cfg: SearchConfig) -> SearchResult:
-    """Best structure over restarts, each a spectrum match.
+    """Best structure over restarts: spectrum factorings for K = 1, matches for K >= 2.
 
-    Each restart matches the eigenvalues of a K-local L(x) to those of H over
-    its weight-1..K coefficients x, with the weight-0 coefficient fixed by
-    tr H: by Levenberg-Marquardt for K >= 2 and by L-BFGS for K = 1. Each
-    stops once |grad f| <= _GRAD_TOL |lam - mean lam|, when no trial step
-    lowers f, or after ``max_iters`` iterations. The restart's residual is
-    evaluated once, at V = W U^dag (W, U the eigenvectors of L(x) and H).
-    Restart 0 starts from the weight-1..K coefficients of H in the given
-    frame, so an H that is already K-local starts at zero mismatch; restart
-    r >= 1 starts from a Gaussian x drawn from sub-stream r of the configured
-    seed, scaled to the HS norm of H - tr H / D. Every restart runs.
+    For K = 1 each restart factors the spectrum (``_site_spectra``) at one tolerance delta, in
+    units of u = sqrt(s M / D), s = ``success_residual`` and M = |lam - mean lam|^2. When every
+    eigenvalue lies within u of its match in L, H has mass at most D u^2 = s M above weight 1 in
+    V, so every match certifies. A match reads a value t against a pending sum a + r, and the
+    errors of t, a, r and lam[0] add, so near-threshold inputs can need a few u: the restarts
+    try u, 4 u and 2 sqrt(D) u. The last is what any certifying factoring needs: its spectrum
+    is within sqrt(s M) of lam (Hoffman-Wielandt), so four errors add to at most 2 sqrt(s M).
+    The narrower tries stay because a wide window takes wrong greedy matches at large D.
+    A tolerance with no factoring gives the given frame (V = I); ``restarts`` and
+    ``max_iters`` do not apply.
 
-    ``restart_residuals`` holds each restart's residual. The winner is the
-    (residual, restart index) minimum; its residual is the one point (0,
-    residual) of ``trace``, so ``iterations`` is 0. It is *a* K-local
-    structure when one is found, not *the* one, since distinct restarts may
-    certify inequivalent structures.
+    For K >= 2 each restart matches the eigenvalues of a K-local L(x) to those of H by
+    Levenberg-Marquardt over its weight-1..K coefficients x, weight 0 fixed by tr H, until
+    |grad f| <= _GRAD_TOL |lam - mean lam|, no trial step lowers f, or ``max_iters`` iterations.
+    Restart 0 starts from the coefficients of H in the given frame, so an already K-local H
+    starts at zero mismatch; restart r >= 1 from a Gaussian x on sub-stream r of the seed,
+    scaled to the HS norm of H - tr H / D. Every restart runs.
+
+    ``restart_residuals`` holds each restart's residual, evaluated once at V = W U^dag (W, U the
+    eigenvectors of L and H). The winner is the (residual, restart index) minimum; its residual
+    is the one point (0, residual) of ``trace``, so ``iterations`` is 0. It is *a* K-local
+    structure, not *the* one: distinct restarts may certify inequivalent structures.
     """
     if H.dim != dims.total:
         raise DimensionMismatch(f"operator dim {H.dim} != product dim {dims.total}")
@@ -273,18 +265,20 @@ def search(H: HermitianOp, dims: Dims, cfg: SearchConfig) -> SearchResult:
     mask = (weight >= 1) & (weight <= cfg.K)
     c = np.where(weight == 0, coeffs, 0.0)
     scale = float(np.linalg.norm(lam - lam.mean()))  # = |H - tr H / D|_HS
+    u = scale * math.sqrt(cfg.success_residual / dims.total)  # K = 1 tolerances, see above
+    deltas = (u, 4 * u, 2 * math.sqrt(dims.total) * u)
     best, residuals = None, []
-    for r in range(cfg.restarts):
-        if r == 0:
-            x0 = coeffs[mask]
+    for r in range(len(deltas) if cfg.K == 1 else cfg.restarts):
+        if cfg.K == 1:
+            V = UnitaryOp(_factored_frame(lam, U, dims, deltas[r]))
         else:
-            x0 = rng_stream(cfg.seed, r).standard_normal(int(mask.sum()))
-            x0 *= scale / np.linalg.norm(x0)
-        if cfg.K == 1:  # LM loses K = 1 basins that L-BFGS finds
-            W = _lbfgs(x0, c, mask, lam, dims, cfg.max_iters)
-        else:
+            if r == 0:
+                x0 = coeffs[mask]
+            else:
+                x0 = rng_stream(cfg.seed, r).standard_normal(int(mask.sum()))
+                x0 *= scale / np.linalg.norm(x0)
             W = _levenberg_marquardt(x0, c, mask, lam, dims, cfg.K, cfg.max_iters)
-        V = UnitaryOp(W @ U.conj().T)
+            V = UnitaryOp(W @ U.conj().T)
         residuals.append(objective(H, V, cfg.K, dims))
         if best is None or residuals[-1] < residuals[best[0]]:
             best = (r, V)

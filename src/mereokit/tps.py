@@ -55,12 +55,17 @@ def _eigen_entropies(H: HermitianOp, Ts, c, f) -> np.ndarray:
     eigenvectors of H. The states are formed once and read through the stacked isomorphisms
     by one ``site_entropies`` call; a single structure is a one-element stack.
 
-    Amplitudes ``c`` and per-eigenvalue multipliers ``f`` broadcast to (k, D). Every
-    structure must share the dims of the first, else DimensionMismatch: they are read with them.
+    Amplitudes ``c`` and per-eigenvalue multipliers ``f`` broadcast to (k, D). Ts must be
+    non-empty, every structure must share the dims of the first (they are read with them), and
+    H must act on their product space, else DimensionMismatch.
     """
+    if not Ts:
+        raise DimensionMismatch("no structures to read the states in")
     dims = Ts[0].dims
     if any(T.dims != dims for T in Ts):
         raise DimensionMismatch(f"structures of differing dims: {[T.dims.factors for T in Ts]}")
+    if H.dim != dims.total:
+        raise DimensionMismatch(f"operator dim {H.dim} != product dim {dims.total}")
     isos = np.stack([T.iso.mat for T in Ts]).swapaxes(-1, -2)  # each T.iso.mat.T, as a view
     return site_entropies(((f * c) @ H.eig[1].T) @ isos, dims)
 

@@ -360,6 +360,12 @@ class TestFingerprint:
         with pytest.raises(mk.DimensionMismatch):
             mk.fingerprint(H, psi, Ts, probes)
 
+    def test_empty_structure_list_refused(self):
+        # it raised a bare IndexError from Ts[0]
+        H, psi = nondegenerate_instance(4, 632)
+        with pytest.raises(mk.DimensionMismatch, match="no structures"):
+            mk.fingerprint(H, psi, [], mk.build_probe_set(H, psi, 4))
+
     def test_probe_length_mismatch(self, dims22):
         H, psi = nondegenerate_instance(4, 627)
         probes = mk.ProbeSet(np.ones((2, 8)))

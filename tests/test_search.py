@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import mereokit as mk
 from mereokit.basis import weight_tensor
-from mereokit.search import _MAX_REJECTIONS, _spectral_gradient, _spectral_jacobian, _spectral_point
+from mereokit.search import _MAX_REJECTIONS, _spectral_jacobian, _spectral_point
 
 from conftest import projector_jacobian, random_hermitian
 
@@ -120,7 +120,7 @@ class TestSearch:
 class TestSpectrumMatch:
     @pytest.mark.parametrize("factors,seed", [((2, 2, 2), 840), ((2, 2, 3), 841)])
     def test_gradient_finite_difference_match(self, factors, seed):
-        # Hellmann-Feynman gradient of the spectral mismatch vs central differences
+        # Hellmann-Feynman gradient 2 J^T r of the spectral mismatch f = |r|^2 vs central differences
         dims = mk.Dims(factors)
         w = weight_tensor(factors)
         mask = (w >= 1) & (w <= 2)
@@ -132,7 +132,7 @@ class TestSpectrumMatch:
             x = rng.standard_normal(int(mask.sum()))
             _, W, r = _spectral_point(x, c, mask, lam, dims)
             assert np.diff(r + lam).min() > 1e-3  # L(x) non-degenerate, so f is smooth at x
-            g = _spectral_gradient(W, r, mask, dims)
+            g = 2.0 * (r @ _spectral_jacobian(W, dims, 2))
             for _ in range(3):
                 d = rng.standard_normal(x.size)
                 fd = (
@@ -144,8 +144,7 @@ class TestSpectrumMatch:
 
     @pytest.mark.parametrize("factors,K", [((2, 2, 2), 2), ((2, 2, 3), 2), ((3, 3, 3), 2), ((2,) * 5, 3)])
     def test_jacobian_matches_projector_oracle(self, factors, K):
-        # the support-built J against the expansions of the D projectors, and 2 J^T r against
-        # the Hellmann-Feynman gradient that the finite-difference test checks
+        # the support-built J against the expansions of the D projectors
         dims = mk.Dims(factors)
         w = weight_tensor(factors)
         mask = (w >= 1) & (w <= K)
@@ -154,9 +153,6 @@ class TestSpectrumMatch:
         J = _spectral_jacobian(W, dims, K)
         assert J.shape == (dims.total, int(mask.sum()))
         assert np.abs(J - projector_jacobian(W, dims, K)).max() <= 1e-12
-        r = rng.standard_normal(dims.total)
-        g = _spectral_gradient(W, r, mask, dims)
-        assert np.abs(2.0 * (r @ J) - g).max() <= 1e-12 * np.abs(g).max()
 
     @pytest.mark.parametrize("H", [
         mk.pauli_string("ZZI"), mk.pauli_string("XXXX"), mk.ising_chain(mk.IsingParams(4, 1.0, 0.7)),
@@ -255,17 +251,92 @@ class TestSpectrumMatch:
         assert res.converged
         assert mk.certify(H, res, 2, 1e-6)
 
+
+def near_threshold(dims, eps, rng):
+    """A scrambled 1-local + eps 2-local operator and the residual of its planted structure."""
+    L = mk.random_klocal(dims, 1, rng).mat + eps * mk.random_klocal(dims, 2, rng).mat
+    U = mk.haar_unitary(dims.total, rng).mat
+    H = mk.HermitianOp(U @ L @ U.conj().T)
+    return H, mk.objective(H, mk.UnitaryOp(U.conj().T), 1, dims)
+
+
+class TestFactoring:
+    """K = 1: the spectrum factored into site spectra."""
+
     @settings(max_examples=30, deadline=None)
-    @given(factors=st.lists(st.sampled_from([2, 3]), min_size=2, max_size=4), seed=st.integers(0, 2**16))
-    def test_scrambled_one_local_certify_agrees(self, factors, seed):
-        # K = 1 is a sum-set matching problem with local minima, so only the
-        # verdict's consistency and the monotone trace are properties here
+    @given(factors=st.one_of(st.lists(st.sampled_from([2, 3, 4]), min_size=2, max_size=4),
+                             st.integers(2, 8).map(lambda n: [2] * n)),
+           seed=st.integers(0, 2**16))
+    def test_scrambled_one_local_converges_and_certifies(self, factors, seed):
         dims = mk.Dims(tuple(factors))
         H, _ = mk.scrambled_klocal(dims, 1, mk.stream(seed))
         res = mk.search(H, dims, mk.SearchConfig(K=1, restarts=1, seed=seed))
-        assert mk.certify(H, res, 1, 1e-6) == res.converged
-        residuals = [r for _, r in res.trace]
-        assert all(b <= a for a, b in zip(residuals, residuals[1:]))
+        assert res.converged
+        assert mk.certify(H, res, 1, 1e-6)
+
+    @pytest.mark.parametrize("factors", [(2,) * 10, (2, 3, 4), (4, 4, 4), (3, 2, 3, 2)])
+    def test_site_spectra_of_a_planted_sum_set(self, factors):
+        # an exact sum set factors back into one of its own; at D = 1024 a recursion per value
+        # would pass Python's default recursion limit of 1000
+        def sum_set(spectra):  # the ascending sums, one value of each site's spectrum
+            n = len(spectra)
+            sums = sum(np.reshape(A, (-1,) + (1,) * (n - 1 - i)) for i, A in enumerate(spectra))
+            return np.sort(sums.ravel())
+
+        rng = mk.stream(860, len(factors))
+        lam = sum_set([rng.standard_normal(d) for d in factors])
+        spectra = search_mod._site_spectra(lam, factors, 1e-9)
+        assert [len(A) for A in spectra] == list(factors)
+        assert np.abs(sum_set(spectra) - (lam - lam[0])).max() <= 1e-9
+
+    @pytest.mark.parametrize("H", [
+        mk.pauli_string("ZZI"), mk.pauli_string("XXXX"), mk.ising_chain(mk.IsingParams(4, 1.0, 0.0)),
+    ], ids=["ZZI", "XXXX", "ising4_h0"])
+    def test_degenerate_spectrum_converges(self, H):
+        dims = mk.Dims((2,) * int(round(np.log2(H.dim))))
+        res = mk.search(H, dims, mk.SearchConfig(K=1, seed=1))
+        assert res.converged
+        assert mk.certify(H, res, 1, 1e-6)
+
+    @pytest.mark.parametrize("factors", [(2, 2, 2), (3, 3), (2, 3, 4)])
+    def test_gue_refused_in_the_given_frame(self, factors):
+        dims = mk.Dims(factors)
+        for k in range(3):
+            H = random_hermitian(dims.total, mk.stream(861, dims.total, k))
+            res = mk.search(H, dims, mk.SearchConfig(K=1, restarts=5, seed=k))
+            assert not res.converged and not mk.certify(H, res, 1, 1e-6)
+            # one restart per tolerance, whatever restarts says, each in the given frame
+            assert np.array_equal(res.tps.iso.mat, np.eye(dims.total))
+            given = mk.objective(H, mk.UnitaryOp(np.eye(dims.total)), 1, dims)
+            assert res.restart_residuals == (given,) * 3
+
+    @pytest.mark.parametrize("factors", [(2, 2, 2), (2, 2, 3), (3, 3), (2, 3, 3), (3, 3, 3)])
+    def test_near_threshold_converges_below_success_residual(self, factors):
+        # 1-local + eps 2-local, scrambled: whenever the planted structure certifies, the
+        # search converges (it may also find another structure that certifies)
+        dims = mk.Dims(factors)
+        planted_ok = 0
+        for j, eps in enumerate((1e-4, 3e-4, 1e-3)):
+            for k in range(3):
+                H, planted = near_threshold(dims, eps, mk.stream(862, dims.total, j, k))
+                res = mk.search(H, dims, mk.SearchConfig(K=1, seed=k))
+                assert mk.certify(H, res, 1, 1e-6) == res.converged
+                if planted <= 1e-6:
+                    planted_ok += 1
+                    assert res.converged
+        assert planted_ok >= 3
+
+    @pytest.mark.parametrize("factors,eps,k,which", [
+        ((3, 3), 1e-3, 9, 2), ((3, 3), 1e-3, 15, 1), ((2, 3, 3), 1e-3, 17, 1), ((3, 3, 3, 3), 3e-4, 1, 1),
+    ])
+    def test_each_tolerance_is_needed(self, factors, eps, k, which):
+        # near-threshold inputs that only one tolerance (u, 4 u, 2 sqrt(D) u) factors into a
+        # certifying structure: match errors add, and a wide window takes wrong greedy matches
+        dims = mk.Dims(factors)
+        H, _ = near_threshold(dims, eps, mk.stream(950, dims.total, k))
+        res = mk.search(H, dims, mk.SearchConfig(K=1))
+        assert [r <= 1e-6 for r in res.restart_residuals] == [i == which for i in range(3)]
+        assert res.converged and mk.certify(H, res, 1, 1e-6)
 
 
 class TestCertify:
@@ -286,9 +357,10 @@ class TestCertify:
         # shift 1e4 certify used to measure the tail against the identity's mass and pass
         G = random_hermitian(8, mk.stream(3, 1))
         H = mk.HermitianOp(G.mat + shift * np.eye(8))
-        res = mk.search(H, dims222, mk.SearchConfig(K=1, restarts=2, seed=3))
-        assert res.residual == pytest.approx(2.84e-3, rel=1e-2)
+        cfg = mk.SearchConfig(K=1, restarts=2, seed=3)
+        res = mk.search(H, dims222, cfg)
         assert not res.converged
+        assert res.residual == pytest.approx(mk.search(G, dims222, cfg).residual, rel=1e-9)
         assert not mk.certify(H, res, 1, 1e-6)
 
     @pytest.mark.parametrize("factors", [(2, 2), (2, 2, 2), (2, 3), (2, 2, 3)])
