@@ -1,11 +1,11 @@
-"""Symmetry dimension counting, nonlocal-symmetry witnesses, and entropy orbits.
+"""Symmetry dimension counting, nonlocal symmetries from the spectrum, and entropy orbits.
 
 Every Hamiltonian has a commutative symmetry group of dimension D (phases
 along its eigenbasis), while any commutative subgroup of a structure's
 stabilizer has dimension at most sum(d_i) - (n - 1). The strict gap is what
-guarantees symmetries of H that move the structure; the time-evolution
-family makes such symmetries concrete, and the per-site entropy curve along
-the evolved structures separates them.
+guarantees symmetries of H that move the structure. An evolution e^{-itH} moves
+it for some t exactly when H is not 1-local in it, at a t read off the spectrum,
+and the per-site entropy curve along the evolved structures separates them.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
 from .hilbert import Dims, HermitianOp, StateVec, UnitaryOp, _frozen, expm_i
-from .locality import WITNESS_ENTROPY, _require_product_probes
-from .tps import Tps, _eigen_entropies, act, equivalent
+from .locality import _evolved_entropies, is_k_local
+from .tps import Tps, act, equivalent
 
-COMMUTANT_TOL = 1e-9
+COMMUTANT_TOL = 1e-9  # on max |[U, H]|, relative to 1 + max |H_ij| as in HermitianOp
 
 
 @dataclass(frozen=True)
@@ -59,28 +59,28 @@ def inequality_sweep(max_n: int, max_d: int) -> bool:
     return True
 
 
-def find_nonlocal_symmetry(
-    H: HermitianOp, T: Tps, t_grid: Sequence[float], probes: Sequence[StateVec]
-) -> Optional[tuple[float, UnitaryOp]]:
-    """First grid time whose evolution unitary commutes with H but moves T.
+def find_nonlocal_symmetry(H: HermitianOp, T: Tps) -> Optional[tuple[float, UnitaryOp]]:
+    """(t, e^{-itH}) with e^{-itH} moving T; None exactly when ``is_k_local(H, T, 1)`` holds.
 
-    Probe entanglement flags a candidate time; the move is then confirmed by
-    the equivalence test. Returns None when the grid shows nothing, which is
-    the expected outcome exactly for 1-local Hamiltonians.
+    t = pi / (2 Delta), Delta the spectral spread. For t Delta < pi the spectrum of e^{-itH}
+    lies on an arc shorter than pi. A product of site unitaries with such a spectrum has a
+    1-local logarithm on that arc, which is then tH up to a constant; a factor permutation (an
+    m-cycle, m >= 2) puts all m-th roots of a phase into the spectrum, which no such arc holds.
+    So each 0 < t < pi / Delta moves T unless H is 1-local; the midpoint stays away from t -> 0,
+    where the move vanishes, and from t Delta = pi, where e^{-i pi XX / 2} = -i X (x) X is local.
+    ``equivalent`` confirms the move; one it cannot confirm raises InvariantViolation, not None.
     """
-    C = _require_product_probes(H, T, probes)
-    for t in t_grid:
-        ents = _eigen_entropies(H, [T], C, np.exp(-1j * float(t) * H.eig[0]))[0]
-        if not (ents > WITNESS_ENTROPY).any():
-            continue
-        U = expm_i(H, float(t))
-        if equivalent(act(U, T), T):
-            continue
-        comm = np.abs(U.mat @ H.mat - H.mat @ U.mat).max()
-        if comm > COMMUTANT_TOL:
-            raise InvariantViolation(f"evolution unitary fails to commute: {comm:.3e}")
-        return float(t), U
-    return None
+    if is_k_local(H, T, 1):  # also H ∝ I, whose spread Delta is 0
+        return None
+    lam = H.eig[0]
+    t = float(np.pi / (2.0 * (lam[-1] - lam[0])))
+    U = expm_i(H, t)
+    comm = np.abs(U.mat @ H.mat - H.mat @ U.mat).max()
+    if comm > COMMUTANT_TOL * (1.0 + np.abs(H.mat).max()):
+        raise InvariantViolation(f"evolution unitary fails to commute: {comm:.3e}")
+    if equivalent(act(U, T), T):
+        raise InvariantViolation(f"H is not 1-local, yet e^(-itH) at t = {t!r} keeps the structure")
+    return t, U
 
 
 @dataclass(frozen=True)
@@ -108,18 +108,11 @@ def entropy_orbit(
     H: HermitianOp, T: Tps, probe: StateVec, site: int, t_grid: Sequence[float]
 ) -> OrbitCurve:
     """Site entropy of the probe pushed through iso . e^{-itH}, per grid point."""
-    c = _require_product_probes(H, T, [probe])[0]
     n = T.dims.n
     if not (0 <= site < n):
         raise DimensionMismatch(f"site {site} out of range for n={n}")
     t = np.asarray(t_grid, dtype=float)
-    # Equal blocks of at most 2**16 // D times bound the memory; a 1-point block would take
-    # numpy's matrix-vector product, which rounds unlike the matrix-matrix one.
-    blocks = np.array_split(t, len(t) // max(1, 2**16 // H.dim) + 1)
-    lam = H.eig[0]
-    ents = np.concatenate(
-        [_eigen_entropies(H, [T], c, np.exp(-1j * np.multiply.outer(b, lam)))[0, :, site] for b in blocks]
-    )
+    ents = _evolved_entropies(H, T, [probe], t)[:, 0, site]
     bound = np.log(T.dims.factors[site]) + 1e-9
     if len(ents) and ents.max() > bound:
         raise InvariantViolation(f"entropy {ents.max():.12f} above log d bound")

@@ -52,10 +52,10 @@ class ProductOpCertificate:
 
 def _eigen_entropies(H: HermitianOp, Ts, c, f) -> np.ndarray:
     """Site entropies (len(Ts), k, n) in every structure of Ts of the states V (f * c), V the
-    eigenvectors of H. The states are formed once and read through the stacked isomorphisms
-    by one ``site_entropies`` call; a single structure is a one-element stack.
+    eigenvectors of H. The states are formed once, in one (k, D) matrix product, and read
+    through the stacked isomorphisms by one ``site_entropies`` call; one structure is a stack of 1.
 
-    Amplitudes ``c`` and per-eigenvalue multipliers ``f`` broadcast to (k, D). Ts must be
+    Amplitudes ``c`` and per-eigenvalue multipliers ``f`` broadcast to (..., D), k states. Ts must be
     non-empty, every structure must share the dims of the first (they are read with them), and
     H must act on their product space, else DimensionMismatch.
     """
@@ -67,7 +67,7 @@ def _eigen_entropies(H: HermitianOp, Ts, c, f) -> np.ndarray:
     if H.dim != dims.total:
         raise DimensionMismatch(f"operator dim {H.dim} != product dim {dims.total}")
     isos = np.stack([T.iso.mat for T in Ts]).swapaxes(-1, -2)  # each T.iso.mat.T, as a view
-    return site_entropies(((f * c) @ H.eig[1].T) @ isos, dims)
+    return site_entropies(((f * c).reshape(-1, dims.total) @ H.eig[1].T) @ isos, dims)
 
 
 def canonical(dims: Dims) -> Tps:

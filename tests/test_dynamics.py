@@ -40,16 +40,12 @@ class TestSymmetryDims:
 class TestFindNonlocalSymmetry:
     def test_one_local_none_found(self, dims22):
         H = mk.HermitianOp(np.kron(SIGMA["Z"], np.eye(2)) + np.kron(np.eye(2), SIGMA["X"]))
-        T = mk.canonical(dims22)
-        probes = [mk.random_product_probe(T, mk.stream(501, k)) for k in range(4)]
-        grid = np.linspace(0, 2 * np.pi, 64)
-        assert mk.find_nonlocal_symmetry(H, T, grid, probes) is None
+        assert mk.find_nonlocal_symmetry(H, mk.canonical(dims22)) is None
 
     def test_xx_at_quarter_pi(self, dims22):
         H = mk.pauli_string("XX")
         T = mk.canonical(dims22)
-        probe = mk.StateVec(np.array([1, 0, 0, 0], dtype=complex))
-        hit = mk.find_nonlocal_symmetry(H, T, [0.0, np.pi / 4], [probe])
+        hit = mk.find_nonlocal_symmetry(H, T)
         assert hit is not None
         t, U = hit
         assert t == pytest.approx(np.pi / 4)
@@ -59,12 +55,28 @@ class TestFindNonlocalSymmetry:
     def test_ising_found_on_grid(self, dims222):
         H = mk.ising_chain(mk.IsingParams(3, 1.0, 1.0))
         T = mk.canonical(dims222)
-        probes = [mk.random_product_probe(T, mk.stream(502, k)) for k in range(4)]
-        grid = mk.default_time_grid(H, 64)
-        hit = mk.find_nonlocal_symmetry(H, T, grid, probes)
+        hit = mk.find_nonlocal_symmetry(H, T)
         assert hit is not None
         t, U = hit
         assert np.abs(U.mat @ H.mat - H.mat @ U.mat).max() < 1e-9
+
+    def test_identity_none(self, dims22):
+        assert mk.find_nonlocal_symmetry(mk.HermitianOp(8 * np.eye(4)), mk.canonical(dims22)) is None
+
+    @pytest.mark.parametrize("c", [1e5, 1e8, 1e12])
+    def test_shifted_ising_moves(self, dims222, c):
+        # eigenvectors of H + c I are accurate to about eps * c, so [U, H] is checked relative to |H|
+        H = mk.HermitianOp(mk.ising_chain(mk.IsingParams(3, 1.0, 1.0)).mat + c * np.eye(8))
+        T = mk.canonical(dims222)
+        t, U = mk.find_nonlocal_symmetry(H, T)
+        assert not mk.equivalent(mk.act(U, T), T)
+
+    def test_kept_structure_raises(self, dims22, monkeypatch):
+        from mereokit import dynamics
+
+        monkeypatch.setattr(dynamics, "equivalent", lambda *a: True)
+        with pytest.raises(mk.InvariantViolation, match="keeps the structure"):
+            mk.find_nonlocal_symmetry(mk.pauli_string("XX"), mk.canonical(dims22))
 
 
 class TestEntropyOrbit:
@@ -127,6 +139,13 @@ class TestEntropyOrbit:
         with pytest.raises(mk.InvariantViolation):
             mk.entropy_orbit(mk.pauli_string("XX"), mk.canonical(dims22), bell, 0, [0.1])
 
+    @pytest.mark.parametrize("grid", [[np.nan, 0.3], [0.0, np.inf]])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_grid_rejected(self, dims22, grid):
+        probe = mk.StateVec(np.array([1, 0, 0, 0], dtype=complex))
+        with pytest.raises(mk.DimensionMismatch, match="finite"):
+            mk.entropy_orbit(mk.pauli_string("XX"), mk.canonical(dims22), probe, 0, grid)
+
 
 class TestOrbitBlocks:
     """The curve is evaluated in blocks of at most 2**16 // D grid times."""
@@ -152,13 +171,12 @@ class TestOrbitBlocks:
 
     @pytest.mark.parametrize("offset", [-1, 0, 1, "2B+1"])
     def test_blocks_bit_equal_to_one_call(self, offset):
-        from mereokit.locality import _require_product_probes
         from mereokit.tps import _eigen_entropies
 
         H, T, probe = self.instance()
         B = 2**16 // H.dim
         grid = np.linspace(0, 3, 2 * B + 1 if offset == "2B+1" else B + offset)
-        c = _require_product_probes(H, T, [probe])[0]
+        c = probe.vec[None] @ H.eig[1].conj()  # eigenbasis amplitudes, as one (1, D) product
         ref = _eigen_entropies(H, [T], c, np.exp(-1j * np.multiply.outer(grid, H.eig[0])))[0, :, 3]
         assert np.array_equal(mk.entropy_orbit(H, T, probe, 3, grid).entropies, ref)
 

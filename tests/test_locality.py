@@ -262,10 +262,29 @@ class TestOneLocalEvolution:
         assert w.entropy == pytest.approx(np.log(2), abs=1e-9)
 
     def test_empty_grid_vacuous(self, dims22):
+        # an empty grid shows nothing, and the residual still decides
         H = mk.pauli_string("XX")
         T = mk.canonical(dims22)
         probe = mk.StateVec(np.array([1, 0, 0, 0], dtype=complex))
-        assert mk.one_local_evolution_check(H, T, [], [probe]).consistent
+        v = mk.one_local_evolution_check(H, T, [], [probe])
+        assert not v.consistent and v.witness is None
+
+    def test_zz_on_half_period_grid(self, dims22):
+        # e^{-i pi ZZ / 2} = -i Z (x) Z is local, so the grid [0, pi/2] entangles no probe
+        H = mk.pauli_string("ZZ")
+        T = mk.canonical(dims22)
+        probes = [mk.random_product_probe(T, mk.stream(409, k)) for k in range(4)]
+        v = mk.one_local_evolution_check(H, T, [0.0, np.pi / 2], probes)
+        assert not v.consistent and v.witness is None and v.max_entropy < 1e-9
+        t, U = mk.find_nonlocal_symmetry(H, T)
+        assert t == pytest.approx(np.pi / 4) and not mk.equivalent(mk.act(U, T), T)
+
+    @pytest.mark.parametrize("grid", [[np.nan, np.inf], [0.0, np.nan]])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_grid_rejected(self, dims22, grid):
+        probe = mk.StateVec(np.array([1, 0, 0, 0], dtype=complex))
+        with pytest.raises(mk.DimensionMismatch, match="finite"):
+            mk.one_local_evolution_check(mk.pauli_string("XX"), mk.canonical(dims22), grid, [probe])
 
     def test_non_product_probe_rejected(self, dims22):
         H = mk.pauli_string("XX")
@@ -309,13 +328,13 @@ class TestStatisticalDirections:
             T = mk.random_tps(dims, rng)
             probes = [mk.random_product_probe(T, rng) for _ in range(4)]
             grid = mk.default_time_grid(H, 32)
-            if not mk.one_local_evolution_check(H, T, grid, probes).consistent:
+            if mk.one_local_evolution_check(H, T, grid, probes).witness is not None:
                 found += 1
         assert found >= trials - 1
 
 
 def looped_scan(H, T, t_grid, probes, threshold=mk.locality.WITNESS_ENTROPY):
-    """The per-(t, probe) scan both evolution checks ran before they were batched.
+    """The per-(t, probe) scan the evolution check ran before it was batched.
 
     Returns the first (t, probe index, entropy) above the threshold, or None, and
     the largest site entropy seen up to it.
@@ -331,15 +350,6 @@ def looped_scan(H, T, t_grid, probes, threshold=mk.locality.WITNESS_ENTROPY):
             if ent > threshold:
                 return (float(t), j, ent), max_seen
     return None, max_seen
-
-
-def looped_nonlocal_time(H, T, t_grid, probes):
-    """The first grid time the looped scan flags and the equivalence test confirms."""
-    for t in t_grid:
-        hit, _ = looped_scan(H, T, [t], probes)
-        if hit is not None and not mk.equivalent(mk.act(mk.expm_i(H, float(t)), T), T):
-            return float(t)
-    return None
 
 
 class TestBatchedScansMatchLoops:
@@ -364,5 +374,62 @@ class TestBatchedScansMatchLoops:
             else:
                 assert (v.witness.t, v.witness.probe_index) == ref[:2]
                 assert abs(v.witness.entropy - ref[2]) <= 1e-12
-            hit = mk.find_nonlocal_symmetry(H, T, grid, probes)
-            assert (None if hit is None else hit[0]) == looped_nonlocal_time(H, T, grid, probes)
+
+
+def near_one_local(dims, eps, seed):
+    """A 1-local operator plus eps times a 2-local one."""
+    rng = mk.stream(seed)
+    return mk.HermitianOp(mk.random_klocal(dims, 1, rng).mat + eps * mk.random_klocal(dims, 2, rng).mat)
+
+
+def entropy_allowed(H, T, t):
+    """Largest site entropy e^{-itH} can give a product probe in T. With N the weight >= 2 part
+    of H, e^{-itH} stays within t |N| <= t sqrt(r) |H - tr H / D|_F of the product state
+    e^{-it(H - N)} probe (r the 1-local residual), so the marginal's top eigenvalue is at least
+    1 - p, p = (that distance)^2, and its entropy at most h(p) + p ln(d - 1)."""
+    r = k_local_residual(mk.weight_profile(mk.decompose(H, T)).w, 1)
+    dist = t * np.sqrt(r) * np.linalg.norm(H.mat - np.trace(H.mat) / H.dim * np.eye(H.dim))
+    d = max(T.dims.factors)
+    p = min(dist**2, (d - 1) / d)
+    return -p * np.log(p) - (1 - p) * np.log1p(-p) + p * np.log(d - 1)
+
+
+class TestVerdictIsTheResidual:
+    """The verdict is ``is_k_local(H, T, 1)`` whatever the grid; the grid only adds a witness."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        factors=st.sampled_from([(2, 2), (2, 3), (2, 2, 2), (3, 3), (2, 2, 3)]),
+        kind=st.sampled_from([1, 2, 1e-6, 1e-5, 3e-5, 1e-4, 1e-3]),  # K, or eps near threshold
+        grid=st.sampled_from(["default", "empty", 1, 2, 4]),  # or 8 times spaced by that many pi/2
+        seed=st.integers(0, 2**16),
+    )
+    def test_verdict_and_symmetry_follow_residual(self, factors, kind, grid, seed):
+        dims = mk.Dims(factors)
+        if kind in (1, 2):
+            H0 = mk.random_klocal(dims, kind, mk.stream(seed))
+        else:
+            H0 = near_one_local(dims, kind, seed)
+        U = mk.haar_unitary(dims.total, mk.stream(seed, 1))
+        H = mk.HermitianOp(U.mat @ H0.mat @ U.mat.conj().T)
+        T = mk.act(U, mk.canonical(dims))
+        probes = [mk.random_product_probe(T, mk.stream(seed, 2, k)) for k in range(2)]
+        if grid == "default":
+            t_grid = mk.default_time_grid(H, 32)
+        elif grid == "empty":
+            t_grid = []
+        else:
+            t_grid = np.arange(8) * grid * np.pi / 2
+        local = mk.is_k_local(H, T, 1)
+        v = mk.one_local_evolution_check(H, T, t_grid, probes)
+        assert v.consistent == local
+        if v.witness is not None and v.consistent:
+            # a grid long enough outruns the tolerance: H is within LOCALITY_RTOL of 1-local,
+            # and the witness entropy is what that remainder allows by time t
+            assert v.witness.entropy <= entropy_allowed(H, T, v.witness.t)
+        hit = mk.find_nonlocal_symmetry(H, T)
+        assert (hit is None) == local
+        if hit is not None:
+            t, W = hit
+            assert np.abs(W.mat @ H.mat - H.mat @ W.mat).max() <= 1e-9 * (1.0 + np.abs(H.mat).max())
+            assert not mk.equivalent(mk.act(W, T), T)
