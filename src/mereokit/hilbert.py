@@ -182,8 +182,10 @@ def _entropy_of_probs(p: np.ndarray) -> np.ndarray:
 def site_entropies(psi, dims: Dims) -> np.ndarray:
     """Per-factor marginal entropies of a pure state, or of every state in a stack (..., D).
 
-    The marginal of factor i is the d_i x d_i Gram matrix m m^dag of the state reshaped
-    to (d_i, D / d_i); one stacked ``eigvalsh`` per factor reads its spectrum.
+    The marginal of factor i is the d_i x d_i Gram matrix G = m m^dag of the state reshaped
+    to (d_i, D / d_i); one stacked ``eigvalsh`` reads its spectrum for d_i >= 3. For a qubit,
+    from a, c, b = G_00, G_11, G_01 summed directly, hi = (a + c) / 2 + sqrt(((a - c) / 2)^2 + |b|^2)
+    and lo = (a c - |b|^2) / hi (0 when hi is), each within a few eps (a + c) of exact, as ``eigvalsh``'s.
     """
     v = _vec(psi)
     if v.shape[-1] != dims.total:
@@ -193,12 +195,26 @@ def site_entropies(psi, dims: Dims) -> np.ndarray:
     out = np.empty(lead + (dims.n,))
     for i, d in enumerate(dims.factors):
         m = np.moveaxis(t, len(lead) + i, len(lead)).reshape(lead + (d, dims.total // d))
-        out[..., i] = _entropy_of_probs(np.linalg.eigvalsh(m @ m.conj().swapaxes(-1, -2)))
+        if d == 2:
+            ac = (m.real * m.real + m.imag * m.imag).sum(axis=-1)
+            a, c = ac[..., 0], ac[..., 1]
+            b = (m[..., 0, :] * m[..., 1, :].conj()).sum(axis=-1)
+            b2 = b.real * b.real + b.imag * b.imag
+            hi = (a + c) / 2 + np.sqrt(((a - c) / 2) ** 2 + b2)
+            lo = np.divide(a * c - b2, hi, out=np.zeros_like(hi), where=hi > 0.0)
+            out[..., i] = _entropy_of_probs(np.stack((lo, hi), axis=-1))
+        else:
+            out[..., i] = _entropy_of_probs(np.linalg.eigvalsh(m @ m.conj().swapaxes(-1, -2)))
     return out
 
 
 def kron_all(mats) -> np.ndarray:
-    return reduce(np.kron, [_mat(m) for m in mats])
+    """Kronecker product of the factors, all of one ndim: each step is the one broadcast multiply,
+    axes interleaved, that ``np.kron`` makes, so the result is its chain's bit for bit, without its
+    per-call work."""
+    ms = [_mat(m) for m in mats]
+    left, right = (slice(None), None) * ms[0].ndim, (None, slice(None)) * ms[0].ndim
+    return reduce(lambda a, b: (a[left] * b[right]).reshape([p * q for p, q in zip(a.shape, b.shape)]), ms)
 
 
 def haar_unitary(D: int, stream: np.random.Generator) -> UnitaryOp:

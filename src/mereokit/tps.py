@@ -20,6 +20,7 @@ from .hilbert import Dims, HermitianOp, StateVec, UnitaryOp, _mat, _vec, haar_st
 from .hilbert import _from_pairs, _to_pairs, _unit, kron_all, site_entropies
 
 PRODUCT_RTOL = 1e-8  # relative second-singular-value threshold for product detection
+ENTANGLED_RATIO = 1e-6  # a factor whose least slot Gram ratio lam_2 / lam_1 exceeds this is entangled
 
 
 @dataclass(frozen=True)
@@ -89,21 +90,22 @@ def random_tps(dims: Dims, stream: np.random.Generator) -> Tps:
     return Tps(dims, haar_unitary(dims.total, stream))
 
 
+def _perm_index(factors: tuple[int, ...], sigma: tuple[int, ...]) -> np.ndarray:
+    """Rows idx with ``perm_matrix(factors, sigma) @ W == W[idx]``; refuses what perm_matrix refuses."""
+    if sorted(sigma) != list(range(len(factors))):
+        raise DimensionMismatch(f"{sigma} is not a permutation")
+    if any(factors[sigma[j]] != factors[j] for j in range(len(factors))):
+        raise DimensionMismatch(f"{sigma} permutes unequal factor dimensions {factors}")
+    digits = np.unravel_index(np.arange(int(np.prod(factors))), factors)
+    return np.ravel_multi_index(tuple(digits[j] for j in np.argsort(sigma)), factors)
+
+
 def perm_matrix(factors: tuple[int, ...], sigma: tuple[int, ...]) -> np.ndarray:
     """Permutation unitary sending factor sigma[j] of the input to slot j.
 
     Only permutations between equal-dimension factors are admissible.
     """
-    if sorted(sigma) != list(range(len(factors))):
-        raise DimensionMismatch(f"{sigma} is not a permutation")
-    if any(factors[sigma[j]] != factors[j] for j in range(len(factors))):
-        raise DimensionMismatch(f"{sigma} permutes unequal factor dimensions {factors}")
-    D = int(np.prod(factors))
-    digits = np.unravel_index(np.arange(D), factors)
-    target = np.ravel_multi_index(tuple(digits[s] for s in sigma), factors)
-    P = np.zeros((D, D))
-    P[target, np.arange(D)] = 1.0
-    return P
+    return np.eye(int(np.prod(factors)))[_perm_index(factors, sigma)]
 
 
 def _single_factor_realign(mat: np.ndarray, factors: tuple[int, ...], i: int, j=None) -> np.ndarray:
@@ -153,6 +155,13 @@ def equivalent(T1: Tps, T2: Tps, with_certificate: bool = False):
     the two largest eigenvalues of R R^dag (its squared singular values), one ``eigvalsh``
     over the stack of slots: if W = P_sigma^T (x)U_i that ratio is 0 at sigma(i) and 1 at
     every other slot, so the argmin needs no tolerance. One product test then decides.
+
+    A factor whose least ratio exceeds ``ENTANGLED_RATIO`` = 1e-6 ends the decision with
+    False at once: there s_1 / s_0 > 1e-3, far above ``PRODUCT_RTOL``, in every slot, and the
+    product test reads P_sigma . W across (i, i), which is R at slot sigma(i) with its rows
+    permuted, so it refuses whatever sigma is chosen. The Gram's rounding, at most
+    (D / d)^2 eps lam_1 (1.5e-11 lam_1 at D = 512), cannot move a ratio across that bound.
+    P_sigma is applied as the exact row gather it is.
     """
     if T1.dims != T2.dims:
         raise DimensionMismatch(f"factor dimensions differ: {T1.dims} vs {T2.dims}")
@@ -163,10 +172,13 @@ def equivalent(T1: Tps, T2: Tps, with_certificate: bool = False):
         slots = [j for j in range(len(f)) if f[j] == d]
         R = np.stack([_single_factor_realign(W, f, i, j) for j in slots])
         lam = np.linalg.eigvalsh(R @ R.conj().swapaxes(-1, -2))  # squared singular values
-        sigma.append(slots[int(np.argmin(lam[:, -2] / lam[:, -1]))])
+        ratios = lam[:, -2] / lam[:, -1]
+        if ratios.min() > ENTANGLED_RATIO:
+            break  # sigma stays short, so no product test runs
+        sigma.append(slots[int(np.argmin(ratios))])
     cert = None
     if len(set(sigma)) == len(f):
-        cert = is_product_operator(perm_matrix(f, sigma) @ W, T1.dims)
+        cert = is_product_operator(W[_perm_index(f, tuple(sigma))], T1.dims)
     if cert is None:
         return (False, None) if with_certificate else False
     cert = ProductOpCertificate(cert.factors, tuple(sigma))

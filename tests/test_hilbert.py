@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -262,18 +264,24 @@ class TestStackedSiteEntropies:
             slow = [vn_entropy(partial_trace(rho, dims, keep=i)) for i in range(dims.n)]
             assert np.abs(one - np.array(slow)).max() < 1e-9
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
-        factors=st.sampled_from([(2, 2), (2, 3), (2, 2, 3), (3, 3, 3), (2,) * 4, (2,) * 5, (2,) * 6]),
+        factors=st.sampled_from(
+            [(2, 2), (2, 3), (2, 2, 3), (2, 3, 2), (3, 3, 3), (2,) * 3, (2,) * 4, (2,) * 5, (2,) * 6]
+        ),
+        eps=st.sampled_from([1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2]),
         seed=st.integers(0, 2**16),
     )
-    def test_gram_spectra_match_svd_oracle(self, factors, seed):
-        # Haar states, states product across factor 0 and the rest, and Haar product states
+    def test_gram_spectra_match_svd_oracle(self, factors, eps, seed):
+        # Haar states, states product across factor 0 and the rest, Haar product states and
+        # product states off by eps, whose small marginal eigenvalue tests the closed form
         dims = mk.Dims(factors)
         rng = mk.stream(seed)
         z = rng.standard_normal((3, dims.total)) + 1j * rng.standard_normal((3, dims.total))
         cut = np.kron(mk.haar_state(factors[0], rng).vec, mk.haar_state(dims.total // factors[0], rng).vec)
-        psi = np.vstack([z / np.linalg.norm(z, axis=-1, keepdims=True), cut])
+        product = mk.kron_all([mk.haar_state(d, rng).vec for d in factors])
+        near = product + eps * mk.haar_state(dims.total, rng).vec
+        psi = np.vstack([z / np.linalg.norm(z, axis=-1, keepdims=True), cut, near / np.linalg.norm(near)])
         t = psi.reshape((len(psi),) + factors)
         oracle = np.empty((len(psi), dims.n))
         for i, d in enumerate(factors):
@@ -281,10 +289,10 @@ class TestStackedSiteEntropies:
             p = s * s
             oracle[:, i] = -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
         assert np.abs(mk.site_entropies(psi, dims) - oracle).max() <= 1e-12
-        product = mk.kron_all([mk.haar_state(d, rng).vec for d in factors])
         assert mk.site_entropies(product, dims).max() <= 1e-12
 
-    def test_one_eigvalsh_per_factor_and_no_svd(self, monkeypatch):
+    def test_one_eigvalsh_per_qudit_factor_and_no_svd(self, monkeypatch):
+        # qubit factors read their 2 x 2 marginal spectra in closed form
         calls = []
         for name in ("svd", "eigvalsh"):
             real = getattr(np.linalg, name)
@@ -293,7 +301,7 @@ class TestStackedSiteEntropies:
             )
         z = mk.stream(113).standard_normal((5, 12)) + 0j
         mk.site_entropies(z / np.linalg.norm(z, axis=-1, keepdims=True), mk.Dims((2, 2, 3)))
-        assert calls == ["eigvalsh"] * 3
+        assert calls == ["eigvalsh"]
 
     def test_product_state_entropies_are_zero(self):
         # exact zero Schmidt coefficients contribute 0 log 0 = 0, without a warning
@@ -305,6 +313,26 @@ class TestStackedSiteEntropies:
     def test_stack_dimension_mismatch(self):
         with pytest.raises(mk.DimensionMismatch):
             mk.site_entropies(np.zeros((3, 5), dtype=complex), mk.Dims((2, 2)))
+
+
+class TestKronAll:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        shapes=st.lists(st.sampled_from([(2, 2), (3, 3), (2, 3), (1, 4)]), min_size=1, max_size=5),
+        vectors=st.booleans(),
+        complex_=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bit_identical_to_kron_chain(self, shapes, vectors, complex_, seed):
+        rng = mk.stream(seed)
+        shapes = [s[:1] for s in shapes] if vectors else shapes
+        mats = [rng.standard_normal(s) + (1j * rng.standard_normal(s) if complex_ else 0.0) for s in shapes]
+        # kron_all works in complex, as the chain on complex copies does (a real input's
+        # products can carry a -0 imaginary part that the real chain has no place for)
+        got, want = mk.kron_all(mats), reduce(np.kron, [m.astype(complex) for m in mats])
+        assert got.dtype == complex and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(got, reduce(np.kron, mats))
 
 
 class TestHaar:

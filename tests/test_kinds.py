@@ -242,6 +242,17 @@ class TestProbeSet:
             overlap = abs(np.vdot(V[:, k], phi))
             assert overlap == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("amplitude", [0.0, 1e-300, 1e-18])
+    def test_rank_certificate_refuses_without_support_check(self, monkeypatch, amplitude):
+        # with the support check off, a (nearly) vanishing amplitude must still be refused by
+        # the rank check, as matrix_rank refused it; H diagonal, so the amplitudes are psi's own
+        monkeypatch.setattr(mk.kinds, "SUPPORT_MIN", -np.inf)
+        H = mk.HermitianOp(np.diag([0.1, 0.9, 2.0, 3.3]).astype(complex))
+        psi = mk.StateVec(np.array([0.6, amplitude, 0.48, 0.64], dtype=complex))
+        assert np.abs(check_spectral_hypotheses(H, psi)).min() == amplitude
+        with pytest.raises(mk.InvariantViolation):
+            mk.build_probe_set(H, psi, 8, mk.stream(1))
+
     def test_too_few_probes(self):
         H, psi = nondegenerate_instance(4, 612)
         with pytest.raises(mk.DimensionMismatch):
@@ -326,6 +337,10 @@ class TestFingerprint:
         probes = mk.ProbeSet(np.zeros((1, 4)))
         fp = mk.fingerprint(H, psi, [mk.canonical(dims22)], probes)[0]
         assert fp.skipped == {0}
+        # the distance reads only unskipped rows, whose entries are not NaN
+        assert mk.fingerprint_distance(fp, fp) == 0.0
+        mixed = mk.fingerprint(H, psi, [mk.canonical(dims22)], mk.ProbeSet(np.vstack([np.zeros(4), np.eye(4)])))[0]
+        assert mixed.skipped == {0} and mk.fingerprint_distance(mixed, mixed) == 0.0
 
 
     def test_one_site_entropies_call(self, dims222, monkeypatch):

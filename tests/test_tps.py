@@ -257,26 +257,34 @@ class TestEquivalentDecision:
         dims = mk.Dims((2, 2, 3, 2))
         rng = mk.stream(318)
         T1 = mk.random_tps(dims, rng)
-        for T2, same in ((planted(T1, (1, 3, 2, 0), rng), True), (mk.random_tps(dims, rng), False)):
-            calls.clear()
-            assert mk.equivalent(T1, T2) == same
-            assert calls[: dims.n] == [("eigvalsh", "equivalent")] * dims.n
-            svds = calls[dims.n :]
-            assert set(svds) <= {("svd", "is_product_operator")} and len(svds) <= dims.n
+        calls.clear()
+        assert mk.equivalent(T1, planted(T1, (1, 3, 2, 0), rng))
+        assert calls[: dims.n] == [("eigvalsh", "equivalent")] * dims.n
+        svds = calls[dims.n :]
+        assert set(svds) <= {("svd", "is_product_operator")} and len(svds) <= dims.n
+        # a Haar pair is entangled from factor 0 on, and the decision stops there
+        calls.clear()
+        assert not mk.equivalent(T1, mk.random_tps(dims, rng))
+        assert calls == [("eigvalsh", "equivalent")]
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
-        factors=st.sampled_from([(2, 2), (2, 3), (2, 2, 3), (3, 3, 3), (2,) * 4, (2,) * 5, (2,) * 6]),
+        factors=st.sampled_from(
+            [(2, 2), (2, 3), (2, 2, 3), (2, 3, 2), (3, 2, 3), (4, 2, 2), (3, 3, 3), (2,) * 4, (2,) * 5, (2,) * 6]
+        ),
         seed=st.integers(0, 2**16),
     )
     def test_agrees_with_svd_slot_oracle(self, factors, seed):
-        # local moves, swapped equal factors, evolved structures and Haar structures
+        # local moves, swapped equal factors, structures evolved from a local move by
+        # e^{-i eps H} (eps = 0 to 0.7, across the product test's threshold) and Haar
+        # structures; the oracle scans every factor, so it also checks the early stop
         dims = mk.Dims(factors)
         rng = mk.stream(seed)
         T1 = mk.random_tps(dims, rng)
         H = random_hermitian(dims.total, rng)
-        cases = [planted(T1, tuple(range(dims.n)), rng), planted(T1, admissible_permutation(factors, rng), rng)]
-        cases += [mk.act(mk.expm_i(H, t), T1) for t in (1e-3, 0.7)] + [mk.random_tps(dims, rng)]
+        local = planted(T1, tuple(range(dims.n)), rng)
+        cases = [local, planted(T1, admissible_permutation(factors, rng), rng), mk.random_tps(dims, rng)]
+        cases += [mk.act(mk.expm_i(H, eps), local) for eps in (0.0, 1e-9, 1e-8, 1e-7, 1e-5, 1e-3, 0.1, 0.7)]
         for T2 in cases:
             same, cert = mk.equivalent(T1, T2, with_certificate=True)
             assert (same, cert and cert.permutation) == svd_slot_equivalent(T1, T2)
