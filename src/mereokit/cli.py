@@ -342,6 +342,8 @@ def _kinds_pair(cfg_pair, seed: int, path: int):
 
 
 def cmd_kinds(cfg: dict, out: str | None) -> int:
+    if out:  # an earlier run's witness must not outlive a run that finds none or fails
+        Path(out + ".witness.npy").unlink(missing_ok=True)
     seed, tol = cfg["seed"], cfg["tol"]
     mode = cfg.get("mode", "hsf")
     if mode == "hsf":

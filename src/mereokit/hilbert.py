@@ -179,32 +179,47 @@ def _entropy_of_probs(p: np.ndarray) -> np.ndarray:
     return -(p * np.log(p, out=np.zeros_like(p), where=p > 0.0)).sum(axis=-1)
 
 
-def site_entropies(psi, dims: Dims) -> np.ndarray:
-    """Per-factor marginal entropies of a pure state, or of every state in a stack (..., D).
+def site_entropies(psi, dims: Dims, sites=None) -> np.ndarray:
+    """Marginal entropies of the listed factors (all by default, in that order) of a pure state,
+    or of every state in a stack (..., D); the result is (..., len(sites)).
 
     The marginal of factor i is the d_i x d_i Gram matrix G = m m^dag of the state reshaped
     to (d_i, D / d_i); one stacked ``eigvalsh`` reads its spectrum for d_i >= 3. For a qubit,
-    from a, c, b = G_00, G_11, G_01 summed directly, hi = (a + c) / 2 + sqrt(((a - c) / 2)^2 + |b|^2)
-    and lo = (a c - |b|^2) / hi (0 when hi is), each within a few eps (a + c) of exact, as ``eigvalsh``'s.
+    a, c, b = G_00, G_11, G_01 are sums over the strided views (..., prod d[:i], 2, prod d[i+1:])
+    of |psi|^2 and psi, with no moveaxis copy of the state per site; then
+    hi = (a + c) / 2 + sqrt(((a - c) / 2)^2 + |b|^2) and lo = (a c - |b|^2) / hi (0 when hi is),
+    each within a few eps (a + c) of exact, as ``eigvalsh``'s. An out-of-range or repeated site
+    raises DimensionMismatch naming it.
     """
     v = _vec(psi)
     if v.shape[-1] != dims.total:
         raise DimensionMismatch(f"state dim {v.shape[-1]} != product dim {dims.total}")
+    sites = range(dims.n) if sites is None else tuple(sites)
+    for k, i in enumerate(sites):
+        if not 0 <= i < dims.n:
+            raise DimensionMismatch(f"site {i} out of range for n={dims.n}")
+        if i in sites[:k]:
+            raise DimensionMismatch(f"site {i} repeated in sites {sites}")
     lead = v.shape[:-1]
     t = v.reshape(lead + dims.factors)
-    out = np.empty(lead + (dims.n,))
-    for i, d in enumerate(dims.factors):
-        m = np.moveaxis(t, len(lead) + i, len(lead)).reshape(lead + (d, dims.total // d))
+    p = v.real * v.real + v.imag * v.imag
+    out = np.empty(lead + (len(sites),))
+    for k, i in enumerate(sites):
+        d = dims.factors[i]
         if d == 2:
-            ac = (m.real * m.real + m.imag * m.imag).sum(axis=-1)
-            a, c = ac[..., 0], ac[..., 1]
-            b = (m[..., 0, :] * m[..., 1, :].conj()).sum(axis=-1)
+            left = math.prod(dims.factors[:i])
+            split = lead + (left, 2, dims.total // (2 * left))
+            # each half copied first: numpy sums a strided view in short inner loops, slowly
+            a, c = (np.ascontiguousarray(p.reshape(split)[..., j, :]).sum(axis=(-2, -1)) for j in (0, 1))
+            m = v.reshape(split)
+            b = (m[..., 0, :] * m[..., 1, :].conj()).sum(axis=(-2, -1))
             b2 = b.real * b.real + b.imag * b.imag
             hi = (a + c) / 2 + np.sqrt(((a - c) / 2) ** 2 + b2)
             lo = np.divide(a * c - b2, hi, out=np.zeros_like(hi), where=hi > 0.0)
-            out[..., i] = _entropy_of_probs(np.stack((lo, hi), axis=-1))
+            out[..., k] = _entropy_of_probs(np.stack((lo, hi), axis=-1))
         else:
-            out[..., i] = _entropy_of_probs(np.linalg.eigvalsh(m @ m.conj().swapaxes(-1, -2)))
+            m = np.moveaxis(t, len(lead) + i, len(lead)).reshape(lead + (d, dims.total // d))
+            out[..., k] = _entropy_of_probs(np.linalg.eigvalsh(m @ m.conj().swapaxes(-1, -2)))
     return out
 
 

@@ -194,10 +194,16 @@ def gram_matrix(family: Sequence) -> GramSpec:
 def gram_orbit_witness(family1: Sequence, family2: Sequence, tol: float = WITNESS_TOL) -> UnitaryOp:
     """Unitary mapping family1 onto family2, member by member.
 
-    Exists exactly when the Gram matrices agree. The witness is then the
-    orthogonal Procrustes solution W Vh (Schoenemann 1966), from one SVD
-    W S Vh of sum_k f2_k f1_k^dag: it maps every member exactly, and the
-    SVD's null-space vectors complete it on the orthogonal complement.
+    Exists exactly when the Gram matrices agree. The witness is an orthogonal Procrustes
+    solution (Schoenemann 1966) for M = sum_k f2_k f1_k^dag = F2^T F1^*, solved on the span:
+    with complete QRs F1^T = Q1 R1 and F2^T = Q2 R2 (one stacked call; k members in dim D,
+    m = min(k, D), rows of R past m zero), M = Q2[:, :m] C Q1[:, :m]^dag for the m x m core
+    C = R2[:m] R1[:m]^dag. One SVD w s vh of C gives W Vh = Q2 blockdiag(w vh, I) Q1^dag: the
+    polar factor of M on the span, completed by a unitary on its complement. Equal Grams mean
+    R1^dag R1 = R2^dag R2, so R2[:m] = V R1[:m] for a unitary V; then C = V P with
+    P = R1[:m] R1[:m]^dag PSD, and w vh = V on the range of P (C^dag C = P^2 pins the polar
+    factor there, whatever SVD is taken), which holds every column of R1[:m]: the witness maps
+    every member exactly.
     """
     F1 = np.stack([np.asarray(_vec(v)) for v in family1])
     F2 = np.stack([np.asarray(_vec(v)) for v in family2])
@@ -206,8 +212,12 @@ def gram_orbit_witness(family1: Sequence, family2: Sequence, tol: float = WITNES
     G1, G2 = (F.conj() @ F.T for F in (F1, F2))
     if np.abs(G1 - G2).max() > tol:
         raise NoWitnessError("Gram matrices differ; no unitary can match the families")
-    W, _, Vh = np.linalg.svd(F2.T @ F1.conj())
-    return UnitaryOp(W @ Vh)
+    m = min(F1.shape)
+    (Q1, Q2), (R1, R2) = np.linalg.qr(np.stack((F1, F2)).swapaxes(-1, -2), mode="complete")
+    w, _, vh = np.linalg.svd(R2[:m] @ R1[:m].conj().T)
+    B = Q1.conj().T
+    B[:m] = (w @ vh) @ B[:m]
+    return UnitaryOp(Q2 @ B)
 
 
 @dataclass(frozen=True)

@@ -89,8 +89,11 @@ class EvolutionVerdict:
     max_entropy: float
 
 
-def _evolved_entropies(H: HermitianOp, T: Tps, probes: Sequence[StateVec], t_grid) -> np.ndarray:
-    """Site entropies (times, probes, sites) in T of product probes evolved by e^{-itH}.
+def _evolved_entropies(
+    H: HermitianOp, T: Tps, probes: Sequence[StateVec], t_grid, sites=None
+) -> np.ndarray:
+    """Site entropies (times, probes, sites) in T of product probes evolved by e^{-itH}, at
+    ``sites`` (all by default); the product-probe check reads every site.
 
     Refuses a probe of the wrong dim or a grid that is not one finite sequence (DimensionMismatch)
     and a probe that is not a product state (InvariantViolation). Equal blocks of at most
@@ -110,8 +113,8 @@ def _evolved_entropies(H: HermitianOp, T: Tps, probes: Sequence[StateVec], t_gri
             raise InvariantViolation(f"probe {j} is not a product state (entropy {ent:.3e})")
     blocks = np.array_split(t, len(t) // max(1, 2**16 // (D * max(1, len(C)))) + 1)
     phases = (np.exp(-1j * np.multiply.outer(b, H.eig[0]))[:, None] for b in blocks)  # (times, 1, D)
-    ents = np.concatenate([_eigen_entropies(H, [T], C, f)[0] for f in phases])
-    return ents.reshape(len(t), len(C), T.dims.n)
+    ents = np.concatenate([_eigen_entropies(H, [T], C, f, sites)[0] for f in phases])
+    return ents.reshape(len(t), len(C), ents.shape[-1])
 
 
 def one_local_evolution_check(

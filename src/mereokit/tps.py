@@ -51,10 +51,11 @@ class ProductOpCertificate:
         return perm_matrix(dims.factors, self.permutation).T @ kron_all(self.factors)
 
 
-def _eigen_entropies(H: HermitianOp, Ts, c, f) -> np.ndarray:
-    """Site entropies (len(Ts), k, n) in every structure of Ts of the states V (f * c), V the
+def _eigen_entropies(H: HermitianOp, Ts, c, f, sites=None) -> np.ndarray:
+    """Site entropies (len(Ts), k, sites) in every structure of Ts of the states V (f * c), V the
     eigenvectors of H. The states are formed once, in one (k, D) matrix product, and read
-    through the stacked isomorphisms by one ``site_entropies`` call; one structure is a stack of 1.
+    through the stacked isomorphisms by one ``site_entropies`` call, at ``sites`` (all by default);
+    one structure is a stack of 1.
 
     Amplitudes ``c`` and per-eigenvalue multipliers ``f`` broadcast to (..., D), k states. Ts must be
     non-empty, every structure must share the dims of the first (they are read with them), and
@@ -68,7 +69,7 @@ def _eigen_entropies(H: HermitianOp, Ts, c, f) -> np.ndarray:
     if H.dim != dims.total:
         raise DimensionMismatch(f"operator dim {H.dim} != product dim {dims.total}")
     isos = np.stack([T.iso.mat for T in Ts]).swapaxes(-1, -2)  # each T.iso.mat.T, as a view
-    return site_entropies(((f * c).reshape(-1, dims.total) @ H.eig[1].T) @ isos, dims)
+    return site_entropies(((f * c).reshape(-1, dims.total) @ H.eig[1].T) @ isos, dims, sites)
 
 
 def canonical(dims: Dims) -> Tps:

@@ -734,6 +734,21 @@ class TestPayloadFormat:
         assert list(tmp_path.glob("*.npy")) == []
         self.check_file(out)
 
+    @pytest.mark.parametrize("family2, code", [
+        ([[[0.0, 0.0], [2.0, 0.0]]], 0),  # Grams differ: a no-witness payload
+        ([[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]], 1),  # shapes differ: the run fails
+    ])
+    def test_earlier_witness_removed(self, tmp_path, family2, code):
+        out = tmp_path / "w.json"
+        first = write_config(tmp_path, "a.json", {"mode": "gram", "family2": "rotated", "seed": 1,
+                                                  "family1": {"random": {"dim": 2, "count": 1}}})
+        assert run_cli(["kinds", "--config", first, "--out", str(out)]) == 0
+        assert [p.name for p in tmp_path.glob("*.npy")] == ["w.json.witness.npy"]
+        second = write_config(tmp_path, "b.json", {"mode": "gram", "family1": [[[1.0, 0.0], [0.0, 0.0]]],
+                                                   "family2": family2, "seed": 1})
+        assert run_cli(["kinds", "--config", second, "--out", str(out)]) == code
+        assert list(tmp_path.glob("*.npy")) == []
+
 
 class TestSubprocessEntry:
     def test_module_invocation(self, tmp_path):

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mereokit as mk
 from mereokit.models import SIGMA
@@ -120,19 +121,40 @@ class TestEntropyOrbit:
         curve = mk.entropy_orbit(H, T, probe, 0, np.linspace(0, 4, 32))
         assert curve.entropies.max() <= np.log(3) + 1e-9
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        factors=st.sampled_from([(2, 2), (2, 2, 2), (2,) * 4, (2,) * 5, (2, 3, 2), (3, 3), (4, 2)]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_one_site_orbit_is_all_site_column(self, factors, seed):
+        from mereokit.locality import _evolved_entropies
+
+        dims = mk.Dims(factors)
+        rng = mk.stream(508, seed)
+        H = random_hermitian(dims.total, rng)
+        T = mk.random_tps(dims, rng)
+        probe = mk.random_product_probe(T, rng)
+        grid = np.linspace(0, 3, 17)
+        every = _evolved_entropies(H, T, [probe], grid)[:, 0]
+        for site, d in enumerate(factors):
+            curve = mk.entropy_orbit(H, T, probe, site, grid)
+            assert np.abs(curve.entropies - every[:, site]).max() <= 1e-15
+            assert curve.entropies.max() <= np.log(d) + 1e-9
+
     @pytest.mark.parametrize("points", [1, 64])
     def test_site_entropies_calls_independent_of_grid(self, dims222, points, monkeypatch):
         from mereokit import tps
 
         calls = []
         real = tps.site_entropies
-        monkeypatch.setattr(tps, "site_entropies", lambda *a: calls.append(1) or real(*a))
+        monkeypatch.setattr(tps, "site_entropies", lambda *a: calls.append(a[2:]) or real(*a))
         rng = mk.stream(506)
         H = random_hermitian(8, rng)
         T = mk.random_tps(dims222, rng)
         curve = mk.entropy_orbit(H, T, mk.random_product_probe(T, rng), 2, np.linspace(0, 2, points))
-        # one stacked call checks the probe is a product state, one covers the whole curve
-        assert len(calls) == 2 and curve.entropies.shape == (points,)
+        # one stacked call checks the probe is a product state at every site, one reads the
+        # whole curve at the orbit's site alone
+        assert calls == [(None,), ((2,),)] and curve.entropies.shape == (points,)
 
     def test_non_product_probe_rejected(self, dims22):
         bell = mk.StateVec(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))

@@ -257,6 +257,8 @@ class TestStackedSiteEntropies:
         psi = z / np.linalg.norm(z, axis=-1, keepdims=True)
         got = mk.site_entropies(psi, dims)
         assert got.shape == lead + (dims.n,)
+        sites = tuple(int(i) for i in rng.permutation(dims.n)[: rng.integers(dims.n + 1)])
+        assert np.array_equal(mk.site_entropies(psi, dims, sites), got[..., list(sites)])
         for idx in np.ndindex(*lead):
             one = mk.site_entropies(psi[idx], dims)
             assert np.array_equal(got[idx], one)
@@ -267,7 +269,7 @@ class TestStackedSiteEntropies:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         factors=st.sampled_from(
-            [(2, 2), (2, 3), (2, 2, 3), (2, 3, 2), (3, 3, 3), (2,) * 3, (2,) * 4, (2,) * 5, (2,) * 6]
+            [(2, 2), (2, 3), (2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 3, 3)] + [(2,) * n for n in range(3, 7)]
         ),
         eps=st.sampled_from([1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2]),
         seed=st.integers(0, 2**16),
@@ -288,8 +290,19 @@ class TestStackedSiteEntropies:
             s = np.linalg.svd(np.moveaxis(t, 1 + i, 1).reshape(len(psi), d, -1), compute_uv=False)
             p = s * s
             oracle[:, i] = -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
-        assert np.abs(mk.site_entropies(psi, dims) - oracle).max() <= 1e-12
+        got = mk.site_entropies(psi, dims)
+        assert np.abs(got - oracle).max() <= 1e-12
+        for one, row in zip(psi, got):  # the density-matrix oracle
+            rho = DensityOp(np.outer(one, one.conj()))
+            slow = [vn_entropy(partial_trace(rho, dims, keep=i)) for i in range(dims.n)]
+            assert np.abs(row - slow).max() <= 1e-12
         assert mk.site_entropies(product, dims).max() <= 1e-12
+
+    @pytest.mark.parametrize("sites", [(3,), (-1,), (0, 0), (2, 1, 2)])
+    def test_bad_sites_refused(self, sites):
+        psi = np.full(12, 12**-0.5, dtype=complex)
+        with pytest.raises(mk.DimensionMismatch, match=f"site {sites[-1]} "):
+            mk.site_entropies(psi, mk.Dims((2, 2, 3)), sites)
 
     def test_one_eigvalsh_per_qudit_factor_and_no_svd(self, monkeypatch):
         # qubit factors read their 2 x 2 marginal spectra in closed form

@@ -186,12 +186,15 @@ class TestGram:
         U = mk.gram_orbit_witness(fam, rotated)
         scale = 1.0 + max(np.linalg.norm(f) for f in fam)
         assert max(np.linalg.norm(U.mat @ a - b) for a, b in zip(fam, rotated)) <= 1e-12 * scale
+        # the oracle: Procrustes from one D x D SVD of sum_k rotated_k fam_k^dag
+        W, _, Vh = np.linalg.svd(np.array(rotated).T @ np.array(fam).conj())
+        assert max(np.linalg.norm((U.mat - W @ Vh) @ a) for a in fam) <= 1e-12 * scale
         k = int(rng.integers(N))
         rotated[k] = 1.001 * rotated[k]
         with pytest.raises(mk.NoWitnessError):
             mk.gram_orbit_witness(fam, rotated)
 
-    def test_witness_is_one_svd_and_no_qr(self, monkeypatch):
+    def test_witness_is_two_qrs_and_one_core_svd(self, monkeypatch):
         rng = mk.stream(609)
         fam = [rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(3)]
         V = mk.haar_unitary(6, rng)
@@ -200,10 +203,12 @@ class TestGram:
         for name in ("svd", "qr"):
             real = getattr(np.linalg, name)
             monkeypatch.setattr(
-                np.linalg, name, lambda *a, _name=name, _real=real, **kw: calls.append(_name) or _real(*a, **kw)
+                np.linalg, name,
+                lambda a, *r, _name=name, _real=real, **kw: calls.append((_name, a.shape)) or _real(a, *r, **kw),
             )
         mk.gram_orbit_witness(fam, rotated)
-        assert calls == ["svd"]
+        # Procrustes on the 3-dim span: both QRs in one stacked call, and no 6 x 6 SVD
+        assert calls == [("qr", (2, 6, 3)), ("svd", (3, 3))]
 
 
 class TestProbeSet:
