@@ -39,16 +39,20 @@ def _square(a) -> np.ndarray:
     return m
 
 
-def _unit(v) -> np.ndarray:
-    """v / |v|, refused when v is zero or has a non-finite entry.
+def _scaled(a) -> tuple[np.ndarray, int]:
+    """(a / 2^e, e), e = 0 for zero, else the exact power of two that brings a's largest real or
+    imaginary part into [0.5, 1), so that squares and Gram sums neither overflow nor underflow."""
+    a = _finite(a)
+    e = math.frexp(np.abs(a.view(float)).max(initial=0.0))[1]
+    return np.ldexp(a.view(float), -e).view(complex), e
 
-    v is first scaled by the power of two that brings its largest part into [0.5, 1), which is
-    exact: the norm of [1e200, 1e200] or [1e-200, 1e-200] is taken, and no other quotient changes."""
-    v = _finite(v)
-    peak = np.abs(v.view(float)).max(initial=0.0)
-    if peak == 0.0:
+
+def _unit(v) -> np.ndarray:
+    """v / |v|, refused when v is zero or has a non-finite entry; v is first ``_scaled``, so the norm
+    of [1e200, 1e200] or [1e-200, 1e-200] is taken, and no other quotient changes."""
+    v = _scaled(v)[0]
+    if not v.any():
         raise InvariantViolation("cannot normalise a vector of norm 0.0")
-    v = np.ldexp(v.view(float), -math.frexp(peak)[1]).view(complex)
     return v / np.linalg.norm(v)
 
 

@@ -122,7 +122,7 @@ small_factors = st.lists(st.sampled_from([2, 3, 4]), min_size=2, max_size=4).fil
 
 
 class TestKernel:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(factors=small_factors, seed=st.integers(0, 2**16))
     def test_matches_einsum_adjoint_and_roundtrip(self, factors, seed):
         dims = mk.Dims(tuple(factors))

@@ -404,10 +404,12 @@ class TestDualscan:
 
 class TestWorkCounts:
     """One eigendecomposition per Hamiltonian; every structure of an op fingerprinted once, in one
-    ``fingerprint`` call and one ``site_entropies`` kernel call; no equivalence computed twice."""
+    ``fingerprint`` call and one ``site_entropies`` kernel call; no equivalence computed twice.
+    ``eigh`` counts the D x D calls only: ``equivalent`` also takes the top eigenvectors of its
+    d^2 x d^2 slot Grams."""
 
     @pytest.fixture
-    def counts(self, monkeypatch):
+    def counts(self, monkeypatch, dims):
         from mereokit import kinds, tps
 
         counts = {"eigh": 0, "fingerprint": 0, "structures": 0, "site_entropies": 0, "equivalent": 0}
@@ -425,7 +427,14 @@ class TestWorkCounts:
             counts["structures"] += len(Ts)
             return real_fingerprint(H, psi, Ts, probes)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+        D = int(np.prod(dims))
+        real_eigh = np.linalg.eigh
+
+        def eigh(a, *args, **kwargs):
+            counts["eigh"] += a.shape[-2:] == (D, D)
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
         monkeypatch.setattr(kinds, "fingerprint", counting("fingerprint", fingerprint))
         monkeypatch.setattr(tps, "site_entropies", counting("site_entropies", tps.site_entropies))
         equivalent = counting("equivalent", tps.equivalent)

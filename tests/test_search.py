@@ -242,7 +242,7 @@ class TestSpectrumMatch:
         assert len(res.restart_residuals) == 4
         assert res.trace == ((0, min(res.restart_residuals)),)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, derandomize=True)
     @given(factors=st.lists(st.sampled_from([2, 3]), min_size=2, max_size=4), seed=st.integers(0, 2**16))
     def test_scrambled_two_local_converges_and_certifies(self, factors, seed):
         dims = mk.Dims(tuple(factors))
@@ -263,7 +263,7 @@ def near_threshold(dims, eps, rng):
 class TestFactoring:
     """K = 1: the spectrum factored into site spectra."""
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, derandomize=True)
     @given(factors=st.one_of(st.lists(st.sampled_from([2, 3, 4]), min_size=2, max_size=4),
                              st.integers(2, 8).map(lambda n: [2] * n)),
            seed=st.integers(0, 2**16))
