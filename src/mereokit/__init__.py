@@ -64,7 +64,6 @@ from .dynamics import (
     symmetry_dims,
 )
 from .kinds import (
-    Fingerprint,
     GramSpec,
     PairKindSpec,
     ProbeSet,

@@ -405,9 +405,14 @@ def cmd_dualscan(cfg: dict, out: str | None) -> int:
     rows = []
     tally = {v.value: 0 for v in kinds.TpsVerdict}
     for trial in range(trials):
-        H, psi, T1 = _dualscan_instance(dims, seed, trial)
-        probes = kinds.build_probe_set(H, psi, count, stream(seed, trial, _ATTEMPTS))
-        cases = [("local", _local_move(T1, stream(seed, trial, _ATTEMPTS + 1)))]
+        # one draw per trial from path 0; build_probe_set refuses a draw that misses the spectral
+        # hypotheses (exit 3). The probes and the local move draw from the fixed paths 64 and 65,
+        # kept so that payloads stay byte-identical with earlier releases.
+        rng = stream(seed, trial, 0)
+        H, psi = _gue(dims.total, rng), haar_state(dims.total, rng)
+        T1 = tps_mod.random_tps(dims, rng)
+        probes = kinds.build_probe_set(H, psi, count, stream(seed, trial, 64))
+        cases = [("local", _local_move(T1, stream(seed, trial, 65)))]
         cases += [(f"evolved:{t!r}", tps_mod.act(expm_i(H, t), T1)) for t in t_values]
         f1, *fs = kinds.fingerprint(H, psi, [T1] + [T2 for _, T2 in cases], probes)
         for (label, T2), f2 in zip(cases, fs):
@@ -421,26 +426,6 @@ def cmd_dualscan(cfg: dict, out: str | None) -> int:
     rows.append(("summary", "", "", "", json.dumps(tally, sort_keys=True).replace(",", ";"), 0.0))
     _dump_csv("trial,case,fingerprints_equal,tps_equal,verdict,fingerprint_distance", rows, cfg, out)
     return EXIT_OK
-
-
-# Attempt a of a dualscan trial draws its instance from stream(seed, trial, a), a < _ATTEMPTS;
-# the trial's probes and local move draw from paths _ATTEMPTS and _ATTEMPTS + 1, which no
-# attempt reaches.
-_ATTEMPTS = 64
-
-
-def _dualscan_instance(dims: Dims, seed: int, trial: int):
-    # resample (deterministically) until the spectral hypotheses hold
-    for attempt in range(_ATTEMPTS):
-        rng = stream(seed, trial, attempt)
-        H = _gue(dims.total, rng)
-        psi = haar_state(dims.total, rng)
-        try:
-            kinds.check_spectral_hypotheses(H, psi)
-        except HypothesisViolation:
-            continue
-        return H, psi, tps_mod.random_tps(dims, rng)
-    raise MereokitError("could not draw a non-degenerate, full-support instance")
 
 
 def _local_move(T: tps_mod.Tps, rng) -> tps_mod.Tps:

@@ -39,4 +39,4 @@ class ObjectiveUndefined(MereokitError, ValueError):
 
 
 class IncomparableFingerprints(MereokitError, ValueError):
-    """Fingerprints with different probe sets or skip patterns cannot be compared."""
+    """Fingerprints of different shapes (probe counts or sites) cannot be compared."""

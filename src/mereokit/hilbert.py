@@ -32,6 +32,13 @@ def _finite(a) -> np.ndarray:
     return out
 
 
+def _tol(tol: float) -> float:
+    """tol, refused unless finite and positive: a NaN or inf bound passes or fails every check."""
+    if not 0 < tol < np.inf:  # also False for NaN
+        raise DimensionMismatch(f"tol must be finite and positive, got {tol!r}")
+    return tol
+
+
 def _square(a) -> np.ndarray:
     m = _finite(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

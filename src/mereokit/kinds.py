@@ -24,13 +24,12 @@ from .errors import (
     InvariantViolation,
     NoWitnessError,
 )
-from .hilbert import HermitianOp, StateVec, UnitaryOp, _frozen, _square, _vec
+from .hilbert import HermitianOp, StateVec, UnitaryOp, _finite, _frozen, _square, _tol, _vec
 from .tps import Tps, _eigen_entropies, equivalent
 
 DEGENERACY_GAP = 1e-8  # minimum eigenvalue gap for a spectrum to count as simple
 SUPPORT_MIN = 1e-8  # minimum |<eigvec|psi>| for full support
 GROUPING_TOL = 1e-9  # eigenvalues closer than this share an eigenspace
-SKIP_NORM = 1e-10  # probe states below this norm are skipped, not normalized
 FINGERPRINT_TOL = 1e-7  # max fingerprint distance for two structures to count as the same
 WITNESS_TOL = 1e-8  # max spectrum, eigenspace-weight or Gram mismatch for pairs to share an orbit
 
@@ -107,6 +106,7 @@ def pair_membership(
     H: HermitianOp, psi: StateVec, spec: PairKindSpec, tol: float = WITNESS_TOL
 ) -> bool:
     """Does (H, psi) match the spectrum and eigenspace weights of ``spec``?"""
+    tol = _tol(tol)
     c = _amplitudes(H, psi)
     if H.dim != len(spec.spectrum.values):
         return False
@@ -155,6 +155,7 @@ def pair_orbit_witness(
     full support of both states on it (the per-eigenvector phases are read
     off the amplitude ratios, which pins U completely).
     """
+    tol = _tol(tol)
     (lam1, V1), (lam2, V2) = H1.eig, H2.eig
     if len(lam1) != len(lam2):
         raise DimensionMismatch("operator dimensions differ")
@@ -186,8 +187,15 @@ class GramSpec:
         object.__setattr__(self, "matrix", g)
 
 
+def _family(family: Sequence) -> np.ndarray:
+    """The members as the rows of one array; an empty family is a DimensionMismatch."""
+    if not len(family):
+        raise DimensionMismatch("a family needs at least one member")
+    return np.stack([np.asarray(_vec(v)) for v in family])
+
+
 def gram_matrix(family: Sequence) -> GramSpec:
-    F = np.stack([np.asarray(_vec(v)) for v in family])
+    F = _family(family)
     return GramSpec(F.conj() @ F.T)
 
 
@@ -205,8 +213,8 @@ def gram_orbit_witness(family1: Sequence, family2: Sequence, tol: float = WITNES
     factor there, whatever SVD is taken), which holds every column of R1[:m]: the witness maps
     every member exactly.
     """
-    F1 = np.stack([np.asarray(_vec(v)) for v in family1])
-    F2 = np.stack([np.asarray(_vec(v)) for v in family2])
+    tol = _tol(tol)
+    F1, F2 = _family(family1), _family(family2)
     if F1.shape != F2.shape:
         raise DimensionMismatch(f"family shapes differ: {F1.shape} vs {F2.shape}")
     G1, G2 = (F.conj() @ F.T for F in (F1, F2))
@@ -224,15 +232,20 @@ def gram_orbit_witness(family1: Sequence, family2: Sequence, tol: float = WITNES
 class ProbeSet:
     """Probe polynomials held as their values on the spectrum of H.
 
-    ``values[r, k]`` is R_r(lambda_k) at the ascending eigenvalues, read-only.
+    ``values[r, k]`` is R_r(lambda_k) at the ascending eigenvalues, read-only. Refused: a value
+    array that is not 2-d or is empty (DimensionMismatch), a NaN or inf value, and a row that is
+    zero on the whole spectrum (InvariantViolation): its probe state would be 0 for every psi.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        values = _frozen(self.values)
-        if values.ndim != 2:
-            raise DimensionMismatch("need a 2-d value array")
+        values = _finite(self.values)
+        if values.ndim != 2 or not values.size:
+            raise DimensionMismatch(f"need a non-empty 2-d value array, got shape {values.shape}")
+        zero = np.flatnonzero(~values.any(axis=1))
+        if len(zero):
+            raise InvariantViolation(f"probe {zero[0]} is zero on the whole spectrum")
         object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
@@ -276,55 +289,38 @@ def build_probe_set(
     return ProbeSet(values)
 
 
-@dataclass(frozen=True)
-class Fingerprint:
-    """Per-(probe, site) entropies of the normalized probe states in one structure."""
-
-    entries: np.ndarray
-    skipped: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen(self.entries, float))
-        object.__setattr__(self, "skipped", frozenset(int(i) for i in self.skipped))
-
-
-def fingerprint(H: HermitianOp, psi: StateVec, Ts: Sequence[Tps], probes: ProbeSet) -> list[Fingerprint]:
-    """Entropy table of the probe states R(H)|psi> seen through each structure of Ts.
+def fingerprint(H: HermitianOp, psi: StateVec, Ts: Sequence[Tps], probes: ProbeSet) -> np.ndarray:
+    """Entropies (structures, probes, sites), read-only, of the normalized probe states
+    R(H)|psi> seen through each structure of Ts.
 
     The structures, at least one, must share one ``Dims``; the probe states are formed once
-    and one ``site_entropies`` call reads them in every structure. Probe states are
-    normalized before the entropy is taken; near-zero probes are recorded as skipped rather
-    than amplified.
+    and one ``site_entropies`` call reads them in every structure. H and psi must meet
+    ``check_spectral_hypotheses``. Each row of values is first scaled by the exact power of two
+    that brings its largest real or imaginary part into [0.5, 1), so every probe state has norm
+    at least min |c| / 2 before it is normalized, whatever the scale of the row, and the
+    normalized state is the one the unscaled row gives.
     """
-    c = _amplitudes(H, psi)
+    c = check_spectral_hypotheses(H, psi)
     if probes.values.shape[1] != H.dim:
         raise DimensionMismatch(f"probe values of length {probes.values.shape[1]} != dim {H.dim}")
-    nrm = np.linalg.norm(probes.values * c, axis=1)
-    keep = nrm >= SKIP_NORM
-    kept = _eigen_entropies(H, Ts, c, probes.values[keep] / nrm[keep, None])  # checks Ts and H
-    entries = np.full((len(Ts), len(probes), kept.shape[-1]), np.nan)
-    entries[:, keep] = kept
-    skipped = frozenset(np.flatnonzero(~keep))
-    return [Fingerprint(e, skipped) for e in entries]
+    parts = probes.values.view(float)
+    exps = np.frexp(np.abs(parts).max(axis=1))[1]
+    values = np.ldexp(parts, -exps[:, None]).view(complex)
+    values /= np.linalg.norm(values * c, axis=1)[:, None]
+    return _frozen(_eigen_entropies(H, Ts, c, values), float)  # checks Ts and H
 
 
-def fingerprints_equal(f1: Fingerprint, f2: Fingerprint, tol: float = FINGERPRINT_TOL) -> bool:
-    """Entrywise comparison over the shared, unskipped probes."""
-    if f1.entries.shape != f2.entries.shape:
-        raise IncomparableFingerprints(
-            f"entry shapes differ: {f1.entries.shape} vs {f2.entries.shape}"
-        )
-    if f1.skipped != f2.skipped:
-        raise IncomparableFingerprints("skip patterns differ")
-    return fingerprint_distance(f1, f2) <= tol
+def fingerprints_equal(f1: np.ndarray, f2: np.ndarray, tol: float = FINGERPRINT_TOL) -> bool:
+    """Do two (probes, sites) fingerprints agree entrywise within tol (finite and positive)?"""
+    return fingerprint_distance(f1, f2) <= _tol(tol)
 
 
-def fingerprint_distance(f1: Fingerprint, f2: Fingerprint) -> float:
-    keep = np.ones(f1.entries.shape[0], dtype=bool)
-    keep[list(f1.skipped)] = False
-    if not keep.any():
-        return 0.0
-    return float(np.abs(f1.entries[keep] - f2.entries[keep]).max())
+def fingerprint_distance(f1: np.ndarray, f2: np.ndarray) -> float:
+    """Largest entrywise difference of two (probes, sites) fingerprints; IncomparableFingerprints
+    when their shapes differ."""
+    if f1.shape != f2.shape:
+        raise IncomparableFingerprints(f"entry shapes differ: {f1.shape} vs {f2.shape}")
+    return float(np.abs(f1 - f2).max())
 
 
 class TpsVerdict(enum.Enum):

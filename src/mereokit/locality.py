@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation, ObjectiveUndefined
-from .hilbert import HermitianOp, StateVec
+from .hilbert import HermitianOp, StateVec, _tol
 from .basis import WeightProfile, decompose, weight_profile
 from .tps import Tps, _eigen_entropies
 
@@ -42,8 +42,7 @@ def k_local_residual(masses: np.ndarray, K: int) -> float:
 
 
 def _within(masses: np.ndarray, K: int, tol: float) -> bool:
-    if not 0 < tol < np.inf:  # also False for NaN
-        raise DimensionMismatch(f"tol must be finite and positive, got {tol!r}")
+    tol = _tol(tol)  # before the residual, which H ∝ I leaves undefined
     return k_local_residual(masses, K) <= tol
 
 

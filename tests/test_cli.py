@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -380,25 +381,23 @@ class TestDualscan:
         assert len(rows) == 2 * 4
         assert all(r[4] in ("SameTps", "DifferentTps") for r in rows)
 
-    def test_streams_distinct_after_a_resample(self, tmp_path, monkeypatch):
-        # attempt 0 is refused, so the instance comes from attempt 1's stream; the
-        # probes and the local move must still draw from streams of their own
-        real = mk.kinds.check_spectral_hypotheses
-        checks, paths = [], []
+    def test_refused_draw_exits_3_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # one draw per trial: a draw that misses the spectral hypotheses is refused, not redrawn
+        monkeypatch.setattr(cli, "_gue", lambda D, rng: mk.HermitianOp(np.eye(D)))
+        cfg = write_config(tmp_path, "c.json", {"dims": [2, 2], "trials": 2, "seed": 9})
+        out = tmp_path / "scan.csv"
+        assert run_cli(["dualscan", "--config", cfg, "--out", str(out)]) == 3
+        assert json.loads(capsys.readouterr().err)["reason"] == "degenerate_spectrum"
+        assert not out.exists()
 
-        def refuse_first(H, psi=None):
-            checks.append(1)
-            if len(checks) == 1:
-                raise mk.HypothesisViolation("degenerate_spectrum", "refused for the test")
-            return real(H, psi)
-
-        monkeypatch.setattr(mk.kinds, "check_spectral_hypotheses", refuse_first)
+    def test_stream_paths_distinct(self, tmp_path, monkeypatch):
+        # per trial: the instance from path 0, the probes from 64 and the local move from 65
+        paths = []
         monkeypatch.setattr(cli, "stream", lambda seed, *path: paths.append(path) or mk.stream(seed, *path))
-        cfg = write_config(tmp_path, "c.json", {"dims": [2, 2], "trials": 1, "t_values": [0.7], "seed": 9})
+        cfg = write_config(tmp_path, "c.json", {"dims": [2, 2], "trials": 2, "t_values": [0.7], "seed": 9})
         out = str(tmp_path / "scan.csv")
         assert run_cli(["dualscan", "--config", cfg, "--out", out]) == 0
-        assert paths[:2] == [(0, 0), (0, 1)]  # trial 0, attempts 0 and 1
-        assert len(paths) == 4 and len(set(paths)) == 4
+        assert paths == [(0, 0), (0, 64), (0, 65), (1, 0), (1, 64), (1, 65)]
         assert '"Inconsistent": 0' in Path(out).read_text()
 
 
@@ -757,6 +756,95 @@ class TestPayloadFormat:
                                                    "family2": family2, "seed": 1})
         assert run_cli(["kinds", "--config", second, "--out", str(out)]) == code
         assert list(tmp_path.glob("*.npy")) == []
+
+
+# one small config per subcommand; fingerprint (2,)*6 and the kinds Gram family in C^128 reach the
+# sizes at which OpenBLAS splits a product across threads
+THREAD_CONFIGS = {
+    "profile": {"model": {"name": "gue", "dims": [2, 2, 2, 2, 2, 2]}, "tps": {"kind": "random"}},
+    "orbit": {"model": {"name": "gue", "dims": [2, 3, 2]}, "tps": {"kind": "random"}, "grid": {"points": 32}},
+    "fingerprint": {"model": {"name": "gue", "dims": [2, 2, 2, 2, 2, 2]}, "state": "haar",
+                    "tps1": {"kind": "random"}, "tps2": {"kind": "evolved", "t": 0.7}},
+    "search": {"model": {"name": "scrambled_klocal", "dims": [2, 2, 2], "K": 2}, "search": {"K": 2, "restarts": 1}},
+    "kinds": {"mode": "gram", "family1": {"random": {"dim": 128, "count": 3}}, "family2": "rotated"},
+    "dualscan": {"dims": [2, 2, 2], "trials": 2},
+}
+# a child runs every config through cli.main, each to its own --out, and prints the exit codes
+THREAD_CHILD = """
+import json, sys
+from mereokit import cli
+configs, where = json.loads(sys.argv[1]), sys.argv[2]
+codes = {}
+for command, cfg in configs.items():
+    path = f"{where}/{command}.json"
+    with open(path, "w") as f:
+        json.dump({**cfg, "seed": 5}, f)
+    codes[command] = cli.main([command, "--config", path, "--out", f"{where}/{command}.out"])
+print(json.dumps(codes))
+"""
+# the thread count reorders BLAS sums, which moves a float by rounding only:
+# |a - b| <= FLOAT_BOUND * max(1, |a|, |b|)
+FLOAT_BOUND = 1e-12
+
+
+def assert_close(a, b, where):
+    """Equal structure, strings, bools and ints; floats within FLOAT_BOUND. A sha256 is of
+    the witness's float bytes, so the .witness.npy is compared instead."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), where
+        for k in a:
+            if k != "sha256":
+                assert_close(a[k], b[k], f"{where}.{k}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), where
+        for k, (x, y) in enumerate(zip(a, b)):
+            assert_close(x, y, f"{where}[{k}]")
+    elif isinstance(a, float) or isinstance(b, float):
+        assert abs(a - b) <= FLOAT_BOUND * max(1.0, abs(a), abs(b)), (where, a, b)
+    else:
+        assert a == b, (where, a, b)
+
+
+def read_output(path: Path):
+    """A payload as numbers and strings: JSON, CSV cells (floats where they parse) or a .npy."""
+    if path.suffix == ".npy":
+        return np.load(path).view(float).tolist()
+    text = path.read_text()
+    if text.startswith("{"):
+        return json.loads(text)
+
+    def cell(x):
+        try:
+            return float(x)
+        except ValueError:
+            return x
+
+    return [line if line.startswith("#") else [cell(x) for x in line.split(",")] for line in text.splitlines()]
+
+
+class TestThreadCounts:
+    """Payloads are byte-identical for a given numpy, BLAS and BLAS thread count; across thread
+    counts the exit codes and verdicts are equal and floats agree to FLOAT_BOUND."""
+
+    def test_one_and_two_blas_threads(self, tmp_path):
+        src = str(Path(mk.__file__).parents[1])
+        dirs, codes = [tmp_path / "1", tmp_path / "2"], []
+        for where in dirs:
+            where.mkdir()
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": where.name}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-c", THREAD_CHILD, json.dumps(THREAD_CONFIGS), str(where)],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            codes.append(json.loads(proc.stdout))
+        assert codes[0] == codes[1] and set(codes[0].values()) == {0}
+        names = sorted(p.name for p in dirs[0].glob("*.out*"))
+        assert names == sorted(p.name for p in dirs[1].glob("*.out*"))
+        assert {n.split(".")[0] for n in names} == set(THREAD_CONFIGS)
+        for name in names:
+            assert_close(read_output(dirs[0] / name), read_output(dirs[1] / name), name)
 
 
 class TestSubprocessEntry:

@@ -211,6 +211,55 @@ class TestGram:
         assert calls == [("qr", (2, 6, 3)), ("svd", (3, 3))]
 
 
+class TestTolerances:
+    """Every tol must be finite and positive: NaN passes every ``dev > tol`` check, inf every
+    ``dist <= tol``, so either turned unrelated inputs into a witness or a match."""
+
+    @pytest.fixture(scope="class")
+    def unrelated(self):
+        (H1, psi1), (H2, psi2) = (nondegenerate_instance(4, 635, k) for k in range(2))
+        rng = mk.stream(635)
+        fam1, fam2 = ([rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(3)] for _ in "ab")
+        dims = mk.Dims((2, 2))
+        T1 = mk.random_tps(dims, rng)
+        T2 = mk.act(mk.expm_i(H1, 0.7), T1)
+        probes = mk.build_probe_set(H1, psi1, 8, rng)
+        f1, f2 = mk.fingerprint(H1, psi1, [T1, T2], probes)
+        return {
+            "pair_membership": lambda tol: mk.pair_membership(H1, psi1, mk.pair_kind_of(H2, psi2), tol),
+            "pair_orbit_witness": lambda tol: mk.pair_orbit_witness(H1, psi1, H2, psi2, tol),
+            "gram_orbit_witness": lambda tol: mk.gram_orbit_witness(fam1, fam2, tol),
+            "fingerprints_equal": lambda tol: mk.fingerprints_equal(f1, f2, tol),
+            "cross_validate_tps": lambda tol: mk.cross_validate_tps(H1, psi1, T1, T2, probes, tol),
+        }
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+    @pytest.mark.parametrize(
+        "name",
+        ["pair_membership", "pair_orbit_witness", "gram_orbit_witness", "fingerprints_equal", "cross_validate_tps"],
+    )
+    def test_refused(self, unrelated, name, tol):
+        with pytest.raises(mk.DimensionMismatch, match="finite and positive"):
+            unrelated[name](tol)
+
+    def test_defaults_decide(self, unrelated):
+        # the same unrelated inputs under the default tolerances: no match and no witness
+        assert not unrelated["pair_membership"](mk.kinds.WITNESS_TOL)
+        assert not unrelated["fingerprints_equal"](mk.kinds.FINGERPRINT_TOL)
+        for name in ("pair_orbit_witness", "gram_orbit_witness"):
+            with pytest.raises(mk.NoWitnessError):
+                unrelated[name](mk.kinds.WITNESS_TOL)
+
+    def test_empty_families_refused(self):
+        # they raised numpy's "need at least one array to stack"
+        v = np.array([1.0, 0.0], dtype=complex)
+        with pytest.raises(mk.DimensionMismatch, match="at least one member"):
+            mk.gram_matrix([])
+        for fam1, fam2 in (([], []), ([v], []), ([], [v])):
+            with pytest.raises(mk.DimensionMismatch, match="at least one member"):
+                mk.gram_orbit_witness(fam1, fam2)
+
+
 class TestProbeSet:
     def test_identity_refused(self):
         psi = mk.haar_state(4, mk.stream(608))
@@ -311,7 +360,7 @@ class TestFingerprint:
         probes = mk.build_probe_set(H, psi, 4)
         fp = mk.fingerprint(H, psi, [mk.canonical(dims22)], probes)[0]
         # interpolation probes are computational basis states here
-        assert np.nanmax(fp.entries) < 1e-9
+        assert fp.max() < 1e-9
 
     def test_bell_probe_log2(self, dims22):
         H = mk.HermitianOp(np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex))
@@ -321,8 +370,8 @@ class TestFingerprint:
         # R(0)=1, R(1)=0, R(2)=0, R(3)=1 gives the Bell state from psi
         probes = mk.ProbeSet(np.array([[1.0, 0.0, 0.0, 1.0]]))
         fp = mk.fingerprint(H, psi, [mk.canonical(dims22)], probes)[0]
-        assert fp.entries[0, 0] == pytest.approx(np.log(2), abs=1e-9)
-        assert fp.entries[0, 1] == pytest.approx(np.log(2), abs=1e-9)
+        assert fp[0, 0] == pytest.approx(np.log(2), abs=1e-9)
+        assert fp[0, 1] == pytest.approx(np.log(2), abs=1e-9)
 
     def test_joint_conjugation_invariance(self, dims22):
         rng = mk.stream(614)
@@ -336,16 +385,35 @@ class TestFingerprint:
         f2 = mk.fingerprint(H2, psi2, [mk.act(U, T)], probes)[0]
         assert mk.fingerprint_distance(f1, f2) < 1e-9
 
-    def test_skipped_probe_recorded(self, dims22):
+    def test_nan_row_refused(self):
+        values = np.eye(4, dtype=complex)
+        values[2, 1] = np.nan
+        with pytest.raises(mk.InvariantViolation, match="finite"):
+            mk.ProbeSet(values)
+
+    def test_zero_row_refused(self):
+        # its probe state is 0 for every psi, so it has no entropy to read
+        with pytest.raises(mk.InvariantViolation, match="probe 0 is zero"):
+            mk.ProbeSet(np.vstack([np.zeros(4), np.eye(4)]))
+
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (4,)])
+    def test_empty_or_flat_set_refused(self, shape):
+        with pytest.raises(mk.DimensionMismatch):
+            mk.ProbeSet(np.ones(shape))
+
+    def test_read_only_float_table(self, dims222):
+        H, psi = nondegenerate_instance(8, 633)
+        probes = mk.build_probe_set(H, psi, 16, mk.stream(633))
+        fp = mk.fingerprint(H, psi, [mk.canonical(dims222)] * 2, probes)
+        assert fp.shape == (2, 16, 3) and fp.dtype == float and not fp.flags.writeable
+
+    def test_refuses_what_the_probe_set_refuses(self, dims22):
+        # a state off an eigenvector: its amplitude is 0, so some probe states would vanish
         H = mk.HermitianOp(np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex))
-        psi = mk.StateVec(np.array([0.5, 0.5, 0.5, 0.5], dtype=complex))
-        probes = mk.ProbeSet(np.zeros((1, 4)))
-        fp = mk.fingerprint(H, psi, [mk.canonical(dims22)], probes)[0]
-        assert fp.skipped == {0}
-        # the distance reads only unskipped rows, whose entries are not NaN
-        assert mk.fingerprint_distance(fp, fp) == 0.0
-        mixed = mk.fingerprint(H, psi, [mk.canonical(dims22)], mk.ProbeSet(np.vstack([np.zeros(4), np.eye(4)])))[0]
-        assert mixed.skipped == {0} and mk.fingerprint_distance(mixed, mixed) == 0.0
+        psi = mk.StateVec(np.array([0.0, 0.6, 0.0, 0.8], dtype=complex))
+        with pytest.raises(mk.HypothesisViolation) as e:
+            mk.fingerprint(H, psi, [mk.canonical(dims22)], mk.ProbeSet(np.eye(4)))
+        assert e.value.reason == "zero_projection"
 
 
     def test_one_site_entropies_call(self, dims222, monkeypatch):
@@ -357,7 +425,7 @@ class TestFingerprint:
         H, psi = nondegenerate_instance(8, 625)
         probes = mk.build_probe_set(H, psi, 16, mk.stream(625))
         fp = mk.fingerprint(H, psi, [mk.random_tps(dims222, mk.stream(626))], probes)[0]
-        assert len(calls) == 1 and fp.entries.shape == (16, 3)
+        assert len(calls) == 1 and fp.shape == (16, 3)
 
     @pytest.mark.parametrize("factors", [(2, 2), (2, 2, 2), (2, 3, 2), (2, 2, 2, 2, 2)])
     def test_stacked_bit_equal_to_single(self, factors):
@@ -370,7 +438,7 @@ class TestFingerprint:
         assert len(stacked) == len(Ts)
         for T, f in zip(Ts, stacked):
             (single,) = mk.fingerprint(H, psi, [T], probes)
-            assert np.array_equal(f.entries, single.entries) and f.skipped == single.skipped
+            assert np.array_equal(f, single)
 
     def test_stacked_dims_must_agree(self):
         # equal D, other factors: the second structure must not be read with the first's dims
@@ -452,6 +520,59 @@ class TestFingerprintsEqual:
         f2 = mk.fingerprint(H, psi, [mk.canonical(dims22)], p2)[0]
         with pytest.raises(mk.IncomparableFingerprints):
             mk.fingerprints_equal(f1, f2)
+
+
+class TestScaleCovariance:
+    """A fingerprint reads the normalized probe states, so it cannot depend on the scale of a probe
+    row: bit for bit under powers of two, which are exact, and within rounding under 10^k."""
+
+    @staticmethod
+    def moved_pair(factors, seed):
+        dims = mk.Dims(factors)
+        rng = mk.stream(636, seed)
+        H, psi = nondegenerate_instance(dims.total, 636, seed)
+        T1 = mk.random_tps(dims, rng)
+        L = mk.kron_all([mk.haar_unitary(d, rng).mat for d in factors])
+        local = mk.act(mk.UnitaryOp(T1.iso.mat.conj().T @ L @ T1.iso.mat), T1)
+        evolved = mk.act(mk.expm_i(H, 0.7), T1)
+        return H, psi, [T1, local, evolved], mk.build_probe_set(H, psi, 2 * dims.total, rng), rng
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        factors=st.sampled_from([(2, 2), (2, 3), (2, 2, 2), (3, 3), (2, 2, 2, 2)]),
+        power_of_two=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_row_scales(self, factors, power_of_two, seed):
+        H, psi, Ts, probes, rng = self.moved_pair(factors, seed)
+        if power_of_two:  # values lie in [1/12, 12] in modulus, so 2^±1000 keeps them normal
+            scales = np.ldexp(1.0, rng.integers(-1000, 1001, size=len(probes)))
+        else:
+            scales = 10.0 ** rng.integers(-300, 301, size=len(probes))
+        scaled = mk.ProbeSet(probes.values * scales[:, None])
+        ref, fp = (mk.fingerprint(H, psi, Ts, p) for p in (probes, scaled))
+        assert np.abs(fp - ref).max() <= 1e-12
+        if power_of_two:
+            assert np.array_equal(fp, ref)
+        assert mk.fingerprints_equal(fp[0], fp[1]) and not mk.fingerprints_equal(fp[0], fp[2])
+        for T2 in Ts[1:]:
+            assert mk.cross_validate_tps(H, psi, Ts[0], T2, scaled) is not TpsVerdict.INCONSISTENT
+
+    def test_tiny_rows_still_read(self):
+        # the interpolation probes are eigenvectors, whose entropies no evolution changes; only the
+        # extras see the evolved move. Rows of norm 1e-11 were once skipped, so shrinking the
+        # extras read the evolved pair as equal, and shrinking every row gave Inconsistent.
+        H, psi, (T1, _, T2), probes, _ = self.moved_pair((2, 2, 2), 1)
+        D = H.dim
+        full = mk.fingerprint(H, psi, [T1, T2], probes)
+        assert mk.fingerprint_distance(*full[:, :D]) < 1e-12
+        assert not mk.fingerprints_equal(*full)
+        shrunk = np.concatenate([probes.values[:D], 1e-11 * probes.values[D:]])
+        f1, f2 = mk.fingerprint(H, psi, [T1, T2], mk.ProbeSet(shrunk))
+        assert not mk.fingerprints_equal(f1, f2)
+        assert abs(mk.fingerprint_distance(f1, f2) - mk.fingerprint_distance(*full)) < 1e-12
+        tiny = mk.ProbeSet(1e-11 * probes.values)
+        assert mk.cross_validate_tps(H, psi, T1, T2, tiny) is TpsVerdict.DIFFERENT
 
 
 class TestCrossValidate:
