@@ -60,7 +60,6 @@ from .dynamics import (
     distinct_value_count,
     entropy_orbit,
     find_nonlocal_symmetry,
-    inequality_sweep,
     symmetry_dims,
 )
 from .kinds import (

@@ -10,14 +10,13 @@ and the per-site entropy curve along the evolved structures separates them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
-from .hilbert import Dims, HermitianOp, StateVec, UnitaryOp, _frozen, expm_i
+from .hilbert import Dims, HermitianOp, StateVec, UnitaryOp, _frozen, _tol, expm_i
 from .locality import _evolved_entropies, is_k_local
 from .tps import Tps, act, equivalent
 
@@ -26,16 +25,13 @@ COMMUTANT_TOL = 1e-9  # on max |[U, H]|, relative to 1 + max |H_ij| as in Hermit
 
 @dataclass(frozen=True)
 class SymmetryDims:
-    """Dimension bookkeeping for stabilizers at the given factor dimensions."""
+    """Dimension bookkeeping for stabilizers at the given factor dimensions. The D = dims.total phases
+    along the eigenbasis of any H exceed abelian_bound: ab >= a + b for a, b >= 2 ((a - 1)(b - 1) >= 1),
+    so D = prod d_i >= sum d_i > sum d_i - (n - 1) = abelian_bound, as n >= 2."""
 
     dims: Dims
     stab_tps_dim: int
     abelian_bound: int
-    hamiltonian_abelian_dim: int
-
-    @property
-    def hamiltonian_exceeds_bound(self) -> bool:
-        return self.hamiltonian_abelian_dim > self.abelian_bound
 
 
 def symmetry_dims(dims: Dims) -> SymmetryDims:
@@ -44,19 +40,7 @@ def symmetry_dims(dims: Dims) -> SymmetryDims:
         dims=dims,
         stab_tps_dim=sum(d * d for d in dims.factors) - n + 1,
         abelian_bound=sum(dims.factors) - (n - 1),
-        hamiltonian_abelian_dim=dims.total,
     )
-
-
-def inequality_sweep(max_n: int, max_d: int) -> bool:
-    """Check D > sum(d_i) - (n-1) for every dims tuple with n <= max_n, d_i <= max_d."""
-    if max_n < 2 or max_d < 2:
-        raise DimensionMismatch("need max_n >= 2 and max_d >= 2")
-    for n in range(2, max_n + 1):
-        for factors in itertools.product(range(2, max_d + 1), repeat=n):
-            if not symmetry_dims(Dims(factors)).hamiltonian_exceeds_bound:
-                return False
-    return True
 
 
 def find_nonlocal_symmetry(H: HermitianOp, T: Tps) -> Optional[tuple[float, UnitaryOp]]:
@@ -119,8 +103,7 @@ def entropy_orbit(
 
 def distinct_value_count(curve: OrbitCurve, bin: float) -> int:
     """Number of distinct entropy values after rounding to multiples of ``bin``."""
-    if not 0 < bin < np.inf:  # also False for NaN
-        raise DimensionMismatch(f"bin must be finite and positive, got {bin!r}")
+    _tol(bin, "bin")
     with np.errstate(over="ignore"):  # an infinite quotient is refused below
         q = np.round(curve.entropies / bin)
     if not np.isfinite(q).all():

@@ -32,10 +32,10 @@ def _finite(a) -> np.ndarray:
     return out
 
 
-def _tol(tol: float) -> float:
-    """tol, refused unless finite and positive: a NaN or inf bound passes or fails every check."""
+def _tol(tol: float, name: str = "tol") -> float:
+    """tol, refused naming ``name`` unless finite and positive: a NaN or inf bound decides every check."""
     if not 0 < tol < np.inf:  # also False for NaN
-        raise DimensionMismatch(f"tol must be finite and positive, got {tol!r}")
+        raise DimensionMismatch(f"{name} must be finite and positive, got {tol!r}")
     return tol
 
 
@@ -46,12 +46,13 @@ def _square(a) -> np.ndarray:
     return m
 
 
-def _scaled(a) -> tuple[np.ndarray, int]:
+def _scaled(a, axis=None) -> tuple[np.ndarray, int | np.ndarray]:
     """(a / 2^e, e), e = 0 for zero, else the exact power of two that brings a's largest real or
-    imaginary part into [0.5, 1), so that squares and Gram sums neither overflow nor underflow."""
-    a = _finite(a)
-    e = math.frexp(np.abs(a.view(float)).max(initial=0.0))[1]
-    return np.ldexp(a.view(float), -e).view(complex), e
+    imaginary part into [0.5, 1), so that squares and Gram sums neither overflow nor underflow;
+    with ``axis`` the last axis of a, e holds one such power per row along it."""
+    a = _finite(a).view(float)
+    e = np.frexp(np.abs(a).max(axis=axis, initial=0.0, keepdims=axis is not None))[1]
+    return np.ldexp(a, -e).view(complex), (e if axis is None else e.squeeze(axis))
 
 
 def _unit(v) -> np.ndarray:

@@ -24,14 +24,14 @@ from .errors import (
     InvariantViolation,
     NoWitnessError,
 )
-from .hilbert import HermitianOp, StateVec, UnitaryOp, _finite, _frozen, _square, _tol, _vec
+from .hilbert import HermitianOp, StateVec, UnitaryOp, _finite, _frozen, _scaled, _square, _tol, _vec
 from .tps import Tps, _eigen_entropies, equivalent
 
 DEGENERACY_GAP = 1e-8  # minimum eigenvalue gap for a spectrum to count as simple
 SUPPORT_MIN = 1e-8  # minimum |<eigvec|psi>| for full support
 GROUPING_TOL = 1e-9  # eigenvalues closer than this share an eigenspace
 FINGERPRINT_TOL = 1e-7  # max fingerprint distance for two structures to count as the same
-WITNESS_TOL = 1e-8  # max spectrum, eigenspace-weight or Gram mismatch for pairs to share an orbit
+WITNESS_TOL = 1e-8  # max spectrum mismatch and max witness residual for a witness to be returned
 
 
 @dataclass(frozen=True)
@@ -149,11 +149,12 @@ def pair_orbit_witness(
     psi2: StateVec,
     tol: float = WITNESS_TOL,
 ) -> UnitaryOp:
-    """Unitary U with U H1 U^dag = H2 and U psi1 = psi2.
+    """Unitary U with U H1 U^dag = H2 and U psi1 = psi2 within tol, else NoWitnessError.
 
-    Requires a simple spectrum (otherwise the eigenbasis is ambiguous) and
-    full support of both states on it (the per-eigenvector phases are read
-    off the amplitude ratios, which pins U completely).
+    Requires a simple spectrum (otherwise the eigenbasis is ambiguous) and full support of both
+    states on it (the per-eigenvector phases are read off the amplitude ratios, which pins U
+    completely). Spectra within tol entrywise give |U H1 U^dag - H2|_max <= tol; U maps amplitude
+    c1_k to |c1_k| c2_k / |c2_k|, so it is returned iff |U psi1 - psi2| = ||c1| - |c2||_2 <= tol.
     """
     tol = _tol(tol)
     (lam1, V1), (lam2, V2) = H1.eig, H2.eig
@@ -165,8 +166,8 @@ def pair_orbit_witness(
         raise NoWitnessError("spectra differ; no conjugating unitary exists")
     c1 = check_spectral_hypotheses(H1, psi1)
     c2 = check_spectral_hypotheses(H2, psi2)
-    if np.abs(np.abs(c1) ** 2 - np.abs(c2) ** 2).max() > tol:
-        raise NoWitnessError("eigenspace weights differ; pairs lie on different orbits")
+    if np.linalg.norm(np.abs(c1) - np.abs(c2)) > tol:
+        raise NoWitnessError("eigenspace amplitudes differ; pairs lie on different orbits")
     phases = c2 / c1
     phases = phases / np.abs(phases)
     return UnitaryOp((V2 * phases) @ V1.conj().T)
@@ -200,32 +201,31 @@ def gram_matrix(family: Sequence) -> GramSpec:
 
 
 def gram_orbit_witness(family1: Sequence, family2: Sequence, tol: float = WITNESS_TOL) -> UnitaryOp:
-    """Unitary mapping family1 onto family2, member by member.
+    """Unitary U mapping family1 onto family2 member by member, returned iff max_k |U f1_k - f2_k|
+    <= tol, else NoWitnessError.
 
-    Exists exactly when the Gram matrices agree. The witness is an orthogonal Procrustes
-    solution (Schoenemann 1966) for M = sum_k f2_k f1_k^dag = F2^T F1^*, solved on the span:
-    with complete QRs F1^T = Q1 R1 and F2^T = Q2 R2 (one stacked call; k members in dim D,
-    m = min(k, D), rows of R past m zero), M = Q2[:, :m] C Q1[:, :m]^dag for the m x m core
-    C = R2[:m] R1[:m]^dag. One SVD w s vh of C gives W Vh = Q2 blockdiag(w vh, I) Q1^dag: the
-    polar factor of M on the span, completed by a unitary on its complement. Equal Grams mean
-    R1^dag R1 = R2^dag R2, so R2[:m] = V R1[:m] for a unitary V; then C = V P with
-    P = R1[:m] R1[:m]^dag PSD, and w vh = V on the range of P (C^dag C = P^2 pins the polar
-    factor there, whatever SVD is taken), which holds every column of R1[:m]: the witness maps
-    every member exactly.
+    U is the orthogonal Procrustes solution (Schoenemann 1966) for M = sum_k f2_k f1_k^dag =
+    F2^T F1^*, solved on the span: with complete QRs F1^T = Q1 R1 and F2^T = Q2 R2 (one stacked
+    call; k members in dim D, m = min(k, D), rows of R past m zero), M = Q2[:, :m] C Q1[:, :m]^dag
+    for the m x m core C = R2[:m] R1[:m]^dag. One SVD w s vh of C gives U = Q2 blockdiag(w vh, I)
+    Q1^dag: the polar factor of M on the span, completed by a unitary on its complement. Equal
+    Grams mean R1^dag R1 = R2^dag R2, so R2[:m] = V R1[:m] for a unitary V; then C = V P with
+    P = R1[:m] R1[:m]^dag PSD, and w vh = V on the range of P, which holds every column of R1[:m]
+    (C^dag C = P^2 pins the polar factor there, whatever SVD is taken): U maps each member exactly.
     """
     tol = _tol(tol)
     F1, F2 = _family(family1), _family(family2)
     if F1.shape != F2.shape:
         raise DimensionMismatch(f"family shapes differ: {F1.shape} vs {F2.shape}")
-    G1, G2 = (F.conj() @ F.T for F in (F1, F2))
-    if np.abs(G1 - G2).max() > tol:
-        raise NoWitnessError("Gram matrices differ; no unitary can match the families")
     m = min(F1.shape)
     (Q1, Q2), (R1, R2) = np.linalg.qr(np.stack((F1, F2)).swapaxes(-1, -2), mode="complete")
     w, _, vh = np.linalg.svd(R2[:m] @ R1[:m].conj().T)
     B = Q1.conj().T
     B[:m] = (w @ vh) @ B[:m]
-    return UnitaryOp(Q2 @ B)
+    U = Q2 @ B
+    if np.linalg.norm(F1 @ U.T - F2, axis=1).max() > tol:
+        raise NoWitnessError("no unitary maps the families within tol; their Gram matrices differ")
+    return UnitaryOp(U)
 
 
 @dataclass(frozen=True)
@@ -303,9 +303,7 @@ def fingerprint(H: HermitianOp, psi: StateVec, Ts: Sequence[Tps], probes: ProbeS
     c = check_spectral_hypotheses(H, psi)
     if probes.values.shape[1] != H.dim:
         raise DimensionMismatch(f"probe values of length {probes.values.shape[1]} != dim {H.dim}")
-    parts = probes.values.view(float)
-    exps = np.frexp(np.abs(parts).max(axis=1))[1]
-    values = np.ldexp(parts, -exps[:, None]).view(complex)
+    values = _scaled(probes.values, axis=1)[0]
     values /= np.linalg.norm(values * c, axis=1)[:, None]
     return _frozen(_eigen_entropies(H, Ts, c, values), float)  # checks Ts and H
 

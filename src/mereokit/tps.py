@@ -151,9 +151,14 @@ def is_product_operator(W, dims: Dims) -> Optional[ProductOpCertificate]:
     return _product_certificate(grams, mat, dims, range(dims.n), exp)
 
 
-def equivalent(T1: Tps, T2: Tps, with_certificate: bool = False):
-    """Decide whether two representatives define the same structure: True iff some admissible
-    factor permutation sigma makes P_sigma . W a product operator, W = T1.iso . T2.iso^{-1}.
+def equivalent(T1: Tps, T2: Tps) -> bool:
+    """Do two representatives define the same structure? ``_equivalence_certificate`` decides."""
+    return _equivalence_certificate(T1, T2) is not None
+
+
+def _equivalence_certificate(T1: Tps, T2: Tps) -> Optional[ProductOpCertificate]:
+    """Certificate that P_sigma . W is a product operator for an admissible factor permutation
+    sigma, W = T1.iso . T2.iso^{-1}; None when there is none.
 
     Factor i goes to the equal-dimension output slot whose realignment R of W across (slot, factor
     i) has the least ratio lam_2 / lam_1 of the two largest eigenvalues of its Gram R R^dag, by one
@@ -161,7 +166,7 @@ def equivalent(T1: Tps, T2: Tps, with_certificate: bool = False):
     argmin needs no tolerance. The matched Grams are P_sigma . W's own across (i, i) (R with columns
     permuted); ``_product_certificate`` decides from them. A least ratio above ``ENTANGLED_RATIO`` =
     1e-6 (s_1 / s_0 > 1e-3 in every slot, beyond the Gram's rounding of at most (D / d)^2 eps lam_1)
-    ends it with False at once, as any product's residual is then above 1e-3 / d_i >> 2 PRODUCT_RTOL."""
+    ends it with None at once, as any product's residual is then above 1e-3 / d_i >> 2 PRODUCT_RTOL."""
     if T1.dims != T2.dims:
         raise DimensionMismatch(f"factor dimensions differ: {T1.dims} vs {T2.dims}")
     f = T1.dims.factors
@@ -174,11 +179,10 @@ def equivalent(T1: Tps, T2: Tps, with_certificate: bool = False):
         ratios = lam[:, -2] / lam[:, -1]
         k = int(np.argmin(ratios))
         if ratios[k] > ENTANGLED_RATIO or slots[k] in sigma:  # entangled, or sigma no permutation
-            return (False, None) if with_certificate else False
+            return None
         sigma.append(slots[k])
         grams.append(G[k])
-    cert = _product_certificate(grams, W[_perm_index(f, tuple(sigma))], T1.dims, sigma)
-    return (cert is not None, cert) if with_certificate else cert is not None
+    return _product_certificate(grams, W[_perm_index(f, tuple(sigma))], T1.dims, sigma)
 
 
 def product_state_in(T: Tps, site_vectors) -> StateVec:

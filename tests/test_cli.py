@@ -336,6 +336,27 @@ class TestKinds:
         out = json.loads(capsys.readouterr().out)
         assert out["witness"] is None
 
+    @pytest.mark.parametrize("mode", ["hsf", "gram"])
+    def test_near_miss_no_witness(self, tmp_path, mode):
+        # every weight, or every Gram entry, agrees within tol = 1e-8, yet the witness would miss
+        # psi2 by 2.1e-5, or each family2 member by 4.5e-5: a no-witness payload and no sidecar
+        if mode == "hsf":
+            mat = str(tmp_path / "m.json")
+            save_matrix_file(mat, np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex), mk.Dims((2, 2)))
+            w1 = np.array([0.5, 0.3, 0.2 - 4e-8, 4e-8])
+            w2 = w1 + np.array([0.0, 0.0, -9e-9, 9e-9])
+            cfg = {"pair1": {"file": mat, "state": [[x, 0.0] for x in np.sqrt(w1)]},
+                   "pair2": {"file": mat, "state": [[x, 0.0] for x in np.sqrt(w2)]}}
+        else:
+            cfg = {"family1": [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+                   "family2": [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [9e-5, 0.0]]]}
+        path = write_config(tmp_path, "c.json", {"mode": mode, **cfg, "tol": 1e-8, "seed": 1})
+        out = tmp_path / "w.json"
+        assert run_cli(["kinds", "--config", path, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["witness"] is None and payload["reason"]
+        assert list(tmp_path.glob("*.npy")) == []
+
     def test_pair_states_do_not_collide_across_seeds(self):
         # each pair draws its state from its own sub-stream, so seed 7 on
         # path 1 is no longer seed 8 on path 0

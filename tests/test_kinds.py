@@ -211,6 +211,56 @@ class TestGram:
         assert calls == [("qr", (2, 6, 3)), ("svd", (3, 3))]
 
 
+class TestWitnessResidual:
+    """A witness is returned only when the residuals the CLI reports for it are within tol."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(D=st.sampled_from([2, 4, 8, 32]), seed=st.integers(0, 2**16), log_delta=st.floats(-12, -4))
+    def test_pair_witness_meets_tol(self, D, seed, log_delta):
+        tol = mk.kinds.WITNESS_TOL
+        H1, psi1 = nondegenerate_instance(D, 636, seed)
+        V = mk.haar_unitary(D, mk.stream(636, seed, 1)).mat
+        H2 = mk.HermitianOp(V @ H1.mat @ V.conj().T)
+        c = H1.eig[1].conj().T @ psi1.vec
+        k = int(np.abs(c).argmin())
+        for delta in (0.0, 10.0**log_delta):
+            c2 = c.copy()
+            c2[k] += delta * c[k] / abs(c[k])  # the smallest amplitude, lengthened by delta
+            psi2 = mk.StateVec(V @ H1.eig[1] @ (c2 / np.linalg.norm(c2)))
+            try:
+                U = mk.pair_orbit_witness(H1, psi1, H2, psi2, tol).mat
+            except mk.NoWitnessError:
+                assert delta > 0
+                continue
+            assert np.linalg.norm(U @ psi1.vec - psi2.vec) <= tol
+            assert np.abs(U @ H1.mat @ U.conj().T - H2.mat).max() <= tol
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(D=st.sampled_from([2, 4, 8, 32]), seed=st.integers(0, 2**16), log_delta=st.floats(-12, -4),
+           data=st.data())
+    def test_gram_witness_meets_tol(self, D, seed, log_delta, data):
+        tol = mk.kinds.WITNESS_TOL
+        rng = mk.stream(637, seed)
+        count = data.draw(st.integers(1, D - 1))
+        fam1 = rng.standard_normal((count, D)) + 1j * rng.standard_normal((count, D))
+        fam1 = np.concatenate([fam1, fam1[data.draw(st.integers(0, count - 1))][None]])  # a repeat
+        fam2 = fam1 @ mk.haar_unitary(D, rng).mat.T
+        # moving the repeat off the span of family2 moves the Gram entries by delta^2 only, while
+        # the best unitary misses one of the two copies by about delta / 2
+        step = rng.standard_normal(D) + 1j * rng.standard_normal(D)
+        Q = np.linalg.qr(fam2[:-1].T)[0]
+        step -= Q @ (Q.conj().T @ step)
+        for delta in (0.0, 10.0**log_delta):
+            moved = fam2.copy()
+            moved[-1] += delta * step / np.linalg.norm(step)
+            try:
+                U = mk.gram_orbit_witness(list(fam1), list(moved), tol).mat
+            except mk.NoWitnessError:
+                assert delta > 0
+                continue
+            assert np.linalg.norm(fam1 @ U.T - moved, axis=1).max() <= tol
+
+
 class TestTolerances:
     """Every tol must be finite and positive: NaN passes every ``dev > tol`` check, inf every
     ``dist <= tol``, so either turned unrelated inputs into a witness or a match."""

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import mereokit as mk
 from mereokit import tps
 from mereokit.models import SIGMA
-from mereokit.tps import PRODUCT_RTOL, _single_factor_realign
+from mereokit.tps import PRODUCT_RTOL, _equivalence_certificate, _single_factor_realign
 
 from conftest import random_hermitian
 
@@ -240,8 +240,8 @@ class TestEquivalent:
         T = mk.random_tps(dims22, rng)
         U = local_in(T, [mk.haar_unitary(2, rng).mat, mk.haar_unitary(2, rng).mat])
         T2 = mk.act(U, T)
-        same, cert = mk.equivalent(T, T2, with_certificate=True)
-        assert same
+        cert = _equivalence_certificate(T, T2)
+        assert cert is not None
         W = T.iso.mat @ T2.iso.mat.conj().T
         P = mk.perm_matrix((2, 2), cert.permutation)
         assert np.abs(mk.kron_all(cert.factors) - P @ W).max() < 1e-8
@@ -287,8 +287,8 @@ class TestEquivalentDecision:
         assert not mk.equivalent(T1, mk.random_tps(dims, rng))
         assert product_tests == []
         product_tests.clear()
-        same, cert = mk.equivalent(T1, planted(T1, (3, 0, 1, 2), rng), with_certificate=True)
-        assert same and cert.permutation == (3, 0, 1, 2)
+        cert = _equivalence_certificate(T1, planted(T1, (3, 0, 1, 2), rng))
+        assert cert is not None and cert.permutation == (3, 0, 1, 2)
         assert len(product_tests) == 1
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -299,15 +299,15 @@ class TestEquivalentDecision:
         T1 = mk.random_tps(dims, rng)
         sigma = admissible_permutation(dims.factors, rng)
         T2 = planted(T1, sigma, rng)
-        same, cert = mk.equivalent(T1, T2, with_certificate=True)
-        assert same and cert.permutation == sigma
+        cert = _equivalence_certificate(T1, T2)
+        assert cert is not None and cert.permutation == sigma
         assert np.abs(cert.assemble() - T1.iso.mat @ T2.iso.mat.conj().T).max() < 1e-8
         assert enumerated_equivalent(T1, T2) == (True, sigma)
         # a Haar structure, and the planted one behind a small diagonal entangler
         entangler = np.exp(1e-3j * rng.standard_normal(dims.total))
         perturbed = mk.Tps(dims, mk.UnitaryOp(entangler[:, None] * T2.iso.mat))
         for T in (mk.random_tps(dims, rng), perturbed):
-            assert mk.equivalent(T1, T, with_certificate=True) == (False, None)
+            assert _equivalence_certificate(T1, T) is None
             assert enumerated_equivalent(T1, T) == (False, None)
 
     def test_svds_only_in_the_product_test(self, monkeypatch):
@@ -327,7 +327,7 @@ class TestEquivalentDecision:
         T2 = planted(T1, (1, 3, 2, 0), rng)
         calls.clear()
         assert mk.equivalent(T1, T2)
-        assert calls == [("eigvalsh", "equivalent")] * dims.n + [("eigh", "_product_certificate")] * 2
+        assert calls == [("eigvalsh", "_equivalence_certificate")] * dims.n + [("eigh", "_product_certificate")] * 2
         calls.clear()
         assert mk.is_product_operator(T1.iso.mat @ T2.iso.mat.conj().T, dims) is None
         assert calls == [("eigh", "_product_certificate")] * 2
@@ -335,7 +335,7 @@ class TestEquivalentDecision:
         T3 = mk.random_tps(dims, rng)
         calls.clear()
         assert not mk.equivalent(T1, T3)
-        assert calls == [("eigvalsh", "equivalent")]
+        assert calls == [("eigvalsh", "_equivalence_certificate")]
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -356,7 +356,8 @@ class TestEquivalentDecision:
         cases = [local, planted(T1, admissible_permutation(factors, rng), rng), mk.random_tps(dims, rng)]
         cases += [mk.act(mk.expm_i(H, eps), local) for eps in (0.0, 1e-9, 1e-8, 1e-7, 1e-5, 1e-3, 0.1, 0.7)]
         for T2 in cases:
-            same, cert = mk.equivalent(T1, T2, with_certificate=True)
+            cert = _equivalence_certificate(T1, T2)
+            same = cert is not None
             expected, ratio = svd_slot_equivalent(T1, T2)
             if outside_band(ratio):
                 assert (same, cert and cert.permutation) == expected
@@ -367,8 +368,8 @@ class TestEquivalentDecision:
         rng = mk.stream(317, n)
         T1 = mk.random_tps(dims, rng)
         sigma = tuple((j + 1) % n for j in range(n))
-        same, cert = mk.equivalent(T1, planted(T1, sigma, rng), with_certificate=True)
-        assert same and cert.permutation == sigma
+        cert = _equivalence_certificate(T1, planted(T1, sigma, rng))
+        assert cert is not None and cert.permutation == sigma
         assert not mk.equivalent(T1, mk.random_tps(dims, rng))
 
 
