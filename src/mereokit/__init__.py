@@ -63,18 +63,14 @@ from .dynamics import (
     symmetry_dims,
 )
 from .kinds import (
-    GramSpec,
     PairKindSpec,
     ProbeSet,
-    ProjectionSpec,
-    SpectrumSpec,
     TpsVerdict,
     build_probe_set,
     cross_validate_tps,
     fingerprint,
     fingerprint_distance,
     fingerprints_equal,
-    gram_matrix,
     gram_orbit_witness,
     pair_kind_of,
     pair_membership,

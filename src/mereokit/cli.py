@@ -143,7 +143,7 @@ def _dump_json(payload: dict, out: str | None):
 
 def _dump_csv(header: str, rows, config: dict, out: str | None):
     lines = ["# config=" + json.dumps(config, sort_keys=True), header]
-    lines += [",".join(repr(x) if isinstance(x, float) else str(x) for x in row) for row in rows]
+    lines += [",".join(map(str, row)) for row in rows]
     _write("\n".join(lines) + "\n", out)
 
 
@@ -200,8 +200,9 @@ def _gue(D: int, rng) -> HermitianOp:
     return HermitianOp((A + A.conj().T) / 2)
 
 
-def build_tps(spec, dims: Dims, seed: int, base: tps_mod.Tps, H: HermitianOp | None, *path: int):
-    """TPS named in a config; 'local' and 'evolved' are relative to ``base``.
+def build_tps(spec, dims: Dims, seed: int, base: tps_mod.Tps | None, H: HermitianOp | None, *path: int):
+    """TPS named in a config; 'local' and 'evolved' are relative to ``base``, the canonical
+    structure when None (built only then, since it costs a D x D identity and its unitarity check).
 
     'random' draws from ``stream(seed, 2, *path)`` and 'local' from ``stream(seed, 3, *path)``.
     """
@@ -213,6 +214,8 @@ def build_tps(spec, dims: Dims, seed: int, base: tps_mod.Tps, H: HermitianOp | N
         return models.jw_dual_tps(dims.n)
     if isinstance(spec, dict):
         kind = spec.get("kind")
+        if kind in ("local", "evolved") and base is None:
+            base = tps_mod.canonical(dims)
         if kind == "random":
             return tps_mod.random_tps(dims, stream(seed, 2, *path))
         if kind == "file":
@@ -265,7 +268,7 @@ def _time_grid(cfg, H: HermitianOp) -> np.ndarray:
 def cmd_profile(cfg: dict, out: str | None) -> int:
     seed = cfg["seed"]
     H, dims = build_model(_model_cfg(cfg), seed)
-    T = build_tps(cfg.get("tps"), dims, seed, tps_mod.canonical(dims), H)
+    T = build_tps(cfg.get("tps"), dims, seed, None, H)
     report = locality.locality_report(H, T, cfg["tol"])
     _dump_json({"config": cfg, "report": report.to_json()}, out)
     return EXIT_OK
@@ -274,7 +277,7 @@ def cmd_profile(cfg: dict, out: str | None) -> int:
 def cmd_orbit(cfg: dict, out: str | None) -> int:
     seed = cfg["seed"]
     H, dims = build_model(_model_cfg(cfg), seed)
-    T = build_tps(cfg.get("tps"), dims, seed, tps_mod.canonical(dims), H)
+    T = build_tps(cfg.get("tps"), dims, seed, None, H)
     with _field("probe"):
         probe = tps_mod.product_state_in(T, _site_kets(cfg.get("probe"), dims))
     site = _checked("site", cfg.get("site", 0), int)
@@ -298,7 +301,7 @@ def cmd_fingerprint(cfg: dict, out: str | None) -> int:
     seed = cfg["seed"]
     H, dims = build_model(_model_cfg(cfg), seed)
     psi = build_state(cfg.get("state"), dims, seed)
-    T1 = build_tps(cfg.get("tps1"), dims, seed, tps_mod.canonical(dims), H)
+    T1 = build_tps(cfg.get("tps1"), dims, seed, None, H)
     T2 = build_tps(cfg.get("tps2"), dims, seed, T1, H, 1)
     count = _checked("probe_count", cfg["probe_count"], **_COUNT) if "probe_count" in cfg else None
     probes = kinds.build_probe_set(H, psi, count, stream(seed, 5))

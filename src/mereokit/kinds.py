@@ -24,67 +24,48 @@ from .errors import (
     InvariantViolation,
     NoWitnessError,
 )
-from .hilbert import HermitianOp, StateVec, UnitaryOp, _finite, _frozen, _scaled, _square, _tol, _vec
+from .hilbert import HermitianOp, StateVec, UnitaryOp, _finite, _frozen, _scaled, _tol, _vec
 from .tps import Tps, _eigen_entropies, equivalent
 
-DEGENERACY_GAP = 1e-8  # minimum eigenvalue gap for a spectrum to count as simple
+DEGENERACY_GAP = 1e-8  # eigenvalues no more than this apart share an eigenspace
 SUPPORT_MIN = 1e-8  # minimum |<eigvec|psi>| for full support
-GROUPING_TOL = 1e-9  # eigenvalues closer than this share an eigenspace
 FINGERPRINT_TOL = 1e-7  # max fingerprint distance for two structures to count as the same
-WITNESS_TOL = 1e-8  # max spectrum mismatch and max witness residual for a witness to be returned
+WITNESS_TOL = 1e-8  # max spectrum mismatch and max amplitude residual for a pair match or a witness
 
 
-@dataclass(frozen=True)
-class SpectrumSpec:
-    """Sorted eigenvalue list, with multiplicity."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if any(b < a for a, b in zip(vals, vals[1:])):
-            raise InvariantViolation("spectrum values must be sorted ascending")
-        object.__setattr__(self, "values", vals)
-
-
-@dataclass(frozen=True)
-class ProjectionSpec:
-    """Probability weights on the eigenspaces; non-negative, summing to 1."""
-
-    lambdas: tuple[float, ...]
-
-    def __post_init__(self):
-        lam = tuple(float(x) for x in self.lambdas)
-        if any(x < 0 for x in lam):
-            raise InvariantViolation("weights must be non-negative")
-        if abs(sum(lam) - 1.0) > 1e-9:
-            raise InvariantViolation(f"weights sum to {sum(lam)!r}, not 1")
-        object.__setattr__(self, "lambdas", lam)
-
-
-def _group_starts(values: Sequence[float]) -> list[int]:
-    return [0] + [k for k in range(1, len(values)) if values[k] - values[k - 1] > GROUPING_TOL]
+def _group_starts(values: Sequence[float]) -> np.ndarray:
+    """First index of each eigenspace of the ascending ``values``: a gap > DEGENERACY_GAP opens
+    one, so a spectrum passes the gap test of ``check_spectral_hypotheses`` exactly when it has
+    one eigenspace per eigenvalue."""
+    return np.flatnonzero(np.diff(values, prepend=-np.inf) > DEGENERACY_GAP)
 
 
 @dataclass(frozen=True)
 class PairKindSpec:
-    """Class label for (Hermitian, state) pairs: spectrum plus eigenspace weights."""
+    """Class label for (Hermitian, state) pairs: the ascending spectrum, with multiplicity, and
+    the state's weight on each eigenspace (non-negative, summing to 1 within 1e-9)."""
 
-    spectrum: SpectrumSpec
-    weights: ProjectionSpec
+    spectrum: tuple[float, ...]
+    weights: tuple[float, ...]
 
     def __post_init__(self):
-        groups = len(_group_starts(self.spectrum.values))
-        if groups != len(self.weights.lambdas):
-            raise DimensionMismatch(
-                f"{len(self.weights.lambdas)} weights for {groups} eigenspaces"
-            )
+        spectrum = tuple(float(v) for v in self.spectrum)
+        weights = tuple(float(x) for x in self.weights)
+        if any(b < a for a, b in zip(spectrum, spectrum[1:])):
+            raise InvariantViolation("spectrum values must be sorted ascending")
+        if any(x < 0 for x in weights):
+            raise InvariantViolation("weights must be non-negative")
+        if abs(sum(weights) - 1.0) > 1e-9:
+            raise InvariantViolation(f"weights sum to {sum(weights)!r}, not 1")
+        groups = len(_group_starts(spectrum))
+        if groups != len(weights):
+            raise DimensionMismatch(f"{len(weights)} weights for {groups} eigenspaces")
+        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "weights", weights)
 
 
 def _eigenspace_weights(values: Sequence[float], amplitudes: np.ndarray) -> np.ndarray:
-    starts = _group_starts(values) + [len(values)]
-    mags = np.abs(amplitudes) ** 2
-    return np.array([mags[a:b].sum() for a, b in zip(starts, starts[1:])])
+    return np.add.reduceat(np.abs(amplitudes) ** 2, _group_starts(values))
 
 
 def _amplitudes(H: HermitianOp, psi: StateVec) -> np.ndarray:
@@ -94,26 +75,35 @@ def _amplitudes(H: HermitianOp, psi: StateVec) -> np.ndarray:
     return H.eig[1].conj().T @ psi.vec
 
 
+def _amplitudes_differ(a1: np.ndarray, a2: np.ndarray, tol: float) -> bool:
+    """Is ||a1 - a2||_2 > tol for two non-negative amplitude vectors (|c| or sqrt of weights)?"""
+    return bool(np.linalg.norm(a1 - a2) > tol)
+
+
 def pair_kind_of(H: HermitianOp, psi: StateVec) -> PairKindSpec:
     """The class label realized by a concrete pair."""
     lam = H.eig[0]
-    w = _eigenspace_weights(lam, _amplitudes(H, psi))
-    w = w / w.sum()
-    return PairKindSpec(SpectrumSpec(tuple(lam)), ProjectionSpec(tuple(w)))
+    return PairKindSpec(tuple(lam), tuple(_eigenspace_weights(lam, _amplitudes(H, psi))))
 
 
 def pair_membership(
     H: HermitianOp, psi: StateVec, spec: PairKindSpec, tol: float = WITNESS_TOL
 ) -> bool:
-    """Does (H, psi) match the spectrum and eigenspace weights of ``spec``?"""
+    """Does (H, psi) lie in the class ``spec`` within tol?
+
+    True iff the dims match, the spectra agree within tol entrywise and ||sqrt(w) -
+    sqrt(spec.weights)||_2 <= tol, w being psi's weights on the eigenspaces of ``spec``. That
+    residual is min ||U psi - psi_spec|| over the unitaries U that commute with H, for any state
+    psi_spec of the class: within one eigenspace the best U aligns the two projections, which
+    leaves |sqrt(w_j) - sqrt(w_spec_j)|. For a simple spectrum it is ||c| - |c_spec||_2, the
+    residual ``pair_orbit_witness`` decides by, so the two agree.
+    """
     tol = _tol(tol)
     c = _amplitudes(H, psi)
-    if H.dim != len(spec.spectrum.values):
+    if H.dim != len(spec.spectrum) or np.abs(H.eig[0] - spec.spectrum).max() > tol:
         return False
-    if np.abs(H.eig[0] - np.array(spec.spectrum.values)).max() > tol:
-        return False
-    got = _eigenspace_weights(spec.spectrum.values, c)
-    return bool(np.abs(got - np.array(spec.weights.lambdas)).max() <= tol)
+    got = _eigenspace_weights(spec.spectrum, c)
+    return not _amplitudes_differ(np.sqrt(got), np.sqrt(spec.weights), tol)
 
 
 def check_spectral_hypotheses(
@@ -154,7 +144,8 @@ def pair_orbit_witness(
     Requires a simple spectrum (otherwise the eigenbasis is ambiguous) and full support of both
     states on it (the per-eigenvector phases are read off the amplitude ratios, which pins U
     completely). Spectra within tol entrywise give |U H1 U^dag - H2|_max <= tol; U maps amplitude
-    c1_k to |c1_k| c2_k / |c2_k|, so it is returned iff |U psi1 - psi2| = ||c1| - |c2||_2 <= tol.
+    c1_k to |c1_k| c2_k / |c2_k|, so it is returned iff |U psi1 - psi2| = ||c1| - |c2||_2 <= tol,
+    the comparison ``pair_membership`` makes.
     """
     tol = _tol(tol)
     (lam1, V1), (lam2, V2) = H1.eig, H2.eig
@@ -166,26 +157,11 @@ def pair_orbit_witness(
         raise NoWitnessError("spectra differ; no conjugating unitary exists")
     c1 = check_spectral_hypotheses(H1, psi1)
     c2 = check_spectral_hypotheses(H2, psi2)
-    if np.linalg.norm(np.abs(c1) - np.abs(c2)) > tol:
+    if _amplitudes_differ(np.abs(c1), np.abs(c2), tol):
         raise NoWitnessError("eigenspace amplitudes differ; pairs lie on different orbits")
     phases = c2 / c1
     phases = phases / np.abs(phases)
     return UnitaryOp((V2 * phases) @ V1.conj().T)
-
-
-@dataclass(frozen=True)
-class GramSpec:
-    """Pairwise inner products of a family of vectors; Hermitian PSD."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        g = _square(self.matrix)
-        if np.abs(g - g.conj().T).max() > 1e-10 * (1.0 + np.abs(g).max()):
-            raise InvariantViolation("Gram matrix not Hermitian")
-        if g.size and np.linalg.eigvalsh(g).min() < -1e-10 * (1.0 + np.abs(g).max()):
-            raise InvariantViolation("Gram matrix not positive semidefinite")
-        object.__setattr__(self, "matrix", g)
 
 
 def _family(family: Sequence) -> np.ndarray:
@@ -193,11 +169,6 @@ def _family(family: Sequence) -> np.ndarray:
     if not len(family):
         raise DimensionMismatch("a family needs at least one member")
     return np.stack([np.asarray(_vec(v)) for v in family])
-
-
-def gram_matrix(family: Sequence) -> GramSpec:
-    F = _family(family)
-    return GramSpec(F.conj() @ F.T)
 
 
 def gram_orbit_witness(family1: Sequence, family2: Sequence, tol: float = WITNESS_TOL) -> UnitaryOp:

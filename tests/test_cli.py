@@ -111,6 +111,18 @@ class TestOrbit:
         assert run_cli(["orbit", "--config", cfg]) == 1
 
 
+    @pytest.mark.parametrize("tps, calls", [({"kind": "random"}, 0), ({"kind": "local"}, 1),
+                                            ({"kind": "evolved", "t": 0.7}, 1)])
+    def test_canonical_built_only_when_read(self, tmp_path, monkeypatch, tps, calls):
+        # only a local or evolved structure is relative to the canonical one
+        built = []
+        real = mk.tps.canonical
+        monkeypatch.setattr(mk.tps, "canonical", lambda dims: built.append(dims) or real(dims))
+        cfg = write_config(tmp_path, "c.json", {"model": {"name": "gue", "dims": [2, 2]}, "tps": tps,
+                                                "grid": {"points": 8}, "seed": 1})
+        assert run_cli(["orbit", "--config", cfg, "--out", str(tmp_path / "orbit.csv")]) == 0
+        assert len(built) == calls
+
     @pytest.mark.parametrize("points", [0, -3])
     def test_nonpositive_grid_points_exit_1(self, tmp_path, capsys, points):
         cfg = write_config(
@@ -730,6 +742,24 @@ class TestPayloadFormat:
             self.check_file(out + suffix)
         if command != "orbit":
             assert capsys.readouterr().out == Path(out).read_text()
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("orbit", {"model": {"name": "gue", "dims": [2, 3]}, "tps": {"kind": "random"}, "grid": {"points": 16}}),
+        ("dualscan", {"dims": [2, 2], "trials": 2, "t_values": [0.5]}),
+    ])
+    def test_csv_cells_as_the_old_formatter(self, tmp_path, monkeypatch, command, cfg):
+        # the oracle writes a float cell by repr and any other cell by str, as _dump_csv once did
+        def old_dump_csv(header, rows, config, out):
+            lines = ["# config=" + json.dumps(config, sort_keys=True), header]
+            lines += [",".join(repr(x) if isinstance(x, float) else str(x) for x in row) for row in rows]
+            cli._write("\n".join(lines) + "\n", out)
+
+        path = write_config(tmp_path, "c.json", {**cfg, "seed": 5})
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        assert run_cli([command, "--config", path, "--out", str(new)]) == 0
+        monkeypatch.setattr(cli, "_dump_csv", old_dump_csv)
+        assert run_cli([command, "--config", path, "--out", str(old)]) == 0
+        assert new.read_bytes() == old.read_bytes()
 
     def test_d128_witness_and_matrix_file(self, tmp_path):
         path = write_config(tmp_path, "c.json", {"mode": "gram", "seed": 3, "family2": "rotated",

@@ -14,11 +14,11 @@ ZERO = np.array([1, 0], dtype=complex)
 
 class TestPairMembership:
     def test_sigma_z_plus(self):
-        spec = mk.PairKindSpec(mk.SpectrumSpec((-1.0, 1.0)), mk.ProjectionSpec((0.5, 0.5)))
+        spec = mk.PairKindSpec((-1.0, 1.0), (0.5, 0.5))
         assert mk.pair_membership(mk.HermitianOp(SIGMA["Z"]), mk.StateVec(PLUS), spec)
 
     def test_sigma_z_zero_fails(self):
-        spec = mk.PairKindSpec(mk.SpectrumSpec((-1.0, 1.0)), mk.ProjectionSpec((0.5, 0.5)))
+        spec = mk.PairKindSpec((-1.0, 1.0), (0.5, 0.5))
         assert not mk.pair_membership(mk.HermitianOp(SIGMA["Z"]), mk.StateVec(ZERO), spec)
 
     def test_conjugation_invariance(self):
@@ -37,17 +37,22 @@ class TestPairMembership:
         H = mk.HermitianOp(np.diag([-1.0, -1.0, 1.0]).astype(complex))
         psi = mk.StateVec(np.array([0.6, 0.0, 0.8], dtype=complex))
         spec = mk.pair_kind_of(H, psi)
-        assert len(spec.weights.lambdas) == 2
-        assert spec.weights.lambdas[0] == pytest.approx(0.36)
+        assert spec.spectrum == (-1.0, -1.0, 1.0) and len(spec.weights) == 2
+        assert spec.weights[0] == pytest.approx(0.36)
         assert mk.pair_membership(H, psi, spec)
 
     def test_spec_validation(self):
-        with pytest.raises(mk.InvariantViolation):
-            mk.ProjectionSpec((0.5, 0.6))
-        with pytest.raises(mk.InvariantViolation):
-            mk.SpectrumSpec((1.0, -1.0))
+        with pytest.raises(mk.InvariantViolation, match="sum"):
+            mk.PairKindSpec((-1.0, 1.0), (0.5, 0.6))
+        with pytest.raises(mk.InvariantViolation, match="non-negative"):
+            mk.PairKindSpec((-1.0, 1.0), (1.5, -0.5))
+        with pytest.raises(mk.InvariantViolation, match="ascending"):
+            mk.PairKindSpec((1.0, -1.0), (0.5, 0.5))
         with pytest.raises(mk.DimensionMismatch):
-            mk.PairKindSpec(mk.SpectrumSpec((-1.0, 1.0)), mk.ProjectionSpec((1.0,)))
+            mk.PairKindSpec((-1.0, 1.0), (1.0,))
+        spec = mk.PairKindSpec(np.array([-1.0, 1.0]), [0.25, 0.75])  # stored as float tuples
+        assert spec.spectrum == (-1.0, 1.0) and spec.weights == (0.25, 0.75)
+        assert all(type(x) is float for x in spec.spectrum + spec.weights)
 
 
 class TestPairOrbitWitness:
@@ -116,22 +121,48 @@ class TestPairOrbitWitness:
             )
 
 
+class TestOneOrbitRule:
+    """Pair classes, ``pair_membership`` and ``pair_orbit_witness`` split the spectrum at
+    DEGENERACY_GAP and decide by one amplitude residual, so they answer alike."""
+
+    @pytest.mark.parametrize("D", [2, 4])
+    def test_gap_test_iff_simple_split(self, D):
+        gap = mk.kinds.DEGENERACY_GAP
+        psi = mk.StateVec(np.ones(D, dtype=complex) / np.sqrt(D))
+        V = mk.haar_unitary(D, mk.stream(639, D)).mat
+        gaps = list(gap * np.linspace(0.5, 1.5, 21)) + [np.nextafter(gap, 0), gap, np.nextafter(gap, 1)]
+        for g in gaps:
+            lam = np.concatenate([[0.0, g], np.arange(2, D)])
+            for H in (mk.HermitianOp(np.diag(lam).astype(complex)), mk.HermitianOp((V * lam) @ V.conj().T)):
+                try:
+                    check_spectral_hypotheses(H)
+                    simple = True
+                except mk.HypothesisViolation:
+                    simple = False
+                assert (len(mk.pair_kind_of(H, psi).weights) == D) is simple
+
+    def test_weight_moved_onto_small_amplitude(self):
+        # 9e-9 of weight moved onto the |c|^2 = 4e-8 eigenvector: the weights differ by at most
+        # 9e-9 <= tol, but the amplitudes by 2.1e-5, so neither the class nor a witness matches
+        H = mk.HermitianOp(np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex))
+        w1 = np.array([0.5, 0.3, 0.2 - 4e-8, 4e-8])
+        w2 = w1 + [-9e-9, 0.0, 0.0, 9e-9]
+        psi1, psi2 = (mk.StateVec(np.sqrt(w).astype(complex)) for w in (w1, w2))
+        assert not mk.pair_membership(H, psi2, mk.pair_kind_of(H, psi1))
+        with pytest.raises(mk.NoWitnessError, match="amplitudes differ"):
+            mk.pair_orbit_witness(H, psi1, H, psi2)
+
+    def test_gap_below_degeneracy_shares_an_eigenspace(self):
+        H = mk.HermitianOp(np.diag([0.0, 5e-9, 1.0]).astype(complex))
+        psi = mk.StateVec(np.array([0.6, 0.0, 0.8], dtype=complex))
+        with pytest.raises(mk.HypothesisViolation) as e:
+            check_spectral_hypotheses(H)
+        assert e.value.reason == "degenerate_spectrum"
+        spec = mk.pair_kind_of(H, psi)
+        assert len(spec.weights) == 2 and spec.weights[0] == pytest.approx(0.36)
+
+
 class TestGram:
-    def test_orthonormal_basis_gram(self):
-        fam = [np.eye(3)[i] for i in range(3)]
-        assert np.abs(mk.gram_matrix(fam).matrix - np.eye(3)).max() < 1e-12
-
-    def test_repeated_vector(self):
-        v = np.array([1, 1j], dtype=complex)
-        g = mk.gram_matrix([v, v]).matrix
-        assert np.abs(g - 2 * np.ones((2, 2))).max() < 1e-12
-
-    def test_psd(self):
-        rng = mk.stream(604)
-        fam = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(6)]
-        g = mk.gram_matrix(fam).matrix
-        assert np.linalg.eigvalsh(g).min() > -1e-12
-
     def test_witness_between_orthonormal_bases(self):
         rng = mk.stream(605)
         B1 = mk.haar_unitary(4, rng).mat
@@ -221,17 +252,20 @@ class TestWitnessResidual:
         H1, psi1 = nondegenerate_instance(D, 636, seed)
         V = mk.haar_unitary(D, mk.stream(636, seed, 1)).mat
         H2 = mk.HermitianOp(V @ H1.mat @ V.conj().T)
+        spec = mk.pair_kind_of(H1, psi1)
         c = H1.eig[1].conj().T @ psi1.vec
         k = int(np.abs(c).argmin())
         for delta in (0.0, 10.0**log_delta):
             c2 = c.copy()
             c2[k] += delta * c[k] / abs(c[k])  # the smallest amplitude, lengthened by delta
             psi2 = mk.StateVec(V @ H1.eig[1] @ (c2 / np.linalg.norm(c2)))
+            member = mk.pair_membership(H2, psi2, spec, tol)  # the class test decides alike
             try:
                 U = mk.pair_orbit_witness(H1, psi1, H2, psi2, tol).mat
             except mk.NoWitnessError:
-                assert delta > 0
+                assert delta > 0 and not member
                 continue
+            assert member
             assert np.linalg.norm(U @ psi1.vec - psi2.vec) <= tol
             assert np.abs(U @ H1.mat @ U.conj().T - H2.mat).max() <= tol
 
@@ -303,8 +337,6 @@ class TestTolerances:
     def test_empty_families_refused(self):
         # they raised numpy's "need at least one array to stack"
         v = np.array([1.0, 0.0], dtype=complex)
-        with pytest.raises(mk.DimensionMismatch, match="at least one member"):
-            mk.gram_matrix([])
         for fam1, fam2 in (([], []), ([v], []), ([], [v])):
             with pytest.raises(mk.DimensionMismatch, match="at least one member"):
                 mk.gram_orbit_witness(fam1, fam2)
