@@ -17,6 +17,7 @@ from .hilbert import (
     UnitaryOp,
     expm_i,
     haar_state,
+    haar_unitaries,
     haar_unitary,
     kron_all,
     site_entropies,

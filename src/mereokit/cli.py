@@ -31,7 +31,7 @@ from . import tps as tps_mod
 from .search import SearchConfig
 from .search import search as run_search
 from .errors import HypothesisViolation, MereokitError, NoWitnessError
-from .hilbert import Dims, HermitianOp, StateVec, UnitaryOp, expm_i, haar_state, haar_unitary, kron_all
+from .hilbert import Dims, HermitianOp, StateVec, UnitaryOp, expm_i, haar_state, haar_unitaries, haar_unitary, kron_all
 from .hilbert import _from_pairs, _to_pairs, _unit
 from .rng import stream
 
@@ -196,8 +196,11 @@ def build_model(cfg: dict, seed: int, *path: int) -> tuple[HermitianOp, Dims]:
 
 
 def _gue(D: int, rng) -> HermitianOp:
-    A = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-    return HermitianOp((A + A.conj().T) / 2)
+    A = np.empty((D, D), complex)
+    A.real, A.imag = rng.standard_normal((D, D)), rng.standard_normal((D, D))
+    A += A.conj().T
+    A /= 2
+    return HermitianOp(A)
 
 
 def build_tps(spec, dims: Dims, seed: int, base: tps_mod.Tps | None, H: HermitianOp | None, *path: int):
@@ -433,7 +436,7 @@ def cmd_dualscan(cfg: dict, out: str | None) -> int:
 
 def _local_move(T: tps_mod.Tps, rng) -> tps_mod.Tps:
     # one Haar unitary per factor of T, applied in T's own frame
-    locals_ = kron_all([haar_unitary(d, rng).mat for d in T.dims.factors])
+    locals_ = kron_all(haar_unitaries(T.dims.factors, rng))
     return tps_mod.act(UnitaryOp(T.iso.mat.conj().T @ locals_ @ T.iso.mat), T)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -146,15 +147,24 @@ class HermitianOp:
         return lam, V
 
 
+def _check_unitary(m: np.ndarray):
+    """Refuse m, a square matrix or a stack of them, when an entry of m^dag m - 1 exceeds ATOL in
+    modulus; the 1 is subtracted on the diagonal in place, so no identity is built."""
+    g = m.conj().swapaxes(-1, -2) @ m
+    n = m.shape[-1]
+    g.reshape(g.shape[:-2] + (n * n,))[..., :: n + 1] -= 1
+    dev = np.abs(g).max()
+    if dev > ATOL:
+        raise InvariantViolation(f"not unitary: max deviation {dev:.3e}")
+
+
 @dataclass(frozen=True)
 class UnitaryOp:
     mat: np.ndarray
 
     def __post_init__(self):
         m = _square(self.mat)
-        dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
-        if dev > ATOL:
-            raise InvariantViolation(f"not unitary: max deviation {dev:.3e}")
+        _check_unitary(m)
         object.__setattr__(self, "mat", m)
 
     @property
@@ -198,7 +208,8 @@ def site_entropies(psi, dims: Dims, sites=None) -> np.ndarray:
     The marginal of factor i is the d_i x d_i Gram matrix G = m m^dag of the state reshaped
     to (d_i, D / d_i); one stacked ``eigvalsh`` reads its spectrum for d_i >= 3. For a qubit,
     a, c, b = G_00, G_11, G_01 are sums over the strided views (..., prod d[:i], 2, prod d[i+1:])
-    of |psi|^2 and psi, with no moveaxis copy of the state per site; then
+    of |psi|^2 and psi, with no moveaxis copy of the state per site, written into (..., qubits)
+    arrays; then, over all qubit sites at once,
     hi = (a + c) / 2 + sqrt(((a - c) / 2)^2 + |b|^2) and lo = (a c - |b|^2) / hi (0 when hi is),
     each within a few eps (a + c) of exact, as ``eigvalsh``'s. An out-of-range or repeated site
     raises DimensionMismatch naming it.
@@ -214,22 +225,26 @@ def site_entropies(psi, dims: Dims, sites=None) -> np.ndarray:
             raise DimensionMismatch(f"site {i} repeated in sites {sites}")
     lead = v.shape[:-1]
     t = v.reshape(lead + dims.factors)
-    p = v.real * v.real + v.imag * v.imag
     out = np.empty(lead + (len(sites),))
-    for k, i in enumerate(sites):
-        d = dims.factors[i]
-        if d == 2:
-            left = math.prod(dims.factors[:i])
+    qubits = [k for k, i in enumerate(sites) if dims.factors[i] == 2]
+    if qubits:
+        p = v.real * v.real + v.imag * v.imag
+        a, c, b = (np.empty(lead + (len(qubits),), dtype) for dtype in (float, float, complex))
+        for q, k in enumerate(qubits):
+            left = math.prod(dims.factors[: sites[k]])
             split = lead + (left, 2, dims.total // (2 * left))
             # each half copied first: numpy sums a strided view in short inner loops, slowly
-            a, c = (np.ascontiguousarray(p.reshape(split)[..., j, :]).sum(axis=(-2, -1)) for j in (0, 1))
+            a[..., q], c[..., q] = (np.ascontiguousarray(p.reshape(split)[..., j, :]).sum(axis=(-2, -1))
+                                    for j in (0, 1))
             m = v.reshape(split)
-            b = (m[..., 0, :] * m[..., 1, :].conj()).sum(axis=(-2, -1))
-            b2 = b.real * b.real + b.imag * b.imag
-            hi = (a + c) / 2 + np.sqrt(((a - c) / 2) ** 2 + b2)
-            lo = np.divide(a * c - b2, hi, out=np.zeros_like(hi), where=hi > 0.0)
-            out[..., k] = _entropy_of_probs(np.stack((lo, hi), axis=-1))
-        else:
+            b[..., q] = (m[..., 0, :] * m[..., 1, :].conj()).sum(axis=(-2, -1))
+        b2 = b.real * b.real + b.imag * b.imag
+        hi = (a + c) / 2 + np.sqrt(((a - c) / 2) ** 2 + b2)
+        lo = np.divide(a * c - b2, hi, out=np.zeros_like(hi), where=hi > 0.0)
+        out[..., qubits] = _entropy_of_probs(np.stack((lo, hi), axis=-1))
+    for k, i in enumerate(sites):
+        d = dims.factors[i]
+        if d != 2:
             m = np.moveaxis(t, len(lead) + i, len(lead)).reshape(lead + (d, dims.total // d))
             out[..., k] = _entropy_of_probs(np.linalg.eigvalsh(m @ m.conj().swapaxes(-1, -2)))
     return out
@@ -244,13 +259,35 @@ def kron_all(mats) -> np.ndarray:
     return reduce(lambda a, b: (a[left] * b[right]).reshape([p * q for p, q in zip(a.shape, b.shape)]), ms)
 
 
+def haar_unitaries(factors, stream: np.random.Generator) -> list[UnitaryOp]:
+    """Haar-distributed unitaries, one d x d per entry d of ``factors``, in order (Mezzadri 2007):
+    every factor's Ginibre block (real parts, then imaginary) comes from one ``standard_normal``
+    call, the same numbers per-factor (d, d) draws take from the sequential stream; then one QR,
+    phase fix on diag(R) and ``UnitaryOp``'s unitarity check run per stack of equal-d factors."""
+    factors = [int(d) for d in factors]
+    start = list(accumulate((2 * d * d for d in factors), initial=0))
+    g = stream.standard_normal(start[-1])
+    out = [None] * len(factors)
+    for d in dict.fromkeys(factors):
+        idx = [i for i, e in enumerate(factors) if e == d]
+        block = np.concatenate([g[start[i]:start[i + 1]] for i in idx]).reshape(len(idx), 2, d, d)
+        z = np.empty((len(idx), d, d), complex)
+        z.real, z.imag = block[:, 0], block[:, 1]
+        z /= math.sqrt(2)
+        q, r = np.linalg.qr(z)
+        diag = r.diagonal(0, -2, -1)
+        q *= (diag / np.abs(diag))[:, None, :]
+        _check_unitary(q)
+        q.setflags(write=False)
+        for k, i in enumerate(idx):  # checked above as UnitaryOp checks, so not again
+            out[i] = object.__new__(UnitaryOp)
+            object.__setattr__(out[i], "mat", q[k])
+    return out
+
+
 def haar_unitary(D: int, stream: np.random.Generator) -> UnitaryOp:
-    """Haar-distributed unitary: Ginibre sample, QR, phase fix on diag(R)."""
-    z = (stream.standard_normal((D, D)) + 1j * stream.standard_normal((D, D))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    ph = d / np.abs(d)
-    return UnitaryOp(q * ph)
+    """Haar-distributed D x D unitary: ``haar_unitaries`` of the one factor D."""
+    return haar_unitaries((D,), stream)[0]
 
 
 def haar_state(D: int, stream: np.random.Generator) -> StateVec:

@@ -49,7 +49,7 @@ def ising_chain(p: IsingParams) -> HermitianOp:
     n = p.n
     terms = [(p.J, "I" * i + "ZZ" + "I" * (n - i - 2)) for i in range(n - 1)]
     terms += [(p.h, "I" * i + "X" + "I" * (n - i - 1)) for i in range(n)]
-    return HermitianOp(sum(c * pauli_string(s).mat for c, s in terms))
+    return HermitianOp(sum(c * kron_all([SIGMA[ch] for ch in s]) for c, s in terms))
 
 
 def x_string(i: int, n: int) -> HermitianOp:

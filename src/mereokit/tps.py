@@ -13,6 +13,7 @@ of the matched Grams' top eigenvectors (the rearrangement view of Van Loan and P
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -80,26 +81,34 @@ def random_tps(dims: Dims, stream: np.random.Generator) -> Tps:
     return Tps(dims, haar_unitary(dims.total, stream))
 
 
+@lru_cache
 def _perm_index(factors: tuple[int, ...], sigma: tuple[int, ...]) -> np.ndarray:
-    """Rows idx with ``perm_matrix(factors, sigma) @ W == W[idx]``; refuses what perm_matrix refuses."""
+    """Rows idx with ``perm_matrix(factors, sigma) @ W == W[idx]``, read-only and cached per
+    (factors, sigma), both tuples; refuses what perm_matrix refuses."""
     if sorted(sigma) != list(range(len(factors))):
         raise DimensionMismatch(f"{sigma} is not a permutation")
     if any(factors[sigma[j]] != factors[j] for j in range(len(factors))):
         raise DimensionMismatch(f"{sigma} permutes unequal factor dimensions {factors}")
     digits = np.unravel_index(np.arange(int(np.prod(factors))), factors)
-    return np.ravel_multi_index(tuple(digits[j] for j in np.argsort(sigma)), factors)
+    idx = np.ravel_multi_index(tuple(digits[j] for j in np.argsort(sigma)), factors)
+    idx.setflags(write=False)
+    return idx
 
 
 def perm_matrix(factors: tuple[int, ...], sigma: tuple[int, ...]) -> np.ndarray:
     """Permutation unitary sending input factor sigma[j] to slot j (equal dimensions only)."""
-    return np.eye(int(np.prod(factors)))[_perm_index(factors, sigma)]
+    return np.eye(int(np.prod(factors)))[_perm_index(tuple(factors), tuple(sigma))]
+
+
+@lru_cache
+def _realign_order(n: int, i: int, j: int) -> tuple[int, ...]:
+    """Axis order of ``_single_factor_realign`` on n factors across slot j, factor i."""
+    return (j, n + i) + tuple(a for a in range(n) if a != j) + tuple(n + a for a in range(n) if a != i)
 
 
 def _single_factor_realign(mat: np.ndarray, factors: tuple[int, ...], i: int, j=None, out=None) -> np.ndarray:
     """(d_i^2, (D/d_i)^2) realignment of a D x D operator across slot j (default i), factor i; into ``out`` if given."""
-    n, j = len(factors), (i if j is None else j)
-    order = [j, n + i] + [a for a in range(n) if a != j] + [n + a for a in range(n) if a != i]
-    t = np.transpose(mat.reshape(factors + factors), order)
+    t = np.transpose(mat.reshape(factors + factors), _realign_order(len(factors), i, i if j is None else j))
     if out is None:
         return t.reshape(factors[i] ** 2, -1)
     out.reshape(t.shape)[...] = t

@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass
 from string import ascii_lowercase
 
@@ -14,6 +15,14 @@ from mereokit.kinds import check_spectral_hypotheses
 def random_hermitian(D, rng, scale=1.0):
     A = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
     return HermitianOp(scale * (A + A.conj().T) / 2)
+
+
+def per_factor_haar(d, stream):
+    """One Haar unitary drawn on its own, (d, d) normals at a time: the oracle of ``haar_unitaries``."""
+    z = (stream.standard_normal((d, d)) + 1j * stream.standard_normal((d, d))) / math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    diag = np.diag(r)
+    return q * (diag / np.abs(diag))
 
 
 def nondegenerate_instance(D, seed, *path):

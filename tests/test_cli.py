@@ -13,6 +13,8 @@ import mereokit as mk
 from mereokit import cli
 from mereokit.cli import _kinds_pair, build_state, main, save_matrix_file
 
+from conftest import per_factor_haar
+
 
 def write_config(tmp_path, name, obj):
     path = tmp_path / name
@@ -432,6 +434,24 @@ class TestDualscan:
         assert run_cli(["dualscan", "--config", cfg, "--out", out]) == 0
         assert paths == [(0, 0), (0, 64), (0, 65), (1, 0), (1, 64), (1, 65)]
         assert '"Inconsistent": 0' in Path(out).read_text()
+
+
+class TestDraws:
+    @pytest.mark.parametrize("D", [4, 12, 27])
+    def test_gue_as_the_out_of_place_sum(self, D):
+        # A's parts filled in place, then A += A^dag and A /= 2: the bits of (A + A^dag) / 2
+        rng = mk.stream(12, D)
+        A = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+        assert cli._gue(D, mk.stream(12, D)).mat.tobytes() == ((A + A.conj().T) / 2).tobytes()
+
+    @pytest.mark.parametrize("factors", [(2, 2, 3), (3, 3, 3), (2, 4, 2), (2,) * 5])
+    def test_local_move_as_per_factor_draws(self, factors):
+        # the site unitaries come from one stacked draw, with the bits of one draw per factor
+        T = mk.random_tps(mk.Dims(factors), mk.stream(13))
+        rng = mk.stream(14)
+        L = mk.kron_all([per_factor_haar(d, rng) for d in factors])
+        want = mk.act(mk.UnitaryOp(T.iso.mat.conj().T @ L @ T.iso.mat), T)
+        assert cli._local_move(T, mk.stream(14)).iso.mat.tobytes() == want.iso.mat.tobytes()
 
 
 class TestWorkCounts:

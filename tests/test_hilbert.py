@@ -1,3 +1,5 @@
+import math
+import re
 from functools import reduce
 
 import numpy as np
@@ -5,10 +7,36 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mereokit as mk
-from mereokit.hilbert import _from_pairs, _to_pairs, _unit
+from mereokit.hilbert import ATOL, _check_unitary, _entropy_of_probs, _from_pairs, _to_pairs, _unit
 from mereokit.models import SIGMA
 
-from conftest import DensityOp, partial_trace, random_hermitian, vn_entropy
+from conftest import DensityOp, partial_trace, per_factor_haar, random_hermitian, vn_entropy
+
+
+def per_site_entropies(psi, dims, sites=None):
+    """``site_entropies`` read one site at a time, each qubit's closed form on its own: the oracle."""
+    v = np.asarray(psi)
+    sites = range(dims.n) if sites is None else tuple(sites)
+    lead = v.shape[:-1]
+    t = v.reshape(lead + dims.factors)
+    p = v.real * v.real + v.imag * v.imag
+    out = np.empty(lead + (len(sites),))
+    for k, i in enumerate(sites):
+        d = dims.factors[i]
+        if d == 2:
+            left = math.prod(dims.factors[:i])
+            split = lead + (left, 2, dims.total // (2 * left))
+            a, c = (np.ascontiguousarray(p.reshape(split)[..., j, :]).sum(axis=(-2, -1)) for j in (0, 1))
+            m = v.reshape(split)
+            b = (m[..., 0, :] * m[..., 1, :].conj()).sum(axis=(-2, -1))
+            b2 = b.real * b.real + b.imag * b.imag
+            hi = (a + c) / 2 + np.sqrt(((a - c) / 2) ** 2 + b2)
+            lo = np.divide(a * c - b2, hi, out=np.zeros_like(hi), where=hi > 0.0)
+            out[..., k] = _entropy_of_probs(np.stack((lo, hi), axis=-1))
+        else:
+            m = np.moveaxis(t, len(lead) + i, len(lead)).reshape(lead + (d, dims.total // d))
+            out[..., k] = _entropy_of_probs(np.linalg.eigvalsh(m @ m.conj().swapaxes(-1, -2)))
+    return out
 
 
 class TestCarriers:
@@ -33,6 +61,24 @@ class TestCarriers:
     def test_unitary_rejects_nonunitary(self):
         with pytest.raises(mk.InvariantViolation):
             mk.UnitaryOp(2 * np.eye(3))
+
+    @pytest.mark.parametrize("scale", [1.0, 1 + 1e-12, 1 + 1e-9, 2.0, 1j])
+    def test_unitary_check_as_the_identity_formula(self, scale):
+        # the 1 comes off the diagonal of m^dag m in place; accepted and refused as by
+        # |m^dag m - eye| with the same max deviation, for a matrix and for a stack
+        m = scale * mk.haar_unitary(5, mk.stream(115)).mat
+        dev = np.abs(m.conj().T @ m - np.eye(5)).max()
+        for check in (mk.UnitaryOp, lambda m: _check_unitary(np.stack([np.eye(5), m]))):
+            if dev > ATOL:
+                with pytest.raises(mk.InvariantViolation, match=re.escape(f"not unitary: max deviation {dev:.3e}") + "$"):
+                    check(m)
+            else:
+                check(m)
+
+    def test_unitary_check_of_an_empty_matrix(self):
+        # as with the identity formula, the max over no entries is a ValueError
+        with pytest.raises(ValueError):
+            mk.UnitaryOp(np.zeros((0, 0)))
 
     def test_state_rejects_unnormalized(self):
         with pytest.raises(mk.InvariantViolation):
@@ -327,6 +373,24 @@ class TestStackedSiteEntropies:
         with pytest.raises(mk.DimensionMismatch):
             mk.site_entropies(np.zeros((3, 5), dtype=complex), mk.Dims((2, 2)))
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        factors=st.lists(st.sampled_from([2, 3, 4]), min_size=2, max_size=4),
+        lead=st.sampled_from([(), (1,), (3,), (0,), (2, 3)]),
+        subset=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bit_equal_to_per_site_loop(self, factors, lead, subset, seed):
+        # all qubit sites in one closed-form pass give the per-site loop's bits, for every
+        # stack shape and every ordered subset of sites
+        dims = mk.Dims(tuple(factors))
+        rng = mk.stream(seed)
+        z = rng.standard_normal(lead + (dims.total,)) + 1j * rng.standard_normal(lead + (dims.total,))
+        psi = z / np.linalg.norm(z, axis=-1, keepdims=True)
+        sites = tuple(int(i) for i in rng.permutation(dims.n)[: rng.integers(dims.n + 1)]) if subset else None
+        got = mk.site_entropies(psi, dims, sites)
+        assert np.array_equal(got, per_site_entropies(psi, dims, sites))
+
 
 class TestKronAll:
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -357,6 +421,37 @@ class TestHaar:
     def test_unitarity(self):
         U = mk.haar_unitary(6, mk.stream(113))
         assert np.abs(U.mat.conj().T @ U.mat - np.eye(6)).max() < 1e-10
+
+    @pytest.mark.parametrize("factors", [(2, 2, 3), (3, 3, 3), (2, 4, 2), (2,) * 5, (8,), (128,)])
+    def test_stacked_sampler_bit_equal_to_per_factor_draws(self, factors):
+        # one standard_normal call for all the blocks takes the numbers per-factor draws take,
+        # so the unitaries and the next draw from the stream are the same bits
+        a, b = mk.stream(116, len(factors)), mk.stream(116, len(factors))
+        got = mk.haar_unitaries(factors, a)
+        want = [per_factor_haar(d, b) for d in factors]
+        assert [U.mat.shape for U in got] == [w.shape for w in want]
+        assert all(U.mat.tobytes() == w.tobytes() for U, w in zip(got, want))
+        assert np.array_equal(a.standard_normal(5), b.standard_normal(5))
+        assert all(isinstance(U, mk.UnitaryOp) and not U.mat.flags.writeable for U in got)
+
+    def test_one_factor_sampler_is_haar_unitary(self):
+        want = per_factor_haar(6, mk.stream(117))
+        assert mk.haar_unitary(6, mk.stream(117)).mat.tobytes() == want.tobytes()
+
+    def test_stacked_check_refuses_as_unitary_op(self, monkeypatch):
+        # a QR gone wrong on the second factor of the qubit stack is refused with the error
+        # UnitaryOp gives 2 U: max |4 U^dag U - 1| = 3
+        real_qr = np.linalg.qr
+
+        def qr(z):  # the k-th Q of a stack scaled by k + 1
+            q, r = real_qr(z)
+            return q * np.arange(1, len(q) + 1)[:, None, None], r
+
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        with pytest.raises(mk.InvariantViolation, match=re.escape("not unitary: max deviation 3.000e+00")):
+            mk.haar_unitaries((2, 2, 3), mk.stream(118))
+        with pytest.raises(mk.InvariantViolation, match=re.escape("not unitary: max deviation 3.000e+00")):
+            mk.UnitaryOp(2 * mk.haar_unitary(2, mk.stream(118)).mat)
 
     def test_entry_moment(self):
         # mean |entry|^2 over Haar samples at D=2 is exactly 1/D = 0.5

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import mereokit as mk
 from mereokit import tps
 from mereokit.models import SIGMA
-from mereokit.tps import PRODUCT_RTOL, _equivalence_certificate, _single_factor_realign
+from mereokit.tps import PRODUCT_RTOL, _equivalence_certificate, _perm_index, _single_factor_realign
 
 from conftest import random_hermitian
 
@@ -234,6 +234,28 @@ class TestEquivalent:
     def test_unequal_dims_swap_is_error(self):
         with pytest.raises(mk.DimensionMismatch):
             mk.perm_matrix((2, 3), (1, 0))
+
+    def test_index_maps_cached_read_only(self):
+        # one index array per (factors, sigma), shared read-only; perm_matrix takes any sequence
+        idx = _perm_index((2, 3, 2), (2, 1, 0))
+        assert _perm_index((2, 3, 2), (2, 1, 0)) is idx and not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0] = 1
+        P = mk.perm_matrix([2, 3, 2], np.array([2, 1, 0]))
+        assert np.array_equal(P, np.eye(12)[idx])
+        with pytest.raises(mk.DimensionMismatch):
+            mk.perm_matrix([2, 3, 2], [1, 0, 2])
+
+    @pytest.mark.parametrize("factors", [(2, 3, 2), (2, 2), (3, 2, 2, 2)])
+    def test_realignment_as_the_uncached_axis_order(self, factors):
+        n = len(factors)
+        W = random_hermitian(int(np.prod(factors)), mk.stream(311)).mat
+        for i, j in itertools.product(range(n), repeat=2):
+            if factors[i] != factors[j]:
+                continue
+            order = [j, n + i] + [a for a in range(n) if a != j] + [n + a for a in range(n) if a != i]
+            want = np.transpose(W.reshape(factors + factors), order).reshape(factors[i] ** 2, -1)
+            assert np.array_equal(_single_factor_realign(W, factors, i, j), want)
 
     def test_certificate_reassembles(self, dims22):
         rng = mk.stream(310)
