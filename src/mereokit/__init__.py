@@ -37,15 +37,7 @@ from .tps import (
     tps_from_json,
     tps_to_json,
 )
-from .basis import (
-    Decomposition,
-    SiteBasis,
-    WeightProfile,
-    decompose,
-    reconstruct,
-    site_basis,
-    weight_profile,
-)
+from .basis import SiteBasis, decompose, matrix_from_coeffs, site_basis, weight_masses
 from .locality import (
     EvolutionVerdict,
     EvolutionWitness,

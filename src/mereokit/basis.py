@@ -32,14 +32,14 @@ class SiteBasis:
         if len(ops) != d * d:
             raise InvariantViolation(f"need {d * d} operators, got {len(ops)}")
         gram = np.array([[np.vdot(a, b) for b in ops] for a in ops])
-        if np.abs(gram - np.eye(d * d)).max() > ATOL:
+        if not np.abs(gram - np.eye(d * d)).max() <= ATOL:
             raise InvariantViolation("site basis is not HS-orthonormal")
-        if np.abs(ops[0] - np.eye(d) / math.sqrt(d)).max() > ATOL:
+        if not np.abs(ops[0] - np.eye(d) / math.sqrt(d)).max() <= ATOL:
             raise InvariantViolation("ops[0] must be I/sqrt(d)")
         for a, op in enumerate(ops):
-            if np.abs(op - op.conj().T).max() > ATOL:
+            if not np.abs(op - op.conj().T).max() <= ATOL:
                 raise InvariantViolation(f"ops[{a}] is not Hermitian")
-            if a >= 1 and abs(np.trace(op)) > ATOL:
+            if a >= 1 and not abs(np.trace(op)) <= ATOL:
                 raise InvariantViolation(f"ops[{a}] is not traceless")
         object.__setattr__(self, "ops", ops)
 
@@ -70,34 +70,6 @@ def site_basis(d: int) -> SiteBasis:
     return SiteBasis(d, tuple(ops))
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Dense coefficient tensor over all multi-indices, axis i indexed by alpha_i."""
-
-    dims: Dims
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=complex)
-        expected = tuple(d * d for d in self.dims.factors)
-        if c.shape != expected:
-            raise DimensionMismatch(f"coefficient shape {c.shape} != {expected}")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-
-@dataclass(frozen=True)
-class WeightProfile:
-    """w[k] = sum of |coeff|^2 over multi-indices of weight k, k = 0..n."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.w, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "w", arr)
-
-
 @lru_cache(maxsize=None)
 def _gell_mann_maps(factors: tuple[int, ...], adjoint: bool) -> tuple[np.ndarray, ...]:
     # per site, conj(B_alpha) flattened over (row, col), one row per alpha; or its adjoint
@@ -124,25 +96,24 @@ def coeff_tensor(mat: np.ndarray, dims: Dims) -> np.ndarray:
 
 
 def matrix_from_coeffs(coeffs: np.ndarray, dims: Dims) -> np.ndarray:
-    """Adjoint of ``coeff_tensor``: reassemble the matrix from coefficients."""
+    """Adjoint of ``coeff_tensor``: reassemble the matrix from coefficients shaped (d_i^2)_i,
+    refusing any other shape (DimensionMismatch)."""
     f, n, D = dims.factors, dims.n, dims.total
+    if np.shape(coeffs) != weight_tensor(f).shape:
+        raise DimensionMismatch(f"coefficient shape {np.shape(coeffs)} != {weight_tensor(f).shape}")
     t = _contract(coeffs, f, adjoint=True).reshape(tuple(d for d in f for _ in "rc"))
     return t.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))).reshape(D, D)
 
 
-def decompose(H: HermitianOp, T: Tps) -> Decomposition:
-    """Expand H, seen through the structure T, over the product basis."""
+def decompose(H: HermitianOp, T: Tps) -> np.ndarray:
+    """Coefficient tensor of H, seen through the structure T, over the product basis."""
     if H.dim != T.dims.total:
         raise DimensionMismatch(f"operator dim {H.dim} != product dim {T.dims.total}")
     pushed = T.iso.mat @ H.mat @ T.iso.mat.conj().T
     m = np.trace(pushed).real / H.dim  # expanded apart: rounding a large c I leaks into no sector
     coeffs = coeff_tensor(pushed - m * np.eye(H.dim), T.dims)
     coeffs.flat[0] += m * math.sqrt(H.dim)
-    return Decomposition(T.dims, coeffs)
-
-
-def reconstruct(dec: Decomposition) -> HermitianOp:
-    return HermitianOp(matrix_from_coeffs(dec.coeffs, dec.dims))
+    return coeffs
 
 
 @lru_cache(maxsize=None)
@@ -171,8 +142,3 @@ def weight_masses(coeffs: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
     if lost.any() or (not masses.any() and coeffs.any()):  # an infinite mass floors them all
         raise ScaleOutOfRange(f"weight masses leave float64 at scale {np.abs(coeffs).max():.1e}")
     return masses
-
-
-def weight_profile(dec: Decomposition) -> WeightProfile:
-    return WeightProfile(weight_masses(dec.coeffs, dec.dims.factors))
-

@@ -60,7 +60,7 @@ def find_nonlocal_symmetry(H: HermitianOp, T: Tps) -> Optional[tuple[float, Unit
     t = float(np.pi / (2.0 * (lam[-1] - lam[0])))
     U = expm_i(H, t)
     comm = np.abs(U.mat @ H.mat - H.mat @ U.mat).max()
-    if comm > COMMUTANT_TOL * (1.0 + np.abs(H.mat).max()):
+    if not comm <= COMMUTANT_TOL * (1.0 + np.abs(H.mat).max()):
         raise InvariantViolation(f"evolution unitary fails to commute: {comm:.3e}")
     if equivalent(act(U, T), T):
         raise InvariantViolation(f"H is not 1-local, yet e^(-itH) at t = {t!r} keeps the structure")

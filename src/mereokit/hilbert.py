@@ -16,7 +16,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
 
-ATOL = 1e-10  # absolute tolerance for algebraic identities
+# tolerance for algebraic identities: HermitianOp scales it by 1 + max |H_ij|; the unitarity
+# check, the state norm and SiteBasis's orthonormality, trace and Hermiticity use it as is
+ATOL = 1e-10
 
 
 def _frozen(a, dtype=complex) -> np.ndarray:
@@ -130,7 +132,7 @@ class HermitianOp:
         m = _square(self.mat)
         scale = 1.0 + (np.abs(m).max() if m.size else 0.0)
         dev = np.abs(m - m.conj().T).max()
-        if dev > ATOL * scale:
+        if not dev <= ATOL * scale:
             raise InvariantViolation(f"not Hermitian: max deviation {dev:.3e}")
         object.__setattr__(self, "mat", m)
 
@@ -148,13 +150,15 @@ class HermitianOp:
 
 
 def _check_unitary(m: np.ndarray):
-    """Refuse m, a square matrix or a stack of them, when an entry of m^dag m - 1 exceeds ATOL in
-    modulus; the 1 is subtracted on the diagonal in place, so no identity is built."""
-    g = m.conj().swapaxes(-1, -2) @ m
+    """Refuse m, a square matrix or a stack of them, unless every entry of m^dag m - 1 is within
+    ATOL in modulus; the 1 is subtracted on the diagonal in place, so no identity is built. A
+    finite m whose m^dag m overflows reads NaN there, and is refused too."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = m.conj().swapaxes(-1, -2) @ m
     n = m.shape[-1]
     g.reshape(g.shape[:-2] + (n * n,))[..., :: n + 1] -= 1
     dev = np.abs(g).max()
-    if dev > ATOL:
+    if not dev <= ATOL:
         raise InvariantViolation(f"not unitary: max deviation {dev:.3e}")
 
 
@@ -179,7 +183,7 @@ class StateVec:
     def __post_init__(self):
         v = _finite(np.asarray(self.vec).reshape(-1))
         nrm = np.linalg.norm(v)
-        if abs(nrm - 1.0) > ATOL:
+        if not abs(nrm - 1.0) <= ATOL:
             raise InvariantViolation(f"state norm {nrm!r} is not 1")
         object.__setattr__(self, "vec", v)
 

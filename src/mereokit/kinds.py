@@ -51,11 +51,11 @@ class PairKindSpec:
     def __post_init__(self):
         spectrum = tuple(float(v) for v in self.spectrum)
         weights = tuple(float(x) for x in self.weights)
-        if any(b < a for a, b in zip(spectrum, spectrum[1:])):
+        if not all(a <= b for a, b in zip(spectrum, spectrum[1:])):
             raise InvariantViolation("spectrum values must be sorted ascending")
-        if any(x < 0 for x in weights):
+        if not all(x >= 0 for x in weights):
             raise InvariantViolation("weights must be non-negative")
-        if abs(sum(weights) - 1.0) > 1e-9:
+        if not abs(sum(weights) - 1.0) <= 1e-9:
             raise InvariantViolation(f"weights sum to {sum(weights)!r}, not 1")
         groups = len(_group_starts(spectrum))
         if groups != len(weights):
@@ -76,8 +76,8 @@ def _amplitudes(H: HermitianOp, psi: StateVec) -> np.ndarray:
 
 
 def _amplitudes_differ(a1: np.ndarray, a2: np.ndarray, tol: float) -> bool:
-    """Is ||a1 - a2||_2 > tol for two non-negative amplitude vectors (|c| or sqrt of weights)?"""
-    return bool(np.linalg.norm(a1 - a2) > tol)
+    """Is ||a1 - a2||_2 > tol, or NaN, for two non-negative amplitude vectors (|c| or sqrt of weights)?"""
+    return not np.linalg.norm(a1 - a2) <= tol
 
 
 def pair_kind_of(H: HermitianOp, psi: StateVec) -> PairKindSpec:
@@ -100,7 +100,7 @@ def pair_membership(
     """
     tol = _tol(tol)
     c = _amplitudes(H, psi)
-    if H.dim != len(spec.spectrum) or np.abs(H.eig[0] - spec.spectrum).max() > tol:
+    if H.dim != len(spec.spectrum) or not np.abs(H.eig[0] - spec.spectrum).max() <= tol:
         return False
     got = _eigenspace_weights(spec.spectrum, c)
     return not _amplitudes_differ(np.sqrt(got), np.sqrt(spec.weights), tol)
@@ -153,7 +153,7 @@ def pair_orbit_witness(
         raise DimensionMismatch("operator dimensions differ")
     check_spectral_hypotheses(H1)
     check_spectral_hypotheses(H2)
-    if np.abs(lam1 - lam2).max() > tol:
+    if not np.abs(lam1 - lam2).max() <= tol:
         raise NoWitnessError("spectra differ; no conjugating unitary exists")
     c1 = check_spectral_hypotheses(H1, psi1)
     c2 = check_spectral_hypotheses(H2, psi2)
@@ -194,7 +194,7 @@ def gram_orbit_witness(family1: Sequence, family2: Sequence, tol: float = WITNES
     B = Q1.conj().T
     B[:m] = (w @ vh) @ B[:m]
     U = Q2 @ B
-    if np.linalg.norm(F1 @ U.T - F2, axis=1).max() > tol:
+    if not np.linalg.norm(F1 @ U.T - F2, axis=1).max() <= tol:
         raise NoWitnessError("no unitary maps the families within tol; their Gram matrices differ")
     return UnitaryOp(U)
 

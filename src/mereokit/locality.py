@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation, ObjectiveUndefined
 from .hilbert import HermitianOp, StateVec, _tol
-from .basis import WeightProfile, decompose, weight_profile
+from .basis import decompose, weight_masses
 from .tps import Tps, _eigen_entropies
 
 LOCALITY_RTOL = 1e-9  # default bound on the K-local residual
@@ -19,9 +19,10 @@ PRODUCT_PROBE_TOL = 1e-9  # max site entropy for a probe to count as a product s
 
 @dataclass(frozen=True)
 class LocalityReport:
-    """Weight profile; ``min_k`` is the smallest K in 1..n with ``is_k_local`` (0 for H ∝ I)."""
+    """``weights[k]``, read-only, is the ``weight_masses`` of sector k = 0..n; ``min_k`` is the
+    smallest K in 1..n with ``is_k_local`` (0 for H ∝ I)."""
 
-    profile: WeightProfile
+    weights: np.ndarray
     min_k: int
     tol: float
 
@@ -29,7 +30,7 @@ class LocalityReport:
         return {
             "min_k": int(self.min_k),
             "tol": float(self.tol),
-            "weights": [float(x) for x in self.profile.w],
+            "weights": [float(x) for x in self.weights],
         }
 
 
@@ -46,18 +47,19 @@ def _within(masses: np.ndarray, K: int, tol: float) -> bool:
     return k_local_residual(masses, K) <= tol
 
 
-def _profile(H: HermitianOp, T: Tps) -> WeightProfile:
-    return weight_profile(decompose(H, T))
+def _masses(H: HermitianOp, T: Tps) -> np.ndarray:
+    return weight_masses(decompose(H, T), T.dims.factors)
 
 
 def locality_report(H: HermitianOp, T: Tps, tol: float = LOCALITY_RTOL) -> LocalityReport:
-    """Weight profile plus the smallest K whose K-local residual is at most tol."""
-    prof = _profile(H, T)
+    """Weight masses, read-only, plus the smallest K whose K-local residual is at most tol."""
+    w = _masses(H, T)
+    w.setflags(write=False)
     try:  # K = n always holds: nothing sits above it
-        min_k = next(K for K in range(1, T.dims.n + 1) if _within(prof.w, K, tol))
+        min_k = next(K for K in range(1, T.dims.n + 1) if _within(w, K, tol))
     except ObjectiveUndefined:
         min_k = 0
-    return LocalityReport(prof, min_k, tol)
+    return LocalityReport(w, min_k, tol)
 
 
 def is_k_local(H: HermitianOp, T: Tps, K: int, tol: float = LOCALITY_RTOL) -> bool:
@@ -65,7 +67,7 @@ def is_k_local(H: HermitianOp, T: Tps, K: int, tol: float = LOCALITY_RTOL) -> bo
     if not (1 <= K <= T.dims.n):
         raise DimensionMismatch(f"K={K} out of range 1..{T.dims.n}")
     try:
-        return _within(_profile(H, T).w, K, tol)
+        return _within(_masses(H, T), K, tol)
     except ObjectiveUndefined:
         return True
 

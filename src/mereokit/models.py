@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
 from .hilbert import Dims, HermitianOp, UnitaryOp, haar_unitary, kron_all
-from .basis import Decomposition, reconstruct, weight_tensor
+from .basis import matrix_from_coeffs, weight_tensor
 from .tps import Tps
 
 SIGMA = {
@@ -83,7 +83,7 @@ def random_klocal(dims: Dims, K: int, stream: np.random.Generator) -> HermitianO
     mask = (w >= 1) & (w <= K)
     coeffs = np.zeros(w.shape, dtype=complex)
     coeffs[mask] = stream.standard_normal(int(mask.sum()))
-    return reconstruct(Decomposition(dims, coeffs))
+    return HermitianOp(matrix_from_coeffs(coeffs, dims))
 
 
 def scrambled_klocal(

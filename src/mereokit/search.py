@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .hilbert import Dims, HermitianOp, UnitaryOp, _tol
 from .basis import _contract, coeff_tensor, matrix_from_coeffs, weight_masses, weight_tensor
-from .locality import _profile, is_k_local, k_local_residual
+from .locality import _masses, is_k_local, k_local_residual
 from .tps import Tps
 from .rng import stream as rng_stream
 
@@ -73,7 +73,7 @@ class SearchResult:
 
 def objective(H: HermitianOp, V: UnitaryOp, K: int, dims: Dims) -> float:
     """The K-local residual of H in the structure V, from the masses ``is_k_local`` reads."""
-    return k_local_residual(_profile(H, Tps(dims, V)).w, K)
+    return k_local_residual(_masses(H, Tps(dims, V)), K)
 
 
 def _spectral_point(x: np.ndarray, c: np.ndarray, mask: np.ndarray, lam: np.ndarray, dims: Dims):

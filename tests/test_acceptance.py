@@ -37,10 +37,10 @@ def test_criterion_1_conjugation_covariance():
             H = random_hermitian(dims.total, rng)
             T = mk.random_tps(dims, rng)
             U = mk.haar_unitary(dims.total, rng)
-            p1 = mk.weight_profile(mk.decompose(H, T))
+            p1 = mk.locality_report(H, T).weights
             HU = mk.HermitianOp(U.mat @ H.mat @ U.mat.conj().T)
-            p2 = mk.weight_profile(mk.decompose(HU, mk.act(U, T)))
-            worst = max(worst, float(np.abs(p1.w - p2.w).max()))
+            p2 = mk.locality_report(HU, mk.act(U, T)).weights
+            worst = max(worst, float(np.abs(p1 - p2).max()))
             count += 1
     report(1, count == 100 and worst <= 1e-9,
            f"profiles of 100 conjugated triples agree entrywise, worst dev {worst:.2e}")
@@ -218,8 +218,8 @@ def test_criterion_8_dual_structure():
         Tc = mk.canonical(dims)
         Td = mk.jw_dual_tps(n)
         norm = hs_norm_sq(H)
-        tail_c = mk.weight_profile(mk.decompose(H, Tc)).w[3:].sum() / norm
-        tail_d = mk.weight_profile(mk.decompose(H, Td)).w[3:].sum() / norm
+        tail_c = mk.locality_report(H, Tc).weights[3:].sum() / norm
+        tail_d = mk.locality_report(H, Td).weights[3:].sum() / norm
         product = mk.is_product_operator(Td.iso.mat, dims) is not None
         ok = ok and tail_c < 1e-9 and tail_d < 1e-9 and not product
         details.append(f"n={n}: tails {tail_c:.1e}/{tail_d:.1e}, duality unitary product={product}")

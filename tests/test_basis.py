@@ -47,63 +47,77 @@ class TestSiteBasis:
         with pytest.raises(mk.InvariantViolation):
             mk.SiteBasis(2, tuple(ops))
 
+    def test_nan_basis_rejected(self):
+        # every deviation of a NaN operator reads NaN, which "dev > ATOL" let pass
+        ops = list(mk.site_basis(2).ops)
+        ops[3] = np.full((2, 2), np.nan)
+        with pytest.raises(mk.InvariantViolation, match="not HS-orthonormal"):
+            mk.SiteBasis(2, tuple(ops))
+
 
 class TestDecompose:
     def test_zx_single_coefficient(self, dims22):
         H = mk.pauli_string("ZX")
-        dec = mk.decompose(H, mk.canonical(dims22))
+        coeffs = mk.decompose(H, mk.canonical(dims22))
         # oracle: brute-force inner products against explicit kron basis
         oracle = brute_force_coeffs(H.mat, dims22)
-        assert np.abs(dec.coeffs - oracle).max() < 1e-12
-        assert dec.coeffs[3, 1] == pytest.approx(2.0)
-        rest = np.abs(dec.coeffs).sum() - abs(dec.coeffs[3, 1])
+        assert np.abs(coeffs - oracle).max() < 1e-12
+        assert coeffs[3, 1] == pytest.approx(2.0)
+        rest = np.abs(coeffs).sum() - abs(coeffs[3, 1])
         assert rest < 1e-12
 
     def test_identity_weight_zero_only(self, dims22):
-        dec = mk.decompose(mk.HermitianOp(np.eye(4)), mk.canonical(dims22))
-        assert dec.coeffs[0, 0] == pytest.approx(2.0)
+        coeffs = mk.decompose(mk.HermitianOp(np.eye(4)), mk.canonical(dims22))
+        assert coeffs[0, 0] == pytest.approx(2.0)
         w = weight_tensor(dims22.factors)
-        assert np.abs(dec.coeffs[w > 0]).max() < 1e-12
+        assert np.abs(coeffs[w > 0]).max() < 1e-12
 
     def test_parseval(self, dims222):
         rng = mk.stream(201)
         for _ in range(5):
             H = random_hermitian(8, rng)
-            dec = mk.decompose(H, mk.canonical(dims222))
-            assert hs_norm_sq(dec.coeffs) == pytest.approx(hs_norm_sq(H), rel=1e-9)
+            coeffs = mk.decompose(H, mk.canonical(dims222))
+            assert hs_norm_sq(coeffs) == pytest.approx(hs_norm_sq(H), rel=1e-9)
 
     def test_real_coefficients_for_hermitian(self, dims222):
         H = random_hermitian(8, mk.stream(202))
-        dec = mk.decompose(H, mk.canonical(dims222))
-        assert np.abs(dec.coeffs.imag).max() < 1e-10
+        coeffs = mk.decompose(H, mk.canonical(dims222))
+        assert np.abs(coeffs.imag).max() < 1e-10
 
     def test_dimension_mismatch(self, dims22):
         with pytest.raises(mk.DimensionMismatch):
             mk.decompose(mk.HermitianOp(np.eye(8)), mk.canonical(dims22))
 
 
-class TestReconstruct:
+def roundtrip(H, dims):
+    """H expanded in the canonical structure of dims and reassembled."""
+    return mk.matrix_from_coeffs(mk.decompose(H, mk.canonical(dims)), dims)
+
+
+class TestMatrixFromCoeffs:
     def test_empty_is_zero(self, dims22):
-        dec = mk.Decomposition(dims22, np.zeros((4, 4)))
-        assert np.abs(mk.reconstruct(dec).mat).max() == 0.0
+        assert np.abs(mk.matrix_from_coeffs(np.zeros((4, 4)), dims22)).max() == 0.0
 
     def test_roundtrip_random(self, dims222):
         rng = mk.stream(203)
         H = random_hermitian(8, rng)
-        back = mk.reconstruct(mk.decompose(H, mk.canonical(dims222)))
-        assert np.abs(back.mat - H.mat).max() < 1e-10 * (1 + np.abs(H.mat).max())
+        assert np.abs(roundtrip(H, dims222) - H.mat).max() < 1e-10 * (1 + np.abs(H.mat).max())
 
     def test_roundtrip_ising(self):
         H = mk.ising_chain(mk.IsingParams(3, 1.0, 0.7))
-        dims = mk.Dims((2, 2, 2))
-        back = mk.reconstruct(mk.decompose(H, mk.canonical(dims)))
-        assert np.abs(back.mat - H.mat).max() < 1e-10 * (1 + np.abs(H.mat).max())
+        back = roundtrip(H, mk.Dims((2, 2, 2)))
+        assert np.abs(back - H.mat).max() < 1e-10 * (1 + np.abs(H.mat).max())
 
     def test_roundtrip_nonqubit(self):
-        dims = mk.Dims((3, 2))
         H = random_hermitian(6, mk.stream(204))
-        back = mk.reconstruct(mk.decompose(H, mk.canonical(dims)))
-        assert np.abs(back.mat - H.mat).max() < 1e-10 * (1 + np.abs(H.mat).max())
+        back = roundtrip(H, mk.Dims((3, 2)))
+        assert np.abs(back - H.mat).max() < 1e-10 * (1 + np.abs(H.mat).max())
+
+    @pytest.mark.parametrize("shape, factors", [((9, 4), (2, 3)), ((16,), (2, 2))], ids=["9x4-for-2x3", "16-for-2x2"])
+    def test_refuses_a_tensor_not_shaped_by_the_dims(self, shape, factors):
+        # (9, 4) holds as many entries as (4, 9), and (16,) as (4, 4): each reshapes without error
+        with pytest.raises(mk.DimensionMismatch, match="coefficient shape"):
+            mk.matrix_from_coeffs(np.ones(shape), mk.Dims(factors))
 
 
 def einsum_coeffs(mat, dims):
@@ -144,39 +158,38 @@ class TestKernel:
         # beyond the former 8-factor limit of the single-einsum expansion
         dims = mk.Dims((2,) * 9)
         H = random_hermitian(dims.total, mk.stream(209))
-        dec = mk.decompose(H, mk.canonical(dims))
-        assert hs_norm_sq(dec.coeffs) == pytest.approx(hs_norm_sq(H), rel=1e-9)
-        back = mk.reconstruct(dec)
-        assert np.abs(back.mat - H.mat).max() < 1e-10 * (1 + np.abs(H.mat).max())
+        coeffs = mk.decompose(H, mk.canonical(dims))
+        assert hs_norm_sq(coeffs) == pytest.approx(hs_norm_sq(H), rel=1e-9)
+        back = mk.matrix_from_coeffs(coeffs, dims)
+        assert np.abs(back - H.mat).max() < 1e-10 * (1 + np.abs(H.mat).max())
 
 
 class TestWeightProfile:
     def test_identity(self, dims22):
-        prof = mk.weight_profile(mk.decompose(mk.HermitianOp(np.eye(4)), mk.canonical(dims22)))
-        assert prof.w[0] == pytest.approx(4.0)
-        assert prof.w[1:].max() < 1e-12
+        w = weight_masses(mk.decompose(mk.HermitianOp(np.eye(4)), mk.canonical(dims22)), dims22.factors)
+        assert w[0] == pytest.approx(4.0)
+        assert w[1:].max() < 1e-12
 
     def test_ising_profile(self, dims222):
         H = mk.ising_chain(mk.IsingParams(3, 1.0, 1.0))
-        prof = mk.weight_profile(mk.decompose(H, mk.canonical(dims222)))
-        assert prof.w[1] > 0 and prof.w[2] > 0
-        assert prof.w[0] >= 0 and prof.w[3] == pytest.approx(0.0, abs=1e-12)
+        w = weight_masses(mk.decompose(H, mk.canonical(dims222)), dims222.factors)
+        assert w[1] > 0 and w[2] > 0
+        assert w[0] >= 0 and w[3] == pytest.approx(0.0, abs=1e-12)
 
     def test_scrambled_weight3(self, dims222):
         rng = mk.stream(205)
         coeffs = np.zeros((4, 4, 4), dtype=complex)
         w = weight_tensor(dims222.factors)
         coeffs[w == 3] = rng.standard_normal(int((w == 3).sum()))
-        H3 = mk.reconstruct(mk.Decomposition(dims222, coeffs))
+        H3 = mk.matrix_from_coeffs(coeffs, dims222)
         U = mk.haar_unitary(8, rng)
-        scrambled = mk.HermitianOp(U.mat @ H3.mat @ U.mat.conj().T)
-        prof = mk.weight_profile(mk.decompose(scrambled, mk.canonical(dims222)))
-        assert prof.w[3] > 0
+        scrambled = mk.HermitianOp(U.mat @ H3 @ U.mat.conj().T)
+        assert weight_masses(mk.decompose(scrambled, mk.canonical(dims222)), dims222.factors)[3] > 0
 
     def test_parseval_matches_total(self, dims222):
         H = random_hermitian(8, mk.stream(206))
-        prof = mk.weight_profile(mk.decompose(H, mk.canonical(dims222)))
-        assert prof.w.sum() == pytest.approx(hs_norm_sq(H), rel=1e-9)
+        w = weight_masses(mk.decompose(H, mk.canonical(dims222)), dims222.factors)
+        assert w.sum() == pytest.approx(hs_norm_sq(H), rel=1e-9)
 
 
 class TestCovarianceAndBasisChoice:
@@ -188,10 +201,10 @@ class TestCovarianceAndBasisChoice:
                 H = random_hermitian(dims.total, rng)
                 T = mk.random_tps(dims, rng)
                 U = mk.haar_unitary(dims.total, rng)
-                p1 = mk.weight_profile(mk.decompose(H, T))
+                p1 = weight_masses(mk.decompose(H, T), factors)
                 HU = mk.HermitianOp(U.mat @ H.mat @ U.mat.conj().T)
-                p2 = mk.weight_profile(mk.decompose(HU, mk.act(U, T)))
-                assert np.abs(p1.w - p2.w).max() < 1e-9
+                p2 = weight_masses(mk.decompose(HU, mk.act(U, T)), factors)
+                assert np.abs(p1 - p2).max() < 1e-9
 
     def test_basis_choice_independence(self):
         # any real-orthogonal recombination of the traceless part is a valid
@@ -207,7 +220,7 @@ class TestCovarianceAndBasisChoice:
             O, _ = np.linalg.qr(gauss)
             mixed = [sum(O[a, b] * ops[1 + b] for b in range(m)) for a in range(m)]
             alt.append(mk.SiteBasis(d, tuple([ops[0]] + mixed)))
-        p1 = mk.weight_profile(mk.decompose(H, mk.canonical(dims)))
+        p1 = weight_masses(mk.decompose(H, mk.canonical(dims)), dims.factors)
         alt_coeffs = brute_force_coeffs(H.mat, dims, [b.ops for b in alt])
         p2 = weight_masses(alt_coeffs, dims.factors)
-        assert np.abs(p1.w - p2).max() < 1e-9
+        assert np.abs(p1 - p2).max() < 1e-9

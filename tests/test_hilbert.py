@@ -75,6 +75,13 @@ class TestCarriers:
             else:
                 check(m)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e155])
+    @pytest.mark.filterwarnings("error")
+    def test_unitary_refuses_an_overflowing_gram(self, scale):
+        # finite entries whose m^dag m overflows: its diagonal reads NaN, which "dev > ATOL" let pass
+        with pytest.raises(mk.InvariantViolation, match="not unitary: max deviation nan"):
+            mk.UnitaryOp(scale * (1 + 1j) * np.eye(2))
+
     def test_unitary_check_of_an_empty_matrix(self):
         # as with the identity formula, the max over no entries is a ValueError
         with pytest.raises(ValueError):

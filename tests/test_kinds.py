@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mereokit as mk
-from mereokit.kinds import TpsVerdict, check_spectral_hypotheses
+from mereokit.kinds import TpsVerdict, _amplitudes_differ, check_spectral_hypotheses
 from mereokit.models import SIGMA
 
 from conftest import nondegenerate_instance
@@ -53,6 +53,16 @@ class TestPairMembership:
         spec = mk.PairKindSpec(np.array([-1.0, 1.0]), [0.25, 0.75])  # stored as float tuples
         assert spec.spectrum == (-1.0, 1.0) and spec.weights == (0.25, 0.75)
         assert all(type(x) is float for x in spec.spectrum + spec.weights)
+
+    def test_spec_refuses_nan(self):
+        # NaN passed every "b < a", "x < 0" and "dev > tol" check: this spectrum read as three
+        # eigenspaces, and pair_membership took diag(0, 1, 2, 3) with weights (0.4, 0.3, 0.2, 0.1)
+        # into its class
+        with pytest.raises(mk.InvariantViolation, match="ascending"):
+            mk.PairKindSpec((0.0, 1.0, 2.0, np.nan), (0.4, 0.3, 0.3))
+        with pytest.raises(mk.InvariantViolation, match="non-negative"):
+            mk.PairKindSpec((-1.0, 1.0), (np.nan, 1.0))
+        assert _amplitudes_differ(np.array([np.nan, 0.0]), np.zeros(2), 1e-8)
 
 
 class TestPairOrbitWitness:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mereokit as mk
-from mereokit.basis import weight_tensor
+from mereokit.basis import weight_masses, weight_tensor
 from mereokit.locality import LOCALITY_RTOL, k_local_residual
 from mereokit.models import SIGMA
 
@@ -90,6 +90,16 @@ class TestLocalityReport:
         obj = rep.to_json()
         assert obj["min_k"] == 2 and len(obj["weights"]) == 4
 
+    @pytest.mark.parametrize("factors", [(2, 3, 4), (2,) * 7])
+    def test_weights_are_the_read_only_masses(self, factors):
+        dims = mk.Dims(factors)
+        rng = mk.stream(406)
+        H, T = random_hermitian(dims.total, rng), mk.random_tps(dims, rng)
+        w = mk.locality_report(H, T).weights
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 0.0
+        assert w.tobytes() == weight_masses(mk.decompose(H, T), dims.factors).tobytes()
+
 
 def shifted(H, c, s=1.0):
     return mk.HermitianOp(s * H.mat + c * np.eye(H.dim))
@@ -106,12 +116,12 @@ class TestOneResidual:
         T = mk.canonical(dims222)
         rep = mk.locality_report(H, T)
         assert rep.min_k == 2
-        assert rep.profile.w[1:] == pytest.approx([24.0, 16.0, 0.0], abs=1e-6)
+        assert rep.weights[1:] == pytest.approx([24.0, 16.0, 0.0], abs=1e-6)
         assert not mk.is_k_local(H, T, 1)
         assert mk.is_k_local(H, T, 2)
         J = mk.objective(H, mk.UnitaryOp(np.eye(8)), 1, dims222)
         assert J == pytest.approx(0.4, rel=1e-9)
-        assert J == pytest.approx(k_local_residual(rep.profile.w, 1), rel=1e-9)
+        assert J == pytest.approx(k_local_residual(rep.weights, 1), rel=1e-9)
 
     def test_min_k_agrees_with_is_k_local(self, dims222):
         # masses 1, 6e-4, 6e-4 in sectors 1..3: every single sector is below tol,
@@ -120,7 +130,7 @@ class TestOneResidual:
         c = np.zeros(w.shape)
         for k, mass in ((1, 1.0), (2, 6e-4), (3, 6e-4)):
             c[tuple(np.argwhere(w == k)[0])] = np.sqrt(mass)
-        H = mk.reconstruct(mk.Decomposition(dims222, c))
+        H = mk.HermitianOp(mk.matrix_from_coeffs(c, dims222))
         T = mk.canonical(dims222)
         assert mk.locality_report(H, T, 1e-3).min_k == 2
         assert not mk.is_k_local(H, T, 1, 1e-3)
@@ -181,8 +191,8 @@ class TestOneResidual:
         rep = mk.locality_report(moved, T)
         assert rep.min_k == K
         slack = np.sqrt(dims.total) * np.finfo(float).eps * abs(c)
-        want = np.sqrt(mk.locality_report(H, T).profile.w[1:])
-        assert np.sqrt(rep.profile.w[1:]) == pytest.approx(want, rel=1e-6, abs=slack)
+        want = np.sqrt(mk.locality_report(H, T).weights[1:])
+        assert np.sqrt(rep.weights[1:]) == pytest.approx(want, rel=1e-6, abs=slack)
         for k in range(1, dims.n + 1):
             J = mk.objective(moved, T.iso, k, dims)
             assert mk.is_k_local(moved, T, k, tol) == (J <= tol)
@@ -215,10 +225,10 @@ class TestConjugationCovariance:
     @staticmethod
     def assert_covariant(H, T, U, tol=LOCALITY_RTOL):
         # the profiles of (H, T) and (U H U^dag, U T) agree entrywise
-        p1 = mk.weight_profile(mk.decompose(H, T))
+        p1 = mk.locality_report(H, T).weights
         HU = mk.HermitianOp(U.mat @ H.mat @ U.mat.conj().T)
-        p2 = mk.weight_profile(mk.decompose(HU, mk.act(U, T)))
-        assert np.abs(p1.w - p2.w).max() <= tol * (1.0 + hs_norm_sq(H))
+        p2 = mk.locality_report(HU, mk.act(U, T)).weights
+        assert np.abs(p1 - p2).max() <= tol * (1.0 + hs_norm_sq(H))
 
     def test_identity_unitary(self, dims22):
         H = random_hermitian(4, mk.stream(403))
@@ -387,7 +397,7 @@ def entropy_allowed(H, T, t):
     of H, e^{-itH} stays within t |N| <= t sqrt(r) |H - tr H / D|_F of the product state
     e^{-it(H - N)} probe (r the 1-local residual), so the marginal's top eigenvalue is at least
     1 - p, p = (that distance)^2, and its entropy at most h(p) + p ln(d - 1)."""
-    r = k_local_residual(mk.weight_profile(mk.decompose(H, T)).w, 1)
+    r = k_local_residual(mk.locality_report(H, T).weights, 1)
     dist = t * np.sqrt(r) * np.linalg.norm(H.mat - np.trace(H.mat) / H.dim * np.eye(H.dim))
     d = max(T.dims.factors)
     p = min(dist**2, (d - 1) / d)

@@ -85,8 +85,8 @@ class TestDualTps:
     def test_ising_two_local_in_dual(self, n):
         H = mk.ising_chain(mk.IsingParams(n, 1.0, 1.0))
         T = mk.jw_dual_tps(n)
-        prof = mk.weight_profile(mk.decompose(H, T))
-        assert prof.w[3:].sum() < 1e-9 * hs_norm_sq(H)
+        w = mk.locality_report(H, T).weights
+        assert w[3:].sum() < 1e-9 * hs_norm_sq(H)
         assert mk.is_k_local(H, T, 2)
 
     def test_transformed_chain_is_dual_chain(self):
@@ -127,8 +127,7 @@ class TestDualTps:
 class TestRandomKlocal:
     def test_full_k_is_dense(self, dims222):
         H = mk.random_klocal(dims222, 3, mk.stream(701))
-        prof = mk.weight_profile(mk.decompose(H, mk.canonical(dims222)))
-        assert prof.w[3] > 0
+        assert mk.locality_report(H, mk.canonical(dims222)).weights[3] > 0
 
     def test_one_local_no_witness(self, dims22):
         H = mk.random_klocal(dims22, 1, mk.stream(702))
@@ -139,9 +138,9 @@ class TestRandomKlocal:
 
     def test_profile_vanishes_above_k(self, dims222):
         H = mk.random_klocal(dims222, 2, mk.stream(703))
-        dec = mk.decompose(H, mk.canonical(dims222))
+        coeffs = mk.decompose(H, mk.canonical(dims222))
         w = weight_tensor(dims222.factors)
-        assert np.abs(dec.coeffs[w > 2]).max() < 1e-12
+        assert np.abs(coeffs[w > 2]).max() < 1e-12
 
     def test_traceless(self, dims222):
         H = mk.random_klocal(dims222, 2, mk.stream(704))
