@@ -31,7 +31,7 @@ class NoWitnessError(MereokitError):
 
 
 class ScaleOutOfRange(MereokitError, ArithmeticError):
-    """A nonzero operator's weight masses overflow, all underflow to 0, or fall subnormal in float64."""
+    """An operator's spectrum, or its nonzero weight masses, overflow, all underflow or fall subnormal in float64."""
 
 
 class ObjectiveUndefined(MereokitError, ValueError):

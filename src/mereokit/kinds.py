@@ -111,12 +111,12 @@ def check_spectral_hypotheses(
 ) -> Optional[np.ndarray]:
     """Eigenbasis amplitudes of ``psi``, once H has a simple spectrum and psi full support.
 
-    Raises HypothesisViolation ``degenerate_spectrum`` (some gap <= DEGENERACY_GAP), then
-    DimensionMismatch or ``zero_projection`` (some amplitude <= SUPPORT_MIN) for a state.
+    Raises HypothesisViolation ``degenerate_spectrum`` (some gap not above DEGENERACY_GAP), then
+    DimensionMismatch or ``zero_projection`` (some amplitude not above SUPPORT_MIN) for a state.
     """
     lam = H.eig[0]
     gap = float(np.diff(lam).min()) if len(lam) > 1 else np.inf
-    if gap <= DEGENERACY_GAP:
+    if not gap > DEGENERACY_GAP:
         raise HypothesisViolation(
             "degenerate_spectrum", f"eigenvalue gap {gap:.3e} below {DEGENERACY_GAP:.0e}"
         )
@@ -124,7 +124,7 @@ def check_spectral_hypotheses(
         return None
     c = _amplitudes(H, psi)
     k = int(np.abs(c).argmin())
-    if abs(c[k]) <= SUPPORT_MIN:
+    if not abs(c[k]) > SUPPORT_MIN:
         raise HypothesisViolation(
             "zero_projection",
             f"state overlap {abs(c[k]):.3e} with eigenvector {k} below {SUPPORT_MIN:.0e}",

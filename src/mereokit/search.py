@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .hilbert import Dims, HermitianOp, UnitaryOp, _tol
+from .hilbert import Dims, HermitianOp, UnitaryOp, _marginals, _tol
 from .basis import _contract, coeff_tensor, matrix_from_coeffs, weight_masses, weight_tensor
 from .locality import _masses, is_k_local, k_local_residual
 from .tps import Tps
@@ -88,7 +88,7 @@ def _spectral_point(x: np.ndarray, c: np.ndarray, mask: np.ndarray, lam: np.ndar
 def _supports(factors: tuple[int, ...], K: int):
     """The K-site supports S, grouped by their factor dims, and the index maps of their expansions.
 
-    Each group is (dims of S, one axis order per support that puts S first). Stacked group by
+    Each group is (dims of S, the supports with those dims). Stacked group by
     group, the supports' expansions have one column per local multi-index; ``cols`` picks the
     column each mask coefficient is read from, in mask order, and ``scales`` its factor
     prod_{m not in S} d_m^-1/2. A coefficient of weight below K lies in several supports and is
@@ -101,7 +101,7 @@ def _supports(factors: tuple[int, ...], K: int):
     by_dims: dict[tuple[int, ...], list] = {}
     for S in combinations(range(n), K):
         by_dims.setdefault(tuple(factors[i] for i in S), []).append(S)
-    groups, cols, scales, offset = [], np.full(P, -1), np.empty(P), 0
+    cols, scales, offset = np.full(P, -1), np.empty(P), 0
     for fS, supports in by_dims.items():
         local = np.indices(tuple(d * d for d in fS)).reshape(K, -1)
         for S in supports:
@@ -112,36 +112,29 @@ def _supports(factors: tuple[int, ...], K: int):
             cols[a[new]] = offset + np.flatnonzero(new)
             scales[a[new]] = math.sqrt(math.prod(fS) / math.prod(factors))
             offset += local.shape[1]
-        axes = tuple((0,) + tuple(1 + i for i in S) + tuple(1 + i for i in range(n) if i not in S)
-                     for S in supports)
-        groups.append((fS, axes))
     cols.setflags(write=False)  # cached, so shared by every caller
     scales.setflags(write=False)
-    return tuple(groups), cols, scales
+    return tuple((fS, tuple(supports)) for fS, supports in by_dims.items()), cols, scales
 
 
 def _spectral_jacobian(W: np.ndarray, dims: Dims, K: int) -> np.ndarray:
     """J[k, a] = <w_k|B_a|w_k> over the weight-1..K coefficients a, in mask order.
 
-    Per K-site support S, one batched matmul gives the reduced density matrices rho_S of every
-    eigenvector w_k, and the Gell-Mann site maps expand those of a group at once:
+    Per dims group of K-site supports S, one ``_marginals`` call gives the reduced density
+    matrices rho_S of every eigenvector w_k, and the Gell-Mann site maps expand them at once:
     <w_k|B_a|w_k> is tr(b_a rho_S) prod_{m not in S} d_m^-1/2, B_a = b_a on S and I / sqrt(d_m)
     off it. The cost is D^2 prod(d_S) per support, not the D^3 sum(d_i^2) of D projectors."""
     f, D = dims.factors, dims.total
     groups, cols, scales = _supports(f, K)
     psi = W.T.reshape((D,) + f)  # psi[k] is w_k as a tensor
     blocks = []
-    for fS, axes in groups:
-        dS = math.prod(fS)
-        rho = np.empty((len(axes), D, dS, dS), dtype=complex)
-        for s, ax in enumerate(axes):
-            A = psi.transpose(ax).reshape(D, dS, -1)
-            np.matmul(A, A.conj().transpose(0, 2, 1), out=rho[s])
+    for fS, supports in groups:
+        rho = _marginals(psi, supports)
         # (row, col) axes site by site with the batch axis last; _contract rotates it to the front
         t = rho.reshape((-1,) + fS + fS).transpose([a for i in range(K) for a in (1 + i, 1 + K + i)] + [0])
-        c = _contract(t, fS, adjoint=False).reshape(len(axes), D, -1)
+        c = _contract(t, fS, adjoint=False).reshape(len(supports), D, -1)
         blocks.append(c.transpose(1, 0, 2).reshape(D, -1))
-    return np.concatenate(blocks, axis=1)[:, cols].real * scales
+    return np.concatenate(blocks, axis=1).real.take(cols, axis=1) * scales
 
 
 def _levenberg_marquardt(x: np.ndarray, c: np.ndarray, mask: np.ndarray, lam: np.ndarray,

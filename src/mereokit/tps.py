@@ -1,13 +1,13 @@
 """Tensor product structures and the decision procedure for their equivalence.
 
-A ``Tps`` holds one representative isomorphism from the abstract space onto
-the canonical product space, as a D x D unitary in the canonical basis. Two
-representatives describe the same structure when they differ by single-site
-unitaries and permutations of equal-dimension factors; ``equivalent``
-decides this from the operator Schmidt spectra (Gram eigenvalues) of every
-(output slot, input factor) pair, which pin the permutation, and one Kronecker residual
-of the matched Grams' top eigenvectors (the rearrangement view of Van Loan and Pitsianis,
-1993), as ``is_product_operator`` does; neither takes an SVD.
+A ``Tps`` holds one representative isomorphism from the abstract space onto the canonical
+product space, as a D x D unitary in the canonical basis. Two representatives describe the same
+structure when they differ by single-site unitaries and permutations of equal-dimension factors;
+``equivalent`` decides this from the operator Schmidt spectra (Gram eigenvalues) of every (output
+slot, input factor) pair, which pin the permutation, and one Kronecker residual of the matched
+Grams' top eigenvectors (the rearrangement view of Van Loan and Pitsianis, 1993), as
+``is_product_operator`` does; neither takes an SVD. Read as one state on factors + factors, W's
+realignment Gram across (slot j, factor i) is its ``hilbert._marginals`` on (j, n + i).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
 from .hilbert import Dims, HermitianOp, StateVec, UnitaryOp, _mat, _vec, haar_state, haar_unitary
-from .hilbert import _from_pairs, _scaled, _to_pairs, _unit, kron_all, site_entropies
+from .hilbert import _from_pairs, _marginals, _scaled, _to_pairs, _unit, kron_all, site_entropies
 
 PRODUCT_RTOL = 1e-8  # a product fit zP is accepted iff ||zP - W||_F <= c PRODUCT_RTOL ||W||_F, c = 2
 ENTANGLED_RATIO = 1e-6  # a factor whose least slot Gram ratio lam_2 / lam_1 exceeds this is entangled
@@ -100,33 +100,6 @@ def perm_matrix(factors: tuple[int, ...], sigma: tuple[int, ...]) -> np.ndarray:
     return np.eye(int(np.prod(factors)))[_perm_index(tuple(factors), tuple(sigma))]
 
 
-@lru_cache
-def _realign_order(n: int, i: int, j: int) -> tuple[int, ...]:
-    """Axis order of ``_single_factor_realign`` on n factors across slot j, factor i."""
-    return (j, n + i) + tuple(a for a in range(n) if a != j) + tuple(n + a for a in range(n) if a != i)
-
-
-def _single_factor_realign(mat: np.ndarray, factors: tuple[int, ...], i: int, j=None, out=None) -> np.ndarray:
-    """(d_i^2, (D/d_i)^2) realignment of a D x D operator across slot j (default i), factor i; into ``out`` if given."""
-    t = np.transpose(mat.reshape(factors + factors), _realign_order(len(factors), i, i if j is None else j))
-    if out is None:
-        return t.reshape(factors[i] ** 2, -1)
-    out.reshape(t.shape)[...] = t
-    return out
-
-
-def _slot_grams(mat: np.ndarray, factors: tuple[int, ...], i: int, slots, bufs: dict) -> np.ndarray:
-    """Grams R R^dag, stacked over ``slots``, of mat's realignments R across (slot j, factor i); R and
-    its conjugate go to buffers kept in ``bufs`` by d_i, so no later call allocates them afresh."""
-    d = factors[i]
-    if d not in bufs:
-        bufs[d] = np.empty((2, len(slots), d * d, mat.size // (d * d)), complex)
-    R, Rc = bufs[d]
-    for k, j in enumerate(slots):
-        _single_factor_realign(mat, factors, i, j, R[k])
-    return R @ np.conjugate(R, out=Rc).swapaxes(-1, -2)
-
-
 def _product_certificate(grams, mat: np.ndarray, dims: Dims, permutation, exp: int = 0):
     """Certificate that 2^exp mat (nonzero) is z P, P the kron of the sqrt(d_i) v_i, v_i the top
     eigenvector of grams[i] (one ``eigh`` per factor dimension) as a d_i x d_i matrix, z = <P, mat> /
@@ -155,9 +128,9 @@ def is_product_operator(W, dims: Dims) -> Optional[ProductOpCertificate]:
         raise DimensionMismatch(f"operator shape {mat.shape} != dim {dims.total}")
     if not mat.any():
         return None
-    bufs = {}
-    grams = [_slot_grams(mat, dims.factors, i, [i], bufs)[0] for i in range(dims.n)]
-    return _product_certificate(grams, mat, dims, range(dims.n), exp)
+    t, n, bufs = mat.reshape((1,) + dims.factors * 2), dims.n, {}  # a state on factors + factors
+    grams = [_marginals(t, ((i, n + i),), bufs)[0, 0] for i in range(n)]
+    return _product_certificate(grams, mat, dims, range(n), exp)
 
 
 def equivalent(T1: Tps, T2: Tps) -> bool:
@@ -178,12 +151,12 @@ def _equivalence_certificate(T1: Tps, T2: Tps) -> Optional[ProductOpCertificate]
     ends it with None at once, as any product's residual is then above 1e-3 / d_i >> 2 PRODUCT_RTOL."""
     if T1.dims != T2.dims:
         raise DimensionMismatch(f"factor dimensions differ: {T1.dims} vs {T2.dims}")
-    f = T1.dims.factors
+    f, n = T1.dims.factors, T1.dims.n
     W = T1.iso.mat @ T2.iso.mat.conj().T
-    sigma, grams, bufs = [], [], {}
+    t, sigma, grams, bufs = W.reshape((1,) + f * 2), [], [], {}
     for i, d in enumerate(f):
-        slots = [j for j in range(len(f)) if f[j] == d]
-        G = _slot_grams(W, f, i, slots, bufs)
+        slots = [j for j in range(n) if f[j] == d]
+        G = _marginals(t, tuple((j, n + i) for j in slots), bufs)[:, 0]
         lam = np.linalg.eigvalsh(G)  # squared singular values
         ratios = lam[:, -2] / lam[:, -1]
         k = int(np.argmin(ratios))

@@ -66,19 +66,38 @@ def hs_norm_sq(a) -> float:
     return float(np.vdot(A, A).real)
 
 
-def partial_trace(rho: DensityOp, dims: Dims, keep: int) -> DensityOp:
-    """Trace out all factors except ``keep`` (0-based)."""
+def partial_trace(rho: DensityOp, dims: Dims, keep) -> DensityOp:
+    """Trace out all factors except ``keep`` (0-based): one factor, or a sequence of distinct
+    factors whose order is the order of the kept factors in the result."""
     m = rho.mat
     if m.shape[0] != dims.total:
         raise DimensionMismatch(f"operator dim {m.shape[0]} != product dim {dims.total}")
     n = dims.n
-    if not (0 <= keep < n):
-        raise DimensionMismatch(f"factor index {keep} out of range for n={n}")
+    keep = (keep,) if isinstance(keep, (int, np.integer)) else tuple(keep)
+    for i in keep:
+        if not (0 <= i < n):
+            raise DimensionMismatch(f"factor index {i} out of range for n={n}")
     row = list(ascii_lowercase[:n])
     col = list(row)
-    col[keep] = ascii_lowercase[n]
-    sub = "".join(row) + "".join(col) + "->" + row[keep] + col[keep]
-    return DensityOp(np.einsum(sub, m.reshape(dims.factors + dims.factors)))
+    for i in keep:
+        col[i] = ascii_lowercase[n + i]
+    sub = "".join(row) + "".join(col) + "->" + "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
+    d = math.prod(dims.factors[i] for i in keep)
+    return DensityOp(np.einsum(sub, m.reshape(dims.factors + dims.factors)).reshape(d, d))
+
+
+def realign(W, factors, i, j=None) -> np.ndarray:
+    """(d_i^2, (D / d_i)^2) realignment of a D x D operator across slot j (default i), factor i: W
+    as a tensor on factors + factors with the axes (j, n + i) first, then the other slots and the
+    other factors in order. Its singular values are W's operator-Schmidt coefficients across the cut."""
+    n, j = len(factors), i if j is None else j
+    order = [j, n + i] + [a for a in range(n) if a != j] + [n + a for a in range(n) if a != i]
+    return np.transpose(np.reshape(W, factors + factors), order).reshape(factors[i] ** 2, -1)
+
+
+def realigned_singular_values(W, factors, i, j=None) -> np.ndarray:
+    """Singular values of ``realign(W, factors, i, j)``, descending: the SVD oracle of the slot Grams."""
+    return np.linalg.svd(realign(W, factors, i, j), compute_uv=False)
 
 
 def vn_entropy(rho: DensityOp) -> float:

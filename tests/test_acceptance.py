@@ -16,9 +16,8 @@ from mereokit.basis import coeff_tensor, weight_tensor
 from mereokit.cli import main as cli_main
 from mereokit.kinds import TpsVerdict
 from mereokit.search import _spectral_jacobian, _spectral_point
-from mereokit.tps import _single_factor_realign
 
-from conftest import hs_norm_sq, nondegenerate_instance, random_hermitian
+from conftest import hs_norm_sq, nondegenerate_instance, random_hermitian, realigned_singular_values
 
 
 def report(num, ok, detail):
@@ -123,11 +122,7 @@ def test_criterion_5_product_detector():
     cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
     dims22 = mk.Dims((2, 2))
     rejected = mk.is_product_operator(cnot, dims22) is None
-    min_second = min(
-        np.linalg.svd(_single_factor_realign(cnot, (2, 2), i), compute_uv=False)[1]
-        / np.linalg.svd(_single_factor_realign(cnot, (2, 2), i), compute_uv=False)[0]
-        for i in range(2)
-    )
+    min_second = min(s[1] / s[0] for s in (realigned_singular_values(cnot, (2, 2), i) for i in range(2)))
     for k in range(100):
         factors = (2, 2) if k % 2 else (2, 2, 2)
         dims = mk.Dims(factors)
@@ -135,11 +130,7 @@ def test_criterion_5_product_detector():
         if mk.is_product_operator(W, dims) is not None:
             rejected = False
             break
-        second = min(
-            np.linalg.svd(_single_factor_realign(W, factors, i), compute_uv=False)[1]
-            / np.linalg.svd(_single_factor_realign(W, factors, i), compute_uv=False)[0]
-            for i in range(len(factors))
-        )
+        second = min(s[1] / s[0] for s in (realigned_singular_values(W, factors, i) for i in range(len(factors))))
         min_second = min(min_second, second)
     report(5, certified == 100 and worst_residual < 1e-8 and rejected and min_second > 1e-3,
            f"100/100 products certified (worst residual {worst_residual:.2e}); CNOT and 100 Haar "

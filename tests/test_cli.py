@@ -72,6 +72,19 @@ class TestProfile:
 
 
 class TestOrbit:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_spectrum_beyond_float64_exits_with_one_error(self, tmp_path, capsys):
+        # finite entries up to 1.5e308 whose spectrum overflows: RuntimeWarnings, then "bin 0.0001
+        # is too small", once; now HermitianOp.eig refuses it as ScaleOutOfRange
+        A = mk.stream(3).standard_normal((4, 4)) + 1j * mk.stream(4).standard_normal((4, 4))
+        H = (A + A.conj().T) / 2
+        save_matrix_file(str(tmp_path / "big.json"), H / np.abs(H.view(float)).max() * 1.5e308, mk.Dims((2, 2)))
+        cfg = write_config(tmp_path, "c.json", {"file": str(tmp_path / "big.json"), "site": 0, "grid": {"points": 16}})
+        assert run_cli(["orbit", "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: spectrum leaves float64 at scale 1.5e+308\n"
+        assert list(tmp_path.glob("out*")) == []
+
     def test_xx_orbit(self, tmp_path):
         cfg = write_config(
             tmp_path, "c.json",

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from functools import reduce
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mereokit as mk
-from mereokit.hilbert import ATOL, _check_unitary, _entropy_of_probs, _from_pairs, _to_pairs, _unit
+from mereokit.hilbert import ATOL, _check_unitary, _entropy_of_probs, _from_pairs, _marginals, _to_pairs, _unit
+from mereokit.kinds import check_spectral_hypotheses
 from mereokit.models import SIGMA
 
 from conftest import DensityOp, partial_trace, per_factor_haar, random_hermitian, vn_entropy
@@ -57,6 +59,27 @@ class TestCarriers:
     def test_hermitian_rejects_nonhermitian(self):
         with pytest.raises(mk.InvariantViolation):
             mk.HermitianOp(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_hermitian_refuses_an_entry_beyond_float64(self):
+        # |H_01| overflows to inf, so the deviation and its bound ATOL (1 + max |H_ij|) both read
+        # inf unless compared on the scaled matrix, and inf <= inf held
+        with pytest.raises(mk.InvariantViolation, match="not Hermitian: max deviation inf"):
+            mk.HermitianOp(np.array([[0, 1.5e308 + 1.5e308j], [0, 0]]))
+
+    @pytest.mark.parametrize("scale", [1e-320, 1e-300, 1e-150, 1e-12, 1.0, 1e12, 1e150, 1e300, 5e306, 1.5e307])
+    @pytest.mark.parametrize("ratio", [0.0, 0.5, 0.99, 1.01, 2.0])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_hermitian_verdict_as_the_unscaled_bound(self, scale, ratio):
+        # the comparison, scaled from 2^1020 up, is exact: where |H_ij| fits, dev <= ATOL (1 + max |H_ij|) decides
+        m = scale * random_hermitian(3, mk.stream(41)).mat
+        m[0, 1] += ratio * ATOL * (1.0 + np.abs(m).max())
+        want = np.abs(m - m.conj().T).max() <= ATOL * (1.0 + np.abs(m).max())
+        if want:
+            mk.HermitianOp(m)
+        else:
+            with pytest.raises(mk.InvariantViolation, match="not Hermitian"):
+                mk.HermitianOp(m)
 
     def test_unitary_rejects_nonunitary(self):
         with pytest.raises(mk.InvariantViolation):
@@ -188,6 +211,21 @@ class TestEig:
             scale = np.abs(H.mat).max()
             assert np.abs(rebuilt - H.mat).max() < 1e-9 * (1 + scale)
             assert np.all(np.diff(lam) >= 0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_spectrum_beyond_float64_refused(self):
+        # finite entries, eigenvalues (2.8e292, 4.4e292, inf, inf): the gap read NaN after a
+        # RuntimeWarning, and the spectrum passed the hypotheses as simple; and a Hermitian H whose
+        # off-diagonal moduli overflow
+        z = 1.5e308 + 1.5e308j
+        for H, scale in [
+            (np.kron(np.diag([1e308, 0.95e308]), np.ones((2, 2))) + np.diag([1e292] * 2 + [3e292] * 2), "1.0e\\+308"),
+            (np.array([[0, z], [np.conj(z), 0]]), "1.5e\\+308"),
+        ]:
+            H = mk.HermitianOp(H)
+            for read in (lambda: H.eig, lambda: check_spectral_hypotheses(H)):
+                with pytest.raises(mk.ScaleOutOfRange, match=f"spectrum leaves float64 at scale {scale}"):
+                    read()
 
     def test_cached_and_read_only(self):
         H = random_hermitian(4, mk.stream(105))
@@ -397,6 +435,42 @@ class TestStackedSiteEntropies:
         sites = tuple(int(i) for i in rng.permutation(dims.n)[: rng.integers(dims.n + 1)]) if subset else None
         got = mk.site_entropies(psi, dims, sites)
         assert np.array_equal(got, per_site_entropies(psi, dims, sites))
+
+
+class TestMarginals:
+    """``_marginals``, the one kernel of support-first Grams, against the density-matrix oracle."""
+
+    @st.composite
+    def cases(draw):
+        factors = draw(st.sampled_from([(2, 2), (2, 3), (2, 2, 2), (2, 3, 2), (4, 2, 3), (3, 3, 3), (2, 2, 2, 2)]))
+        n = len(factors)
+        first = draw(st.permutations(range(n)))[: draw(st.integers(1, min(3, n)))]
+        same = [S for S in itertools.permutations(range(n), len(first))
+                if [factors[i] for i in S] == [factors[i] for i in first]]
+        supports = draw(st.lists(st.sampled_from(same), min_size=1, max_size=4))
+        return factors, tuple(supports), draw(st.sampled_from([0, 1, 5, 128])), draw(st.integers(0, 2**16))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(case=cases())
+    def test_reduced_density_matrices(self, case):
+        factors, supports, batch, seed = case
+        dims = mk.Dims(factors)
+        rng = mk.stream(seed)
+        z = rng.standard_normal((batch, dims.total)) + 1j * rng.standard_normal((batch, dims.total))
+        psi = z / np.linalg.norm(z, axis=-1, keepdims=True)
+        dS = math.prod(factors[i] for i in supports[0])
+        t, bufs = psi.reshape((batch,) + factors), {}
+        got = _marginals(t, supports, bufs)
+        assert got.shape == (len(supports), batch, dS, dS) and len(bufs) == 1
+        # a batch of 128 takes the supports a few per pass, with the same bits as one per call
+        assert np.array_equal(got, np.concatenate([_marginals(t, (S,)) for S in supports]))
+        for s, S in enumerate(supports):
+            for b in range(batch):
+                want = partial_trace(DensityOp(np.outer(psi[b], psi[b].conj())), dims, S).mat
+                assert np.abs(got[s, b] - want).max() <= 1e-13
+        # the kept buffers are reused and give the same bits
+        again = _marginals(t, supports, bufs)
+        assert np.array_equal(again, got) and len(bufs) == 1
 
 
 class TestKronAll:

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -343,6 +345,18 @@ class TestTolerances:
         for name in ("pair_orbit_witness", "gram_orbit_witness"):
             with pytest.raises(mk.NoWitnessError):
                 unrelated[name](mk.kinds.WITNESS_TOL)
+
+    @pytest.mark.parametrize("lam,V,reason", [
+        ([0.0, np.nan], np.eye(2), "degenerate_spectrum"),
+        ([0.0, 1.0], [[1.0, 0.0], [0.0, np.nan]], "zero_projection"),
+    ])
+    def test_hypotheses_refuse_nan(self, lam, V, reason):
+        # a stand-in eigendecomposition (HermitianOp.eig refuses a non-finite one): a NaN gap or
+        # amplitude fails "not x > bound", where "x <= bound" let it pass
+        H = SimpleNamespace(dim=2, eig=(np.array(lam), np.array(V, dtype=complex)))
+        with pytest.raises(mk.HypothesisViolation) as e:
+            check_spectral_hypotheses(H, mk.StateVec(np.array([0.6, 0.8], dtype=complex)))
+        assert e.value.reason == reason
 
     def test_empty_families_refused(self):
         # they raised numpy's "need at least one array to stack"

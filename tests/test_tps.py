@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 import mereokit as mk
 from mereokit import tps
 from mereokit.models import SIGMA
-from mereokit.tps import PRODUCT_RTOL, _equivalence_certificate, _perm_index, _single_factor_realign
+from mereokit.hilbert import _marginals
+from mereokit.tps import PRODUCT_RTOL, _equivalence_certificate, _perm_index
 
-from conftest import random_hermitian
+from conftest import random_hermitian, realign, realigned_singular_values
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -62,7 +63,7 @@ def svd_product_operator(W, dims):
     left singular vectors, times the fitted phase, within 10 PRODUCT_RTOL (1 + max|W|) of W."""
     factors, ratios = [], []
     for i, d in enumerate(dims.factors):
-        U, s, _ = np.linalg.svd(_single_factor_realign(W, dims.factors, i), full_matrices=False)
+        U, s, _ = np.linalg.svd(realign(W, dims.factors, i), full_matrices=False)
         ratios.append(s[1] / s[0])
         factors.append(U[:, 0].reshape(d, d) * np.sqrt(d))
     prod = mk.kron_all(factors)
@@ -79,7 +80,7 @@ def svd_slot_equivalent(T1, T2):
     sigma = []
     for i, d in enumerate(f):
         slots = [j for j in range(len(f)) if f[j] == d]
-        svs = [np.linalg.svd(_single_factor_realign(W, f, i, j), compute_uv=False) for j in slots]
+        svs = [realigned_singular_values(W, f, i, j) for j in slots]
         sigma.append(slots[int(np.argmin([s[1] / s[0] for s in svs]))])
     if len(set(sigma)) != len(f):
         return (False, None), None
@@ -144,7 +145,7 @@ class TestProductOperator:
     def test_cnot_rejected(self, dims22):
         assert mk.is_product_operator(CNOT, dims22) is None
         # the realigned CNOT has singular values (sqrt2, sqrt2, 0, 0)
-        s = np.linalg.svd(_single_factor_realign(CNOT, (2, 2), 0), compute_uv=False)
+        s = realigned_singular_values(CNOT, (2, 2), 0)
         assert np.allclose(s[:2], np.sqrt(2))
         assert s[1] / s[0] > 1e-3
 
@@ -248,14 +249,16 @@ class TestEquivalent:
 
     @pytest.mark.parametrize("factors", [(2, 3, 2), (2, 2), (3, 2, 2, 2)])
     def test_realignment_as_the_uncached_axis_order(self, factors):
+        # W read as one state on factors + factors: its marginal on (j, n + i) is R R^dag, bit for
+        # bit, R the realignment across (slot j, factor i) by the explicit axis order
         n = len(factors)
         W = random_hermitian(int(np.prod(factors)), mk.stream(311)).mat
+        t = W.reshape((1,) + factors * 2)
         for i, j in itertools.product(range(n), repeat=2):
             if factors[i] != factors[j]:
                 continue
-            order = [j, n + i] + [a for a in range(n) if a != j] + [n + a for a in range(n) if a != i]
-            want = np.transpose(W.reshape(factors + factors), order).reshape(factors[i] ** 2, -1)
-            assert np.array_equal(_single_factor_realign(W, factors, i, j), want)
+            R = realign(W, factors, i, j)
+            assert np.array_equal(_marginals(t, ((j, n + i),))[0, 0], R @ R.conj().T)
 
     def test_certificate_reassembles(self, dims22):
         rng = mk.stream(310)
