@@ -129,11 +129,12 @@ class HermitianOp:
     mat: np.ndarray
 
     def __post_init__(self):
-        # dev <= ATOL (1 + max |H_ij|), on H / 2^e (exact) once |H_ij| nears overflow: no inf <= inf passes
+        # dev <= ATOL (1 + max |H_ij|), on H / 2^e (exact) from 2^1023 up, where inf <= inf could pass
         m = _square(self.mat)
-        s, e = _scaled(m) if np.abs(m.view(float)).max(initial=0.0) >= 2.0 ** 1020 else (m, 0)
+        top = np.abs(m).max(initial=0.0)
+        s, e = (m, 0) if top < 2.0 ** 1023 else _scaled(m)
         dev = np.abs(s - s.conj().T).max()
-        if not dev <= ATOL * (math.ldexp(1.0, -int(e)) + np.abs(s).max()):
+        if not dev <= ATOL * ((1.0 + top) if e == 0 else (math.ldexp(1.0, -int(e)) + np.abs(s).max())):
             with np.errstate(over="ignore"):  # the deviation reported may be inf
                 raise InvariantViolation(f"not Hermitian: max deviation {np.ldexp(dev, e):.3e}")
         object.__setattr__(self, "mat", m)
@@ -211,32 +212,29 @@ def _entropy_of_probs(p: np.ndarray) -> np.ndarray:
 
 @lru_cache
 def _support_first(shape: tuple[int, ...], supports: tuple[tuple[int, ...], ...]):
-    """The copy buffer's shape (supports per pass, batch, d_S, D / d_S), and per support S the axis order
-    of states shaped (batch,) + factors with S first, as listed, then the rest in order, and the shape it
-    gives. Cached: recomputed on every call, they made the (2,2,2) search Jacobian 10-25 % slower."""
-    n, dS, size = len(shape) - 1, math.prod(shape[1 + i] for i in supports[0]), math.prod(shape)
-    # small states take all supports in one pass, one conj and one matmul; from 4096 entries, one each
-    per_pass = max(1, min(len(supports), 4096 // max(size, 1)))
+    """The copy buffer's shape (batch, d_S, D / d_S), and per support S the axis order of states shaped
+    (batch,) + factors with S first, as listed, then the rest in order (None if unmoved), and the shape
+    it gives. Cached: recomputed on every call, they made the (2,2,2) search Jacobian 10-25 % slower."""
+    n, dS = len(shape) - 1, math.prod(shape[1 + i] for i in supports[0])
     orders = [(0,) + tuple(1 + i for i in S) + tuple(1 + i for i in range(n) if i not in S) for S in supports]
-    return (per_pass, shape[0], dS, math.prod(shape[1:]) // dS), tuple((o, tuple(shape[a] for a in o)) for o in orders)
+    return (shape[0], dS, math.prod(shape[1:]) // dS), tuple(
+        (None if o == tuple(range(n + 1)) else o, tuple(shape[a] for a in o)) for o in orders)
 
 
 def _marginals(t: np.ndarray, supports: tuple[tuple[int, ...], ...], bufs=None) -> np.ndarray:
     """Grams A A^dag, (len(supports), batch, d_S, d_S), of states t shaped (batch,) + factors, A the
-    support-first copy of t reshaped to (batch, d_S, D / d_S): the reduced density matrices on each
-    support S, all of one factor dims. One copy buffer and its conjugate serve every support, a few per
-    pass; ``bufs``, a dict the caller keeps, holds them by shape across calls."""
+    support-first copy of t (t itself if S leads) reshaped to (batch, d_S, D / d_S): the reduced density
+    matrices on each support S, all of one factor dims. One copy buffer and its conjugate serve every
+    support in turn; ``bufs``, a dict the caller keeps, holds them by shape across calls."""
     shape, layouts = _support_first(t.shape, supports)
-    per_pass, batch, dS, _ = shape
     bufs = {} if bufs is None else bufs
     A, Ac = bufs.get(shape) or bufs.setdefault(shape, (np.empty(shape, complex), np.empty(shape, complex)))
-    out = np.empty((len(layouts), batch, dS, dS), complex)
-    for k in range(0, len(layouts), per_pass):
-        chunk = layouts[k:k + per_pass]
-        a, ac = A[:len(chunk)], Ac[:len(chunk)]
-        for j, (order, moved) in enumerate(chunk):
-            a[j].reshape(moved)[...] = t.transpose(order)
-        np.matmul(a, np.conjugate(a, out=ac).swapaxes(-1, -2), out=out[k:k + len(chunk)])
+    out = np.empty((len(layouts),) + shape[:2] + shape[1:2], complex)
+    for (order, moved), rho in zip(layouts, out):
+        if order is not None:
+            A.reshape(moved)[...] = t.transpose(order)
+        a = A if order is not None else t.reshape(shape)
+        np.matmul(a, np.conjugate(a, out=Ac).swapaxes(-1, -2), out=rho)
     return out
 
 
@@ -256,14 +254,16 @@ def site_entropies(psi, dims: Dims, sites=None) -> np.ndarray:
     if v.shape[-1] != dims.total:
         raise DimensionMismatch(f"state dim {v.shape[-1]} != product dim {dims.total}")
     sites = range(dims.n) if sites is None else tuple(sites)
+    groups = {}
     for k, i in enumerate(sites):
         if not 0 <= i < dims.n:
             raise DimensionMismatch(f"site {i} out of range for n={dims.n}")
         if i in sites[:k]:
             raise DimensionMismatch(f"site {i} repeated in sites {sites}")
+        groups.setdefault(dims.factors[i], []).append(k)  # factor dim -> positions k in sites
     lead = v.shape[:-1]
     out = np.empty(lead + (len(sites),))
-    qubits = [k for k, i in enumerate(sites) if dims.factors[i] == 2]
+    qubits = groups.pop(2, None)
     if qubits:
         p = v.real * v.real + v.imag * v.imag
         a, c, b = (np.empty(lead + (len(qubits),), dtype) for dtype in (float, float, complex))
@@ -279,8 +279,7 @@ def site_entropies(psi, dims: Dims, sites=None) -> np.ndarray:
         hi = (a + c) / 2 + np.sqrt(((a - c) / 2) ** 2 + b2)
         lo = np.divide(a * c - b2, hi, out=np.zeros_like(hi), where=hi > 0.0)
         out[..., qubits] = _entropy_of_probs(np.stack((lo, hi), axis=-1))
-    for d in dict.fromkeys(dims.factors[i] for i in sites if dims.factors[i] != 2):
-        ks = [k for k, i in enumerate(sites) if dims.factors[i] == d]
+    for ks in groups.values():
         rho = _marginals(v.reshape((-1,) + dims.factors), tuple((sites[k],) for k in ks))
         out[..., ks] = _entropy_of_probs(np.linalg.eigvalsh(rho)).T.reshape(lead + (len(ks),))
     return out
