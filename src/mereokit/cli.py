@@ -32,7 +32,7 @@ from .search import SearchConfig
 from .search import search as run_search
 from .errors import HypothesisViolation, MereokitError, NoWitnessError
 from .hilbert import Dims, HermitianOp, StateVec, UnitaryOp, expm_i, haar_state, haar_unitaries, haar_unitary, kron_all
-from .hilbert import _from_pairs, _to_pairs, _unit
+from .hilbert import _eig_soon, _from_pairs, _to_pairs, _unit
 from .rng import stream
 
 EXIT_OK = 0
@@ -280,6 +280,7 @@ def cmd_profile(cfg: dict, out: str | None) -> int:
 def cmd_orbit(cfg: dict, out: str | None) -> int:
     seed = cfg["seed"]
     H, dims = build_model(_model_cfg(cfg), seed)
+    _eig_soon(H)  # read by the grid and the orbit, after the structure's Haar draw
     T = build_tps(cfg.get("tps"), dims, seed, None, H)
     with _field("probe"):
         probe = tps_mod.product_state_in(T, _site_kets(cfg.get("probe"), dims))
@@ -303,6 +304,7 @@ def cmd_orbit(cfg: dict, out: str | None) -> int:
 def cmd_fingerprint(cfg: dict, out: str | None) -> int:
     seed = cfg["seed"]
     H, dims = build_model(_model_cfg(cfg), seed)
+    _eig_soon(H)  # read by the probe set, after the state and the first structure are drawn
     psi = build_state(cfg.get("state"), dims, seed)
     T1 = build_tps(cfg.get("tps1"), dims, seed, None, H)
     T2 = build_tps(cfg.get("tps2"), dims, seed, T1, H, 1)
@@ -343,6 +345,7 @@ def _search_config(sc: dict, seed: int) -> SearchConfig:
 def _kinds_pair(cfg_pair, seed: int, path: int):
     cfg_pair = _typed(f"pair{path + 1}", cfg_pair, dict)
     H, dims = build_model(_model_cfg(cfg_pair), seed, path)
+    _eig_soon(H)  # read by the witness, after the state and a conjugated pair are drawn
     psi = build_state(cfg_pair.get("state"), dims, seed, path)
     return H, psi
 
@@ -415,7 +418,9 @@ def cmd_dualscan(cfg: dict, out: str | None) -> int:
         # hypotheses (exit 3). The probes and the local move draw from the fixed paths 64 and 65,
         # kept so that payloads stay byte-identical with earlier releases.
         rng = stream(seed, trial, 0)
-        H, psi = _gue(dims.total, rng), haar_state(dims.total, rng)
+        H = _gue(dims.total, rng)
+        _eig_soon(H)  # read by the probe set, after the state and the structure are drawn
+        psi = haar_state(dims.total, rng)
         T1 = tps_mod.random_tps(dims, rng)
         probes = kinds.build_probe_set(H, psi, count, stream(seed, trial, 64))
         cases = [("local", _local_move(T1, stream(seed, trial, 65)))]

@@ -3,13 +3,24 @@
 All carrier types copy their arrays on construction and mark them
 read-only, so values are immutable and safe to share across concurrent
 tasks. Entropies are in nats throughout.
+
+``_eig_soon(H)`` sends ``H.eig`` to one worker thread, from D =
+``EIG_SOON_MIN_DIM`` (64) up and only while that worker is idle, so that a
+caller's other D x D work overlaps it; the CLI's ``orbit``, ``fingerprint``,
+``dualscan`` and ``kinds`` hsf (both operators) do so. The worker runs the
+same ``eigh`` and check, with BLAS on its own thread count per call, so the
+arrays are the inline ones bit for bit; errors are raised when ``.eig`` is
+read. The thread starts on first use, never at import. A forked child starts
+a fresh worker, and computes inline what its parent's worker was running.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import accumulate
 
 import numpy as np
@@ -19,6 +30,12 @@ from .errors import DimensionMismatch, InvariantViolation, ScaleOutOfRange
 # tolerance for algebraic identities: HermitianOp scales it by 1 + max |H_ij|; the unitarity
 # check, the state norm and SiteBasis's orthonormality, trace and Hermiticity use it as is
 ATOL = 1e-10
+
+# smallest D whose eigendecomposition _eig_soon sends to the worker. Median in-process CLI calls,
+# inline vs. with the worker (2-vCPU Xeon VM, OpenBLAS 0.3.31 on one thread, 30 alternations of
+# 5 seeds): D = 32 within noise (orbit 2146 -> 2124 us, fingerprint 2183 -> 2260 us); D = 64 orbit
+# 3509 -> 2914 us, fingerprint 4421 -> 4079 us, kinds hsf 2700 -> 2349 us; D = 128 orbit 8.56 -> 6.96 ms
+EIG_SOON_MIN_DIM = 64
 
 
 def _frozen(a, dtype=complex) -> np.ndarray:
@@ -143,15 +160,62 @@ class HermitianOp:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    @cached_property
+    @property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (ascending) and eigenvector columns, computed once, read-only; ScaleOutOfRange if not finite."""
-        lam, V = np.linalg.eigh(self.mat)
-        if not (np.isfinite(lam).all() and np.isfinite(V).all()):
-            raise ScaleOutOfRange(f"spectrum leaves float64 at scale {np.abs(self.mat.view(float)).max():.1e}")
-        lam.setflags(write=False)
-        V.setflags(write=False)
-        return lam, V
+        """Eigenvalues (ascending) and eigenvector columns, computed once, read-only; ScaleOutOfRange
+        if not finite. A memo without a lock, so two operators' reads run side by side; the first
+        read waits for a result ``_eig_soon`` sent to the worker. An error is not memoized: every
+        read raises it."""
+        got = self.__dict__.get("_eig")
+        if type(got) is not tuple:
+            got = _eigh(self.mat) if got is None or got in _orphans else got.result()
+            object.__setattr__(self, "_eig", got)
+        return got
+
+
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``HermitianOp.eig`` of the matrix m, inline or on the worker."""
+    lam, V = np.linalg.eigh(m)
+    if not (np.isfinite(lam).all() and np.isfinite(V).all()):
+        raise ScaleOutOfRange(f"spectrum leaves float64 at scale {np.abs(m.view(float)).max():.1e}")
+    lam.setflags(write=False)
+    V.setflags(write=False)
+    return lam, V
+
+
+_worker: ThreadPoolExecutor | None = None  # one thread, made on first use
+_running: Future | None = None  # the last eigendecomposition sent to it
+_orphans: set[Future] = set()  # what a parent's worker was running when this process forked from it
+_lock = threading.Lock()  # guards the check that the worker is idle and the send
+
+
+def _eig_soon(H: HermitianOp) -> None:
+    """Send H.eig to the worker thread when D >= EIG_SOON_MIN_DIM, it is neither computed nor
+    sent, and the worker is idle; otherwise do nothing, so H.eig computes inline when read. Never
+    queues one eigendecomposition behind another, and never raises: errors wait for the read."""
+    global _worker, _running
+    if H.dim < EIG_SOON_MIN_DIM or "_eig" in H.__dict__:
+        return
+    with _lock:
+        if _running is not None and not _running.done():
+            return
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor  # 4-5 ms, paid here, not at import
+
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="mereokit-eig")
+        _running = _worker.submit(_eigh, H.mat)
+        object.__setattr__(H, "_eig", _running)
+
+
+def _after_fork_in_child():
+    # the parent's worker thread does not exist here, and a future it ran may never finish
+    global _worker, _running, _lock
+    if _running is not None:
+        _orphans.add(_running)
+    _worker, _running, _lock = None, None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def _check_unitary(m: np.ndarray):

@@ -24,7 +24,7 @@ from .errors import (
     InvariantViolation,
     NoWitnessError,
 )
-from .hilbert import HermitianOp, StateVec, UnitaryOp, _finite, _frozen, _scaled, _tol, _vec
+from .hilbert import HermitianOp, StateVec, UnitaryOp, _eig_soon, _finite, _frozen, _scaled, _tol, _vec
 from .tps import Tps, _eigen_entropies, equivalent
 
 DEGENERACY_GAP = 1e-8  # eigenvalues no more than this apart share an eigenspace
@@ -148,6 +148,7 @@ def pair_orbit_witness(
     the comparison ``pair_membership`` makes.
     """
     tol = _tol(tol)
+    _eig_soon(H2)  # on the worker while H1.eig is read
     (lam1, V1), (lam2, V2) = H1.eig, H2.eig
     if len(lam1) != len(lam2):
         raise DimensionMismatch("operator dimensions differ")

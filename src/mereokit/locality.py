@@ -110,7 +110,7 @@ def _evolved_entropies(
         raise DimensionMismatch(f"grid times must be a 1-d sequence of finite numbers, got shape {t.shape}")
     C = np.array([p.vec for p in probes], dtype=complex).reshape(-1, D) @ H.eig[1].conj()
     for j, ent in enumerate(_eigen_entropies(H, [T], C, 1.0)[0].max(axis=-1)):
-        if ent > PRODUCT_PROBE_TOL:
+        if not ent <= PRODUCT_PROBE_TOL:  # also refuses NaN
             raise InvariantViolation(f"probe {j} is not a product state (entropy {ent:.3e})")
     blocks = np.array_split(t, len(t) // max(1, 2**16 // (D * max(1, len(C)))) + 1)
     phases = (np.exp(-1j * np.multiply.outer(b, H.eig[0]))[:, None] for b in blocks)  # (times, 1, D)

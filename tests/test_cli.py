@@ -852,18 +852,23 @@ THREAD_CONFIGS = {
     "search": {"model": {"name": "scrambled_klocal", "dims": [2, 2, 2], "K": 2}, "search": {"K": 2, "restarts": 1}},
     "kinds": {"mode": "gram", "family1": {"random": {"dim": 128, "count": 3}}, "family2": "rotated"},
     "dualscan": {"dims": [2, 2, 2], "trials": 2},
+    # D = 128: H's eigendecomposition runs on the worker thread beside the Haar draws
+    "orbit-7q": {"model": {"name": "gue", "dims": [2] * 7}, "tps": {"kind": "random"}, "grid": {"points": 32}},
+    "kinds-hsf": {"mode": "hsf", "pair1": {"model": {"name": "gue", "dims": [2] * 7}, "state": "haar"},
+                  "pair2": "conjugated"},
 }
-# a child runs every config through cli.main, each to its own --out, and prints the exit codes
+# a child runs every config through cli.main, the subcommand named before any "-" in its key,
+# each to its own --out, and prints the exit codes
 THREAD_CHILD = """
 import json, sys
 from mereokit import cli
 configs, where = json.loads(sys.argv[1]), sys.argv[2]
 codes = {}
-for command, cfg in configs.items():
-    path = f"{where}/{command}.json"
+for name, cfg in configs.items():
+    path = f"{where}/{name}.json"
     with open(path, "w") as f:
         json.dump({**cfg, "seed": 5}, f)
-    codes[command] = cli.main([command, "--config", path, "--out", f"{where}/{command}.out"])
+    codes[name] = cli.main([name.split("-")[0], "--config", path, "--out", f"{where}/{name}.out"])
 print(json.dumps(codes))
 """
 # the thread count reorders BLAS sums, which moves a float by rounding only:

@@ -1,13 +1,22 @@
 import itertools
 import math
+import os
 import re
+import signal
+import subprocess
+import sys
+import threading
+import time
+from concurrent import futures
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mereokit as mk
+from mereokit import hilbert
 from mereokit.hilbert import ATOL, _check_unitary, _entropy_of_probs, _from_pairs, _marginals, _to_pairs, _unit
 from mereokit.kinds import check_spectral_hypotheses
 from mereokit.models import SIGMA
@@ -189,6 +198,44 @@ class TestComplexPairs:
             _from_pairs(rows)
 
 
+def prefetched(m) -> mk.HermitianOp:
+    """HermitianOp of m whose eigendecomposition was sent to the worker thread; the worker is
+    first let go idle, since ``_eig_soon`` sends nothing while it is busy."""
+    H = mk.HermitianOp(m)
+    if hilbert._running is not None:
+        futures.wait([hilbert._running], timeout=60)
+    hilbert._eig_soon(H)
+    assert isinstance(vars(H)["_eig"], futures.Future)
+    return H
+
+
+# a fresh process runs the subcommands that send eigendecompositions at D = 32, below the
+# crossover, then one at D = 64; it prints the thread count before and after that one
+NO_THREAD_CHILD = """
+import json, sys, threading
+import numpy as np
+from mereokit import cli, hilbert
+where, dims = sys.argv[1], [2] * 5
+configs = {
+    "orbit": {"model": {"name": "gue", "dims": dims}, "tps": {"kind": "random"}, "grid": {"points": 16}},
+    "fingerprint": {"model": {"name": "gue", "dims": dims}, "state": "haar", "tps1": {"kind": "random"},
+                    "tps2": {"kind": "local"}},
+    "kinds": {"mode": "hsf", "pair1": {"model": {"name": "gue", "dims": dims}, "state": "haar"},
+              "pair2": {"model": {"name": "gue", "dims": dims}, "state": "haar"}},
+    "dualscan": {"dims": dims, "trials": 1},
+}
+for command, cfg in configs.items():
+    with open(f"{where}/{command}.json", "w") as f:
+        json.dump({**cfg, "seed": 1}, f)
+    assert cli.main([command, "--config", f"{where}/{command}.json", "--out", f"{where}/{command}.out"]) == 0
+before = threading.active_count(), hilbert._worker is None
+H = hilbert.HermitianOp(np.diag(np.arange(64.0)))
+hilbert._eig_soon(H)
+H.eig
+print(*before, threading.active_count(), hilbert._worker is None)
+"""
+
+
 class TestEig:
     def test_sigma_z(self):
         lam, V = mk.HermitianOp(SIGMA["Z"]).eig
@@ -218,14 +265,16 @@ class TestEig:
         # RuntimeWarning, and the spectrum passed the hypotheses as simple; and a Hermitian H whose
         # off-diagonal moduli overflow
         z = 1.5e308 + 1.5e308j
-        for H, scale in [
+        for m, scale in [
             (np.kron(np.diag([1e308, 0.95e308]), np.ones((2, 2))) + np.diag([1e292] * 2 + [3e292] * 2), "1.0e\\+308"),
             (np.array([[0, z], [np.conj(z), 0]]), "1.5e\\+308"),
         ]:
-            H = mk.HermitianOp(H)
-            for read in (lambda: H.eig, lambda: check_spectral_hypotheses(H)):
-                with pytest.raises(mk.ScaleOutOfRange, match=f"spectrum leaves float64 at scale {scale}"):
-                    read()
+            # also at D = 64, each eigenvalue repeated, sent to the worker: the send never raises,
+            # and every read does
+            for H in (mk.HermitianOp(m), prefetched(np.kron(m, np.eye(64 // len(m))))):
+                for read in (lambda: H.eig, lambda: H.eig, lambda: check_spectral_hypotheses(H)):
+                    with pytest.raises(mk.ScaleOutOfRange, match=f"spectrum leaves float64 at scale {scale}"):
+                        read()
 
     def test_cached_and_read_only(self):
         H = random_hermitian(4, mk.stream(105))
@@ -234,6 +283,88 @@ class TestEig:
         for a in (lam, V):
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+    @pytest.mark.parametrize("factors", [(2,) * 6, (4, 4, 4), (3, 3, 3, 3), (2,) * 7])
+    def test_prefetched_is_the_inline_one(self, factors):
+        m = random_hermitian(math.prod(factors), mk.stream(106, len(factors))).mat
+        inline = mk.HermitianOp(m).eig
+        H = prefetched(m)
+        assert H.eig is H.eig
+        for got, want in zip(H.eig, inline):
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):
+                got[0] = 0.0
+
+    def test_no_thread_below_the_crossover(self, tmp_path):
+        src = str(Path(mk.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", NO_THREAD_CHILD, str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        # one thread and no worker after every D = 32 subcommand; the D = 64 send starts the worker
+        assert proc.stdout.split() == ["1", "True", "2", "False"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
+    def test_fork_child_reads_prefetched_eig(self):
+        rng = mk.stream(107)
+        mats = [random_hermitian(128, rng).mat for _ in range(3)]
+        want = [mk.HermitianOp(m).eig for m in mats]
+        prefetched(mats[0]).eig  # the parent's worker thread runs
+        pending = prefetched(mats[1])  # it may still run when the child forks
+        pid = os.fork()
+        if pid == 0:  # the child reports by its exit code alone
+            ok = False
+            try:
+                H = mk.HermitianOp(mats[2])
+                hilbert._eig_soon(H)  # sent to a fresh worker of the child's own
+                ok = isinstance(vars(H)["_eig"], futures.Future) and all(
+                    a.tobytes() == b.tobytes() for G, w in ((pending, want[1]), (H, want[2])) for a, b in zip(G.eig, w))
+            finally:
+                os._exit(0 if ok else 1)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG)) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not read .eig within 60 s")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(pending.eig, want[1]))
+
+    def test_threads_share_one_worker(self):
+        # eight operators, each read by six threads through its own HermitianOp and one shared by
+        # all, every one sent first; a short switch interval interleaves the sends and the reads
+        rng = mk.stream(108)
+        mats = [random_hermitian(64, rng).mat for _ in range(8)]
+        want = [mk.HermitianOp(m).eig for m in mats]
+        shared = [mk.HermitianOp(m) for m in mats]
+        errors = []
+
+        def work(k):
+            try:
+                for j in range(len(mats)):
+                    i = (j + k) % len(mats)
+                    pair = (mk.HermitianOp(mats[i]), shared[i])
+                    for H in pair:
+                        hilbert._eig_soon(H)
+                    for H in pair:
+                        if not all(a.tobytes() == b.tobytes() for a, b in zip(H.eig, want[i])):
+                            errors.append((k, i))
+            except Exception as e:
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
 
 
 class TestExpm:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import mereokit as mk
 from mereokit.basis import weight_masses, weight_tensor
+from mereokit import locality
 from mereokit.locality import LOCALITY_RTOL, k_local_residual
 from mereokit.models import SIGMA
 
@@ -302,6 +303,14 @@ class TestOneLocalEvolution:
         bell = mk.StateVec(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
         with pytest.raises(mk.InvariantViolation):
             mk.one_local_evolution_check(H, T, [0.1], [bell])
+
+    def test_nan_probe_entropy_rejected(self, dims22, monkeypatch):
+        # a NaN entropy passes an ``ent > tol`` check; the product-probe check must refuse it
+        real = locality._eigen_entropies
+        monkeypatch.setattr(locality, "_eigen_entropies", lambda *a: real(*a) * np.nan)
+        probe = mk.StateVec(np.array([1, 0, 0, 0], dtype=complex))
+        with pytest.raises(mk.InvariantViolation, match=r"probe 0 is not a product state \(entropy nan\)"):
+            mk.one_local_evolution_check(mk.pauli_string("XX"), mk.canonical(dims22), [0.1], [probe])
 
     def test_witness_is_lexicographically_first(self, dims22):
         H = mk.pauli_string("XX")
