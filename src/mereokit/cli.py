@@ -32,7 +32,7 @@ from .search import SearchConfig
 from .search import search as run_search
 from .errors import HypothesisViolation, MereokitError, NoWitnessError
 from .hilbert import Dims, HermitianOp, StateVec, UnitaryOp, expm_i, haar_state, haar_unitaries, haar_unitary, kron_all
-from .hilbert import _eig_soon, _from_pairs, _to_pairs, _unit
+from .hilbert import _eig_soon, _from_pairs, _soon, _to_pairs, _unit
 from .rng import stream
 
 EXIT_OK = 0
@@ -172,27 +172,37 @@ def _model_cfg(cfg: dict) -> dict:
     raise UsageError("config needs a 'model' or 'file' entry")
 
 
-def build_model(cfg: dict, seed: int, *path: int) -> tuple[HermitianOp, Dims]:
-    """Hamiltonian named in a config; a random model draws from ``stream(seed, 1, *path)``."""
+def _model_dims(cfg: dict) -> Dims | None:
+    """Factor dims of the model a config names, read before it is built; None for a matrix file."""
     if "file" in cfg:
-        return load_matrix_file(cfg["file"])
+        return None
     name = cfg.get("name")
     if name == "ising":
-        J, h = (_checked(k, cfg[k], **_FINITE) for k in "Jh")
-        p = models.IsingParams(_checked("n", cfg["n"], int), J, h)
-        return models.ising_chain(p), Dims((2,) * p.n)
+        return Dims((2,) * _checked("n", cfg["n"], int))
     if name == "pauli":
-        string = _typed("string", cfg["string"], str)
-        return models.pauli_string(string), Dims((2,) * len(string))
-    if name in ("random_klocal", "scrambled_klocal"):
-        dims, K = Dims(tuple(_each("dims", cfg["dims"], kind=int))), _checked("K", cfg["K"], int)
-        if name == "random_klocal":
-            return models.random_klocal(dims, K, stream(seed, 1, *path)), dims
-        return models.scrambled_klocal(dims, K, stream(seed, 1, *path))[0], dims
-    if name == "gue":
-        dims = Dims(tuple(_each("dims", cfg["dims"], kind=int)))
-        return _gue(dims.total, stream(seed, 1, *path)), dims
+        return Dims((2,) * len(_typed("string", cfg["string"], str)))
+    if name in ("random_klocal", "scrambled_klocal", "gue"):
+        return Dims(tuple(_each("dims", cfg["dims"], kind=int)))
     raise UsageError(f"unknown model {cfg!r}")
+
+
+def build_model(cfg: dict, seed: int, *path: int) -> tuple[HermitianOp, Dims]:
+    """Hamiltonian named in a config; a random model draws from ``stream(seed, 1, *path)``."""
+    dims = _model_dims(cfg)
+    if dims is None:
+        return load_matrix_file(cfg["file"])
+    name = cfg["name"]
+    if name == "ising":
+        J, h = (_checked(k, cfg[k], **_FINITE) for k in "Jh")
+        return models.ising_chain(models.IsingParams(dims.n, J, h)), dims
+    if name == "pauli":
+        return models.pauli_string(cfg["string"]), dims
+    if name == "gue":
+        return _gue(dims.total, stream(seed, 1, *path)), dims
+    K = _checked("K", cfg["K"], int)
+    if name == "random_klocal":
+        return models.random_klocal(dims, K, stream(seed, 1, *path)), dims
+    return models.scrambled_klocal(dims, K, stream(seed, 1, *path))[0], dims
 
 
 def _gue(D: int, rng) -> HermitianOp:
@@ -343,9 +353,8 @@ def _search_config(sc: dict, seed: int) -> SearchConfig:
 
 
 def _kinds_pair(cfg_pair, seed: int, path: int):
-    cfg_pair = _typed(f"pair{path + 1}", cfg_pair, dict)
     H, dims = build_model(_model_cfg(cfg_pair), seed, path)
-    _eig_soon(H)  # read by the witness, after the state and a conjugated pair are drawn
+    _eig_soon(H)  # read by the witness; not sent while this runs on the worker itself
     psi = build_state(cfg_pair.get("state"), dims, seed, path)
     return H, psi
 
@@ -356,13 +365,24 @@ def cmd_kinds(cfg: dict, out: str | None) -> int:
     seed, tol = cfg["seed"], cfg["tol"]
     mode = cfg.get("mode", "hsf")
     if mode == "hsf":
-        H1, psi1 = _kinds_pair(cfg["pair1"], seed, 0)
-        if cfg.get("pair2") == "conjugated":
-            V = haar_unitary(H1.dim, stream(seed, 6))
+        pair1 = _typed("pair1", cfg["pair1"], dict)
+        conjugated = cfg.get("pair2") == "conjugated"
+        dims = _model_dims(_model_cfg(pair1)) if conjugated else None
+        if dims:  # a matrix file's D is known only once it is read
+            # the worker builds pair 1 while V is drawn here, not the other way round: numpy's QR
+            # holds the GIL, so a draw on the worker would stall this thread's build
+            built = _soon(dims.total, _kinds_pair, pair1, seed, 0)
+            V = haar_unitary(dims.total, stream(seed, 6))
+            H1, psi1 = built.result()
+        else:
+            H1, psi1 = _kinds_pair(pair1, seed, 0)
+            V = haar_unitary(H1.dim, stream(seed, 6)) if conjugated else None
+        if conjugated:
+            _eig_soon(H1)  # on the worker while H2 is built and its own runs inline
             H2 = HermitianOp(V.mat @ H1.mat @ V.mat.conj().T)
             psi2 = StateVec(V.mat @ psi1.vec)
         else:
-            H2, psi2 = _kinds_pair(cfg["pair2"], seed, 1)
+            H2, psi2 = _kinds_pair(_typed("pair2", cfg["pair2"], dict), seed, 1)
         find = lambda: kinds.pair_orbit_witness(H1, psi1, H2, psi2, tol)
         residuals = lambda U: {
             "residual_operator": float(np.abs(U.mat @ H1.mat @ U.mat.conj().T - H2.mat).max()),
@@ -387,7 +407,7 @@ def cmd_kinds(cfg: dict, out: str | None) -> int:
     except NoWitnessError as e:
         _dump_json({"config": cfg, "witness": None, "reason": str(e)}, out)
         return EXIT_OK
-    witness = {"shape": list(U.mat.shape), "sha256": hashlib.sha256(U.mat.tobytes()).hexdigest()}
+    witness = {"shape": list(U.mat.shape), "sha256": hashlib.sha256(U.mat).hexdigest()}
     _dump_json({"config": cfg, "witness": witness, **residuals(U)}, out)
     if out:
         np.save(out + ".witness.npy", U.mat)

@@ -24,13 +24,20 @@ from .errors import (
     InvariantViolation,
     NoWitnessError,
 )
-from .hilbert import HermitianOp, StateVec, UnitaryOp, _eig_soon, _finite, _frozen, _scaled, _tol, _vec
+from .hilbert import HermitianOp, StateVec, UnitaryOp, _eig_pending, _eig_soon
+from .hilbert import _finite, _frozen, _scaled, _tol, _vec
 from .tps import Tps, _eigen_entropies, equivalent
 
-DEGENERACY_GAP = 1e-8  # eigenvalues no more than this apart share an eigenspace
-SUPPORT_MIN = 1e-8  # minimum |<eigvec|psi>| for full support
-FINGERPRINT_TOL = 1e-7  # max fingerprint distance for two structures to count as the same
-WITNESS_TOL = 1e-8  # max spectrum mismatch and max amplitude residual for a pair match or a witness
+# eigenvalues no more than this apart share an eigenspace; absolute, in the units of H's spectrum
+DEGENERACY_GAP = 1e-8
+# minimum |<eigvec|psi>| for full support; an amplitude of a unit state, so relative to |psi| = 1
+SUPPORT_MIN = 1e-8
+# max entrywise fingerprint distance for two structures to count as the same; absolute, in nats
+FINGERPRINT_TOL = 1e-7
+# max spectrum mismatch, absolute in the units of the spectra, and max amplitude residual, relative to
+# |psi| = 1, for a pair match or a pair witness; for a Gram witness, max |U f1_k - f2_k|, absolute in
+# the units of the family members
+WITNESS_TOL = 1e-8
 
 
 def _group_starts(values: Sequence[float]) -> np.ndarray:
@@ -148,7 +155,8 @@ def pair_orbit_witness(
     the comparison ``pair_membership`` makes.
     """
     tol = _tol(tol)
-    _eig_soon(H2)  # on the worker while H1.eig is read
+    _eig_soon(H2)  # sent unless the worker is busy, as with an H1 the caller sent
+    (H2 if _eig_pending(H1) else H1).eig  # inline, while the worker runs the other
     (lam1, V1), (lam2, V2) = H1.eig, H2.eig
     if len(lam1) != len(lam2):
         raise DimensionMismatch("operator dimensions differ")

@@ -12,9 +12,12 @@ from .hilbert import HermitianOp, StateVec, _tol
 from .basis import decompose, weight_masses
 from .tps import Tps, _eigen_entropies
 
-LOCALITY_RTOL = 1e-9  # default bound on the K-local residual
-WITNESS_ENTROPY = 1e-6  # site entropy above this witnesses entanglement generation
-PRODUCT_PROBE_TOL = 1e-9  # max site entropy for a probe to count as a product state
+# default bound on the K-local residual, the weight mass above K relative to the non-constant mass
+LOCALITY_RTOL = 1e-9
+# site entropy above this witnesses entanglement generation; absolute, in nats
+WITNESS_ENTROPY = 1e-6
+# max site entropy for a probe to count as a product state; absolute, in nats
+PRODUCT_PROBE_TOL = 1e-9
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,10 @@ from .errors import DimensionMismatch, InvariantViolation
 from .hilbert import Dims, HermitianOp, StateVec, UnitaryOp, _mat, _vec, haar_state, haar_unitary
 from .hilbert import _from_pairs, _marginals, _scaled, _to_pairs, _unit, kron_all, site_entropies
 
-PRODUCT_RTOL = 1e-8  # a product fit zP is accepted iff ||zP - W||_F <= c PRODUCT_RTOL ||W||_F, c = 2
-ENTANGLED_RATIO = 1e-6  # a factor whose least slot Gram ratio lam_2 / lam_1 exceeds this is entangled
+# relative to ||W||_F: a product fit zP is accepted iff ||zP - W||_F <= c PRODUCT_RTOL ||W||_F, c = 2
+PRODUCT_RTOL = 1e-8
+# relative to lam_1: a factor whose least slot Gram ratio lam_2 / lam_1 exceeds this is entangled
+ENTANGLED_RATIO = 1e-6
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from concurrent import futures
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mereokit as mk
-from mereokit import cli
+from mereokit import cli, hilbert
 from mereokit.cli import _kinds_pair, build_state, main, save_matrix_file
 
 from conftest import per_factor_haar
@@ -323,6 +325,27 @@ class TestKinds:
         out = json.loads(capsys.readouterr().out)
         assert out["residual_operator"] < 1e-8
         assert out["residual_state"] < 1e-8
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_conjugated_pair_bytes_do_not_depend_on_the_worker(self, tmp_path, n):
+        # from D = 64 the worker builds pair 1 and then runs H1's eigendecomposition; with the
+        # worker held busy, both run inline, and every output byte is the same
+        cfg = write_config(tmp_path, "c.json", {"mode": "hsf", "pair2": "conjugated", "seed": 3, "pair1": {
+            "model": {"name": "gue", "dims": [2] * n}, "state": "haar"}})
+        outputs = []
+        for busy in (False, True):
+            if hilbert._running is not None:
+                futures.wait([hilbert._running.future], timeout=60)
+            release = threading.Event()
+            held = hilbert._soon(64, release.wait, 60) if busy else None
+            try:
+                out = str(tmp_path / f"busy{busy}.json")
+                assert run_cli(["kinds", "--config", cfg, "--out", out]) == 0
+                assert (hilbert._running is held) if busy else (hilbert._running.fn is hilbert._eigh)
+            finally:
+                release.set()
+            outputs.append([Path(out).read_bytes(), Path(out + ".witness.npy").read_bytes()])
+        assert outputs[0] == outputs[1]
 
     def test_mismatched_pairs_no_witness_report(self, tmp_path, capsys):
         z = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]  # dummy

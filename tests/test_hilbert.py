@@ -198,19 +198,36 @@ class TestComplexPairs:
             _from_pairs(rows)
 
 
-def prefetched(m) -> mk.HermitianOp:
-    """HermitianOp of m whose eigendecomposition was sent to the worker thread; the worker is
-    first let go idle, since ``_eig_soon`` sends nothing while it is busy."""
-    H = mk.HermitianOp(m)
+def idle_worker():
+    """Let the worker thread go idle, since ``_soon`` sends nothing while it is busy."""
     if hilbert._running is not None:
-        futures.wait([hilbert._running], timeout=60)
+        futures.wait([hilbert._running.future], timeout=60)
+
+
+def sent(dim, fn, *args):
+    """fn(*args) as a task sent to an idle worker thread."""
+    idle_worker()
+    task = hilbert._soon(dim, fn, *args)
+    assert task is hilbert._running  # the worker runs it
+    return task
+
+
+def prefetched(m) -> mk.HermitianOp:
+    """HermitianOp of m whose eigendecomposition was sent to an idle worker thread."""
+    H = mk.HermitianOp(m)
+    idle_worker()
     hilbert._eig_soon(H)
-    assert isinstance(vars(H)["_eig"], futures.Future)
+    assert hilbert._eig_pending(H) and vars(H)["_eig"] is hilbert._running
     return H
 
 
-# a fresh process runs the subcommands that send eigendecompositions at D = 32, below the
-# crossover, then one at D = 64; it prints the thread count before and after that one
+def same_bytes(got, want) -> bool:
+    return all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+# a fresh process runs the subcommands that send tasks to the worker (eigendecompositions, and the
+# build of pair 1 of a conjugated kinds pair) at D = 32, below the crossover, each the subcommand
+# named before any "-" in its key, then one at D = 64; it prints the thread count before and after it
 NO_THREAD_CHILD = """
 import json, sys, threading
 import numpy as np
@@ -222,12 +239,15 @@ configs = {
                     "tps2": {"kind": "local"}},
     "kinds": {"mode": "hsf", "pair1": {"model": {"name": "gue", "dims": dims}, "state": "haar"},
               "pair2": {"model": {"name": "gue", "dims": dims}, "state": "haar"}},
+    "kinds-conjugated": {"mode": "hsf", "pair1": {"model": {"name": "gue", "dims": dims}, "state": "haar"},
+                         "pair2": "conjugated"},
     "dualscan": {"dims": dims, "trials": 1},
 }
-for command, cfg in configs.items():
-    with open(f"{where}/{command}.json", "w") as f:
+for name, cfg in configs.items():
+    with open(f"{where}/{name}.json", "w") as f:
         json.dump({**cfg, "seed": 1}, f)
-    assert cli.main([command, "--config", f"{where}/{command}.json", "--out", f"{where}/{command}.out"]) == 0
+    argv = [name.split("-")[0], "--config", f"{where}/{name}.json", "--out", f"{where}/{name}.out"]
+    assert cli.main(argv) == 0
 before = threading.active_count(), hilbert._worker is None
 H = hilbert.HermitianOp(np.diag(np.arange(64.0)))
 hilbert._eig_soon(H)
@@ -275,6 +295,11 @@ class TestEig:
                 for read in (lambda: H.eig, lambda: H.eig, lambda: check_spectral_hypotheses(H)):
                     with pytest.raises(mk.ScaleOutOfRange, match=f"spectrum leaves float64 at scale {scale}"):
                         read()
+        # a sent Haar draw from a seed that makes no stream, too
+        draw = sent(64, lambda: mk.haar_unitary(64, mk.stream(-1)))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="non-negative"):
+                draw.result()
 
     def test_cached_and_read_only(self):
         H = random_hermitian(4, mk.stream(105))
@@ -289,11 +314,18 @@ class TestEig:
         m = random_hermitian(math.prod(factors), mk.stream(106, len(factors))).mat
         inline = mk.HermitianOp(m).eig
         H = prefetched(m)
-        assert H.eig is H.eig
-        for got, want in zip(H.eig, inline):
-            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert H.eig is H.eig and same_bytes(H.eig, inline)
+        for got in H.eig:
             with pytest.raises(ValueError):
                 got[0] = 0.0
+
+    @pytest.mark.parametrize("factors", [(2,) * 6, (2,) * 7])
+    def test_sent_haar_draw_is_the_inline_one(self, factors):
+        D = math.prod(factors)
+        inline = mk.haar_unitary(D, mk.stream(109, D)).mat
+        draw = sent(D, lambda: mk.haar_unitary(D, mk.stream(109, D)))
+        assert draw.result() is draw.result() and same_bytes([draw.result().mat], [inline])
+        assert not draw.result().mat.flags.writeable
 
     def test_no_thread_below_the_crossover(self, tmp_path):
         src = str(Path(mk.__file__).parents[1])
@@ -307,30 +339,36 @@ class TestEig:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
     def test_fork_child_reads_prefetched_eig(self):
+        # the parent's worker may still run an eigendecomposition, and then a Haar draw, when a child
+        # forks: the child computes it inline, and starts a worker of its own for what it sends
         rng = mk.stream(107)
         mats = [random_hermitian(128, rng).mat for _ in range(3)]
         want = [mk.HermitianOp(m).eig for m in mats]
+        draw = lambda: mk.haar_unitary(128, mk.stream(107, 1))
+        cases = [(lambda: prefetched(mats[1]), lambda H: H.eig, want[1]),
+                 (lambda: sent(128, draw), lambda task: [task.result().mat], [draw().mat])]
         prefetched(mats[0]).eig  # the parent's worker thread runs
-        pending = prefetched(mats[1])  # it may still run when the child forks
-        pid = os.fork()
-        if pid == 0:  # the child reports by its exit code alone
-            ok = False
-            try:
-                H = mk.HermitianOp(mats[2])
-                hilbert._eig_soon(H)  # sent to a fresh worker of the child's own
-                ok = isinstance(vars(H)["_eig"], futures.Future) and all(
-                    a.tobytes() == b.tobytes() for G, w in ((pending, want[1]), (H, want[2])) for a, b in zip(G.eig, w))
-            finally:
-                os._exit(0 if ok else 1)
-        deadline = time.monotonic() + 60
-        while (done := os.waitpid(pid, os.WNOHANG)) == (0, 0):
-            if time.monotonic() > deadline:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                pytest.fail("the forked child did not read .eig within 60 s")
-            time.sleep(0.01)
-        assert os.waitstatus_to_exitcode(done[1]) == 0
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(pending.eig, want[1]))
+        for send, read, expect in cases:
+            pending = send()  # it may still run when the child forks
+            pid = os.fork()
+            if pid == 0:  # the child reports by its exit code alone
+                ok = False
+                try:
+                    H, threads = mk.HermitianOp(mats[2]), threading.active_count()
+                    hilbert._eig_soon(H)
+                    ok = threading.active_count() == threads + 1 and hilbert._eig_pending(H) and all(
+                        same_bytes(got, w) for got, w in ((read(pending), expect), (H.eig, want[2])))
+                finally:
+                    os._exit(0 if ok else 1)
+            deadline = time.monotonic() + 60
+            while (done := os.waitpid(pid, os.WNOHANG)) == (0, 0):
+                if time.monotonic() > deadline:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                    pytest.fail("the forked child did not read the pending task within 60 s")
+                time.sleep(0.01)
+            assert os.waitstatus_to_exitcode(done[1]) == 0
+            assert same_bytes(read(pending), expect)
 
     def test_threads_share_one_worker(self):
         # eight operators, each read by six threads through its own HermitianOp and one shared by
