@@ -37,7 +37,7 @@ from .tps import (
     tps_from_json,
     tps_to_json,
 )
-from .basis import SiteBasis, decompose, matrix_from_coeffs, site_basis, weight_masses
+from .basis import decompose, matrix_from_coeffs, site_basis, weight_masses
 from .locality import (
     EvolutionVerdict,
     EvolutionWitness,
@@ -47,7 +47,6 @@ from .locality import (
     one_local_evolution_check,
 )
 from .dynamics import (
-    OrbitCurve,
     SymmetryDims,
     default_time_grid,
     distinct_value_count,
@@ -70,7 +69,6 @@ from .kinds import (
     pair_orbit_witness,
 )
 from .models import (
-    IsingParams,
     ising_chain,
     jw_dual_tps,
     pauli_string,

@@ -9,44 +9,19 @@ which weight sectors vanish is independent of the per-site basis choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation, ScaleOutOfRange
-from .hilbert import ATOL, Dims, HermitianOp
+from .hilbert import Dims, HermitianOp, _frozen
 from .tps import Tps
 
 
-@dataclass(frozen=True)
-class SiteBasis:
-    """d^2 Hermitian operators, HS-orthonormal, identity-proportional first."""
-
-    d: int
-    ops: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        d = self.d
-        ops = tuple(np.asarray(o, dtype=complex) for o in self.ops)
-        if len(ops) != d * d:
-            raise InvariantViolation(f"need {d * d} operators, got {len(ops)}")
-        gram = np.array([[np.vdot(a, b) for b in ops] for a in ops])
-        if not np.abs(gram - np.eye(d * d)).max() <= ATOL:
-            raise InvariantViolation("site basis is not HS-orthonormal")
-        if not np.abs(ops[0] - np.eye(d) / math.sqrt(d)).max() <= ATOL:
-            raise InvariantViolation("ops[0] must be I/sqrt(d)")
-        for a, op in enumerate(ops):
-            if not np.abs(op - op.conj().T).max() <= ATOL:
-                raise InvariantViolation(f"ops[{a}] is not Hermitian")
-            if a >= 1 and not abs(np.trace(op)) <= ATOL:
-                raise InvariantViolation(f"ops[{a}] is not traceless")
-        object.__setattr__(self, "ops", ops)
-
-
 @lru_cache(maxsize=None)
-def site_basis(d: int) -> SiteBasis:
-    """Generalized Gell-Mann basis scaled to unit HS norm, identity first.
+def site_basis(d: int) -> np.ndarray:
+    """Generalized Gell-Mann basis scaled to unit HS norm, identity first: d^2 Hermitian operators
+    as one read-only (d^2, d, d) array, traceless after the first.
 
     For d=2 this is {I, sx, sy, sz}/sqrt(2) in that order.
     """
@@ -67,13 +42,13 @@ def site_basis(d: int) -> SiteBasis:
         diag[:l] = 1.0
         diag[l] = -l
         ops.append(np.diag(diag) / math.sqrt(l * (l + 1)))
-    return SiteBasis(d, tuple(ops))
+    return _frozen(ops)
 
 
 @lru_cache(maxsize=None)
 def _gell_mann_maps(factors: tuple[int, ...], adjoint: bool) -> tuple[np.ndarray, ...]:
     # per site, conj(B_alpha) flattened over (row, col), one row per alpha; or its adjoint
-    maps = [np.stack(site_basis(d).ops).reshape(d * d, d * d) for d in factors]
+    maps = [site_basis(d).reshape(d * d, d * d) for d in factors]
     return tuple(np.ascontiguousarray(m.T) if adjoint else m.conj() for m in maps)
 
 

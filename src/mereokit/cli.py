@@ -194,7 +194,7 @@ def build_model(cfg: dict, seed: int, *path: int) -> tuple[HermitianOp, Dims]:
     name = cfg["name"]
     if name == "ising":
         J, h = (_checked(k, cfg[k], **_FINITE) for k in "Jh")
-        return models.ising_chain(models.IsingParams(dims.n, J, h)), dims
+        return models.ising_chain(dims.n, J, h), dims
     if name == "pauli":
         return models.pauli_string(cfg["string"]), dims
     if name == "gue":
@@ -296,17 +296,17 @@ def cmd_orbit(cfg: dict, out: str | None) -> int:
         probe = tps_mod.product_state_in(T, _site_kets(cfg.get("probe"), dims))
     site = _checked("site", cfg.get("site", 0), int)
     grid = _time_grid(cfg, H)
-    curve = dynamics.entropy_orbit(H, T, probe, site, grid)
+    ents = dynamics.entropy_orbit(H, T, probe, site, grid)
     bin_ = _checked("bin", cfg.get("bin", 1e-4), **_POSITIVE)
     summary = {  # before any output, since a bin too small to count with is refused
         "config": cfg,
         "site": site,
         "points": len(grid),
         "bin": bin_,
-        "distinct_values": dynamics.distinct_value_count(curve, bin_),
-        "max_entropy": float(curve.entropies.max()),
+        "distinct_values": dynamics.distinct_value_count(ents, bin_),
+        "max_entropy": float(ents.max()),
     }
-    _dump_csv("t,entropy", curve.to_csv_rows(), cfg, out)
+    _dump_csv("t,entropy", zip(grid.tolist(), ents.tolist()), cfg, out)
     _dump_json(summary, (out + ".summary.json") if out else None)
     return EXIT_OK
 

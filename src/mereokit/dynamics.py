@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
-from .hilbert import Dims, HermitianOp, StateVec, UnitaryOp, _frozen, _tol, expm_i
+from .hilbert import Dims, HermitianOp, StateVec, UnitaryOp, _tol, expm_i
 from .locality import _evolved_entropies, is_k_local
 from .tps import Tps, act, equivalent
 
@@ -67,45 +67,28 @@ def find_nonlocal_symmetry(H: HermitianOp, T: Tps) -> Optional[tuple[float, Unit
     return t, U
 
 
-@dataclass(frozen=True)
-class OrbitCurve:
-    """Entropy of one site along the time-evolved structures, for a fixed probe."""
-
-    t_values: np.ndarray
-    entropies: np.ndarray
-    site: int
-    probe: StateVec
-
-    def __post_init__(self):
-        t = _frozen(self.t_values, float)
-        s = _frozen(self.entropies, float)
-        if t.shape != s.shape:
-            raise DimensionMismatch("t_values and entropies must have equal length")
-        object.__setattr__(self, "t_values", t)
-        object.__setattr__(self, "entropies", s)
-
-    def to_csv_rows(self):
-        return [(float(t), float(s)) for t, s in zip(self.t_values, self.entropies)]
-
-
 def entropy_orbit(
     H: HermitianOp, T: Tps, probe: StateVec, site: int, t_grid: Sequence[float]
-) -> OrbitCurve:
-    """Site entropy of the probe pushed through iso . e^{-itH}, per grid point; only that site's
-    marginal is read. A site out of range raises DimensionMismatch."""
-    t = np.asarray(t_grid, dtype=float)
-    ents = _evolved_entropies(H, T, [probe], t, (site,))[:, 0, 0]
+) -> np.ndarray:
+    """Site entropy of the probe pushed through iso . e^{-itH}, per grid point, read-only and shaped
+    like the grid; only that site's marginal is read. A site out of range raises DimensionMismatch."""
+    ents = _evolved_entropies(H, T, [probe], t_grid, (site,))[:, 0, 0]
     bound = np.log(T.dims.factors[site]) + 1e-9
-    if len(ents) and ents.max() > bound:
-        raise InvariantViolation(f"entropy {ents.max():.12f} above log d bound")
-    return OrbitCurve(t, ents, site, probe)
+    top = ents.max(initial=0.0)
+    if not top <= bound:  # also refuses NaN
+        raise InvariantViolation(f"entropy {top:.12f} above log d bound")
+    ents.setflags(write=False)
+    return ents
 
 
-def distinct_value_count(curve: OrbitCurve, bin: float) -> int:
+def distinct_value_count(entropies: np.ndarray, bin: float) -> int:
     """Number of distinct entropy values after rounding to multiples of ``bin``."""
+    s = np.asarray(entropies, dtype=float)
+    if not np.isfinite(s).all():
+        raise DimensionMismatch("entropies must be finite, got NaN or inf")
     _tol(bin, "bin")
     with np.errstate(over="ignore"):  # an infinite quotient is refused below
-        q = np.round(curve.entropies / bin)
+        q = np.round(s / bin)
     if not np.isfinite(q).all():
         raise DimensionMismatch(f"bin {bin!r} is too small: an entropy / bin is not finite")
     return int(np.unique(q).size)

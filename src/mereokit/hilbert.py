@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvariantViolation, ScaleOutOfRange
 
 # tolerance for algebraic identities: HermitianOp scales it by 1 + max |H_ij|; the unitarity
-# check, the state norm and SiteBasis's orthonormality, trace and Hermiticity use it as is
+# check and the state norm use it as is
 ATOL = 1e-10
 
 # smallest D whose task _soon sends to the worker: an eigendecomposition or a pair build. Median
@@ -228,17 +228,14 @@ def _soon(dim: int, fn, *args) -> _Task:
     return task
 
 
-def _eig_soon(H: HermitianOp) -> None:
+def _eig_soon(H: HermitianOp) -> bool:
     """Send H.eig to the worker (``_soon``) unless it is computed or sent already; a task left to
-    run inline is dropped, so H.eig computes inline when read, and a later call may still send."""
+    run inline is dropped, so H.eig computes inline when read, and a later call may still send.
+    Returns whether H.eig is on the worker, sent and not read since."""
     if "_eig" not in H.__dict__:
         task = _soon(H.dim, _eigh, H.mat)
         if task.future is not None:
             object.__setattr__(H, "_eig", task)
-
-
-def _eig_pending(H: HermitianOp) -> bool:
-    """Was H.eig sent to the worker and not read since?"""
     return isinstance(H.__dict__.get("_eig"), _Task)
 
 

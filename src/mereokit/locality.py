@@ -99,10 +99,11 @@ def _evolved_entropies(
     """Site entropies (times, probes, sites) in T of product probes evolved by e^{-itH}, at
     ``sites`` (all by default); the product-probe check reads every site.
 
-    Refuses a probe of the wrong dim or a grid that is not one finite sequence (DimensionMismatch)
-    and a probe that is not a product state (InvariantViolation). Equal blocks of at most
-    2**16 // (D * probes) times, each one matrix product, bound the memory; a 1-point block
-    would take numpy's matrix-vector product, which rounds unlike the matrix-matrix one.
+    Refuses a probe of the wrong dim, a grid that is not one finite sequence or one whose phases
+    t * eigenvalue overflow (DimensionMismatch), and a probe that is not a product state
+    (InvariantViolation). Equal blocks of at most 2**16 // (D * probes) times, each one matrix
+    product, bound the memory; a 1-point block would take numpy's matrix-vector product, which
+    rounds unlike the matrix-matrix one.
     """
     D = T.dims.total
     for j, probe in enumerate(probes):
@@ -111,6 +112,9 @@ def _evolved_entropies(
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or not np.isfinite(t).all():
         raise DimensionMismatch(f"grid times must be a 1-d sequence of finite numbers, got shape {t.shape}")
+    reach = float(np.abs(t).max(initial=0.0)) * float(np.abs(H.eig[0]).max())  # inf, no warning
+    if not np.isfinite(reach):  # every phase t * lambda is at most reach in modulus
+        raise DimensionMismatch(f"grid phases t * eigenvalue overflow: max |t| * max |lambda| = {reach}")
     C = np.array([p.vec for p in probes], dtype=complex).reshape(-1, D) @ H.eig[1].conj()
     for j, ent in enumerate(_eigen_entropies(H, [T], C, 1.0)[0].max(axis=-1)):
         if not ent <= PRODUCT_PROBE_TOL:  # also refuses NaN

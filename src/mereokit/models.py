@@ -5,7 +5,6 @@ with known ground truth."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,22 +32,12 @@ def pauli_string(s: str) -> HermitianOp:
     return HermitianOp(kron_all(mats))
 
 
-@dataclass(frozen=True)
-class IsingParams:
-    n: int
-    J: float
-    h: float
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise InvariantViolation("need n >= 2 sites")
-
-
-def ising_chain(p: IsingParams) -> HermitianOp:
-    """Transverse-field Ising chain J sum_i Z_i Z_{i+1} + h sum_i X_i, open ends."""
-    n = p.n
-    terms = [(p.J, "I" * i + "ZZ" + "I" * (n - i - 2)) for i in range(n - 1)]
-    terms += [(p.h, "I" * i + "X" + "I" * (n - i - 1)) for i in range(n)]
+def ising_chain(n: int, J: float, h: float) -> HermitianOp:
+    """Transverse-field Ising chain J sum_i Z_i Z_{i+1} + h sum_i X_i on n >= 2 sites, open ends."""
+    if n < 2:
+        raise InvariantViolation("need n >= 2 sites")
+    terms = [(J, "I" * i + "ZZ" + "I" * (n - i - 2)) for i in range(n - 1)]
+    terms += [(h, "I" * i + "X" + "I" * (n - i - 1)) for i in range(n)]
     return HermitianOp(sum(c * kron_all([SIGMA[ch] for ch in s]) for c, s in terms))
 
 

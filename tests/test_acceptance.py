@@ -89,9 +89,9 @@ def test_criterion_3_entropy_orbit():
     T = mk.canonical(mk.Dims((2, 2)))
     probe = mk.StateVec(np.array([1, 0, 0, 0], dtype=complex))
     grid = np.arange(256) * (np.pi / 2) / 256  # includes pi/4 at index 128
-    curve = mk.entropy_orbit(H, T, probe, 0, grid)
-    distinct = mk.distinct_value_count(curve, 1e-4)
-    peak_dev = abs(curve.entropies[128] - np.log(2))
+    ents = mk.entropy_orbit(H, T, probe, 0, grid)
+    distinct = mk.distinct_value_count(ents, 1e-4)
+    peak_dev = abs(ents[128] - np.log(2))
     report(3, distinct >= 100 and peak_dev <= 1e-9,
            f"{distinct} distinct values at bin 1e-4; peak dev from log 2 at pi/4 is {peak_dev:.2e}")
 
@@ -205,7 +205,7 @@ def test_criterion_8_dual_structure():
     details = []
     for n in (3, 4):
         dims = mk.Dims((2,) * n)
-        H = mk.ising_chain(mk.IsingParams(n, 1.0, 1.0))
+        H = mk.ising_chain(n, 1.0, 1.0)
         Tc = mk.canonical(dims)
         Td = mk.jw_dual_tps(n)
         norm = hs_norm_sq(H)
@@ -214,7 +214,7 @@ def test_criterion_8_dual_structure():
         product = mk.is_product_operator(Td.iso.mat, dims) is not None
         ok = ok and tail_c < 1e-9 and tail_d < 1e-9 and not product
         details.append(f"n={n}: tails {tail_c:.1e}/{tail_d:.1e}, duality unitary product={product}")
-    H4 = mk.ising_chain(mk.IsingParams(4, 1.0, 1.0))
+    H4 = mk.ising_chain(4, 1.0, 1.0)
     ground = H4.eig[1][:, 0]
     dims4 = mk.Dims((2, 2, 2, 2))
     s_c = np.sort(mk.site_entropies(ground, dims4))

@@ -1,11 +1,14 @@
 import itertools
+import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mereokit as mk
+from mereokit import cli
 from mereokit.models import SIGMA
 
 from conftest import random_hermitian
@@ -55,7 +58,7 @@ class TestFindNonlocalSymmetry:
         assert not mk.equivalent(mk.act(U, T), T)
 
     def test_ising_found_on_grid(self, dims222):
-        H = mk.ising_chain(mk.IsingParams(3, 1.0, 1.0))
+        H = mk.ising_chain(3, 1.0, 1.0)
         T = mk.canonical(dims222)
         hit = mk.find_nonlocal_symmetry(H, T)
         assert hit is not None
@@ -68,7 +71,7 @@ class TestFindNonlocalSymmetry:
     @pytest.mark.parametrize("c", [1e5, 1e8, 1e12])
     def test_shifted_ising_moves(self, dims222, c):
         # eigenvectors of H + c I are accurate to about eps * c, so [U, H] is checked relative to |H|
-        H = mk.HermitianOp(mk.ising_chain(mk.IsingParams(3, 1.0, 1.0)).mat + c * np.eye(8))
+        H = mk.HermitianOp(mk.ising_chain(3, 1.0, 1.0).mat + c * np.eye(8))
         T = mk.canonical(dims222)
         t, U = mk.find_nonlocal_symmetry(H, T)
         assert not mk.equivalent(mk.act(U, T), T)
@@ -86,9 +89,9 @@ class TestEntropyOrbit:
         H = mk.HermitianOp(np.kron(SIGMA["Z"], np.eye(2)) + np.kron(np.eye(2), SIGMA["X"]))
         T = mk.canonical(dims22)
         probe = mk.random_product_probe(T, mk.stream(503))
-        curve = mk.entropy_orbit(H, T, probe, 0, np.linspace(0, 2 * np.pi, 64))
-        assert curve.entropies.max() < 1e-9
-        assert mk.distinct_value_count(curve, 1e-4) == 1
+        ents = mk.entropy_orbit(H, T, probe, 0, np.linspace(0, 2 * np.pi, 64))
+        assert ents.max() < 1e-9
+        assert mk.distinct_value_count(ents, 1e-4) == 1
 
     def test_xx_closed_form(self, dims22):
         # e^{-itXX}|00> = cos t |00> - i sin t |11>: marginal spectrum (cos^2, sin^2)
@@ -96,10 +99,10 @@ class TestEntropyOrbit:
         T = mk.canonical(dims22)
         probe = mk.StateVec(np.array([1, 0, 0, 0], dtype=complex))
         grid = np.linspace(0, np.pi / 2, 65)
-        curve = mk.entropy_orbit(H, T, probe, 0, grid)
+        ents = mk.entropy_orbit(H, T, probe, 0, grid)
         oracle = binary_entropy(np.cos(grid) ** 2)
-        assert np.abs(curve.entropies - oracle).max() < 1e-12
-        assert curve.entropies[32] == pytest.approx(np.log(2), abs=1e-9)
+        assert np.abs(ents - oracle).max() < 1e-12
+        assert ents[32] == pytest.approx(np.log(2), abs=1e-9)
 
     def test_local_representative_invariance(self, dims22):
         rng = mk.stream(504)
@@ -111,7 +114,7 @@ class TestEntropyOrbit:
         L = mk.kron_all([mk.haar_unitary(2, rng).mat for _ in range(2)])
         U = mk.UnitaryOp(T.iso.mat.conj().T @ L @ T.iso.mat)
         moved = mk.entropy_orbit(H, mk.act(U, T), probe, 0, grid)
-        assert np.abs(base.entropies - moved.entropies).max() < 1e-9
+        assert np.abs(base - moved).max() < 1e-9
 
     def test_entropy_bound(self):
         rng = mk.stream(505)
@@ -119,8 +122,8 @@ class TestEntropyOrbit:
         H = random_hermitian(6, rng)
         T = mk.random_tps(dims, rng)
         probe = mk.random_product_probe(T, rng)
-        curve = mk.entropy_orbit(H, T, probe, 0, np.linspace(0, 4, 32))
-        assert curve.entropies.max() <= np.log(3) + 1e-9
+        ents = mk.entropy_orbit(H, T, probe, 0, np.linspace(0, 4, 32))
+        assert ents.max() <= np.log(3) + 1e-9
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
@@ -138,9 +141,9 @@ class TestEntropyOrbit:
         grid = np.linspace(0, 3, 17)
         every = _evolved_entropies(H, T, [probe], grid)[:, 0]
         for site, d in enumerate(factors):
-            curve = mk.entropy_orbit(H, T, probe, site, grid)
-            assert np.abs(curve.entropies - every[:, site]).max() <= 1e-15
-            assert curve.entropies.max() <= np.log(d) + 1e-9
+            ents = mk.entropy_orbit(H, T, probe, site, grid)
+            assert np.abs(ents - every[:, site]).max() <= 1e-15
+            assert ents.max() <= np.log(d) + 1e-9
 
     @pytest.mark.parametrize("points", [1, 64])
     def test_site_entropies_calls_independent_of_grid(self, dims222, points, monkeypatch):
@@ -152,10 +155,10 @@ class TestEntropyOrbit:
         rng = mk.stream(506)
         H = random_hermitian(8, rng)
         T = mk.random_tps(dims222, rng)
-        curve = mk.entropy_orbit(H, T, mk.random_product_probe(T, rng), 2, np.linspace(0, 2, points))
+        ents = mk.entropy_orbit(H, T, mk.random_product_probe(T, rng), 2, np.linspace(0, 2, points))
         # one stacked call checks the probe is a product state at every site, one reads the
         # whole curve at the orbit's site alone
-        assert calls == [(None,), ((2,),)] and curve.entropies.shape == (points,)
+        assert calls == [(None,), ((2,),)] and ents.shape == (points,)
 
     def test_non_product_probe_rejected(self, dims22):
         bell = mk.StateVec(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
@@ -168,6 +171,24 @@ class TestEntropyOrbit:
         probe = mk.StateVec(np.array([1, 0, 0, 0], dtype=complex))
         with pytest.raises(mk.DimensionMismatch, match="finite"):
             mk.entropy_orbit(mk.pauli_string("XX"), mk.canonical(dims22), probe, 0, grid)
+
+    def test_overflowing_phase_rejected(self, dims22):
+        # t * lambda = 1e309 overflows: the phases, and with them the entropies, once read NaN
+        H = mk.HermitianOp(1e10 * mk.pauli_string("XX").mat)
+        T, probe = mk.canonical(dims22), mk.StateVec(np.array([1, 0, 0, 0], dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(mk.DimensionMismatch, match="overflow"):
+                mk.entropy_orbit(H, T, probe, 0, [0, 1e299, 1e300])
+            with pytest.raises(mk.DimensionMismatch, match="overflow"):
+                mk.one_local_evolution_check(H, T, [0, 1e300], [probe])
+            # the largest grid whose phases stay finite is still read
+            assert np.isfinite(mk.entropy_orbit(H, T, probe, 0, [0, 1e298])).all()
+
+    def test_returns_read_only_entropies_shaped_like_the_grid(self, dims22):
+        probe = mk.StateVec(np.array([1, 0, 0, 0], dtype=complex))
+        ents = mk.entropy_orbit(mk.pauli_string("XX"), mk.canonical(dims22), probe, 0, np.linspace(0, 1, 5))
+        assert ents.shape == (5,) and not ents.flags.writeable
 
 
 class TestOrbitBlocks:
@@ -201,7 +222,7 @@ class TestOrbitBlocks:
         grid = np.linspace(0, 3, 2 * B + 1 if offset == "2B+1" else B + offset)
         c = probe.vec[None] @ H.eig[1].conj()  # eigenbasis amplitudes, as one (1, D) product
         ref = _eigen_entropies(H, [T], c, np.exp(-1j * np.multiply.outer(grid, H.eig[0])))[0, :, 3]
-        assert np.array_equal(mk.entropy_orbit(H, T, probe, 3, grid).entropies, ref)
+        assert np.array_equal(mk.entropy_orbit(H, T, probe, 3, grid), ref)
 
 
 class TestDistinctValues:
@@ -210,31 +231,37 @@ class TestDistinctValues:
         T = mk.canonical(dims22)
         probe = mk.StateVec(np.array([1, 0, 0, 0], dtype=complex))
         grid = np.arange(256) * (np.pi / 2) / 256
-        curve = mk.entropy_orbit(H, T, probe, 0, grid)
-        assert mk.distinct_value_count(curve, 1e-4) >= 100
+        ents = mk.entropy_orbit(H, T, probe, 0, grid)
+        assert mk.distinct_value_count(ents, 1e-4) >= 100
 
     def test_coarse_bin(self, dims22):
         H = mk.pauli_string("XX")
         T = mk.canonical(dims22)
         probe = mk.StateVec(np.array([1, 0, 0, 0], dtype=complex))
         grid = np.arange(256) * (np.pi / 2) / 256
-        curve = mk.entropy_orbit(H, T, probe, 0, grid)
-        assert mk.distinct_value_count(curve, 2 * np.log(2)) <= 2
+        ents = mk.entropy_orbit(H, T, probe, 0, grid)
+        assert mk.distinct_value_count(ents, 2 * np.log(2)) <= 2
 
     @pytest.mark.filterwarnings("error")
     def test_tiny_bin_counts_every_value(self, dims22):
         # quotients near 1e300 once overflowed an int64 cast and all read as one value
-        H = mk.ising_chain(mk.IsingParams(2, 1.0, 1.0))
+        H = mk.ising_chain(2, 1.0, 1.0)
         probe = mk.StateVec(np.array([1, 0, 0, 0], dtype=complex))
-        curve = mk.entropy_orbit(H, mk.canonical(dims22), probe, 0, mk.default_time_grid(H, 64))
-        assert mk.distinct_value_count(curve, 1e-300) == np.unique(curve.entropies).size == 64
+        ents = mk.entropy_orbit(H, mk.canonical(dims22), probe, 0, mk.default_time_grid(H, 64))
+        assert mk.distinct_value_count(ents, 1e-300) == np.unique(ents).size == 64
 
     def test_bin_must_be_positive(self, dims22):
         H = mk.pauli_string("XX")
         probe = mk.StateVec(np.array([1, 0, 0, 0], dtype=complex))
-        curve = mk.entropy_orbit(H, mk.canonical(dims22), probe, 0, [0.0])
+        ents = mk.entropy_orbit(H, mk.canonical(dims22), probe, 0, [0.0])
         with pytest.raises(mk.DimensionMismatch):
-            mk.distinct_value_count(curve, 0.0)
+            mk.distinct_value_count(ents, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_entropy_named(self, bad):
+        with pytest.raises(mk.DimensionMismatch, match="entropies must be finite"):
+            mk.distinct_value_count(np.array([0.0, bad]), 1e-4)
 
     # at 5e-324 the quotient entropy / bin overflows
     @pytest.mark.parametrize("bin_", [float("nan"), float("inf"), -1.0, 5e-324])
@@ -242,15 +269,20 @@ class TestDistinctValues:
     def test_bin_must_be_finite_and_positive(self, dims22, bin_):
         H = mk.pauli_string("XX")
         probe = mk.StateVec(np.array([1, 0, 0, 0], dtype=complex))
-        curve = mk.entropy_orbit(H, mk.canonical(dims22), probe, 0, [0.0, 0.5])
+        ents = mk.entropy_orbit(H, mk.canonical(dims22), probe, 0, [0.0, 0.5])
         with pytest.raises(mk.DimensionMismatch, match="bin"):
-            mk.distinct_value_count(curve, bin_)
+            mk.distinct_value_count(ents, bin_)
 
 
 class TestCsvRows:
-    def test_rows_match_curve(self, dims22):
-        H = mk.pauli_string("XX")
+    def test_rows_match_curve(self, dims22, tmp_path):
+        # the orbit CSV pairs each grid time with the entropy entropy_orbit returns there
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"model": {"name": "pauli", "string": "XX"}, "grid": {"points": 8, "t_max": 1.0}}))
+        out = tmp_path / "o.csv"
+        assert cli.main(["orbit", "--config", str(cfg), "--out", str(out)]) == 0
+        grid = np.arange(8) / 8
         probe = mk.StateVec(np.array([1, 0, 0, 0], dtype=complex))
-        curve = mk.entropy_orbit(H, mk.canonical(dims22), probe, 0, [0.0, 0.5])
-        rows = curve.to_csv_rows()
-        assert len(rows) == 2 and rows[0][0] == 0.0
+        ents = mk.entropy_orbit(mk.pauli_string("XX"), mk.canonical(dims22), probe, 0, grid)
+        rows = [tuple(map(float, line.split(","))) for line in out.read_text().splitlines()[2:]]
+        assert rows == list(zip(grid.tolist(), ents.tolist()))

@@ -216,8 +216,7 @@ def prefetched(m) -> mk.HermitianOp:
     """HermitianOp of m whose eigendecomposition was sent to an idle worker thread."""
     H = mk.HermitianOp(m)
     idle_worker()
-    hilbert._eig_soon(H)
-    assert hilbert._eig_pending(H) and vars(H)["_eig"] is hilbert._running
+    assert hilbert._eig_soon(H) and vars(H)["_eig"] is hilbert._running
     return H
 
 
@@ -319,6 +318,20 @@ class TestEig:
             with pytest.raises(ValueError):
                 got[0] = 0.0
 
+    def test_eig_soon_says_whether_eig_is_pending(self):
+        # below the crossover, behind a busy worker and once read, H.eig is not pending
+        assert not hilbert._eig_soon(random_hermitian(32, mk.stream(110)))
+        release = threading.Event()
+        busy = sent(64, release.wait, 60)
+        try:
+            assert not hilbert._eig_soon(random_hermitian(64, mk.stream(110)))
+        finally:
+            release.set()
+        assert busy.result()
+        H = prefetched(random_hermitian(64, mk.stream(110)).mat)  # pending, as prefetched asserts
+        H.eig
+        assert not hilbert._eig_soon(H)
+
     @pytest.mark.parametrize("factors", [(2,) * 6, (2,) * 7])
     def test_sent_haar_draw_is_the_inline_one(self, factors):
         D = math.prod(factors)
@@ -355,8 +368,8 @@ class TestEig:
                 ok = False
                 try:
                     H, threads = mk.HermitianOp(mats[2]), threading.active_count()
-                    hilbert._eig_soon(H)
-                    ok = threading.active_count() == threads + 1 and hilbert._eig_pending(H) and all(
+                    pending_eig = hilbert._eig_soon(H)
+                    ok = threading.active_count() == threads + 1 and pending_eig and all(
                         same_bytes(got, w) for got, w in ((read(pending), expect), (H.eig, want[2])))
                 finally:
                     os._exit(0 if ok else 1)

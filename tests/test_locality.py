@@ -22,7 +22,7 @@ def sum_single_z(n):
 
 class TestIsKLocal:
     def test_ising_two_local(self, dims222):
-        H = mk.ising_chain(mk.IsingParams(3, 1.0, 1.0))
+        H = mk.ising_chain(3, 1.0, 1.0)
         T = mk.canonical(dims222)
         assert mk.is_k_local(H, T, 2)
         assert not mk.is_k_local(H, T, 1)
@@ -47,7 +47,7 @@ class TestIsKLocal:
                 assert (not a) or b
 
     def test_scale_invariance(self, dims222):
-        H = mk.ising_chain(mk.IsingParams(3, 1.0, 1.0))
+        H = mk.ising_chain(3, 1.0, 1.0)
         big = mk.HermitianOp(1e6 * H.mat)
         T = mk.canonical(dims222)
         assert mk.is_k_local(big, T, 2)
@@ -65,7 +65,7 @@ class TestLocalityReport:
         assert rep.min_k == 3
 
     def test_ising(self, dims222):
-        rep = mk.locality_report(mk.ising_chain(mk.IsingParams(3, 1.0, 1.0)), mk.canonical(dims222))
+        rep = mk.locality_report(mk.ising_chain(3, 1.0, 1.0), mk.canonical(dims222))
         assert rep.min_k == 2
 
     @pytest.mark.parametrize(
@@ -76,7 +76,7 @@ class TestLocalityReport:
         # at 1e160 the squared coefficients overflow to inf, which puts every mass under the
         # floor; at 1e-170 they underflow to 0. Neither may read as H ∝ I (min_k 0). At 1e-160
         # the masses are subnormal: sector 1 read 2.39997e-319, not 2.4e-319.
-        H = mk.HermitianOp(scale * mk.ising_chain(mk.IsingParams(3, 1.0, 1.0)).mat)
+        H = mk.HermitianOp(scale * mk.ising_chain(3, 1.0, 1.0).mat)
         T = mk.canonical(dims222)
         if in_range:
             assert mk.locality_report(H, T).min_k == 2 and mk.is_k_local(H, T, 2)
@@ -87,7 +87,7 @@ class TestLocalityReport:
             mk.is_k_local(H, T, 2)
 
     def test_report_json(self, dims222):
-        rep = mk.locality_report(mk.ising_chain(mk.IsingParams(3, 1.0, 1.0)), mk.canonical(dims222))
+        rep = mk.locality_report(mk.ising_chain(3, 1.0, 1.0), mk.canonical(dims222))
         obj = rep.to_json()
         assert obj["min_k"] == 2 and len(obj["weights"]) == 4
 
@@ -113,7 +113,7 @@ class TestOneResidual:
     def test_shifted_ising_chain(self, dims222, c):
         # weights 24 and 16 in sectors 1 and 2 whatever the shift; the identity's
         # mass (8 c^2) must neither swamp them nor round them away
-        H = shifted(mk.ising_chain(mk.IsingParams(3, 1.0, 1.0)), c)
+        H = shifted(mk.ising_chain(3, 1.0, 1.0), c)
         T = mk.canonical(dims222)
         rep = mk.locality_report(H, T)
         assert rep.min_k == 2
@@ -140,7 +140,7 @@ class TestOneResidual:
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
     def test_bad_tol_raises(self, dims222, tol):
         T = mk.canonical(dims222)
-        for H in (mk.ising_chain(mk.IsingParams(3, 1.0, 1.0)), mk.HermitianOp(np.eye(8))):
+        for H in (mk.ising_chain(3, 1.0, 1.0), mk.HermitianOp(np.eye(8))):
             with pytest.raises(mk.DimensionMismatch, match="tol"):
                 mk.locality_report(H, T, tol)
             with pytest.raises(mk.DimensionMismatch, match="tol"):
@@ -163,7 +163,7 @@ class TestOneResidual:
         # a ZZZ term with 8e-22 of the non-constant mass: certify and converged must
         # threshold that one number (a coefficient cut once hid it from is_k_local)
         delta = np.sqrt(4e-21)
-        H = mk.HermitianOp(mk.ising_chain(mk.IsingParams(3, 1.0, 1.0)).mat
+        H = mk.HermitianOp(mk.ising_chain(3, 1.0, 1.0).mat
                            + delta * mk.pauli_string("ZZZ").mat)
         T = mk.canonical(dims222)
         J = mk.objective(H, T.iso, 2, dims222)
@@ -245,7 +245,7 @@ class TestConjugationCovariance:
             self.assert_covariant(H, T, U, tol=1e-9)
 
     def test_evolution_unitary(self, dims222):
-        H = mk.ising_chain(mk.IsingParams(3, 1.0, 1.0))
+        H = mk.ising_chain(3, 1.0, 1.0)
         U = mk.expm_i(H, 0.7)
         self.assert_covariant(H, mk.canonical(dims222), U, tol=1e-9)
 

@@ -38,28 +38,28 @@ def bond_product_ising(n, J, h):
 def test_closed_forms_match_references(n):
     assert np.array_equal(mk.jw_dual_tps(n).iso.mat, loop_jw_dual(n))
     for J, h in [(0.731, 1.213), (1.0, 1.0), (-2.5, 0.0)]:
-        assert np.array_equal(mk.ising_chain(mk.IsingParams(n, J, h)).mat, bond_product_ising(n, J, h))
+        assert np.array_equal(mk.ising_chain(n, J, h).mat, bond_product_ising(n, J, h))
 
 
 class TestIsingChain:
     def test_zz_only(self):
-        H = mk.ising_chain(mk.IsingParams(2, 1.0, 0.0))
+        H = mk.ising_chain(2, 1.0, 0.0)
         assert np.abs(H.mat - np.kron(SIGMA["Z"], SIGMA["Z"])).max() < 1e-12
         assert np.allclose(np.linalg.eigvalsh(H.mat), [-1, -1, 1, 1])
 
     def test_field_only(self):
-        H = mk.ising_chain(mk.IsingParams(2, 0.0, 1.0))
+        H = mk.ising_chain(2, 0.0, 1.0)
         want = np.kron(SIGMA["X"], np.eye(2)) + np.kron(np.eye(2), SIGMA["X"])
         assert np.abs(H.mat - want).max() < 1e-12
         assert np.allclose(np.linalg.eigvalsh(H.mat), [-2, 0, 0, 2])
 
     def test_two_local(self, dims222):
-        H = mk.ising_chain(mk.IsingParams(3, 1.0, 1.0))
+        H = mk.ising_chain(3, 1.0, 1.0)
         assert mk.locality_report(H, mk.canonical(dims222)).min_k == 2
 
     def test_params_validated(self):
-        with pytest.raises(mk.InvariantViolation):
-            mk.IsingParams(1, 1.0, 1.0)
+        with pytest.raises(mk.InvariantViolation, match="n >= 2"):
+            mk.ising_chain(1, 1.0, 1.0)
 
 
 class TestDualTps:
@@ -83,7 +83,7 @@ class TestDualTps:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_ising_two_local_in_dual(self, n):
-        H = mk.ising_chain(mk.IsingParams(n, 1.0, 1.0))
+        H = mk.ising_chain(n, 1.0, 1.0)
         T = mk.jw_dual_tps(n)
         w = mk.locality_report(H, T).weights
         assert w[3:].sum() < 1e-9 * hs_norm_sq(H)
@@ -93,7 +93,7 @@ class TestDualTps:
         # numerically verified closed form of the conjugated chain:
         # J sum_{i<n-1} X_i + h (Z_0 + sum_{i>=1} Z_{i-1} Z_i)
         n, J, h = 4, 1.0, 1.0
-        H = mk.ising_chain(mk.IsingParams(n, J, h))
+        H = mk.ising_chain(n, J, h)
         W = mk.jw_dual_tps(n).iso.mat
         got = W @ H.mat @ W.conj().T
         want = np.zeros_like(got)
@@ -116,7 +116,7 @@ class TestDualTps:
 
     def test_ground_state_discriminator(self):
         # a unitary-invariant separation of the two structures for the chain
-        H = mk.ising_chain(mk.IsingParams(4, 1.0, 1.0))
+        H = mk.ising_chain(4, 1.0, 1.0)
         ground = H.eig[1][:, 0]
         dims = mk.Dims((2, 2, 2, 2))
         s_canonical = np.sort(mk.site_entropies(ground, dims))

@@ -106,7 +106,7 @@ class TestSearch:
     def test_out_of_range_scale_refused_before_the_match(self, dims222, scale):
         # at 1e160 the norms of the spectrum match overflowed, with a RuntimeWarning, before
         # the residual's masses raised; at 1e-160 the masses are subnormal
-        H = mk.HermitianOp(scale * mk.ising_chain(mk.IsingParams(3, 1.0, 1.0)).mat)
+        H = mk.HermitianOp(scale * mk.ising_chain(3, 1.0, 1.0).mat)
         with pytest.raises(mk.ScaleOutOfRange):
             mk.search(H, dims222, mk.SearchConfig(K=2, restarts=1))
 
@@ -155,7 +155,7 @@ class TestSpectrumMatch:
         assert np.abs(J - projector_jacobian(W, dims, K)).max() <= 1e-12
 
     @pytest.mark.parametrize("H", [
-        mk.pauli_string("ZZI"), mk.pauli_string("XXXX"), mk.ising_chain(mk.IsingParams(4, 1.0, 0.7)),
+        mk.pauli_string("ZZI"), mk.pauli_string("XXXX"), mk.ising_chain(4, 1.0, 0.7),
     ], ids=["ZZI", "XXXX", "ising4"])
     def test_degenerate_spectrum_converges(self, H):
         # J J^T loses rank at a degenerate L(x); with no floor on the damping the solve
@@ -290,7 +290,7 @@ class TestFactoring:
         assert np.abs(sum_set(spectra) - (lam - lam[0])).max() <= 1e-9
 
     @pytest.mark.parametrize("H", [
-        mk.pauli_string("ZZI"), mk.pauli_string("XXXX"), mk.ising_chain(mk.IsingParams(4, 1.0, 0.0)),
+        mk.pauli_string("ZZI"), mk.pauli_string("XXXX"), mk.ising_chain(4, 1.0, 0.0),
     ], ids=["ZZI", "XXXX", "ising4_h0"])
     def test_degenerate_spectrum_converges(self, H):
         dims = mk.Dims((2,) * int(round(np.log2(H.dim))))
