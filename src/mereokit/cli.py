@@ -369,8 +369,8 @@ def cmd_kinds(cfg: dict, out: str | None) -> int:
         conjugated = cfg.get("pair2") == "conjugated"
         dims = _model_dims(_model_cfg(pair1)) if conjugated else None
         if dims:  # a matrix file's D is known only once it is read
-            # the worker builds pair 1 while V is drawn here, not the other way round: numpy's QR
-            # holds the GIL, so a draw on the worker would stall this thread's build
+            # the worker builds pair 1 while V is drawn here, not the other way round: with V drawn on
+            # the worker, analyze-ladder op_tail_s read +1.8 %, lower in 5 of 10 pairs (BENCH_34.json)
             built = _soon(dims.total, _kinds_pair, pair1, seed, 0)
             V = haar_unitary(dims.total, stream(seed, 6))
             H1, psi1 = built.result()

@@ -335,21 +335,67 @@ def _marginals(t: np.ndarray, supports: tuple[tuple[int, ...], ...], bufs=None) 
     return out
 
 
+def _spectra3(rho: np.ndarray) -> np.ndarray:
+    """Eigenvalues (..., 3), unordered, of a stack rho (..., 3, 3) of Hermitian A, without LAPACK: each op
+    runs on rows a_i = A_ii, o_i = A_{i,i+1 mod 3}, one column per matrix, A scaled by an exact power of two.
+    With B = (A - q) / p, q = tr A / 3, p^2 = tr (A - q)^2 / 6 and det B = +-2 cos 3phi, r = |cos 3phi|,
+    they are q + p mu, mu = +-2 cos phi, farthest from the other two, and +-2 cos(phi +- 2pi/3) (Smith,
+    CACM 4:168, 1961). Those two lose ~eps / sqrt(1 - r), splitting a rank-1 zero pair by ~1e-8 (Kopp 2006),
+    so from r = 1 - 1e-3 they come from P (A - t/2) P, P = 1 - v v^dag, t their sum, v the largest column of
+    adj(B - mu): its squared norm, a sum of squares, is (hi - lo)^2 / 2, and the root nearer 0 is prod / far."""
+    nx, ls = [1, 2, 0], [2, 0, 1]  # row i -> rows i + 1, i + 2 (mod 3)
+    x = rho.reshape(-1, 9).T[[0, 4, 8, 1, 5, 6]]
+    e = np.frexp(np.abs(x).max(axis=0))[1]
+    x *= np.ldexp(1.0, -e)
+    a, o = x[:3].real, x[3:]
+    q = a.sum(axis=0) / 3
+    c = a - q
+    oo = o.real * o.real + o.imag * o.imag
+    p = np.sqrt(((c * c).sum(axis=0) + 2 * oo.sum(axis=0)) / 6)
+    ps = np.maximum(p, np.finfo(float).tiny)  # B = 0 when p = 0
+    c /= ps
+    on = o / ps
+    oo = oo[nx] / ps / ps  # |B_{i+1,i+2}|^2
+    det = c.prod(axis=0) + 2 * on.prod(axis=0).real - (c * oo).sum(axis=0)
+    r = np.minimum(np.abs(det) / 2, 1.0)
+    mu = np.copysign(2.0, det) * np.cos(np.arccos(r) / 3 + np.array([[0.0], [2.0], [-2.0]]) * math.pi / 3)
+    lam = q + p * mu
+    k = np.flatnonzero(r > 1 - 1e-3)
+    if k.size:
+        a, o, on, oo, q, m = (y[..., k] for y in (a, o, on, oo, q, c - mu[0]))  # m: diag(B - mu)
+        d = m[nx] * m[ls] - oo  # adj(B - mu)_ii, then its (i, i+1) entries
+        u = (on[nx] * on[ls]).conj() - on * m[ls]
+        v = np.choose((np.arange(3)[:, None] - d.argmax(axis=0)) % 3, [d, u[ls].conj(), u])
+        v /= np.sqrt((v.real * v.real + v.imag * v.imag).sum(axis=0))
+        w = a * v + o * v[nx] + o[ls].conj() * v[ls]  # A v
+        t = 3 * q - lam[0, k]
+        g = w - (lam[0, k] / 2 + t / 4) * v  # P (A - t/2) P = (A - t/2) - g v^dag - v g^dag
+        cd = a - t / 2 - 2 * (g * v.conj()).real
+        co = o - g * v[nx].conj() - v * g[nx].conj()
+        r2 = ((cd * cd).sum(axis=0) + 2 * (co.real * co.real + co.imag * co.imag).sum(axis=0)) / 2
+        lam[1, k] = t / 2 + np.copysign(np.sqrt(r2), t)
+        lam[2, k] = np.divide(t * t / 4 - r2, lam[1, k], out=np.zeros_like(t), where=lam[1, k] != 0.0)
+    return np.ldexp(lam.T, e[:, None]).reshape(rho.shape[:-1])
+
+
 def site_entropies(psi, dims: Dims, sites=None) -> np.ndarray:
     """Marginal entropies of the listed factors (all by default, in that order) of a pure state,
     or of every state in a stack (..., D); the result is (..., len(sites)).
 
     The marginal of factor i is the d_i x d_i Gram ``_marginals`` forms; one stacked ``eigvalsh``
-    per group of equal d_i >= 3 reads their spectra. For a qubit, a, c, b = G_00, G_11, G_01 are
-    sums over the strided views (..., prod d[:i], 2, prod d[i+1:]) of |psi|^2 and psi, with no
-    support-first copy per site, written into (..., qubits) arrays; then, over all qubit sites at
-    once, hi = (a + c) / 2 + sqrt(((a - c) / 2)^2 + |b|^2) and lo = (a c - |b|^2) / hi (0 when hi is),
-    each within a few eps (a + c) of exact, as ``eigvalsh``'s. An out-of-range or repeated site
-    raises DimensionMismatch naming it.
+    per group of equal d_i >= 4 reads their spectra, one ``_spectra3`` call the qutrits'. For a qubit,
+    a, c, b = G_00, G_11, G_01 are sums over the strided views (..., prod d[:i], 2, prod d[i+1:]) of
+    |psi|^2 and psi, with no support-first copy per site, written into (..., qubits) arrays; then,
+    over all qubit sites at once, hi = (a + c) / 2 + sqrt(((a - c) / 2)^2 + |b|^2) and lo = (a c -
+    |b|^2) / hi (0 when hi is), each within a few eps (a + c) of exact, as ``eigvalsh``'s. An
+    out-of-range or repeated site raises DimensionMismatch naming it; a NaN or inf entry,
+    InvariantViolation.
     """
     v = _vec(psi)
     if v.shape[-1] != dims.total:
         raise DimensionMismatch(f"state dim {v.shape[-1]} != product dim {dims.total}")
+    if not np.isfinite(v).all():
+        raise InvariantViolation("state entries must be finite, got NaN or inf")
     sites = range(dims.n) if sites is None else tuple(sites)
     groups = {}
     for k, i in enumerate(sites):
@@ -376,9 +422,10 @@ def site_entropies(psi, dims: Dims, sites=None) -> np.ndarray:
         hi = (a + c) / 2 + np.sqrt(((a - c) / 2) ** 2 + b2)
         lo = np.divide(a * c - b2, hi, out=np.zeros_like(hi), where=hi > 0.0)
         out[..., qubits] = _entropy_of_probs(np.stack((lo, hi), axis=-1))
-    for ks in groups.values():
+    for d, ks in groups.items():
         rho = _marginals(v.reshape((-1,) + dims.factors), tuple((sites[k],) for k in ks))
-        out[..., ks] = _entropy_of_probs(np.linalg.eigvalsh(rho)).T.reshape(lead + (len(ks),))
+        spectra = _spectra3(rho) if d == 3 else np.linalg.eigvalsh(rho)
+        out[..., ks] = _entropy_of_probs(spectra).T.reshape(lead + (len(ks),))
     return out
 
 

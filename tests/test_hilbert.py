@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from concurrent import futures
 from functools import reduce
 from pathlib import Path
@@ -17,7 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 import mereokit as mk
 from mereokit import hilbert
-from mereokit.hilbert import ATOL, _check_unitary, _entropy_of_probs, _from_pairs, _marginals, _to_pairs, _unit
+from mereokit.hilbert import (
+    ATOL, _check_unitary, _entropy_of_probs, _from_pairs, _marginals, _spectra3, _to_pairs, _unit,
+)
 from mereokit.kinds import check_spectral_hypotheses
 from mereokit.models import SIGMA
 
@@ -25,7 +28,8 @@ from conftest import DensityOp, partial_trace, per_factor_haar, random_hermitian
 
 
 def per_site_entropies(psi, dims, sites=None):
-    """``site_entropies`` read one site at a time, each qubit's closed form on its own: the oracle."""
+    """``site_entropies`` read one site at a time, each qubit's closed form on its own, each qutrit's
+    spectrum from ``_spectra3`` and every other from ``eigvalsh``: the oracle."""
     v = np.asarray(psi)
     sites = range(dims.n) if sites is None else tuple(sites)
     lead = v.shape[:-1]
@@ -46,7 +50,9 @@ def per_site_entropies(psi, dims, sites=None):
             out[..., k] = _entropy_of_probs(np.stack((lo, hi), axis=-1))
         else:
             m = np.moveaxis(t, len(lead) + i, len(lead)).reshape(lead + (d, dims.total // d))
-            out[..., k] = _entropy_of_probs(np.linalg.eigvalsh(m @ m.conj().swapaxes(-1, -2)))
+            rho = m @ m.conj().swapaxes(-1, -2)
+            spectra = _spectra3(rho) if d == 3 else np.linalg.eigvalsh(rho)
+            out[..., k] = _entropy_of_probs(spectra)
     return out
 
 
@@ -578,16 +584,31 @@ class TestStackedSiteEntropies:
             mk.site_entropies(psi, mk.Dims((2, 2, 3)), sites)
 
     def test_one_eigvalsh_per_qudit_factor_and_no_svd(self, monkeypatch):
-        # qubit factors read their 2 x 2 marginal spectra in closed form
+        # qubit and qutrit factors read their marginal spectra in closed form; every other group of
+        # equal d >= 4 takes one eigvalsh
         calls = []
         for name in ("svd", "eigvalsh"):
             real = getattr(np.linalg, name)
             monkeypatch.setattr(
                 np.linalg, name, lambda *a, _name=name, _real=real, **kw: calls.append(_name) or _real(*a, **kw)
             )
-        z = mk.stream(113).standard_normal((5, 12)) + 0j
-        mk.site_entropies(z / np.linalg.norm(z, axis=-1, keepdims=True), mk.Dims((2, 2, 3)))
-        assert calls == ["eigvalsh"]
+        for factors, expected in [((2, 2, 3), []), ((3, 4, 2, 3, 4), ["eigvalsh"])]:
+            calls.clear()
+            dims = mk.Dims(factors)
+            z = mk.stream(113).standard_normal((5, dims.total)) + 0j
+            mk.site_entropies(z / np.linalg.norm(z, axis=-1, keepdims=True), dims)
+            assert calls == expected, factors
+
+    @pytest.mark.parametrize("factors", [(2, 2), (2, 3), (3, 3), (4, 2)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_state_refused(self, factors, bad):
+        # once NaN entropies (qubits), LinAlgError (eigvalsh) or an "invalid value" RuntimeWarning
+        dims = mk.Dims(factors)
+        psi = np.full((2, dims.total), dims.total**-0.5, dtype=complex)
+        psi[1, -1] = bad
+        with pytest.raises(mk.InvariantViolation, match="finite"):
+            mk.site_entropies(psi, dims)
 
     def test_product_state_entropies_are_zero(self):
         # exact zero Schmidt coefficients contribute 0 log 0 = 0, without a warning
@@ -609,7 +630,8 @@ class TestStackedSiteEntropies:
     )
     def test_bit_equal_to_per_site_loop(self, factors, lead, subset, seed):
         # all qubit sites in one closed-form pass give the per-site loop's bits, for every
-        # stack shape and every ordered subset of sites
+        # stack shape and every ordered subset of sites, and so do all qutrit sites in one
+        # _spectra3 call
         dims = mk.Dims(tuple(factors))
         rng = mk.stream(seed)
         z = rng.standard_normal(lead + (dims.total,)) + 1j * rng.standard_normal(lead + (dims.total,))
@@ -617,6 +639,64 @@ class TestStackedSiteEntropies:
         sites = tuple(int(i) for i in rng.permutation(dims.n)[: rng.integers(dims.n + 1)]) if subset else None
         got = mk.site_entropies(psi, dims, sites)
         assert np.array_equal(got, per_site_entropies(psi, dims, sites))
+
+
+class TestSpectra3:
+    """``_spectra3``, the closed-form qutrit spectra, against ``eigvalsh``."""
+
+    KINDS = ["generic", "gram", "rank1", "rank2", "pair_low", "pair_high", "pair_zero", "triple", "zero"]
+
+    @settings(max_examples=90, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(KINDS),
+        gap=st.sampled_from([0.0] + [10.0**-k for k in range(4, 15)]),
+        diagonal=st.booleans(),
+        scale=st.sampled_from([-1000, -7, 0, 7, 1000]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_eigvalsh(self, kind, gap, diagonal, scale, seed):
+        # unit-trace spectra of 64 matrices of one kind, pairs split by gap, conjugated by Haar
+        # unitaries or by permutations (diagonal inputs), then scaled by 2^scale
+        rng = mk.stream(seed)
+        n = 64
+        u, b = rng.random((n, 3)), rng.uniform(0.01, 0.45, n)
+        lam = {
+            "generic": u,
+            "gram": u,
+            "rank1": np.tile([1.0, 0.0, 0.0], (n, 1)),
+            "rank2": np.stack([b, 1 - b, 0 * b], 1),
+            "pair_low": np.stack([b, b + gap, 1 - 2 * b - gap], 1),
+            "pair_high": np.stack([1 - 2 * b - gap, b, b + gap], 1),
+            "pair_zero": np.tile([0.0, gap, 1.0 - gap], (n, 1)),
+            "triple": np.tile([1.0, 1.0, 1.0], (n, 1)),
+            "zero": np.zeros((n, 3)),
+        }[kind]
+        if diagonal:
+            U = np.eye(3, dtype=complex)[[rng.permutation(3) for _ in range(n)]]
+        else:
+            U = np.stack([V.mat for V in mk.haar_unitaries((3,) * n, rng)])
+        if kind == "gram":  # the reduced density matrix of a Haar state on 3 x 4
+            a = rng.standard_normal((n, 3, 4)) + 1j * rng.standard_normal((n, 3, 4))
+            rho = a @ a.conj().swapaxes(1, 2)
+        else:
+            rho = (U * lam[:, None, :]) @ U.conj().swapaxes(1, 2)
+        rho = (rho + rho.conj().swapaxes(1, 2)) / 2
+        trace = np.maximum(np.trace(rho, axis1=1, axis2=2).real, 1e-300)[:, None, None]
+        rho = np.ldexp(rho.view(float) / trace, scale).view(complex)  # may round below 2^-1022
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _spectra3(rho)
+        assert got.shape == (n, 3)
+        ref = np.linalg.eigvalsh(np.ldexp(rho.view(float), -scale).view(complex))  # exact unscaling
+        got = np.sort(np.ldexp(got, -scale), axis=-1)
+        assert np.abs(got - ref).max() <= 1e-14
+        assert np.abs(_entropy_of_probs(got) - _entropy_of_probs(ref)).max() <= 1e-12
+        if kind == "rank1" or (kind == "pair_zero" and gap == 0.0):
+            assert _entropy_of_probs(got).max() <= 1e-12
+
+    def test_stack_shape_kept(self):
+        rho = np.broadcast_to(np.diag([0.5, 0.25, 0.25]).astype(complex), (2, 5, 3, 3))
+        assert np.array_equal(np.sort(_spectra3(rho), axis=-1), np.broadcast_to([0.25, 0.25, 0.5], (2, 5, 3)))
 
 
 class TestMarginals:
