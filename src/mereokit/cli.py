@@ -32,13 +32,38 @@ from .search import SearchConfig
 from .search import search as run_search
 from .errors import HypothesisViolation, MereokitError, NoWitnessError
 from .hilbert import Dims, HermitianOp, StateVec, UnitaryOp, expm_i, haar_state, haar_unitaries, haar_unitary, kron_all
-from .hilbert import _eig_soon, _from_pairs, _soon, _to_pairs, _unit
+from .hilbert import _eig_on, _from_pairs, _to_pairs, _unit
 from .rng import stream
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_HYPOTHESIS = 3
+
+# smallest D whose work a subcommand sends to the worker thread: an eigendecomposition or a pair build.
+# Median in-process CLI calls, inline vs. with the worker sent H's eigendecomposition (2-vCPU Xeon VM,
+# OpenBLAS 0.3.31 on one thread, 30 alternations of 5 seeds): D = 32 within noise (orbit 2146 -> 2124
+# us, fingerprint 2183 -> 2260 us); D = 64 orbit 3509 -> 2914 us, fingerprint 4421 -> 4079 us, kinds
+# hsf 2700 -> 2349 us; D = 128 orbit 8.56 -> 6.96 ms. kinds hsf with its pair 1 also built on the
+# worker, against H's eigendecomposition alone (every analyze-ladder op run op by op in one process,
+# 48 ops per cell, two runs): D = 64 +0.1 % and -2.3 %, D = 128 -8.8 % and -10.5 %
+SOON_MIN_DIM = 64
+
+_pools = {}  # process id -> the worker: a ThreadPoolExecutor of one thread, shared by every call
+
+
+def _worker(dim: int):
+    """The worker's executor from dim = SOON_MIN_DIM up, else None; it runs the calls the calling
+    thread would, so every array is the inline one bit for bit. Made on first use in each process:
+    a forked child holds its parent's executor, but not its thread. The library starts no thread."""
+    if dim < SOON_MIN_DIM:
+        return None
+    pool = _pools.get(os.getpid())
+    if pool is None:  # setdefault keeps one executor when threads race here; the other starts no thread
+        from concurrent.futures import ThreadPoolExecutor  # 4-5 ms, paid here, not at import
+
+        pool = _pools.setdefault(os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="mereokit-worker"))
+    return pool
 
 
 class _Parser(argparse.ArgumentParser):
@@ -249,7 +274,10 @@ def build_state(spec, dims: Dims, seed: int, *path: int) -> StateVec:
         return haar_state(dims.total, stream(seed, 4, *path))
     if isinstance(spec, list):
         with _field("state"):
-            return StateVec(_unit(_from_pairs(spec)))
+            vec = _from_pairs(spec)
+            if vec.size != dims.total:
+                raise UsageError(f"state has {vec.size} entries, dims {list(dims.factors)} need D = {dims.total}")
+            return StateVec(_unit(vec))
     raise UsageError(f"unknown state spec {spec!r}")
 
 
@@ -290,7 +318,7 @@ def cmd_profile(cfg: dict, out: str | None) -> int:
 def cmd_orbit(cfg: dict, out: str | None) -> int:
     seed = cfg["seed"]
     H, dims = build_model(_model_cfg(cfg), seed)
-    _eig_soon(H)  # read by the grid and the orbit, after the structure's Haar draw
+    _eig_on(H, _worker(H.dim))  # read by the grid and the orbit, after the structure's Haar draw
     T = build_tps(cfg.get("tps"), dims, seed, None, H)
     with _field("probe"):
         probe = tps_mod.product_state_in(T, _site_kets(cfg.get("probe"), dims))
@@ -314,7 +342,7 @@ def cmd_orbit(cfg: dict, out: str | None) -> int:
 def cmd_fingerprint(cfg: dict, out: str | None) -> int:
     seed = cfg["seed"]
     H, dims = build_model(_model_cfg(cfg), seed)
-    _eig_soon(H)  # read by the probe set, after the state and the first structure are drawn
+    _eig_on(H, _worker(H.dim))  # read by the probe set, after the state and the first structure are drawn
     psi = build_state(cfg.get("state"), dims, seed)
     T1 = build_tps(cfg.get("tps1"), dims, seed, None, H)
     T2 = build_tps(cfg.get("tps2"), dims, seed, T1, H, 1)
@@ -354,9 +382,7 @@ def _search_config(sc: dict, seed: int) -> SearchConfig:
 
 def _kinds_pair(cfg_pair, seed: int, path: int):
     H, dims = build_model(_model_cfg(cfg_pair), seed, path)
-    _eig_soon(H)  # read by the witness; not sent while this runs on the worker itself
-    psi = build_state(cfg_pair.get("state"), dims, seed, path)
-    return H, psi
+    return H, build_state(cfg_pair.get("state"), dims, seed, path)
 
 
 def cmd_kinds(cfg: dict, out: str | None) -> int:
@@ -368,21 +394,23 @@ def cmd_kinds(cfg: dict, out: str | None) -> int:
         pair1 = _typed("pair1", cfg["pair1"], dict)
         conjugated = cfg.get("pair2") == "conjugated"
         dims = _model_dims(_model_cfg(pair1)) if conjugated else None
-        if dims:  # a matrix file's D is known only once it is read
+        pool = _worker(dims.total) if dims else None  # a matrix file's D is known only once it is read
+        if pool:
             # the worker builds pair 1 while V is drawn here, not the other way round: with V drawn on
             # the worker, analyze-ladder op_tail_s read +1.8 %, lower in 5 of 10 pairs (BENCH_34.json)
-            built = _soon(dims.total, _kinds_pair, pair1, seed, 0)
+            built = pool.submit(_kinds_pair, pair1, seed, 0)
             V = haar_unitary(dims.total, stream(seed, 6))
             H1, psi1 = built.result()
         else:
             H1, psi1 = _kinds_pair(pair1, seed, 0)
             V = haar_unitary(H1.dim, stream(seed, 6)) if conjugated else None
+        _eig_on(H1, _worker(H1.dim))  # on the worker while pair 2 is built and H2.eig runs here
         if conjugated:
-            _eig_soon(H1)  # on the worker while H2 is built and its own runs inline
             H2 = HermitianOp(V.mat @ H1.mat @ V.mat.conj().T)
             psi2 = StateVec(V.mat @ psi1.vec)
         else:
             H2, psi2 = _kinds_pair(_typed("pair2", cfg["pair2"], dict), seed, 1)
+        H2.eig  # before the witness waits for H1.eig
         find = lambda: kinds.pair_orbit_witness(H1, psi1, H2, psi2, tol)
         residuals = lambda U: {
             "residual_operator": float(np.abs(U.mat @ H1.mat @ U.mat.conj().T - H2.mat).max()),
@@ -421,7 +449,10 @@ def _build_family(name: str, spec, seed: int, path: int) -> np.ndarray:
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     if isinstance(spec, list):
         with _field(name):
-            return _from_pairs(spec)
+            fam = _from_pairs(spec)
+        if fam.ndim != 2:
+            raise UsageError(f"{name} must be a list of members, each a list of [re, im] pairs, got shape {fam.shape}")
+        return fam
     raise UsageError(f"unknown family spec {spec!r}")
 
 
@@ -439,7 +470,7 @@ def cmd_dualscan(cfg: dict, out: str | None) -> int:
         # kept so that payloads stay byte-identical with earlier releases.
         rng = stream(seed, trial, 0)
         H = _gue(dims.total, rng)
-        _eig_soon(H)  # read by the probe set, after the state and the structure are drawn
+        _eig_on(H, _worker(H.dim))  # read by the probe set, after the state and the structure are drawn
         psi = haar_state(dims.total, rng)
         T1 = tps_mod.random_tps(dims, rng)
         probes = kinds.build_probe_set(H, psi, count, stream(seed, trial, 64))
@@ -508,7 +539,10 @@ def main(argv=None) -> int:
         report = {"error": "hypothesis_violation", "reason": e.reason, "detail": str(e)}
         print(json.dumps(report, sort_keys=True), file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except (MereokitError, FileNotFoundError, KeyError, ValueError) as e:
+    except KeyError as e:
+        print(f"error: missing config field {e.args[0]!r}", file=sys.stderr)
+        return EXIT_USAGE
+    except (MereokitError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

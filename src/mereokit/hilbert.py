@@ -3,26 +3,11 @@
 All carrier types copy their arrays on construction and mark them
 read-only, so values are immutable and safe to share across concurrent
 tasks. Entropies are in nats throughout.
-
-One worker thread takes D x D work that a caller's other work can overlap:
-``_soon(dim, fn, *args)`` sends fn(*args) to it from dim = ``SOON_MIN_DIM``
-(64) up, and only while it is idle, else the task runs inline when read.
-Two kinds of task go there: an eigendecomposition, by ``_eig_soon(H)``
-(``H.eig`` reads it; the CLI's ``orbit``, ``fingerprint``, ``dualscan`` and
-``kinds`` hsf send H), and, in ``kinds`` hsf with a conjugated second pair,
-the build of pair 1 while the calling thread draws the conjugating unitary.
-The worker runs the same calls, with BLAS on its own thread count per call,
-so the arrays are the inline ones bit for bit; errors are raised at every
-read, never at the send. The thread starts on first use, never at import.
-A forked child starts a fresh worker, and computes inline what its parent's
-worker was running.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate
@@ -34,15 +19,6 @@ from .errors import DimensionMismatch, InvariantViolation, ScaleOutOfRange
 # tolerance for algebraic identities: HermitianOp scales it by 1 + max |H_ij|; the unitarity
 # check and the state norm use it as is
 ATOL = 1e-10
-
-# smallest D whose task _soon sends to the worker: an eigendecomposition or a pair build. Median
-# in-process CLI calls, inline vs. with the worker sent H's eigendecomposition (2-vCPU Xeon VM,
-# OpenBLAS 0.3.31 on one thread, 30 alternations of 5 seeds): D = 32 within noise (orbit 2146 -> 2124
-# us, fingerprint 2183 -> 2260 us); D = 64 orbit 3509 -> 2914 us, fingerprint 4421 -> 4079 us, kinds
-# hsf 2700 -> 2349 us; D = 128 orbit 8.56 -> 6.96 ms. kinds hsf with its pair 1 also built on the
-# worker, against H's eigendecomposition alone (every analyze-ladder op run op by op in one process,
-# 48 ops per cell, two runs): D = 64 +0.1 % and -2.3 %, D = 128 -8.8 % and -10.5 %
-SOON_MIN_DIM = 64
 
 
 def _frozen(a, dtype=complex) -> np.ndarray:
@@ -171,8 +147,8 @@ class HermitianOp:
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (ascending) and eigenvector columns, computed once, read-only; ScaleOutOfRange
         if not finite. A memo without a lock, so two operators' reads run side by side; the first
-        read waits for a task ``_eig_soon`` sent to the worker. An error is not memoized: every
-        read raises it."""
+        read waits for a computation ``_eig_on`` sent to an executor. An error is not memoized:
+        every read raises it."""
         got = self.__dict__.get("_eig")
         if type(got) is not tuple:
             got = _eigh(self.mat) if got is None else got.result()
@@ -181,7 +157,7 @@ class HermitianOp:
 
 
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``HermitianOp.eig`` of the matrix m, inline or on the worker."""
+    """``HermitianOp.eig`` of the matrix m, inline or on an executor."""
     lam, V = np.linalg.eigh(m)
     if not (np.isfinite(lam).all() and np.isfinite(V).all()):
         raise ScaleOutOfRange(f"spectrum leaves float64 at scale {np.abs(m.view(float)).max():.1e}")
@@ -190,65 +166,10 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, V
 
 
-class _Task:
-    """fn(*args): the worker's result when ``_soon`` sent it there (``future`` set), else computed
-    inline at each read. Either way an error is raised at every read."""
-
-    __slots__ = ("fn", "args", "future")
-
-    def __init__(self, fn, args):
-        self.fn, self.args, self.future = fn, args, None
-
-    def result(self):
-        return self.fn(*self.args) if self.future is None else self.future.result()
-
-
-_worker = None  # a ThreadPoolExecutor of one thread, made on first use
-_running: _Task | None = None  # the last task sent to it
-_lock = threading.Lock()  # guards the check that the worker is idle and the send
-
-
-def _soon(dim: int, fn, *args) -> _Task:
-    """fn(*args) as a task, sent to the worker thread when dim >= SOON_MIN_DIM and the worker is idle,
-    else left to run inline when read. Never queues one task behind another, and never raises:
-    errors wait for the read. fn(*args) must give the same result however often it runs, since a
-    forked child reruns what its parent's worker was running: a random draw takes its seed, not a
-    stream."""
-    global _worker, _running
-    task = _Task(fn, args)
-    if dim >= SOON_MIN_DIM:
-        with _lock:
-            if _running is None or _running.future.done():
-                if _worker is None:
-                    from concurrent.futures import ThreadPoolExecutor  # 4-5 ms, paid here, not at import
-
-                    _worker = ThreadPoolExecutor(1, thread_name_prefix="mereokit-worker")
-                task.future = _worker.submit(fn, *args)
-                _running = task
-    return task
-
-
-def _eig_soon(H: HermitianOp) -> bool:
-    """Send H.eig to the worker (``_soon``) unless it is computed or sent already; a task left to
-    run inline is dropped, so H.eig computes inline when read, and a later call may still send.
-    Returns whether H.eig is on the worker, sent and not read since."""
-    if "_eig" not in H.__dict__:
-        task = _soon(H.dim, _eigh, H.mat)
-        if task.future is not None:
-            object.__setattr__(H, "_eig", task)
-    return isinstance(H.__dict__.get("_eig"), _Task)
-
-
-def _after_fork_in_child():
-    # the parent's worker thread does not exist here, and the future of the task it ran last may
-    # never finish: that task runs inline when read
-    global _worker, _running, _lock
-    if _running is not None:
-        _running.future = None
-    _worker, _running, _lock = None, None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_after_fork_in_child)
+def _eig_on(H: HermitianOp, pool) -> None:
+    """Send H.eig to the executor ``pool`` unless it is None or H.eig is computed or sent already."""
+    if pool is not None and "_eig" not in H.__dict__:
+        object.__setattr__(H, "_eig", pool.submit(_eigh, H.mat))
 
 
 def _check_unitary(m: np.ndarray):

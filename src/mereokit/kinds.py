@@ -24,7 +24,7 @@ from .errors import (
     InvariantViolation,
     NoWitnessError,
 )
-from .hilbert import HermitianOp, StateVec, UnitaryOp, _eig_soon
+from .hilbert import HermitianOp, StateVec, UnitaryOp
 from .hilbert import _finite, _frozen, _scaled, _tol, _vec
 from .tps import Tps, _eigen_entropies, equivalent
 
@@ -155,7 +155,6 @@ def pair_orbit_witness(
     the comparison ``pair_membership`` makes.
     """
     tol = _tol(tol)
-    (H1 if _eig_soon(H2) else H2).eig  # inline, while the worker runs H2 or an H1 the caller sent
     (lam1, V1), (lam2, V2) = H1.eig, H2.eig
     if len(lam1) != len(lam2):
         raise DimensionMismatch("operator dimensions differ")

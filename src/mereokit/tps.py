@@ -171,8 +171,15 @@ def _equivalence_certificate(T1: Tps, T2: Tps) -> Optional[ProductOpCertificate]
 
 def product_state_in(T: Tps, site_vectors) -> StateVec:
     """State of the abstract space that is the given pure tensor in T; each site vector
-    (nonzero and finite) is normalised before the product, which then cannot overflow."""
-    return StateVec(T.iso.mat.conj().T @ kron_all([_unit(_vec(v)) for v in site_vectors]))
+    (nonzero and finite) is normalised before the product, which then cannot overflow. One vector
+    of d_i entries per factor, else DimensionMismatch."""
+    kets = [_vec(v) for v in site_vectors]
+    if len(kets) != T.dims.n:
+        raise DimensionMismatch(f"{len(kets)} site vectors for {T.dims.n} factors")
+    for i, (k, d) in enumerate(zip(kets, T.dims.factors)):
+        if k.shape != (d,):
+            raise DimensionMismatch(f"site {i} vector has shape {k.shape}, its factor dimension is {d}")
+    return StateVec(T.iso.mat.conj().T @ kron_all([_unit(k) for k in kets]))
 
 
 def random_product_probe(T: Tps, stream: np.random.Generator) -> StateVec:

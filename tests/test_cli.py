@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import threading
-from concurrent import futures
 from pathlib import Path
 
 import numpy as np
@@ -327,23 +326,26 @@ class TestKinds:
         assert out["residual_state"] < 1e-8
 
     @pytest.mark.parametrize("n", [6, 7])
-    def test_conjugated_pair_bytes_do_not_depend_on_the_worker(self, tmp_path, n):
-        # from D = 64 the worker builds pair 1 and then runs H1's eigendecomposition; with the
-        # worker held busy, both run inline, and every output byte is the same
+    def test_conjugated_pair_bytes_do_not_depend_on_the_worker(self, tmp_path, monkeypatch, n):
+        # from D = 64 the worker builds pair 1 and then runs H1's eigendecomposition, while H2's runs
+        # on the calling thread; with the worker off, all run inline, and every output byte is the same
         cfg = write_config(tmp_path, "c.json", {"mode": "hsf", "pair2": "conjugated", "seed": 3, "pair1": {
             "model": {"name": "gue", "dims": [2] * n}, "state": "haar"}})
+        ran = []  # (task, whether off the calling thread) of every pair build and eigendecomposition
+        main_thread = threading.current_thread()
+        for task, module in (("_kinds_pair", cli), ("_eigh", hilbert)):
+            fn = getattr(module, task)
+            spy = lambda *args, fn=fn, task=task: (
+                ran.append((task, threading.current_thread() is not main_thread)) or fn(*args))
+            monkeypatch.setattr(module, task, spy)
         outputs = []
-        for busy in (False, True):
-            if hilbert._running is not None:
-                futures.wait([hilbert._running.future], timeout=60)
-            release = threading.Event()
-            held = hilbert._soon(64, release.wait, 60) if busy else None
-            try:
-                out = str(tmp_path / f"busy{busy}.json")
-                assert run_cli(["kinds", "--config", cfg, "--out", out]) == 0
-                assert (hilbert._running is held) if busy else (hilbert._running.fn is hilbert._eigh)
-            finally:
-                release.set()
+        for soon in (cli.SOON_MIN_DIM, 10 ** 9):
+            monkeypatch.setattr(cli, "SOON_MIN_DIM", soon)
+            ran.clear()
+            out = str(tmp_path / f"soon{soon}.json")
+            assert run_cli(["kinds", "--config", cfg, "--out", out]) == 0
+            # the two eigendecompositions start in either order when they run side by side
+            assert sorted(ran) == [("_eigh", False), ("_eigh", soon == 64), ("_kinds_pair", soon == 64)]
             outputs.append([Path(out).read_bytes(), Path(out + ".witness.npy").read_bytes()])
         assert outputs[0] == outputs[1]
 
@@ -686,6 +688,24 @@ class TestUsage:
         ("orbit", {"grid": 0}, "grid must be an object, got 0"),
         ("orbit", {"grid": ""}, "grid must be an object, got ''"),
         ("orbit", {"grid": False}, "grid must be an object, got False"),
+        # malformed shapes, which leaked numpy's messages, an IndexError traceback, or (the first
+        # probe) a Bell state that failed as "probe 0 is not a product state"
+        ("orbit", {"probe": [[[1, 0], [0, 0], [0, 0], [1, 0]], [[1, 0]]]},
+         "probe: site 0 vector has shape (4,), its factor dimension is 2"),
+        ("orbit", {"probe": [[[1, 0], [0, 0]]]}, "probe: 1 site vectors for 2 factors"),
+        ("kinds", {"mode": "hsf", "pair1": {"model": {"name": "gue", "dims": [2, 2]}, "state": [[1, 0]] * 3},
+                   "pair2": "conjugated"}, "state has 3 entries, dims [2, 2] need D = 4"),
+        ("kinds", {"mode": "gram", "family1": [[1, 0], [0, 1]], "family2": "rotated"},
+         "family1 must be a list of members, each a list of [re, im] pairs, got shape (2,)"),
+        ("kinds", {"mode": "gram", "family1": [[[1, 0], [0, 1]]], "family2": [[1, 0], [0, 1]]},
+         "family2 must be a list of members, each a list of [re, im] pairs, got shape (2,)"),
+        ("kinds", {"mode": "gram", "family1": [[[[1, 0]]]], "family2": [[[[1, 0]]]]},
+         "family1 must be a list of members, each a list of [re, im] pairs, got shape (1, 1, 1)"),
+        # a missing required field printed the bare key
+        ("fingerprint", {"tps2": {"kind": "evolved"}}, "missing config field 't'"),
+        ("profile", {"model": {"name": "random_klocal", "dims": [2, 2]}}, "missing config field 'K'"),
+        ("profile", {"model": {"name": "pauli", "string": "XX"}, "tps": {"kind": "file"}},
+         "missing config field 'path'"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_bad_numbers_name_field_and_write_nothing(self, tmp_path, capsys, monkeypatch, command, cfg, message):

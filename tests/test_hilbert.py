@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import re
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mereokit as mk
-from mereokit import hilbert
+from mereokit import cli, hilbert
 from mereokit.hilbert import (
     ATOL, _check_unitary, _entropy_of_probs, _from_pairs, _marginals, _spectra3, _to_pairs, _unit,
 )
@@ -154,6 +155,17 @@ class TestCarriers:
             with pytest.raises(mk.InvariantViolation):
                 mk.product_state_in(T, [np.array(bad), np.array([1.0, 0.0])])
 
+    def test_product_state_refuses_site_vectors_unlike_the_dims(self, dims22):
+        # [1, 0, 0, 1] (x) [1] was once returned as a Bell state
+        T = mk.canonical(dims22)
+        for kets, message in [([[1, 0, 0, 1], [1]], r"site 0 vector has shape \(4,\), its factor dimension is 2"),
+                              ([[1, 0], [0, 1, 0]], r"site 1 vector has shape \(3,\)"),
+                              ([[1, 0], [[1], [0]]], r"site 1 vector has shape \(2, 1\)"),
+                              ([[1, 0]], "1 site vectors for 2 factors"),
+                              ([[1, 0]] * 3, "3 site vectors for 2 factors")]:
+            with pytest.raises(mk.DimensionMismatch, match=message):
+                mk.product_state_in(T, [np.array(k) for k in kets])
+
     @pytest.mark.filterwarnings("error")
     def test_product_state_of_small_site_vectors(self, dims22):
         # the raw product has entries 1e-200, whose squared norm underflows to 0; normalised
@@ -204,25 +216,11 @@ class TestComplexPairs:
             _from_pairs(rows)
 
 
-def idle_worker():
-    """Let the worker thread go idle, since ``_soon`` sends nothing while it is busy."""
-    if hilbert._running is not None:
-        futures.wait([hilbert._running.future], timeout=60)
-
-
-def sent(dim, fn, *args):
-    """fn(*args) as a task sent to an idle worker thread."""
-    idle_worker()
-    task = hilbert._soon(dim, fn, *args)
-    assert task is hilbert._running  # the worker runs it
-    return task
-
-
 def prefetched(m) -> mk.HermitianOp:
-    """HermitianOp of m whose eigendecomposition was sent to an idle worker thread."""
+    """HermitianOp of m whose eigendecomposition was sent to the CLI's worker thread."""
     H = mk.HermitianOp(m)
-    idle_worker()
-    assert hilbert._eig_soon(H) and vars(H)["_eig"] is hilbert._running
+    hilbert._eig_on(H, cli._worker(H.dim))
+    assert isinstance(vars(H)["_eig"], futures.Future)
     return H
 
 
@@ -253,11 +251,28 @@ for name, cfg in configs.items():
         json.dump({**cfg, "seed": 1}, f)
     argv = [name.split("-")[0], "--config", f"{where}/{name}.json", "--out", f"{where}/{name}.out"]
     assert cli.main(argv) == 0
-before = threading.active_count(), hilbert._worker is None
+before = threading.active_count(), not cli._pools
 H = hilbert.HermitianOp(np.diag(np.arange(64.0)))
-hilbert._eig_soon(H)
+hilbert._eig_on(H, cli._worker(H.dim))
 H.eig
-print(*before, threading.active_count(), hilbert._worker is None)
+print(*before, threading.active_count(), not cli._pools)
+"""
+
+# a fresh process runs the witness, a fingerprint and an entropy orbit at D = 128 through the library,
+# which starts no thread, and prints the thread count
+LIBRARY_CHILD = """
+import threading
+import numpy as np
+import mereokit as mk
+dims, rng = mk.Dims((2,) * 7), mk.stream(112)
+A = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+H, psi = mk.HermitianOp(A + A.conj().T), mk.haar_state(128, rng)
+V, T = mk.haar_unitary(128, rng), mk.random_tps(dims, rng)
+mk.pair_orbit_witness(H, psi, mk.HermitianOp(V.mat @ H.mat @ V.mat.conj().T), mk.StateVec(V.mat @ psi.vec))
+mk.fingerprint(H, psi, [T], mk.build_probe_set(H, psi, None, rng))
+probe = mk.product_state_in(T, [np.eye(2)[0]] * 7)
+mk.entropy_orbit(H, T, probe, 0, mk.default_time_grid(H, 16))
+print(threading.active_count())
 """
 
 
@@ -300,11 +315,6 @@ class TestEig:
                 for read in (lambda: H.eig, lambda: H.eig, lambda: check_spectral_hypotheses(H)):
                     with pytest.raises(mk.ScaleOutOfRange, match=f"spectrum leaves float64 at scale {scale}"):
                         read()
-        # a sent Haar draw from a seed that makes no stream, too
-        draw = sent(64, lambda: mk.haar_unitary(64, mk.stream(-1)))
-        for _ in range(2):
-            with pytest.raises(ValueError, match="non-negative"):
-                draw.result()
 
     def test_cached_and_read_only(self):
         H = random_hermitian(4, mk.stream(105))
@@ -324,28 +334,6 @@ class TestEig:
             with pytest.raises(ValueError):
                 got[0] = 0.0
 
-    def test_eig_soon_says_whether_eig_is_pending(self):
-        # below the crossover, behind a busy worker and once read, H.eig is not pending
-        assert not hilbert._eig_soon(random_hermitian(32, mk.stream(110)))
-        release = threading.Event()
-        busy = sent(64, release.wait, 60)
-        try:
-            assert not hilbert._eig_soon(random_hermitian(64, mk.stream(110)))
-        finally:
-            release.set()
-        assert busy.result()
-        H = prefetched(random_hermitian(64, mk.stream(110)).mat)  # pending, as prefetched asserts
-        H.eig
-        assert not hilbert._eig_soon(H)
-
-    @pytest.mark.parametrize("factors", [(2,) * 6, (2,) * 7])
-    def test_sent_haar_draw_is_the_inline_one(self, factors):
-        D = math.prod(factors)
-        inline = mk.haar_unitary(D, mk.stream(109, D)).mat
-        draw = sent(D, lambda: mk.haar_unitary(D, mk.stream(109, D)))
-        assert draw.result() is draw.result() and same_bytes([draw.result().mat], [inline])
-        assert not draw.result().mat.flags.writeable
-
     def test_no_thread_below_the_crossover(self, tmp_path):
         src = str(Path(mk.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -355,59 +343,73 @@ class TestEig:
         # one thread and no worker after every D = 32 subcommand; the D = 64 send starts the worker
         assert proc.stdout.split() == ["1", "True", "2", "False"]
 
+    def test_library_starts_no_thread(self):
+        src = str(Path(mk.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", LIBRARY_CHILD], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1"]
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
-    def test_fork_child_reads_prefetched_eig(self):
-        # the parent's worker may still run an eigendecomposition, and then a Haar draw, when a child
-        # forks: the child computes it inline, and starts a worker of its own for what it sends
-        rng = mk.stream(107)
-        mats = [random_hermitian(128, rng).mat for _ in range(3)]
-        want = [mk.HermitianOp(m).eig for m in mats]
-        draw = lambda: mk.haar_unitary(128, mk.stream(107, 1))
-        cases = [(lambda: prefetched(mats[1]), lambda H: H.eig, want[1]),
-                 (lambda: sent(128, draw), lambda task: [task.result().mat], [draw().mat])]
-        prefetched(mats[0]).eig  # the parent's worker thread runs
-        for send, read, expect in cases:
-            pending = send()  # it may still run when the child forks
-            pid = os.fork()
-            if pid == 0:  # the child reports by its exit code alone
-                ok = False
-                try:
-                    H, threads = mk.HermitianOp(mats[2]), threading.active_count()
-                    pending_eig = hilbert._eig_soon(H)
-                    ok = threading.active_count() == threads + 1 and pending_eig and all(
-                        same_bytes(got, w) for got, w in ((read(pending), expect), (H.eig, want[2])))
-                finally:
-                    os._exit(0 if ok else 1)
-            deadline = time.monotonic() + 60
-            while (done := os.waitpid(pid, os.WNOHANG)) == (0, 0):
-                if time.monotonic() > deadline:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-                    pytest.fail("the forked child did not read the pending task within 60 s")
-                time.sleep(0.01)
-            assert os.waitstatus_to_exitcode(done[1]) == 0
-            assert same_bytes(read(pending), expect)
+    def test_fork_child_reads_prefetched_eig(self, tmp_path):
+        # a child forked after a D = 128 kinds op that used the worker thread has no worker: its own
+        # op starts one, and writes the parent's bytes
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"mode": "hsf", "pair1": {"model": {"name": "gue", "dims": [2] * 7},
+                                                            "state": "haar"}, "pair2": "conjugated", "seed": 4}))
+        run = lambda out: cli.main(["kinds", "--config", str(cfg), "--out", str(tmp_path / out)])
+        assert run("parent.json") == 0
+        pid = os.fork()
+        if pid == 0:  # the child reports by its exit code alone
+            ok = False
+            try:
+                threads = threading.active_count()
+                ok = run("child.json") == 0 and threading.active_count() == threads + 1
+            finally:
+                os._exit(0 if ok else 1)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG)) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish its op within 60 s")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+        for suffix in ("", ".witness.npy"):
+            assert (tmp_path / f"child.json{suffix}").read_bytes() == (tmp_path / f"parent.json{suffix}").read_bytes()
 
-    def test_threads_share_one_worker(self):
-        # eight operators, each read by six threads through its own HermitianOp and one shared by
-        # all, every one sent first; a short switch interval interleaves the sends and the reads
-        rng = mk.stream(108)
-        mats = [random_hermitian(64, rng).mat for _ in range(8)]
-        want = [mk.HermitianOp(m).eig for m in mats]
-        shared = [mk.HermitianOp(m) for m in mats]
+    def test_threads_share_one_worker(self, tmp_path):
+        # six threads each run three D = 64 subcommands that send work to the worker, in rotated
+        # orders and each to its own output; a short switch interval interleaves the sends and the
+        # reads, and every output has the bytes of a run alone
+        dims = [2] * 6
+        configs = {
+            "orbit": {"model": {"name": "gue", "dims": dims}, "tps": {"kind": "random"}, "grid": {"points": 16}},
+            "fingerprint": {"model": {"name": "gue", "dims": dims}, "state": "haar", "tps1": {"kind": "random"},
+                            "tps2": {"kind": "local"}},
+            "kinds": {"mode": "hsf", "pair1": {"model": {"name": "gue", "dims": dims}, "state": "haar"},
+                      "pair2": "conjugated"},
+        }
+        names = list(configs)
+        for name, cfg in configs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps({**cfg, "seed": 2}))
+
+        def run(name, tag):
+            out = tmp_path / f"{name}-{tag}.out"
+            code = cli.main([name, "--config", str(tmp_path / f"{name}.json"), "--out", str(out)])
+            return code, sorted((p.name[len(out.name):], p.read_bytes()) for p in tmp_path.glob(out.name + "*"))
+
+        want = {name: run(name, "alone") for name in names}
         errors = []
 
         def work(k):
             try:
-                for j in range(len(mats)):
-                    i = (j + k) % len(mats)
-                    pair = (mk.HermitianOp(mats[i]), shared[i])
-                    for H in pair:
-                        hilbert._eig_soon(H)
-                    for H in pair:
-                        if not all(a.tobytes() == b.tobytes() for a, b in zip(H.eig, want[i])):
-                            errors.append((k, i))
+                for j in range(len(names)):
+                    name = names[(j + k) % len(names)]
+                    if run(name, k) != want[name]:
+                        errors.append((k, name))
             except Exception as e:
                 errors.append(e)
 
@@ -422,6 +424,7 @@ class TestEig:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and errors == []
+        assert all(code == 0 for code, _ in want.values())
 
 
 class TestExpm:
