@@ -100,8 +100,14 @@ def _resolve_config(args) -> dict:
     unknown = sorted(set(cfg) - _FIELDS[args.command])
     if unknown:
         raise UsageError(f"unknown {args.command} config field {unknown[0]!r}")
-    seed = args.seed if args.seed is not None else cfg.get("seed", os.environ.get("MEREOKIT_SEED", 0))
-    seed = _checked("seed", seed, int, "a non-negative integer", lambda v: v >= 0)
+    if args.seed is not None or "seed" in cfg:
+        seed = args.seed if args.seed is not None else cfg["seed"]
+        seed = _checked("seed", seed, int, "a non-negative integer", lambda v: v >= 0)
+    else:  # MEREOKIT_SEED is a string by nature; _checked takes JSON numbers only
+        text = os.environ.get("MEREOKIT_SEED", "0")
+        if not text.isdecimal():
+            raise UsageError(f"seed must be a non-negative integer, got {text!r} from MEREOKIT_SEED")
+        seed = int(text)
     resolved = {**cfg, "seed": seed}
     if args.command in _TOL_DEFAULTS:
         tol = args.tol if args.tol is not None else cfg.get("tol", _TOL_DEFAULTS[args.command])
@@ -111,15 +117,16 @@ def _resolve_config(args) -> dict:
 
 def _checked(name: str, value, kind: type, want: str | None = None, ok=lambda v: True):
     """``kind(value)``, or a UsageError naming the field when ``value`` is not ``want``
-    (by default an integer or a number) or ``ok`` rejects it."""
+    (by default an integer or a number) or ``ok`` rejects it. Only a JSON number is a number."""
     want = want or ("an integer" if kind is int else "a number")
     error = UsageError(f"{name} must be {want}, got {value!r}")
-    # int() and float() would read true as 1, and int() truncate 2.7
-    if isinstance(value, bool) or kind is int and isinstance(value, float) and not value.is_integer():
+    # int() and float() would read true as 1 and "8" as 8, and int() truncate 2.7
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or kind is int and isinstance(value, float) and not value.is_integer()):
         raise error
     try:
         value = kind(value)
-    except (TypeError, ValueError):
+    except OverflowError:  # float() of an integer beyond float64
         raise error from None
     if not ok(value):
         raise error
@@ -264,7 +271,10 @@ def build_tps(spec, dims: Dims, seed: int, base: tps_mod.Tps | None, H: Hermitia
         if kind == "evolved":
             if H is None:
                 raise UsageError("an evolved tps needs a model in the config")
-            return tps_mod.act(expm_i(H, _checked("tps t", spec["t"], **_FINITE)), base)
+            t = _checked("tps t", spec["t"], **_FINITE)
+            with _field("tps t"):  # its phases t * eigenvalue may overflow
+                U = expm_i(H, t)
+            return tps_mod.act(U, base)
     raise UsageError(f"unknown tps spec {spec!r}")
 
 
@@ -475,7 +485,10 @@ def cmd_dualscan(cfg: dict, out: str | None) -> int:
         T1 = tps_mod.random_tps(dims, rng)
         probes = kinds.build_probe_set(H, psi, count, stream(seed, trial, 64))
         cases = [("local", _local_move(T1, stream(seed, trial, 65)))]
-        cases += [(f"evolved:{t!r}", tps_mod.act(expm_i(H, t), T1)) for t in t_values]
+        for i, t in enumerate(t_values):
+            with _field(f"t_values[{i}]"):  # its phases t * eigenvalue may overflow
+                U = expm_i(H, t)
+            cases.append((f"evolved:{t!r}", tps_mod.act(U, T1)))
         f1, *fs = kinds.fingerprint(H, psi, [T1] + [T2 for _, T2 in cases], probes)
         for (label, T2), f2 in zip(cases, fs):
             fp_eq = kinds.fingerprints_equal(f1, f2, tol)
@@ -531,20 +544,26 @@ def _parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return _HANDLERS[args.command](_resolve_config(args), args.out)
+        code = _HANDLERS[args.command](_resolve_config(args), args.out)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        code = EXIT_USAGE
     except HypothesisViolation as e:
         report = {"error": "hypothesis_violation", "reason": e.reason, "detail": str(e)}
         print(json.dumps(report, sort_keys=True), file=sys.stderr)
-        return EXIT_HYPOTHESIS
+        code = EXIT_HYPOTHESIS
     except KeyError as e:
         print(f"error: missing config field {e.args[0]!r}", file=sys.stderr)
-        return EXIT_USAGE
+        code = EXIT_USAGE
     except (MereokitError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        code = EXIT_USAGE
+    pool = _pools.get(os.getpid())
+    if code != EXIT_OK and pool is not None:
+        # an op that failed may not have read what it sent; it waits for it here, so that the
+        # next op's first task does not wait behind it. An op that exits 0 read all it sent.
+        pool.submit(lambda: None).result()
+    return code
 
 
 def entry():

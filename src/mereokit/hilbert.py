@@ -215,8 +215,19 @@ class StateVec:
         return self.vec.shape[0]
 
 
+def _phases_finite(H: HermitianOp, t_max: float, what: str) -> None:
+    """Refuse (DimensionMismatch) times up to |t_max| whose phases t * eigenvalue of H overflow,
+    or a NaN t_max: every such phase is at most max |t| * max |lambda|, a float product that
+    reads inf with no warning."""
+    reach = abs(t_max) * float(np.abs(H.eig[0]).max())
+    if not math.isfinite(reach):
+        raise DimensionMismatch(f"{what} phases t * eigenvalue overflow: max |t| * max |lambda| = {reach}")
+
+
 def expm_i(H: HermitianOp, t: float) -> UnitaryOp:
-    """Time-evolution unitary e^{-i t H} via eigendecomposition."""
+    """Time-evolution unitary e^{-i t H} via eigendecomposition; a t whose phases t * eigenvalue
+    are not finite raises DimensionMismatch."""
+    _phases_finite(H, t, "evolution")
     lam, V = H.eig
     Vm = V * np.exp(-1j * t * lam)
     return UnitaryOp(Vm @ V.conj().T)

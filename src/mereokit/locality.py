@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation, ObjectiveUndefined
-from .hilbert import HermitianOp, StateVec, _tol
+from .hilbert import HermitianOp, StateVec, _phases_finite, _tol
 from .basis import decompose, weight_masses
 from .tps import Tps, _eigen_entropies
 
@@ -112,9 +112,7 @@ def _evolved_entropies(
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or not np.isfinite(t).all():
         raise DimensionMismatch(f"grid times must be a 1-d sequence of finite numbers, got shape {t.shape}")
-    reach = float(np.abs(t).max(initial=0.0)) * float(np.abs(H.eig[0]).max())  # inf, no warning
-    if not np.isfinite(reach):  # every phase t * lambda is at most reach in modulus
-        raise DimensionMismatch(f"grid phases t * eigenvalue overflow: max |t| * max |lambda| = {reach}")
+    _phases_finite(H, float(np.abs(t).max(initial=0.0)), "grid")
     C = np.array([p.vec for p in probes], dtype=complex).reshape(-1, D) @ H.eig[1].conj()
     for j, ent in enumerate(_eigen_entropies(H, [T], C, 1.0)[0].max(axis=-1)):
         if not ent <= PRODUCT_PROBE_TOL:  # also refuses NaN

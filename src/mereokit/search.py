@@ -4,7 +4,8 @@ H has a K-local structure exactly when some K-local operator L has its eigenvalu
 Penington, Ranard, "Locality from the Spectrum", arXiv:1702.06142). For K = 1 the spectrum is
 factored into site spectra (``_site_spectra``); for K >= 2 Levenberg-Marquardt matches it with
 the ascending eigenvalues of L(x) over the real weight-1..K coefficients x, reading the
-Hellmann-Feynman Jacobian from reduced density matrices (``_spectral_jacobian``). Then
+Hellmann-Feynman Jacobian from reduced density matrices (``_spectral_jacobian``); at small D, L(x)
+and the Jacobian are one product each with a cached dense map of the basis operators. Then
 V = W U^dag, W and U the eigenvectors of L and H, maps H onto L up to the remaining mismatch. The
 residual (``objective``) is the K-local residual of H in V as ``is_k_local`` reads it, so
 ``converged`` and ``certify`` threshold one number.
@@ -36,6 +37,18 @@ _DAMP_UP = 10.0  # multiply the damping by this after a rejected trial step
 _DAMP_DOWN = 3.0
 _DAMP_FLOOR = 1e-12  # the damping never falls below this, so J J^T + damp I stays invertible
 _MAX_REJECTIONS = 10  # trial steps per iteration; when all are rejected the match stops
+# below this D^3 P (D the total dim, P the weight-1..K coefficient count) the match assembles L(x)
+# and J through the dense basis map (``_basis_map``), above it from the coefficients and the
+# marginals, whose memory and cost grow slower: the map holds 2 D^2 P floats and its Jacobian
+# takes 4 D^3 P flops, where the marginals take D^2 prod(d_S) per support. Jacobian ms, marginal
+# -> dense, medians of 300 calls on one OpenBLAS thread (2-vCPU Xeon VM), and the number of 10
+# alternations in which the dense one was faster (BENCH_40.json):
+#   (2,2,2) K=2    1.8e4  0.065 -> 0.012  10      (2,2,2,2) K=3  7.1e5  0.231 -> 0.189  10
+#   (2,2,3) K=2    1.2e5  0.084 -> 0.026  10      (3,5) K=2      7.6e5  0.149 -> 0.197   0
+#   (2,2,2,2) K=2  2.7e5  0.125 -> 0.048  10      (2,3,3) K=2    7.6e5  0.129 -> 0.135   5
+#   (2,2,4) K=2    4.9e5  0.162 -> 0.071  10      (4,4) K=2      1.0e6  0.146 -> 0.187   0
+#   (2,7) K=2      5.4e5  0.122 -> 0.106  10      (2,)*5 K=2     3.4e6  0.397 -> 0.681   0
+_DENSE_MAX = 7.5e5
 
 
 @dataclass(frozen=True)
@@ -76,10 +89,20 @@ def objective(H: HermitianOp, V: UnitaryOp, K: int, dims: Dims) -> float:
     return k_local_residual(_masses(H, Tps(dims, V)), K)
 
 
-def _spectral_point(x: np.ndarray, c: np.ndarray, mask: np.ndarray, lam: np.ndarray, dims: Dims):
-    """(f, W, mu - lam) at x; ``c`` holds the fixed weight-0 coefficient and takes x on the mask."""
-    c[mask] = x
-    mu, W = np.linalg.eigh(matrix_from_coeffs(c, dims))
+def _spectral_point(x: np.ndarray, c: np.ndarray, mask: np.ndarray, lam: np.ndarray, dims: Dims,
+                    B: np.ndarray | None = None):
+    """(f, W, mu - lam) at x; ``c`` holds the fixed weight-0 coefficient c_0. Without B, c takes x
+    on the mask and ``matrix_from_coeffs`` assembles L(x); with the basis map B of the mask
+    (``_basis_map``), L(x) = B x + c_0 I / sqrt(D), one matrix-vector product."""
+    if B is None:
+        c[mask] = x
+        L = matrix_from_coeffs(c, dims)
+    else:
+        D = dims.total
+        L = B @ x
+        L[:: 2 * D + 2] += c.flat[0] / math.sqrt(D)  # the real part of each diagonal entry
+        L = L.view(complex).reshape(D, D)
+    mu, W = np.linalg.eigh(L)
     r = mu - lam
     return float(r @ r), W, r
 
@@ -117,14 +140,47 @@ def _supports(factors: tuple[int, ...], K: int):
     return tuple((fS, tuple(supports)) for fS, supports in by_dims.items()), cols, scales
 
 
-def _spectral_jacobian(W: np.ndarray, dims: Dims, K: int) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _basis_map(factors: tuple[int, ...], K: int) -> np.ndarray:
+    """The weight-1..K product-basis operators B_a as one read-only (2 D^2, P) map, in mask order.
+
+    Column a is B_a flattened row-major, each entry's real and imaginary parts in turn, as
+    ``ndarray.view(float)`` lays out a complex array: B x is L(x) - c_0 I / sqrt(D) as floats, and
+    for a complex (D, D^2) N, N.view(float) @ B = Re(conj(N) B). The P unit coefficient vectors
+    go through the adjoint Gell-Mann site maps at once, as ``matrix_from_coeffs`` takes one."""
+    n, weight = len(factors), weight_tensor(factors)
+    mask = ((weight >= 1) & (weight <= K)).ravel()
+    P = int(mask.sum())
+    unit = np.zeros((weight.size, P))
+    unit[np.flatnonzero(mask), np.arange(P)] = 1.0
+    # the batch axis last; _contract rotates it to the front, then rows before columns
+    t = _contract(unit.reshape(weight.shape + (P,)), factors, adjoint=True)
+    t = t.reshape((P,) + tuple(d for d in factors for _ in "rc"))
+    t = t.transpose([0] + list(range(1, 2 * n + 1, 2)) + list(range(2, 2 * n + 1, 2)))
+    B = np.ascontiguousarray(t.reshape(P, -1).view(float).T)
+    B.setflags(write=False)  # cached, so shared by every caller
+    return B
+
+
+def _dense_map(dims: Dims, K: int) -> np.ndarray | None:
+    """``_basis_map`` where assembling L(x) and J through it is the faster path, else None."""
+    P = len(_supports(dims.factors, K)[1])
+    return _basis_map(dims.factors, K) if dims.total ** 3 * P < _DENSE_MAX else None
+
+
+def _spectral_jacobian(W: np.ndarray, dims: Dims, K: int, B: np.ndarray | None = None) -> np.ndarray:
     """J[k, a] = <w_k|B_a|w_k> over the weight-1..K coefficients a, in mask order.
 
-    Per dims group of K-site supports S, one ``_marginals`` call gives the reduced density
-    matrices rho_S of every eigenvector w_k, and the Gell-Mann site maps expand them at once:
+    With the basis map B (``_basis_map``), J = Re(M B), M[k] = conj(w_k) (x) w_k flattened: one
+    product of D x 2 D^2 by 2 D^2 x P. Without it, per dims group of K-site supports S, one
+    ``_marginals`` call gives the reduced density matrices rho_S of every eigenvector w_k, and the
+    Gell-Mann site maps expand them at once:
     <w_k|B_a|w_k> is tr(b_a rho_S) prod_{m not in S} d_m^-1/2, B_a = b_a on S and I / sqrt(d_m)
     off it. The cost is D^2 prod(d_S) per support, not the D^3 sum(d_i^2) of D projectors."""
     f, D = dims.factors, dims.total
+    if B is not None:
+        conj_M = np.multiply(W.T[:, :, None], W.T.conj()[:, None, :], order="C").reshape(D, -1)
+        return conj_M.view(float) @ B
     groups, cols, scales = _supports(f, K)
     psi = W.T.reshape((D,) + f)  # psi[k] is w_k as a tensor
     blocks = []
@@ -144,19 +200,20 @@ def _levenberg_marquardt(x: np.ndarray, c: np.ndarray, mask: np.ndarray, lam: np
     The step solves min |r - J s|^2 + damp |s|^2 in its D x D form, s = J^T (J J^T + damp I)^-1 r,
     since there are at least D - 1 parameters. J J^T is singular: its rows sum to tr B_a = 0, and a
     degenerate L(x) drops more rank, so damp never falls below _DAMP_FLOOR tr(J J^T) / D."""
-    f, W, r = _spectral_point(x, c, mask, lam, dims)
+    B = _dense_map(dims, K)
+    f, W, r = _spectral_point(x, c, mask, lam, dims, B)
     tol = _GRAD_TOL * float(np.linalg.norm(lam - lam.mean()))
     eye = np.eye(dims.total)
     damp = _DAMP_INIT  # in units of tr(J J^T) / D
     for _ in range(max_iters):
-        J = _spectral_jacobian(W, dims, K)
+        J = _spectral_jacobian(W, dims, K, B)
         if np.linalg.norm(2.0 * (r @ J)) <= tol:  # |grad f|, f = |r|^2
             break
         JJ = J @ J.T
         unit = np.trace(JJ) / dims.total
         for _ in range(_MAX_REJECTIONS):
             xn = x - J.T @ np.linalg.solve(JJ + damp * unit * eye, r)
-            fn, Wn, rn = _spectral_point(xn, c, mask, lam, dims)
+            fn, Wn, rn = _spectral_point(xn, c, mask, lam, dims, B)
             if fn < f:
                 damp = max(damp / _DAMP_DOWN, _DAMP_FLOOR)
                 break

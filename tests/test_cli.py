@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -262,7 +263,7 @@ class TestSearchCmd:
             assert f"unknown search field {field!r}" in capsys.readouterr().err
             assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["inf", float("nan")])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     def test_non_finite_success_residual_exit_1(self, tmp_path, capsys, value):
         cfg = write_config(
             tmp_path, "c.json",
@@ -301,7 +302,7 @@ class TestSearchCmd:
     def test_search_fields_default_from_search_config(self):
         from mereokit.cli import _search_config
 
-        config = _search_config({"max_iters": "7", "success_residual": 1}, 5)
+        config = _search_config({"max_iters": 7.0, "success_residual": 1}, 5)
         assert config == mk.SearchConfig(K=2, max_iters=7, success_residual=1.0, seed=5)
         assert isinstance(config.max_iters, int) and isinstance(config.success_residual, float)
         assert [f.name for f in dataclasses.fields(config)] == [
@@ -613,6 +614,7 @@ class TestUsage:
         ("profile", "config", "tol", True), ("search", "config", "seed", 2.7), ("search", "config", "seed", True),
         ("profile", "config", "seed", "abc"), ("profile", "config", "seed", -1), ("kinds", "flag", "seed", "-1"),
         ("profile", "env", "seed", "abc"), ("profile", "env", "seed", "-1"), ("profile", "env", "seed", "2.7"),
+        ("profile", "config", "seed", "2"), ("kinds", "config", "tol", "1e-3"),
     ])
     def test_bad_seed_or_tol_exit_1(self, tmp_path, capsys, monkeypatch, command, source, field, value):
         # the 3-site Ising chain has min_k 2 and the two GUE pairs have different spectra,
@@ -635,7 +637,9 @@ class TestUsage:
         assert run_cli(argv) == 1
         want = "a non-negative integer" if field == "seed" else "finite and positive"
         got = {"seed": int, "tol": float}[field](value) if source == "flag" else value  # parsed by argparse
-        assert f"error: {field} must be {want}, got {got!r}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {field} must be {want}, got {got!r}" in err
+        assert ("MEREOKIT_SEED" in err) == (source == "env")  # the string it was parsed from
         assert not out.exists()
 
     @pytest.mark.parametrize("command,cfg,message", [
@@ -706,6 +710,21 @@ class TestUsage:
         ("profile", {"model": {"name": "random_klocal", "dims": [2, 2]}}, "missing config field 'K'"),
         ("profile", {"model": {"name": "pauli", "string": "XX"}, "tps": {"kind": "file"}},
          "missing config field 'path'"),
+        # finite times whose phases t * eigenvalue overflow: two RuntimeWarnings, then a NaN
+        # unitary refused as "entries must be finite", naming no field
+        ("fingerprint", {"tps2": {"kind": "evolved", "t": 1e308}},
+         "tps t: evolution phases t * eigenvalue overflow"),
+        ("dualscan", {"trials": 1, "t_values": [0.3, 1e308]}, "t_values[1]: evolution phases t * eigenvalue overflow"),
+        # numbers given as JSON strings, which int() and float() read, and an integer beyond float64,
+        # which float() refused with an OverflowError traceback
+        ("orbit", {"grid": {"points": "5"}}, "grid.points must be a positive integer, got '5'"),
+        ("orbit", {"grid": {"points": 5}, "bin": "0.01"}, "bin must be finite and positive, got '0.01'"),
+        ("fingerprint", {"tol": "1e-3"}, "tol must be finite and positive, got '1e-3'"),
+        ("fingerprint", {"probe_count": "8"}, "probe_count must be a positive integer, got '8'"),
+        ("fingerprint", {"tol": 10 ** 400}, "tol must be finite and positive, got 1000"),
+        ("profile", {"model": {"name": "ising", "n": 3, "J": 1.0, "h": "1.0"}}, "h must be a finite number, got '1.0'"),
+        ("search", {"model": {"name": "gue", "dims": [2, 2]}, "search": {"restarts": "1"}},
+         "search field 'restarts' must be an integer, got '1'"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_bad_numbers_name_field_and_write_nothing(self, tmp_path, capsys, monkeypatch, command, cfg, message):
@@ -729,8 +748,26 @@ class TestUsage:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert list(tmp_path.glob("out*")) == []
 
+    def test_failed_op_waits_for_what_it_sent(self, tmp_path, monkeypatch):
+        # orbit sends H's eigendecomposition to the worker, then fails on its structure; main
+        # returns only once the worker has finished it, so the next op's first task does not wait
+        finished, eigh = [], hilbert._eigh
+
+        def slow_eigh(m):
+            time.sleep(0.2)
+            out = eigh(m)
+            finished.append(time.perf_counter())
+            return out
+
+        monkeypatch.setattr(hilbert, "_eigh", slow_eigh)
+        monkeypatch.setattr(cli, "SOON_MIN_DIM", 4)
+        cfg = write_config(tmp_path, "c.json", {"model": {"name": "gue", "dims": [2, 2]}, "tps": {"kind": "bogus"}})
+        assert run_cli(["orbit", "--config", cfg]) == 1
+        returned = time.perf_counter()
+        assert len(finished) == 1 and finished[0] < returned
+
     def test_integral_floats_run_with_config_kept_raw(self, tmp_path, capsys):
-        cfg = {"model": {"name": "ising", "n": 3.0, "J": 1, "h": "1.0"}, "seed": 1}
+        cfg = {"model": {"name": "ising", "n": 3.0, "J": 1, "h": 1}, "seed": 1}
         assert run_cli(["profile", "--config", write_config(tmp_path, "c.json", cfg)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["report"]["min_k"] == 2 and out["config"]["model"] == cfg["model"]
@@ -738,7 +775,7 @@ class TestUsage:
         assert run_cli(["dualscan", "--config", write_config(tmp_path, "d.json", cfg)]) == 0
         assert '"dims": [2.0, 2]' in capsys.readouterr().out
 
-    @pytest.mark.parametrize("value", [7, 7.0, "7"])
+    @pytest.mark.parametrize("value", [7, 7.0])
     def test_integral_seed_runs(self, tmp_path, capsys, value):
         cfg = write_config(tmp_path, "c.json", {"model": {"name": "gue", "dims": [2, 2]}, "seed": value})
         assert run_cli(["profile", "--config", cfg]) == 0

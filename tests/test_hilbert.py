@@ -445,6 +445,19 @@ class TestExpm:
             rhs = mk.expm_i(H, t + s).mat
             assert np.abs(lhs - rhs).max() < 1e-9
 
+    def test_overflowing_phases_refused(self):
+        # t * lambda = 3e308 overflows: numpy warned twice, then UnitaryOp refused a NaN matrix
+        # as "entries must be finite"; a NaN t and inf t * 0 are refused the same way
+        H = mk.HermitianOp(3.0 * SIGMA["Z"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (1e308, -1e308, float("nan")):
+                with pytest.raises(mk.DimensionMismatch, match="evolution phases t \\* eigenvalue overflow"):
+                    mk.expm_i(H, t)
+            with pytest.raises(mk.DimensionMismatch, match="overflow"):
+                mk.expm_i(mk.HermitianOp(np.zeros((2, 2))), float("inf"))
+            assert np.isfinite(mk.expm_i(H, 1e307).mat).all()  # its phases, up to 3e307, are finite
+
 
 class TestPartialTrace:
     def test_product_state(self, dims22):

@@ -1,17 +1,25 @@
 import importlib
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mereokit as mk
-from mereokit.basis import weight_tensor
+from mereokit.basis import matrix_from_coeffs, weight_tensor
 from mereokit.search import _MAX_REJECTIONS, _spectral_jacobian, _spectral_point
 
 from conftest import projector_jacobian, random_hermitian
 
 # the package re-exports the function ``search``, which shadows the module
 search_mod = importlib.import_module("mereokit.search")
+
+# (factors, K) from {2, 3, 4}, 2-4 factors and K = 2..n, on both sides of the dense assembly's
+# crossover, up to D^3 P = 5e6 (P the weight-1..K coefficient count), where the map is a few MB
+ASSEMBLY_CASES = [
+    (f, K) for n in (2, 3, 4) for f in product((2, 3, 4), repeat=n) for K in range(2, n + 1)
+    if np.prod(f) ** 3 * ((weight_tensor(f) >= 1) & (weight_tensor(f) <= K)).sum() <= 5e6
+]
 
 
 class TestObjective:
@@ -220,9 +228,10 @@ class TestSpectrumMatch:
         assert all(r < 1e-6 for r in res.restart_residuals)
 
     def test_one_reassembly_per_spectral_point(self, dims222, monkeypatch):
-        # L(x) is assembled once per spectral point; nothing else reassembles
+        # L(x) is assembled once per spectral point, by matrix_from_coeffs above the crossover and
+        # as B @ x through the basis map below it; nothing else reassembles
         H, _ = mk.scrambled_klocal(dims222, 2, mk.stream(845))
-        calls = {"matrix_from_coeffs": 0, "_spectral_point": 0}
+        calls = {"matrix_from_coeffs": 0, "_spectral_point": 0, "B @ x": 0}
 
         def counting(name):
             fn = getattr(search_mod, name)
@@ -233,14 +242,61 @@ class TestSpectrumMatch:
 
             return wrapped
 
-        for name in calls:
+        class CountedMap(np.ndarray):  # counts the products that take the map on the left
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                calls["B @ x"] += ufunc is np.matmul and inputs[0] is self
+                return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+
+        for name in ("matrix_from_coeffs", "_spectral_point"):
             monkeypatch.setattr(search_mod, name, counting(name))
-        res = mk.search(H, dims222, mk.SearchConfig(K=2, restarts=4, seed=845))
-        assert calls["_spectral_point"] > 0
-        assert calls["matrix_from_coeffs"] == calls["_spectral_point"]
-        assert res.iterations == 0
-        assert len(res.restart_residuals) == 4
-        assert res.trace == ((0, min(res.restart_residuals)),)
+        basis_map = search_mod._basis_map
+        monkeypatch.setattr(search_mod, "_basis_map", lambda *key: basis_map(*key).view(CountedMap))
+        for dense_max, path in ((0.0, "matrix_from_coeffs"), (np.inf, "B @ x")):
+            monkeypatch.setattr(search_mod, "_DENSE_MAX", dense_max)
+            calls.update(dict.fromkeys(calls, 0))
+            res = mk.search(H, dims222, mk.SearchConfig(K=2, restarts=4, seed=845))
+            assert calls["_spectral_point"] > 0
+            assert calls[path] == calls["_spectral_point"]
+            assert sum(calls.values()) == 2 * calls["_spectral_point"]  # the other path's count is 0
+            assert res.iterations == 0
+            assert len(res.restart_residuals) == 4
+            assert res.trace == ((0, min(res.restart_residuals)),)
+
+    def test_dense_assembly_below_the_crossover(self):
+        # D^3 P = 2.7e5 at (2,2,2,2), K = 2 takes the basis map; 3.4e6 at (2,)*5 the marginals
+        assert search_mod._dense_map(mk.Dims((2, 2, 2, 2)), 2) is search_mod._basis_map((2, 2, 2, 2), 2)
+        assert search_mod._dense_map(mk.Dims((2,) * 5), 2) is None
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(case=st.sampled_from(ASSEMBLY_CASES))
+    def test_dense_and_marginal_assemblies_agree(self, case):
+        factors, K = case
+        dims, D = mk.Dims(factors), int(np.prod(factors))
+        w = weight_tensor(factors)
+        mask = (w >= 1) & (w <= K)
+        rng = mk.stream(849, *factors, K)
+        x, lam = rng.standard_normal(int(mask.sum())), np.sort(rng.standard_normal(D))
+        B = search_mod._basis_map(factors, K)
+        try:
+            c = np.zeros(w.shape)
+            c[mask] = x
+            L = matrix_from_coeffs(c, dims)
+            assert np.abs((B @ x).view(complex).reshape(D, D) - L).max() <= 1e-12 * np.abs(L).max()
+            c = np.where(w == 0, 1.7, 0.0)  # with a weight-0 part
+            _, W, r = _spectral_point(x, c.copy(), mask, lam, dims)
+            rd = _spectral_point(x, c.copy(), mask, lam, dims, B)[2]
+            assert np.abs(rd - r).max() <= 1e-12 * np.abs(r + lam).max()
+            J = _spectral_jacobian(W, dims, K)
+            assert np.abs(_spectral_jacobian(W, dims, K, B) - J).max() <= 1e-12 * np.abs(J).max()
+            H, _ = mk.scrambled_klocal(dims, K, mk.stream(849, *factors, K))
+            converged = []
+            with pytest.MonkeyPatch.context() as mp:
+                for dense_max in (0.0, np.inf):
+                    mp.setattr(search_mod, "_DENSE_MAX", dense_max)
+                    converged.append(mk.search(H, dims, mk.SearchConfig(K=K, restarts=1, seed=849)).converged)
+            assert converged[0] == converged[1]
+        finally:
+            search_mod._basis_map.cache_clear()  # one map per case would stay cached
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(factors=st.lists(st.sampled_from([2, 3]), min_size=2, max_size=4), seed=st.integers(0, 2**16))
