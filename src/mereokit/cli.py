@@ -30,9 +30,9 @@ from . import dynamics, kinds, locality, models
 from . import tps as tps_mod
 from .search import SearchConfig
 from .search import search as run_search
-from .errors import HypothesisViolation, MereokitError, NoWitnessError
+from .errors import DimensionMismatch, HypothesisViolation, MereokitError, NoWitnessError
 from .hilbert import Dims, HermitianOp, StateVec, UnitaryOp, expm_i, haar_state, haar_unitaries, haar_unitary, kron_all
-from .hilbert import _eig_on, _from_pairs, _to_pairs, _unit
+from .hilbert import _eig_on, _from_pairs, _phases_finite, _to_pairs, _unit
 from .rng import stream
 
 EXIT_OK = 0
@@ -304,12 +304,17 @@ def _site_kets(spec, dims: Dims) -> list[np.ndarray]:
 def _time_grid(cfg, H: HermitianOp) -> np.ndarray:
     grid = _typed("grid", cfg.get("grid", {}), dict)
     points = _checked("grid.points", grid.get("points", 64), **_COUNT)
-    if "t_max" in grid:  # every grid time and phase t * eigenvalue must be finite, too
-        reach = points * max(1.0, float(np.abs(H.eig[0]).max()))
-        want = "a finite number, with finite grid times and phases t * eigenvalue"
-        t_max = _checked("grid.t_max", grid["t_max"], float, want, lambda t: math.isfinite(t * reach))
-        return np.arange(points) * t_max / points
-    return dynamics.default_time_grid(H, points)
+    if "t_max" not in grid:
+        return dynamics.default_time_grid(H, points)
+    # the products k * t_max, k < points, and the phases t * eigenvalue at the last time must be finite
+    want = "a finite number, with finite grid times and phases t * eigenvalue"
+    t_max = _checked("grid.t_max", grid["t_max"], float, want, lambda t: math.isfinite((points - 1) * t))
+    t = np.arange(points) * t_max / points
+    try:
+        _phases_finite(H, float(t[-1]), "grid")
+    except DimensionMismatch:
+        raise UsageError(f"grid.t_max must be {want}, got {grid['t_max']!r}") from None
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -145,24 +145,30 @@ def _equivalence_certificate(T1: Tps, T2: Tps) -> Optional[ProductOpCertificate]
     sigma, W = T1.iso . T2.iso^{-1}; None when there is none.
 
     Factor i goes to the equal-dimension output slot whose realignment R of W across (slot, factor
-    i) has the least ratio lam_2 / lam_1 of the two largest eigenvalues of its Gram R R^dag, by one
-    ``eigvalsh`` over the slots: for W = P_sigma^T (x)U_i it is 0 at sigma(i) and 1 elsewhere, so the
-    argmin needs no tolerance. The matched Grams are P_sigma . W's own across (i, i) (R with columns
-    permuted); ``_product_certificate`` decides from them. A least ratio above ``ENTANGLED_RATIO`` =
-    1e-6 (s_1 / s_0 > 1e-3 in every slot, beyond the Gram's rounding of at most (D / d)^2 eps lam_1)
-    ends it with None at once, as any product's residual is then above 1e-3 / d_i >> 2 PRODUCT_RTOL."""
+    i) has the least ratio lam_2 / lam_1 of the two largest eigenvalues of its Gram R R^dag: for
+    W = P_sigma^T (x)U_i it is 0 at sigma(i) and 1 elsewhere, so the argmin needs no tolerance.
+    One ``eigvalsh`` reads slot i first, taken when its ratio is at most ``ENTANGLED_RATIO`` and the
+    slot is free: a unitary W has at most one slot per factor that close to rank one, so that is
+    the argmin. Otherwise one ``eigvalsh`` over the other slots takes theirs. The matched Grams are
+    P_sigma . W's own across (i, i) (R with columns permuted); ``_product_certificate`` decides from
+    them. A least ratio above ``ENTANGLED_RATIO`` = 1e-6 (s_1 / s_0 > 1e-3 in every slot, beyond the
+    Gram's rounding of at most (D / d)^2 eps lam_1) ends it with None at once, as any product's
+    residual is then above 1e-3 / d_i >> 2 PRODUCT_RTOL."""
     if T1.dims != T2.dims:
         raise DimensionMismatch(f"factor dimensions differ: {T1.dims} vs {T2.dims}")
     f, n = T1.dims.factors, T1.dims.n
     W = T1.iso.mat @ T2.iso.mat.conj().T
     t, sigma, grams, bufs = W.reshape((1,) + f * 2), [], [], {}
     for i, d in enumerate(f):
-        slots = [j for j in range(n) if f[j] == d]
-        G = _marginals(t, tuple((j, n + i) for j in slots), bufs)[:, 0]
-        lam = np.linalg.eigvalsh(G)  # squared singular values
-        ratios = lam[:, -2] / lam[:, -1]
-        k = int(np.argmin(ratios))
-        if ratios[k] > ENTANGLED_RATIO or slots[k] in sigma:  # entangled, or sigma no permutation
+        others = [j for j in range(n) if f[j] == d and j != i]
+        for slots in ([i], others) if others else ([i],):  # its own slot first, then the rest
+            G = _marginals(t, tuple((j, n + i) for j in slots), bufs)[:, 0]
+            lam = np.linalg.eigvalsh(G)  # squared singular values
+            ratios = lam[:, -2] / lam[:, -1]
+            k = int(np.argmin(ratios))
+            if ratios[k] <= ENTANGLED_RATIO and slots[k] not in sigma:
+                break
+        else:  # entangled, or sigma no permutation
             return None
         sigma.append(slots[k])
         grams.append(G[k])

@@ -1,6 +1,8 @@
+import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -26,6 +28,12 @@ def write_config(tmp_path, name, obj):
 
 def run_cli(args):
     return main(args)
+
+
+def csv_rows(path):
+    """The rows of a CSV output as dicts of strings, below its '# config=' line."""
+    with open(path) as f:
+        return list(csv.DictReader(line for line in f if not line.startswith("#")))
 
 
 class TestProfile:
@@ -54,6 +62,26 @@ class TestProfile:
         assert run_cli(["profile", "--config", cfg]) == 0
         assert json.loads(capsys.readouterr().out)["report"]["min_k"] == 3
 
+    @pytest.mark.parametrize("c", [1e5, 1e12])
+    def test_shifted_ising_matrix_file_min_k(self, tmp_path, capsys, c):
+        # the three-site Ising chain plus c times the identity, read from a matrix file
+        mat = str(tmp_path / "ising_shifted.json")
+        save_matrix_file(mat, mk.ising_chain(3, 1.0, 1.0).mat + c * np.eye(8), mk.Dims((2, 2, 2)))
+        out = tmp_path / "p.json"
+        cfg = write_config(tmp_path, "c.json", {"file": mat, "tps": "canonical"})
+        assert run_cli(["profile", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["report"]["min_k"] == 2
+
+    @pytest.mark.parametrize("model, tps", [
+        ({"name": "random_klocal", "dims": [2] * 7, "K": 2}, "canonical"),
+        ({"name": "ising", "n": 7, "J": 1.0, "h": 1.0}, "jw_dual"),  # in its string-variable dual
+    ], ids=["klocal", "ising"])
+    def test_seven_qubit_min_k(self, tmp_path, model, tps):
+        out = tmp_path / "p.json"
+        cfg = write_config(tmp_path, "c.json", {"model": model, "tps": tps, "seed": 1})
+        assert run_cli(["profile", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["report"]["min_k"] == 2
+
     def test_malformed_json_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"model": }')
@@ -74,7 +102,6 @@ class TestProfile:
 
 
 class TestOrbit:
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_spectrum_beyond_float64_exits_with_one_error(self, tmp_path, capsys):
         # finite entries up to 1.5e308 whose spectrum overflows: RuntimeWarnings, then "bin 0.0001
         # is too small", once; now HermitianOp.eig refuses it as ScaleOutOfRange
@@ -109,6 +136,30 @@ class TestOrbit:
         assert summary["distinct_values"] >= 100
         assert summary["max_entropy"] == pytest.approx(np.log(2), abs=1e-9)
 
+    @pytest.mark.parametrize("dims, site, points, probe", [
+        ([2, 3, 2], 1, 64, None),
+        # 256 qutrit marginals in one stack, from a product probe
+        ([3, 3, 3], 2, 256, [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0.6, 0], [0, 0.8], [0, 0]]]),
+    ], ids=["2x3x2", "3x3x3"])
+    def test_qutrit_site_entropies_within_log_3(self, tmp_path, dims, site, points, probe):
+        cfg = {"model": {"name": "gue", "dims": dims}, "tps": {"kind": "random"}, "site": site,
+               "grid": {"points": points}, "seed": 1}
+        if probe:
+            cfg["probe"] = probe
+        out = str(tmp_path / "orbit.csv")
+        assert run_cli(["orbit", "--config", write_config(tmp_path, "c.json", cfg), "--out", out]) == 0
+        rows = csv_rows(out)
+        ents = [float(r["entropy"]) for r in rows]
+        assert len(rows) == points and max(ents) <= math.log(3)
+        assert float(rows[0]["t"]) == 0.0 and ents[0] <= 1e-12  # a product probe at t = 0
+
+    def test_probe_kets_whose_norms_square_out_of_range(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("MEREOKIT_SEED", raising=False)
+        cfg = write_config(tmp_path, "c.json", {"model": {"name": "pauli", "string": "XX"},
+                                                "probe": [[[1e200, 0], [1e200, 0]], [[1, 0], [0, 0]]],
+                                                "grid": {"points": 16}})
+        assert run_cli(["orbit", "--config", cfg, "--out", str(tmp_path / "orbit.csv")]) == 0
+
     def test_one_local_zero_column(self, tmp_path):
         cfg = write_config(
             tmp_path, "c.json",
@@ -139,6 +190,17 @@ class TestOrbit:
                                                 "grid": {"points": 8}, "seed": 1})
         assert run_cli(["orbit", "--config", cfg, "--out", str(tmp_path / "orbit.csv")]) == 0
         assert len(built) == calls
+
+    @pytest.mark.parametrize("t_max", [5e305, 1e306, 2e306])
+    @pytest.mark.filterwarnings("error")
+    def test_grid_t_max_with_finite_phases_runs(self, tmp_path, t_max):
+        # max |lambda| = 11.18: the last time's phases reach 2.2e307, inside float64, which a bound
+        # of 64 * max |lambda| * t_max once refused
+        cfg = write_config(tmp_path, "c.json", {"model": {"name": "ising", "n": 2, "J": 5.0, "h": 5.0},
+                                                "grid": {"points": 64, "t_max": t_max}, "seed": 1})
+        out = str(tmp_path / "orbit.csv")
+        assert run_cli(["orbit", "--config", cfg, "--out", out]) == 0
+        assert [float(r["t"]) for r in csv_rows(out)] == (np.arange(64) * t_max / 64).tolist()
 
     @pytest.mark.parametrize("points", [0, -3])
     def test_nonpositive_grid_points_exit_1(self, tmp_path, capsys, points):
@@ -173,6 +235,17 @@ class TestFingerprint:
         out = json.loads(capsys.readouterr().out)
         assert out["verdict"] == "DifferentTps"
         assert out["fingerprint_distance"] > 1e-3
+
+    @pytest.mark.parametrize("n", [7, 8])  # from D = 256 the product test takes the Kronecker residual
+    @pytest.mark.parametrize("tps2, verdict", [({"kind": "local"}, "SameTps"),
+                                               ({"kind": "evolved", "t": 0.7}, "DifferentTps")],
+                             ids=["local", "evolved"])
+    def test_random_structure_moved_at_d128_and_d256(self, tmp_path, n, tps2, verdict):
+        cfg = write_config(tmp_path, "c.json", {"model": {"name": "gue", "dims": [2] * n}, "state": "haar",
+                                                "tps1": {"kind": "random"}, "tps2": tps2, "seed": 1})
+        out = tmp_path / "fp.json"
+        assert run_cli(["fingerprint", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["verdict"] == verdict
 
     def test_two_random_structures_differ(self, tmp_path, capsys):
         # tps2 draws its random structure from its own sub-stream
@@ -209,6 +282,22 @@ class TestSearchCmd:
         assert run_cli(["search", "--config", cfg, "--out", out]) == 0
         res = json.loads(Path(out).read_text())["result"]
         assert res["converged"] and res["residual"] < 1e-6
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "res.json"]  # no .trace.csv
+
+    @pytest.mark.parametrize("dims, K", [
+        ([2] * 6, 2), ([3, 3, 3], 2), ([2, 3, 2], 2), ([2, 2, 2, 2], 2), ([2] * 5, 2), ([2] * 7, 2),
+        ([2, 3, 3], 1), ([2] * 7, 1),
+    ], ids=["2x6-K2", "3x3x3-K2", "2x3x2-K2", "2x4-K2", "2x5-K2", "2x7-K2", "2x3x3-K1", "2x7-K1"])
+    def test_scrambled_recovery_one_restart(self, tmp_path, dims, K):
+        # (2,2,2,2) matches on the dense basis map and (2,)*5 on the marginals; K = 1 spectra
+        # factor into site spectra
+        cfg = write_config(tmp_path, "c.json", {"model": {"name": "scrambled_klocal", "dims": dims, "K": K},
+                                                "search": {"K": K, "restarts": 1}, "seed": 1})
+        out = tmp_path / "res.json"
+        assert run_cli(["search", "--config", cfg, "--out", str(out)]) == 0
+        res = json.loads(out.read_text())["result"]
+        assert res["converged"] is True
+        assert res["iterations"] == 0 and len(res["trace"]) == 1 and res["trace"][0][1] == res["residual"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "res.json"]  # no .trace.csv
 
     def test_k_equals_n_immediate(self, tmp_path, capsys):
@@ -446,14 +535,20 @@ class TestDualscan:
         assert '"Inconsistent": 0' in text
         assert text.count("SameTps") >= 3
 
-    @pytest.mark.parametrize("dims", [[3, 3, 3], [2, 2, 2, 2, 2]])
-    def test_no_inconsistent_past_d16(self, tmp_path, dims):
-        cfg = write_config(tmp_path, "c.json", {"dims": dims, "trials": 2, "seed": 9})
+    # mixed dims put closed-form qubit and qutrit marginal spectra beside eigvalsh ones and the early
+    # stop across unequal factor dims; at (2, 4, 2) the local move stacks two qubit unitaries beside
+    # one d = 4 unitary
+    @pytest.mark.parametrize("dims, seed", [
+        ([3, 3, 3], 9), ([2] * 5, 9), ([2] * 6, 1), ([2, 3, 2], 1), ([3, 3, 3], 1), ([2, 4, 2], 1),
+    ], ids=["3x3x3-9", "2x5-9", "2x6-1", "2x3x2-1", "3x3x3-1", "2x4x2-1"])
+    def test_no_inconsistent_past_d16(self, tmp_path, dims, seed):
+        cfg = write_config(tmp_path, "c.json", {"dims": dims, "trials": 2, "seed": seed})
         out = str(tmp_path / "scan.csv")
         assert run_cli(["dualscan", "--config", cfg, "--out", out]) == 0
-        rows = [line.split(",") for line in Path(out).read_text().splitlines()[2:-1]]
+        rows = [r for r in csv_rows(out) if r["trial"] != "summary"]
         assert len(rows) == 2 * 4
-        assert all(r[4] in ("SameTps", "DifferentTps") for r in rows)
+        assert all(r["verdict"] in ("SameTps", "DifferentTps") for r in rows)
+        assert all(r["verdict"] == "SameTps" for r in rows if r["case"] == "local")
 
     def test_refused_draw_exits_3_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
         # one draw per trial: a draw that misses the spectral hypotheses is refused, not redrawn
@@ -580,6 +675,36 @@ class TestDeterminism:
         rc2 = run_cli([command, "--config", path, "--out", out2])
         assert rc1 == rc2
         assert Path(out1).read_bytes() == Path(out2).read_bytes()
+
+    def test_byte_identical_in_fresh_processes(self, tmp_path):
+        # every run in its own process: at D = 128 the CLI sends H's eigendecomposition, and a
+        # conjugated pair 1's build and then H1's eigendecomposition, to its worker thread, and at
+        # D = 64, the send threshold, the latter two
+        configs = {
+            "orbit": {"model": {"name": "gue", "dims": [2] * 7}, "tps": {"kind": "random"}, "grid": {"points": 64}},
+            "kinds": {"mode": "hsf", "pair1": {"model": {"name": "gue", "dims": [2] * 7}, "state": "haar"},
+                      "pair2": "conjugated"},
+            "kinds-6q": {"mode": "hsf", "pair1": {"model": {"name": "gue", "dims": [2] * 6}, "state": "haar"},
+                         "pair2": "conjugated"},
+            "fingerprint": {"model": {"name": "gue", "dims": [2] * 7}, "state": "haar",
+                            "tps1": {"kind": "random"}, "tps2": {"kind": "local"}},
+        }
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(Path(mk.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+        digests = []
+        for run in (1, 2):
+            where = tmp_path / f"run{run}"
+            where.mkdir()
+            for name, cfg in configs.items():
+                path = write_config(tmp_path, f"{name}.json", {**cfg, "seed": 1})
+                proc = subprocess.run([sys.executable, "-m", "mereokit", name.split("-")[0], "--config", path,
+                                       "--out", str(where / f"{name}.out")],
+                                      env=env, capture_output=True, text=True, timeout=60)
+                assert proc.returncode == 0, proc.stderr
+            digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in where.iterdir()})
+        # orbit's CSV and summary, each kinds payload and its witness sidecar, the fingerprint payload
+        assert len(digests[0]) == 7
+        assert digests[0] == digests[1]
 
     def test_seed_env_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MEREOKIT_SEED", "777")
@@ -748,6 +873,49 @@ class TestUsage:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert list(tmp_path.glob("out*")) == []
 
+    @pytest.mark.parametrize("command, field, cfg", [
+        ("orbit", "probe", {"model": {"name": "pauli", "string": "XX"},
+                            "probe": [[[1, 0], [0, 0], [0, 0], [1, 0]], [[1, 0]]], "grid": {"points": 8}}),
+        ("orbit", "probe", {"model": {"name": "pauli", "string": "XX"}, "probe": [[[1, 0], [0, 0]]],
+                            "grid": {"points": 8}}),
+        ("kinds", "family1", {"mode": "gram", "family1": [[1, 0], [0, 1]], "family2": "rotated"}),
+        ("kinds", "family1", {"mode": "gram", "family1": [[1, 0], [0, 1]], "family2": [[1, 0], [0, 1]]}),
+        ("kinds", "family1", {"mode": "gram", "family1": [[[[1, 0]]]], "family2": [[[[1, 0]]]]}),
+        ("kinds", "state", {"mode": "hsf", "pair1": {"model": {"name": "gue", "dims": [2, 2]},
+                                                      "state": [[1, 0], [0, 0], [0, 0]]}, "pair2": "conjugated"}),
+        ("fingerprint", "'t'", {"model": {"name": "pauli", "string": "XX"}, "tps1": "canonical",
+                                "tps2": {"kind": "evolved"}}),
+        ("profile", "'K'", {"model": {"name": "random_klocal", "dims": [2, 2]}}),
+        ("profile", "'path'", {"model": {"name": "pauli", "string": "XX"}, "tps": {"kind": "file"}}),
+        ("dualscan", "t_values[0]", {"dims": [2, 2], "trials": 1, "t_values": [1e308]}),
+        ("fingerprint", "tps t", {"model": {"name": "gue", "dims": [2, 2]}, "tps1": "canonical",
+                                  "tps2": {"kind": "evolved", "t": 1e308}}),
+        ("orbit", "grid.points", {"model": {"name": "pauli", "string": "XX"}, "grid": {"points": "5"}, "bin": "0.01"}),
+        ("orbit", "bin", {"model": {"name": "pauli", "string": "XX"}, "grid": {"points": 5}, "bin": "0.01"}),
+        ("fingerprint", "tol", {"model": {"name": "gue", "dims": [2, 2]}, "tol": "1e-3"}),
+        ("fingerprint", "probe_count", {"model": {"name": "gue", "dims": [2, 2]}, "probe_count": "8"}),
+        ("fingerprint", "seed", {"model": {"name": "gue", "dims": [2, 2]}, "seed": "2"}),
+        ("profile", "MEREOKIT_SEED", {"model": {"name": "pauli", "string": "XX"}}),
+        ("profile", "nan.json", {"file": "nan.json"}),  # a matrix file with one NaN entry
+        ("profile", "model", {"model": "ising"}),  # an entry of the wrong JSON type
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_malformed_config_one_error_line(self, tmp_path, capsys, monkeypatch, command, field, cfg):
+        # the config as given, with the default seed unless the line tests MEREOKIT_SEED: exit 1, one
+        # "error:" line that names the field, nothing on stdout and no output file
+        monkeypatch.setenv("MEREOKIT_SEED", "abc" if field == "MEREOKIT_SEED" else "0")
+        monkeypatch.chdir(tmp_path)
+        nan = np.eye(4, dtype=complex)
+        nan[1, 2] = np.nan
+        save_matrix_file("nan.json", nan, mk.Dims((2, 2)))
+        path = write_config(tmp_path, "c.json", cfg)
+        for out in ([], ["--out", str(tmp_path / "out")]):
+            assert run_cli([command, "--config", path, *out]) == 1
+            got = capsys.readouterr()
+            assert got.out == "" and got.err.startswith("error: ") and got.err.count("\n") == 1
+            assert field in got.err
+            assert list(tmp_path.glob("out*")) == []
+
     def test_failed_op_waits_for_what_it_sent(self, tmp_path, monkeypatch):
         # orbit sends H's eigendecomposition to the worker, then fails on its structure; main
         # returns only once the worker has finished it, so the next op's first task does not wait
@@ -875,20 +1043,22 @@ class TestPayloadFormat:
         assert new.read_bytes() == old.read_bytes()
 
     def test_d128_witness_and_matrix_file(self, tmp_path):
-        path = write_config(tmp_path, "c.json", {"mode": "gram", "seed": 3, "family2": "rotated",
-                                                 "family1": {"random": {"dim": 128, "count": 3}}})
-        out = tmp_path / "w.json"
-        assert run_cli(["kinds", "--config", path, "--out", str(out)]) == 0
-        self.check_file(out)
-        payload = json.loads(out.read_text())
-        U = np.load(str(out) + ".witness.npy")
-        assert U.shape == (128, 128) and U.dtype == np.complex128
-        assert payload["witness"] == {"shape": [128, 128], "sha256": hashlib.sha256(U.tobytes()).hexdigest()}
-        rng = mk.stream(3, 7)  # family1; family2 is family1 rotated by a Haar unitary from stream (3, 8)
-        fam1 = rng.standard_normal((3, 128)) + 1j * rng.standard_normal((3, 128))
-        fam2 = fam1 @ mk.haar_unitary(128, mk.stream(3, 8)).mat.T
-        residual = max(np.linalg.norm(U @ a - b) for a, b in zip(fam1, fam2))
-        assert residual == payload["residual"] <= mk.kinds.WITNESS_TOL
+        for seed in (3, 1):
+            path = write_config(tmp_path, "c.json", {"mode": "gram", "seed": seed, "family2": "rotated",
+                                                     "family1": {"random": {"dim": 128, "count": 3}}})
+            out = tmp_path / f"w{seed}.json"
+            assert run_cli(["kinds", "--config", path, "--out", str(out)]) == 0
+            self.check_file(out)
+            payload = json.loads(out.read_text())
+            U = np.load(str(out) + ".witness.npy")
+            assert U.shape == (128, 128) and U.dtype == np.complex128
+            assert np.abs(U.conj().T @ U - np.eye(128)).max() <= 1e-10
+            assert payload["witness"] == {"shape": [128, 128], "sha256": hashlib.sha256(U.tobytes()).hexdigest()}
+            rng = mk.stream(seed, 7)  # family1; family2 is family1 rotated by a Haar unitary from stream (seed, 8)
+            fam1 = rng.standard_normal((3, 128)) + 1j * rng.standard_normal((3, 128))
+            fam2 = fam1 @ mk.haar_unitary(128, mk.stream(seed, 8)).mat.T
+            residual = max(np.linalg.norm(U @ a - b) for a, b in zip(fam1, fam2))
+            assert residual == payload["residual"] <= mk.kinds.WITNESS_TOL
         mat = tmp_path / "m.json"
         save_matrix_file(str(mat), mk.haar_unitary(8, np.random.default_rng(0)).mat, mk.Dims((2, 2, 2)))
         self.check_file(mat)
@@ -906,19 +1076,26 @@ class TestPayloadFormat:
         assert list(tmp_path.glob("*.npy")) == []
         self.check_file(out)
 
-    @pytest.mark.parametrize("family2, code", [
-        ([[[0.0, 0.0], [2.0, 0.0]]], 0),  # Grams differ: a no-witness payload
-        ([[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]], 1),  # shapes differ: the run fails
-    ])
-    def test_earlier_witness_removed(self, tmp_path, family2, code):
+    @pytest.mark.parametrize("first, second, code", [
+        # Grams differ: a no-witness payload
+        ({"dim": 2, "count": 1}, {"family1": [[[1.0, 0.0], [0.0, 0.0]]], "family2": [[[0.0, 0.0], [2.0, 0.0]]]}, 0),
+        # shapes differ: the run fails
+        ({"dim": 2, "count": 1}, {"family1": [[[1.0, 0.0], [0.0, 0.0]]],
+                                  "family2": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]}, 1),
+        # two independent random families: a no-witness payload
+        ({"dim": 8, "count": 3}, {"family1": {"random": {"dim": 8, "count": 3}},
+                                  "family2": {"random": {"dim": 8, "count": 3}}}, 0),
+    ], ids=["grams-differ", "shapes-differ", "random-families"])
+    def test_earlier_witness_removed(self, tmp_path, first, second, code):
         out = tmp_path / "w.json"
-        first = write_config(tmp_path, "a.json", {"mode": "gram", "family2": "rotated", "seed": 1,
-                                                  "family1": {"random": {"dim": 2, "count": 1}}})
-        assert run_cli(["kinds", "--config", first, "--out", str(out)]) == 0
+        a = write_config(tmp_path, "a.json", {"mode": "gram", "family1": {"random": first},
+                                              "family2": "rotated", "seed": 1})
+        assert run_cli(["kinds", "--config", a, "--out", str(out)]) == 0
         assert [p.name for p in tmp_path.glob("*.npy")] == ["w.json.witness.npy"]
-        second = write_config(tmp_path, "b.json", {"mode": "gram", "family1": [[[1.0, 0.0], [0.0, 0.0]]],
-                                                   "family2": family2, "seed": 1})
-        assert run_cli(["kinds", "--config", second, "--out", str(out)]) == code
+        b = write_config(tmp_path, "b.json", {"mode": "gram", **second, "seed": 1})
+        assert run_cli(["kinds", "--config", b, "--out", str(out)]) == code
+        if code == 0:
+            assert json.loads(out.read_text())["witness"] is None
         assert list(tmp_path.glob("*.npy")) == []
 
 

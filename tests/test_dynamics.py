@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mereokit as mk
 from mereokit import cli
@@ -75,6 +75,20 @@ class TestFindNonlocalSymmetry:
         T = mk.canonical(dims222)
         t, U = mk.find_nonlocal_symmetry(H, T)
         assert not mk.equivalent(mk.act(U, T), T)
+
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_one_locality_decided_on_seven_qubits(self, K):
+        # a scrambled K = 1 instance in its planted structure is consistent with 1-locality and has
+        # no moving evolution; a K = 2 one is not, and equivalent confirms its move
+        dims = mk.Dims((2,) * 7)
+        H, V = mk.scrambled_klocal(dims, K, mk.stream(1, K))
+        T = mk.act(V, mk.canonical(dims))
+        probes = [mk.random_product_probe(T, mk.stream(1, K, k)) for k in range(2)]
+        verdict = mk.one_local_evolution_check(H, T, mk.default_time_grid(H, 16), probes)
+        hit = mk.find_nonlocal_symmetry(H, T)
+        assert verdict.consistent == (K == 1)
+        assert (hit is not None) == (K == 2)
+        assert hit is None or not mk.equivalent(mk.act(hit[1], T), T)
 
     def test_kept_structure_raises(self, dims22, monkeypatch):
         from mereokit import dynamics
@@ -249,6 +263,19 @@ class TestDistinctValues:
         probe = mk.StateVec(np.array([1, 0, 0, 0], dtype=complex))
         ents = mk.entropy_orbit(H, mk.canonical(dims22), probe, 0, mk.default_time_grid(H, 64))
         assert mk.distinct_value_count(ents, 1e-300) == np.unique(ents).size == 64
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        ents=st.lists(st.sampled_from([0.0, -0.0, 1e-4, 1.5e-4, 0.3, np.log(2)]) | st.floats(-2.0, 2.0),
+                      min_size=1, max_size=40),
+        bin_=st.sampled_from([1e-4, 1e-2, 0.3]),
+    )
+    @example(ents=[-0.0, 0.0], bin_=1e-4)
+    @example(ents=[0.3], bin_=1e-4)
+    def test_counts_as_np_unique(self, ents, bin_):
+        # ties, signed zeros and a single value count as np.unique counts the rounded bins
+        q = np.round(np.array(ents) / bin_)
+        assert mk.distinct_value_count(ents, bin_) == np.unique(q).size
 
     def test_bin_must_be_positive(self, dims22):
         H = mk.pauli_string("XX")

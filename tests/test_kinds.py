@@ -155,14 +155,20 @@ class TestOneOrbitRule:
 
     def test_weight_moved_onto_small_amplitude(self):
         # 9e-9 of weight moved onto the |c|^2 = 4e-8 eigenvector: the weights differ by at most
-        # 9e-9 <= tol, but the amplitudes by 2.1e-5, so neither the class nor a witness matches
+        # 9e-9 <= tol, but the amplitudes by 2.1e-5, so neither the class nor a witness matches;
+        # both accept the pair conjugated by a Haar unitary
         H = mk.HermitianOp(np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex))
         w1 = np.array([0.5, 0.3, 0.2 - 4e-8, 4e-8])
         w2 = w1 + [-9e-9, 0.0, 0.0, 9e-9]
         psi1, psi2 = (mk.StateVec(np.sqrt(w).astype(complex)) for w in (w1, w2))
-        assert not mk.pair_membership(H, psi2, mk.pair_kind_of(H, psi1))
+        spec = mk.pair_kind_of(H, psi1)
+        assert not mk.pair_membership(H, psi2, spec)
         with pytest.raises(mk.NoWitnessError, match="amplitudes differ"):
             mk.pair_orbit_witness(H, psi1, H, psi2)
+        V = mk.haar_unitary(4, mk.stream(1)).mat
+        Hc, psic = mk.HermitianOp(V @ H.mat @ V.conj().T), mk.StateVec(V @ psi1.vec)
+        assert mk.pair_membership(Hc, psic, spec)
+        mk.pair_orbit_witness(H, psi1, Hc, psic)
 
     def test_gap_below_degeneracy_shares_an_eigenspace(self):
         H = mk.HermitianOp(np.diag([0.0, 5e-9, 1.0]).astype(complex))

@@ -336,8 +336,9 @@ class TestEquivalentDecision:
             assert enumerated_equivalent(T1, T) == (False, None)
 
     def test_svds_only_in_the_product_test(self, monkeypatch):
-        # no SVD at all: one eigvalsh per factor picks the slots, and one eigh per factor
-        # dimension gives the matched Grams' top eigenvectors
+        # no SVD at all: one eigvalsh per factor reads its own slot, one more over the other slots
+        # for a factor that moved, and one eigh per factor dimension gives the matched Grams' top
+        # eigenvectors
         calls = []
         for name in ("svd", "eigvalsh", "eigh", "eig", "qr", "lstsq", "pinv"):
             real = getattr(np.linalg, name)
@@ -349,18 +350,21 @@ class TestEquivalentDecision:
         dims = mk.Dims((2, 2, 3, 2))
         rng = mk.stream(318)
         T1 = mk.random_tps(dims, rng)
-        T2 = planted(T1, (1, 3, 2, 0), rng)
-        calls.clear()
-        assert mk.equivalent(T1, T2)
-        assert calls == [("eigvalsh", "_equivalence_certificate")] * dims.n + [("eigh", "_product_certificate")] * 2
+        for sigma, moved in (((0, 1, 2, 3), 0), ((1, 3, 2, 0), 3)):
+            T2 = planted(T1, sigma, rng)
+            calls.clear()
+            assert mk.equivalent(T1, T2)
+            want = [("eigvalsh", "_equivalence_certificate")] * (dims.n + moved)
+            assert calls == want + [("eigh", "_product_certificate")] * 2
         calls.clear()
         assert mk.is_product_operator(T1.iso.mat @ T2.iso.mat.conj().T, dims) is None
         assert calls == [("eigh", "_product_certificate")] * 2
-        # a Haar pair is entangled from factor 0 on, and the decision stops there
+        # a Haar pair is entangled from factor 0 on, in its own slot and the other qubit slots, and
+        # the decision stops there
         T3 = mk.random_tps(dims, rng)
         calls.clear()
         assert not mk.equivalent(T1, T3)
-        assert calls == [("eigvalsh", "_equivalence_certificate")]
+        assert calls == [("eigvalsh", "_equivalence_certificate")] * 2
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
