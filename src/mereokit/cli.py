@@ -79,10 +79,10 @@ class UsageError(Exception):
 # config plumbing
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, name: str) -> dict:
     text = Path(path).read_text()
     try:
-        return json.loads(text)
+        return _typed(name, json.loads(text), dict)
     except json.JSONDecodeError as e:
         raise UsageError(f"parse error in {path}: line {e.lineno} column {e.colno}: {e.msg}")
 
@@ -96,7 +96,7 @@ def _resolve_config(args) -> dict:
     """The loaded config, refused if it has a field the subcommand does not read, with its
     seed resolved (flag, config, MEREOKIT_SEED, 0) and, where the subcommand takes one,
     its tol (flag, config, the subcommand's default)."""
-    cfg = _typed("config", _load_json(args.config), dict)
+    cfg = _load_json(args.config, "config")
     unknown = sorted(set(cfg) - _FIELDS[args.command])
     if unknown:
         raise UsageError(f"unknown {args.command} config field {unknown[0]!r}")
@@ -180,7 +180,7 @@ def _dump_csv(header: str, rows, config: dict, out: str | None):
 
 
 def load_matrix_file(path: str) -> tuple[HermitianOp, Dims]:
-    obj = _load_json(path)
+    obj = _load_json(path, f"matrix file {path}")
     for key in ("dims", "matrix"):
         if key not in obj:
             raise UsageError(f"matrix file {path} is missing the {key!r} field")
@@ -196,11 +196,11 @@ def save_matrix_file(path: str, mat: np.ndarray, dims: Dims):
     _dump_json({"dims": list(dims.factors), "matrix": _to_pairs(mat)}, path)
 
 
-def _model_cfg(cfg: dict) -> dict:
+def _model_cfg(cfg: dict, field: str = "file") -> dict:
     if "model" in cfg:
         return _typed("model", cfg["model"], dict)
-    if "file" in cfg:
-        return {"file": cfg["file"]}
+    if "file" in cfg:  # a path, refused naming ``field`` unless a string
+        return {"file": _typed(field, cfg["file"], str)}
     raise UsageError("config needs a 'model' or 'file' entry")
 
 
@@ -264,8 +264,9 @@ def build_tps(spec, dims: Dims, seed: int, base: tps_mod.Tps | None, H: Hermitia
         if kind == "random":
             return tps_mod.random_tps(dims, stream(seed, 2, *path))
         if kind == "file":
-            with _field(f"tps file {spec['path']}"):
-                return tps_mod.tps_from_json(_load_json(spec["path"]))
+            path = _typed("tps path", spec["path"], str)
+            with _field(f"tps file {path}"):
+                return tps_mod.tps_from_json(_load_json(path, f"tps file {path}"))
         if kind == "local":
             return _local_move(base, stream(seed, 3, *path))
         if kind == "evolved":
@@ -396,7 +397,7 @@ def _search_config(sc: dict, seed: int) -> SearchConfig:
 
 
 def _kinds_pair(cfg_pair, seed: int, path: int):
-    H, dims = build_model(_model_cfg(cfg_pair), seed, path)
+    H, dims = build_model(_model_cfg(cfg_pair, f"pair{path + 1}.file"), seed, path)
     return H, build_state(cfg_pair.get("state"), dims, seed, path)
 
 
@@ -408,7 +409,7 @@ def cmd_kinds(cfg: dict, out: str | None) -> int:
     if mode == "hsf":
         pair1 = _typed("pair1", cfg["pair1"], dict)
         conjugated = cfg.get("pair2") == "conjugated"
-        dims = _model_dims(_model_cfg(pair1)) if conjugated else None
+        dims = _model_dims(_model_cfg(pair1, "pair1.file")) if conjugated else None
         pool = _worker(dims.total) if dims else None  # a matrix file's D is known only once it is read
         if pool:
             # the worker builds pair 1 while V is drawn here, not the other way round: with V drawn on
@@ -547,12 +548,10 @@ def _parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    code = None  # until set, as when an exception main does not catch passes through
     try:
         args = _parser().parse_args(argv)
         code = _HANDLERS[args.command](_resolve_config(args), args.out)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        code = EXIT_USAGE
     except HypothesisViolation as e:
         report = {"error": "hypothesis_violation", "reason": e.reason, "detail": str(e)}
         print(json.dumps(report, sort_keys=True), file=sys.stderr)
@@ -560,14 +559,15 @@ def main(argv=None) -> int:
     except KeyError as e:
         print(f"error: missing config field {e.args[0]!r}", file=sys.stderr)
         code = EXIT_USAGE
-    except (MereokitError, FileNotFoundError, ValueError) as e:
+    except (UsageError, MereokitError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         code = EXIT_USAGE
-    pool = _pools.get(os.getpid())
-    if code != EXIT_OK and pool is not None:
-        # an op that failed may not have read what it sent; it waits for it here, so that the
-        # next op's first task does not wait behind it. An op that exits 0 read all it sent.
-        pool.submit(lambda: None).result()
+    finally:
+        pool = _pools.get(os.getpid())
+        if code != EXIT_OK and pool is not None:
+            # an op that failed or raised may not have read what it sent; it waits for it here, so
+            # that the next op's first task does not wait behind it. An op that exits 0 read all it sent.
+            pool.submit(lambda: None).result()
     return code
 
 

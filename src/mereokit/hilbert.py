@@ -19,6 +19,8 @@ from .errors import DimensionMismatch, InvariantViolation, ScaleOutOfRange
 # tolerance for algebraic identities: HermitianOp scales it by 1 + max |H_ij|; the unitarity
 # check and the state norm use it as is
 ATOL = 1e-10
+# largest ``_impurity`` of a marginal read as pure; near rank one the impurity is about 2 lam_2 / lam_1
+PURE_TOL = 1e-9
 
 
 def _frozen(a, dtype=complex) -> np.ndarray:
@@ -265,6 +267,12 @@ def _marginals(t: np.ndarray, supports: tuple[tuple[int, ...], ...], bufs=None) 
         a = A if order is not None else t.reshape(shape)
         np.matmul(a, np.conjugate(a, out=Ac).swapaxes(-1, -2), out=rho)
     return out
+
+
+def _impurity(rho: np.ndarray) -> np.ndarray:
+    """1 - tr rho^2 / (tr rho)^2 of each Hermitian Gram in a stack (..., d, d), with no spectrum: a sum
+    of squared moduli over the squared trace. 0 at rank one up to a few eps, 1 - 1/d at rho ∝ I."""
+    return 1 - np.einsum("...ij,...ij->...", rho, rho.conj()).real / np.einsum("...ii->...", rho).real ** 2
 
 
 def _spectra3(rho: np.ndarray) -> np.ndarray:

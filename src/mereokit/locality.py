@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation, ObjectiveUndefined
-from .hilbert import HermitianOp, StateVec, _phases_finite, _tol
+from .hilbert import PURE_TOL, HermitianOp, StateVec, _impurity, _marginals, _phases_finite, _tol
 from .basis import decompose, weight_masses
 from .tps import Tps, _eigen_entropies
 
@@ -16,8 +16,6 @@ from .tps import Tps, _eigen_entropies
 LOCALITY_RTOL = 1e-9
 # site entropy above this witnesses entanglement generation; absolute, in nats
 WITNESS_ENTROPY = 1e-6
-# max site entropy for a probe to count as a product state; absolute, in nats
-PRODUCT_PROBE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -97,13 +95,14 @@ def _evolved_entropies(
     H: HermitianOp, T: Tps, probes: Sequence[StateVec], t_grid, sites=None
 ) -> np.ndarray:
     """Site entropies (times, probes, sites) in T of product probes evolved by e^{-itH}, at
-    ``sites`` (all by default); the product-probe check reads every site.
+    ``sites`` (all by default).
 
     Refuses a probe of the wrong dim, a grid that is not one finite sequence or one whose phases
-    t * eigenvalue overflow (DimensionMismatch), and a probe that is not a product state
-    (InvariantViolation). Equal blocks of at most 2**16 // (D * probes) times, each one matrix
-    product, bound the memory; a 1-point block would take numpy's matrix-vector product, which
-    rounds unlike the matrix-matrix one.
+    t * eigenvalue overflow (DimensionMismatch), and a probe whose ``_impurity`` in T exceeds
+    ``PURE_TOL`` at some site (InvariantViolation): as S >= 1 - tr rho^2, every probe of site entropies
+    <= 1e-9 nats passes, and so may one of entropies up to about 1.2e-8 nats. Equal blocks of at
+    most 2**16 // (D * probes) times, each one matrix product, bound the memory; a 1-point block
+    would take numpy's matrix-vector product, which rounds unlike the matrix-matrix one.
     """
     D = T.dims.total
     for j, probe in enumerate(probes):
@@ -113,10 +112,13 @@ def _evolved_entropies(
     if t.ndim != 1 or not np.isfinite(t).all():
         raise DimensionMismatch(f"grid times must be a 1-d sequence of finite numbers, got shape {t.shape}")
     _phases_finite(H, float(np.abs(t).max(initial=0.0)), "grid")
-    C = np.array([p.vec for p in probes], dtype=complex).reshape(-1, D) @ H.eig[1].conj()
-    for j, ent in enumerate(_eigen_entropies(H, [T], C, 1.0)[0].max(axis=-1)):
-        if not ent <= PRODUCT_PROBE_TOL:  # also refuses NaN
-            raise InvariantViolation(f"probe {j} is not a product state (entropy {ent:.3e})")
+    P = np.array([p.vec for p in probes], dtype=complex).reshape(-1, D)
+    C = P @ H.eig[1].conj()
+    dims, psi = T.dims.factors, (P @ T.iso.mat.T).reshape((-1,) + T.dims.factors)  # the probes in T
+    rho = [_marginals(psi, tuple((i,) for i, e in enumerate(dims) if e == d)) for d in set(dims)]
+    for j, impurity in enumerate(np.concatenate([_impurity(r) for r in rho]).max(axis=0)):  # (sites, probes)
+        if not impurity <= PURE_TOL:  # also refuses NaN
+            raise InvariantViolation(f"probe {j} is not a product state (impurity {impurity:.3e})")
     blocks = np.array_split(t, len(t) // max(1, 2**16 // (D * max(1, len(C)))) + 1)
     phases = (np.exp(-1j * np.multiply.outer(b, H.eig[0]))[:, None] for b in blocks)  # (times, 1, D)
     ents = np.concatenate([_eigen_entropies(H, [T], C, f, sites)[0] for f in phases])

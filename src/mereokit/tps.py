@@ -3,11 +3,11 @@
 A ``Tps`` holds one representative isomorphism from the abstract space onto the canonical
 product space, as a D x D unitary in the canonical basis. Two representatives describe the same
 structure when they differ by single-site unitaries and permutations of equal-dimension factors;
-``equivalent`` decides this from the operator Schmidt spectra (Gram eigenvalues) of every (output
-slot, input factor) pair, which pin the permutation, and one Kronecker residual of the matched
-Grams' top eigenvectors (the rearrangement view of Van Loan and Pitsianis, 1993), as
-``is_product_operator`` does; neither takes an SVD. Read as one state on factors + factors, W's
-realignment Gram across (slot j, factor i) is its ``hilbert._marginals`` on (j, n + i).
+``equivalent`` decides this from the impurity of the realignment Gram of every (output slot, input
+factor) pair, which pins the permutation, and one Kronecker residual of the matched Grams' top
+eigenvectors (the rearrangement view of Van Loan and Pitsianis, 1993), as ``is_product_operator``
+does; neither takes an SVD. Read as one state on factors + factors, W's realignment Gram across
+(slot j, factor i) is its ``hilbert._marginals`` on (j, n + i).
 """
 
 from __future__ import annotations
@@ -19,13 +19,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
-from .hilbert import Dims, HermitianOp, StateVec, UnitaryOp, _mat, _vec, haar_state, haar_unitary
-from .hilbert import _from_pairs, _marginals, _scaled, _to_pairs, _unit, kron_all, site_entropies
+from .hilbert import PURE_TOL, Dims, HermitianOp, StateVec, UnitaryOp, _from_pairs, _impurity, _marginals, _mat
+from .hilbert import _scaled, _to_pairs, _unit, _vec, haar_state, haar_unitary, kron_all, site_entropies
 
 # relative to ||W||_F: a product fit zP is accepted iff ||zP - W||_F <= c PRODUCT_RTOL ||W||_F, c = 2
 PRODUCT_RTOL = 1e-8
-# relative to lam_1: a factor whose least slot Gram ratio lam_2 / lam_1 exceeds this is entangled
-ENTANGLED_RATIO = 1e-6
 
 
 @dataclass(frozen=True)
@@ -144,16 +142,14 @@ def _equivalence_certificate(T1: Tps, T2: Tps) -> Optional[ProductOpCertificate]
     """Certificate that P_sigma . W is a product operator for an admissible factor permutation
     sigma, W = T1.iso . T2.iso^{-1}; None when there is none.
 
-    Factor i goes to the equal-dimension output slot whose realignment R of W across (slot, factor
-    i) has the least ratio lam_2 / lam_1 of the two largest eigenvalues of its Gram R R^dag: for
-    W = P_sigma^T (x)U_i it is 0 at sigma(i) and 1 elsewhere, so the argmin needs no tolerance.
-    One ``eigvalsh`` reads slot i first, taken when its ratio is at most ``ENTANGLED_RATIO`` and the
-    slot is free: a unitary W has at most one slot per factor that close to rank one, so that is
-    the argmin. Otherwise one ``eigvalsh`` over the other slots takes theirs. The matched Grams are
-    P_sigma . W's own across (i, i) (R with columns permuted); ``_product_certificate`` decides from
-    them. A least ratio above ``ENTANGLED_RATIO`` = 1e-6 (s_1 / s_0 > 1e-3 in every slot, beyond the
-    Gram's rounding of at most (D / d)^2 eps lam_1) ends it with None at once, as any product's
-    residual is then above 1e-3 / d_i >> 2 PRODUCT_RTOL."""
+    Factor i goes to the equal-dimension output slot whose realignment Gram of W across (slot,
+    factor i) has the least ``_impurity``: 0 at sigma(i) and 1 - 1 / d^2 elsewhere for W = P_sigma^T
+    (x)U_i. Slot i is read first and taken when free with impurity at most ``PURE_TOL``: a unitary W
+    has at most one slot per factor that close to rank one. Else the other slots are read. The
+    matched Grams are P_sigma . W's own across (i, i); ``_product_certificate`` decides from them. A
+    least impurity above ``PURE_TOL`` ends it with None at once: a product fit within 2 PRODUCT_RTOL
+    leaves its slot an impurity of at most about 2 (d^2 - 1)(2 PRODUCT_RTOL)^2 << PURE_TOL, and the
+    Gram's rounding, at most (D / d)^2 eps, is far below it too."""
     if T1.dims != T2.dims:
         raise DimensionMismatch(f"factor dimensions differ: {T1.dims} vs {T2.dims}")
     f, n = T1.dims.factors, T1.dims.n
@@ -163,10 +159,9 @@ def _equivalence_certificate(T1: Tps, T2: Tps) -> Optional[ProductOpCertificate]
         others = [j for j in range(n) if f[j] == d and j != i]
         for slots in ([i], others) if others else ([i],):  # its own slot first, then the rest
             G = _marginals(t, tuple((j, n + i) for j in slots), bufs)[:, 0]
-            lam = np.linalg.eigvalsh(G)  # squared singular values
-            ratios = lam[:, -2] / lam[:, -1]
-            k = int(np.argmin(ratios))
-            if ratios[k] <= ENTANGLED_RATIO and slots[k] not in sigma:
+            impurity = _impurity(G)
+            k = int(np.argmin(impurity))
+            if impurity[k] <= PURE_TOL and slots[k] not in sigma:
                 break
         else:  # entangled, or sigma no permutation
             return None

@@ -898,6 +898,18 @@ class TestUsage:
         ("profile", "MEREOKIT_SEED", {"model": {"name": "pauli", "string": "XX"}}),
         ("profile", "nan.json", {"file": "nan.json"}),  # a matrix file with one NaN entry
         ("profile", "model", {"model": "ising"}),  # an entry of the wrong JSON type
+        # file paths that are no string, files whose JSON is no object, and a directory as a file
+        ("profile", "file", {"file": 5}),
+        ("profile", "tps path", {"model": {"name": "pauli", "string": "XX"}, "tps": {"kind": "file", "path": 5}}),
+        ("kinds", "pair1.file", {"mode": "hsf", "pair1": {"file": 5}, "pair2": "conjugated"}),
+        ("kinds", "pair2.file", {"mode": "hsf", "pair1": {"model": {"name": "gue", "dims": [2, 2]}},
+                                 "pair2": {"file": 5}}),
+        ("profile", "matrix file five.json", {"file": "five.json"}),
+        ("profile", "tps file five.json", {"model": {"name": "pauli", "string": "XX"},
+                                           "tps": {"kind": "file", "path": "five.json"}}),
+        ("profile", "tps file pair.json", {"model": {"name": "pauli", "string": "XX"},
+                                           "tps": {"kind": "file", "path": "pair.json"}}),
+        ("profile", "Is a directory: 'dir'", {"file": "dir"}),
     ])
     @pytest.mark.filterwarnings("error")
     def test_malformed_config_one_error_line(self, tmp_path, capsys, monkeypatch, command, field, cfg):
@@ -908,6 +920,9 @@ class TestUsage:
         nan = np.eye(4, dtype=complex)
         nan[1, 2] = np.nan
         save_matrix_file("nan.json", nan, mk.Dims((2, 2)))
+        write_config(tmp_path, "five.json", 5)
+        write_config(tmp_path, "pair.json", [1, 2])
+        (tmp_path / "dir").mkdir()
         path = write_config(tmp_path, "c.json", cfg)
         for out in ([], ["--out", str(tmp_path / "out")]):
             assert run_cli([command, "--config", path, *out]) == 1
@@ -916,23 +931,55 @@ class TestUsage:
             assert field in got.err
             assert list(tmp_path.glob("out*")) == []
 
-    def test_failed_op_waits_for_what_it_sent(self, tmp_path, monkeypatch):
-        # orbit sends H's eigendecomposition to the worker, then fails on its structure; main
-        # returns only once the worker has finished it, so the next op's first task does not wait
+    @pytest.mark.parametrize("flag", ["--config", "--out"])
+    @pytest.mark.filterwarnings("error")
+    def test_directory_path_one_error_line(self, tmp_path, capsys, flag):
+        # a directory where a file is read or written: exit 1, one "error:" line naming it, no traceback
+        # and nothing written into it
+        cfg = write_config(tmp_path, "c.json", {"model": {"name": "pauli", "string": "XX"}})
+        (tmp_path / "dir").mkdir()
+        argv = {"--config": ["--config", str(tmp_path / "dir")], "--out": ["--config", cfg, "--out", str(tmp_path / "dir")]}
+        assert run_cli(["profile", *argv[flag]]) == 1
+        got = capsys.readouterr()
+        assert got.out == "" and got.err.startswith("error: ") and got.err.count("\n") == 1
+        assert "Is a directory" in got.err and str(tmp_path / "dir") in got.err
+        assert list((tmp_path / "dir").iterdir()) == []
+
+    @pytest.fixture
+    def slow_eigh(self, monkeypatch):
+        """Times at which a worker eigendecomposition, slowed by 0.2 s, finished; D = 4 uses the worker."""
         finished, eigh = [], hilbert._eigh
 
-        def slow_eigh(m):
+        def slow(m):
             time.sleep(0.2)
             out = eigh(m)
             finished.append(time.perf_counter())
             return out
 
-        monkeypatch.setattr(hilbert, "_eigh", slow_eigh)
+        monkeypatch.setattr(hilbert, "_eigh", slow)
         monkeypatch.setattr(cli, "SOON_MIN_DIM", 4)
+        return finished
+
+    def test_failed_op_waits_for_what_it_sent(self, tmp_path, slow_eigh):
+        # orbit sends H's eigendecomposition to the worker, then fails on its structure; main
+        # returns only once the worker has finished it, so the next op's first task does not wait
         cfg = write_config(tmp_path, "c.json", {"model": {"name": "gue", "dims": [2, 2]}, "tps": {"kind": "bogus"}})
         assert run_cli(["orbit", "--config", cfg]) == 1
         returned = time.perf_counter()
-        assert len(finished) == 1 and finished[0] < returned
+        assert len(slow_eigh) == 1 and slow_eigh[0] < returned
+
+    def test_raising_op_waits_for_what_it_sent(self, tmp_path, monkeypatch, slow_eigh):
+        # as above, but a step after the send raises an exception main does not catch: main
+        # re-raises it only once the worker has finished the eigendecomposition
+        def broken(*args):
+            raise RuntimeError("a step after the send")
+
+        monkeypatch.setattr(cli, "build_tps", broken)
+        cfg = write_config(tmp_path, "c.json", {"model": {"name": "gue", "dims": [2, 2]}})
+        with pytest.raises(RuntimeError, match="a step after the send"):
+            run_cli(["orbit", "--config", cfg])
+        returned = time.perf_counter()
+        assert len(slow_eigh) == 1 and slow_eigh[0] < returned
 
     def test_integral_floats_run_with_config_kept_raw(self, tmp_path, capsys):
         cfg = {"model": {"name": "ising", "n": 3.0, "J": 1, "h": 1}, "seed": 1}

@@ -170,9 +170,9 @@ class TestEntropyOrbit:
         H = random_hermitian(8, rng)
         T = mk.random_tps(dims222, rng)
         ents = mk.entropy_orbit(H, T, mk.random_product_probe(T, rng), 2, np.linspace(0, 2, points))
-        # one stacked call checks the probe is a product state at every site, one reads the
-        # whole curve at the orbit's site alone
-        assert calls == [(None,), ((2,),)] and ents.shape == (points,)
+        # the product-probe check reads impurities, not spectra; one call reads the whole curve
+        # at the orbit's site alone
+        assert calls == [((2,),)] and ents.shape == (points,)
 
     def test_non_product_probe_rejected(self, dims22):
         bell = mk.StateVec(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 import mereokit as mk
 from mereokit import cli, hilbert
 from mereokit.hilbert import (
-    ATOL, _check_unitary, _entropy_of_probs, _from_pairs, _marginals, _spectra3, _to_pairs, _unit,
+    ATOL, _check_unitary, _entropy_of_probs, _from_pairs, _impurity, _marginals, _spectra3, _to_pairs, _unit,
 )
 from mereokit.kinds import check_spectral_hypotheses
 from mereokit.models import SIGMA
@@ -709,6 +709,28 @@ class TestSpectra3:
     def test_stack_shape_kept(self):
         rho = np.broadcast_to(np.diag([0.5, 0.25, 0.25]).astype(complex), (2, 5, 3, 3))
         assert np.array_equal(np.sort(_spectra3(rho), axis=-1), np.broadcast_to([0.25, 0.25, 0.5], (2, 5, 3)))
+
+
+class TestImpurity:
+    """``_impurity``, 1 - tr rho^2 / (tr rho)^2 with no spectrum, against the ``eigvalsh`` oracle."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(d=st.integers(2, 5), rank=st.integers(1, 5), scale=st.sampled_from([-40, 0, 40]),
+           seed=st.integers(0, 2**16))
+    def test_matches_eigvalsh(self, d, rank, scale, seed):
+        rank, eps = min(rank, d), np.finfo(float).eps
+        rng = mk.stream(seed)
+        A = rng.standard_normal((3, d, rank)) + 1j * rng.standard_normal((3, d, rank))
+        rho = A @ A.conj().swapaxes(-1, -2)
+        scaled = np.ldexp(rho.view(float), scale).view(complex)  # exact
+        got = _impurity(scaled)
+        assert got.shape == (3,) and np.array_equal(got, _impurity(rho))
+        lam = np.linalg.eigvalsh(rho)
+        assert np.abs(got - (1 - (lam * lam).sum(-1) / lam.sum(-1) ** 2)).max() <= 32 * eps
+        if rank == 1:
+            assert np.abs(got).max() <= 8 * eps
+        mixed = np.ldexp(np.eye(d, dtype=complex).view(float), scale).view(complex)
+        assert abs(_impurity(mixed) - (1 - 1 / d)) <= 2 * eps
 
 
 class TestMarginals:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import mereokit as mk
 from mereokit.basis import weight_masses, weight_tensor
 from mereokit import locality
+from mereokit.hilbert import PURE_TOL
 from mereokit.locality import LOCALITY_RTOL, k_local_residual
 from mereokit.models import SIGMA
 
@@ -305,12 +306,28 @@ class TestOneLocalEvolution:
             mk.one_local_evolution_check(H, T, [0.1], [bell])
 
     def test_nan_probe_entropy_rejected(self, dims22, monkeypatch):
-        # a NaN entropy passes an ``ent > tol`` check; the product-probe check must refuse it
-        real = locality._eigen_entropies
-        monkeypatch.setattr(locality, "_eigen_entropies", lambda *a: real(*a) * np.nan)
+        # a NaN impurity passes an ``impurity > tol`` check; the product-probe check must refuse it
+        real = locality._impurity
+        monkeypatch.setattr(locality, "_impurity", lambda rho: real(rho) * np.nan)
         probe = mk.StateVec(np.array([1, 0, 0, 0], dtype=complex))
-        with pytest.raises(mk.InvariantViolation, match=r"probe 0 is not a product state \(entropy nan\)"):
+        with pytest.raises(mk.InvariantViolation, match=r"probe 0 is not a product state \(impurity nan\)"):
             mk.one_local_evolution_check(mk.pauli_string("XX"), mk.canonical(dims22), [0.1], [probe])
+
+    @pytest.mark.parametrize("share, accepted", [(0.9, True), (1.1, False)])
+    def test_product_probe_band_edge(self, dims22, share, accepted):
+        # sqrt(1 - p) |00> + sqrt(p) |11> has qubit marginals diag(1 - p, p), of impurity 2 p (1 - p),
+        # here share * PURE_TOL; at 0.9 its site entropy, about 1e-8 nats, lies in the band that an
+        # entropy bound of 1e-9 nats refused
+        p = (1 - np.sqrt(1 - 2 * share * PURE_TOL)) / 2
+        probe = mk.StateVec(np.array([np.sqrt(1 - p), 0, 0, np.sqrt(p)], dtype=complex))
+        check = lambda: mk.one_local_evolution_check(mk.pauli_string("XX"), mk.canonical(dims22), [0.1], [probe])
+        if accepted:
+            # inside the band stated in ``_evolved_entropies``: above the old 1e-9 nats, below 1.2e-8
+            assert 1e-9 < mk.site_entropies(probe, dims22).max() < 1.2e-8
+            assert check().witness is not None
+        else:
+            with pytest.raises(mk.InvariantViolation, match=r"probe 0 is not a product state \(impurity 1\.1"):
+                check()
 
     def test_witness_is_lexicographically_first(self, dims22):
         H = mk.pauli_string("XX")

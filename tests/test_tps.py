@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import mereokit as mk
 from mereokit import tps
 from mereokit.models import SIGMA
-from mereokit.hilbert import _marginals
+from mereokit.hilbert import PURE_TOL, _impurity, _marginals
 from mereokit.tps import PRODUCT_RTOL, _equivalence_certificate, _perm_index
 
 from conftest import random_hermitian, realign, realigned_singular_values
@@ -336,9 +336,9 @@ class TestEquivalentDecision:
             assert enumerated_equivalent(T1, T) == (False, None)
 
     def test_svds_only_in_the_product_test(self, monkeypatch):
-        # no SVD at all: one eigvalsh per factor reads its own slot, one more over the other slots
-        # for a factor that moved, and one eigh per factor dimension gives the matched Grams' top
-        # eigenvectors
+        # no SVD at all: the slot choice makes no LAPACK call, one impurity read per factor for its
+        # own slot and one more over the other slots for a factor that moved, and one eigh per
+        # factor dimension gives the matched Grams' top eigenvectors
         calls = []
         for name in ("svd", "eigvalsh", "eigh", "eig", "qr", "lstsq", "pinv"):
             real = getattr(np.linalg, name)
@@ -347,6 +347,8 @@ class TestEquivalentDecision:
                 lambda *a, _name=name, _real=real, **kw: calls.append((_name, sys._getframe(1).f_code.co_name))
                 or _real(*a, **kw),
             )
+        real_impurity = tps._impurity
+        monkeypatch.setattr(tps, "_impurity", lambda G: calls.append(("_impurity", len(G))) or real_impurity(G))
         dims = mk.Dims((2, 2, 3, 2))
         rng = mk.stream(318)
         T1 = mk.random_tps(dims, rng)
@@ -354,17 +356,18 @@ class TestEquivalentDecision:
             T2 = planted(T1, sigma, rng)
             calls.clear()
             assert mk.equivalent(T1, T2)
-            want = [("eigvalsh", "_equivalence_certificate")] * (dims.n + moved)
-            assert calls == want + [("eigh", "_product_certificate")] * 2
+            reads = dims.n + moved
+            assert [name for name, _ in calls[:reads]] == ["_impurity"] * reads
+            assert calls[reads:] == [("eigh", "_product_certificate")] * 2
         calls.clear()
         assert mk.is_product_operator(T1.iso.mat @ T2.iso.mat.conj().T, dims) is None
         assert calls == [("eigh", "_product_certificate")] * 2
         # a Haar pair is entangled from factor 0 on, in its own slot and the other qubit slots, and
-        # the decision stops there
+        # the decision stops there, with no LAPACK call
         T3 = mk.random_tps(dims, rng)
         calls.clear()
         assert not mk.equivalent(T1, T3)
-        assert calls == [("eigvalsh", "_equivalence_certificate")] * 2
+        assert calls == [("_impurity", 1), ("_impurity", 2)]
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -390,6 +393,35 @@ class TestEquivalentDecision:
             expected, ratio = svd_slot_equivalent(T1, T2)
             if outside_band(ratio):
                 assert (same, cert and cert.permutation) == expected
+
+    @pytest.mark.parametrize("factors", [(2, 2, 2), (2, 3), (3, 3, 2), (2, 2, 2, 2)])
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_pure_tol_band_agrees_with_svd_slot_oracle(self, factors, moved):
+        # W = P_sigma^T (x)U_i e^{-i eps G}, eps set so that the largest matched-slot impurity is
+        # share * PURE_TOL (impurity grows as eps^2), straddling PURE_TOL, beside eps = 0 and 1e-10
+        dims = mk.Dims(factors)
+        rng = mk.stream(319, len(factors), moved)
+        T1 = mk.random_tps(dims, rng)
+        G = random_hermitian(dims.total, rng)
+        sigma = admissible_permutation(factors, rng) if moved else tuple(range(dims.n))
+        base = planted(T1, sigma, rng)
+        n = dims.n
+
+        def matched_impurity(T2):
+            W = (T1.iso.mat @ T2.iso.mat.conj().T).reshape((1,) + factors * 2)
+            return max(_impurity(_marginals(W, ((sigma[i], n + i),))[:, 0])[0] for i in range(n))
+
+        eps0 = 1e-4
+        unit = matched_impurity(mk.act(mk.expm_i(G, eps0), base))
+        for share in (0.0, None, 0.5, 0.9, 1.1, 2.0):
+            eps = 1e-10 if share is None else eps0 * np.sqrt(share * PURE_TOL / unit)
+            T2 = mk.act(mk.expm_i(G, eps), base)
+            if share:
+                assert (matched_impurity(T2) <= PURE_TOL) == (share < 1)
+            cert = _equivalence_certificate(T1, T2)
+            expected, ratio = svd_slot_equivalent(T1, T2)
+            assert outside_band(ratio) and (cert is not None, cert and cert.permutation) == expected
+            assert expected[0] == (not share)
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_many_qubits(self, n):
