@@ -61,23 +61,30 @@ def _contract(t: np.ndarray, factors, adjoint: bool):
 
 
 def coeff_tensor(mat: np.ndarray, dims: Dims) -> np.ndarray:
-    """Expansion coefficients of a D x D matrix over the product basis.
+    """Expansion coefficients over the product basis of D x D matrices stacked (..., D, D), shaped
+    (..., d_1^2, ..., d_n^2); any other shape is refused (DimensionMismatch).
 
-    One site at a time, so the cost is D^2 * sum(d_i^2) rather than D^4.
+    One site at a time, so the cost is D^2 * sum(d_i^2) per matrix rather than D^4; the batch axes
+    go last, so each site map takes the whole stack in one product.
     """
-    f, n = dims.factors, dims.n
-    t = mat.reshape(f + f).transpose([a for i in range(n) for a in (i, n + i)])
-    return _contract(t, f, adjoint=False).reshape(tuple(d * d for d in f))
+    f, n, D, batch = dims.factors, dims.n, dims.total, np.shape(mat)[:-2]
+    if np.shape(mat)[-2:] != (D, D):
+        raise DimensionMismatch(f"matrix shape {np.shape(mat)} != (..., {D}, {D})")
+    b = len(batch)
+    t = mat.reshape(batch + f + f).transpose([b + a for i in range(n) for a in (i, n + i)] + list(range(b)))
+    return _contract(t, f, adjoint=False).reshape(batch + tuple(d * d for d in f))
 
 
 def matrix_from_coeffs(coeffs: np.ndarray, dims: Dims) -> np.ndarray:
-    """Adjoint of ``coeff_tensor``: reassemble the matrix from coefficients shaped (d_i^2)_i,
-    refusing any other shape (DimensionMismatch)."""
-    f, n, D = dims.factors, dims.n, dims.total
-    if np.shape(coeffs) != weight_tensor(f).shape:
-        raise DimensionMismatch(f"coefficient shape {np.shape(coeffs)} != {weight_tensor(f).shape}")
-    t = _contract(coeffs, f, adjoint=True).reshape(tuple(d for d in f for _ in "rc"))
-    return t.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))).reshape(D, D)
+    """Adjoint of ``coeff_tensor``: reassemble matrices (..., D, D) from coefficients shaped
+    (..., d_1^2, ..., d_n^2), the batch axes moved last, refusing any other shape (DimensionMismatch)."""
+    f, n, D, batch = dims.factors, dims.n, dims.total, np.shape(coeffs)[:-dims.n]
+    if np.shape(coeffs)[-n:] != weight_tensor(f).shape:
+        raise DimensionMismatch(f"coefficient shape {np.shape(coeffs)} != (...) + {weight_tensor(f).shape}")
+    b = len(batch)
+    t = _contract(coeffs.transpose(list(range(b, b + n)) + list(range(b))), f, adjoint=True)
+    t = t.reshape(batch + tuple(d for d in f for _ in "rc"))
+    return t.transpose([*range(b), *range(b, b + 2 * n, 2), *range(b + 1, b + 2 * n, 2)]).reshape(batch + (D, D))
 
 
 def decompose(H: HermitianOp, T: Tps) -> np.ndarray:
@@ -100,7 +107,17 @@ def weight_tensor(factors: tuple[int, ...]) -> np.ndarray:
         shape = [1] * n
         shape[i] = d * d
         w = w + (np.arange(d * d) != 0).astype(np.int64).reshape(shape)
+    w.setflags(write=False)  # cached, so shared by every caller
     return w
+
+
+@lru_cache(maxsize=None)
+def klocal_mask(factors: tuple[int, ...], K: int) -> np.ndarray:
+    """The weight-1..K multi-indices, the one K-local set: read-only, shaped like the coefficient tensor."""
+    w = weight_tensor(factors)
+    mask = (w >= 1) & (w <= K)
+    mask.setflags(write=False)  # cached, so shared by every caller
+    return mask
 
 
 def weight_masses(coeffs: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
@@ -108,7 +125,10 @@ def weight_masses(coeffs: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
 
     Rounding in the D-term sums that formed the matrix leaves noise of about D eps^2 times the
     total mass (the expansion is orthonormal); the floor, a factor D above, is scale-free.
-    Nonzero coefficients whose masses overflow, all underflow or fall subnormal raise ScaleOutOfRange."""
+    Nonzero coefficients whose masses overflow, all underflow or fall subnormal raise ScaleOutOfRange;
+    a tensor not shaped like ``weight_tensor(factors)`` raises DimensionMismatch."""
+    if np.shape(coeffs) != weight_tensor(factors).shape:
+        raise DimensionMismatch(f"coefficient shape {np.shape(coeffs)} != {weight_tensor(factors).shape}")
     with np.errstate(over="ignore"):  # an overflow is refused below, by name
         mag2 = (coeffs.conj() * coeffs).real.ravel()
     masses = np.bincount(weight_tensor(factors).ravel(), weights=mag2, minlength=len(factors) + 1)

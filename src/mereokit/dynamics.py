@@ -96,7 +96,9 @@ def distinct_value_count(entropies: np.ndarray, bin: float) -> int:
 
 
 def default_time_grid(H: HermitianOp, points: int = 64) -> np.ndarray:
-    """Uniform grid on [0, 2*pi] in units of the spectral radius of H."""
+    """Uniform grid of ``points`` >= 0 times on [0, 2*pi] in units of the spectral radius of H."""
+    if points < 0:
+        raise DimensionMismatch(f"a time grid needs points >= 0, got {points}")
     rho = float(np.abs(H.eig[0]).max())
     if rho == 0.0:
         rho = 1.0

@@ -374,6 +374,8 @@ def kron_all(mats) -> np.ndarray:
     axes interleaved, that ``np.kron`` makes, so the result is its chain's bit for bit, without its
     per-call work."""
     ms = [_mat(m) for m in mats]
+    if not ms:
+        raise DimensionMismatch("kron_all needs at least one factor")
     left, right = (slice(None), None) * ms[0].ndim, (None, slice(None)) * ms[0].ndim
     return reduce(lambda a, b: (a[left] * b[right]).reshape([p * q for p, q in zip(a.shape, b.shape)]), ms)
 
@@ -384,6 +386,8 @@ def haar_unitaries(factors, stream: np.random.Generator) -> list[UnitaryOp]:
     call, the same numbers per-factor (d, d) draws take from the sequential stream; then one QR,
     phase fix on diag(R) and ``UnitaryOp``'s unitarity check run per stack of equal-d factors."""
     factors = [int(d) for d in factors]
+    if min(factors, default=1) < 1:
+        raise DimensionMismatch(f"unitary dimensions must be >= 1, got {factors}")
     start = list(accumulate((2 * d * d for d in factors), initial=0))
     g = stream.standard_normal(start[-1])
     out = [None] * len(factors)

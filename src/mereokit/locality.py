@@ -97,7 +97,7 @@ def _evolved_entropies(
     """Site entropies (times, probes, sites) in T of product probes evolved by e^{-itH}, at
     ``sites`` (all by default).
 
-    Refuses a probe of the wrong dim, a grid that is not one finite sequence or one whose phases
+    Refuses an H or a probe of the wrong dim, a grid that is not one finite sequence or one whose phases
     t * eigenvalue overflow (DimensionMismatch), and a probe whose ``_impurity`` in T exceeds
     ``PURE_TOL`` at some site (InvariantViolation): as S >= 1 - tr rho^2, every probe of site entropies
     <= 1e-9 nats passes, and so may one of entropies up to about 1.2e-8 nats. Equal blocks of at
@@ -105,6 +105,8 @@ def _evolved_entropies(
     would take numpy's matrix-vector product, which rounds unlike the matrix-matrix one.
     """
     D = T.dims.total
+    if H.dim != D:
+        raise DimensionMismatch(f"operator dim {H.dim} != product dim {D}")
     for j, probe in enumerate(probes):
         if probe.dim != D:
             raise DimensionMismatch(f"probe {j} has dim {probe.dim} != {D}")

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
 from .hilbert import Dims, HermitianOp, UnitaryOp, haar_unitary, kron_all
-from .basis import matrix_from_coeffs, weight_tensor
+from .basis import klocal_mask, matrix_from_coeffs
 from .tps import Tps
 
 SIGMA = {
@@ -68,9 +68,8 @@ def random_klocal(dims: Dims, K: int, stream: np.random.Generator) -> HermitianO
     n = dims.n
     if not (1 <= K <= n):
         raise DimensionMismatch(f"K={K} out of range 1..{n}")
-    w = weight_tensor(dims.factors)
-    mask = (w >= 1) & (w <= K)
-    coeffs = np.zeros(w.shape, dtype=complex)
+    mask = klocal_mask(dims.factors, K)
+    coeffs = np.zeros(mask.shape, dtype=complex)
     coeffs[mask] = stream.standard_normal(int(mask.sum()))
     return HermitianOp(matrix_from_coeffs(coeffs, dims))
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .hilbert import Dims, HermitianOp, UnitaryOp, _marginals, _tol
-from .basis import _contract, coeff_tensor, matrix_from_coeffs, weight_masses, weight_tensor
+from .basis import coeff_tensor, klocal_mask, matrix_from_coeffs, weight_masses, weight_tensor
 from .locality import _masses, is_k_local, k_local_residual
 from .tps import Tps
 from .rng import stream as rng_stream
@@ -116,10 +116,9 @@ def _supports(factors: tuple[int, ...], K: int):
     column each mask coefficient is read from, in mask order, and ``scales`` its factor
     prod_{m not in S} d_m^-1/2. A coefficient of weight below K lies in several supports and is
     read from the first."""
-    n, weight = len(factors), weight_tensor(factors)
-    mask = ((weight >= 1) & (weight <= K)).ravel()
+    n, mask = len(factors), klocal_mask(factors, K)
     P = int(mask.sum())
-    position = np.full(weight.size, -1)  # mask-order position of every multi-index, -1 off the mask
+    position = np.full(mask.shape, -1)  # mask-order position of every multi-index, -1 off the mask
     position[mask] = np.arange(P)
     by_dims: dict[tuple[int, ...], list] = {}
     for S in combinations(range(n), K):
@@ -130,7 +129,7 @@ def _supports(factors: tuple[int, ...], K: int):
         for S in supports:
             full = np.zeros((n, local.shape[1]), dtype=np.int64)
             full[list(S)] = local
-            a = position[np.ravel_multi_index(full, weight.shape)]
+            a = position[tuple(full)]
             new = (a >= 0) & (cols[a] < 0)
             cols[a[new]] = offset + np.flatnonzero(new)
             scales[a[new]] = math.sqrt(math.prod(fS) / math.prod(factors))
@@ -146,25 +145,20 @@ def _basis_map(factors: tuple[int, ...], K: int) -> np.ndarray:
 
     Column a is B_a flattened row-major, each entry's real and imaginary parts in turn, as
     ``ndarray.view(float)`` lays out a complex array: B x is L(x) - c_0 I / sqrt(D) as floats, and
-    for a complex (D, D^2) N, N.view(float) @ B = Re(conj(N) B). The P unit coefficient vectors
-    go through the adjoint Gell-Mann site maps at once, as ``matrix_from_coeffs`` takes one."""
-    n, weight = len(factors), weight_tensor(factors)
-    mask = ((weight >= 1) & (weight <= K)).ravel()
+    for a complex (D, D^2) N, N.view(float) @ B = Re(conj(N) B). It is ``matrix_from_coeffs`` of
+    the P unit coefficient tensors, one batch."""
+    mask = klocal_mask(factors, K)
     P = int(mask.sum())
-    unit = np.zeros((weight.size, P))
-    unit[np.flatnonzero(mask), np.arange(P)] = 1.0
-    # the batch axis last; _contract rotates it to the front, then rows before columns
-    t = _contract(unit.reshape(weight.shape + (P,)), factors, adjoint=True)
-    t = t.reshape((P,) + tuple(d for d in factors for _ in "rc"))
-    t = t.transpose([0] + list(range(1, 2 * n + 1, 2)) + list(range(2, 2 * n + 1, 2)))
-    B = np.ascontiguousarray(t.reshape(P, -1).view(float).T)
+    unit = np.zeros((P,) + mask.shape)
+    unit.reshape(P, -1)[np.arange(P), np.flatnonzero(mask)] = 1.0
+    B = np.ascontiguousarray(matrix_from_coeffs(unit, Dims(factors)).reshape(P, -1).view(float).T)
     B.setflags(write=False)  # cached, so shared by every caller
     return B
 
 
 def _dense_map(dims: Dims, K: int) -> np.ndarray | None:
     """``_basis_map`` where assembling L(x) and J through it is the faster path, else None."""
-    P = len(_supports(dims.factors, K)[1])
+    P = int(klocal_mask(dims.factors, K).sum())
     return _basis_map(dims.factors, K) if dims.total ** 3 * P < _DENSE_MAX else None
 
 
@@ -173,8 +167,8 @@ def _spectral_jacobian(W: np.ndarray, dims: Dims, K: int, B: np.ndarray | None =
 
     With the basis map B (``_basis_map``), J = Re(M B), M[k] = conj(w_k) (x) w_k flattened: one
     product of D x 2 D^2 by 2 D^2 x P. Without it, per dims group of K-site supports S, one
-    ``_marginals`` call gives the reduced density matrices rho_S of every eigenvector w_k, and the
-    Gell-Mann site maps expand them at once:
+    ``_marginals`` call gives the reduced density matrices rho_S of every eigenvector w_k, and one
+    ``coeff_tensor`` call expands them:
     <w_k|B_a|w_k> is tr(b_a rho_S) prod_{m not in S} d_m^-1/2, B_a = b_a on S and I / sqrt(d_m)
     off it. The cost is D^2 prod(d_S) per support, not the D^3 sum(d_i^2) of D projectors."""
     f, D = dims.factors, dims.total
@@ -185,10 +179,7 @@ def _spectral_jacobian(W: np.ndarray, dims: Dims, K: int, B: np.ndarray | None =
     psi = W.T.reshape((D,) + f)  # psi[k] is w_k as a tensor
     blocks = []
     for fS, supports in groups:
-        rho = _marginals(psi, supports)
-        # (row, col) axes site by site with the batch axis last; _contract rotates it to the front
-        t = rho.reshape((-1,) + fS + fS).transpose([a for i in range(K) for a in (1 + i, 1 + K + i)] + [0])
-        c = _contract(t, fS, adjoint=False).reshape(len(supports), D, -1)
+        c = coeff_tensor(_marginals(psi, supports), Dims(fS)).reshape(len(supports), D, -1)
         blocks.append(c.transpose(1, 0, 2).reshape(D, -1))
     return np.concatenate(blocks, axis=1).real.take(cols, axis=1) * scales
 
@@ -309,9 +300,8 @@ def search(H: HermitianOp, dims: Dims, cfg: SearchConfig) -> SearchResult:
     lam, U = H.eig
     coeffs = coeff_tensor(H.mat, dims).real
     weight_masses(coeffs, dims.factors)  # refuses an H out of float64 range before any norm of it
-    weight = weight_tensor(dims.factors)
-    mask = (weight >= 1) & (weight <= cfg.K)
-    c = np.where(weight == 0, coeffs, 0.0)
+    mask = klocal_mask(dims.factors, cfg.K)
+    c = np.where(weight_tensor(dims.factors) == 0, coeffs, 0.0)
     scale = float(np.linalg.norm(lam - lam.mean()))  # = |H - tr H / D|_HS
     u = scale * math.sqrt(cfg.success_residual / dims.total)  # K = 1 tolerances, see above
     deltas = (u, 4 * u, 2 * math.sqrt(dims.total) * u)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mereokit as mk
-from mereokit.basis import coeff_tensor, matrix_from_coeffs, weight_masses, weight_tensor
+from mereokit.basis import coeff_tensor, klocal_mask, matrix_from_coeffs, weight_masses, weight_tensor
 from mereokit.models import SIGMA
 
 from conftest import hs_norm_sq, random_hermitian
@@ -114,11 +114,19 @@ class TestMatrixFromCoeffs:
         back = roundtrip(H, mk.Dims((3, 2)))
         assert np.abs(back - H.mat).max() < 1e-10 * (1 + np.abs(H.mat).max())
 
-    @pytest.mark.parametrize("shape, factors", [((9, 4), (2, 3)), ((16,), (2, 2))], ids=["9x4-for-2x3", "16-for-2x2"])
-    def test_refuses_a_tensor_not_shaped_by_the_dims(self, shape, factors):
-        # (9, 4) holds as many entries as (4, 9), and (16,) as (4, 4): each reshapes without error
-        with pytest.raises(mk.DimensionMismatch, match="coefficient shape"):
-            mk.matrix_from_coeffs(np.ones(shape), mk.Dims(factors))
+    @pytest.mark.parametrize("call, shape, factors, match", [
+        (lambda a, f: mk.matrix_from_coeffs(a, mk.Dims(f)), (9, 4), (2, 3), "coefficient shape"),
+        (lambda a, f: mk.matrix_from_coeffs(a, mk.Dims(f)), (16,), (2, 2), "coefficient shape"),
+        (weight_masses, (3, 3), (2, 2), "coefficient shape"),
+        (lambda a, f: coeff_tensor(a, mk.Dims(f)), (8, 8), (2, 2), "matrix shape"),
+        (lambda a, f: coeff_tensor(a, mk.Dims(f)), (4, 6), (2, 2), "matrix shape"),
+    ], ids=["9x4-for-2x3", "16-for-2x2", "weight_masses-3x3-for-2x2", "coeff_tensor-8x8-for-2x2",
+            "coeff_tensor-4x6-for-2x2"])
+    def test_refuses_a_tensor_not_shaped_by_the_dims(self, call, shape, factors, match):
+        # (9, 4) holds as many entries as (4, 9), and (16,) as (4, 4): each reshapes without error;
+        # the other three once raised numpy's own errors, which name no shape
+        with pytest.raises(mk.DimensionMismatch, match=match):
+            call(np.ones(shape), factors)
 
 
 def einsum_coeffs(mat, dims):
@@ -154,6 +162,32 @@ class TestKernel:
         rhs = np.vdot(coeffs, c)
         assert abs(lhs - rhs) < 1e-10 * (1 + abs(lhs))
         assert np.abs(matrix_from_coeffs(coeffs, dims) - A).max() < 1e-12 * D * scale
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(factors=small_factors, batch=st.sampled_from([(), (3,), (2, 3)]), K=st.integers(1, 4),
+           seed=st.integers(0, 2**16))
+    def test_batched_forms_and_klocal_mask(self, factors, batch, K, seed):
+        # a batched call is the stacked unbatched calls, and round-trips A. The reassembly is so
+        # within an eps, not bit for bit: batch and strides change the shapes and layouts numpy's
+        # matmul hands to BLAS (or keeps in its own loop), and at a qutrit site its 9-term sums
+        # then round differently, by up to 0.74 eps max|A| over qubit and qudit dims to D = 64
+        f = tuple(factors)
+        dims, D, shape = mk.Dims(f), int(np.prod(f)), tuple(d * d for d in f)
+        rng = mk.stream(seed)
+        A = rng.standard_normal(batch + (D, D)) + 1j * rng.standard_normal(batch + (D, D))
+        coeffs = coeff_tensor(A, dims)
+        back = matrix_from_coeffs(coeffs, dims)
+        assert coeffs.shape == batch + shape and back.shape == A.shape
+        for i in np.ndindex(batch):
+            assert coeffs[i].tobytes() == coeff_tensor(A[i], dims).tobytes()
+            assert np.abs(back[i] - matrix_from_coeffs(coeffs[i], dims)).max() <= 4 * np.finfo(float).eps * np.abs(A).max()
+        assert np.abs(back - A).max() < 1e-12 * D * np.abs(A).max()
+        # the one K-local set: the weight-1..K band, cached and read-only
+        K = min(K, len(f))
+        mask, w = klocal_mask(f, K), weight_tensor(f)
+        assert np.array_equal(mask, (w >= 1) & (w <= K)) and klocal_mask(f, K) is mask
+        with pytest.raises(ValueError):
+            mask[...] = True
 
     def test_roundtrip_nine_qubits(self):
         # beyond the former 8-factor limit of the single-einsum expansion

@@ -179,6 +179,18 @@ class TestEntropyOrbit:
         with pytest.raises(mk.InvariantViolation):
             mk.entropy_orbit(mk.pauli_string("XX"), mk.canonical(dims22), bell, 0, [0.1])
 
+    def test_operator_dim_unlike_the_structure_rejected(self, dims22):
+        # an 8 x 8 H on a 4-dim structure once reached numpy's matmul ValueError
+        probe = mk.StateVec(np.array([1, 0, 0, 0], dtype=complex))
+        with pytest.raises(mk.DimensionMismatch, match="operator dim 8 != product dim 4"):
+            mk.entropy_orbit(mk.pauli_string("XXX"), mk.canonical(dims22), probe, 0, [0.1])
+
+    def test_time_grid_refuses_negative_points(self):
+        H = mk.pauli_string("XX")
+        assert mk.default_time_grid(H, 0).shape == (0,)
+        with pytest.raises(mk.DimensionMismatch, match="points >= 0, got -1"):
+            mk.default_time_grid(H, -1)
+
     @pytest.mark.parametrize("grid", [[np.nan, 0.3], [0.0, np.inf]])
     @pytest.mark.filterwarnings("error")
     def test_non_finite_grid_rejected(self, dims22, grid):

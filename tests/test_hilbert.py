@@ -788,6 +788,10 @@ class TestKronAll:
         assert got.tobytes() == want.tobytes()
         assert np.array_equal(got, reduce(np.kron, mats))
 
+    def test_refuses_no_factors(self):
+        with pytest.raises(mk.DimensionMismatch, match="at least one factor"):
+            mk.kron_all([])
+
 
 class TestHaar:
     def test_deterministic_per_stream(self):
@@ -810,6 +814,15 @@ class TestHaar:
         assert all(U.mat.tobytes() == w.tobytes() for U, w in zip(got, want))
         assert np.array_equal(a.standard_normal(5), b.standard_normal(5))
         assert all(isinstance(U, mk.UnitaryOp) and not U.mat.flags.writeable for U in got)
+
+    @pytest.mark.parametrize("factors", [(0,), (2, 0), (-1,)])
+    def test_refuses_a_dimension_below_one(self, factors):
+        # haar_unitary(0, ...) once failed in numpy's reduction over a zero-size array
+        with pytest.raises(mk.DimensionMismatch, match="unitary dimensions must be >= 1"):
+            mk.haar_unitaries(factors, mk.stream(119))
+        if len(factors) == 1:
+            with pytest.raises(mk.DimensionMismatch, match="unitary dimensions must be >= 1"):
+                mk.haar_unitary(factors[0], mk.stream(119))
 
     def test_one_factor_sampler_is_haar_unitary(self):
         want = per_factor_haar(6, mk.stream(117))

@@ -291,6 +291,12 @@ class TestOneLocalEvolution:
         t, U = mk.find_nonlocal_symmetry(H, T)
         assert t == pytest.approx(np.pi / 4) and not mk.equivalent(mk.act(U, T), T)
 
+    def test_operator_dim_unlike_the_structure_rejected(self, dims22):
+        # an 8 x 8 H on a 4-dim structure once reached numpy's matmul ValueError
+        probe = mk.StateVec(np.array([1, 0, 0, 0], dtype=complex))
+        with pytest.raises(mk.DimensionMismatch, match="operator dim 8 != product dim 4"):
+            mk.one_local_evolution_check(mk.pauli_string("XXX"), mk.canonical(dims22), [0.1], [probe])
+
     @pytest.mark.parametrize("grid", [[np.nan, np.inf], [0.0, np.nan]])
     @pytest.mark.filterwarnings("error")
     def test_non_finite_grid_rejected(self, dims22, grid):

@@ -229,8 +229,10 @@ class TestSpectrumMatch:
 
     def test_one_reassembly_per_spectral_point(self, dims222, monkeypatch):
         # L(x) is assembled once per spectral point, by matrix_from_coeffs above the crossover and
-        # as B @ x through the basis map below it; nothing else reassembles
+        # as B @ x through the basis map below it; nothing else reassembles. The map is itself one
+        # batched matrix_from_coeffs, built once per (factors, K) and cached, so it is built first
         H, _ = mk.scrambled_klocal(dims222, 2, mk.stream(845))
+        search_mod._basis_map(dims222.factors, 2)
         calls = {"matrix_from_coeffs": 0, "_spectral_point": 0, "B @ x": 0}
 
         def counting(name):
