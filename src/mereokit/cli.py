@@ -40,30 +40,27 @@ EXIT_USAGE = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_HYPOTHESIS = 3
 
-# smallest D whose work a subcommand sends to the worker thread: an eigendecomposition or a pair build.
-# Median in-process CLI calls, inline vs. with the worker sent H's eigendecomposition (2-vCPU Xeon VM,
-# OpenBLAS 0.3.31 on one thread, 30 alternations of 5 seeds): D = 32 within noise (orbit 2146 -> 2124
-# us, fingerprint 2183 -> 2260 us); D = 64 orbit 3509 -> 2914 us, fingerprint 4421 -> 4079 us, kinds
-# hsf 2700 -> 2349 us; D = 128 orbit 8.56 -> 6.96 ms. kinds hsf with its pair 1 also built on the
-# worker, against H's eigendecomposition alone (every analyze-ladder op run op by op in one process,
-# 48 ops per cell, two runs): D = 64 +0.1 % and -2.3 %, D = 128 -8.8 % and -10.5 %
+# smallest D whose eigendecomposition a subcommand sends to the worker thread. Median in-process CLI
+# calls, inline vs. with the worker (2-vCPU Xeon VM, OpenBLAS 0.3.31 on one thread, 30 alternations of
+# 5 seeds): D = 32 within noise (orbit 2146 -> 2124 us, fingerprint 2183 -> 2260 us); D = 64 orbit
+# 3509 -> 2914 us, fingerprint 4421 -> 4079 us, kinds hsf 2700 -> 2349 us; D = 128 orbit 8.56 -> 6.96 ms
 SOON_MIN_DIM = 64
 
 _pools = {}  # process id -> the worker: a ThreadPoolExecutor of one thread, shared by every call
 
 
-def _worker(dim: int):
-    """The worker's executor from dim = SOON_MIN_DIM up, else None; it runs the calls the calling
-    thread would, so every array is the inline one bit for bit. Made on first use in each process:
-    a forked child holds its parent's executor, but not its thread. The library starts no thread."""
-    if dim < SOON_MIN_DIM:
-        return None
+def _eig_soon(H: HermitianOp) -> None:
+    """Send H.eig to the worker from H.dim = SOON_MIN_DIM up; it runs the call the calling thread
+    would, so every array is the inline one bit for bit. The worker is made on first use in each
+    process: a forked child holds its parent's executor, but not its thread. The library starts no thread."""
+    if H.dim < SOON_MIN_DIM:
+        return
     pool = _pools.get(os.getpid())
     if pool is None:  # setdefault keeps one executor when threads race here; the other starts no thread
         from concurrent.futures import ThreadPoolExecutor  # 4-5 ms, paid here, not at import
 
         pool = _pools.setdefault(os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="mereokit-worker"))
-    return pool
+    _eig_on(H, pool)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -204,31 +201,21 @@ def _model_cfg(cfg: dict, field: str = "file") -> dict:
     raise UsageError("config needs a 'model' or 'file' entry")
 
 
-def _model_dims(cfg: dict) -> Dims | None:
-    """Factor dims of the model a config names, read before it is built; None for a matrix file."""
+def build_model(cfg: dict, seed: int, *path: int) -> tuple[HermitianOp, Dims]:
+    """Hamiltonian named in a config and its factor dims; a random model draws from ``stream(seed, 1, *path)``."""
     if "file" in cfg:
-        return None
+        return load_matrix_file(cfg["file"])
     name = cfg.get("name")
     if name == "ising":
-        return Dims((2,) * _checked("n", cfg["n"], int))
-    if name == "pauli":
-        return Dims((2,) * len(_typed("string", cfg["string"], str)))
-    if name in ("random_klocal", "scrambled_klocal", "gue"):
-        return Dims(tuple(_each("dims", cfg["dims"], kind=int)))
-    raise UsageError(f"unknown model {cfg!r}")
-
-
-def build_model(cfg: dict, seed: int, *path: int) -> tuple[HermitianOp, Dims]:
-    """Hamiltonian named in a config; a random model draws from ``stream(seed, 1, *path)``."""
-    dims = _model_dims(cfg)
-    if dims is None:
-        return load_matrix_file(cfg["file"])
-    name = cfg["name"]
-    if name == "ising":
+        dims = Dims((2,) * _checked("n", cfg["n"], int))
         J, h = (_checked(k, cfg[k], **_FINITE) for k in "Jh")
         return models.ising_chain(dims.n, J, h), dims
     if name == "pauli":
+        dims = Dims((2,) * len(_typed("string", cfg["string"], str)))
         return models.pauli_string(cfg["string"]), dims
+    if name not in ("random_klocal", "scrambled_klocal", "gue"):
+        raise UsageError(f"unknown model {cfg!r}")
+    dims = Dims(tuple(_each("dims", cfg["dims"], kind=int)))
     if name == "gue":
         return _gue(dims.total, stream(seed, 1, *path)), dims
     K = _checked("K", cfg["K"], int)
@@ -334,7 +321,7 @@ def cmd_profile(cfg: dict, out: str | None) -> int:
 def cmd_orbit(cfg: dict, out: str | None) -> int:
     seed = cfg["seed"]
     H, dims = build_model(_model_cfg(cfg), seed)
-    _eig_on(H, _worker(H.dim))  # read by the grid and the orbit, after the structure's Haar draw
+    _eig_soon(H)  # read by the grid and the orbit, after the structure's Haar draw
     T = build_tps(cfg.get("tps"), dims, seed, None, H)
     with _field("probe"):
         probe = tps_mod.product_state_in(T, _site_kets(cfg.get("probe"), dims))
@@ -358,7 +345,7 @@ def cmd_orbit(cfg: dict, out: str | None) -> int:
 def cmd_fingerprint(cfg: dict, out: str | None) -> int:
     seed = cfg["seed"]
     H, dims = build_model(_model_cfg(cfg), seed)
-    _eig_on(H, _worker(H.dim))  # read by the probe set, after the state and the first structure are drawn
+    _eig_soon(H)  # read by the probe set, after the state and the first structure are drawn
     psi = build_state(cfg.get("state"), dims, seed)
     T1 = build_tps(cfg.get("tps1"), dims, seed, None, H)
     T2 = build_tps(cfg.get("tps2"), dims, seed, T1, H, 1)
@@ -407,21 +394,10 @@ def cmd_kinds(cfg: dict, out: str | None) -> int:
     seed, tol = cfg["seed"], cfg["tol"]
     mode = cfg.get("mode", "hsf")
     if mode == "hsf":
-        pair1 = _typed("pair1", cfg["pair1"], dict)
-        conjugated = cfg.get("pair2") == "conjugated"
-        dims = _model_dims(_model_cfg(pair1, "pair1.file")) if conjugated else None
-        pool = _worker(dims.total) if dims else None  # a matrix file's D is known only once it is read
-        if pool:
-            # the worker builds pair 1 while V is drawn here, not the other way round: with V drawn on
-            # the worker, analyze-ladder op_tail_s read +1.8 %, lower in 5 of 10 pairs (BENCH_34.json)
-            built = pool.submit(_kinds_pair, pair1, seed, 0)
-            V = haar_unitary(dims.total, stream(seed, 6))
-            H1, psi1 = built.result()
-        else:
-            H1, psi1 = _kinds_pair(pair1, seed, 0)
-            V = haar_unitary(H1.dim, stream(seed, 6)) if conjugated else None
-        _eig_on(H1, _worker(H1.dim))  # on the worker while pair 2 is built and H2.eig runs here
-        if conjugated:
+        H1, psi1 = _kinds_pair(_typed("pair1", cfg["pair1"], dict), seed, 0)
+        _eig_soon(H1)  # on the worker while pair 2 is built and H2.eig runs here
+        if cfg.get("pair2") == "conjugated":
+            V = haar_unitary(H1.dim, stream(seed, 6))
             H2 = HermitianOp(V.mat @ H1.mat @ V.mat.conj().T)
             psi2 = StateVec(V.mat @ psi1.vec)
         else:
@@ -486,7 +462,7 @@ def cmd_dualscan(cfg: dict, out: str | None) -> int:
         # kept so that payloads stay byte-identical with earlier releases.
         rng = stream(seed, trial, 0)
         H = _gue(dims.total, rng)
-        _eig_on(H, _worker(H.dim))  # read by the probe set, after the state and the structure are drawn
+        _eig_soon(H)  # read by the probe set, after the state and the structure are drawn
         psi = haar_state(dims.total, rng)
         T1 = tps_mod.random_tps(dims, rng)
         probes = kinds.build_probe_set(H, psi, count, stream(seed, trial, 64))

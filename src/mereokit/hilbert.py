@@ -8,6 +8,7 @@ tasks. Entropies are in nats throughout.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate
@@ -109,7 +110,7 @@ class Dims:
     factors: tuple[int, ...]
 
     def __post_init__(self):
-        if not all(isinstance(d, (int, np.integer)) or float(d).is_integer() for d in self.factors):
+        if not all(isinstance(d, numbers.Real) and float(d).is_integer() for d in self.factors):
             raise InvariantViolation(f"factor dimensions must be integers, got {self.factors!r}")
         object.__setattr__(self, "factors", tuple(int(d) for d in self.factors))
         if len(self.factors) < 2:
@@ -376,6 +377,8 @@ def kron_all(mats) -> np.ndarray:
     ms = [_mat(m) for m in mats]
     if not ms:
         raise DimensionMismatch("kron_all needs at least one factor")
+    if len({m.ndim for m in ms}) > 1:
+        raise DimensionMismatch(f"kron_all needs factors of one ndim, got ndims {[m.ndim for m in ms]}")
     left, right = (slice(None), None) * ms[0].ndim, (None, slice(None)) * ms[0].ndim
     return reduce(lambda a, b: (a[left] * b[right]).reshape([p * q for p, q in zip(a.shape, b.shape)]), ms)
 

@@ -193,6 +193,11 @@ def tps_to_json(T: Tps) -> dict:
 
 
 def tps_from_json(obj: dict) -> Tps:
+    for key in ("dims", "iso"):
+        if key not in obj:
+            raise InvariantViolation(f"missing the {key!r} field")
+    if not isinstance(obj["dims"], list):
+        raise InvariantViolation(f"dims must be a list, got {obj['dims']!r}")
     dims = Dims(tuple(obj["dims"]))
     iso = _from_pairs(obj["iso"])
     if iso.shape != (dims.total, dims.total):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent import futures
 from pathlib import Path
 
 import numpy as np
@@ -415,28 +416,41 @@ class TestKinds:
         assert out["residual_operator"] < 1e-8
         assert out["residual_state"] < 1e-8
 
-    @pytest.mark.parametrize("n", [6, 7])
-    def test_conjugated_pair_bytes_do_not_depend_on_the_worker(self, tmp_path, monkeypatch, n):
-        # from D = 64 the worker builds pair 1 and then runs H1's eigendecomposition, while H2's runs
-        # on the calling thread; with the worker off, all run inline, and every output byte is the same
-        cfg = write_config(tmp_path, "c.json", {"mode": "hsf", "pair2": "conjugated", "seed": 3, "pair1": {
-            "model": {"name": "gue", "dims": [2] * n}, "state": "haar"}})
-        ran = []  # (task, whether off the calling thread) of every pair build and eigendecomposition
-        main_thread = threading.current_thread()
-        for task, module in (("_kinds_pair", cli), ("_eigh", hilbert)):
-            fn = getattr(module, task)
-            spy = lambda *args, fn=fn, task=task: (
-                ran.append((task, threading.current_thread() is not main_thread)) or fn(*args))
-            monkeypatch.setattr(module, task, spy)
+    @pytest.mark.parametrize("n, model", [(6, "gue"), (7, "gue"), (6, "file")], ids=["6", "7", "file-6"])
+    def test_conjugated_pair_bytes_do_not_depend_on_the_worker(self, tmp_path, monkeypatch, n, model):
+        # from D = 64 the worker's one task is H1's eigendecomposition, sent as soon as pair 1 is built
+        # (from a matrix file too), while V is drawn and H2's runs on the calling thread; with the worker
+        # off, both run inline, and every output byte is the same
+        pair1 = {"model": {"name": "gue", "dims": [2] * n}, "state": "haar"}
+        if model == "file":
+            save_matrix_file(str(tmp_path / "h1.json"), _kinds_pair(pair1, 9, 0)[0].mat, mk.Dims((2,) * n))
+            pair1 = {"file": str(tmp_path / "h1.json"), "state": "haar"}
+        cfg = write_config(tmp_path, "c.json", {"mode": "hsf", "pair1": pair1, "pair2": "conjugated", "seed": 3})
+        H1 = _kinds_pair(pair1, 3, 0)[0].mat
+        ran = []  # (whether of H1, whether off the calling thread) of every eigendecomposition
+        main_thread, eigh = threading.current_thread(), hilbert._eigh
+        spy = lambda m: ran.append((np.array_equal(m, H1), threading.current_thread() is not main_thread)) or eigh(m)
+        monkeypatch.setattr(hilbert, "_eigh", spy)
+        sent = []  # every task sent to the worker
+
+        class Worker(futures.ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                sent.append(fn)
+                return super().submit(fn, *args)
+
         outputs = []
-        for soon in (cli.SOON_MIN_DIM, 10 ** 9):
-            monkeypatch.setattr(cli, "SOON_MIN_DIM", soon)
-            ran.clear()
-            out = str(tmp_path / f"soon{soon}.json")
-            assert run_cli(["kinds", "--config", cfg, "--out", out]) == 0
-            # the two eigendecompositions start in either order when they run side by side
-            assert sorted(ran) == [("_eigh", False), ("_eigh", soon == 64), ("_kinds_pair", soon == 64)]
-            outputs.append([Path(out).read_bytes(), Path(out + ".witness.npy").read_bytes()])
+        with Worker(1) as worker:
+            monkeypatch.setitem(cli._pools, os.getpid(), worker)
+            for soon in (cli.SOON_MIN_DIM, 10 ** 9):
+                monkeypatch.setattr(cli, "SOON_MIN_DIM", soon)
+                ran.clear()
+                sent.clear()
+                out = str(tmp_path / f"soon{soon}.json")
+                assert run_cli(["kinds", "--config", cfg, "--out", out]) == 0
+                # the two eigendecompositions start in either order when they run side by side
+                assert sorted(ran) == [(False, False), (True, soon == 64)]
+                assert sent == ([spy] if soon == 64 else [])
+                outputs.append([Path(out).read_bytes(), Path(out + ".witness.npy").read_bytes()])
         assert outputs[0] == outputs[1]
 
     def test_mismatched_pairs_no_witness_report(self, tmp_path, capsys):
@@ -872,6 +886,24 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert list(tmp_path.glob("out*")) == []
+
+    @pytest.mark.parametrize("tps, message", [
+        ({"dims": 4, "iso": []}, "dims must be a list, got 4"),
+        ({"dims": [None, 2], "iso": []}, "factor dimensions must be integers, got (None, 2)"),
+        ({"dims": "22", "iso": np.eye(4).tolist()}, "dims must be a list, got '22'"),  # once read as (2, 2)
+        ({"dims": [2, 2]}, "missing the 'iso' field"),
+        ({"iso": np.eye(4).tolist()}, "missing the 'dims' field"),
+    ], ids=["dims-4", "dims-null", "dims-string", "no-iso", "no-dims"])
+    def test_malformed_tps_file_one_error_line(self, tmp_path, capsys, tps, message):
+        # each crashed with a TypeError traceback, ran, or reported "missing config field 'iso'"
+        if "iso" in tps:
+            tps = {**tps, "iso": [[[x, 0.0] for x in row] for row in tps["iso"]]}
+        path = write_config(tmp_path, "t.json", tps)
+        cfg = write_config(tmp_path, "c.json", {"model": {"name": "pauli", "string": "XX"},
+                                                "tps": {"kind": "file", "path": path}})
+        assert run_cli(["profile", "--config", cfg]) == 1
+        got = capsys.readouterr()
+        assert got.out == "" and got.err == f"error: tps file {path}: {message}\n"
 
     @pytest.mark.parametrize("command, field, cfg", [
         ("orbit", "probe", {"model": {"name": "pauli", "string": "XX"},

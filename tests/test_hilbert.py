@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mereokit as mk
-from mereokit import cli, hilbert
+from mereokit import cli
 from mereokit.hilbert import (
     ATOL, _check_unitary, _entropy_of_probs, _from_pairs, _impurity, _marginals, _spectra3, _to_pairs, _unit,
 )
@@ -68,7 +68,8 @@ class TestCarriers:
 
     def test_dims_integral_factors(self):
         assert mk.Dims((2.0, np.int64(3))).factors == (2, 3)
-        for bad in [(2, 2.5), (2, float("nan")), (2, float("inf"))]:
+        # a string or None was read as its float(), or raised a TypeError
+        for bad in [(2, 2.5), (2, float("nan")), (2, float("inf")), ("2", "2"), (2, "3"), (None, 2), (2, 2j)]:
             with pytest.raises(mk.InvariantViolation, match="integers"):
                 mk.Dims(bad)
 
@@ -217,7 +218,7 @@ class TestComplexPairs:
 def prefetched(m) -> mk.HermitianOp:
     """HermitianOp of m whose eigendecomposition was sent to the CLI's worker thread."""
     H = mk.HermitianOp(m)
-    hilbert._eig_on(H, cli._worker(H.dim))
+    cli._eig_soon(H)
     assert isinstance(vars(H)["_eig"], futures.Future)
     return H
 
@@ -226,9 +227,9 @@ def same_bytes(got, want) -> bool:
     return all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
-# a fresh process runs the subcommands that send tasks to the worker (eigendecompositions, and the
-# build of pair 1 of a conjugated kinds pair) at D = 32, below the crossover, each the subcommand
-# named before any "-" in its key, then one at D = 64; it prints the thread count before and after it
+# a fresh process runs the subcommands that send H's eigendecomposition to the worker at D = 32, below
+# the crossover, each the subcommand named before any "-" in its key, then sends one at D = 64; it
+# prints the thread count before and after it
 NO_THREAD_CHILD = """
 import json, sys, threading
 import numpy as np
@@ -251,7 +252,7 @@ for name, cfg in configs.items():
     assert cli.main(argv) == 0
 before = threading.active_count(), not cli._pools
 H = hilbert.HermitianOp(np.diag(np.arange(64.0)))
-hilbert._eig_on(H, cli._worker(H.dim))
+cli._eig_soon(H)
 H.eig
 print(*before, threading.active_count(), not cli._pools)
 """
@@ -791,6 +792,12 @@ class TestKronAll:
     def test_refuses_no_factors(self):
         with pytest.raises(mk.DimensionMismatch, match="at least one factor"):
             mk.kron_all([])
+
+    @pytest.mark.parametrize("mats", [[np.ones(2), np.eye(2)], [np.eye(2), np.ones(2)]], ids=["vector-first", "matrix-first"])
+    def test_refuses_factors_of_differing_ndim(self, mats):
+        # a vector then a matrix gave a wrong shape-(4,) vector; a matrix then a vector an IndexError
+        with pytest.raises(mk.DimensionMismatch, match=r"one ndim, got ndims \[\d, \d\]"):
+            mk.kron_all(mats)
 
 
 class TestHaar:
