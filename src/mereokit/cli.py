@@ -31,8 +31,8 @@ from . import tps as tps_mod
 from .search import SearchConfig
 from .search import search as run_search
 from .errors import DimensionMismatch, HypothesisViolation, MereokitError, NoWitnessError
-from .hilbert import Dims, HermitianOp, StateVec, UnitaryOp, expm_i, haar_state, haar_unitaries, haar_unitary, kron_all
-from .hilbert import _eig_on, _from_pairs, _phases_finite, _to_pairs, _unit
+from .hilbert import Dims, HermitianOp, StateVec, expm_i, haar_state, haar_unitaries, haar_unitary, kron_all
+from .hilbert import _eig_on, _formed_unitary, _from_pairs, _phases_finite, _scaled, _to_pairs, _unit
 from .rng import stream
 
 EXIT_OK = 0
@@ -413,13 +413,15 @@ def cmd_kinds(cfg: dict, out: str | None) -> int:
         spec2 = cfg["family2"]
         if spec2 == "rotated":
             V = haar_unitary(fam1.shape[1], stream(seed, 8))
-            fam2 = fam1 @ V.mat.T
+            with np.errstate(over="ignore", invalid="ignore"):  # the witness refuses a NaN or inf member
+                fam2 = fam1 @ V.mat.T
         else:
             fam2 = _build_family("family2", spec2, seed, 9)
         find = lambda: kinds.gram_orbit_witness(list(fam1), list(fam2), tol)
-        residuals = lambda U: {
-            "residual": float(max(np.linalg.norm(U.mat @ a - b) for a, b in zip(fam1, fam2)))
-        }
+
+        def residuals(U):  # on both families over one exact power of two: no square over- or underflows
+            (f1, f2), e = _scaled(np.stack((fam1, fam2)))
+            return {"residual": float(np.ldexp(max(np.linalg.norm(U.mat @ a - b) for a, b in zip(f1, f2)), e))}
     else:
         raise UsageError(f"unknown kinds mode {mode!r}")
     try:
@@ -488,7 +490,7 @@ def cmd_dualscan(cfg: dict, out: str | None) -> int:
 def _local_move(T: tps_mod.Tps, rng) -> tps_mod.Tps:
     # one Haar unitary per factor of T, applied in T's own frame
     locals_ = kron_all(haar_unitaries(T.dims.factors, rng))
-    return tps_mod.act(UnitaryOp(T.iso.mat.conj().T @ locals_ @ T.iso.mat), T)
+    return tps_mod.act(_formed_unitary(T.iso.mat.conj().T @ locals_ @ T.iso.mat), T)
 
 
 # ---------------------------------------------------------------------------

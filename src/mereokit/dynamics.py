@@ -20,8 +20,6 @@ from .hilbert import Dims, HermitianOp, StateVec, UnitaryOp, _tol, expm_i
 from .locality import _evolved_entropies, is_k_local
 from .tps import Tps, act, equivalent
 
-COMMUTANT_TOL = 1e-9  # on max |[U, H]|, relative to 1 + max |H_ij| as in HermitianOp
-
 
 @dataclass(frozen=True)
 class SymmetryDims:
@@ -59,9 +57,6 @@ def find_nonlocal_symmetry(H: HermitianOp, T: Tps) -> Optional[tuple[float, Unit
     lam = H.eig[0]
     t = float(np.pi / (2.0 * (lam[-1] - lam[0])))
     U = expm_i(H, t)
-    comm = np.abs(U.mat @ H.mat - H.mat @ U.mat).max()
-    if not comm <= COMMUTANT_TOL * (1.0 + np.abs(H.mat).max()):
-        raise InvariantViolation(f"evolution unitary fails to commute: {comm:.3e}")
     if equivalent(act(U, T), T):
         raise InvariantViolation(f"H is not 1-local, yet e^(-itH) at t = {t!r} keeps the structure")
     return t, U

@@ -176,13 +176,12 @@ def _eig_on(H: HermitianOp, pool) -> None:
 
 
 def _check_unitary(m: np.ndarray):
-    """Refuse m, a square matrix or a stack of them, unless every entry of m^dag m - 1 is within
-    ATOL in modulus; the 1 is subtracted on the diagonal in place, so no identity is built. A
-    finite m whose m^dag m overflows reads NaN there, and is refused too."""
+    """Refuse the square matrix m unless every entry of m^dag m - 1 is within ATOL in modulus; the 1
+    is subtracted on the diagonal in place, so no identity is built. A finite m whose m^dag m
+    overflows reads NaN there, and is refused too."""
     with np.errstate(over="ignore", invalid="ignore"):
-        g = m.conj().swapaxes(-1, -2) @ m
-    n = m.shape[-1]
-    g.reshape(g.shape[:-2] + (n * n,))[..., :: n + 1] -= 1
+        g = m.conj().T @ m
+    g.reshape(-1)[:: m.shape[0] + 1] -= 1
     dev = np.abs(g).max()
     if not dev <= ATOL:
         raise InvariantViolation(f"not unitary: max deviation {dev:.3e}")
@@ -190,6 +189,12 @@ def _check_unitary(m: np.ndarray):
 
 @dataclass(frozen=True)
 class UnitaryOp:
+    """A unitary matrix. ``UnitaryOp(m)`` is for matrices from outside the library, a caller's or a
+    tps file's (``tps_from_json``), and refuses m unless every entry of m^dag m - 1 is within ATOL.
+    The unitaries the library forms (eigenvector and QR factors, closed forms, and products of
+    these) come from ``_formed_unitary`` unchecked: a product of checked unitaries is unitary to
+    within their rounding, and the tests hold each such producer at ATOL."""
+
     mat: np.ndarray
 
     def __post_init__(self):
@@ -200,6 +205,13 @@ class UnitaryOp:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+
+def _formed_unitary(m) -> UnitaryOp:
+    """A UnitaryOp of m, a matrix the library formed: ``_square``'s copy, without the D^3 check."""
+    U = object.__new__(UnitaryOp)
+    object.__setattr__(U, "mat", _square(m))
+    return U
 
 
 @dataclass(frozen=True)
@@ -233,7 +245,7 @@ def expm_i(H: HermitianOp, t: float) -> UnitaryOp:
     _phases_finite(H, t, "evolution")
     lam, V = H.eig
     Vm = V * np.exp(-1j * t * lam)
-    return UnitaryOp(Vm @ V.conj().T)
+    return _formed_unitary(Vm @ V.conj().T)
 
 
 def _entropy_of_probs(p: np.ndarray) -> np.ndarray:
@@ -387,7 +399,7 @@ def haar_unitaries(factors, stream: np.random.Generator) -> list[UnitaryOp]:
     """Haar-distributed unitaries, one d x d per entry d of ``factors``, in order (Mezzadri 2007):
     every factor's Ginibre block (real parts, then imaginary) comes from one ``standard_normal``
     call, the same numbers per-factor (d, d) draws take from the sequential stream; then one QR,
-    phase fix on diag(R) and ``UnitaryOp``'s unitarity check run per stack of equal-d factors."""
+    phase fix on diag(R) per stack of equal-d factors."""
     factors = [int(d) for d in factors]
     if min(factors, default=1) < 1:
         raise DimensionMismatch(f"unitary dimensions must be >= 1, got {factors}")
@@ -403,11 +415,8 @@ def haar_unitaries(factors, stream: np.random.Generator) -> list[UnitaryOp]:
         q, r = np.linalg.qr(z)
         diag = r.diagonal(0, -2, -1)
         q *= (diag / np.abs(diag))[:, None, :]
-        _check_unitary(q)
-        q.setflags(write=False)
-        for k, i in enumerate(idx):  # checked above as UnitaryOp checks, so not again
-            out[i] = object.__new__(UnitaryOp)
-            object.__setattr__(out[i], "mat", q[k])
+        for k, i in enumerate(idx):
+            out[i] = _formed_unitary(q[k])
     return out
 
 

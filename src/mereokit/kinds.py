@@ -25,7 +25,7 @@ from .errors import (
     NoWitnessError,
 )
 from .hilbert import HermitianOp, StateVec, UnitaryOp
-from .hilbert import _finite, _frozen, _scaled, _tol, _vec
+from .hilbert import _finite, _formed_unitary, _frozen, _scaled, _tol, _vec
 from .tps import Tps, _eigen_entropies, equivalent
 
 # eigenvalues no more than this apart share an eigenspace; absolute, in the units of H's spectrum
@@ -168,14 +168,19 @@ def pair_orbit_witness(
         raise NoWitnessError("eigenspace amplitudes differ; pairs lie on different orbits")
     phases = c2 / c1
     phases = phases / np.abs(phases)
-    return UnitaryOp((V2 * phases) @ V1.conj().T)
+    return _formed_unitary((V2 * phases) @ V1.conj().T)
 
 
-def _family(family: Sequence) -> np.ndarray:
-    """The members as the rows of one array; an empty family is a DimensionMismatch."""
+def _family(family: Sequence, name: str) -> np.ndarray:
+    """The members as the rows of one array; an empty family is a DimensionMismatch, and a member with
+    a NaN or inf entry an InvariantViolation naming the family."""
     if not len(family):
         raise DimensionMismatch("a family needs at least one member")
-    return np.stack([np.asarray(_vec(v)) for v in family])
+    F = np.stack([np.asarray(_vec(v)) for v in family])
+    bad = [k for k, f in enumerate(F) if not np.isfinite(f).all()]
+    if bad:
+        raise InvariantViolation(f"{name} member {bad[0]} has a NaN or inf entry")
+    return F
 
 
 def gram_orbit_witness(family1: Sequence, family2: Sequence, tol: float = WITNESS_TOL) -> UnitaryOp:
@@ -190,20 +195,25 @@ def gram_orbit_witness(family1: Sequence, family2: Sequence, tol: float = WITNES
     Grams mean R1^dag R1 = R2^dag R2, so R2[:m] = V R1[:m] for a unitary V; then C = V P with
     P = R1[:m] R1[:m]^dag PSD, and w vh = V on the range of P, which holds every column of R1[:m]
     (C^dag C = P^2 pins the polar factor there, whatever SVD is taken): U maps each member exactly.
+    Both families are first divided by one exact power of two, which leaves U as it is and keeps C
+    and the residual's squares within float64; the residual is compared with tol in their units.
     """
     tol = _tol(tol)
-    F1, F2 = _family(family1), _family(family2)
+    F1, F2 = _family(family1, "family1"), _family(family2, "family2")
     if F1.shape != F2.shape:
         raise DimensionMismatch(f"family shapes differ: {F1.shape} vs {F2.shape}")
     m = min(F1.shape)
-    (Q1, Q2), (R1, R2) = np.linalg.qr(np.stack((F1, F2)).swapaxes(-1, -2), mode="complete")
+    F, e = _scaled(np.stack((F1, F2)))
+    (Q1, Q2), (R1, R2) = np.linalg.qr(F.swapaxes(-1, -2), mode="complete")
     w, _, vh = np.linalg.svd(R2[:m] @ R1[:m].conj().T)
     B = Q1.conj().T
     B[:m] = (w @ vh) @ B[:m]
     U = Q2 @ B
-    if not np.linalg.norm(F1 @ U.T - F2, axis=1).max() <= tol:
+    with np.errstate(over="ignore"):  # a residual past float64 reads inf, above every tol
+        residual = np.ldexp(np.linalg.norm(F[0] @ U.T - F[1], axis=1).max(), e)
+    if not residual <= tol:
         raise NoWitnessError("no unitary maps the families within tol; their Gram matrices differ")
-    return UnitaryOp(U)
+    return _formed_unitary(U)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
-from .hilbert import Dims, HermitianOp, UnitaryOp, haar_unitary, kron_all
+from .hilbert import Dims, HermitianOp, UnitaryOp, _formed_unitary, haar_unitary, kron_all
 from .basis import klocal_mask, matrix_from_coeffs
 from .tps import Tps
 
@@ -60,7 +60,7 @@ def jw_dual_tps(n: int) -> Tps:
     dims = Dims((2,) * n)  # refuses n < 2
     b = np.arange(dims.total)
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
-    return Tps(dims, UnitaryOp(kron_all([hadamard] * n).real[b ^ (b >> 1)]))
+    return Tps(dims, _formed_unitary(kron_all([hadamard] * n).real[b ^ (b >> 1)]))
 
 
 def random_klocal(dims: Dims, K: int, stream: np.random.Generator) -> HermitianOp:

@@ -22,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .hilbert import Dims, HermitianOp, UnitaryOp, _marginals, _tol
+from .hilbert import Dims, HermitianOp, UnitaryOp, _formed_unitary, _marginals, _tol
 from .basis import coeff_tensor, klocal_mask, matrix_from_coeffs, weight_masses, weight_tensor
 from .locality import _masses, is_k_local, k_local_residual
 from .tps import Tps
@@ -308,7 +308,7 @@ def search(H: HermitianOp, dims: Dims, cfg: SearchConfig) -> SearchResult:
     best, residuals = None, []
     for r in range(len(deltas) if cfg.K == 1 else cfg.restarts):
         if cfg.K == 1:
-            V = UnitaryOp(_factored_frame(lam, U, dims, deltas[r]))
+            V = _formed_unitary(_factored_frame(lam, U, dims, deltas[r]))
         else:
             if r == 0:
                 x0 = coeffs[mask]
@@ -316,7 +316,7 @@ def search(H: HermitianOp, dims: Dims, cfg: SearchConfig) -> SearchResult:
                 x0 = rng_stream(cfg.seed, r).standard_normal(int(mask.sum()))
                 x0 *= scale / np.linalg.norm(x0)
             W = _levenberg_marquardt(x0, c, mask, lam, dims, cfg.K, cfg.max_iters)
-            V = UnitaryOp(W @ U.conj().T)
+            V = _formed_unitary(W @ U.conj().T)
         residuals.append(objective(H, V, cfg.K, dims))
         if best is None or residuals[-1] < residuals[best[0]]:
             best = (r, V)

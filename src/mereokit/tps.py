@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
-from .hilbert import PURE_TOL, Dims, HermitianOp, StateVec, UnitaryOp, _from_pairs, _impurity, _marginals, _mat
-from .hilbert import _scaled, _to_pairs, _unit, _vec, haar_state, haar_unitary, kron_all, site_entropies
+from .hilbert import PURE_TOL, Dims, HermitianOp, StateVec, UnitaryOp, _formed_unitary, _from_pairs, _impurity, _mat
+from .hilbert import _marginals, _scaled, _to_pairs, _unit, _vec, haar_state, haar_unitary, kron_all, site_entropies
 
 # relative to ||W||_F: a product fit zP is accepted iff ||zP - W||_F <= c PRODUCT_RTOL ||W||_F, c = 2
 PRODUCT_RTOL = 1e-8
@@ -66,7 +66,7 @@ def _eigen_entropies(H: HermitianOp, Ts, c, f, sites=None) -> np.ndarray:
 
 
 def canonical(dims: Dims) -> Tps:
-    return Tps(dims, UnitaryOp(np.eye(dims.total)))
+    return Tps(dims, _formed_unitary(np.eye(dims.total)))
 
 
 def act(U: UnitaryOp, T: Tps) -> Tps:
@@ -74,7 +74,7 @@ def act(U: UnitaryOp, T: Tps) -> Tps:
     an operator H seen through the new structure looks exactly like U H U^dag through the old one."""
     if U.dim != T.dims.total:
         raise DimensionMismatch(f"unitary dim {U.dim} != product dim {T.dims.total}")
-    return Tps(T.dims, UnitaryOp(T.iso.mat @ U.mat.conj().T))
+    return Tps(T.dims, _formed_unitary(T.iso.mat @ U.mat.conj().T))
 
 
 def random_tps(dims: Dims, stream: np.random.Generator) -> Tps:

@@ -492,6 +492,52 @@ class TestKinds:
         out = json.loads(capsys.readouterr().out)
         assert out["witness"] is None
 
+    @pytest.mark.parametrize("field, family2", [("family1", "rotated"), ("family1", "list"), ("family2", "list")])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["NaN", "Infinity"])
+    def test_gram_non_finite_member_one_error_line(self, tmp_path, capsys, field, family2, bad):
+        # a NaN literal in family1 exited 1 with numpy's "SVD did not converge"
+        fams = {name: [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]] for name in ("family1", "family2")}
+        fams[field][1][0][1] = bad
+        if family2 == "rotated":
+            fams["family2"] = "rotated"
+        cfg = write_config(tmp_path, "c.json", {"mode": "gram", **fams, "seed": 8})
+        assert run_cli(["kinds", "--config", cfg]) == 1
+        got = capsys.readouterr()
+        assert got.out == "" and got.err == f"error: {field} member 1 has a NaN or inf entry\n"
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    @pytest.mark.parametrize("family2", ["rotated", "list", "off-orbit"])
+    def test_gram_verdict_does_not_depend_on_scale(self, tmp_path, capsys, scale, family2):
+        # at 1e300 the reported residual's squares overflowed (inf, and a RuntimeWarning); at
+        # 1e-300 they underflowed to a residual of 0
+        rng = mk.stream(641)
+        fam1 = (rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))) * scale
+        fam2 = fam1 @ mk.haar_unitary(8, rng).mat.T
+        fam2[1] *= 1.5 if family2 == "off-orbit" else 1.0
+        pairs = lambda f: np.stack((f.real, f.imag), axis=-1).tolist()
+        spec2 = "rotated" if family2 == "rotated" else pairs(fam2)
+        cfg = write_config(tmp_path, "c.json", {"mode": "gram", "family1": pairs(fam1), "family2": spec2,
+                                                "tol": 1e-8 * scale, "seed": 8})
+        assert run_cli(["kinds", "--config", cfg]) == 0
+        got = capsys.readouterr()
+        out = json.loads(got.out)
+        assert got.err == "" and (out["witness"] is None) == (family2 == "off-orbit")
+        if out["witness"] is not None:
+            assert 0.0 < out["residual"] <= 1e-8 * scale
+
+    @pytest.mark.parametrize("seed, code", [(1, 0), (2, 1)])
+    def test_gram_rotation_past_float64(self, tmp_path, capsys, seed, code):
+        # a member of norm 2.4e308: the rotated family fits float64 for some draws and not for
+        # others; either way no RuntimeWarning, and a family2 that overflows is refused by name
+        cfg = write_config(tmp_path, "c.json", {"mode": "gram", "family1": [[[1.7e308, 0.0], [1.7e308, 0.0]]],
+                                                "family2": "rotated", "tol": 1e300, "seed": seed})
+        assert run_cli(["kinds", "--config", cfg]) == code
+        got = capsys.readouterr()
+        if code:
+            assert got.out == "" and got.err == "error: family2 member 0 has a NaN or inf entry\n"
+        else:
+            assert got.err == "" and json.loads(got.out)["witness"] is not None
+
     @pytest.mark.parametrize("mode", ["hsf", "gram"])
     def test_near_miss_no_witness(self, tmp_path, mode):
         # every weight, or every Gram entry, agrees within tol = 1e-8, yet the witness would miss

@@ -70,11 +70,12 @@ class TestFindNonlocalSymmetry:
 
     @pytest.mark.parametrize("c", [1e5, 1e8, 1e12])
     def test_shifted_ising_moves(self, dims222, c):
-        # eigenvectors of H + c I are accurate to about eps * c, so [U, H] is checked relative to |H|
+        # eigenvectors of H + c I are accurate to about eps * c, so [U, H] is bounded relative to |H|
         H = mk.HermitianOp(mk.ising_chain(3, 1.0, 1.0).mat + c * np.eye(8))
         T = mk.canonical(dims222)
         t, U = mk.find_nonlocal_symmetry(H, T)
         assert not mk.equivalent(mk.act(U, T), T)
+        assert np.abs(U.mat @ H.mat - H.mat @ U.mat).max() <= 1e-9 * (1.0 + np.abs(H.mat).max())
 
     @pytest.mark.parametrize("K", [1, 2])
     def test_one_locality_decided_on_seven_qubits(self, K):
@@ -89,6 +90,14 @@ class TestFindNonlocalSymmetry:
         assert verdict.consistent == (K == 1)
         assert (hit is not None) == (K == 2)
         assert hit is None or not mk.equivalent(mk.act(hit[1], T), T)
+
+    @pytest.mark.parametrize("factors", [(2, 2), (2, 2, 3), (3, 3, 3), (2,) * 7])
+    def test_evolution_commutes_with_h(self, factors):
+        # the bound find_nonlocal_symmetry once checked on every call, now held here at the t it picks
+        dims = mk.Dims(factors)
+        H = random_hermitian(dims.total, mk.stream(505, len(factors)))
+        t, U = mk.find_nonlocal_symmetry(H, mk.canonical(dims))
+        assert np.abs(U.mat @ H.mat - H.mat @ U.mat).max() <= 1e-9 * (1.0 + np.abs(H.mat).max())
 
     def test_kept_structure_raises(self, dims22, monkeypatch):
         from mereokit import dynamics

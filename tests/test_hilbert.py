@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 import mereokit as mk
 from mereokit import cli
 from mereokit.hilbert import (
-    ATOL, _check_unitary, _entropy_of_probs, _from_pairs, _impurity, _marginals, _spectra3, _to_pairs, _unit,
+    ATOL, _entropy_of_probs, _from_pairs, _impurity, _marginals, _spectra3, _to_pairs, _unit,
 )
 from mereokit.kinds import check_spectral_hypotheses
 from mereokit.models import SIGMA
@@ -103,15 +103,14 @@ class TestCarriers:
     @pytest.mark.parametrize("scale", [1.0, 1 + 1e-12, 1 + 1e-9, 2.0, 1j])
     def test_unitary_check_as_the_identity_formula(self, scale):
         # the 1 comes off the diagonal of m^dag m in place; accepted and refused as by
-        # |m^dag m - eye| with the same max deviation, for a matrix and for a stack
+        # |m^dag m - eye| with the same max deviation
         m = scale * mk.haar_unitary(5, mk.stream(115)).mat
         dev = np.abs(m.conj().T @ m - np.eye(5)).max()
-        for check in (mk.UnitaryOp, lambda m: _check_unitary(np.stack([np.eye(5), m]))):
-            if dev > ATOL:
-                with pytest.raises(mk.InvariantViolation, match=re.escape(f"not unitary: max deviation {dev:.3e}") + "$"):
-                    check(m)
-            else:
-                check(m)
+        if dev > ATOL:
+            with pytest.raises(mk.InvariantViolation, match=re.escape(f"not unitary: max deviation {dev:.3e}") + "$"):
+                mk.UnitaryOp(m)
+        else:
+            mk.UnitaryOp(m)
 
     @pytest.mark.parametrize("scale", [1e200, 1e155])
     @pytest.mark.filterwarnings("error")
@@ -835,18 +834,8 @@ class TestHaar:
         want = per_factor_haar(6, mk.stream(117))
         assert mk.haar_unitary(6, mk.stream(117)).mat.tobytes() == want.tobytes()
 
-    def test_stacked_check_refuses_as_unitary_op(self, monkeypatch):
-        # a QR gone wrong on the second factor of the qubit stack is refused with the error
-        # UnitaryOp gives 2 U: max |4 U^dag U - 1| = 3
-        real_qr = np.linalg.qr
-
-        def qr(z):  # the k-th Q of a stack scaled by k + 1
-            q, r = real_qr(z)
-            return q * np.arange(1, len(q) + 1)[:, None, None], r
-
-        monkeypatch.setattr(np.linalg, "qr", qr)
-        with pytest.raises(mk.InvariantViolation, match=re.escape("not unitary: max deviation 3.000e+00")):
-            mk.haar_unitaries((2, 2, 3), mk.stream(118))
+    def test_scaled_sample_refused_by_unitary_op(self):
+        # a sample taken back into the library from outside is checked: 2 U gives max |4 U^dag U - 1| = 3
         with pytest.raises(mk.InvariantViolation, match=re.escape("not unitary: max deviation 3.000e+00")):
             mk.UnitaryOp(2 * mk.haar_unitary(2, mk.stream(118)).mat)
 

@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mereokit as mk
 from mereokit.kinds import TpsVerdict, _amplitudes_differ, check_spectral_hypotheses
@@ -242,6 +242,33 @@ class TestGram:
         rotated[k] = 1.001 * rotated[k]
         with pytest.raises(mk.NoWitnessError):
             mk.gram_orbit_witness(fam, rotated)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(D=st.sampled_from([2, 4, 8, 3, 9, 27]), log_scale=st.integers(-300, 300), seed=st.integers(0, 2**16))
+    @example(D=8, log_scale=300, seed=0)
+    @example(D=8, log_scale=-300, seed=0)
+    def test_verdict_does_not_depend_on_scale(self, D, log_scale, seed):
+        # at 1e200 the core R2 R1^dag overflowed into numpy's "SVD did not converge", and at 1e-300
+        # the residual's squares read 0, so an off-orbit member got a witness; both families now go
+        # over one power of two first, and the residual is read in the members' own units
+        rng = mk.stream(610, seed)
+        scale = 10.0 ** log_scale
+        fam1 = (rng.standard_normal((3, D)) + 1j * rng.standard_normal((3, D))) * scale
+        fam2 = fam1 @ mk.haar_unitary(D, rng).mat.T
+        tol = 1e-8 * scale
+        U = mk.gram_orbit_witness(list(fam1), list(fam2), tol).mat
+        assert np.abs(fam1 @ U.T - fam2).max() <= tol
+        fam2[int(rng.integers(3))] *= 1.5
+        with pytest.raises(mk.NoWitnessError):
+            mk.gram_orbit_witness(list(fam1), list(fam2), tol)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("name", ["family1", "family2"])
+    def test_refuses_a_non_finite_member_naming_its_family(self, bad, name):
+        good = [np.ones(2, complex)] * 2
+        fams = {"family1": good, "family2": good, name: [good[0], np.array([1.0, bad])]}
+        with pytest.raises(mk.InvariantViolation, match=f"^{name} member 1 has a NaN or inf entry$"):
+            mk.gram_orbit_witness(fams["family1"], fams["family2"])
 
     def test_witness_is_two_qrs_and_one_core_svd(self, monkeypatch):
         rng = mk.stream(609)
