@@ -32,36 +32,13 @@ from .search import SearchConfig
 from .search import search as run_search
 from .errors import DimensionMismatch, HypothesisViolation, MereokitError, NoWitnessError
 from .hilbert import Dims, HermitianOp, StateVec, expm_i, haar_state, haar_unitaries, haar_unitary, kron_all
-from .hilbert import _eig_on, _formed_unitary, _from_pairs, _phases_finite, _scaled, _to_pairs, _unit
+from .hilbert import _formed_unitary, _from_pairs, _phases_finite, _scaled, _to_pairs, _unit
 from .rng import stream
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_HYPOTHESIS = 3
-
-# smallest D whose eigendecomposition a subcommand sends to the worker thread. Median in-process CLI
-# calls, inline vs. with the worker (2-vCPU Xeon VM, OpenBLAS 0.3.31 on one thread, 30 alternations of
-# 5 seeds): D = 32 within noise (orbit 2146 -> 2124 us, fingerprint 2183 -> 2260 us); D = 64 orbit
-# 3509 -> 2914 us, fingerprint 4421 -> 4079 us, kinds hsf 2700 -> 2349 us; D = 128 orbit 8.56 -> 6.96 ms
-SOON_MIN_DIM = 64
-
-_pools = {}  # process id -> the worker: a ThreadPoolExecutor of one thread, shared by every call
-
-
-def _eig_soon(H: HermitianOp) -> None:
-    """Send H.eig to the worker from H.dim = SOON_MIN_DIM up; it runs the call the calling thread
-    would, so every array is the inline one bit for bit. The worker is made on first use in each
-    process: a forked child holds its parent's executor, but not its thread. The library starts no thread."""
-    if H.dim < SOON_MIN_DIM:
-        return
-    pool = _pools.get(os.getpid())
-    if pool is None:  # setdefault keeps one executor when threads race here; the other starts no thread
-        from concurrent.futures import ThreadPoolExecutor  # 4-5 ms, paid here, not at import
-
-        pool = _pools.setdefault(os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="mereokit-worker"))
-    _eig_on(H, pool)
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -321,7 +298,6 @@ def cmd_profile(cfg: dict, out: str | None) -> int:
 def cmd_orbit(cfg: dict, out: str | None) -> int:
     seed = cfg["seed"]
     H, dims = build_model(_model_cfg(cfg), seed)
-    _eig_soon(H)  # read by the grid and the orbit, after the structure's Haar draw
     T = build_tps(cfg.get("tps"), dims, seed, None, H)
     with _field("probe"):
         probe = tps_mod.product_state_in(T, _site_kets(cfg.get("probe"), dims))
@@ -345,7 +321,6 @@ def cmd_orbit(cfg: dict, out: str | None) -> int:
 def cmd_fingerprint(cfg: dict, out: str | None) -> int:
     seed = cfg["seed"]
     H, dims = build_model(_model_cfg(cfg), seed)
-    _eig_soon(H)  # read by the probe set, after the state and the first structure are drawn
     psi = build_state(cfg.get("state"), dims, seed)
     T1 = build_tps(cfg.get("tps1"), dims, seed, None, H)
     T2 = build_tps(cfg.get("tps2"), dims, seed, T1, H, 1)
@@ -395,14 +370,12 @@ def cmd_kinds(cfg: dict, out: str | None) -> int:
     mode = cfg.get("mode", "hsf")
     if mode == "hsf":
         H1, psi1 = _kinds_pair(_typed("pair1", cfg["pair1"], dict), seed, 0)
-        _eig_soon(H1)  # on the worker while pair 2 is built and H2.eig runs here
         if cfg.get("pair2") == "conjugated":
             V = haar_unitary(H1.dim, stream(seed, 6))
             H2 = HermitianOp(V.mat @ H1.mat @ V.mat.conj().T)
             psi2 = StateVec(V.mat @ psi1.vec)
         else:
             H2, psi2 = _kinds_pair(_typed("pair2", cfg["pair2"], dict), seed, 1)
-        H2.eig  # before the witness waits for H1.eig
         find = lambda: kinds.pair_orbit_witness(H1, psi1, H2, psi2, tol)
         residuals = lambda U: {
             "residual_operator": float(np.abs(U.mat @ H1.mat @ U.mat.conj().T - H2.mat).max()),
@@ -464,7 +437,6 @@ def cmd_dualscan(cfg: dict, out: str | None) -> int:
         # kept so that payloads stay byte-identical with earlier releases.
         rng = stream(seed, trial, 0)
         H = _gue(dims.total, rng)
-        _eig_soon(H)  # read by the probe set, after the state and the structure are drawn
         psi = haar_state(dims.total, rng)
         T1 = tps_mod.random_tps(dims, rng)
         probes = kinds.build_probe_set(H, psi, count, stream(seed, trial, 64))
@@ -526,27 +498,19 @@ def _parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    code = None  # until set, as when an exception main does not catch passes through
     try:
         args = _parser().parse_args(argv)
-        code = _HANDLERS[args.command](_resolve_config(args), args.out)
+        return _HANDLERS[args.command](_resolve_config(args), args.out)
     except HypothesisViolation as e:
         report = {"error": "hypothesis_violation", "reason": e.reason, "detail": str(e)}
         print(json.dumps(report, sort_keys=True), file=sys.stderr)
-        code = EXIT_HYPOTHESIS
+        return EXIT_HYPOTHESIS
     except KeyError as e:
         print(f"error: missing config field {e.args[0]!r}", file=sys.stderr)
-        code = EXIT_USAGE
+        return EXIT_USAGE
     except (UsageError, MereokitError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        code = EXIT_USAGE
-    finally:
-        pool = _pools.get(os.getpid())
-        if code != EXIT_OK and pool is not None:
-            # an op that failed or raised may not have read what it sent; it waits for it here, so
-            # that the next op's first task does not wait behind it. An op that exits 0 read all it sent.
-            pool.submit(lambda: None).result()
-    return code
+        return EXIT_USAGE
 
 
 def entry():

@@ -149,30 +149,23 @@ class HermitianOp:
     @property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (ascending) and eigenvector columns, computed once, read-only; ScaleOutOfRange
-        if not finite. A memo without a lock, so two operators' reads run side by side; the first
-        read waits for a computation ``_eig_on`` sent to an executor. An error is not memoized:
-        every read raises it."""
+        if not finite. A memo without a lock, so two operators' reads run side by side. An error is
+        not memoized: every read raises it."""
         got = self.__dict__.get("_eig")
-        if type(got) is not tuple:
-            got = _eigh(self.mat) if got is None else got.result()
+        if got is None:
+            got = _eigh(self.mat)
             object.__setattr__(self, "_eig", got)
         return got
 
 
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``HermitianOp.eig`` of the matrix m, inline or on an executor."""
+    """``HermitianOp.eig`` of the matrix m."""
     lam, V = np.linalg.eigh(m)
     if not (np.isfinite(lam).all() and np.isfinite(V).all()):
         raise ScaleOutOfRange(f"spectrum leaves float64 at scale {np.abs(m.view(float)).max():.1e}")
     lam.setflags(write=False)
     V.setflags(write=False)
     return lam, V
-
-
-def _eig_on(H: HermitianOp, pool) -> None:
-    """Send H.eig to the executor ``pool`` unless it is None or H.eig is computed or sent already."""
-    if pool is not None and "_eig" not in H.__dict__:
-        object.__setattr__(H, "_eig", pool.submit(_eigh, H.mat))
 
 
 def _check_unitary(m: np.ndarray):

@@ -172,11 +172,18 @@ def pair_orbit_witness(
 
 
 def _family(family: Sequence, name: str) -> np.ndarray:
-    """The members as the rows of one array; an empty family is a DimensionMismatch, and a member with
-    a NaN or inf entry an InvariantViolation naming the family."""
+    """The members as the rows of one array; an empty family, or a member that is not a vector of
+    member 0's length, is a DimensionMismatch, and a member with a NaN or inf entry an
+    InvariantViolation, each naming the family."""
     if not len(family):
-        raise DimensionMismatch("a family needs at least one member")
-    F = np.stack([np.asarray(_vec(v)) for v in family])
+        raise DimensionMismatch(f"{name} needs at least one member")
+    members = [np.asarray(_vec(v)) for v in family]
+    for k, f in enumerate(members):
+        if f.ndim != 1:
+            raise DimensionMismatch(f"{name} member {k} has shape {f.shape}, not a vector")
+        if f.shape != members[0].shape:
+            raise DimensionMismatch(f"{name} member {k} has length {f.size}, member 0 {members[0].size}")
+    F = np.stack(members)
     bad = [k for k, f in enumerate(F) if not np.isfinite(f).all()]
     if bad:
         raise InvariantViolation(f"{name} member {bad[0]} has a NaN or inf entry")

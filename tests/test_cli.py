@@ -6,16 +6,13 @@ import math
 import os
 import subprocess
 import sys
-import threading
-import time
-from concurrent import futures
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mereokit as mk
-from mereokit import cli, hilbert
+from mereokit import cli
 from mereokit.cli import _kinds_pair, build_state, main, save_matrix_file
 
 from conftest import per_factor_haar
@@ -416,43 +413,6 @@ class TestKinds:
         assert out["residual_operator"] < 1e-8
         assert out["residual_state"] < 1e-8
 
-    @pytest.mark.parametrize("n, model", [(6, "gue"), (7, "gue"), (6, "file")], ids=["6", "7", "file-6"])
-    def test_conjugated_pair_bytes_do_not_depend_on_the_worker(self, tmp_path, monkeypatch, n, model):
-        # from D = 64 the worker's one task is H1's eigendecomposition, sent as soon as pair 1 is built
-        # (from a matrix file too), while V is drawn and H2's runs on the calling thread; with the worker
-        # off, both run inline, and every output byte is the same
-        pair1 = {"model": {"name": "gue", "dims": [2] * n}, "state": "haar"}
-        if model == "file":
-            save_matrix_file(str(tmp_path / "h1.json"), _kinds_pair(pair1, 9, 0)[0].mat, mk.Dims((2,) * n))
-            pair1 = {"file": str(tmp_path / "h1.json"), "state": "haar"}
-        cfg = write_config(tmp_path, "c.json", {"mode": "hsf", "pair1": pair1, "pair2": "conjugated", "seed": 3})
-        H1 = _kinds_pair(pair1, 3, 0)[0].mat
-        ran = []  # (whether of H1, whether off the calling thread) of every eigendecomposition
-        main_thread, eigh = threading.current_thread(), hilbert._eigh
-        spy = lambda m: ran.append((np.array_equal(m, H1), threading.current_thread() is not main_thread)) or eigh(m)
-        monkeypatch.setattr(hilbert, "_eigh", spy)
-        sent = []  # every task sent to the worker
-
-        class Worker(futures.ThreadPoolExecutor):
-            def submit(self, fn, *args):
-                sent.append(fn)
-                return super().submit(fn, *args)
-
-        outputs = []
-        with Worker(1) as worker:
-            monkeypatch.setitem(cli._pools, os.getpid(), worker)
-            for soon in (cli.SOON_MIN_DIM, 10 ** 9):
-                monkeypatch.setattr(cli, "SOON_MIN_DIM", soon)
-                ran.clear()
-                sent.clear()
-                out = str(tmp_path / f"soon{soon}.json")
-                assert run_cli(["kinds", "--config", cfg, "--out", out]) == 0
-                # the two eigendecompositions start in either order when they run side by side
-                assert sorted(ran) == [(False, False), (True, soon == 64)]
-                assert sent == ([spy] if soon == 64 else [])
-                outputs.append([Path(out).read_bytes(), Path(out + ".witness.npy").read_bytes()])
-        assert outputs[0] == outputs[1]
-
     def test_mismatched_pairs_no_witness_report(self, tmp_path, capsys):
         z = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]  # dummy
         mat1 = str(tmp_path / "m1.json")
@@ -737,9 +697,7 @@ class TestDeterminism:
         assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_byte_identical_in_fresh_processes(self, tmp_path):
-        # every run in its own process: at D = 128 the CLI sends H's eigendecomposition, and a
-        # conjugated pair 1's build and then H1's eigendecomposition, to its worker thread, and at
-        # D = 64, the send threshold, the latter two
+        # every run in its own process, at D = 128 and, for a conjugated kinds pair, at D = 64 too
         configs = {
             "orbit": {"model": {"name": "gue", "dims": [2] * 7}, "tps": {"kind": "random"}, "grid": {"points": 64}},
             "kinds": {"mode": "hsf", "pair1": {"model": {"name": "gue", "dims": [2] * 7}, "state": "haar"},
@@ -1023,42 +981,6 @@ class TestUsage:
         assert "Is a directory" in got.err and str(tmp_path / "dir") in got.err
         assert list((tmp_path / "dir").iterdir()) == []
 
-    @pytest.fixture
-    def slow_eigh(self, monkeypatch):
-        """Times at which a worker eigendecomposition, slowed by 0.2 s, finished; D = 4 uses the worker."""
-        finished, eigh = [], hilbert._eigh
-
-        def slow(m):
-            time.sleep(0.2)
-            out = eigh(m)
-            finished.append(time.perf_counter())
-            return out
-
-        monkeypatch.setattr(hilbert, "_eigh", slow)
-        monkeypatch.setattr(cli, "SOON_MIN_DIM", 4)
-        return finished
-
-    def test_failed_op_waits_for_what_it_sent(self, tmp_path, slow_eigh):
-        # orbit sends H's eigendecomposition to the worker, then fails on its structure; main
-        # returns only once the worker has finished it, so the next op's first task does not wait
-        cfg = write_config(tmp_path, "c.json", {"model": {"name": "gue", "dims": [2, 2]}, "tps": {"kind": "bogus"}})
-        assert run_cli(["orbit", "--config", cfg]) == 1
-        returned = time.perf_counter()
-        assert len(slow_eigh) == 1 and slow_eigh[0] < returned
-
-    def test_raising_op_waits_for_what_it_sent(self, tmp_path, monkeypatch, slow_eigh):
-        # as above, but a step after the send raises an exception main does not catch: main
-        # re-raises it only once the worker has finished the eigendecomposition
-        def broken(*args):
-            raise RuntimeError("a step after the send")
-
-        monkeypatch.setattr(cli, "build_tps", broken)
-        cfg = write_config(tmp_path, "c.json", {"model": {"name": "gue", "dims": [2, 2]}})
-        with pytest.raises(RuntimeError, match="a step after the send"):
-            run_cli(["orbit", "--config", cfg])
-        returned = time.perf_counter()
-        assert len(slow_eigh) == 1 and slow_eigh[0] < returned
-
     def test_integral_floats_run_with_config_kept_raw(self, tmp_path, capsys):
         cfg = {"model": {"name": "ising", "n": 3.0, "J": 1, "h": 1}, "seed": 1}
         assert run_cli(["profile", "--config", write_config(tmp_path, "c.json", cfg)]) == 0
@@ -1234,7 +1156,7 @@ THREAD_CONFIGS = {
     "search": {"model": {"name": "scrambled_klocal", "dims": [2, 2, 2], "K": 2}, "search": {"K": 2, "restarts": 1}},
     "kinds": {"mode": "gram", "family1": {"random": {"dim": 128, "count": 3}}, "family2": "rotated"},
     "dualscan": {"dims": [2, 2, 2], "trials": 2},
-    # D = 128: H's eigendecomposition runs on the worker thread beside the Haar draws
+    # D = 128: H's eigendecomposition and the Haar QRs at seven qubits
     "orbit-7q": {"model": {"name": "gue", "dims": [2] * 7}, "tps": {"kind": "random"}, "grid": {"points": 32}},
     "kinds-hsf": {"mode": "hsf", "pair1": {"model": {"name": "gue", "dims": [2] * 7}, "state": "haar"},
                   "pair2": "conjugated"},

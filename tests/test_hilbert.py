@@ -3,13 +3,10 @@ import json
 import math
 import os
 import re
-import signal
 import subprocess
 import sys
 import threading
-import time
 import warnings
-from concurrent import futures
 from functools import reduce
 from pathlib import Path
 
@@ -214,54 +211,14 @@ class TestComplexPairs:
             _from_pairs(rows)
 
 
-def prefetched(m) -> mk.HermitianOp:
-    """HermitianOp of m whose eigendecomposition was sent to the CLI's worker thread."""
-    H = mk.HermitianOp(m)
-    cli._eig_soon(H)
-    assert isinstance(vars(H)["_eig"], futures.Future)
-    return H
-
-
-def same_bytes(got, want) -> bool:
-    return all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
-
-
-# a fresh process runs the subcommands that send H's eigendecomposition to the worker at D = 32, below
-# the crossover, each the subcommand named before any "-" in its key, then sends one at D = 64; it
-# prints the thread count before and after it
-NO_THREAD_CHILD = """
+# a fresh process runs the witness, a fingerprint and an entropy orbit at D = 128 through the library,
+# then kinds hsf (conjugated), orbit, fingerprint and dualscan at D = 128 through cli.main; it prints
+# the thread count and whether concurrent.futures was imported
+LIBRARY_CHILD = """
 import json, sys, threading
 import numpy as np
-from mereokit import cli, hilbert
-where, dims = sys.argv[1], [2] * 5
-configs = {
-    "orbit": {"model": {"name": "gue", "dims": dims}, "tps": {"kind": "random"}, "grid": {"points": 16}},
-    "fingerprint": {"model": {"name": "gue", "dims": dims}, "state": "haar", "tps1": {"kind": "random"},
-                    "tps2": {"kind": "local"}},
-    "kinds": {"mode": "hsf", "pair1": {"model": {"name": "gue", "dims": dims}, "state": "haar"},
-              "pair2": {"model": {"name": "gue", "dims": dims}, "state": "haar"}},
-    "kinds-conjugated": {"mode": "hsf", "pair1": {"model": {"name": "gue", "dims": dims}, "state": "haar"},
-                         "pair2": "conjugated"},
-    "dualscan": {"dims": dims, "trials": 1},
-}
-for name, cfg in configs.items():
-    with open(f"{where}/{name}.json", "w") as f:
-        json.dump({**cfg, "seed": 1}, f)
-    argv = [name.split("-")[0], "--config", f"{where}/{name}.json", "--out", f"{where}/{name}.out"]
-    assert cli.main(argv) == 0
-before = threading.active_count(), not cli._pools
-H = hilbert.HermitianOp(np.diag(np.arange(64.0)))
-cli._eig_soon(H)
-H.eig
-print(*before, threading.active_count(), not cli._pools)
-"""
-
-# a fresh process runs the witness, a fingerprint and an entropy orbit at D = 128 through the library,
-# which starts no thread, and prints the thread count
-LIBRARY_CHILD = """
-import threading
-import numpy as np
 import mereokit as mk
+from mereokit import cli
 dims, rng = mk.Dims((2,) * 7), mk.stream(112)
 A = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
 H, psi = mk.HermitianOp(A + A.conj().T), mk.haar_state(128, rng)
@@ -270,7 +227,18 @@ mk.pair_orbit_witness(H, psi, mk.HermitianOp(V.mat @ H.mat @ V.mat.conj().T), mk
 mk.fingerprint(H, psi, [T], mk.build_probe_set(H, psi, None, rng))
 probe = mk.product_state_in(T, [np.eye(2)[0]] * 7)
 mk.entropy_orbit(H, T, probe, 0, mk.default_time_grid(H, 16))
-print(threading.active_count())
+where, gue = sys.argv[1], {"name": "gue", "dims": [2] * 7}
+configs = {
+    "kinds": {"mode": "hsf", "pair1": {"model": gue, "state": "haar"}, "pair2": "conjugated"},
+    "orbit": {"model": gue, "tps": {"kind": "random"}, "grid": {"points": 16}},
+    "fingerprint": {"model": gue, "state": "haar", "tps1": {"kind": "random"}, "tps2": {"kind": "local"}},
+    "dualscan": {"dims": [2] * 7, "trials": 1},
+}
+for name, cfg in configs.items():
+    with open(f"{where}/{name}.json", "w") as f:
+        json.dump({**cfg, "seed": 1}, f)
+    assert cli.main([name, "--config", f"{where}/{name}.json", "--out", f"{where}/{name}.out"]) == 0
+print(threading.active_count(), "concurrent.futures" in sys.modules)
 """
 
 
@@ -306,12 +274,10 @@ class TestEig:
             (np.kron(np.diag([1e308, 0.95e308]), np.ones((2, 2))) + np.diag([1e292] * 2 + [3e292] * 2), "1.0e\\+308"),
             (np.array([[0, z], [np.conj(z), 0]]), "1.5e\\+308"),
         ]:
-            # also at D = 64, each eigenvalue repeated, sent to the worker: the send never raises,
-            # and every read does
-            for H in (mk.HermitianOp(m), prefetched(np.kron(m, np.eye(64 // len(m))))):
-                for read in (lambda: H.eig, lambda: H.eig, lambda: check_spectral_hypotheses(H)):
-                    with pytest.raises(mk.ScaleOutOfRange, match=f"spectrum leaves float64 at scale {scale}"):
-                        read()
+            H = mk.HermitianOp(m)  # every read raises
+            for read in (lambda: H.eig, lambda: H.eig, lambda: check_spectral_hypotheses(H)):
+                with pytest.raises(mk.ScaleOutOfRange, match=f"spectrum leaves float64 at scale {scale}"):
+                    read()
 
     def test_cached_and_read_only(self):
         H = random_hermitian(4, mk.stream(105))
@@ -321,66 +287,19 @@ class TestEig:
             with pytest.raises(ValueError):
                 a[0] = 0.0
 
-    @pytest.mark.parametrize("factors", [(2,) * 6, (4, 4, 4), (3, 3, 3, 3), (2,) * 7])
-    def test_prefetched_is_the_inline_one(self, factors):
-        m = random_hermitian(math.prod(factors), mk.stream(106, len(factors))).mat
-        inline = mk.HermitianOp(m).eig
-        H = prefetched(m)
-        assert H.eig is H.eig and same_bytes(H.eig, inline)
-        for got in H.eig:
-            with pytest.raises(ValueError):
-                got[0] = 0.0
-
-    def test_no_thread_below_the_crossover(self, tmp_path):
+    def test_library_starts_no_thread(self, tmp_path):
+        # neither the library nor the CLI starts a thread, or imports an executor, at D = 128
         src = str(Path(mk.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", NO_THREAD_CHILD, str(tmp_path)],
-                              env=env, capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        # one thread and no worker after every D = 32 subcommand; the D = 64 send starts the worker
-        assert proc.stdout.split() == ["1", "True", "2", "False"]
-
-    def test_library_starts_no_thread(self):
-        src = str(Path(mk.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", LIBRARY_CHILD], env=env,
+        proc = subprocess.run([sys.executable, "-c", LIBRARY_CHILD, str(tmp_path)], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["1"]
+        assert proc.stdout.split() == ["1", "False"]
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    @pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
-    def test_fork_child_reads_prefetched_eig(self, tmp_path):
-        # a child forked after a D = 128 kinds op that used the worker thread has no worker: its own
-        # op starts one, and writes the parent's bytes
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"mode": "hsf", "pair1": {"model": {"name": "gue", "dims": [2] * 7},
-                                                            "state": "haar"}, "pair2": "conjugated", "seed": 4}))
-        run = lambda out: cli.main(["kinds", "--config", str(cfg), "--out", str(tmp_path / out)])
-        assert run("parent.json") == 0
-        pid = os.fork()
-        if pid == 0:  # the child reports by its exit code alone
-            ok = False
-            try:
-                threads = threading.active_count()
-                ok = run("child.json") == 0 and threading.active_count() == threads + 1
-            finally:
-                os._exit(0 if ok else 1)
-        deadline = time.monotonic() + 60
-        while (done := os.waitpid(pid, os.WNOHANG)) == (0, 0):
-            if time.monotonic() > deadline:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                pytest.fail("the forked child did not finish its op within 60 s")
-            time.sleep(0.01)
-        assert os.waitstatus_to_exitcode(done[1]) == 0
-        for suffix in ("", ".witness.npy"):
-            assert (tmp_path / f"child.json{suffix}").read_bytes() == (tmp_path / f"parent.json{suffix}").read_bytes()
-
-    def test_threads_share_one_worker(self, tmp_path):
-        # six threads each run three D = 64 subcommands that send work to the worker, in rotated
-        # orders and each to its own output; a short switch interval interleaves the sends and the
-        # reads, and every output has the bytes of a run alone
+    def test_concurrent_callers_write_the_bytes_of_a_run_alone(self, tmp_path):
+        # six threads each run three D = 64 subcommands, in rotated orders and each to its own
+        # output; a short switch interval interleaves their eigendecompositions and memo reads, and
+        # every output has the bytes of a run alone
         dims = [2] * 6
         configs = {
             "orbit": {"model": {"name": "gue", "dims": dims}, "tps": {"kind": "random"}, "grid": {"points": 16}},

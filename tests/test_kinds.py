@@ -270,6 +270,23 @@ class TestGram:
         with pytest.raises(mk.InvariantViolation, match=f"^{name} member 1 has a NaN or inf entry$"):
             mk.gram_orbit_witness(fams["family1"], fams["family2"])
 
+    @pytest.mark.parametrize("name, members, message", [
+        # numpy's "matmul: Input operand 1 has a mismatch in its core dimension 0"
+        ("family1", [np.eye(2)], r"^family1 member 0 has shape \(2, 2\), not a vector$"),
+        ("family2", [np.ones(2), np.eye(2)], r"^family2 member 1 has shape \(2, 2\), not a vector$"),
+        # numpy's "all input arrays must have the same shape"
+        ("family1", [np.ones(2), np.ones(3)], "^family1 member 1 has length 3, member 0 2$"),
+        ("family2", [np.ones(2), np.ones(2), np.ones(3)], "^family2 member 2 has length 3, member 0 2$"),
+        # "a family needs at least one member", whichever family it was
+        ("family1", [], "^family1 needs at least one member$"),
+        ("family2", [], "^family2 needs at least one member$"),
+    ], ids=["matrix", "matrix-later", "ragged", "ragged-later", "empty1", "empty2"])
+    def test_refuses_a_misshapen_family_naming_it(self, name, members, message):
+        good = [np.ones(2, complex)]
+        fams = {"family1": good, "family2": good, name: members}
+        with pytest.raises(mk.DimensionMismatch, match=message):
+            mk.gram_orbit_witness(fams["family1"], fams["family2"])
+
     def test_witness_is_two_qrs_and_one_core_svd(self, monkeypatch):
         rng = mk.stream(609)
         fam = [rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(3)]
