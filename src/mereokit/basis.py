@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation, ScaleOutOfRange
-from .hilbert import Dims, HermitianOp, _frozen
+from .hilbert import Dims, HermitianOp, _frozen, _times_dagger
 from .tps import Tps
 
 
@@ -56,7 +56,8 @@ def _contract(t: np.ndarray, factors, adjoint: bool):
     # one (d^2, d^2) map per site; the transpose rotates the mapped axis to
     # the back, so after n sites the axes are in order again
     for m in _gell_mann_maps(factors, adjoint):
-        t = (m @ t.reshape(m.shape[1], -1)).T
+        t = t.reshape(m.shape[1], -1)  # a copy: the previous product goes before the next is formed
+        t = (m @ t).T
     return t
 
 
@@ -91,9 +92,10 @@ def decompose(H: HermitianOp, T: Tps) -> np.ndarray:
     """Coefficient tensor of H, seen through the structure T, over the product basis."""
     if H.dim != T.dims.total:
         raise DimensionMismatch(f"operator dim {H.dim} != product dim {T.dims.total}")
-    pushed = T.iso.mat @ H.mat @ T.iso.mat.conj().T
+    pushed = _times_dagger(T.iso.mat @ H.mat, T.iso.mat)
     m = np.trace(pushed).real / H.dim  # expanded apart: rounding a large c I leaks into no sector
-    coeffs = coeff_tensor(pushed - m * np.eye(H.dim), T.dims)
+    pushed.reshape(-1)[:: H.dim + 1] -= m
+    coeffs = coeff_tensor(pushed, T.dims)
     coeffs.flat[0] += m * math.sqrt(H.dim)
     return coeffs
 

@@ -32,7 +32,8 @@ from .search import SearchConfig
 from .search import search as run_search
 from .errors import DimensionMismatch, HypothesisViolation, MereokitError, NoWitnessError
 from .hilbert import Dims, HermitianOp, StateVec, expm_i, haar_state, haar_unitaries, haar_unitary, kron_all
-from .hilbert import _formed_unitary, _from_pairs, _phases_finite, _scaled, _to_pairs, _unit
+from .hilbert import _formed_hermitian, _formed_unitary, _from_pairs, _phases_finite, _scaled, _times_dagger, _to_pairs
+from .hilbert import _unit
 from .rng import stream
 
 EXIT_OK = 0
@@ -206,7 +207,7 @@ def _gue(D: int, rng) -> HermitianOp:
     A.real, A.imag = rng.standard_normal((D, D)), rng.standard_normal((D, D))
     A += A.conj().T
     A /= 2
-    return HermitianOp(A)
+    return _formed_hermitian(A)
 
 
 def build_tps(spec, dims: Dims, seed: int, base: tps_mod.Tps | None, H: HermitianOp | None, *path: int):
@@ -371,23 +372,22 @@ def cmd_kinds(cfg: dict, out: str | None) -> int:
     if mode == "hsf":
         H1, psi1 = _kinds_pair(_typed("pair1", cfg["pair1"], dict), seed, 0)
         if cfg.get("pair2") == "conjugated":
-            V = haar_unitary(H1.dim, stream(seed, 6))
-            H2 = HermitianOp(V.mat @ H1.mat @ V.mat.conj().T)
-            psi2 = StateVec(V.mat @ psi1.vec)
+            H2, psi2 = _conjugated(H1, psi1, stream(seed, 6))
         else:
             H2, psi2 = _kinds_pair(_typed("pair2", cfg["pair2"], dict), seed, 1)
         find = lambda: kinds.pair_orbit_witness(H1, psi1, H2, psi2, tol)
-        residuals = lambda U: {
-            "residual_operator": float(np.abs(U.mat @ H1.mat @ U.mat.conj().T - H2.mat).max()),
-            "residual_state": float(np.linalg.norm(U.mat @ psi1.vec - psi2.vec)),
-        }
+
+        def residuals(U):
+            R = _times_dagger(U.mat @ H1.mat, U.mat)
+            R -= H2.mat
+            return {"residual_operator": float(np.abs(R).max()),
+                    "residual_state": float(np.linalg.norm(U.mat @ psi1.vec - psi2.vec))}
     elif mode == "gram":
         fam1 = _build_family("family1", cfg["family1"], seed, 7)
         spec2 = cfg["family2"]
         if spec2 == "rotated":
-            V = haar_unitary(fam1.shape[1], stream(seed, 8))
             with np.errstate(over="ignore", invalid="ignore"):  # the witness refuses a NaN or inf member
-                fam2 = fam1 @ V.mat.T
+                fam2 = fam1 @ haar_unitary(fam1.shape[1], stream(seed, 8)).mat.T
         else:
             fam2 = _build_family("family2", spec2, seed, 9)
         find = lambda: kinds.gram_orbit_witness(list(fam1), list(fam2), tol)
@@ -407,6 +407,12 @@ def cmd_kinds(cfg: dict, out: str | None) -> int:
     if out:
         np.save(out + ".witness.npy", U.mat)
     return EXIT_OK
+
+
+def _conjugated(H1: HermitianOp, psi1: StateVec, rng) -> tuple[HermitianOp, StateVec]:
+    """(V H1 V^dag, V psi1) for a Haar V drawn from rng; V is not kept."""
+    V = haar_unitary(H1.dim, rng).mat
+    return _formed_hermitian(_times_dagger(V @ H1.mat, V)), StateVec(V @ psi1.vec)
 
 
 def _build_family(name: str, spec, seed: int, path: int) -> np.ndarray:

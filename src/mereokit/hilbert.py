@@ -1,8 +1,11 @@
 """Dense finite-dimensional complex linear algebra with checked invariants.
 
-All carrier types copy their arrays on construction and mark them
-read-only, so values are immutable and safe to share across concurrent
-tasks. Entropies are in nats throughout.
+Every carrier holds a read-only array, so values are immutable and safe to
+share across concurrent tasks. The public constructors ``HermitianOp(m)``,
+``UnitaryOp(m)`` and ``StateVec(v)`` copy what the caller passes; the
+library's own producers hand a matrix they have just formed, and hold no
+other reference to, to ``_formed_unitary`` or ``_formed_hermitian``, which
+keep that array instead of copying it. Entropies are in nats throughout.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ PURE_TOL = 1e-9
 
 
 def _frozen(a, dtype=complex) -> np.ndarray:
+    """A read-only C-ordered copy of a, always a copy: the caller may go on writing to a."""
     out = np.array(a, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
@@ -45,11 +49,22 @@ def _tol(tol: float, name: str = "tol") -> float:
     return tol
 
 
-def _square(a) -> np.ndarray:
-    m = _finite(a)
+def _kept(m) -> np.ndarray:
+    """m, refused unless finite (InvariantViolation) and square (DimensionMismatch), made read-only
+    in place: not copied when it is already a C-ordered complex array, as a matrix the library has
+    just formed is."""
+    m = np.asarray(m, dtype=complex, order="C")
+    if not np.isfinite(m).all():
+        raise InvariantViolation("entries must be finite, got NaN or inf")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    m.setflags(write=False)
     return m
+
+
+def _square(a) -> np.ndarray:
+    """``_kept`` of a copy of a: what the public constructors hold, whatever the caller does to a."""
+    return _kept(np.array(a, dtype=complex, order="C"))
 
 
 def _scaled(a, axis=None) -> tuple[np.ndarray, int | np.ndarray]:
@@ -127,19 +142,31 @@ class Dims:
         return math.prod(self.factors)
 
 
+def _check_hermitian(m: np.ndarray):
+    """Refuse the finite square matrix m unless max |m - m^dag| <= ATOL (1 + max |m_ij|), taken on
+    m / 2^e (exact) from 2^1023 up, where inf <= inf could pass; (m^dag - m)^T is formed in the one
+    conjugated copy, so the check holds m plus one complex and one real D x D array."""
+    top = np.abs(m).max(initial=0.0)
+    s, e = (m, 0) if top < 2.0 ** 1023 else _scaled(m)
+    d = s.conj()
+    d -= s.T
+    dev = np.abs(d).max()
+    if not dev <= ATOL * ((1.0 + top) if e == 0 else (math.ldexp(1.0, -int(e)) + np.abs(s).max())):
+        with np.errstate(over="ignore"):  # the deviation reported may be inf
+            raise InvariantViolation(f"not Hermitian: max deviation {np.ldexp(dev, e):.3e}")
+
+
 @dataclass(frozen=True)
 class HermitianOp:
+    """A Hermitian matrix. ``HermitianOp(m)`` copies m and refuses it unless ``_check_hermitian``
+    passes; the Hermitian matrices the library builds (model Hamiltonians, GUE draws, conjugated
+    pairs) come from ``_formed_hermitian``, which checks them too but keeps the array."""
+
     mat: np.ndarray
 
     def __post_init__(self):
-        # dev <= ATOL (1 + max |H_ij|), on H / 2^e (exact) from 2^1023 up, where inf <= inf could pass
         m = _square(self.mat)
-        top = np.abs(m).max(initial=0.0)
-        s, e = (m, 0) if top < 2.0 ** 1023 else _scaled(m)
-        dev = np.abs(s - s.conj().T).max()
-        if not dev <= ATOL * ((1.0 + top) if e == 0 else (math.ldexp(1.0, -int(e)) + np.abs(s).max())):
-            with np.errstate(over="ignore"):  # the deviation reported may be inf
-                raise InvariantViolation(f"not Hermitian: max deviation {np.ldexp(dev, e):.3e}")
+        _check_hermitian(m)
         object.__setattr__(self, "mat", m)
 
     @property
@@ -201,10 +228,22 @@ class UnitaryOp:
 
 
 def _formed_unitary(m) -> UnitaryOp:
-    """A UnitaryOp of m, a matrix the library formed: ``_square``'s copy, without the D^3 check."""
+    """A UnitaryOp of m, a matrix the library has just formed and holds no other reference to:
+    m itself, ``_kept`` read-only (copied only if not a C-ordered complex array), without the D^3
+    check."""
     U = object.__new__(UnitaryOp)
-    object.__setattr__(U, "mat", _square(m))
+    object.__setattr__(U, "mat", _kept(m))
     return U
+
+
+def _formed_hermitian(m) -> HermitianOp:
+    """A HermitianOp of m, a matrix the library has just formed and holds no other reference to:
+    m itself, ``_kept`` read-only, refused unless ``_check_hermitian`` passes."""
+    H = object.__new__(HermitianOp)
+    m = _kept(m)
+    _check_hermitian(m)
+    object.__setattr__(H, "mat", m)
+    return H
 
 
 @dataclass(frozen=True)
@@ -223,6 +262,14 @@ class StateVec:
         return self.vec.shape[0]
 
 
+def _times_dagger(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b^dag as conj(conj(a) b^T): equal term by term, with no conjugated copy of b; a, a fresh
+    array the caller gives up, is conjugated in place, and the product is conjugated in place."""
+    np.conjugate(a, out=a)
+    out = a @ b.T
+    return np.conjugate(out, out=out)
+
+
 def _phases_finite(H: HermitianOp, t_max: float, what: str) -> None:
     """Refuse (DimensionMismatch) times up to |t_max| whose phases t * eigenvalue of H overflow,
     or a NaN t_max: every such phase is at most max |t| * max |lambda|, a float product that
@@ -237,14 +284,13 @@ def expm_i(H: HermitianOp, t: float) -> UnitaryOp:
     are not finite raises DimensionMismatch."""
     _phases_finite(H, t, "evolution")
     lam, V = H.eig
-    Vm = V * np.exp(-1j * t * lam)
-    return _formed_unitary(Vm @ V.conj().T)
+    return _formed_unitary(_times_dagger(V * np.exp(-1j * t * lam), V))
 
 
 def _entropy_of_probs(p: np.ndarray) -> np.ndarray:
     """Shannon entropy over the last axis; entries are clamped to [0, 1], and 0 log 0 = 0."""
     p = np.clip(p.real, 0.0, 1.0)
-    return -(p * np.log(p, out=np.zeros_like(p), where=p > 0.0)).sum(axis=-1)
+    return -(p * np.log(p, out=np.zeros_like(p), where=p > 0.0)).sum(axis=-1) + 0.0  # -0.0 -> 0.0
 
 
 @lru_cache
@@ -354,16 +400,18 @@ def site_entropies(psi, dims: Dims, sites=None) -> np.ndarray:
     out = np.empty(lead + (len(sites),))
     qubits = groups.pop(2, None)
     if qubits:
-        p = v.real * v.real + v.imag * v.imag
         a, c, b = (np.empty(lead + (len(qubits),), dtype) for dtype in (float, float, complex))
-        for q, k in enumerate(qubits):
-            left = math.prod(dims.factors[: sites[k]])
-            split = lead + (left, 2, dims.total // (2 * left))
+        lefts = [math.prod(dims.factors[: sites[k]]) for k in qubits]
+        splits = [lead + (left, 2, dims.total // (2 * left)) for left in lefts]
+        for q, split in enumerate(splits):  # b first: its two products and |psi|^2 are never held at once
+            m = v.reshape(split)
+            b[..., q] = (m[..., 0, :] * m[..., 1, :].conj()).sum(axis=(-2, -1))
+        p = v.real * v.real
+        p += v.imag * v.imag
+        for q, split in enumerate(splits):
             # each half copied first: numpy sums a strided view in short inner loops, slowly
             a[..., q], c[..., q] = (np.ascontiguousarray(p.reshape(split)[..., j, :]).sum(axis=(-2, -1))
                                     for j in (0, 1))
-            m = v.reshape(split)
-            b[..., q] = (m[..., 0, :] * m[..., 1, :].conj()).sum(axis=(-2, -1))
         b2 = b.real * b.real + b.imag * b.imag
         hi = (a + c) / 2 + np.sqrt(((a - c) / 2) ** 2 + b2)
         lo = np.divide(a * c - b2, hi, out=np.zeros_like(hi), where=hi > 0.0)
@@ -388,23 +436,34 @@ def kron_all(mats) -> np.ndarray:
     return reduce(lambda a, b: (a[left] * b[right]).reshape([p * q for p, q in zip(a.shape, b.shape)]), ms)
 
 
-def haar_unitaries(factors, stream: np.random.Generator) -> list[UnitaryOp]:
-    """Haar-distributed unitaries, one d x d per entry d of ``factors``, in order (Mezzadri 2007):
-    every factor's Ginibre block (real parts, then imaginary) comes from one ``standard_normal``
-    call, the same numbers per-factor (d, d) draws take from the sequential stream; then one QR,
-    phase fix on diag(R) per stack of equal-d factors."""
-    factors = [int(d) for d in factors]
-    if min(factors, default=1) < 1:
-        raise DimensionMismatch(f"unitary dimensions must be >= 1, got {factors}")
+def _ginibre(factors: list[int], stream: np.random.Generator) -> dict:
+    """{d: (positions of d in factors, their Ginibre blocks (k, d, d))}: every factor's block, real
+    parts then imaginary, from one ``standard_normal`` call, the same numbers per-factor (d, d) draws
+    take from the sequential stream, read in place when one factor has its d. The draw is let go on
+    return, before any QR."""
     start = list(accumulate((2 * d * d for d in factors), initial=0))
     g = stream.standard_normal(start[-1])
-    out = [None] * len(factors)
+    out = {}
     for d in dict.fromkeys(factors):
         idx = [i for i, e in enumerate(factors) if e == d]
-        block = np.concatenate([g[start[i]:start[i + 1]] for i in idx]).reshape(len(idx), 2, d, d)
+        parts = [g[start[i]:start[i + 1]] for i in idx]
+        block = (parts[0] if len(parts) == 1 else np.concatenate(parts)).reshape(len(idx), 2, d, d)
         z = np.empty((len(idx), d, d), complex)
         z.real, z.imag = block[:, 0], block[:, 1]
         z /= math.sqrt(2)
+        out[d] = idx, z
+    return out
+
+
+def haar_unitaries(factors, stream: np.random.Generator) -> list[UnitaryOp]:
+    """Haar-distributed unitaries, one d x d per entry d of ``factors``, in order (Mezzadri 2007):
+    the ``_ginibre`` blocks, then one QR, phase fix on diag(R) per stack of equal-d factors, and
+    each unitary keeps its slice of Q."""
+    factors = [int(d) for d in factors]
+    if min(factors, default=1) < 1:
+        raise DimensionMismatch(f"unitary dimensions must be >= 1, got {factors}")
+    out = [None] * len(factors)
+    for idx, z in _ginibre(factors, stream).values():
         q, r = np.linalg.qr(z)
         diag = r.diagonal(0, -2, -1)
         q *= (diag / np.abs(diag))[:, None, :]

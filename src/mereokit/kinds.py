@@ -25,7 +25,7 @@ from .errors import (
     NoWitnessError,
 )
 from .hilbert import HermitianOp, StateVec, UnitaryOp
-from .hilbert import _finite, _formed_unitary, _frozen, _scaled, _tol, _vec
+from .hilbert import _finite, _formed_unitary, _frozen, _scaled, _times_dagger, _tol, _vec
 from .tps import Tps, _eigen_entropies, equivalent
 
 # eigenvalues no more than this apart share an eigenspace; absolute, in the units of H's spectrum
@@ -168,7 +168,7 @@ def pair_orbit_witness(
         raise NoWitnessError("eigenspace amplitudes differ; pairs lie on different orbits")
     phases = c2 / c1
     phases = phases / np.abs(phases)
-    return _formed_unitary((V2 * phases) @ V1.conj().T)
+    return _formed_unitary(_times_dagger(V2 * phases, V1))
 
 
 def _family(family: Sequence, name: str) -> np.ndarray:
@@ -300,7 +300,8 @@ def fingerprint(H: HermitianOp, psi: StateVec, Ts: Sequence[Tps], probes: ProbeS
         raise DimensionMismatch(f"probe values of length {probes.values.shape[1]} != dim {H.dim}")
     values = _scaled(probes.values, axis=1)[0]
     values /= np.linalg.norm(values * c, axis=1)[:, None]
-    return _frozen(_eigen_entropies(H, Ts, c, values), float)  # checks Ts and H
+    values *= c
+    return _frozen(_eigen_entropies(H, Ts, values), float)  # checks Ts and H
 
 
 def fingerprints_equal(f1: np.ndarray, f2: np.ndarray, tol: float = FINGERPRINT_TOL) -> bool:

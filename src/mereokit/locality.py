@@ -101,8 +101,9 @@ def _evolved_entropies(
     t * eigenvalue overflow (DimensionMismatch), and a probe whose ``_impurity`` in T exceeds
     ``PURE_TOL`` at some site (InvariantViolation): as S >= 1 - tr rho^2, every probe of site entropies
     <= 1e-9 nats passes, and so may one of entropies up to about 1.2e-8 nats. Equal blocks of at
-    most 2**16 // (D * probes) times, each one matrix product, bound the memory; a 1-point block
-    would take numpy's matrix-vector product, which rounds unlike the matrix-matrix one.
+    most 2**16 // (D * probes) times, each one matrix product, bound the memory to two (times,
+    probes, D) arrays per block; a 1-point block would take numpy's matrix-vector product, which
+    rounds unlike the matrix-matrix one.
     """
     D = T.dims.total
     if H.dim != D:
@@ -122,8 +123,13 @@ def _evolved_entropies(
         if not impurity <= PURE_TOL:  # also refuses NaN
             raise InvariantViolation(f"probe {j} is not a product state (impurity {impurity:.3e})")
     blocks = np.array_split(t, len(t) // max(1, 2**16 // (D * max(1, len(C)))) + 1)
-    phases = (np.exp(-1j * np.multiply.outer(b, H.eig[0]))[:, None] for b in blocks)  # (times, 1, D)
-    ents = np.concatenate([_eigen_entropies(H, [T], C, f, sites)[0] for f in phases])
+    lam, ents = -1j * H.eig[0], []
+    for b in blocks:
+        f = np.multiply.outer(b, lam)[:, None]  # the phase table (times, 1, D)
+        np.exp(f, out=f)
+        # times C, in place for one probe, where the product keeps the table's shape
+        ents.append(_eigen_entropies(H, [T], np.multiply(f, C, out=f if len(C) == 1 else None), sites)[0])
+    ents = np.concatenate(ents)
     return ents.reshape(len(t), len(C), ents.shape[-1])
 
 

@@ -9,7 +9,8 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
-from .hilbert import Dims, HermitianOp, UnitaryOp, _formed_unitary, haar_unitary, kron_all
+from .hilbert import Dims, HermitianOp, UnitaryOp, _formed_hermitian, _formed_unitary, _times_dagger, haar_unitary
+from .hilbert import kron_all
 from .basis import klocal_mask, matrix_from_coeffs
 from .tps import Tps
 
@@ -29,7 +30,7 @@ def pauli_string(s: str) -> HermitianOp:
         raise InvariantViolation(f"unknown Pauli letter {e.args[0]!r}") from None
     if len(mats) < 2:
         raise DimensionMismatch("need at least two sites")
-    return HermitianOp(kron_all(mats))
+    return _formed_hermitian(kron_all(mats))
 
 
 def ising_chain(n: int, J: float, h: float) -> HermitianOp:
@@ -38,7 +39,7 @@ def ising_chain(n: int, J: float, h: float) -> HermitianOp:
         raise InvariantViolation("need n >= 2 sites")
     terms = [(J, "I" * i + "ZZ" + "I" * (n - i - 2)) for i in range(n - 1)]
     terms += [(h, "I" * i + "X" + "I" * (n - i - 1)) for i in range(n)]
-    return HermitianOp(sum(c * kron_all([SIGMA[ch] for ch in s]) for c, s in terms))
+    return _formed_hermitian(sum(c * kron_all([SIGMA[ch] for ch in s]) for c, s in terms))
 
 
 def x_string(i: int, n: int) -> HermitianOp:
@@ -71,7 +72,7 @@ def random_klocal(dims: Dims, K: int, stream: np.random.Generator) -> HermitianO
     mask = klocal_mask(dims.factors, K)
     coeffs = np.zeros(mask.shape, dtype=complex)
     coeffs[mask] = stream.standard_normal(int(mask.sum()))
-    return HermitianOp(matrix_from_coeffs(coeffs, dims))
+    return _formed_hermitian(matrix_from_coeffs(coeffs, dims))
 
 
 def scrambled_klocal(
@@ -83,4 +84,4 @@ def scrambled_klocal(
     """
     H = random_klocal(dims, K, stream)
     V = haar_unitary(dims.total, stream)
-    return HermitianOp(V.mat @ H.mat @ V.mat.conj().T), V
+    return _formed_hermitian(_times_dagger(V.mat @ H.mat, V.mat)), V

@@ -48,12 +48,13 @@ class ProductOpCertificate:
         return perm_matrix(tuple(f.shape[0] for f in self.factors), self.permutation).T @ kron_all(self.factors)
 
 
-def _eigen_entropies(H: HermitianOp, Ts, c, f, sites=None) -> np.ndarray:
-    """Site entropies (len(Ts), k, sites) in every structure of Ts of the states V (f * c), V the
-    eigenvectors of H, formed once in one (k, D) matrix product and read through the stacked
-    isomorphisms by one ``site_entropies`` call, at ``sites`` (all by default). Amplitudes ``c`` and
-    per-eigenvalue multipliers ``f`` broadcast to (..., D), k states. Ts must be non-empty, share the
-    dims of the first and match H's dim, else DimensionMismatch; one structure is a stack of 1."""
+def _eigen_entropies(H: HermitianOp, Ts, a: np.ndarray, sites=None) -> np.ndarray:
+    """Site entropies (len(Ts), k, sites) in every structure of Ts of the k states V a_j, V the
+    eigenvectors of H and a_j the rows of a (..., D), amplitudes in the eigenbasis, formed once in
+    one (k, D) matrix product and read through the stacked isomorphisms by one ``site_entropies``
+    call, at ``sites`` (all by default). a is the caller's to give up: for one structure the second
+    product is written back into it. Ts must be non-empty, share the dims of the first and match
+    H's dim, else DimensionMismatch; one structure is a stack of 1."""
     if not Ts:
         raise DimensionMismatch("no structures to read the states in")
     dims = Ts[0].dims
@@ -61,8 +62,12 @@ def _eigen_entropies(H: HermitianOp, Ts, c, f, sites=None) -> np.ndarray:
         raise DimensionMismatch(f"structures of differing dims: {[T.dims.factors for T in Ts]}")
     if H.dim != dims.total:
         raise DimensionMismatch(f"operator dim {H.dim} != product dim {dims.total}")
-    isos = np.stack([T.iso.mat for T in Ts]).swapaxes(-1, -2)  # each T.iso.mat.T, as a view
-    return site_entropies(((f * c).reshape(-1, dims.total) @ H.eig[1].T) @ isos, dims, sites)
+    a = a.reshape(-1, dims.total)
+    if len(Ts) == 1:
+        return site_entropies(np.matmul(a @ H.eig[1].T, Ts[0].iso.mat.T, out=a)[None], dims, sites)
+    # the stacked T.iso.mat.T, a temporary gone before site_entropies runs
+    psi = (a @ H.eig[1].T) @ np.stack([T.iso.mat for T in Ts]).swapaxes(-1, -2)
+    return site_entropies(psi, dims, sites)
 
 
 def canonical(dims: Dims) -> Tps:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,18 @@ class TestOrbit:
         err = capsys.readouterr().err
         assert err == "error: spectrum leaves float64 at scale 1.5e+308\n"
         assert list(tmp_path.glob("out*")) == []
+
+    def test_pure_marginal_rows_read_positive_zero(self, tmp_path):
+        # the zeros probe is an eigenstate of a diagonal H, so site 1 stays pure: every entropy is
+        # 0.0, or the rounding of one, and none is -0.0
+        cfg = write_config(tmp_path, "c.json", {"model": {"name": "ising", "n": 4, "J": 1.0, "h": 0.0},
+                                                "tps": "canonical", "probe": "zeros", "site": 1, "seed": 0})
+        out = tmp_path / "orbit.csv"
+        assert run_cli(["orbit", "--config", cfg, "--out", str(out)]) == 0
+        ents = [float(line.split(",")[1]) for line in out.read_text().splitlines()[2:]]
+        assert len(ents) == 64 and max(ents) < 1e-15 and not np.signbit(ents).any()
+        summary = json.loads(Path(str(out) + ".summary.json").read_text())
+        assert not np.signbit(summary["max_entropy"])
 
     def test_xx_orbit(self, tmp_path):
         cfg = write_config(
@@ -1144,6 +1157,44 @@ class TestPayloadFormat:
         if code == 0:
             assert json.loads(out.read_text())["witness"] is None
         assert list(tmp_path.glob("*.npy")) == []
+
+
+QUBITS7 = [2] * 7
+# each subcommand's op at D = 128 as the benchmark runs it, and the most D x D complex arrays
+# (256 KiB each) it may hold at once
+WORKING_SET = {
+    "orbit": ({"model": {"name": "gue", "dims": QUBITS7}, "tps": {"kind": "random"}, "probe": "zeros", "site": 1,
+               "grid": {"points": 256}}, 7.5),
+    "kinds-hsf": ({"mode": "hsf", "pair1": {"model": {"name": "gue", "dims": QUBITS7}, "state": "haar"},
+                   "pair2": "conjugated", "tol": 1e-8}, 7.1),
+    "kinds-gram": ({"mode": "gram", "family1": {"random": {"dim": 128, "count": 3}}, "family2": "rotated",
+                    "tol": 1e-8}, 5.0),
+    "profile": ({"model": {"name": "random_klocal", "dims": QUBITS7, "K": 2}, "tps": "canonical"}, 5.5),
+    "fingerprint": ({"model": {"name": "gue", "dims": QUBITS7}, "state": "haar", "tps1": {"kind": "random"},
+                     "tps2": {"kind": "evolved", "t": 0.7}}, 19.1),
+    "dualscan": ({"dims": QUBITS7, "trials": 1, "t_values": [0.3, 0.7, 1.1]}, 39.0),
+}
+
+
+class TestWorkingSet:
+    """The traced peak of one in-process op at D = 128, after a warm-up call, in D x D complex arrays:
+    what tracemalloc sees (numpy's arrays and Python's objects, not LAPACK's workspace). With -s each
+    test prints its row of the table."""
+
+    @pytest.mark.parametrize("name", WORKING_SET)
+    def test_working_set(self, tmp_path, name):
+        config, budget = WORKING_SET[name]
+        path = write_config(tmp_path, "c.json", {**config, "seed": 3})
+        argv = [name.split("-")[0], "--config", path, "--out", str(tmp_path / "out")]
+        assert run_cli(argv) == 0  # the warm-up call fills the caches and imports
+        tracemalloc.start()
+        try:
+            assert run_cli(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] / (16 * 128 * 128)
+        finally:
+            tracemalloc.stop()
+        print(f"\nworking set at D = 128: {name:<12} {peak:6.2f} D x D arrays (budget {budget})")
+        assert peak <= budget
 
 
 # one small config per subcommand; fingerprint (2,)*6 and the kinds Gram family in C^128 reach the

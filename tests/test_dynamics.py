@@ -256,7 +256,7 @@ class TestOrbitBlocks:
         B = 2**16 // H.dim
         grid = np.linspace(0, 3, 2 * B + 1 if offset == "2B+1" else B + offset)
         c = probe.vec[None] @ H.eig[1].conj()  # eigenbasis amplitudes, as one (1, D) product
-        ref = _eigen_entropies(H, [T], c, np.exp(-1j * np.multiply.outer(grid, H.eig[0])))[0, :, 3]
+        ref = _eigen_entropies(H, [T], np.exp(-1j * np.multiply.outer(grid, H.eig[0])) * c)[0, :, 3]
         assert np.array_equal(mk.entropy_orbit(H, T, probe, 3, grid), ref)
 
 

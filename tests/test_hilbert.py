@@ -542,11 +542,17 @@ class TestStackedSiteEntropies:
             mk.site_entropies(psi, dims)
 
     def test_product_state_entropies_are_zero(self):
-        # exact zero Schmidt coefficients contribute 0 log 0 = 0, without a warning
+        # exact zero Schmidt coefficients contribute 0 log 0 = 0, without a warning, and a pure
+        # marginal reads 0.0, not -(0 + 1 log 1) = -0.0, at qubit, qutrit and d = 4 sites
         dims = mk.Dims((2, 3))
         psi = np.zeros((2, 6), dtype=complex)
         psi[0, 0] = psi[1, 4] = 1.0
-        assert np.array_equal(mk.site_entropies(psi, dims), np.zeros((2, 2)))
+        ents = mk.site_entropies(psi, dims)
+        assert np.array_equal(ents, np.zeros((2, 2))) and not np.signbit(ents).any()
+        for factors in ((2, 2), (3, 3), (4, 2), (2, 3, 4)):
+            psi = mk.kron_all([np.eye(d, dtype=complex)[d - 1] for d in factors])
+            ents = mk.site_entropies(psi, mk.Dims(factors))
+            assert np.array_equal(ents, np.zeros(len(factors))) and not np.signbit(ents).any(), factors
 
     def test_stack_dimension_mismatch(self):
         with pytest.raises(mk.DimensionMismatch):
