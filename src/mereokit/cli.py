@@ -93,19 +93,18 @@ def _resolve_config(args) -> dict:
 def _checked(name: str, value, kind: type, want: str | None = None, ok=lambda v: True):
     """``kind(value)``, or a UsageError naming the field when ``value`` is not ``want``
     (by default an integer or a number) or ``ok`` rejects it. Only a JSON number is a number."""
-    want = want or ("an integer" if kind is int else "a number")
-    error = UsageError(f"{name} must be {want}, got {value!r}")
     # int() and float() would read true as 1 and "8" as 8, and int() truncate 2.7
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
+    if not (isinstance(value, bool) or not isinstance(value, (int, float))
             or kind is int and isinstance(value, float) and not value.is_integer()):
-        raise error
-    try:
-        value = kind(value)
-    except OverflowError:  # float() of an integer beyond float64
-        raise error from None
-    if not ok(value):
-        raise error
-    return value
+        try:
+            got = kind(value)
+        except OverflowError:  # float() of an integer beyond float64
+            pass
+        else:
+            if ok(got):
+                return got
+    want = want or ("an integer" if kind is int else "a number")
+    raise UsageError(f"{name} must be {want}, got {value!r}")
 
 
 # ``_checked`` rules shared by several fields

@@ -328,14 +328,14 @@ def _impurity(rho: np.ndarray) -> np.ndarray:
 
 
 def _spectra3(rho: np.ndarray) -> np.ndarray:
-    """Eigenvalues (..., 3), unordered, of a stack rho (..., 3, 3) of Hermitian A, without LAPACK: each op
-    runs on rows a_i = A_ii, o_i = A_{i,i+1 mod 3}, one column per matrix, A scaled by an exact power of two.
-    With B = (A - q) / p, q = tr A / 3, p^2 = tr (A - q)^2 / 6 and det B = +-2 cos 3phi, r = |cos 3phi|,
-    they are q + p mu, mu = +-2 cos phi, farthest from the other two, and +-2 cos(phi +- 2pi/3) (Smith,
-    CACM 4:168, 1961). Those two lose ~eps / sqrt(1 - r), splitting a rank-1 zero pair by ~1e-8 (Kopp 2006),
-    so from r = 1 - 1e-3 they come from P (A - t/2) P, P = 1 - v v^dag, t their sum, v the largest column of
-    adj(B - mu): its squared norm, a sum of squares, is (hi - lo)^2 / 2, and the root nearer 0 is prod / far."""
-    nx, ls = [1, 2, 0], [2, 0, 1]  # row i -> rows i + 1, i + 2 (mod 3)
+    """Eigenvalues (..., 3), unordered, of a stack rho (..., 3, 3) of Hermitian A: each op runs on rows
+    a_i = A_ii, o_i = A_{i,i+1 mod 3}, one column per matrix, A scaled by an exact power of two. With
+    B = (A - q) / p, q = tr A / 3, p^2 = tr (A - q)^2 / 6 and det B = +-2 cos 3phi, r = |cos 3phi|, they
+    are q + p mu, mu = +-2 cos phi and +-2 cos(phi +- 2pi/3) (Smith, CACM 4:168, 1961). The two nearest
+    roots lose ~eps / sqrt(1 - r), splitting a rank-1 zero pair by ~1e-8 (Kopp 2006), so the rows with
+    r > 1 - 1e-3 (two roots within ~3 % of the spread: 0-10 % of a stack of marginals) take all three
+    from one stacked ``eigvalsh`` of their scaled matrices, whose roots hold to a few eps there."""
+    nx = [1, 2, 0]  # row i -> row i + 1 (mod 3)
     x = rho.reshape(-1, 9).T[[0, 4, 8, 1, 5, 6]]
     e = np.frexp(np.abs(x).max(axis=0))[1]
     x *= np.ldexp(1.0, -e)
@@ -354,19 +354,7 @@ def _spectra3(rho: np.ndarray) -> np.ndarray:
     lam = q + p * mu
     k = np.flatnonzero(r > 1 - 1e-3)
     if k.size:
-        a, o, on, oo, q, m = (y[..., k] for y in (a, o, on, oo, q, c - mu[0]))  # m: diag(B - mu)
-        d = m[nx] * m[ls] - oo  # adj(B - mu)_ii, then its (i, i+1) entries
-        u = (on[nx] * on[ls]).conj() - on * m[ls]
-        v = np.choose((np.arange(3)[:, None] - d.argmax(axis=0)) % 3, [d, u[ls].conj(), u])
-        v /= np.sqrt((v.real * v.real + v.imag * v.imag).sum(axis=0))
-        w = a * v + o * v[nx] + o[ls].conj() * v[ls]  # A v
-        t = 3 * q - lam[0, k]
-        g = w - (lam[0, k] / 2 + t / 4) * v  # P (A - t/2) P = (A - t/2) - g v^dag - v g^dag
-        cd = a - t / 2 - 2 * (g * v.conj()).real
-        co = o - g * v[nx].conj() - v * g[nx].conj()
-        r2 = ((cd * cd).sum(axis=0) + 2 * (co.real * co.real + co.imag * co.imag).sum(axis=0)) / 2
-        lam[1, k] = t / 2 + np.copysign(np.sqrt(r2), t)
-        lam[2, k] = np.divide(t * t / 4 - r2, lam[1, k], out=np.zeros_like(t), where=lam[1, k] != 0.0)
+        lam[:, k] = np.linalg.eigvalsh(rho.reshape(-1, 3, 3)[k] * np.ldexp(1.0, -e[k])[:, None, None]).T
     return np.ldexp(lam.T, e[:, None]).reshape(rho.shape[:-1])
 
 

@@ -79,7 +79,7 @@ def _amplitudes(H: HermitianOp, psi: StateVec) -> np.ndarray:
     """Amplitudes of psi in the eigenbasis of H; DimensionMismatch if their dims differ."""
     if H.dim != psi.dim:
         raise DimensionMismatch(f"operator dim {H.dim} != state dim {psi.dim}")
-    return H.eig[1].conj().T @ psi.vec
+    return np.conjugate(H.eig[1].T @ np.conjugate(psi.vec))
 
 
 def _amplitudes_differ(a1: np.ndarray, a2: np.ndarray, tol: float) -> bool:

@@ -185,7 +185,7 @@ def product_state_in(T: Tps, site_vectors) -> StateVec:
     for i, (k, d) in enumerate(zip(kets, T.dims.factors)):
         if k.shape != (d,):
             raise DimensionMismatch(f"site {i} vector has shape {k.shape}, its factor dimension is {d}")
-    return StateVec(T.iso.mat.conj().T @ kron_all([_unit(k) for k in kets]))
+    return StateVec(np.conjugate(T.iso.mat.T @ np.conjugate(kron_all([_unit(k) for k in kets]))))
 
 
 def random_product_probe(T: Tps, stream: np.random.Generator) -> StateVec:

@@ -516,18 +516,22 @@ class TestStackedSiteEntropies:
             mk.site_entropies(psi, mk.Dims((2, 2, 3)), sites)
 
     def test_one_eigvalsh_per_qudit_factor_and_no_svd(self, monkeypatch):
-        # qubit and qutrit factors read their marginal spectra in closed form; every other group of
-        # equal d >= 4 takes one eigvalsh
+        # qubit and qutrit factors read their marginal spectra in closed form, save qutrit marginals with
+        # a near pair (rank one here), which take one eigvalsh for all qutrit sites; every other group
+        # of equal d >= 4 takes one eigvalsh
         calls = []
         for name in ("svd", "eigvalsh"):
             real = getattr(np.linalg, name)
             monkeypatch.setattr(
                 np.linalg, name, lambda *a, _name=name, _real=real, **kw: calls.append(_name) or _real(*a, **kw)
             )
-        for factors, expected in [((2, 2, 3), []), ((3, 4, 2, 3, 4), ["eigvalsh"])]:
-            calls.clear()
+        rng = mk.stream(7)
+        product = np.stack([mk.kron_all([rng.standard_normal(d) + 0j for d in (3, 2, 3)]) for _ in range(5)])
+        for factors, z, expected in [((2, 2, 3), None, []), ((3, 4, 2, 3, 4), None, ["eigvalsh"]),
+                                     ((3, 2, 3), product, ["eigvalsh"])]:
             dims = mk.Dims(factors)
-            z = mk.stream(113).standard_normal((5, dims.total)) + 0j
+            z = mk.stream(113).standard_normal((5, dims.total)) + 0j if z is None else z
+            calls.clear()
             mk.site_entropies(z / np.linalg.norm(z, axis=-1, keepdims=True), dims)
             assert calls == expected, factors
 
@@ -592,8 +596,48 @@ class TestSpectra3:
         seed=st.integers(0, 2**16),
     )
     def test_matches_eigvalsh(self, kind, gap, diagonal, scale, seed):
-        # unit-trace spectra of 64 matrices of one kind, pairs split by gap, conjugated by Haar
-        # unitaries or by permutations (diagonal inputs), then scaled by 2^scale
+        rho = self.stack(kind, gap, diagonal, scale, seed)
+        n = len(rho)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _spectra3(rho)
+        assert got.shape == (n, 3)
+        ref = np.linalg.eigvalsh(np.ldexp(rho.view(float), -scale).view(complex))  # exact unscaling
+        got = np.sort(np.ldexp(got, -scale), axis=-1)
+        assert np.abs(got - ref).max() <= 1e-14
+        assert np.abs(_entropy_of_probs(got) - _entropy_of_probs(ref)).max() <= 1e-12
+        if kind == "rank1" or (kind == "pair_zero" and gap == 0.0):
+            assert _entropy_of_probs(got).max() <= 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["rank1", "rank2", "pair_low", "pair_high", "pair_zero"]),
+        gap=st.sampled_from([0.0] + [10.0**-k for k in range(4, 15)]),
+        diagonal=st.booleans(),
+        scale=st.sampled_from([-1000, 0, 1000]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_near_pairs_are_eigvalsh_of_the_scaled_matrix(self, kind, gap, diagonal, scale, seed):
+        # a row whose two nearest roots are within ~3 % of the spread (r > 1 - 1e-3) holds the bits
+        # of eigvalsh of its matrix times 2^-e, scaled back, the bits it has alone. (A closed-form
+        # row may move by an ulp with the stack's length: 4 of 64 generic rows do here.)
+        rho = self.stack(kind, gap, diagonal, scale, seed)
+        got = _spectra3(rho)
+        e = np.frexp(np.abs(rho).max(axis=(1, 2)))[1]
+        lam = np.linalg.eigvalsh(np.ldexp(rho.view(float), -e[:, None, None]).view(complex))
+        mu = lam - lam.mean(axis=1, keepdims=True)
+        p = np.sqrt((mu * mu).sum(axis=1) / 6)
+        r = np.abs((mu / np.maximum(p, 1e-300)[:, None]).prod(axis=1)) / 2
+        near = r > 1 - 1e-3 + 1e-9  # rows within 1e-9 of the switch could fall either side
+        assert near.any() or kind == "rank2"
+        assert np.array_equal(got[near], np.ldexp(lam[near], e[near, None]))
+        for k in np.flatnonzero(near):
+            assert np.array_equal(_spectra3(rho[k]), got[k])
+
+    @staticmethod
+    def stack(kind, gap, diagonal, scale, seed):
+        """Unit-trace spectra of 64 matrices of one kind, pairs split by gap, conjugated by Haar
+        unitaries or by permutations (diagonal inputs), then scaled by 2^scale."""
         rng = mk.stream(seed)
         n = 64
         u, b = rng.random((n, 3)), rng.uniform(0.01, 0.45, n)
@@ -619,17 +663,7 @@ class TestSpectra3:
             rho = (U * lam[:, None, :]) @ U.conj().swapaxes(1, 2)
         rho = (rho + rho.conj().swapaxes(1, 2)) / 2
         trace = np.maximum(np.trace(rho, axis1=1, axis2=2).real, 1e-300)[:, None, None]
-        rho = np.ldexp(rho.view(float) / trace, scale).view(complex)  # may round below 2^-1022
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = _spectra3(rho)
-        assert got.shape == (n, 3)
-        ref = np.linalg.eigvalsh(np.ldexp(rho.view(float), -scale).view(complex))  # exact unscaling
-        got = np.sort(np.ldexp(got, -scale), axis=-1)
-        assert np.abs(got - ref).max() <= 1e-14
-        assert np.abs(_entropy_of_probs(got) - _entropy_of_probs(ref)).max() <= 1e-12
-        if kind == "rank1" or (kind == "pair_zero" and gap == 0.0):
-            assert _entropy_of_probs(got).max() <= 1e-12
+        return np.ldexp(rho.view(float) / trace, scale).view(complex)  # may round below 2^-1022
 
     def test_stack_shape_kept(self):
         rho = np.broadcast_to(np.diag([0.5, 0.25, 0.25]).astype(complex), (2, 5, 3, 3))
