@@ -74,7 +74,6 @@ from .models import (
     pauli_string,
     random_klocal,
     scrambled_klocal,
-    x_string,
 )
 from .search import SearchConfig, SearchResult, certify, objective, search
 

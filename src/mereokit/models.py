@@ -42,11 +42,6 @@ def ising_chain(n: int, J: float, h: float) -> HermitianOp:
     return _formed_hermitian(sum(c * kron_all([SIGMA[ch] for ch in s]) for c, s in terms))
 
 
-def x_string(i: int, n: int) -> HermitianOp:
-    """The string variable X_0 X_1 ... X_i (sites 0..i)."""
-    return pauli_string("X" * (i + 1) + "I" * (n - i - 1))
-
-
 def jw_dual_tps(n: int) -> Tps:
     """Structure whose factors carry the string variables of an n-site chain.
 

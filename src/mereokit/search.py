@@ -1,8 +1,8 @@
 """Search for structures that make a Hamiltonian (approximately) K-local, from its spectrum.
 
 H has a K-local structure exactly when some K-local operator L has its eigenvalues (Cotler,
-Penington, Ranard, "Locality from the Spectrum", arXiv:1702.06142). For K = 1 the spectrum is
-factored into site spectra (``_site_spectra``); for K >= 2 Levenberg-Marquardt matches it with
+Penington, Ranard, "Locality from the Spectrum", arXiv:1702.06142). For K = 1 a sum set of site
+spectra is fit to it (``_site_spectra``); for K >= 2 Levenberg-Marquardt matches it with
 the ascending eigenvalues of L(x) over the real weight-1..K coefficients x, reading the
 Hellmann-Feynman Jacobian from reduced density matrices (``_spectral_jacobian``); at small D, L(x)
 and the Jacobian are one product each with a cached dense map of the basis operators. Then
@@ -13,7 +13,6 @@ residual (``objective``) is the K-local residual of H in V as ``is_k_local`` rea
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -215,71 +214,80 @@ def _levenberg_marquardt(x: np.ndarray, c: np.ndarray, mask: np.ndarray, lam: np
     return W
 
 
-def _site_spectra(lam: np.ndarray, factors: tuple[int, ...], delta: float):
-    """Site spectra A_i, |A_i| = factors[i], whose sum set A_1 + ... + A_n matches the ascending
-    lam - lam[0] value by value within delta; None when there are none.
+def _takes_least(T: list, i: int, P: list) -> bool:
+    """Whether T[i] matches P[0], not a new value: whether aligning the ascending pending sums P[q]
+    with T[i + q], not T[i + 1 + q], costs no more, summed while P[q] <= T[i + 1 + q] for q >= 1."""
+    diff = 0.0
+    for q, p in enumerate(P):
+        if i + q + 1 == len(T):  # no more values left than sums pending
+            return True
+        if q and p > T[i + q + 1]:
+            return False
+        diff += (T[i + q + 1] - T[i + q]) * (T[i + q + 1] + T[i + q] - 2 * p)
+        if diff >= 0:
+            return True
+    return False
 
-    Site by site, the multiset T left to explain (at first lam - lam[0]) splits into A + R with
-    |A| the site's dim and min A = min R = 0, and R goes on to the next site. A split walks T
-    upwards: each value matches the least pending sum a + r within delta, or else it is the next
-    value of A or of R and pends its sums with the other side's values. Matches are taken
-    greedily, and only A-or-R branches, depth first on an explicit stack, since recursing per
-    value would go about D deep. An exact sum set splits off every site, so the sites are taken
-    in order; branching over them as well changed no verdict on mixed-dim near-threshold inputs.
+
+def _site_spectra(lam: np.ndarray, factors: tuple[int, ...]):
+    """Site spectra A_i, |A_i| = factors[i], min A_i = 0, whose ascending sum set matches
+    lam - lam[0] at the least cost found, the sum of the squared match errors.
+
+    Site by site, the multiset T left to explain (at first lam - lam[0]) splits into A + R with |A|
+    the site's dim and min A = min R = 0, and R goes on to the next site. A split walks T upwards:
+    each value t matches the least pending sum p = a + r at a cost (t - p)^2 when A and R are full
+    or ``_takes_least`` says so, else it is the next value of A or of R and pends its sums with the
+    other side's values. Only A-or-R branches, depth first on an explicit stack, and a branch stops
+    once its cost reaches the least complete split's. T[1] is a gap of a site left, so it goes to A
+    unbranched when those sites have one dim: an all-qubit spectrum is one walk.
     """
-    stack = [((), (lam - lam[0]).tolist(), 1, (0.0,), (0.0,), [])]
+    best, least = None, math.inf
+    stack = [((), (lam - lam[0]).tolist(), 1, (0.0,), (0.0,), [], 0.0)]
     while stack:
-        peeled, T, i, A, R, pending = stack.pop()
-        d = factors[len(peeled)]
-        while i < len(T):
-            t = T[i]
-            if pending and pending[0] < t - delta:  # a pending sum that no later value can match
-                break
-            if pending and pending[0] <= t + delta:
-                heapq.heappop(pending)
-            else:  # t is the next value of A, or else of R, which the stack tries later
-                if len(R) < len(T) // d:
-                    other = pending + [a + t for a in A[1:]]
-                    heapq.heapify(other)
-                    stack.append((peeled, T, i + 1, A, R + (t,), other))
+        peeled, T, i, A, R, pending, cost = stack.pop()
+        d, one_dim = factors[len(peeled)], len(set(factors[len(peeled):])) == 1
+        m = len(T) // d
+        while i < len(T) and cost < least:
+            if pending and (len(A) + len(R) == d + m or _takes_least(T, i, pending)):
+                cost += (T[i] - pending.pop(0)) ** 2
+            else:  # T[i] is the next value of A, or of R on the stack (at once when A is full)
+                if len(R) < m and not (one_dim and i == 1):
+                    other = sorted(pending + [a + T[i] for a in A[1:]])
+                    stack.append((peeled, T, i + 1, A, R + (T[i],), other, cost))
                 if len(A) == d:
                     break
-                for r in R[1:]:
-                    heapq.heappush(pending, t + r)
-                A += (t,)
+                pending, A = sorted(pending + [T[i] + r for r in R[1:]]), A + (T[i],)
             i += 1
-        else:  # T = A + R
-            if len(peeled) == len(factors) - 2:
-                return peeled + (A, R)
-            stack.append((peeled + (A,), list(R), 1, (0.0,), (0.0,), []))
-    return None
+        if i == len(T) and cost < least and len(peeled) == len(factors) - 2:
+            best, least = peeled + (A, R), cost
+        elif i == len(T) and cost < least:
+            stack.append((peeled + (A,), list(R), 1, (0.0,), (0.0,), [], cost))
+    return best
 
 
-def _factored_frame(lam: np.ndarray, U: np.ndarray, dims: Dims, delta: float) -> np.ndarray:
-    """V = W U^dag for a factoring of lam within delta, W the permutation that sorts the diagonal
-    of L = sum_i diag(A_i) on site i; the given frame I when there is none."""
-    spectra = _site_spectra(lam, dims.factors, delta)
-    if spectra is None:
-        return np.eye(dims.total)
-    L = sum(np.reshape(A, (-1,) + (1,) * (dims.n - 1 - i)) for i, A in enumerate(spectra))
+def _factored_frame(lam: np.ndarray, U: np.ndarray, dims: Dims) -> np.ndarray:
+    """V = W U^dag, W the permutation that sorts the diagonal s of L = sum_i diag(A_i) on site i.
+    The sorted s is lam's optimal match, so the site spectra are refit to lam by least squares on
+    the 0/1 design Z[order] of the sorted sums, while the mismatch |sort(s) - lam|^2 falls."""
+    idx = np.indices(dims.factors).reshape(dims.n, -1)  # the value indices of each sum, row-major
+    Z = np.hstack([idx[i, :, None] == np.arange(d) for i, d in enumerate(dims.factors)])
+    s = Z @ np.concatenate(_site_spectra(lam, dims.factors))
+    while True:
+        fit = Z @ np.linalg.lstsq(Z[np.argsort(s, kind="stable")], lam, rcond=None)[0]
+        if np.sum((np.sort(fit) - lam) ** 2) >= np.sum((np.sort(s) - lam) ** 2):
+            break
+        s = fit
     V = np.empty_like(U)
-    V[np.argsort(L, axis=None, kind="stable")] = U.conj().T  # V u_k = e_j, L_j the k-th lowest
+    V[np.argsort(s, kind="stable")] = U.conj().T  # V u_k = e_j, s_j the k-th lowest
     return V
 
 
 def search(H: HermitianOp, dims: Dims, cfg: SearchConfig) -> SearchResult:
     """Best structure over restarts: spectrum factorings for K = 1, matches for K >= 2.
 
-    For K = 1 each restart factors the spectrum (``_site_spectra``) at one tolerance delta, in
-    units of u = sqrt(s M / D), s = ``success_residual`` and M = |lam - mean lam|^2. When every
-    eigenvalue lies within u of its match in L, H has mass at most D u^2 = s M above weight 1 in
-    V, so every match certifies. A match reads a value t against a pending sum a + r, and the
-    errors of t, a, r and lam[0] add, so near-threshold inputs can need a few u: the restarts
-    try u, 4 u and 2 sqrt(D) u. The last is what any certifying factoring needs: its spectrum
-    is within sqrt(s M) of lam (Hoffman-Wielandt), so four errors add to at most 2 sqrt(s M).
-    The narrower tries stay because a wide window takes wrong greedy matches at large D.
-    A tolerance with no factoring gives the given frame (V = I); ``restarts`` and
-    ``max_iters`` do not apply.
+    For K = 1 one restart factors the spectrum with no tolerance (``_site_spectra``) and refits
+    the site spectra (``_factored_frame``). H lies within |sort(s) - lam| of L in V, so the residual
+    is at most |sort(s) - lam|^2 / |lam - mean lam|^2. ``restarts`` and ``max_iters`` do not apply.
 
     For K >= 2 each restart matches the eigenvalues of a K-local L(x) to those of H by
     Levenberg-Marquardt over its weight-1..K coefficients x, weight 0 fixed by tr H, until
@@ -303,12 +311,10 @@ def search(H: HermitianOp, dims: Dims, cfg: SearchConfig) -> SearchResult:
     mask = klocal_mask(dims.factors, cfg.K)
     c = np.where(weight_tensor(dims.factors) == 0, coeffs, 0.0)
     scale = float(np.linalg.norm(lam - lam.mean()))  # = |H - tr H / D|_HS
-    u = scale * math.sqrt(cfg.success_residual / dims.total)  # K = 1 tolerances, see above
-    deltas = (u, 4 * u, 2 * math.sqrt(dims.total) * u)
     best, residuals = None, []
-    for r in range(len(deltas) if cfg.K == 1 else cfg.restarts):
+    for r in range(1 if cfg.K == 1 else cfg.restarts):
         if cfg.K == 1:
-            V = _formed_unitary(_factored_frame(lam, U, dims, deltas[r]))
+            V = _formed_unitary(_factored_frame(lam, U, dims))
         else:
             if r == 0:
                 x0 = coeffs[mask]

@@ -1172,8 +1172,9 @@ WORKING_SET = {
                     "tol": 1e-8}, 5.0),
     "profile": ({"model": {"name": "random_klocal", "dims": QUBITS7, "K": 2}, "tps": "canonical"}, 5.5),
     "fingerprint": ({"model": {"name": "gue", "dims": QUBITS7}, "state": "haar", "tps1": {"kind": "random"},
-                     "tps2": {"kind": "evolved", "t": 0.7}}, 19.1),
-    "dualscan": ({"dims": QUBITS7, "trials": 1, "t_values": [0.3, 0.7, 1.1]}, 39.0),
+                     "tps2": {"kind": "evolved", "t": 0.7}}, 17.1),
+    "dualscan": ({"dims": QUBITS7, "trials": 1, "t_values": [0.3, 0.7, 1.1]}, 34.0),
+    "search": ({"model": {"name": "scrambled_klocal", "dims": QUBITS7, "K": 1}, "search": {"K": 1}}, 8.0),
 }
 
 

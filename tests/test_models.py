@@ -3,7 +3,7 @@ import pytest
 
 import mereokit as mk
 from mereokit.basis import weight_tensor
-from mereokit.models import SIGMA, x_string
+from mereokit.models import SIGMA
 
 from conftest import hs_norm_sq
 
@@ -67,8 +67,8 @@ class TestDualTps:
     def test_strings_map_to_z(self, n):
         T = mk.jw_dual_tps(n)
         W = T.iso.mat
-        for i in range(n):
-            conj = W @ x_string(i, n).mat @ W.conj().T
+        for i in range(n):  # the string variable X_0 X_1 ... X_i
+            conj = W @ mk.pauli_string("X" * (i + 1) + "I" * (n - i - 1)).mat @ W.conj().T
             assert np.abs(conj - canonical_site(SIGMA["Z"], i, n)).max() < 1e-10
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])

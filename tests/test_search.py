@@ -318,6 +318,24 @@ def near_threshold(dims, eps, rng):
     return H, mk.objective(H, mk.UnitaryOp(U.conj().T), 1, dims)
 
 
+def planted_fraction(dims, f, seed):
+    """A random 1-local operator plus a weight-2 part that holds the fraction f of its
+    non-constant mass, conjugated by a Haar unitary: its planted structure reads residual f."""
+    rng = mk.stream(9, seed, dims.n)
+    w = weight_tensor(dims.factors)
+    c, c2 = np.zeros(w.shape), np.zeros(w.shape)
+    c[w == 1] = rng.standard_normal(int((w == 1).sum()))
+    c2[w == 2] = rng.standard_normal(int((w == 2).sum()))
+    c += c2 * np.sqrt(f / (1 - f) * (c ** 2).sum() / (c2 ** 2).sum())
+    U = mk.haar_unitary(dims.total, rng).mat
+    return mk.HermitianOp(U @ matrix_from_coeffs(c, dims) @ U.conj().T)
+
+
+# near-threshold inputs whose planted structure misses 1e-6 (residuals 1.2e-6 to 9e-6) but which
+# have another structure that certifies: (eps, sub-stream 950 index)
+CONVERGING = {(3, 3): [(1e-3, 9), (1e-3, 15)], (2, 3, 3): [(1e-3, 17)], (3, 3, 3, 3): [(3e-4, 1)]}
+
+
 class TestFactoring:
     """K = 1: the spectrum factored into site spectra."""
 
@@ -343,7 +361,7 @@ class TestFactoring:
 
         rng = mk.stream(860, len(factors))
         lam = sum_set([rng.standard_normal(d) for d in factors])
-        spectra = search_mod._site_spectra(lam, factors, 1e-9)
+        spectra = search_mod._site_spectra(lam, factors)
         assert [len(A) for A in spectra] == list(factors)
         assert np.abs(sum_set(spectra) - (lam - lam[0])).max() <= 1e-9
 
@@ -363,15 +381,14 @@ class TestFactoring:
             H = random_hermitian(dims.total, mk.stream(861, dims.total, k))
             res = mk.search(H, dims, mk.SearchConfig(K=1, restarts=5, seed=k))
             assert not res.converged and not mk.certify(H, res, 1, 1e-6)
-            # one restart per tolerance, whatever restarts says, each in the given frame
-            assert np.array_equal(res.tps.iso.mat, np.eye(dims.total))
-            given = mk.objective(H, mk.UnitaryOp(np.eye(dims.total)), 1, dims)
-            assert res.restart_residuals == (given,) * 3
+            # one factoring, whatever restarts says
+            assert len(res.restart_residuals) == 1 and res.residual >= 1e-5
 
-    @pytest.mark.parametrize("factors", [(2, 2, 2), (2, 2, 3), (3, 3), (2, 3, 3), (3, 3, 3)])
+    @pytest.mark.parametrize("factors", [(2, 2, 2), (2, 2, 3), (3, 3), (2, 3, 3), (3, 3, 3), (3, 3, 3, 3)])
     def test_near_threshold_converges_below_success_residual(self, factors):
         # 1-local + eps 2-local, scrambled: whenever the planted structure certifies, the
-        # search converges (it may also find another structure that certifies)
+        # search converges (it may also find another structure that certifies), and so do the
+        # inputs in CONVERGING
         dims = mk.Dims(factors)
         planted_ok = 0
         for j, eps in enumerate((1e-4, 3e-4, 1e-3)):
@@ -383,18 +400,38 @@ class TestFactoring:
                     planted_ok += 1
                     assert res.converged
         assert planted_ok >= 3
+        for eps, k in CONVERGING.get(factors, []):
+            H, _ = near_threshold(dims, eps, mk.stream(950, dims.total, k))
+            res = mk.search(H, dims, mk.SearchConfig(K=1))
+            assert res.converged and mk.certify(H, res, 1, 1e-6)
 
-    @pytest.mark.parametrize("factors,eps,k,which", [
-        ((3, 3), 1e-3, 9, 2), ((3, 3), 1e-3, 15, 1), ((2, 3, 3), 1e-3, 17, 1), ((3, 3, 3, 3), 3e-4, 1, 1),
-    ])
-    def test_each_tolerance_is_needed(self, factors, eps, k, which):
-        # near-threshold inputs that only one tolerance (u, 4 u, 2 sqrt(D) u) factors into a
-        # certifying structure: match errors add, and a wide window takes wrong greedy matches
+    @pytest.mark.parametrize("factors,f,seed", [((2,) * 8, 0.5e-6, 9), ((3,) * 5, 0.5e-6, 3),
+                                                ((4,) * 4, 0.5e-6, 0)])
+    def test_planted_fraction_converges(self, factors, f, seed):
+        # planted structures that certify, at D >= 243; at (3,)*5 and (4,)*4 near-degenerate
+        # values swap against their pending sums, so matching a value whenever the least pending
+        # sum is nearer it than the next value splits the spectrum wrongly
         dims = mk.Dims(factors)
-        H, _ = near_threshold(dims, eps, mk.stream(950, dims.total, k))
+        H = planted_fraction(dims, f, seed)
         res = mk.search(H, dims, mk.SearchConfig(K=1))
-        assert [r <= 1e-6 for r in res.restart_residuals] == [i == which for i in range(3)]
         assert res.converged and mk.certify(H, res, 1, 1e-6)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(factors=st.one_of(st.integers(3, 7).map(lambda n: (2,) * n),
+                             st.lists(st.sampled_from([2, 3, 4]), min_size=2, max_size=4).map(tuple)
+                             .filter(lambda f: 8 <= np.prod(f) <= 128)),
+           f=st.sampled_from([0.5e-6, 0.9e-6]), seed=st.integers(0, 2**16))
+    def test_near_threshold_converges_gue_does_not_exact_reads_zero(self, factors, f, seed):
+        # D >= 8: over 300 GUE inputs each, (2,2) came within 5.7e-6 of a sum set and (2,3) 1.1e-5
+        dims, cfg = mk.Dims(factors), mk.SearchConfig(K=1)
+        H = planted_fraction(dims, f, seed)
+        res = mk.search(H, dims, cfg)
+        assert res.converged and mk.certify(H, res, 1, 1e-6)
+        G = random_hermitian(dims.total, mk.stream(seed, 1))
+        res = mk.search(G, dims, cfg)
+        assert not res.converged and not mk.certify(G, res, 1, 1e-6) and res.residual >= 1e-5
+        H, _ = mk.scrambled_klocal(dims, 1, mk.stream(seed, 2))
+        assert mk.search(H, dims, cfg).residual == 0.0
 
 
 class TestCertify:
