@@ -331,11 +331,6 @@ def planted_fraction(dims, f, seed):
     return mk.HermitianOp(U @ matrix_from_coeffs(c, dims) @ U.conj().T)
 
 
-# near-threshold inputs whose planted structure misses 1e-6 (residuals 1.2e-6 to 9e-6) but which
-# have another structure that certifies: (eps, sub-stream 950 index)
-CONVERGING = {(3, 3): [(1e-3, 9), (1e-3, 15)], (2, 3, 3): [(1e-3, 17)], (3, 3, 3, 3): [(3e-4, 1)]}
-
-
 class TestFactoring:
     """K = 1: the spectrum factored into site spectra."""
 
@@ -387,8 +382,7 @@ class TestFactoring:
     @pytest.mark.parametrize("factors", [(2, 2, 2), (2, 2, 3), (3, 3), (2, 3, 3), (3, 3, 3), (3, 3, 3, 3)])
     def test_near_threshold_converges_below_success_residual(self, factors):
         # 1-local + eps 2-local, scrambled: whenever the planted structure certifies, the
-        # search converges (it may also find another structure that certifies), and so do the
-        # inputs in CONVERGING
+        # search converges (it may also find another structure that certifies)
         dims = mk.Dims(factors)
         planted_ok = 0
         for j, eps in enumerate((1e-4, 3e-4, 1e-3)):
@@ -400,10 +394,20 @@ class TestFactoring:
                     planted_ok += 1
                     assert res.converged
         assert planted_ok >= 3
-        for eps, k in CONVERGING.get(factors, []):
-            H, _ = near_threshold(dims, eps, mk.stream(950, dims.total, k))
-            res = mk.search(H, dims, mk.SearchConfig(K=1))
-            assert res.converged and mk.certify(H, res, 1, 1e-6)
+
+    @pytest.mark.parametrize("factors,eps,k,which", [
+        ((3, 3), 1e-3, 9, 2), ((3, 3), 1e-3, 15, 1), ((2, 3, 3), 1e-3, 17, 1), ((3, 3, 3, 3), 3e-4, 1, 1),
+    ])
+    def test_each_tolerance_is_needed(self, factors, eps, k, which):
+        # near-threshold inputs whose planted structure misses 1e-6 (residuals 1.2e-6 to 9e-6) but
+        # which have another structure that certifies; a greedy matcher with a fixed window
+        # (u, 4 u, 2 sqrt(D) u) factors each into it at the one window `which` only, as match
+        # errors add and a wide window takes wrong matches. One tolerance-free factoring does all
+        dims = mk.Dims(factors)
+        H, _ = near_threshold(dims, eps, mk.stream(950, dims.total, k))
+        res = mk.search(H, dims, mk.SearchConfig(K=1))
+        assert len(res.restart_residuals) == 1 and res.residual <= 1e-6
+        assert res.converged and mk.certify(H, res, 1, 1e-6)
 
     @pytest.mark.parametrize("factors,f,seed", [((2,) * 8, 0.5e-6, 9), ((3,) * 5, 0.5e-6, 3),
                                                 ((4,) * 4, 0.5e-6, 0)])
